@@ -2,7 +2,7 @@
 
 Besides the pytest-benchmark timing, every :func:`run_once` call records a
 machine-readable result row — benchmark name, wall time and the size of the
-measured topology — which ``benchmarks/conftest.py`` writes to
+measured topology — which ``benchmarks/conftest.py`` merges into
 ``BENCH_results.json`` (override the path with ``REPRO_BENCH_JSON``) at the
 end of the session, so CI and scripts can diff benchmark numbers without
 scraping stdout.
@@ -80,14 +80,36 @@ def run_once(benchmark, func, *args, **kwargs):
     return result
 
 
+def _existing_document(target: Path) -> dict[str, Any] | None:
+    """The results document already at ``target`` (None if absent or unreadable)."""
+    try:
+        document = json.loads(target.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(document, dict) or not isinstance(document.get("results"), list):
+        return None
+    return document
+
+
 def write_results(path: str | os.PathLike | None = None) -> Path | None:
-    """Write accumulated rows as JSON; returns the path (None when empty)."""
+    """Merge accumulated rows into the JSON document; returns the path.
+
+    Rows are keyed by bench name: this session's rows replace rows of the
+    same name and every other row of an existing document is kept, so a
+    partial run (one bench file, one ``-k`` selection) never drops the rest
+    of the ledger.  The document stays ``full_scale`` only while every run
+    merged into it was.  Returns None when the session recorded nothing.
+    """
     if not _RESULTS:
         return None
     target = Path(path or BENCH_RESULTS_PATH)
+    existing = _existing_document(target)
+    rows = {row["bench"]: row for row in (existing or {}).get("results", [])}
+    rows.update((row["bench"], row) for row in _RESULTS)
+    full_scale = FULL_SCALE and (existing is None or bool(existing.get("full_scale")))
     target.write_text(
         json.dumps(
-            {"schema": 1, "full_scale": FULL_SCALE, "results": _RESULTS},
+            {"schema": 1, "full_scale": full_scale, "results": list(rows.values())},
             indent=2,
         )
         + "\n"

@@ -40,7 +40,7 @@ def _build_families(graph, d_levels, store=None):
         d_levels=d_levels,
         replicates=1,
         seed=GENERATION_SEED,
-        collect_metrics=False,
+        metrics=(),
         keep_graphs=True,
     )
     result = run_experiment(spec, store=store)

@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-import warnings
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -127,9 +126,6 @@ class ExperimentSpec:
         All requested metrics are evaluated by one measurement-planner run
         per graph, so shared intermediates (in particular the BFS sweep) are
         computed once regardless of how many metrics consume them.
-    collect_metrics:
-        Deprecated boolean alias kept for backward compatibility:
-        ``collect_metrics=False`` is equivalent to ``metrics=()``.
     compute_spectrum:
         Include the Laplacian eigenvalues in the default metric set (slowest
         metric).  Ignored when an explicit ``metrics=`` is given.
@@ -180,7 +176,6 @@ class ExperimentSpec:
     include_original: bool = False
     skip_unsupported: bool = True
     metrics: Sequence[str] | None = None
-    collect_metrics: bool = True
     compute_spectrum: bool = False
     distance_sources: int | None = None
     dk_distances: bool = False
@@ -213,26 +208,11 @@ class ExperimentSpec:
                 f"method name {ORIGINAL_METHOD!r} is reserved for include_original"
             )
         if self.metrics is None:
-            if self.collect_metrics:
-                resolved = MeasurementPlan.table2(
-                    compute_spectrum=self.compute_spectrum
-                ).metrics
-            else:
-                warnings.warn(
-                    "collect_metrics=False is deprecated; use metrics=() instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                resolved = ()
+            resolved = MeasurementPlan.table2(
+                compute_spectrum=self.compute_spectrum
+            ).metrics
         else:
             resolved = tuple(dict.fromkeys(self.metrics))
-            if not self.collect_metrics and resolved:
-                # metrics=() with collect_metrics=False is consistent (and is
-                # what to_dict() round-trips); a non-empty selection is not
-                raise ExperimentError(
-                    "collect_metrics=False conflicts with a non-empty metrics= "
-                    "selection; drop the deprecated flag"
-                )
             known = available_metrics()
             unknown = [name for name in resolved if name not in known]
             if unknown:
@@ -357,7 +337,6 @@ class ExperimentSpec:
             "seed": self.seed,
             "include_original": self.include_original,
             "metrics": list(self.metrics),
-            "collect_metrics": bool(self.metrics),
             "compute_spectrum": self.compute_spectrum,
             "distance_sources": self.distance_sources,
             "dk_distances": self.dk_distances,

@@ -10,7 +10,8 @@ implementations:
   adjacency sets.  Always available; the reference implementation.
 * ``"csr"``    — vectorized NumPy kernels over a compressed-sparse-row view
   of the graph (:mod:`repro.kernels.csr`).  Orders of magnitude faster on
-  large graphs; requires NumPy.
+  large graphs; requires NumPy and SciPy (the batched Brandes kernel runs
+  on ``scipy.sparse``).
 
 Callers never import kernel modules directly: the metric functions in
 :mod:`repro.metrics` dispatch through :func:`get_kernel` with a backend name
@@ -23,10 +24,11 @@ different (equally valid) dK-random graphs for one seed.  In both cases the
 backend is a pure execution knob and never enters artifact-store cache keys.
 
 Selection precedence: a per-call ``backend=`` argument, then the process-wide
-setting installed with :func:`use_backend`, then ``"auto"`` (CSR for graphs
-with at least :data:`AUTO_THRESHOLD` nodes when NumPy is importable, python
-otherwise).  When NumPy is absent the CSR backend silently degrades to the
-python one, so the library stays fully functional on a bare interpreter.
+setting installed with :func:`use_backend`, then ``"auto"``: CSR for every
+Brandes sweep (betweenness or edge load) and for any other kernel on graphs
+with at least :data:`AUTO_THRESHOLD` nodes, python otherwise.  When NumPy or
+SciPy is absent the array backends degrade to the python one, so the
+library stays fully functional on a bare interpreter.
 
 ``use_backend`` doubles as a context manager::
 
@@ -38,16 +40,20 @@ python one, so the library stays fully functional on a bare interpreter.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import os
 import warnings
 from typing import Callable
 
 from repro.telemetry.core import span, tracing_enabled
 
+#: Whether the array backends can run: they need NumPy and SciPy together
+#: (a NumPy-only install degrades to python).  SciPy is only located here,
+#: not imported, so the probe stays cheap.
 try:
     import numpy  # noqa: F401  (availability probe only)
 
-    HAS_NUMPY = True
+    HAS_NUMPY = importlib.util.find_spec("scipy") is not None
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     HAS_NUMPY = False
 
@@ -70,7 +76,8 @@ def _int_env(name: str, default: int) -> int:
 
 
 #: Under ``"auto"``, graphs with at least this many nodes use the CSR backend
-#: (building the CSR arrays costs more than it saves on tiny graphs).
+#: (building the CSR arrays costs more than it saves on tiny graphs).  Brandes
+#: sweeps ignore it: the batched kernel wins at every measured n.
 AUTO_THRESHOLD = _int_env("REPRO_CSR_THRESHOLD", 1024)
 
 #: A malformed REPRO_BACKEND is reported by the first resolve_backend call
@@ -100,8 +107,6 @@ _KERNEL_MODULES: dict[tuple[str, str], str] = {
     ("second_order_total", "csr"): "repro.kernels.correlations",
     ("jdd_counts", "python"): "repro.kernels.correlations_python",
     ("jdd_counts", "csr"): "repro.kernels.correlations",
-    ("betweenness_accumulate", "python"): "repro.metrics.betweenness",
-    ("betweenness_accumulate", "csr"): "repro.kernels.betweenness",
     # the out-of-core tier: chunked kernels over memory-mapped CSR arrays
     ("bfs_histogram", "biggraph"): "repro.kernels.biggraph",
     ("bfs_sweep", "biggraph"): "repro.kernels.biggraph",
@@ -109,7 +114,6 @@ _KERNEL_MODULES: dict[tuple[str, str], str] = {
     ("edge_degree_moments", "biggraph"): "repro.kernels.biggraph",
     ("second_order_total", "biggraph"): "repro.kernels.biggraph",
     ("jdd_counts", "biggraph"): "repro.kernels.biggraph",
-    ("betweenness_accumulate", "biggraph"): "repro.kernels.biggraph",
     # rewiring engines: "python" = the per-move SimpleGraph loops, "csr" =
     # the batched flat-edge-array engine.  Unlike the metric kernels the two
     # engines draw different random streams, so for one seed they build
@@ -127,7 +131,7 @@ _warned_missing_numpy = False
 
 
 def available_backends() -> tuple[str, ...]:
-    """Backends usable in this interpreter (``csr`` needs NumPy)."""
+    """Backends usable in this interpreter (``csr`` needs NumPy and SciPy)."""
     return BACKENDS if HAS_NUMPY else ("python",)
 
 
@@ -170,12 +174,16 @@ def current_backend() -> str:
     return _state["backend"]
 
 
-def resolve_backend(graph=None, backend: str | None = None) -> str:
+def resolve_backend(
+    graph=None, backend: str | None = None, *, brandes: bool = False
+) -> str:
     """Concrete backend for one call: per-call override > setting > auto.
 
-    ``"auto"`` picks CSR when NumPy is importable and ``graph`` has at least
-    :data:`AUTO_THRESHOLD` nodes.  An explicit ``"csr"`` without NumPy warns
-    once and degrades to ``"python"`` instead of failing.
+    ``"auto"`` picks CSR when NumPy and SciPy are importable and either the
+    call is a Brandes sweep (``brandes=True``: betweenness or edge load, at
+    any n) or ``graph`` has at least :data:`AUTO_THRESHOLD` nodes.  An
+    explicit ``"csr"`` without them warns once and degrades to ``"python"``
+    instead of failing.
     """
     if getattr(graph, "is_biggraph", False):
         # A BigGraph has no adjacency sets and no in-memory edge arrays —
@@ -185,13 +193,16 @@ def resolve_backend(graph=None, backend: str | None = None) -> str:
     if name == "auto":
         if not HAS_NUMPY:
             return "python"
+        if brandes:
+            return "csr"
         size = 0 if graph is None else graph.number_of_nodes
         return "csr" if size >= AUTO_THRESHOLD else "python"
     if name in ("csr", "biggraph") and not HAS_NUMPY:
         global _warned_missing_numpy
         if not _warned_missing_numpy:
             warnings.warn(
-                f"the {name!r} backend requires numpy (pip install repro[fast]); "
+                f"the {name!r} backend requires numpy and scipy "
+                "(pip install repro[fast]); "
                 "falling back to the pure-Python backend",
                 RuntimeWarning,
                 stacklevel=2,

@@ -17,8 +17,7 @@ is the growth of the total popcount.  Per level the whole sweep touches
 the per-source Python BFS, with bit-identical integer counts.
 
 Source blocks are capped so the transient gather buffer stays within
-:data:`MAX_GATHER_BYTES`.  :func:`distances_from` (frontier BFS for a single
-source) is kept for per-source consumers like the Brandes kernel.
+:data:`MAX_GATHER_BYTES`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.backend import register_kernel
-from repro.kernels.csr import CSRGraph, csr_graph
+from repro.kernels.csr import csr_graph
 
 #: Upper bound for one block's neighbor-gather buffer (2m × words × 8 bytes).
 MAX_GATHER_BYTES = 256 * 1024 * 1024
@@ -44,49 +43,6 @@ def _popcount(words: np.ndarray) -> int:
     """Total set bits; byte histogram keeps the intermediate at 256 entries."""
     per_byte = np.bincount(words.view(np.uint8).ravel(), minlength=256)
     return int(per_byte @ _POPCOUNT)
-
-
-def _gather_arcs(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-    """Positions into ``csr.indices`` of every arc leaving the frontier nodes."""
-    counts = csr.degrees[frontier]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = csr.indptr[frontier]
-    row_offsets = np.empty(len(counts) + 1, dtype=np.int64)
-    row_offsets[0] = 0
-    np.cumsum(counts, out=row_offsets[1:])
-    # position j of the output maps to indices[starts[row] + (j - row_offsets[row])]
-    positions = np.arange(total, dtype=np.int64)
-    positions += np.repeat(starts - row_offsets[:-1], counts)
-    return positions
-
-
-def _gather_neighbors(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-    """All neighbors of the frontier nodes, concatenated (with repeats)."""
-    positions = _gather_arcs(csr, frontier)
-    if positions.size == 0:
-        return np.empty(0, dtype=csr.indices.dtype)
-    return csr.indices[positions]
-
-
-def distances_from(csr: CSRGraph, source: int) -> np.ndarray:
-    """Hop distances from ``source`` to every node (-1 when unreachable)."""
-    distances = np.full(csr.n, -1, dtype=np.int64)
-    distances[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        neighbors = _gather_neighbors(csr, frontier)
-        if neighbors.size == 0:
-            break
-        fresh = neighbors[distances[neighbors] < 0]
-        if fresh.size == 0:
-            break
-        level += 1
-        distances[fresh] = level
-        frontier = np.unique(fresh)
-    return distances
 
 
 def _block_bits(edge_slots: int) -> int:
@@ -146,7 +102,6 @@ def bfs_histogram(graph: SimpleGraph, source_nodes: Sequence[int]) -> dict[int, 
 __all__ = [
     "MAX_GATHER_BYTES",
     "MAX_BLOCK_BITS",
-    "distances_from",
     "bfs_histogram",
     "histogram_from_csr",
 ]

@@ -234,25 +234,6 @@ def _arc_rows(view, begin: int, end: int):
     return np.searchsorted(view.indptr, positions, side="right").astype(np.int64) - 1
 
 
-def _arc_edge_ids_view(view):
-    """Canonical edge id of every arc, derived from the CSR arrays alone.
-
-    Canonical edges sorted ascending by ``(u, v)`` are exactly the arcs with
-    ``neighbor > row`` in CSR order, so their packed keys are already sorted
-    and a single ``searchsorted`` maps every arc to its edge id.
-    """
-    n = max(view.n, 1)
-    total = len(view.indices)
-    keys = np.empty(total, dtype=np.int64)
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        neigh = view.indices[begin:end].astype(np.int64)
-        keys[begin:end] = np.minimum(rows, neigh) * n + np.maximum(rows, neigh)
-    edge_keys = np.unique(keys)
-    return np.searchsorted(edge_keys, keys)
-
-
 # ---------------------------------------------------------------------- #
 # kernels (backend "biggraph")
 # ---------------------------------------------------------------------- #
@@ -279,44 +260,9 @@ def bfs_sweep(
     view = _view(graph)
     if not want_betweenness and not want_edge_load:
         return histogram_from_csr(view, source_nodes), None, None
-    from repro.kernels.betweenness import _accumulate_source
+    from repro.kernels.betweenness import brandes_sweep
 
-    centrality = np.zeros(view.n, dtype=np.float64)
-    edge_load = arc_edge = None
-    if want_edge_load:
-        edge_load = np.zeros(graph.number_of_edges, dtype=np.float64)
-        arc_edge = _arc_edge_ids_view(view)
-    counts = np.zeros(1, dtype=np.int64)
-    for source in source_nodes:
-        distances = _accumulate_source(
-            view, source, centrality, edge_load=edge_load, arc_edge=arc_edge
-        )
-        reached = distances[distances >= 0]
-        per_source = np.bincount(reached)
-        if len(per_source) > len(counts):
-            grown = np.zeros(len(per_source), dtype=np.int64)
-            grown[: len(counts)] = counts
-            counts = grown
-        counts[: len(per_source)] += per_source
-    histogram = {d: int(c) for d, c in enumerate(counts) if c}
-    return (
-        histogram,
-        [float(value) for value in centrality],
-        None if edge_load is None else [float(value) for value in edge_load],
-    )
-
-
-@register_kernel("betweenness_accumulate", "biggraph")
-def betweenness_accumulate(graph, source_nodes: Sequence[int]) -> list[float]:
-    """Raw Brandes accumulation over ``source_nodes`` (no scaling applied)."""
-    _require_numpy()
-    from repro.kernels.betweenness import _accumulate_source
-
-    view = _view(graph)
-    centrality = np.zeros(view.n, dtype=np.float64)
-    for source in source_nodes:
-        _accumulate_source(view, source, centrality)
-    return [float(value) for value in centrality]
+    return brandes_sweep(view, source_nodes, want_edge_load)
 
 
 @register_kernel("edge_degree_moments", "biggraph")

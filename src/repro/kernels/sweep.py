@@ -2,22 +2,19 @@
 
 Without betweenness the sweep is the bit-parallel batched histogram BFS of
 :mod:`repro.kernels.bfs` (64 sources per word).  With betweenness it runs
-the vectorized per-source Brandes pass of :mod:`repro.kernels.betweenness`
-and bin-counts the hop-distance array that pass computes anyway, so a
-combined distance+betweenness request performs a single traversal.  The
-integer pair counts are identical in both modes and identical to the
-pure-Python kernel.
+the batched Brandes kernel of :mod:`repro.kernels.betweenness`, whose
+forward pass yields the same distance histogram, so a combined
+distance+betweenness request performs a single traversal.  The integer pair
+counts are identical in both modes and identical to the pure-Python kernel.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.backend import register_kernel
-from repro.kernels.betweenness import _accumulate_source, _arc_edge_ids
+from repro.kernels.betweenness import brandes_sweep
 from repro.kernels.bfs import bfs_histogram
 from repro.kernels.csr import csr_graph
 
@@ -32,36 +29,13 @@ def bfs_sweep(
     """One sweep over ``source_nodes``: ``(histogram, centrality, edge load)``.
 
     ``edge_load`` is the raw per-edge dependency accumulation in sorted
-    canonical edge order (``None`` unless ``want_edge_load``), scatter-added
-    inside the same Brandes backward pass — betweenness + edge load together
-    still cost one traversal.
+    canonical edge order (``None`` unless ``want_edge_load``), computed from
+    the same batched Brandes pass — betweenness + edge load together still
+    cost one traversal.
     """
     if not want_betweenness and not want_edge_load:
         return bfs_histogram(graph, source_nodes), None, None
-    csr = csr_graph(graph)
-    centrality = np.zeros(csr.n, dtype=np.float64)
-    edge_load = arc_edge = None
-    if want_edge_load:
-        edge_load = np.zeros(graph.number_of_edges, dtype=np.float64)
-        arc_edge = _arc_edge_ids(csr)
-    counts = np.zeros(1, dtype=np.int64)
-    for source in source_nodes:
-        distances = _accumulate_source(
-            csr, source, centrality, edge_load=edge_load, arc_edge=arc_edge
-        )
-        reached = distances[distances >= 0]
-        per_source = np.bincount(reached)
-        if len(per_source) > len(counts):
-            grown = np.zeros(len(per_source), dtype=np.int64)
-            grown[: len(counts)] = counts
-            counts = grown
-        counts[: len(per_source)] += per_source
-    histogram = {d: int(c) for d, c in enumerate(counts) if c}
-    return (
-        histogram,
-        [float(value) for value in centrality],
-        None if edge_load is None else [float(value) for value in edge_load],
-    )
+    return brandes_sweep(csr_graph(graph), source_nodes, want_edge_load)
 
 
 __all__ = ["bfs_sweep"]

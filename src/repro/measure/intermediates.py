@@ -124,12 +124,18 @@ def shared_sweep(
     from repro.metrics.distances import sample_sources
 
     exact = sources is None or sources >= n
-    concrete = resolve_backend(graph, backend)
+    brandes = want_betweenness or want_edge_load
+    concrete = resolve_backend(graph, backend, brandes=brandes)
     key = ("sweep", concrete)
     with span(
         "intermediate.sweep", backend=concrete, n=n, m=graph.number_of_edges
     ) as sp:
         cached = _cache(graph).get(key) if exact else None
+        if cached is None and exact and not brandes:
+            # under "auto" a Brandes sweep may have resolved to another
+            # backend; its histogram holds the same exact integer counts
+            brandes_key = ("sweep", resolve_backend(graph, backend, brandes=True))
+            cached = _cache(graph).get(brandes_key)
         if (
             cached is not None
             and (cached.centrality is not None or not want_betweenness)
@@ -147,10 +153,10 @@ def shared_sweep(
         counter_inc("repro_intermediate_total", kind="sweep", outcome="miss")
         counter_inc("repro_sweep_sources_total", len(source_nodes))
         histogram = centrality = edge_load = None
-        if executor is not None and not want_betweenness and not want_edge_load:
+        if executor is not None and not brandes:
             histogram = executor(graph, source_nodes)
         if histogram is None:
-            histogram, centrality, edge_load = dispatch("bfs_sweep", graph, backend)(
+            histogram, centrality, edge_load = dispatch("bfs_sweep", graph, concrete)(
                 graph, source_nodes, want_betweenness, want_edge_load
             )
         result = SweepResult(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.backend import register_kernel
 from repro.measure.intermediates import shared_sweep
 from repro.utils.rng import RngLike
 
@@ -140,17 +139,6 @@ def brandes_source(
         if w != s:
             centrality[w] += delta[w]
     return distance
-
-
-@register_kernel("betweenness_accumulate", "python")
-def _betweenness_accumulate_python(
-    graph: SimpleGraph, source_nodes: list[int]
-) -> list[float]:
-    """Reference Brandes accumulation: raw dependency sums per source."""
-    centrality = [0.0] * graph.number_of_nodes
-    for s in source_nodes:
-        brandes_source(graph, s, centrality)
-    return centrality
 
 
 def betweenness_by_degree(

@@ -225,9 +225,6 @@ class ServiceClient:
             body["timeout"] = timeout
         return await self._call("POST", "/v1/workload", body)
 
-    #: ExperimentSpec.to_dict() keys the submit endpoint does not accept.
-    _SPEC_DROP = ("collect_metrics",)
-
     async def submit_experiment(
         self, spec: Any, *, workers: int = 1, resume: bool = True
     ) -> dict[str, Any]:
@@ -238,7 +235,6 @@ class ServiceClient:
         """
         if hasattr(spec, "to_dict"):
             spec = spec.to_dict()
-        spec = {k: v for k, v in dict(spec).items() if k not in self._SPEC_DROP}
         return await self._call(
             "POST",
             "/v1/experiments",

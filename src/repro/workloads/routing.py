@@ -5,7 +5,7 @@ evenly across equal-cost paths), the expected load on a link or router is
 exactly its (edge or node) betweenness.  The Brandes accumulation the
 measurement planner already runs for betweenness computes the per-edge
 dependency contribution as an inner term, so the unified ``bfs_sweep``
-kernel scatter-adds it onto the edges of the same traversal —
+kernel accumulates it per edge within the same traversal —
 betweenness + edge load + every congestion metric together cost ONE sweep.
 
 Per-edge load vectors are emitted in *sorted canonical edge order*

@@ -33,6 +33,7 @@ _NUMPY_ONLY = [
     "test_analysis.py",
     "test_backend_equivalence.py",
     "test_baselines.py",
+    "test_batched_brandes.py",
     "test_cli.py",
     "test_conversion.py",
     "test_counting.py",

@@ -164,7 +164,7 @@ def test_keep_graphs_and_stats(hot_small):
         methods=("rewiring",),
         d_levels=(2,),
         seed=5,
-        collect_metrics=False,
+        metrics=(),
         keep_graphs=True,
     )
     record = run_experiment(spec).records[0]
@@ -181,7 +181,7 @@ def test_generator_options_are_forwarded(hot_small):
         methods=("rewiring",),
         d_levels=(2,),
         seed=5,
-        collect_metrics=False,
+        metrics=(),
         generator_options={"rewiring": {"multiplier": 1.0}},
     )
     record = run_experiment(spec).records[0]

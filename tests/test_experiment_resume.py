@@ -167,7 +167,7 @@ def test_keep_graphs_restores_graphs_from_store(store, hot_small):
         methods=("rewiring",),
         d_levels=(2,),
         seed=5,
-        collect_metrics=False,
+        metrics=(),
         keep_graphs=True,
         include_original=True,
     )
@@ -186,7 +186,7 @@ def test_missing_graph_artifact_forces_recompute(store, hot_small):
         methods=("rewiring",),
         d_levels=(2,),
         seed=5,
-        collect_metrics=False,
+        metrics=(),
         keep_graphs=True,
     )
     cold = run_experiment(spec, store=store)

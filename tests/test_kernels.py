@@ -20,7 +20,7 @@ from repro.kernels.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.kernels.bfs import bfs_histogram, distances_from
+from repro.kernels.bfs import bfs_histogram
 from repro.kernels.csr import CSRGraph, csr_graph
 from repro.metrics.betweenness import node_betweenness
 from repro.metrics.distances import bfs_distances, sample_sources
@@ -152,13 +152,6 @@ class TestBackendRegistry:
 
 
 class TestBfsKernel:
-    @pytest.mark.parametrize("builder", [lambda: ring(9), lambda: SimpleGraph(1)])
-    def test_distances_match_python(self, builder):
-        graph = builder()
-        csr = csr_graph(graph)
-        for source in graph.nodes():
-            assert list(distances_from(csr, source)) == bfs_distances(graph, source)
-
     def test_histogram_matches_python(self, mixed_graph):
         sources = list(mixed_graph.nodes())
         expected: dict[int, int] = {}

@@ -386,17 +386,12 @@ def test_experiment_metrics_validation_and_aliases(hot_small):
         ExperimentSpec(
             topologies=(hot_small,), methods=("pseudograph",), metrics=("nope",)
         )
-    with pytest.warns(DeprecationWarning, match="collect_metrics"):
-        spec = ExperimentSpec(
-            topologies=(hot_small,), methods=("pseudograph",), collect_metrics=False
-        )
+    spec = ExperimentSpec(topologies=(hot_small,), methods=("pseudograph",), metrics=())
     assert spec.metrics == ()
-    with pytest.raises(Exception, match="conflicts"):
+    # the removed collect_metrics alias is rejected, not silently ignored
+    with pytest.raises(TypeError, match="collect_metrics"):
         ExperimentSpec(
-            topologies=(hot_small,),
-            methods=("pseudograph",),
-            collect_metrics=False,
-            metrics=("mean_distance",),
+            topologies=(hot_small,), methods=("pseudograph",), collect_metrics=False
         )
 
 
@@ -552,7 +547,6 @@ def test_spec_to_dict_round_trips(hot_small):
             topologies=(hot_small,),
             methods=tuple(config["methods"]),
             metrics=tuple(config["metrics"]),
-            collect_metrics=config["collect_metrics"],
             compute_spectrum=config["compute_spectrum"],
         )
         assert rebuilt.metrics == spec.metrics
