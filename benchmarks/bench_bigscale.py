@@ -7,7 +7,7 @@ into an on-disk memory-mapped CSR artifact, and records into
 BENCH_results.json:
 
 * generation throughput (wall time + edges/sec) per size,
-* the sampled Table-2 core battery wall time on the ``biggraph`` backend per
+* the sampled Table-2 core battery wall time on the CSR backend per
   size — these are the n >= 10^6 rows behind ``"full_scale": true``.
 
 The acceptance bar of the tier runs in clean subprocesses (so each path's
@@ -31,16 +31,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks._common import FULL_SCALE, GENERATION_SEED, HOT_SEED, record_result
-
-np = pytest.importorskip("numpy")
-
-from repro.core.extraction import dk_distribution  # noqa: E402
-from repro.measure.plan import TABLE2_CORE_METRICS, MeasurementPlan  # noqa: E402
-from repro.rescaling.rescale import rescale_jdd  # noqa: E402
-from repro.topologies.hot import synthetic_hot_topology  # noqa: E402
+from repro.core.extraction import dk_distribution
+from repro.measure.plan import TABLE2_CORE_METRICS, MeasurementPlan
+from repro.rescaling.rescale import rescale_jdd
+from repro.topologies.hot import synthetic_hot_topology
 
 #: size of the measured "small" topology every run rescales from
 SOURCE_NODES = 500

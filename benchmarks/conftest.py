@@ -16,12 +16,6 @@ import pytest
 
 from benchmarks._common import AS_SEED, FULL_SCALE, HOT_SEED, write_results
 
-try:
-    import numpy  # noqa: F401  (the whole harness runs NumPy-backed generators)
-except ImportError:
-    # keep `pytest` collectable from the repo root on a no-numpy interpreter
-    collect_ignore_glob = ["bench_*.py"]
-
 
 def pytest_sessionfinish(session, exitstatus):
     """Emit the machine-readable BENCH_results.json document."""

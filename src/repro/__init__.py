@@ -46,9 +46,7 @@ from repro._lazy import lazy_exports
 __version__ = "1.7.0"
 
 # Lazy re-exports (PEP 562): nothing heavy is imported until first attribute
-# access, so `import repro` (and the pure-Python analysis path under it)
-# works on interpreters without NumPy/SciPy — only the construction
-# algorithms, the experiment pipeline and the spectrum metrics require them.
+# access, so `import repro` stays cheap.
 _EXPORTS = {
     "SimpleGraph": "repro.graph.simple_graph",
     "canonical_edge": "repro.graph.simple_graph",
@@ -84,7 +82,6 @@ _EXPORTS = {
     "memoized_build": "repro.store.memo",
     "memoized_measure": "repro.store.memo",
     "memoized_summarize": "repro.store.memo",
-    "available_backends": "repro.kernels.backend",
     "use_backend": "repro.kernels.backend",
     "current_backend": "repro.kernels.backend",
     "span": "repro.telemetry",

@@ -1,8 +1,8 @@
 """Shared PEP 562 lazy re-export machinery for the package ``__init__`` files.
 
-Keeping the exports lazy means ``import repro`` (and every pure-Python
-subpackage under it) works on interpreters without NumPy/SciPy — the heavy
-modules are only imported when one of their names is first accessed.
+Keeping the exports lazy keeps ``import repro`` (and every subpackage under
+it) cheap: the heavy modules, and SciPy with them, are only imported when
+one of their names is first accessed.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ Experiment pipeline:
   dK-1/dK-2 distribution to a target size (the paper's §6 rescaling
   extension), streaming-generate the rescaled graph into a memory-mapped CSR
   artifact at 10^6+ nodes with bounded memory, and measure it with sampled
-  Table-2 metrics through the ``biggraph`` kernel backend.
+  Table-2 metrics through the chunked CSR kernels.
 * ``cache`` -- inspect (``info``, with ``--json`` for the machine-readable
   document ``GET /v1/store/info`` also serves, plus this process's store
   hit/miss/write counters), prune (``gc``) or empty (``clear``) an artifact
@@ -658,7 +658,7 @@ def rescale_gen_main(argv: list[str] | None = None) -> int:
     target size, streaming-generates the rescaled graph straight into an
     on-disk memory-mapped CSR artifact (bounded memory, no SimpleGraph ever
     materialized), then measures it with sampled Table-2 metrics through the
-    ``biggraph`` kernel backend.
+    chunked CSR kernels.
     """
     import time
 

@@ -60,7 +60,7 @@ from repro.exceptions import ExperimentError, ExperimentInterrupted
 from repro.generators.registry import get_generator, json_safe
 from repro.graph.io import read_edge_list
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.backend import dispatch
+from repro.kernels.backend import BACKENDS, dispatch
 from repro.measure.plan import Measurement, MeasurementPlan, is_scalar_battery
 from repro.measure.registry import available_metrics
 from repro.metrics.summary import ScalarMetrics
@@ -149,7 +149,7 @@ class ExperimentSpec:
         ``{"rewiring": {"multiplier": 5.0}}``.
     backend:
         Kernel backend for the scalar metrics *and* the rewiring engine for
-        chain-based generation ("python", "csr", "biggraph" or "auto"; see
+        chain-based generation ("python", "csr" or "auto"; see
         :mod:`repro.kernels.backend`).  Metric values are identical on every
         backend and generated graphs are per-seed deterministic and
         invariant-exact on every engine, so the backend is deliberately
@@ -233,15 +233,9 @@ class ExperimentSpec:
                     "scenarios=() is empty; use scenarios=None for no scenario dimension"
                 )
             object.__setattr__(self, "scenarios", parsed)
-        if self.backend is not None and self.backend not in (
-            "python",
-            "csr",
-            "biggraph",
-            "auto",
-        ):
+        if self.backend is not None and self.backend not in (*BACKENDS, "auto"):
             raise ExperimentError(
-                "backend must be 'python', 'csr', 'biggraph' or 'auto', "
-                f"got {self.backend!r}"
+                f"backend must be 'python', 'csr' or 'auto', got {self.backend!r}"
             )
         if self.shard_sources is not None and self.shard_sources < 1:
             raise ExperimentError(

@@ -4,10 +4,8 @@ The construction-algorithm families are catalogued in
 :mod:`repro.generators.registry`; use :func:`available_generators` to list
 them and :func:`register_generator` to plug in new ones.
 
-Exports are lazy (PEP 562, like the other ``repro`` packages): the rewiring
-engines' pure-Python path (``dk_randomize`` and friends with
-``backend="python"``) works on a bare interpreter, while the NumPy-dependent
-families are only imported when first accessed.
+Exports are lazy (PEP 562, like the other ``repro`` packages): each
+family's module is only imported when first accessed.
 """
 
 from repro._lazy import lazy_exports

@@ -1,8 +1,7 @@
 """Rewiring-based dK-graph construction: preserving, targeting, counting.
 
-Exports are lazy (PEP 562) so the pure-Python rewiring engine is importable
-on a bare interpreter; the targeting chains additionally need NumPy for
-their matching-based bootstrap.
+Exports are lazy (PEP 562): each module is only imported when one of its
+names is first accessed.
 """
 
 from repro._lazy import lazy_exports

@@ -20,7 +20,7 @@ acceptable moves may be rare; a chain that exhausts it emits a
 Two interchangeable engines run the chains (see
 :mod:`repro.kernels.backend`): ``backend="python"`` is the per-move loop over
 :class:`~repro.graph.simple_graph.SimpleGraph` in this module — the reference
-implementation, which also runs without NumPy — while ``backend="csr"`` (or
+implementation — while ``backend="csr"`` (or
 ``"auto"`` on large graphs) dispatches to the vectorized batch engine in
 :mod:`repro.kernels.rewiring`.  Both engines are deterministic per seed and
 preserve the dK-invariants exactly; they draw different random streams, so

@@ -30,15 +30,12 @@ inherently per-edge sequential and incompatible with streaming chunks.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 from repro.core.distributions import DegreeDistribution, JointDegreeDistribution
 from repro.exceptions import GenerationError
 from repro.graph.mmap_io import CSRBuilder
-from repro.kernels.biggraph import BigGraph, _require_numpy
+from repro.kernels.biggraph import BigGraph
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Endpoints emitted into the builder per chunk.
@@ -76,7 +73,6 @@ def streaming_pseudograph_1k(
     ``path`` persists the result as a BigGraph artifact directory (the
     returned graph is then memory-mapped from it).
     """
-    _require_numpy()
     rng = ensure_rng(rng)
     if one_k.stub_count % 2:
         raise GenerationError("the degree distribution has an odd number of stubs")
@@ -110,7 +106,6 @@ def streaming_pseudograph_2k(
     shuffled structures, consumed class pair by class pair (sorted order)
     instead of edge by edge.
     """
-    _require_numpy()
     rng = ensure_rng(rng)
     node_counts = jdd.node_counts()
     degrees, starts, next_id = _class_layout(node_counts)
@@ -200,7 +195,6 @@ def streaming_stochastic_1k(
     same ``p``, so the block's edge count is ``Binomial(possible, p)`` placed
     on distinct uniform pairs — the identical model at O(m) cost.
     """
-    _require_numpy()
     rng = ensure_rng(rng)
     degrees, starts, n = _class_layout(dict(one_k.counts))
     builder = CSRBuilder(max(n, 1), spill_threshold=spill_threshold, spill_dir=spill_dir)
@@ -246,7 +240,6 @@ def streaming_stochastic_2k(
     one, binomial edge counts per class pair, distinct uniform placement —
     with vectorized pair sampling instead of the per-pair rejection loop.
     """
-    _require_numpy()
     rng = ensure_rng(rng)
     node_counts = jdd.node_counts()
     degrees, starts, next_id = _class_layout(node_counts)

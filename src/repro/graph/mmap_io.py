@@ -40,16 +40,10 @@ import os
 import tempfile
 from pathlib import Path
 
-try:
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-    HAS_NUMPY = False
+import numpy as np
 
 from repro.exceptions import StoreError
-from repro.kernels.biggraph import BigGraph, BigGraphUnavailableError, index_dtype
+from repro.kernels.biggraph import BigGraph, index_dtype
 
 FORMAT_NAME = "repro-biggraph"
 FORMAT_VERSION = 1
@@ -61,15 +55,6 @@ _INDICES_NAME = "indices.bin"
 #: Values hashed / copied / merged per chunk.
 IO_CHUNK = 4_000_000
 
-
-def _require_numpy() -> None:
-    if not HAS_NUMPY:
-        raise BigGraphUnavailableError(
-            "reading or writing BigGraph artifacts requires numpy; "
-            "install numpy (pip install numpy) or stay on the SimpleGraph path"
-        )
-
-
 #: Hash chunking is finer than IO_CHUNK: the widening ``astype`` copy is the
 #: only scratch the hash needs, so keep it small.
 _HASH_CHUNK = 262_144
@@ -77,7 +62,6 @@ _HASH_CHUNK = 262_144
 
 def biggraph_content_hash(indptr, indices) -> str:
     """Streamed SHA-256 of the canonical binary form (dtype-independent)."""
-    _require_numpy()
     n = len(indptr) - 1
     digest = hashlib.sha256()
     digest.update(f"{FORMAT_NAME} {FORMAT_VERSION} {n} {len(indices) // 2}\n".encode())
@@ -102,7 +86,6 @@ def write_biggraph_artifact(
     The directory is created; callers wanting atomic publication write to a
     temporary name and ``os.replace`` it (the artifact-store convention).
     """
-    _require_numpy()
     if encoding not in ("raw", "gap"):
         raise StoreError(f"unknown BigGraph encoding {encoding!r} (raw or gap)")
     path = Path(path)
@@ -165,7 +148,6 @@ def _delta_decode(deltas, indptr, degrees):
 
 def load_biggraph(path) -> BigGraph:
     """Open a BigGraph artifact: mmap for ``raw``, decode for ``gap``."""
-    _require_numpy()
     path = Path(path)
     meta_path = path / _META_NAME
     if not meta_path.is_file():
@@ -220,7 +202,6 @@ class CSRBuilder:
         spill_threshold: int = 16_000_000,
         spill_dir=None,
     ):
-        _require_numpy()
         if n < 1:
             raise ValueError("CSRBuilder needs at least one node")
         self.n = int(n)

@@ -1,20 +1,17 @@
 """Vectorized CSR graph-kernel engine with pluggable metric backends.
 
 The public surface is the backend registry (:mod:`repro.kernels.backend`) —
-``use_backend`` / ``resolve_backend`` / ``get_kernel`` — plus the cached CSR
-snapshot accessor :func:`repro.kernels.csr.csr_graph`.  The kernel modules
-(:mod:`~repro.kernels.bfs`, :mod:`~repro.kernels.sweep` — the unified
-distance+betweenness sweep behind the measurement planner —
-:mod:`~repro.kernels.triangles`, :mod:`~repro.kernels.correlations`,
-:mod:`~repro.kernels.betweenness`) are imported lazily by the registry so
-NumPy is only required when the CSR backend is actually used.
+``use_backend`` / ``resolve_backend`` / ``get_kernel``.  The kernel modules
+(:mod:`~repro.kernels.biggraph` — the chunked CSR metric kernels, for a
+SimpleGraph's cached CSR snapshot and a BigGraph alike —
+:mod:`~repro.kernels.bfs`, :mod:`~repro.kernels.betweenness`,
+:mod:`~repro.kernels.rewiring` and the ``*_python`` reference kernels) are
+imported lazily by the registry on first use.
 """
 
 from repro.kernels.backend import (
     AUTO_THRESHOLD,
     BACKENDS,
-    HAS_NUMPY,
-    available_backends,
     current_backend,
     dispatch,
     get_kernel,
@@ -26,23 +23,10 @@ from repro.kernels.backend import (
 __all__ = [
     "AUTO_THRESHOLD",
     "BACKENDS",
-    "HAS_NUMPY",
-    "available_backends",
     "current_backend",
     "dispatch",
     "get_kernel",
     "register_kernel",
     "resolve_backend",
     "use_backend",
-    "csr_graph",
-    "CSRGraph",
 ]
-
-
-def __getattr__(name):
-    # CSRGraph / csr_graph need numpy; import only when asked for
-    if name in ("CSRGraph", "csr_graph"):
-        from repro.kernels import csr
-
-        return getattr(csr, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,11 +7,13 @@ and the targeting constructions) exists in two interchangeable
 implementations:
 
 * ``"python"`` — the original pure-Python loops over :class:`SimpleGraph`
-  adjacency sets.  Always available; the reference implementation.
-* ``"csr"``    — vectorized NumPy kernels over a compressed-sparse-row view
-  of the graph (:mod:`repro.kernels.csr`).  Orders of magnitude faster on
-  large graphs; requires NumPy and SciPy (the batched Brandes kernel runs
-  on ``scipy.sparse``).
+  adjacency sets.  The reference implementation and equivalence oracle.
+* ``"csr"``    — vectorized NumPy/SciPy kernels over one immutable
+  compressed-sparse-row representation: the cached CSR snapshot of a
+  SimpleGraph (:mod:`repro.kernels.csr`) or the memory-mapped arrays of a
+  :class:`~repro.kernels.biggraph.BigGraph`.  The metric kernels are the
+  chunked bodies of :mod:`repro.kernels.biggraph`; the rewiring engine is
+  :mod:`repro.kernels.rewiring`.
 
 Callers never import kernel modules directly: the metric functions in
 :mod:`repro.metrics` dispatch through :func:`get_kernel` with a backend name
@@ -26,9 +28,8 @@ backend is a pure execution knob and never enters artifact-store cache keys.
 Selection precedence: a per-call ``backend=`` argument, then the process-wide
 setting installed with :func:`use_backend`, then ``"auto"``: CSR for every
 Brandes sweep (betweenness or edge load) and for any other kernel on graphs
-with at least :data:`AUTO_THRESHOLD` nodes, python otherwise.  When NumPy or
-SciPy is absent the array backends degrade to the python one, so the
-library stays fully functional on a bare interpreter.
+with at least :data:`AUTO_THRESHOLD` nodes, python otherwise.  A BigGraph has
+no adjacency sets, so it resolves to ``"csr"`` under every setting.
 
 ``use_backend`` doubles as a context manager::
 
@@ -40,45 +41,18 @@ library stays fully functional on a bare interpreter.
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import os
-import warnings
 from typing import Callable
 
 from repro.telemetry.core import span, tracing_enabled
 
-#: Whether the array backends can run: they need NumPy and SciPy together
-#: (a NumPy-only install degrades to python).  SciPy is only located here,
-#: not imported, so the probe stays cheap.
-try:
-    import numpy  # noqa: F401  (availability probe only)
-
-    HAS_NUMPY = importlib.util.find_spec("scipy") is not None
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAS_NUMPY = False
-
 #: Backend names accepted everywhere (``"auto"`` resolves to one of the others).
-#: ``"biggraph"`` is the out-of-core tier: it is force-selected whenever the
-#: graph object itself is a :class:`~repro.kernels.biggraph.BigGraph`, and can
-#: also be requested explicitly to run the chunked kernels on a SimpleGraph's
-#: CSR view (the bit-equivalence tests do exactly that).
-BACKENDS = ("python", "csr", "biggraph")
-
-def _int_env(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {name}={os.environ[name]!r} (using {default})",
-            RuntimeWarning,
-        )
-        return default
-
+BACKENDS = ("python", "csr")
 
 #: Under ``"auto"``, graphs with at least this many nodes use the CSR backend
 #: (building the CSR arrays costs more than it saves on tiny graphs).  Brandes
 #: sweeps ignore it: the batched kernel wins at every measured n.
-AUTO_THRESHOLD = _int_env("REPRO_CSR_THRESHOLD", 1024)
+AUTO_THRESHOLD = 1024
 
 #: A malformed REPRO_BACKEND is reported by the first resolve_backend call
 #: (validating here would make the whole package unimportable).
@@ -90,30 +64,24 @@ _KERNELS: dict[tuple[str, str], Callable] = {}
 
 #: Module that registers each kernel, per backend, imported on first use.
 #: The python implementations live next to the metric code they originated
-#: from; the CSR ones in :mod:`repro.kernels` (NumPy is only imported when a
-#: CSR kernel is actually requested).
+#: from; the CSR metric kernels are the chunked bodies of
+#: :mod:`repro.kernels.biggraph`, which run on a SimpleGraph's CSR snapshot
+#: and on a BigGraph alike.
 _KERNEL_MODULES: dict[tuple[str, str], str] = {
     ("bfs_histogram", "python"): "repro.metrics.distances",
-    ("bfs_histogram", "csr"): "repro.kernels.bfs",
+    ("bfs_histogram", "csr"): "repro.kernels.biggraph",
     # the unified sweep behind the measurement planner: one traversal
     # yields the distance histogram and (optionally) Brandes betweenness
     ("bfs_sweep", "python"): "repro.kernels.sweep_python",
-    ("bfs_sweep", "csr"): "repro.kernels.sweep",
+    ("bfs_sweep", "csr"): "repro.kernels.biggraph",
     ("triangles_per_node", "python"): "repro.kernels.triangles_python",
-    ("triangles_per_node", "csr"): "repro.kernels.triangles",
+    ("triangles_per_node", "csr"): "repro.kernels.biggraph",
     ("edge_degree_moments", "python"): "repro.kernels.correlations_python",
-    ("edge_degree_moments", "csr"): "repro.kernels.correlations",
+    ("edge_degree_moments", "csr"): "repro.kernels.biggraph",
     ("second_order_total", "python"): "repro.kernels.correlations_python",
-    ("second_order_total", "csr"): "repro.kernels.correlations",
+    ("second_order_total", "csr"): "repro.kernels.biggraph",
     ("jdd_counts", "python"): "repro.kernels.correlations_python",
-    ("jdd_counts", "csr"): "repro.kernels.correlations",
-    # the out-of-core tier: chunked kernels over memory-mapped CSR arrays
-    ("bfs_histogram", "biggraph"): "repro.kernels.biggraph",
-    ("bfs_sweep", "biggraph"): "repro.kernels.biggraph",
-    ("triangles_per_node", "biggraph"): "repro.kernels.biggraph",
-    ("edge_degree_moments", "biggraph"): "repro.kernels.biggraph",
-    ("second_order_total", "biggraph"): "repro.kernels.biggraph",
-    ("jdd_counts", "biggraph"): "repro.kernels.biggraph",
+    ("jdd_counts", "csr"): "repro.kernels.biggraph",
     # rewiring engines: "python" = the per-move SimpleGraph loops, "csr" =
     # the batched flat-edge-array engine.  Unlike the metric kernels the two
     # engines draw different random streams, so for one seed they build
@@ -126,13 +94,6 @@ _KERNEL_MODULES: dict[tuple[str, str], str] = {
     ("rewire_target_3k", "python"): "repro.generators.rewiring.targeting",
     ("rewire_target_3k", "csr"): "repro.kernels.rewiring",
 }
-
-_warned_missing_numpy = False
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends usable in this interpreter (``csr`` needs NumPy and SciPy)."""
-    return BACKENDS if HAS_NUMPY else ("python",)
 
 
 def _validate(name: str) -> str:
@@ -179,36 +140,19 @@ def resolve_backend(
 ) -> str:
     """Concrete backend for one call: per-call override > setting > auto.
 
-    ``"auto"`` picks CSR when NumPy and SciPy are importable and either the
-    call is a Brandes sweep (``brandes=True``: betweenness or edge load, at
-    any n) or ``graph`` has at least :data:`AUTO_THRESHOLD` nodes.  An
-    explicit ``"csr"`` without them warns once and degrades to ``"python"``
-    instead of failing.
+    ``"auto"`` picks CSR when the call is a Brandes sweep (``brandes=True``:
+    betweenness or edge load, at any n) or ``graph`` has at least
+    :data:`AUTO_THRESHOLD` nodes.  A BigGraph always resolves to CSR.
     """
     if getattr(graph, "is_biggraph", False):
-        # A BigGraph has no adjacency sets and no in-memory edge arrays —
-        # only the chunked biggraph kernels can touch it.
-        return "biggraph"
+        # no adjacency sets, only CSR arrays: the python kernels cannot run
+        return "csr"
     name = _validate(backend if backend is not None else _state["backend"])
     if name == "auto":
-        if not HAS_NUMPY:
-            return "python"
         if brandes:
             return "csr"
         size = 0 if graph is None else graph.number_of_nodes
         return "csr" if size >= AUTO_THRESHOLD else "python"
-    if name in ("csr", "biggraph") and not HAS_NUMPY:
-        global _warned_missing_numpy
-        if not _warned_missing_numpy:
-            warnings.warn(
-                f"the {name!r} backend requires numpy and scipy "
-                "(pip install repro[fast]); "
-                "falling back to the pure-Python backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _warned_missing_numpy = True
-        return "python"
     return name
 
 
@@ -261,10 +205,8 @@ def dispatch(name: str, graph, backend: str | None = None) -> Callable:
 
 
 __all__ = [
-    "HAS_NUMPY",
     "BACKENDS",
     "AUTO_THRESHOLD",
-    "available_backends",
     "use_backend",
     "current_backend",
     "resolve_backend",

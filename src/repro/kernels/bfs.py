@@ -1,11 +1,12 @@
-"""Batched BFS kernels: distance histograms for the full or sampled sweep.
+"""Bit-parallel BFS: distance histograms for the full or sampled sweep.
 
 The distance *histogram* (the paper's d(x) numerator) does not need per-pair
 distances, only how many (source, node) pairs sit at each hop count.  The
-CSR kernel therefore runs a **bit-parallel level-synchronous BFS**: sources
-are packed 64 per machine word, row ``v`` of the bitset matrix ``R`` holds
-one bit per source meaning "within ``level`` hops of it", and one BFS level
-for *all* sources at once is
+CSR histogram kernel (:mod:`repro.kernels.biggraph`) therefore runs a
+**bit-parallel level-synchronous BFS**: sources are packed 64 per machine
+word, row ``v`` of the bitset matrix ``R`` holds one bit per source meaning
+"within ``level`` hops of it", and one BFS level for *all* sources at once
+is
 
     R'[v] = R[v] | OR of R[u] over u in N(v)
 
@@ -25,10 +26,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.backend import register_kernel
-from repro.kernels.csr import csr_graph
 
 #: Upper bound for one block's neighbor-gather buffer (2m × words × 8 bytes).
 MAX_GATHER_BYTES = 256 * 1024 * 1024
@@ -93,15 +90,8 @@ def histogram_from_csr(csr, source_nodes: Sequence[int]) -> dict[int, int]:
     return {d: c for d, c in histogram.items() if c}
 
 
-@register_kernel("bfs_histogram", "csr")
-def bfs_histogram(graph: SimpleGraph, source_nodes: Sequence[int]) -> dict[int, int]:
-    """Counts of (source, node) pairs at each hop distance, sources as given."""
-    return histogram_from_csr(csr_graph(graph), source_nodes)
-
-
 __all__ = [
     "MAX_GATHER_BYTES",
     "MAX_BLOCK_BITS",
-    "bfs_histogram",
     "histogram_from_csr",
 ]

@@ -10,37 +10,29 @@ couple of hundred MB of *address space* and only the pages a kernel touches.
 The class deliberately duck-types two existing surfaces at once:
 
 * the **CSR kernel surface** (``n``/``m``/``indptr``/``indices``/``degrees``)
-  consumed by the bit-parallel BFS and the Brandes accumulator, so those
-  vectorized bodies run on a BigGraph unchanged, and
+  shared with the :class:`~repro.kernels.csr.CSRGraph` snapshot of a
+  SimpleGraph, and
 * the **read-only SimpleGraph surface** (``number_of_nodes``, ``degree``,
   ``nodes``, ``average_degree``, ``_measure_cache`` …) consumed by the
   measurement planner and the shared metric formulas.
 
-The kernels registered here under the ``"biggraph"`` backend accept a
-BigGraph *or* a SimpleGraph (via its cached CSR snapshot), and produce the
-same exact integer aggregates as the python/csr backends — histogram counts,
-triangle counts and moment sums are order-independent integers, so every
-Table-2 scalar derived from them by the shared formula layer is
-bit-identical across all three backends.
-
-The module imports without NumPy; every entry point then raises
-:class:`BigGraphUnavailableError` with an actionable message instead of an
-``ImportError`` at import time.
+The chunked kernels below are the ``"csr"`` metric backend.  They accept a
+BigGraph *or* a SimpleGraph (via its cached CSR snapshot) — one compressed
+representation behind every query — and produce the same exact integer
+aggregates as the python kernels: histogram counts, triangle counts and
+moment sums are order-independent integers, so every Table-2 scalar derived
+from them by the shared formula layer is bit-identical across backends and
+across the two graph types.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-try:
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-    HAS_NUMPY = False
+import numpy as np
 
 from repro.kernels.backend import register_kernel
+from repro.kernels.bfs import histogram_from_csr
 
 #: Arc positions processed per vectorized batch by the chunked kernels.
 ARC_CHUNK = 4_000_000
@@ -49,22 +41,8 @@ ARC_CHUNK = 4_000_000
 TRIANGLE_CANDIDATE_BUDGET = 8_000_000
 
 
-class BigGraphUnavailableError(RuntimeError):
-    """The million-node BigGraph tier needs NumPy, which is not installed."""
-
-
-def _require_numpy() -> None:
-    if not HAS_NUMPY:
-        raise BigGraphUnavailableError(
-            "the million-node BigGraph tier requires numpy for its memory-mapped "
-            "CSR arrays; install numpy (pip install numpy) or stay on the "
-            "SimpleGraph path"
-        )
-
-
 def index_dtype(n: int):
     """Minimal unsigned dtype able to hold node ids below ``n``."""
-    _require_numpy()
     return np.uint32 if n < 2**32 else np.uint64
 
 
@@ -103,7 +81,6 @@ class BigGraph:
         derived: str | None = None,
         meta: dict | None = None,
     ):
-        _require_numpy()
         self.indptr = indptr
         self.indices = indices
         self.n = len(indptr) - 1
@@ -125,7 +102,6 @@ class BigGraph:
     @classmethod
     def from_arrays(cls, indptr, indices, **kwargs) -> "BigGraph":
         """Trusted constructor: canonical CSR arrays (rows sorted, no loops)."""
-        _require_numpy()
         indptr = np.asarray(indptr, dtype=np.int64)
         n = len(indptr) - 1
         indices = np.asarray(indices, dtype=index_dtype(n))
@@ -134,7 +110,6 @@ class BigGraph:
     @classmethod
     def from_simple_graph(cls, graph) -> "BigGraph":
         """Snapshot a :class:`SimpleGraph` (test/interop path, not streaming)."""
-        _require_numpy()
         from repro.kernels.csr import csr_graph
 
         csr = csr_graph(graph)
@@ -235,28 +210,29 @@ def _arc_rows(view, begin: int, end: int):
 
 
 # ---------------------------------------------------------------------- #
-# kernels (backend "biggraph")
+# kernels (backend "csr")
 # ---------------------------------------------------------------------- #
-@register_kernel("bfs_histogram", "biggraph")
+@register_kernel("bfs_histogram", "csr")
 def bfs_histogram(graph, source_nodes: Sequence[int]) -> dict[int, int]:
     """Distance-pair histogram over ``source_nodes`` (bit-parallel BFS)."""
-    _require_numpy()
-    from repro.kernels.bfs import histogram_from_csr
-
     return histogram_from_csr(_view(graph), source_nodes)
 
 
-@register_kernel("bfs_sweep", "biggraph")
+@register_kernel("bfs_sweep", "csr")
 def bfs_sweep(
     graph,
     source_nodes: Sequence[int],
     want_betweenness: bool,
     want_edge_load: bool = False,
-):
-    """Unified sweep: ``(histogram, centrality, edge load)`` — see csr twin."""
-    _require_numpy()
-    from repro.kernels.bfs import histogram_from_csr
+) -> tuple[dict[int, int], list[float] | None, list[float] | None]:
+    """One sweep over ``source_nodes``: ``(histogram, centrality, edge load)``.
 
+    Without betweenness or edge load this is the bit-parallel histogram BFS;
+    otherwise the batched Brandes kernel, whose forward pass yields the same
+    histogram, so a combined distance+betweenness request is one traversal.
+    ``edge_load`` is the raw per-edge accumulation in sorted canonical edge
+    order (``None`` unless ``want_edge_load``).
+    """
     view = _view(graph)
     if not want_betweenness and not want_edge_load:
         return histogram_from_csr(view, source_nodes), None, None
@@ -265,10 +241,9 @@ def bfs_sweep(
     return brandes_sweep(view, source_nodes, want_edge_load)
 
 
-@register_kernel("edge_degree_moments", "biggraph")
+@register_kernel("edge_degree_moments", "csr")
 def edge_degree_moments(graph) -> tuple[int, int, int]:
     """``(Σ k_u·k_v, Σ (k_u+k_v), Σ (k_u²+k_v²))``, chunked over the arcs."""
-    _require_numpy()
     view = _view(graph)
     sum_prod = sum_ends = sum_ends_sq = 0
     total = len(view.indices)
@@ -285,10 +260,9 @@ def edge_degree_moments(graph) -> tuple[int, int, int]:
     return sum_prod, sum_ends, sum_ends_sq
 
 
-@register_kernel("jdd_counts", "biggraph")
+@register_kernel("jdd_counts", "csr")
 def jdd_counts(graph) -> tuple[dict[tuple[int, int], int], int]:
     """JDD edge counts keyed by sorted degree pair, plus zero-degree nodes."""
-    _require_numpy()
     view = _view(graph)
     zero_degree = int(np.count_nonzero(view.degrees == 0)) if view.n else 0
     if view.m == 0:
@@ -309,14 +283,13 @@ def jdd_counts(graph) -> tuple[dict[tuple[int, int], int], int]:
         for key, count in zip(packed.tolist(), counts.tolist()):
             merged[key] = merged.get(key, 0) + count
     return {
-        (key // base, key % base): count for key, count in merged.items()
+        (key // base, key % base): merged[key] for key in sorted(merged)
     }, zero_degree
 
 
-@register_kernel("second_order_total", "biggraph")
+@register_kernel("second_order_total", "csr")
 def second_order_total(graph) -> int:
     """``Σ_v [(Σ_{u∈N(v)} k_u)² − Σ_{u∈N(v)} k_u²]``, chunked by node block."""
-    _require_numpy()
     view = _view(graph)
     if view.m == 0:
         return 0
@@ -340,66 +313,82 @@ def second_order_total(graph) -> int:
     return total
 
 
-@register_kernel("triangles_per_node", "biggraph")
+@register_kernel("triangles_per_node", "csr")
 def triangles_per_node(graph):
     """Exact per-node triangle counts via chunked sorted-key intersection.
 
-    For every canonical edge ``(u, v)`` the third-vertex candidates are the
-    neighbors of ``u`` beyond ``v`` in its sorted row; membership in ``N(v)``
-    is one vectorized ``searchsorted`` against the globally ascending packed
-    arc keys ``row·n + neighbor``.  Each triangle ``u < v < w`` is found
-    exactly once, so the counts match the python/csr kernels bit for bit.
+    Nodes are ranked by ``(degree, id)`` and every edge is oriented towards
+    its higher-ranked end, which keeps out-rows short even at hubs (the
+    edge-iterator bound of O(m^1.5) candidates).  For every oriented edge
+    ``u → v`` the third-vertex candidates are the out-neighbors of ``u``
+    ranked beyond ``v``; membership ``v → w`` is one vectorized
+    ``searchsorted`` against the sorted packed keys ``rank_u·n + rank_v``.
+    Each triangle is found exactly once, from its lowest-ranked corner, so
+    the counts match the python kernel bit for bit.
     """
-    _require_numpy()
     view = _view(graph)
     n = view.n
-    counts = np.zeros(n, dtype=np.int64)
-    total = len(view.indices)
-    if total == 0:
+    if view.m == 0:
         return [0] * n
-    # globally sorted packed arc keys (row-major CSR order is key order)
-    keys = np.empty(total, dtype=np.int64)
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        keys[begin:end] = rows * n + view.indices[begin:end].astype(np.int64)
+    order = np.argsort(view.degrees, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    # sorted keys of the oriented edges; rank r's out-row is [r·n, (r+1)·n)
+    keys = np.empty(view.m, dtype=np.int64)
+    filled = 0
+    for begin in range(0, len(view.indices), ARC_CHUNK):
+        end = min(begin + ARC_CHUNK, len(view.indices))
+        low = _arc_rows(view, begin, end)
+        np.take(rank, low, out=low)
+        high = view.indices[begin:end].astype(np.int64)
+        np.take(rank, high, out=high)
+        up = low < high
+        low = low[up]
+        low *= n
+        low += high[up]
+        keys[filled : filled + len(low)] = low
+        filled += len(low)
+    keys.sort()
+    row_end = np.searchsorted(keys, np.arange(1, n + 1, dtype=np.int64) * n)
 
-    def _batch(u, v, pos):
-        cand_counts = view.indptr[u + 1] - (pos + 1)
-        # split so one batch's candidate buffer stays bounded
+    counts = np.zeros(n, dtype=np.int64)  # indexed by rank
+    for begin in range(0, view.m, ARC_CHUNK):
+        end = min(begin + ARC_CHUNK, view.m)
+        positions = np.arange(begin, end, dtype=np.int64)
+        u, v = np.divmod(keys[begin:end], n)
+        cand_counts = row_end[u] - (positions + 1)
         cum = np.zeros(len(cand_counts) + 1, dtype=np.int64)
         np.cumsum(cand_counts, out=cum[1:])
         start = 0
         while start < len(u):
+            # split so one batch's candidate buffer stays bounded
             stop = int(
                 np.searchsorted(cum, cum[start] + TRIANGLE_CANDIDATE_BUDGET, side="left")
             )
             stop = max(start + 1, min(stop, len(u)))
-            cc = cand_counts[start:stop]
             width = int(cum[stop] - cum[start])
             if width:
-                offsets = np.arange(width, dtype=np.int64)
-                offsets += np.repeat((pos[start:stop] + 1) - (cum[start:stop] - cum[start]), cc)
-                w = view.indices[offsets].astype(np.int64)
-                vkeys = np.repeat(v[start:stop], cc) * n + w
-                loc = np.searchsorted(keys, vkeys)
-                np.minimum(loc, total - 1, out=loc)
-                hit = keys[loc] == vkeys
-                edge_of = np.repeat(np.arange(stop - start, dtype=np.int64), cc)
-                per_edge = np.bincount(edge_of[hit], minlength=stop - start)
-                np.add.at(counts, u[start:stop], per_edge)
-                np.add.at(counts, v[start:stop], per_edge)
-                np.add.at(counts, w[hit], 1)
+                # in-place steps: a batch holds at most four width-sized arrays
+                cc = cand_counts[start:stop]
+                w = np.repeat(positions[start:stop] + 1 - (cum[start:stop] - cum[start]), cc)
+                w += np.arange(width, dtype=np.int64)  # candidate positions
+                w = keys[w]
+                np.remainder(w, n, out=w)
+                edge_of = np.repeat(np.arange(start, stop, dtype=np.int64), cc)
+                wanted = v[edge_of]
+                wanted *= n
+                wanted += w
+                found = np.searchsorted(keys, wanted)
+                np.minimum(found, len(keys) - 1, out=found)
+                np.take(keys, found, out=found)
+                hit = found == wanted
+                del found, wanted
+                edge_of = edge_of[hit]
+                counts += np.bincount(
+                    np.concatenate((u[edge_of], v[edge_of], w[hit])), minlength=n
+                )
             start = stop
-
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        neigh = view.indices[begin:end].astype(np.int64)
-        mask = neigh > rows  # canonical arcs
-        if mask.any():
-            _batch(rows[mask], neigh[mask], np.flatnonzero(mask) + begin)
-    return counts.tolist()
+    return counts[rank].tolist()
 
 
 # ---------------------------------------------------------------------- #
@@ -407,46 +396,19 @@ def triangles_per_node(graph):
 # ---------------------------------------------------------------------- #
 def _component_labels(view):
     """Component label per node (labels are arbitrary but consistent)."""
-    try:  # scipy's C implementation when available
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
-        matrix = csr_matrix(
-            (
-                np.ones(len(view.indices), dtype=np.int8),
-                np.asarray(view.indices),
-                np.asarray(view.indptr),
-            ),
-            shape=(view.n, view.n),
-        )
-        _, labels = connected_components(matrix, directed=False)
-        return np.asarray(labels, dtype=np.int64)
-    except ImportError:
-        pass
-    labels = np.full(view.n, -1, dtype=np.int64)
-    label = 0
-    cursor = 0
-    while cursor < view.n:
-        if labels[cursor] >= 0:
-            cursor += 1
-            continue
-        labels[cursor] = label
-        frontier = np.array([cursor], dtype=np.int64)
-        while frontier.size:
-            spans = [
-                np.asarray(view.indices[view.indptr[f] : view.indptr[f + 1]])
-                for f in frontier.tolist()
-            ]
-            neighbors = (
-                np.concatenate(spans).astype(np.int64)
-                if spans
-                else np.empty(0, dtype=np.int64)
-            )
-            fresh = np.unique(neighbors[labels[neighbors] < 0]) if neighbors.size else neighbors
-            labels[fresh] = label
-            frontier = fresh
-        label += 1
-    return labels
+    matrix = csr_matrix(
+        (
+            np.ones(len(view.indices), dtype=np.int8),
+            np.asarray(view.indices),
+            np.asarray(view.indptr),
+        ),
+        shape=(view.n, view.n),
+    )
+    _, labels = connected_components(matrix, directed=False)
+    return np.asarray(labels, dtype=np.int64)
 
 
 def biggraph_giant_component(graph: BigGraph) -> BigGraph:
@@ -457,7 +419,6 @@ def biggraph_giant_component(graph: BigGraph) -> BigGraph:
     by ascending-start BFS wins — i.e. the one containing the smallest node
     id — and member ids are relabelled in ascending order.
     """
-    _require_numpy()
     if graph.n == 0:
         return graph
     labels = _component_labels(graph)
@@ -507,9 +468,7 @@ def biggraph_giant_component(graph: BigGraph) -> BigGraph:
 
 __all__ = [
     "ARC_CHUNK",
-    "HAS_NUMPY",
     "BigGraph",
-    "BigGraphUnavailableError",
     "biggraph_giant_component",
     "index_dtype",
 ]

@@ -3,11 +3,12 @@
 A :class:`CSRGraph` is an immutable array snapshot of a graph:
 
 * ``indptr``/``indices`` — the standard CSR adjacency layout, with every
-  neighbor row **sorted ascending** (the triangle kernel intersects rows by
-  binary search);
-* ``degrees`` — node degrees (``indptr`` deltas, precomputed);
-* ``edges_u``/``edges_v`` — the canonical edge list as two columns, for the
-  edge-array correlation kernels.
+  neighbor row **sorted ascending** (so the arcs with ``neighbor > row``
+  list the canonical edges in sorted order, as the edge-load kernel needs);
+* ``degrees`` — node degrees (``indptr`` deltas, precomputed).
+
+It carries the same attributes as a :class:`~repro.kernels.biggraph.
+BigGraph`, so the CSR kernels run on either unchanged.
 
 Building the arrays is ``O(m log m)`` and is paid once per graph:
 :func:`csr_graph` caches the snapshot on the :class:`SimpleGraph` instance
@@ -25,24 +26,16 @@ from repro.graph.simple_graph import SimpleGraph
 class CSRGraph:
     """Immutable CSR snapshot of a simple undirected graph."""
 
-    __slots__ = ("n", "m", "indptr", "indices", "degrees", "edges_u", "edges_v")
+    __slots__ = ("n", "m", "indptr", "indices", "degrees")
 
     def __init__(
-        self,
-        n: int,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        degrees: np.ndarray,
-        edges_u: np.ndarray,
-        edges_v: np.ndarray,
+        self, n: int, indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray
     ):
         self.n = n
-        self.m = len(edges_u)
+        self.m = len(indices) // 2
         self.indptr = indptr
         self.indices = indices
         self.degrees = degrees
-        self.edges_u = edges_u
-        self.edges_v = edges_v
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of ``u`` (a view into ``indices``)."""
@@ -57,19 +50,17 @@ class CSRGraph:
         n = graph.number_of_nodes
         m = graph.number_of_edges
         if m == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(n, np.zeros(n + 1, dtype=np.int64), empty,
-                       np.zeros(n, dtype=np.int64), empty, empty)
+            return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
+                       np.zeros(n, dtype=np.int64))
         edges = np.asarray(graph.edge_list(), dtype=np.int64)
-        edges_u, edges_v = np.ascontiguousarray(edges[:, 0]), np.ascontiguousarray(edges[:, 1])
-        src = np.concatenate((edges_u, edges_v))
-        dst = np.concatenate((edges_v, edges_u))
+        src = np.concatenate((edges[:, 0], edges[:, 1]))
+        dst = np.concatenate((edges[:, 1], edges[:, 0]))
         degrees = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         order = np.lexsort((dst, src))  # by row, then by neighbor id
         indices = dst[order]
-        return cls(n, indptr, indices, degrees, edges_u, edges_v)
+        return cls(n, indptr, indices, degrees)
 
 
 def csr_graph(graph: SimpleGraph) -> CSRGraph:

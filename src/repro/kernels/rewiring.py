@@ -77,7 +77,7 @@ from repro.graph.subgraphs import (
     wedge_degree_counts,
     wedge_key,
 )
-from repro.kernels.backend import _int_env, register_kernel
+from repro.kernels.backend import register_kernel
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Name recorded in the chain stats of graphs built by this engine.
@@ -86,14 +86,14 @@ ENGINE_NAME = "csr"
 #: Node-count ceiling for the batched 3K kernel: its packed adjacency bitset
 #: costs ``n * ceil(n / 64) * 8`` bytes (128 MiB at the default), so beyond
 #: this the 3K chains fall back to the exact per-move scalar path.
-BITSET_MAX_NODES = _int_env("REPRO_REWIRE_BITSET_MAX_N", 32768)
+BITSET_MAX_NODES = 32768
 
 #: Snapshot-evaluation width of the 3K-targeting chain.  RNG draws still
 #: happen at ``batch_size`` (draw width is semantics-neutral), but deltas are
 #: evaluated against a refreshed snapshot every this-many proposals: smaller
 #: chunks mean fewer proposals sit behind an accepted move of the same chunk
 #: and fall back to the per-move scalar path.
-THREEK_EVAL_CHUNK = _int_env("REPRO_REWIRE_3K_EVAL_CHUNK", 160)
+THREEK_EVAL_CHUNK = 160
 
 #: Slot cap for the 3K-targeting chain's dense rank-packed sufficient
 #: statistic (``2 * n_ranks**3`` int64 slots, i.e. 128 MiB at the cap).

@@ -6,8 +6,8 @@ optional spectrum), compute each intermediate exactly once, and evaluate the
 metrics as thin formulas over them — all dispatching through the kernel
 backend registry, so python/csr results stay bit-identical.
 
-Everything here imports without NumPy/SciPy (PEP 562 lazy exports); only the
-spectrum metrics pull in SciPy on first use.
+The exports are lazy (PEP 562): the spectrum metrics pull in SciPy's
+eigensolvers only on first use.
 """
 
 from repro._lazy import lazy_exports

@@ -1,8 +1,7 @@
 """Topology metrics (Section 2 of the paper).
 
-Everything here is importable without NumPy (the python metric backend);
-only the spectrum metrics hard-require SciPy, so exactly those re-exports
-are lazy (PEP 562).  The rest are eager — importantly, the ``assortativity``
+Only the spectrum metrics import SciPy's eigensolvers, so exactly those
+re-exports are lazy (PEP 562) to keep importing the package cheap.  The rest are eager — importantly, the ``assortativity``
 *function* must be bound on the package after the ``assortativity``
 *submodule*, or the module object would shadow it.
 """

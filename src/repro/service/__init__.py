@@ -1,7 +1,7 @@
 """Topology-as-a-service: an asyncio HTTP/JSON daemon over the artifact store.
 
-Run it with ``repro serve`` (or ``python -m repro.service`` on a bare,
-NumPy-less interpreter) and drive it with
+Run it with ``repro serve`` (or ``python -m repro.service``, which skips
+importing the CLI) and drive it with
 :class:`~repro.service.client.ServiceClient`.  See :mod:`repro.service.app`
 for the endpoint reference and the server-side resource discipline
 (single-flight coalescing, admission control, per-request deadlines).

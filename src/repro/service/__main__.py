@@ -1,8 +1,8 @@
 """``python -m repro.service`` — start the daemon without the full CLI.
 
-The ``repro`` CLI imports NumPy transitively; this entry point only pulls in
-the service package, so a bare interpreter can still serve the pure-Python
-measurement path.
+The ``repro`` CLI imports every subcommand's dependencies; this entry point
+only pulls in the service package, which imports the generators, the store
+and the experiment pipeline on first use.
 """
 
 from repro.service.app import serve_main

@@ -35,11 +35,6 @@ with ``Retry-After`` instead of queueing unboundedly), and a per-request
 deadline (``504`` on expiry; the computation still completes and warms the
 store).  Every request is logged as one structured JSON line on the
 ``repro.service`` logger.
-
-The module is importable without NumPy: everything NumPy-dependent (the
-store, generators, the experiment pipeline) is imported lazily per request,
-so a bare interpreter can still serve ``/v1/measure`` on the pure-Python
-planner path (the CI no-numpy job does exactly that).
 """
 
 from __future__ import annotations
@@ -77,11 +72,11 @@ log = logging.getLogger("repro.service")
 
 
 def _json_safe(value: Any) -> Any:
-    """NumPy-free twin of :func:`repro.generators.registry.json_safe`.
+    """Import-light twin of :func:`repro.generators.registry.json_safe`.
 
-    Duck-typed on ``tolist``/``item`` so it coerces NumPy scalars when they
-    are present without ever importing NumPy (the service must serve the
-    pure-Python measure path on a bare interpreter).
+    The service defers importing the generator registry (and every generator
+    module behind it) to the first generate request; duck-typing on
+    ``tolist``/``item`` coerces NumPy scalars without it.
     """
     if isinstance(value, dict):
         return {str(key): _json_safe(item) for key, item in value.items()}
@@ -99,7 +94,7 @@ def _json_safe(value: Any) -> Any:
 
 
 def _local_key(payload: Any) -> str:
-    """Coalescing key for store-less deployments (NumPy-free stable hash)."""
+    """Coalescing key for store-less deployments (a stable JSON hash)."""
     canonical = json.dumps(
         _json_safe(payload), sort_keys=True, separators=(",", ":"), default=repr
     )
@@ -155,7 +150,7 @@ class TopologyService:
     def _open_store(store: str | Path | None):
         if store is None:
             return None
-        from repro.store.artifact_store import ArtifactStore  # needs NumPy
+        from repro.store.artifact_store import ArtifactStore
 
         return ArtifactStore.coerce(store)
 
@@ -273,22 +268,10 @@ class TopologyService:
         cached = self._topologies.get(topology)
         if cached is not None:
             return cached, topology
+        from repro.experiment import _resolve_topology
+
         try:
-            from repro.experiment import _resolve_topology
-
             graph = _resolve_topology(topology)
-        except ImportError:
-            # no NumPy: edge-list files still load on the pure-Python path
-            if Path(topology).exists():
-                from repro.graph.io import read_edge_list
-
-                graph = read_edge_list(topology)
-            else:
-                raise HTTPError(
-                    501,
-                    "registered topologies require NumPy on the server; "
-                    "send an inline 'edges' list instead",
-                ) from None
         except ExperimentError as error:
             raise HTTPError(400, str(error)) from None
         self._topologies[topology] = graph
@@ -311,18 +294,11 @@ class TopologyService:
     # handlers
     # ------------------------------------------------------------------ #
     async def _handle_healthz(self, request: Request) -> tuple[int, Any]:
-        try:
-            import numpy  # noqa: F401
-
-            have_numpy = True
-        except ImportError:
-            have_numpy = False
         import repro
 
         return 200, {
             "status": "ok",
             "version": repro.__version__,
-            "numpy": have_numpy,
             "store": None if self.store is None else str(self.store.root),
             "uptime_s": round(time.time() - self.stats.started, 3),
         }
@@ -399,15 +375,12 @@ class TopologyService:
 
     async def _handle_generate(self, request: Request) -> tuple[int, Any]:
         body = request.json()
-        try:
-            from repro.generators.registry import (
-                UnknownGeneratorError,
-                UnsupportedLevelError,
-                get_generator,
-                json_safe,
-            )
-        except ImportError:
-            raise HTTPError(501, "graph generation requires NumPy on the server") from None
+        from repro.generators.registry import (
+            UnknownGeneratorError,
+            UnsupportedLevelError,
+            get_generator,
+            json_safe,
+        )
 
         method = body.get("method")
         if not isinstance(method, str):
@@ -744,10 +717,7 @@ class TopologyService:
 
     async def _handle_submit_experiment(self, request: Request) -> tuple[int, Any]:
         body = request.json()
-        try:
-            from repro.experiment import ExperimentSpec
-        except ImportError:
-            raise HTTPError(501, "experiment grids require NumPy on the server") from None
+        from repro.experiment import ExperimentSpec
 
         spec_body = body.get("spec")
         if not isinstance(spec_body, dict):

@@ -9,8 +9,8 @@ cancelled job stops at the next cell boundary; because every completed cell
 already wrote its store manifest, re-submitting the same spec with
 ``resume=True`` continues where the job stopped.
 
-This module imports the experiment pipeline lazily (NumPy-dependent), so
-the service itself stays importable on a bare interpreter.
+This module imports the experiment pipeline lazily, on the first
+submitted job, so importing the service stays cheap.
 """
 
 from __future__ import annotations

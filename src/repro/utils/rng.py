@@ -4,82 +4,18 @@ Every stochastic function in the library accepts an ``rng`` keyword so that
 experiments are reproducible.  ``ensure_rng`` normalizes the accepted input
 types (``None``, an integer seed, or an existing generator) into a
 :class:`numpy.random.Generator`.
-
-NumPy itself is optional: when it is not importable, ``ensure_rng`` returns
-a :class:`FallbackGenerator` — a tiny :mod:`random`-based stand-in covering
-the Generator subset the pure-Python metric backend needs (``integers``,
-``choice``, ``random``, ``shuffle``, ``permutation``).  The construction
-algorithms and the experiment pipeline still require NumPy (install the
-``repro[fast]`` extra); the fallback only keeps analysis of existing graphs
-working on a bare interpreter.  Streams differ between the two generator
-families, so seeds are only reproducible within one of them.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Union
 
-try:
-    import numpy as np
+import numpy as np
 
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-    HAS_NUMPY = False
+RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
 
-class FallbackGenerator:
-    """Pure-Python stand-in for the used subset of ``numpy.random.Generator``."""
-
-    def __init__(self, seed: int | None = None):
-        self._random = random.Random(seed)
-
-    def integers(self, low, high=None, size=None):
-        """Uniform integers in ``[low, high)`` (``[0, low)`` when high is None)."""
-        if high is None:
-            low, high = 0, low
-        if size is None:
-            return self._random.randrange(low, high)
-        return [self._random.randrange(low, high) for _ in range(size)]
-
-    def choice(self, a, size=None, replace=True):
-        """Uniform choice from ``range(a)`` (int) or a sequence."""
-        population = range(a) if isinstance(a, int) else list(a)
-        if size is None:
-            return self._random.choice(population)
-        if replace:
-            return [self._random.choice(population) for _ in range(size)]
-        if size > len(population):
-            raise ValueError("cannot sample more items than the population without replacement")
-        return self._random.sample(population, size)
-
-    def random(self, size=None):
-        """Uniform floats in ``[0, 1)``."""
-        if size is None:
-            return self._random.random()
-        return [self._random.random() for _ in range(size)]
-
-    def shuffle(self, x) -> None:
-        """In-place shuffle of a mutable sequence."""
-        self._random.shuffle(x)
-
-    def permutation(self, n):
-        """A shuffled copy of ``range(n)`` (int) or of a sequence."""
-        items = list(range(n)) if isinstance(n, int) else list(n)
-        self._random.shuffle(items)
-        return items
-
-
-if HAS_NUMPY:
-    RngLike = Union[
-        None, int, np.random.Generator, np.random.SeedSequence, FallbackGenerator
-    ]
-else:  # pragma: no cover - exercised by the no-numpy CI job
-    RngLike = Union[None, int, FallbackGenerator]
-
-
-def ensure_rng(rng: RngLike = None):
+def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     """Return a random generator from the accepted inputs.
 
     Parameters
@@ -87,15 +23,8 @@ def ensure_rng(rng: RngLike = None):
     rng:
         ``None`` (fresh unpredictable generator), an ``int`` seed, a
         :class:`numpy.random.SeedSequence`, or an existing generator which is
-        returned unchanged.  Without NumPy, the returned generator is a
-        :class:`FallbackGenerator`.
+        returned unchanged.
     """
-    if isinstance(rng, FallbackGenerator):
-        return rng
-    if not HAS_NUMPY:  # pragma: no cover - exercised by the no-numpy CI job
-        if rng is None or isinstance(rng, int):
-            return FallbackGenerator(rng)
-        raise TypeError(f"cannot build a random generator from {type(rng).__name__}")
     if rng is None:
         return np.random.default_rng()
     if isinstance(rng, np.random.Generator):
@@ -105,15 +34,13 @@ def ensure_rng(rng: RngLike = None):
     raise TypeError(f"cannot build a random generator from {type(rng).__name__}")
 
 
-def spawn_rngs(rng: RngLike, count: int) -> list:
+def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
     """Spawn ``count`` statistically independent child generators."""
     if count < 0:
         raise ValueError("count must be non-negative")
     parent = ensure_rng(rng)
-    if isinstance(parent, FallbackGenerator):  # pragma: no cover - no-numpy path
-        return [FallbackGenerator(parent.integers(2**63 - 1)) for _ in range(count)]
     seeds = parent.integers(0, 2**63 - 1, size=count)
     return [np.random.default_rng(int(seed)) for seed in seeds]
 
 
-__all__ = ["HAS_NUMPY", "RngLike", "FallbackGenerator", "ensure_rng", "spawn_rngs"]
+__all__ = ["RngLike", "ensure_rng", "spawn_rngs"]

@@ -1,71 +1,29 @@
 """Shared fixtures for the test suite.
 
-The suite runs in two configurations: the normal one with NumPy installed,
-and a degraded one (the no-numpy CI job) checking that the pure-Python
-analysis path works on a bare interpreter.  Without NumPy, the test modules
-that exercise NumPy-dependent subsystems (generators, experiment pipeline,
-store, spectrum, networkx oracles) are skipped at collection time via
-``collect_ignore``; the remaining modules cover the graph substrate, the dK
-extraction/distance core and the python-backend metrics.
+Every test under ``tests/`` runs with warnings turned into errors (see
+:func:`pytest_collection_modifyitems`): a test that expects a warning says
+so with ``pytest.warns`` or a ``filterwarnings`` mark of its own.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:
-    np = None
-    HAVE_NUMPY = False
-
 from repro.graph.simple_graph import SimpleGraph
+from repro.topologies.as_level import synthetic_as_topology
+from repro.topologies.hot import synthetic_hot_topology
 
-if HAVE_NUMPY:
-    from repro.topologies.as_level import synthetic_as_topology
-    from repro.topologies.hot import synthetic_hot_topology
+_TESTS_DIR = Path(__file__).parent
 
-#: Test modules that hard-require numpy (directly or through the modules
-#: they exercise); ignored at collection time on a no-numpy interpreter.
-_NUMPY_ONLY = [
-    "test_analysis.py",
-    "test_backend_equivalence.py",
-    "test_baselines.py",
-    "test_batched_brandes.py",
-    "test_cli.py",
-    "test_conversion.py",
-    "test_counting.py",
-    "test_entropy.py",
-    "test_experiment.py",
-    "test_experiment_resume.py",
-    "test_exploration.py",
-    "test_generator_registry.py",
-    "test_integration.py",
-    "test_kernels.py",
-    "test_matching.py",
-    "test_measure_plan.py",
-    "test_metrics.py",
-    "test_preserving.py",
-    "test_properties.py",
-    "test_pseudograph.py",
-    "test_randomness.py",
-    "test_rescaling.py",
-    "test_rewiring_engine.py",
-    "test_series.py",
-    "test_service.py",
-    "test_stochastic.py",
-    "test_store.py",
-    "test_store_serialize.py",
-    "test_swaps.py",
-    "test_targeting.py",
-    "test_telemetry_experiment.py",
-    "test_threek.py",
-    "test_topologies.py",
-]
 
-collect_ignore = [] if HAVE_NUMPY else _NUMPY_ONLY
+def pytest_collection_modifyitems(config, items):
+    # prepended, so a test's own filterwarnings marks take precedence
+    for item in items:
+        if _TESTS_DIR in Path(item.fspath).parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 def build_graph(edges, n=None):
@@ -116,8 +74,6 @@ def disconnected_graph():
 @pytest.fixture(scope="session")
 def random_graph():
     """A moderately sized random graph (Erdős–Rényi-ish) for metric cross-checks."""
-    if not HAVE_NUMPY:
-        pytest.skip("requires numpy")
     rng = np.random.default_rng(42)
     graph = SimpleGraph(60)
     while graph.number_of_edges < 150:
@@ -131,14 +87,10 @@ def random_graph():
 @pytest.fixture(scope="session")
 def hot_small():
     """A small HOT-like router topology (fast to analyze)."""
-    if not HAVE_NUMPY:
-        pytest.skip("requires numpy")
     return synthetic_hot_topology(150, core_size=6, hosts_range=(2, 20), rng=7)
 
 
 @pytest.fixture(scope="session")
 def as_small():
     """A small skitter-like AS topology (fast to analyze)."""
-    if not HAVE_NUMPY:
-        pytest.skip("requires numpy")
     return synthetic_as_topology(300, rng=7)

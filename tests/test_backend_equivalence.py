@@ -4,7 +4,8 @@ The contract of the kernel engine is that the backend is a pure performance
 knob: every integer count is exactly equal across backends and every derived
 float is (at least) ``math.isclose``-equal — for the Table-2 scalar summary
 they are in fact bit-identical, which is what allows the artifact store to
-share cached metrics across backends.
+share cached metrics across backends.  The property test also runs the CSR
+kernels on the same graph as a :class:`~repro.kernels.biggraph.BigGraph`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.core.extraction import joint_degree_distribution
 from repro.core.randomness import dk_random_graph
 from repro.experiment import ExperimentSpec, _cell_cache_key
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import BigGraph
 from repro.metrics.distances import distance_distribution, distance_histogram
 from repro.metrics.summary import ScalarMetrics, summarize
 from repro.store.artifact_store import ArtifactStore
@@ -115,10 +117,11 @@ def test_property_random_graphs_equivalent(n, edges):
     for u, v in edges:
         if u != v and u < n and v < n and not graph.has_edge(u, v):
             graph.add_edge(u, v)
-    assert_summaries_equivalent(
-        summarize(graph, compute_spectrum=False, backend="python"),
-        summarize(graph, compute_spectrum=False, backend="csr"),
-    )
+    python = summarize(graph, compute_spectrum=False, backend="python")
+    assert_summaries_equivalent(python, summarize(graph, compute_spectrum=False, backend="csr"))
+    # the same kernels on the memory-mapped tier's graph type
+    big = BigGraph.from_simple_graph(graph)
+    assert_summaries_equivalent(python, summarize(big, compute_spectrum=False))
     assert distance_histogram(graph, backend="python") == distance_histogram(
         graph, backend="csr"
     )

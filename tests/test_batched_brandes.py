@@ -1,7 +1,8 @@
 """Batched Brandes kernel vs the per-source python oracle.
 
-The csr and biggraph ``bfs_sweep`` kernels run Brandes on blocks of sources
-as dense matrix columns (:mod:`repro.kernels.betweenness`).  The python
+The csr ``bfs_sweep`` kernel runs Brandes on blocks of sources as dense
+matrix columns (:mod:`repro.kernels.betweenness`), on a SimpleGraph's CSR
+snapshot and on a BigGraph alike.  The python
 ``bfs_sweep`` (one :func:`~repro.metrics.betweenness.brandes_source` per
 source) is the oracle: histograms must match exactly, node centrality and
 per-edge load to 1e-12 relative error.
@@ -41,11 +42,11 @@ def assert_close(values, oracle):
         )
 
 
-def assert_matches_oracle(graph, sources, backend="csr"):
-    """Run ``backend``'s sweep on ``graph`` and compare it with python's."""
+def assert_matches_oracle(graph, sources, as_biggraph=False):
+    """Run the csr sweep on ``graph`` (or its BigGraph) against python's."""
     expected = get_kernel("bfs_sweep", "python")(graph, sources, True, True)
-    target = BigGraph.from_simple_graph(graph) if backend == "biggraph" else graph
-    histogram, centrality, edge_load = get_kernel("bfs_sweep", backend)(
+    target = BigGraph.from_simple_graph(graph) if as_biggraph else graph
+    histogram, centrality, edge_load = get_kernel("bfs_sweep", "csr")(
         target, sources, True, True
     )
     assert histogram == expected[0]
@@ -60,18 +61,18 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(batched, "BLOCK_SOURCES", 4)
 
 
-@pytest.mark.parametrize("backend", ["csr", "biggraph"])
-def test_all_sources_on_an_as_topology(backend):
+@pytest.mark.parametrize("as_biggraph", [False, True], ids=["csr", "biggraph"])
+def test_all_sources_on_an_as_topology(as_biggraph):
     graph = synthetic_as_topology(200, rng=3)
-    assert_matches_oracle(graph, list(graph.nodes()), backend)
+    assert_matches_oracle(graph, list(graph.nodes()), as_biggraph)
 
 
-@pytest.mark.parametrize("backend", ["csr", "biggraph"])
-def test_sampled_sources_across_partial_blocks(backend, small_blocks):
+@pytest.mark.parametrize("as_biggraph", [False, True], ids=["csr", "biggraph"])
+def test_sampled_sources_across_partial_blocks(as_biggraph, small_blocks):
     graph = synthetic_as_topology(120, rng=5)
     sources = sorted(np.random.default_rng(2).choice(120, 11, replace=False).tolist())
     assert len(sources) % batched.BLOCK_SOURCES != 0
-    assert_matches_oracle(graph, sources, backend)
+    assert_matches_oracle(graph, sources, as_biggraph)
 
 
 def test_block_width_does_not_change_the_result(small_blocks):
@@ -84,11 +85,11 @@ def test_block_width_does_not_change_the_result(small_blocks):
     assert_close(narrow[2], wide[2])
 
 
-@pytest.mark.parametrize("backend", ["csr", "biggraph"])
-def test_one_source_and_no_sources(backend):
+@pytest.mark.parametrize("as_biggraph", [False, True], ids=["csr", "biggraph"])
+def test_one_source_and_no_sources(as_biggraph):
     graph = synthetic_as_topology(60, rng=1)
-    assert_matches_oracle(graph, [7], backend)
-    histogram, centrality, edge_load = assert_matches_oracle(graph, [], backend)
+    assert_matches_oracle(graph, [7], as_biggraph)
+    histogram, centrality, edge_load = assert_matches_oracle(graph, [], as_biggraph)
     assert histogram == {}
     assert not any(centrality) and not any(edge_load)
 
@@ -146,7 +147,7 @@ def test_property_random_graphs_match_the_oracle(n, edges, data):
         st.lists(st.integers(0, n - 1), unique=True, max_size=n), label="sources"
     )
     assert_matches_oracle(graph, sources)
-    assert_matches_oracle(graph, sources, "biggraph")
+    assert_matches_oracle(graph, sources, as_biggraph=True)
 
 
 def test_block_width_is_bounded_by_scratch_memory():

@@ -11,17 +11,18 @@ import pytest
 from repro.graph.simple_graph import SimpleGraph
 from repro.graph.subgraphs import triangles_per_node as triangles_reference
 from repro.kernels import backend as backend_mod
+from repro.kernels import biggraph as biggraph_mod
 from repro.kernels.backend import (
     AUTO_THRESHOLD,
-    available_backends,
+    BACKENDS,
     current_backend,
     dispatch,
     get_kernel,
     resolve_backend,
     use_backend,
 )
-from repro.kernels.bfs import bfs_histogram
-from repro.kernels.csr import CSRGraph, csr_graph
+from repro.kernels.biggraph import BigGraph, bfs_histogram
+from repro.kernels.csr import csr_graph
 from repro.metrics.betweenness import node_betweenness
 from repro.metrics.distances import bfs_distances, sample_sources
 
@@ -92,7 +93,9 @@ class TestCSRGraph:
 
 class TestBackendRegistry:
     def test_available_backends(self):
-        assert available_backends() == ("python", "csr", "biggraph")
+        assert BACKENDS == ("python", "csr")
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(None, "biggraph")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -107,11 +110,6 @@ class TestBackendRegistry:
         monkeypatch.setitem(backend_mod._state, "backend", "numppy")
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend(None)
-
-    def test_malformed_threshold_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSR_THRESHOLD", "2k")
-        with pytest.warns(RuntimeWarning, match="REPRO_CSR_THRESHOLD"):
-            assert backend_mod._int_env("REPRO_CSR_THRESHOLD", 1024) == 1024
 
     def test_per_call_override_wins(self, mixed_graph):
         with use_backend("csr"):
@@ -142,13 +140,12 @@ class TestBackendRegistry:
         assert py is not csr
         assert py(mixed_graph) == csr(mixed_graph)
 
-    def test_missing_numpy_degrades_with_warning(self, mixed_graph, monkeypatch):
-        monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
-        monkeypatch.setattr(backend_mod, "_warned_missing_numpy", False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert resolve_backend(mixed_graph, "csr") == "python"
-        assert backend_mod.available_backends() == ("python",)
-        assert resolve_backend(ring(AUTO_THRESHOLD + 1), "auto") == "python"
+    @pytest.mark.parametrize("setting", ["python", "csr", "auto"])
+    def test_biggraph_always_resolves_to_csr(self, mixed_graph, setting):
+        big = BigGraph.from_simple_graph(mixed_graph)
+        assert resolve_backend(big, setting) == "csr"
+        with use_backend(setting):
+            assert resolve_backend(big) == "csr"
 
 
 class TestBfsKernel:
@@ -222,8 +219,50 @@ def test_triangle_kernels_agree_on_random_graph():
             graph.add_edge(u, v)
     expected = triangles_reference(graph)
     assert dispatch("triangles_per_node", graph, "csr")(graph) == expected
-    # the numpy-only sorted-intersection path must agree with the scipy one
-    from repro.kernels.csr import csr_graph as build
-    from repro.kernels.triangles import _triangles_by_intersection
+    big = BigGraph.from_simple_graph(graph)
+    assert dispatch("triangles_per_node", big, "python")(big) == expected
 
-    assert list(_triangles_by_intersection(build(graph))) == expected
+
+def _random_graph(n, m, seed):
+    rng = np.random.default_rng(seed)
+    graph = SimpleGraph(n)
+    while graph.number_of_edges < m:
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+    return graph
+
+
+CHUNKED_KERNELS = (
+    "triangles_per_node",
+    "edge_degree_moments",
+    "second_order_total",
+    "jdd_counts",
+)
+
+
+@pytest.mark.parametrize("arc_chunk", [1, 3, 7])
+@pytest.mark.parametrize("candidate_budget", [1, 5])
+@pytest.mark.parametrize(
+    "graph",
+    [
+        _random_graph(40, 120, seed=1),
+        _random_graph(25, 150, seed=2),
+        SimpleGraph(0),
+        SimpleGraph(5),
+        SimpleGraph(9, edges=[(0, 1), (1, 2), (0, 2), (2, 3), (5, 6), (6, 7), (5, 7)]),
+    ],
+    ids=["random-sparse", "random-dense", "empty", "edgeless", "isolated-nodes"],
+)
+def test_chunked_kernels_match_python_across_chunks(
+    monkeypatch, graph, arc_chunk, candidate_budget
+):
+    # tiny chunks force the cross-chunk JDD merge, the node-block split of
+    # second_order_total and the triangle batch split on small graphs
+    monkeypatch.setattr(biggraph_mod, "ARC_CHUNK", arc_chunk)
+    monkeypatch.setattr(biggraph_mod, "TRIANGLE_CANDIDATE_BUDGET", candidate_budget)
+    big = BigGraph.from_simple_graph(graph)
+    for name in CHUNKED_KERNELS:
+        expected = get_kernel(name, "python")(graph)
+        assert get_kernel(name, "csr")(graph) == expected, name
+        assert get_kernel(name, "csr")(big) == expected, name

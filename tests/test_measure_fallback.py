@@ -1,8 +1,8 @@
-"""Measurement planner on the pure-Python fallback (runs in the no-numpy job).
+"""Measurement planner on the pure-Python backend.
 
 The planner, the shared-intermediate layer and every non-spectrum metric
-must work on a bare interpreter: the python ``bfs_sweep`` kernel, the
-triangle/correlation kernels and the formula layers are all NumPy-free.
+run on the python reference kernels (``bfs_sweep``, triangles,
+correlations) as well as on CSR.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,8 @@ def test_dk_distance_is_zero_only_for_matching_distributions(graph):
         assert dk_distance(dk_distribution(graph, d), dk_distribution(graph, d)) == 0.0
 
 
+# tiny random graphs often have a frozen dK-space, so the chain stops short
+@pytest.mark.filterwarnings("ignore::repro.exceptions.RewiringConvergenceWarning")
 @given(random_simple_graphs(), st.integers(min_value=0, max_value=3), st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_dk_randomize_preserves_the_distribution(graph, d, seed):

@@ -1,9 +1,8 @@
-"""NumPy-free service tests: HTTP framing, single-flight, stats, measure path.
+"""Service tests without a store: HTTP framing, single-flight, stats, measure.
 
-This module runs in both CI configurations.  On the no-numpy job it is the
-service's fallback coverage: the daemon must import, start, serve
-``/v1/measure`` through the pure-Python measurement planner, and answer
-``501`` (not crash) for the NumPy-dependent endpoints.
+The store-less daemon must start and serve ``/v1/measure`` and
+``/v1/workload`` through the pure-Python measurement planner, coalescing
+identical concurrent requests without a store to key them.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import asyncio
 import pytest
 
 from repro.service import ServiceConfig, ServiceThread
-from repro.service.client import RemoteServiceError, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.coalesce import SingleFlight
 from repro.service.httputil import (
     HTTPError,
@@ -23,13 +22,6 @@ from repro.service.httputil import (
     read_response,
 )
 from repro.service.stats import LatencyHistogram, ServiceStats
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
 
 EDGES = [[i, (i + 1) % 12] for i in range(12)] + [[i, (i + 3) % 12] for i in range(12)]
 
@@ -267,10 +259,9 @@ def scenario(handle, coro_fn):
     return asyncio.run(main())
 
 
-def test_healthz_reports_numpy_and_store_state(bare_service):
+def test_healthz_reports_store_state(bare_service):
     health = scenario(bare_service, lambda client: client.healthz())
     assert health["status"] == "ok"
-    assert health["numpy"] is HAVE_NUMPY
     assert health["store"] is None
 
 
@@ -292,7 +283,7 @@ def test_measure_inline_edges_without_store(bare_service):
 
 def test_workload_inline_edges_without_store(bare_service):
     # the workload route (scenario transform + congestion metrics) runs
-    # end-to-end on the pure-Python planner path, store-less and numpy-free
+    # end-to-end on the pure-Python planner path without a store
     async def run_workload(client):
         baseline = await client.workload(edges=EDGES, backend="python")
         attacked = await client.workload(
@@ -341,20 +332,3 @@ def test_store_less_identical_requests_coalesce(bare_service):
 def test_store_info_without_store(bare_service):
     info = scenario(bare_service, lambda client: client.store_info())
     assert info["store"] is None
-
-
-@pytest.mark.skipif(HAVE_NUMPY, reason="501 degradation only applies without numpy")
-def test_numpy_dependent_endpoints_answer_501(bare_service):
-    async def probe(client):
-        statuses = {}
-        with pytest.raises(RemoteServiceError) as err:
-            await client.generate(method="rewiring", edges=EDGES, d=1)
-        statuses["generate"] = err.value.status
-        with pytest.raises(RemoteServiceError) as err:
-            await client.submit_experiment(
-                {"topologies": ["hot_small"], "methods": ["rewiring"], "d_levels": [1]}
-            )
-        statuses["experiments"] = err.value.status
-        return statuses
-
-    assert scenario(bare_service, probe) == {"generate": 501, "experiments": 501}

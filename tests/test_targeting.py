@@ -8,6 +8,7 @@ from repro.core.extraction import (
     three_k_distribution,
 )
 from repro.core.distance import distance_2k, distance_3k
+from repro.exceptions import RewiringConvergenceWarning
 from repro.generators.matching import matching_1k
 from repro.generators.rewiring.preserving import randomize_2k
 from repro.generators.rewiring.targeting import (
@@ -47,7 +48,8 @@ def test_target_3k_from_2k_improves_distance(hot_small):
     target = three_k_distribution(hot_small)
     seed_graph = randomize_2k(hot_small, rng=3, multiplier=3)
     start_distance = distance_3k(target, three_k_distribution(seed_graph))
-    result = target_3k_from_2k(seed_graph, target, rng=4, max_attempts=40000)
+    with pytest.warns(RewiringConvergenceWarning):  # a fixed budget short of 0
+        result = target_3k_from_2k(seed_graph, target, rng=4, max_attempts=40000)
     assert result.distance <= start_distance
     # 2K stays exactly preserved
     assert joint_degree_distribution(result.graph) == joint_degree_distribution(hot_small)
@@ -60,8 +62,9 @@ def test_target_3k_from_2k_improves_distance(hot_small):
 def test_positive_temperature_accepts_uphill_moves(as_small):
     target = joint_degree_distribution(as_small)
     seed_graph = matching_1k(degree_distribution(as_small), rng=5)
-    hot = target_2k_from_1k(seed_graph, target, rng=6, max_attempts=3000, temperature=1e6)
-    cold = target_2k_from_1k(seed_graph, target, rng=6, max_attempts=3000, temperature=0.0)
+    with pytest.warns(RewiringConvergenceWarning):  # both stop at the budget
+        hot = target_2k_from_1k(seed_graph, target, rng=6, max_attempts=3000, temperature=1e6)
+        cold = target_2k_from_1k(seed_graph, target, rng=6, max_attempts=3000, temperature=0.0)
     # at huge temperature the process is (almost) pure randomization, so it
     # ends farther from the target than the zero-temperature process
     assert hot.distance >= cold.distance
@@ -77,7 +80,8 @@ def test_dk_targeting_construct_from_jdd(hot_small):
 
 def test_dk_targeting_construct_from_three_k(hot_small):
     target = three_k_distribution(hot_small)
-    graph = dk_targeting_construct(target, rng=8, max_attempts=30000)
+    with pytest.warns(RewiringConvergenceWarning):  # a fixed budget short of 0
+        graph = dk_targeting_construct(target, rng=8, max_attempts=30000)
     # the construction preserves the embedded JDD and moves the 3K counts
     # toward the target
     assert joint_degree_distribution(graph).counts == target.jdd.counts or True

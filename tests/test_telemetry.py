@@ -1,7 +1,6 @@
 """Telemetry unit tests: spans, metrics, and the export surfaces.
 
-Everything here is pure stdlib — these tests run in the no-numpy CI job
-too.  The tracing tests enable/disable the tracer around each test so the
+The tracing tests enable/disable the tracer around each test so the
 global buffer never leaks between tests; the metrics tests use either
 fresh :class:`MetricsRegistry` instances or uniquely named series in the
 global registry.

@@ -1,10 +1,4 @@
-"""Tests for the traffic-workload engine: routing load, congestion, scenarios.
-
-This module is NumPy-optional: the pure-Python sections (congestion
-formulas, scenario parsing/application, the python-backend routing load and
-the one-sweep guarantee) run in the no-numpy CI job; the CSR-backend and
-experiment-grid sections skip without NumPy.
-"""
+"""Tests for the traffic-workload engine: routing load, congestion, scenarios."""
 
 from __future__ import annotations
 
@@ -28,16 +22,7 @@ from repro.workloads import (
     scenario_label,
 )
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
-
-BACKENDS = ("python", "csr") if HAVE_NUMPY else ("python",)
+BACKENDS = ("python", "csr")
 
 
 def star(n=8):
@@ -160,7 +145,6 @@ def test_sampled_routing_load_is_seed_deterministic():
     assert other != first
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "graph", [star(), path(), cycle()], ids=["star", "path", "cycle"]
 )
@@ -174,7 +158,6 @@ def test_backends_bit_identical_on_dyadic_graphs(graph):
     assert py_nodes == csr_nodes
 
 
-@needs_numpy
 def test_backends_agree_on_general_graphs():
     graph = ring_with_chords()
     py_edges, py_nodes = routing_load(graph, backend="python")
@@ -334,7 +317,6 @@ def test_attack_degrades_throughput():
 # --------------------------------------------------------------------------- #
 # the experiment-grid scenario dimension (store-backed resume)
 # --------------------------------------------------------------------------- #
-@needs_numpy
 def test_scenario_cells_share_the_baseline_seed():
     from repro.experiment import ExperimentSpec
 
@@ -356,7 +338,6 @@ def test_scenario_cells_share_the_baseline_seed():
     assert labels == {"none", "hub_degree:0.02", "random_edge:0.1"}
 
 
-@needs_numpy
 def test_spec_rejects_bad_scenarios():
     from repro.exceptions import ExperimentError
     from repro.experiment import ExperimentSpec
@@ -369,7 +350,6 @@ def test_spec_rejects_bad_scenarios():
         ExperimentSpec(topologies=("hot_small",), methods=("rewiring",), scenarios=())
 
 
-@needs_numpy
 def test_attack_sweep_resumes_warm_with_zero_recomputation(
     tmp_path, counting_sweep, hot_small, monkeypatch
 ):
@@ -407,7 +387,6 @@ def test_attack_sweep_resumes_warm_with_zero_recomputation(
     assert second.to_rows(include_timing=False) == first.to_rows(include_timing=False)
 
 
-@needs_numpy
 def test_scenario_records_and_throughput_ordering(tmp_path, hot_small):
     from repro.experiment import ExperimentSpec, run_experiment
 
