@@ -1,21 +1,14 @@
-"""Rewiring-engine benchmark: python vs vectorized engine on the chains.
+"""Rewiring-engine benchmark: accepted moves per second of every chain.
 
 Measures accepted-moves/sec of the dK-preserving randomizing chains
 (d = 0..3) and the 2K- and 3K-targeting Metropolis chains on skitter-like AS
-topologies at n ∈ {1k, 5k}, once per engine, recording every timing plus the
-derived speedups into BENCH_results.json (like ``bench_kernels.py``).  The
-3K-targeting rows carry the kernel's registry name, ``rewire_target_3k``.
-Chain *inputs* — the seed graphs and the target dK-distributions — are
-prepared once per size outside the timed region, so the rows measure the
-chains themselves.
-
-The acceptance bar of the vectorized engine is asserted here: >= 10x
-accepted-moves/sec over the python engine for 1K and 2K randomization from
-n = 5k up, and >= 20x for the d=3 chains (3K-preserving randomization and
-3K-targeting) at n = 5k, where the batched wedge/triangle delta kernel with
-incremental sufficient statistics replaces the per-move dict walk.  The 3K
-cliff grows with n, so those two chains also run at n = 20k (recorded, not
-asserted).
+topologies at n ∈ {1k, 5k}, recording every timing into BENCH_results.json
+(like ``bench_kernels.py``).  Row names end in the engine name
+(:data:`repro.kernels.rewiring.ENGINE_NAME`); the 3K-targeting rows are
+named after the chain's span, ``rewire_target_3k``.  Chain *inputs* — the
+seed graphs and the target dK-distributions — are prepared once per size
+outside the timed region, so the rows measure the chains themselves.  The
+3K chains also run at n = 20k, where their cost grows fastest.
 """
 
 from __future__ import annotations
@@ -29,7 +22,7 @@ from benchmarks._common import AS_SEED, record_result
 from repro.core.extraction import joint_degree_distribution, three_k_distribution
 from repro.generators.rewiring.preserving import dk_randomize, randomize_1k
 from repro.generators.rewiring.targeting import target_2k_from_1k, target_3k_from_2k
-from repro.kernels.backend import get_kernel
+from repro.kernels.rewiring import ENGINE_NAME, randomize
 from repro.topologies.as_level import synthetic_as_topology
 
 SIZES = (1000, 5000)
@@ -44,9 +37,7 @@ CASES = [
 
 #: d -> (accepted-move multiplier, attempt budget factor); the 3K chain uses
 #: a deliberately small budget — acceptable moves are rare and the budget,
-#: not the target, is the binding limit (Table 5 of the paper).  The d <= 2
-#: budgets are sized so the python cells run for several seconds at n = 5k:
-#: long cells measure a stable average instead of a lucky scheduling window.
+#: not the target, is the binding limit (Table 5 of the paper).
 CHAIN_BUDGETS = {0: (30.0, 150), 1: (30.0, 150), 2: (30.0, 150), 3: (0.3, 3)}
 
 _GRAPHS: dict[int, object] = {}
@@ -54,9 +45,6 @@ _TARGET_SEEDS: dict[int, object] = {}
 _TARGET3K_SEEDS: dict[int, object] = {}
 _TARGETS_2K: dict[int, object] = {}
 _TARGETS_3K: dict[int, object] = {}
-
-#: accepted-moves/sec keyed by (chain, n, engine), for the speedup rows.
-_RATES: dict[tuple[str, int, str], float] = {}
 
 
 def _graph(n):
@@ -68,14 +56,14 @@ def _graph(n):
 def _target_seed_graph(n):
     """A 1K-randomized copy whose JDD the targeting chain pushes back."""
     if n not in _TARGET_SEEDS:
-        _TARGET_SEEDS[n] = randomize_1k(_graph(n), rng=1, multiplier=3, backend="csr")
+        _TARGET_SEEDS[n] = randomize_1k(_graph(n), rng=1, multiplier=3)
     return _TARGET_SEEDS[n]
 
 
 def _target3k_seed_graph(n):
     """A 2K-randomized copy whose wedge/triangle profile the 3K chain restores."""
     if n not in _TARGET3K_SEEDS:
-        _TARGET3K_SEEDS[n] = dk_randomize(_graph(n), 2, rng=1, backend="csr")
+        _TARGET3K_SEEDS[n] = dk_randomize(_graph(n), 2, rng=1)
     return _TARGET3K_SEEDS[n]
 
 
@@ -95,7 +83,7 @@ def _target_3k(n):
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_engines():
-    """Run every kernel once on a tiny topology outside the timed regions.
+    """Run every chain once on a tiny topology outside the timed regions.
 
     First execution pays import, allocator and adaptive-interpreter warm-up;
     a ~300-node dry run moves all of that out of the measured cells.
@@ -107,20 +95,16 @@ def _warm_engines():
     threek = three_k_distribution(graph)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for backend in ("python", "csr"):
-            for d in (0, 1, 2, 3):
-                get_kernel("rewire_randomize", backend)(
-                    graph, d, rng=1, multiplier=0.3, max_attempt_factor=3
-                )
-            target_2k_from_1k(graph, jdd, rng=1, max_attempts=500, backend=backend)
-            target_3k_from_2k(graph, threek, rng=1, max_attempts=500, backend=backend)
+        for d in (0, 1, 2, 3):
+            randomize(graph, d, rng=1, multiplier=0.3, max_attempt_factor=3)
+        target_2k_from_1k(graph, jdd, rng=1, max_attempts=500)
+        target_3k_from_2k(graph, threek, rng=1, max_attempts=500)
 
 
-def _run_randomizing(d, graph, backend):
+def _run_randomizing(d, graph):
     multiplier, attempt_factor = CHAIN_BUDGETS[d]
     stats: dict = {}
-    kernel = get_kernel("rewire_randomize", backend)
-    kernel(
+    randomize(
         graph,
         d,
         rng=1,
@@ -131,18 +115,17 @@ def _run_randomizing(d, graph, backend):
     return stats["accepted_moves"]
 
 
-def _run_targeting(graph, seed_graph, target, backend):
+def _run_targeting(graph, seed_graph, target):
     result = target_2k_from_1k(
         seed_graph,
         target,
         rng=2,
         max_attempts=5 * graph.number_of_edges,
-        backend=backend,
     )
     return result.accepted_moves
 
 
-def _run_targeting_3k(graph, seed_graph, target, backend):
+def _run_targeting_3k(graph, seed_graph, target):
     # acceptable 3K moves are rare (Table 5 regime): a small attempt budget
     # is the binding limit, matching the d3 randomizing-chain convention above
     result = target_3k_from_2k(
@@ -150,28 +133,26 @@ def _run_targeting_3k(graph, seed_graph, target, backend):
         target,
         rng=2,
         max_attempts=3 * graph.number_of_edges,
-        backend=backend,
     )
     return result.accepted_moves
 
 
 @pytest.mark.filterwarnings("ignore::repro.exceptions.RewiringConvergenceWarning")
 @pytest.mark.benchmark(disable_gc=True)
-@pytest.mark.parametrize("backend", ("python", "csr"))
 @pytest.mark.parametrize("chain,n", CASES)
-def test_rewiring_engine(benchmark, chain, n, backend):
+def test_rewiring_engine(benchmark, chain, n):
     graph = _graph(n)
     if chain == "target2k":
         seed_graph = _target_seed_graph(n)
         target = _target_2k(n)
-        runner = lambda: _run_targeting(graph, seed_graph, target, backend)  # noqa: E731
+        runner = lambda: _run_targeting(graph, seed_graph, target)  # noqa: E731
     elif chain == "target3k":
         seed_graph = _target3k_seed_graph(n)
         target = _target_3k(n)
-        runner = lambda: _run_targeting_3k(graph, seed_graph, target, backend)  # noqa: E731
+        runner = lambda: _run_targeting_3k(graph, seed_graph, target)  # noqa: E731
     else:
         d = int(chain[1])
-        runner = lambda: _run_randomizing(d, graph, backend)  # noqa: E731
+        runner = lambda: _run_randomizing(d, graph)  # noqa: E731
     start = time.perf_counter()
     accepted = benchmark.pedantic(runner, rounds=1, iterations=1)
     wall = time.perf_counter() - start
@@ -190,17 +171,15 @@ def test_rewiring_engine(benchmark, chain, n, backend):
     finally:
         gc.enable()
     rate = accepted / max(wall, 1e-9)
-    _RATES[(chain, n, backend)] = rate
     if chain == "target3k":
-        # the 3K-targeting rows carry the kernel registry name (ROADMAP gap)
         names = (
-            f"rewire_target_3k_n{n}_{backend}",
-            f"rewire_target_3k_moves_per_sec_n{n}_{backend}",
+            f"rewire_target_3k_n{n}_{ENGINE_NAME}",
+            f"rewire_target_3k_moves_per_sec_n{n}_{ENGINE_NAME}",
         )
     else:
         names = (
-            f"rewiring_{chain}_n{n}_{backend}",
-            f"rewiring_moves_per_sec_{chain}_n{n}_{backend}",
+            f"rewiring_{chain}_n{n}_{ENGINE_NAME}",
+            f"rewiring_moves_per_sec_{chain}_n{n}_{ENGINE_NAME}",
         )
     record_result(
         names[0],
@@ -215,42 +194,3 @@ def test_rewiring_engine(benchmark, chain, n, backend):
         m=graph.number_of_edges,
     )
     assert accepted > 0
-
-
-def test_rewiring_engine_speedups():
-    """Derive speedup rows; assert the acceptance bars at n = 5k:
-    >= 10x for the 1K/2K chains, >= 20x for the 3K chains."""
-    rows = []
-    for (chain, n, backend), rate in sorted(_RATES.items()):
-        if backend != "python" or (chain, n, "csr") not in _RATES:
-            continue
-        speedup = _RATES[(chain, n, "csr")] / max(rate, 1e-9)
-        graph = _graph(n)
-        record_result(
-            f"rewire_target_3k_speedup_n{n}"
-            if chain == "target3k"
-            else f"rewiring_speedup_{chain}_n{n}",
-            speedup,
-            n=graph.number_of_nodes,
-            m=graph.number_of_edges,
-        )
-        rows.append((chain, n, speedup))
-        print(f"{chain} n={n}: vectorized engine {speedup:.1f}x faster (accepted moves/sec)")
-    gated = {
-        (chain, n): speedup
-        for chain, n, speedup in rows
-        if chain in ("d1", "d2") and n >= 5000
-    }
-    assert gated, "the 1K/2K benchmarks did not run at n >= 5000"
-    for (chain, n), speedup in gated.items():
-        assert speedup >= 10.0, (
-            f"vectorized {chain} rewiring only {speedup:.1f}x faster at n={n} (need >= 10x)"
-        )
-    gated_3k = {
-        chain: speedup for chain, n, speedup in rows if chain in ("d3", "target3k") and n == 5000
-    }
-    assert set(gated_3k) == {"d3", "target3k"}, "the 3K benchmarks did not run at n = 5000"
-    for chain, speedup in gated_3k.items():
-        assert speedup >= 20.0, (
-            f"vectorized {chain} rewiring only {speedup:.1f}x faster at n=5000 (need >= 20x)"
-        )

@@ -21,7 +21,8 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.tables import render_table
-from repro.generators.exploration import explore_1k_likelihood, explore_2k, likelihood
+from repro.generators.exploration import explore_1k_likelihood, explore_2k
+from repro.metrics.assortativity import likelihood
 from repro.metrics.clustering import mean_clustering
 from repro.topologies import synthetic_as_topology
 

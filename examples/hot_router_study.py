@@ -18,7 +18,8 @@ from repro.analysis.convergence import dk_convergence_study
 from repro.analysis.figures import distance_distribution_series
 from repro.analysis.tables import scalar_metrics_table, series_table
 from repro.core.randomness import dk_random_graph
-from repro.generators.exploration import explore_1k_likelihood, likelihood
+from repro.generators.exploration import explore_1k_likelihood
+from repro.metrics.assortativity import likelihood
 from repro.topologies import build_topology
 
 

@@ -12,10 +12,8 @@ Experiment pipeline:
   ``compare`` and ``run-experiment``.
 * ``gen``     -- generate a dK-random graph, either from an input graph or
   from a JDD file, with any registered construction algorithm, optionally
-  rescaled to a different size; ``--backend`` picks the rewiring engine
-  (pure-Python loops vs the vectorized batch engine), and a chain that
-  stops before convergence is reported on stderr instead of silently
-  returning.
+  rescaled to a different size; a chain that stops before convergence is
+  reported on stderr instead of silently returning.
 * ``compare`` -- compare two graphs: dK distances and scalar metrics side by
   side.
 * ``methods`` -- list the construction algorithms in the generator registry.
@@ -110,16 +108,14 @@ def _method_choices() -> tuple[str, ...]:
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` knob (metric kernels and rewiring engine)."""
+    """The shared ``--backend`` knob of the metric kernels."""
     parser.add_argument(
         "--backend",
         default=None,
         choices=("python", "csr", "auto"),
-        help="kernel backend for metrics and the rewiring engine for "
-        "chain-based generation: pure-Python loops, vectorized NumPy "
-        "kernels, or size-based auto-selection (default); metric values are "
-        "identical either way and every engine preserves the dK-invariants "
-        "exactly",
+        help="kernel backend for metrics: pure-Python loops, vectorized "
+        "NumPy kernels, or size-based auto-selection (default); metric "
+        "values are identical either way",
     )
 
 
@@ -279,7 +275,6 @@ def dkgen_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--rescale", type=int, help="rescale to this many nodes (JDD input)")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
-    _add_backend_argument(parser)
     parser.add_argument("-o", "--output", required=True, help="output edge-list file")
     args = parser.parse_args(argv)
 
@@ -294,7 +289,6 @@ def dkgen_main(argv: list[str] | None = None) -> int:
             args.d,
             method=method,
             rng=args.seed,
-            backend=args.backend,
             return_result=True,
         )
         generated = result.graph
@@ -312,7 +306,7 @@ def dkgen_main(argv: list[str] | None = None) -> int:
         jdd = JointDegreeDistribution(read_jdd(args.jdd))
         if args.rescale:
             jdd = rescale_jdd(jdd, args.rescale, rng=args.seed)
-        result = spec.build(jdd, 2, rng=args.seed, backend=args.backend)
+        result = spec.build(jdd, 2, rng=args.seed)
         generated = result.graph
 
     write_edge_list(generated, args.output)

@@ -36,7 +36,6 @@ def dk_random_graph(
     method: str = ...,
     rng: RngLike = ...,
     rewiring_multiplier: float = ...,
-    backend: str | None = ...,
     return_result: Literal[False] = ...,
 ) -> SimpleGraph: ...
 
@@ -49,7 +48,6 @@ def dk_random_graph(
     method: str = ...,
     rng: RngLike = ...,
     rewiring_multiplier: float = ...,
-    backend: str | None = ...,
     return_result: Literal[True],
 ) -> GenerationResult: ...
 
@@ -61,7 +59,6 @@ def dk_random_graph(
     method: str = "rewiring",
     rng: RngLike = None,
     rewiring_multiplier: float = 10.0,
-    backend: str | None = None,
     return_result: bool = False,
 ) -> SimpleGraph | GenerationResult:
     """Construct a dK-random counterpart of ``original``.
@@ -84,10 +81,6 @@ def dk_random_graph(
     rewiring_multiplier:
         Number of accepted rewirings per possible initial rewiring (the paper
         uses 10).  Only meaningful for ``method="rewiring"``.
-    backend:
-        Rewiring engine for the Markov-chain methods ("python", "csr" or
-        "auto"; see :mod:`repro.kernels.backend`).  A pure execution knob:
-        ignored by non-chain methods and never part of store cache keys.
     return_result:
         When true, return the full :class:`GenerationResult` provenance
         envelope (graph + method, d, seed, wall time, convergence stats)
@@ -95,7 +88,7 @@ def dk_random_graph(
     """
     spec = get_generator(method)
     options = {"multiplier": rewiring_multiplier} if method == "rewiring" else {}
-    result = spec.build(original, d, rng=rng, backend=backend, **options)
+    result = spec.build(original, d, rng=rng, **options)
     return result if return_result else result.graph
 
 

@@ -148,13 +148,11 @@ class ExperimentSpec:
         Per-method extra keyword arguments, e.g.
         ``{"rewiring": {"multiplier": 5.0}}``.
     backend:
-        Kernel backend for the scalar metrics *and* the rewiring engine for
-        chain-based generation ("python", "csr" or "auto"; see
+        Kernel backend for the metrics ("python", "csr" or "auto"; see
         :mod:`repro.kernels.backend`).  Metric values are identical on every
-        backend and generated graphs are per-seed deterministic and
-        invariant-exact on every engine, so the backend is deliberately
-        **not** part of any store cache key: results computed by one backend
-        are served to runs using the other.
+        backend, so the backend is deliberately **not** part of any store
+        cache key: results computed by one backend are served to runs using
+        the other.
     shard_sources:
         Maximum BFS-source block size per worker task for the million-node
         tier.  When set together with ``workers > 1``, cells execute inline
@@ -241,13 +239,6 @@ class ExperimentSpec:
             raise ExperimentError(
                 f"shard_sources must be >= 1, got {self.shard_sources}"
             )
-        for method, options in self.generator_options.items():
-            if "backend" in options:
-                raise ExperimentError(
-                    f"generator_options[{method!r}] must not set 'backend': the "
-                    "engine is an execution knob excluded from store cache keys "
-                    "— use ExperimentSpec(backend=...) instead"
-                )
 
     def topology_label(self, index: int) -> str:
         """Stable label of the ``index``-th topology entry."""
@@ -858,7 +849,6 @@ def _execute_cell_impl(
                 options=options,
                 source_hash=topology_hash,
                 read=read_cache,
-                backend=spec.backend,
             )
             graph_key = generation_key(cell.method, options, cell.seed, topology_hash, d=cell.d)
         else:
@@ -869,7 +859,6 @@ def _execute_cell_impl(
                     original,
                     cell.d,
                     rng=np.random.default_rng(cell.seed),
-                    backend=spec.backend,
                     **options,
                 )
         graph = generated.graph

@@ -44,7 +44,7 @@ _EXPORTS = {
     "explore_1k_likelihood": "repro.generators.exploration",
     "explore_2k": "repro.generators.exploration",
     "extreme_metric_gap": "repro.generators.exploration",
-    "likelihood": "repro.generators.exploration",
+    "likelihood": "repro.metrics.assortativity",
     "ThreeKDelta": "repro.generators.threek",
     "ThreeKTracker": "repro.generators.threek",
 }

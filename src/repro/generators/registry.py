@@ -134,11 +134,6 @@ class GeneratorSpec:
     supported_d: frozenset[int]
     input_kind: InputKind
     builder: Callable[..., Any]
-    #: Whether ``builder`` understands the ``backend=`` engine-selection
-    #: kwarg (the rewiring-based algorithms).  The engine is an execution
-    #: knob, not a construction parameter: it is forwarded out-of-band so it
-    #: can never leak into the ``options`` dict that feeds store cache keys.
-    accepts_backend: bool = False
 
     def supports(self, d: int) -> bool:
         """Whether this algorithm is defined for dK level ``d``."""
@@ -165,7 +160,6 @@ class GeneratorSpec:
         d: int,
         *,
         rng: RngLike = None,
-        backend: str | None = None,
         **options: Any,
     ) -> GenerationResult:
         """Run the algorithm and wrap the output in a :class:`GenerationResult`.
@@ -174,11 +168,6 @@ class GeneratorSpec:
         distribution-input algorithms the level-``d`` distribution is
         extracted automatically.  Passing a bare distribution to a
         graph-input algorithm raises :class:`GeneratorInputError`.
-
-        ``backend`` selects the rewiring engine for algorithms that run
-        Markov chains (ignored by the others); it changes how the chain
-        executes, never what it preserves, and is deliberately kept out of
-        the ``options`` that form artifact-store cache keys.
         """
         if d not in (0, 1, 2, 3):
             raise ValueError(f"d must be in 0..3, got {d}")
@@ -197,8 +186,6 @@ class GeneratorSpec:
         if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
             seed = int(rng)
         generator = ensure_rng(rng)
-        if self.accepts_backend and backend is not None:
-            options = {**options, "backend": backend}
         start = time.perf_counter()
         built = self.builder(source, d, generator, **options)
         wall_time = time.perf_counter() - start
@@ -286,7 +273,6 @@ def _build_rewiring(
     rng,
     *,
     multiplier: float = 10.0,
-    backend: str | None = None,
     batch_size: int | None = None,
 ):
     stats: dict[str, Any] = {}
@@ -296,7 +282,6 @@ def _build_rewiring(
         rng=rng,
         multiplier=multiplier,
         stats=stats,
-        backend=backend,
         batch_size=batch_size,
     )
     return result, stats
@@ -317,12 +302,8 @@ def _build_matching(distribution, d, rng):
     return builders[d](distribution, rng=rng)
 
 
-def _build_targeting(
-    distribution, d, rng, *, max_attempts: int | None = None, backend: str | None = None
-):
-    return dk_targeting_result(
-        distribution, rng=rng, max_attempts=max_attempts, backend=backend
-    )
+def _build_targeting(distribution, d, rng, *, max_attempts: int | None = None):
+    return dk_targeting_result(distribution, rng=rng, max_attempts=max_attempts)
 
 
 register_generator(
@@ -333,7 +314,6 @@ register_generator(
         supported_d=frozenset({0, 1, 2, 3}),
         input_kind="graph",
         builder=_build_rewiring,
-        accepts_backend=True,
     )
 )
 register_generator(
@@ -374,7 +354,6 @@ register_generator(
         supported_d=frozenset({2, 3}),
         input_kind="distribution",
         builder=_build_targeting,
-        accepts_backend=True,
     )
 )
 

@@ -22,9 +22,6 @@ _EXPORTS = {
     "jdd_delta_of_double_swap": "repro.generators.rewiring.swaps",
     "jdd_delta_of_swap": "repro.generators.rewiring.swaps",
     "make_double_swap": "repro.generators.rewiring.swaps",
-    "propose_0k_move": "repro.generators.rewiring.swaps",
-    "propose_1k_swap": "repro.generators.rewiring.swaps",
-    "propose_2k_swap": "repro.generators.rewiring.swaps",
     "record_chain_stats": "repro.generators.rewiring.chain",
     "warn_not_converged": "repro.generators.rewiring.chain",
     "TargetingResult": "repro.generators.rewiring.targeting",

@@ -1,11 +1,11 @@
 """Shared bookkeeping for the rewiring chain drivers.
 
-Both rewiring engines (the pure-Python per-move loops and the vectorized
-batch engine in :mod:`repro.kernels.rewiring`) report their outcome through
-the helpers here, so the stats dictionaries are identical across engines
-and a chain that exhausts its attempt budget is surfaced the same way
-everywhere: a :class:`~repro.exceptions.RewiringConvergenceWarning` from the
-driver itself, instead of a silently dropped caller-opt-in stats dict.
+Every chain of the rewiring engine (:mod:`repro.kernels.rewiring`) reports
+its outcome through the helpers here, so the stats dictionaries are
+identical across chains and a chain that exhausts its attempt budget is
+surfaced the same way everywhere: a
+:class:`~repro.exceptions.RewiringConvergenceWarning` from the chain
+itself, instead of a silently dropped caller-opt-in stats dict.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ from repro.exceptions import RewiringConvergenceWarning
 from repro.telemetry.metrics import counter_inc, gauge_set
 
 #: Proposals drawn per vectorized batch.  A pure performance knob: the
-#: vectorized engine consumes each random stream per-proposal, so the chain's
-#: output is identical for every batch size.
+#: engine consumes each random stream per-proposal, so the chain's output is
+#: identical for every batch size.
 DEFAULT_BATCH_SIZE = 4096
 
-#: Default batch for the 3K chains.  Their wedge/triangle deltas are
+#: Default batch for the chains scored on wedge/triangle deltas (3K
+#: randomizing, 3K targeting, S2 and C̄ exploration).  Their deltas are
 #: precomputed for the whole batch against a state snapshot, and every
 #: accepted move invalidates the precomputation for later proposals touching
 #: the same nodes (those fall back to an exact per-move recompute) — so the
-#: sweet spot is much smaller than for the d <= 2 chains.  Still a pure
+#: sweet spot is much smaller than for the other chains.  Still a pure
 #: performance knob: the output is identical for every batch size.
 THREEK_BATCH_SIZE = 768
 

@@ -16,7 +16,7 @@ Conventions (documented because the paper does not spell out its own):
   triangle distributions.
 
 For ``d >= 2`` the candidates are enumerated through the same
-degree-bucketed oriented edge-end index the rewiring engines propose 2K
+degree-bucketed oriented edge-end index the rewiring engine proposes 2K
 moves from (:meth:`EdgeEndIndex.degree_buckets`): a pairing changes the JDD
 unless the exchanged heads — or equivalently the retained tails — carry
 equal degrees, so only end pairs inside one degree bucket can qualify.  That
@@ -176,7 +176,7 @@ def count_dk_rewirings(graph: SimpleGraph, d: int) -> RewiringCounts:
     not applicable (the paper reports "-"); the ``non_isomorphic`` field then
     equals the total.  ``d = 1`` enumerates all edge pairs (each is a
     candidate), while ``d >= 2`` walks only the degree-compatible end pairs
-    of the rewiring engines' bucketed edge-end index — unless the graph's
+    of a bucketed edge-end index like the rewiring engine's — unless the graph's
     degrees are so uniform that the buckets degenerate, where the pair
     enumeration is kept (both paths count identically).
     """

@@ -1,4 +1,4 @@
-"""Elementary rewiring moves (edge swaps) and their sampling machinery.
+"""Elementary rewiring moves (edge swaps), for enumerating them exactly.
 
 The paper's rewiring algorithms are built from two elementary moves:
 
@@ -8,20 +8,18 @@ The paper's rewiring algorithms are built from two elementary moves:
   (always preserves every node degree, hence the 1K-distribution).
 
 A double edge swap additionally preserves the joint degree distribution when
-the two exchanged endpoints have equal degrees; :class:`EdgeEndIndex` keeps a
-degree-indexed table of oriented edge ends so that such 2K-preserving swaps
-can be proposed in O(1) instead of by rejection.
+the two exchanged endpoints have equal degrees; :class:`EdgeEndIndex` groups
+the oriented edge ends by head degree, so such 2K-preserving swaps can be
+enumerated bucket by bucket (:mod:`repro.generators.rewiring.counting`).
+The Markov chains themselves sample these moves on the flat-array engine in
+:mod:`repro.kernels.rewiring`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.graph.simple_graph import SimpleGraph, canonical_edge
-
-if TYPE_CHECKING:  # NumPy is annotation-only here: the pure-Python proposal
-    import numpy as np  # machinery also runs on the rng fallback generator
 
 
 @dataclass(frozen=True)
@@ -69,134 +67,29 @@ def make_double_swap(a: int, b: int, c: int, d: int) -> Swap:
     )
 
 
-def propose_0k_move(graph: SimpleGraph, rng: np.random.Generator) -> Swap | None:
-    """Propose a 0K-preserving move: re-attach a random edge elsewhere."""
-    m = graph.number_of_edges
-    n = graph.number_of_nodes
-    if m == 0 or n < 2:
-        return None
-    u, v = graph.edge_at(int(rng.integers(m)))
-    x = int(rng.integers(n))
-    y = int(rng.integers(n))
-    if x == y or graph.has_edge(x, y):
-        return None
-    # re-adding the removed edge itself would be a no-op, which is fine to skip
-    if canonical_edge(x, y) == canonical_edge(u, v):
-        return None
-    return Swap(removals=(canonical_edge(u, v),), additions=(canonical_edge(x, y),))
-
-
-def propose_1k_swap(graph: SimpleGraph, rng: np.random.Generator) -> Swap | None:
-    """Propose a degree-preserving (1K) double edge swap."""
-    m = graph.number_of_edges
-    if m < 2:
-        return None
-    a, b = graph.edge_at(int(rng.integers(m)))
-    c, d = graph.edge_at(int(rng.integers(m)))
-    if rng.random() < 0.5:
-        c, d = d, c
-    if not double_swap_is_valid(graph, a, b, c, d):
-        return None
-    return make_double_swap(a, b, c, d)
-
-
 class EdgeEndIndex:
     """Degree-indexed table of oriented edge ends.
 
     For every degree ``k`` the index stores the list of oriented edges
-    ``(u, v)`` whose *second* endpoint has degree ``k`` (degrees are frozen at
-    construction time, which is valid for degree-preserving rewiring).  The
-    list + position-dictionary layout supports O(1) membership updates and
-    O(1) uniform sampling.
+    ``(u, v)`` whose *second* endpoint (the head) has degree ``k``.
     """
 
     def __init__(self, graph: SimpleGraph):
         self.degrees = graph.degrees()
         self._by_degree: dict[int, list[tuple[int, int]]] = {}
-        self._positions: dict[tuple[int, int], int] = {}
         for u, v in graph.edges():
-            self._insert((u, v))
-            self._insert((v, u))
-
-    def _insert(self, oriented: tuple[int, int]) -> None:
-        degree = self.degrees[oriented[1]]
-        bucket = self._by_degree.setdefault(degree, [])
-        self._positions[oriented] = len(bucket)
-        bucket.append(oriented)
-
-    def _discard(self, oriented: tuple[int, int]) -> None:
-        degree = self.degrees[oriented[1]]
-        bucket = self._by_degree[degree]
-        position = self._positions.pop(oriented)
-        last = bucket[-1]
-        bucket[position] = last
-        self._positions[last] = position
-        bucket.pop()
-
-    def add_edge(self, u: int, v: int) -> None:
-        """Register a newly added edge."""
-        self._insert((u, v))
-        self._insert((v, u))
-
-    def remove_edge(self, u: int, v: int) -> None:
-        """Unregister a removed edge."""
-        self._discard((u, v))
-        self._discard((v, u))
-
-    def apply_swap(self, swap: Swap) -> None:
-        """Update the index to reflect an applied swap."""
-        for u, v in swap.removals:
-            self.remove_edge(u, v)
-        for u, v in swap.additions:
-            self.add_edge(u, v)
-
-    def revert_swap(self, swap: Swap) -> None:
-        """Update the index to reflect a reverted swap."""
-        for u, v in swap.additions:
-            self.remove_edge(u, v)
-        for u, v in swap.removals:
-            self.add_edge(u, v)
-
-    def random_end_with_degree(self, degree: int, rng: np.random.Generator) -> tuple[int, int] | None:
-        """A uniformly random oriented edge whose head has the given degree."""
-        bucket = self._by_degree.get(degree)
-        if not bucket:
-            return None
-        return bucket[int(rng.integers(len(bucket)))]
+            self._by_degree.setdefault(self.degrees[v], []).append((u, v))
+            self._by_degree.setdefault(self.degrees[u], []).append((v, u))
 
     def degree_buckets(self) -> dict[int, list[tuple[int, int]]]:
-        """The live ``head degree -> oriented (tail, head) edges`` table.
+        """The ``head degree -> oriented (tail, head) edges`` table.
 
-        This is the degree-bucketed oriented edge-end index the rewiring
-        engines propose 2K moves from; :mod:`repro.generators.rewiring.counting`
-        reuses it to enumerate only degree-compatible swap candidates.  The
-        returned buckets are the index's own lists — treat them as read-only.
+        Only end pairs inside one bucket can form a 2K-preserving swap;
+        :mod:`repro.generators.rewiring.counting` enumerates them from here.
+        The returned buckets are the index's own lists — treat them as
+        read-only.
         """
         return self._by_degree
-
-
-def propose_2k_swap(
-    graph: SimpleGraph, index: EdgeEndIndex, rng: np.random.Generator
-) -> Swap | None:
-    """Propose a JDD-preserving double edge swap.
-
-    A random oriented edge ``(a, b)`` is drawn, then a second oriented edge
-    ``(c, d)`` whose head ``d`` has the same degree as ``b``; swapping the two
-    heads leaves ``P(k, k')`` unchanged.
-    """
-    m = graph.number_of_edges
-    if m < 2:
-        return None
-    a, b = graph.edge_at(int(rng.integers(m)))
-    if rng.random() < 0.5:
-        a, b = b, a
-    other = index.random_end_with_degree(index.degrees[b], rng)
-    if other is None:
-        return None
-    c, d = other
-    if not double_swap_is_valid(graph, a, b, c, d):
-        return None
-    return make_double_swap(a, b, c, d)
 
 
 def jdd_delta_of_double_swap(degrees: list[int], a: int, b: int, c: int, d: int) -> dict[tuple[int, int], int]:
@@ -228,9 +121,6 @@ __all__ = [
     "EdgeEndIndex",
     "double_swap_is_valid",
     "make_double_swap",
-    "propose_0k_move",
-    "propose_1k_swap",
-    "propose_2k_swap",
     "jdd_delta_of_double_swap",
     "jdd_delta_of_swap",
 ]

@@ -17,42 +17,27 @@ pipeline for dK-random graphs when no original graph is available:
 * 2K-targeting 1K-preserving rewiring (target: a joint degree distribution),
 * 3K-targeting 2K-preserving rewiring (target: wedge + triangle counts).
 
-Like the randomizing chains, both processes run on either rewiring engine:
-the per-move loops in this module (``backend="python"``) or the vectorized
-batch engine in :mod:`repro.kernels.rewiring` (``backend="csr"``/``"auto"``).
-The vectorized 3K-targeting chain keeps its objective as an incremental
-sufficient statistic — a ``current - target`` diff over packed wedge and
-triangle keys, updated per accepted move in O(deg) — so the Metropolis
-distance change is an exact integer and the distance trace is identical for
-every batch size.  A chain that stops short of its target emits a
-:class:`~repro.exceptions.RewiringConvergenceWarning`.
+Both run on the rewiring engine's objective chains
+(:func:`repro.kernels.rewiring.run_chain`).  The 3K-targeting chain keeps
+its objective as an incremental sufficient statistic — a ``current -
+target`` diff over packed wedge and triangle keys, updated per accepted move
+in O(deg) — so the Metropolis distance change is an exact integer and the
+distance trace is identical for every batch size.  A chain that stops short
+of its target emits a :class:`~repro.exceptions.RewiringConvergenceWarning`.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.core.distributions import JointDegreeDistribution, ThreeKDistribution
-from repro.core.extraction import joint_degree_distribution
 from repro.generators.matching import matching_1k, matching_2k
 from repro.generators.rewiring.chain import warn_not_converged
-from repro.generators.rewiring.swaps import (
-    EdgeEndIndex,
-    jdd_delta_of_swap,
-    propose_1k_swap,
-    propose_2k_swap,
-)
-from repro.generators.threek import ThreeKTracker
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.backend import get_kernel, register_kernel, resolve_backend
+from repro.kernels.rewiring import ENGINE_NAME, JddDistance, ThreeKDistance, run_chain
 from repro.telemetry import span
 from repro.utils.rng import RngLike, ensure_rng
-
-if TYPE_CHECKING:  # annotation-only; the python engine runs on the rng fallback
-    import numpy as np
 
 TemperatureSchedule = Callable[[int], float]
 
@@ -85,140 +70,51 @@ class TargetingResult:
         return self.distance == 0.0
 
 
-def _metropolis_accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
-    if delta < 0:
-        return True
-    if delta == 0:
-        return True
-    if temperature <= 0:
-        return False
-    return rng.random() < math.exp(-delta / temperature)
-
-
-def _squared_distance(current: Counter, target: Counter) -> float:
-    keys = set(current) | set(target)
-    return float(sum((current.get(k, 0) - target.get(k, 0)) ** 2 for k in keys))
-
-
-def _distance_change(current: Counter, target: Counter, delta: dict) -> float:
-    change = 0.0
-    for key, d in delta.items():
-        if d == 0:
-            continue
-        c = current.get(key, 0)
-        t = target.get(key, 0)
-        change += (c + d - t) ** 2 - (c - t) ** 2
-    return change
-
-
-@register_kernel("rewire_target_2k", "python")
-def _target_2k_python(
+def _run_targeting(
+    name: str,
     graph: SimpleGraph,
-    target: JointDegreeDistribution,
+    objective,
     *,
-    rng: RngLike = None,
-    max_attempts: int | None = None,
-    temperature: float | TemperatureSchedule = 0.0,
-    trace_every: int = 1000,
-    batch_size: int | None = None,
+    rng: RngLike,
+    max_attempts: int,
+    temperature: float | TemperatureSchedule,
+    trace_every: int,
+    batch_size: int | None,
 ) -> TargetingResult:
-    """Python-engine 2K-targeting chain (``batch_size`` is ignored)."""
-    rng = ensure_rng(rng)
-    result = graph.copy()
-    schedule = temperature if callable(temperature) else constant_temperature(float(temperature))
-    current = Counter(joint_degree_distribution(result).counts)
-    target_counts = Counter(target.counts)
-    degrees = result.degrees()
-    distance = _squared_distance(current, target_counts)
-    if max_attempts is None:
-        max_attempts = 200 * max(result.number_of_edges, 1)
-
-    accepted = 0
-    attempts = 0
-    trace = [distance]
-    while distance > 0 and attempts < max_attempts:
-        attempts += 1
-        swap = propose_1k_swap(result, rng)
-        if swap is None:
-            continue
-        jdd_delta = jdd_delta_of_swap(degrees, swap)
-        change = _distance_change(current, target_counts, jdd_delta)
-        if _metropolis_accept(change, schedule(attempts), rng):
-            swap.apply(result)
-            for key, value in jdd_delta.items():
-                current[key] += value
-                if current[key] == 0:
-                    del current[key]
-            distance += change
-            accepted += 1
-        if attempts % trace_every == 0:
-            trace.append(distance)
-    trace.append(distance)
-    if distance > 0:
-        warn_not_converged("2K-targeting", f"distance {distance:g} after {attempts} attempts")
+    if callable(temperature):
+        schedule = temperature
+    elif float(temperature) > 0:
+        schedule = constant_temperature(float(temperature))
+    else:
+        # strict targeting: the Metropolis test reduces to ``change <= 0``
+        schedule = None
+    with span(
+        f"kernel.{name}",
+        engine=ENGINE_NAME,
+        n=graph.number_of_nodes,
+        m=graph.number_of_edges,
+    ):
+        run = run_chain(
+            graph,
+            objective,
+            rng=rng,
+            max_attempts=max_attempts,
+            schedule=schedule,
+            trace_every=trace_every,
+            batch_size=batch_size,
+        )
+    if run.energy > 0:
+        warn_not_converged(
+            objective.label,
+            f"distance {run.energy} after {run.attempted} attempts",
+            stacklevel=4,
+        )
     return TargetingResult(
-        graph=result,
-        distance=distance,
-        accepted_moves=accepted,
-        attempted_moves=attempts,
-        distance_trace=trace,
-    )
-
-
-@register_kernel("rewire_target_3k", "python")
-def _target_3k_python(
-    graph: SimpleGraph,
-    target: ThreeKDistribution,
-    *,
-    rng: RngLike = None,
-    max_attempts: int | None = None,
-    temperature: float | TemperatureSchedule = 0.0,
-    trace_every: int = 1000,
-    batch_size: int | None = None,
-) -> TargetingResult:
-    """Python-engine 3K-targeting chain (``batch_size`` is ignored)."""
-    rng = ensure_rng(rng)
-    result = graph.copy()
-    schedule = temperature if callable(temperature) else constant_temperature(float(temperature))
-    index = EdgeEndIndex(result)
-    tracker = ThreeKTracker(result)
-    target_wedges = Counter(target.wedges)
-    target_triangles = Counter(target.triangles)
-    distance = _squared_distance(tracker.wedges, target_wedges) + _squared_distance(
-        tracker.triangles, target_triangles
-    )
-    if max_attempts is None:
-        max_attempts = 400 * max(result.number_of_edges, 1)
-
-    accepted = 0
-    attempts = 0
-    trace = [distance]
-    while distance > 0 and attempts < max_attempts:
-        attempts += 1
-        swap = propose_2k_swap(result, index, rng)
-        if swap is None:
-            continue
-        delta = tracker.apply_edges(result, list(swap.removals), list(swap.additions))
-        change = _distance_change(tracker.wedges, target_wedges, delta.wedges)
-        change += _distance_change(tracker.triangles, target_triangles, delta.triangles)
-        if _metropolis_accept(change, schedule(attempts), rng):
-            index.apply_swap(swap)
-            tracker.commit(delta)
-            distance += change
-            accepted += 1
-        else:
-            tracker.revert_edges(result, list(swap.removals), list(swap.additions))
-        if attempts % trace_every == 0:
-            trace.append(distance)
-    trace.append(distance)
-    if distance > 0:
-        warn_not_converged("3K-targeting", f"distance {distance:g} after {attempts} attempts")
-    return TargetingResult(
-        graph=result,
-        distance=distance,
-        accepted_moves=accepted,
-        attempted_moves=attempts,
-        distance_trace=trace,
+        graph=run.graph,
+        distance=float(run.energy),
+        accepted_moves=run.accepted,
+        attempted_moves=run.attempted,
+        distance_trace=[float(value) for value in run.trace],
     )
 
 
@@ -230,32 +126,26 @@ def target_2k_from_1k(
     max_attempts: int | None = None,
     temperature: float | TemperatureSchedule = 0.0,
     trace_every: int = 1000,
-    backend: str | None = None,
     batch_size: int | None = None,
 ) -> TargetingResult:
     """2K-targeting 1K-preserving rewiring of (a copy of) ``graph``.
 
     The degree sequence of ``graph`` is preserved throughout; the joint
     degree distribution is pushed toward ``target`` by accepting double edge
-    swaps that decrease ``D_2``.  ``backend`` selects the rewiring engine.
+    swaps that decrease ``D_2``.
     """
-    concrete = resolve_backend(graph, backend)
-    kernel = get_kernel("rewire_target_2k", concrete)
-    with span(
-        "kernel.rewire_target_2k",
-        backend=concrete,
-        n=graph.number_of_nodes,
-        m=graph.number_of_edges,
-    ):
-        return kernel(
-            graph,
-            target,
-            rng=rng,
-            max_attempts=max_attempts,
-            temperature=temperature,
-            trace_every=trace_every,
-            batch_size=batch_size,
-        )
+    if max_attempts is None:
+        max_attempts = 200 * max(graph.number_of_edges, 1)
+    return _run_targeting(
+        "rewire_target_2k",
+        graph,
+        JddDistance(target),
+        rng=rng,
+        max_attempts=max_attempts,
+        temperature=temperature,
+        trace_every=trace_every,
+        batch_size=batch_size,
+    )
 
 
 def target_3k_from_2k(
@@ -266,32 +156,25 @@ def target_3k_from_2k(
     max_attempts: int | None = None,
     temperature: float | TemperatureSchedule = 0.0,
     trace_every: int = 1000,
-    backend: str | None = None,
     batch_size: int | None = None,
 ) -> TargetingResult:
     """3K-targeting 2K-preserving rewiring of (a copy of) ``graph``.
 
     The joint degree distribution of ``graph`` is preserved throughout; the
     wedge and triangle distributions are pushed toward ``target``.
-    ``backend`` selects the rewiring engine.
     """
-    concrete = resolve_backend(graph, backend)
-    kernel = get_kernel("rewire_target_3k", concrete)
-    with span(
-        "kernel.rewire_target_3k",
-        backend=concrete,
-        n=graph.number_of_nodes,
-        m=graph.number_of_edges,
-    ):
-        return kernel(
-            graph,
-            target,
-            rng=rng,
-            max_attempts=max_attempts,
-            temperature=temperature,
-            trace_every=trace_every,
-            batch_size=batch_size,
-        )
+    if max_attempts is None:
+        max_attempts = 400 * max(graph.number_of_edges, 1)
+    return _run_targeting(
+        "rewire_target_3k",
+        graph,
+        ThreeKDistance(target),
+        rng=rng,
+        max_attempts=max_attempts,
+        temperature=temperature,
+        trace_every=trace_every,
+        batch_size=batch_size,
+    )
 
 
 def dk_targeting_result(
@@ -299,7 +182,6 @@ def dk_targeting_result(
     *,
     rng: RngLike = None,
     max_attempts: int | None = None,
-    backend: str | None = None,
 ) -> tuple[SimpleGraph, dict]:
     """Run the targeting bootstrap pipeline and return ``(graph, stats)``.
 
@@ -314,20 +196,16 @@ def dk_targeting_result(
       2K-preserving rewiring.
 
     The ``stats`` dict records the Metropolis chain's outcome: the final
-    distance to the target distribution, accepted/attempted move counts, and
-    whether the target was reached exactly (``converged``).
+    distance to the target distribution, accepted/attempted move counts,
+    whether the target was reached exactly (``converged``) and the engine.
     """
     rng = ensure_rng(rng)
     if isinstance(target, JointDegreeDistribution):
         seed_graph = matching_1k(target.to_lower(), rng=rng)
-        run = target_2k_from_1k(
-            seed_graph, target, rng=rng, max_attempts=max_attempts, backend=backend
-        )
+        run = target_2k_from_1k(seed_graph, target, rng=rng, max_attempts=max_attempts)
     elif isinstance(target, ThreeKDistribution):
         seed_graph = matching_2k(target.jdd, rng=rng)
-        run = target_3k_from_2k(
-            seed_graph, target, rng=rng, max_attempts=max_attempts, backend=backend
-        )
+        run = target_3k_from_2k(seed_graph, target, rng=rng, max_attempts=max_attempts)
     else:
         raise TypeError(
             "dk_targeting_result expects a JointDegreeDistribution or ThreeKDistribution, "
@@ -338,6 +216,7 @@ def dk_targeting_result(
         "accepted_moves": run.accepted_moves,
         "attempted_moves": run.attempted_moves,
         "converged": run.converged,
+        "engine": ENGINE_NAME,
     }
     return run.graph, stats
 
@@ -347,13 +226,12 @@ def dk_targeting_construct(
     *,
     rng: RngLike = None,
     max_attempts: int | None = None,
-    backend: str | None = None,
 ) -> SimpleGraph:
     """Construct a dK-random graph from a dK-distribution alone.
 
     Graph-returning convenience wrapper around :func:`dk_targeting_result`.
     """
-    return dk_targeting_result(target, rng=rng, max_attempts=max_attempts, backend=backend)[0]
+    return dk_targeting_result(target, rng=rng, max_attempts=max_attempts)[0]
 
 
 __all__ = [

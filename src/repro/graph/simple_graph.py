@@ -272,7 +272,7 @@ class SimpleGraph:
     ) -> "SimpleGraph":
         """Trusted bulk constructor from parallel endpoint arrays.
 
-        Built for the vectorized rewiring engine, whose chain state is a flat
+        Built for the rewiring engine, whose chain state is a flat
         edge-array pair: endpoints may be stored in either orientation, but
         the caller guarantees a *valid simple graph* (no self-loops, no
         duplicate edges, ids below ``n``) — nothing is validated here, which

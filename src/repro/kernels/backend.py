@@ -1,9 +1,7 @@
-"""Pluggable backend registry: pure-Python loops vs NumPy CSR kernels.
+"""Pluggable metric-kernel registry: pure-Python loops vs NumPy CSR kernels.
 
-Every heavy graph kernel (BFS sweeps, triangle counting, edge-array
-correlation sums, Brandes betweenness, and the rewiring Markov-chain
-engines behind :func:`~repro.generators.rewiring.preserving.dk_randomize`
-and the targeting constructions) exists in two interchangeable
+Every heavy metric kernel (BFS sweeps, triangle counting, edge-array
+correlation sums, Brandes betweenness) exists in two interchangeable
 implementations:
 
 * ``"python"`` — the original pure-Python loops over :class:`SimpleGraph`
@@ -12,18 +10,18 @@ implementations:
   compressed-sparse-row representation: the cached CSR snapshot of a
   SimpleGraph (:mod:`repro.kernels.csr`) or the memory-mapped arrays of a
   :class:`~repro.kernels.biggraph.BigGraph`.  The metric kernels are the
-  chunked bodies of :mod:`repro.kernels.biggraph`; the rewiring engine is
-  :mod:`repro.kernels.rewiring`.
+  chunked bodies of :mod:`repro.kernels.biggraph`.
 
 Callers never import kernel modules directly: the metric functions in
 :mod:`repro.metrics` dispatch through :func:`get_kernel` with a backend name
-resolved by :func:`resolve_backend`.  For *metric* kernels both backends
-return *identical* results — integer subgraph/distance counts are exact and
-the floating-point summaries are computed from those counts by shared code.
-The *rewiring* kernels are stochastic: each engine is deterministic per seed
-and exactly preserves the chain's dK-invariants, but the two engines sample
-different (equally valid) dK-random graphs for one seed.  In both cases the
-backend is a pure execution knob and never enters artifact-store cache keys.
+resolved by :func:`resolve_backend`.  Both backends return *identical*
+results — integer subgraph/distance counts are exact and the floating-point
+summaries are computed from those counts by shared code — so the backend is
+a pure execution knob and never enters artifact-store cache keys.
+
+The backend selects metric kernels only.  Graph generation has one engine:
+the rewiring Markov chains (randomizing, targeting, exploration) all run on
+:mod:`repro.kernels.rewiring`.
 
 Selection precedence: a per-call ``backend=`` argument, then the process-wide
 setting installed with :func:`use_backend`, then ``"auto"``: CSR for every
@@ -82,17 +80,6 @@ _KERNEL_MODULES: dict[tuple[str, str], str] = {
     ("second_order_total", "csr"): "repro.kernels.biggraph",
     ("jdd_counts", "python"): "repro.kernels.correlations_python",
     ("jdd_counts", "csr"): "repro.kernels.biggraph",
-    # rewiring engines: "python" = the per-move SimpleGraph loops, "csr" =
-    # the batched flat-edge-array engine.  Unlike the metric kernels the two
-    # engines draw different random streams, so for one seed they build
-    # different (equally valid, invariant-exact) dK-random graphs — which is
-    # why the engine name must never enter artifact-store cache keys.
-    ("rewire_randomize", "python"): "repro.generators.rewiring.preserving",
-    ("rewire_randomize", "csr"): "repro.kernels.rewiring",
-    ("rewire_target_2k", "python"): "repro.generators.rewiring.targeting",
-    ("rewire_target_2k", "csr"): "repro.kernels.rewiring",
-    ("rewire_target_3k", "python"): "repro.generators.rewiring.targeting",
-    ("rewire_target_3k", "csr"): "repro.kernels.rewiring",
 }
 
 

@@ -1,58 +1,54 @@
-"""Vectorized rewiring engine: batched Markov-chain moves on flat edge arrays.
+"""The rewiring engine: batched Markov-chain moves on flat edge arrays.
 
-This is the ``"csr"``-backend counterpart of the pure-Python rewiring loops
-in :mod:`repro.generators.rewiring` (Sections 4.1.4 and 5 of the paper).
-Where the Python engine performs one move at a time through
-:class:`~repro.graph.simple_graph.SimpleGraph` mutations (adjacency sets, an
-edge-position dict, per-move ``Swap`` objects), this engine keeps the whole
-chain state in flat structures built once per chain:
+Every dK construction of the paper that is a Markov chain runs here:
+dK-preserving randomizing rewiring (d = 0..3, Section 4.1.4), dK-targeting
+Metropolis rewiring (Section 4.1.4, Table 4) and dK-space exploration
+(Section 4.3, Table 7).  The whole chain state lives in flat structures
+built once per chain:
 
 * ``edge_u`` / ``edge_v`` — the edge list as two parallel endpoint arrays;
   every move rewrites at most two slots in place (the edge count is
   invariant under all dK-preserving and targeting moves);
 * an O(1)-membership *edge hash-set* of packed canonical endpoint keys
-  (``min * n + max``), replacing ``has_edge`` / ``add_edge`` /
-  ``remove_edge`` round-trips;
+  (``min * n + max``);
 * for 2K-style proposals, a *degree-bucketed oriented edge-end index*
   mapping each head degree to the packed ``2 * slot + side`` ends carrying
   it.  Because 2K moves exchange heads of equal degree in place, the bucket
   contents are invariant for the whole chain — the index is built once and
   never updated;
-* for 3K acceptance tests and 3K-targeting objectives, a batched
+* for 3K acceptance tests and 2K-proposal objectives, a batched
   wedge/triangle delta kernel (:class:`_ThreeKState`): fixed-capacity
   adjacency rows plus a packed adjacency *bitset*, both updated in O(deg)
   per accepted move, with the exact per-proposal deltas of a whole batch
   evaluated at once through NumPy gather / bitset-membership /
   sort-and-segment reductions.  The 3K-*preserving* chain only needs a
-  zero/nonzero verdict per proposal (a common-neighbor count filter
-  followed by packed-key multiset equality); the 3K-*targeting* chain gets
-  full per-proposal delta lists applied to running packed wedge/triangle
-  histograms — the vectorized analogue of
-  :class:`~repro.generators.threek.ThreeKTracker`.
+  zero/nonzero verdict per proposal; the objective chains get full
+  per-proposal delta lists over rank-packed wedge/triangle keys.
+
+Targeting and exploration share one entry point, :func:`run_chain`, with an
+objective: the squared distance to a target distribution
+(:class:`JddDistance`, :class:`ThreeKDistance`) or a weight vector over the
+delta keys (:class:`LinearObjective`).  Energies are exact integers, so
+every accept decision is exact.
 
 Proposals are drawn in vectorized batches: each random quantity (edge slot,
 partner, orientation, Metropolis uniform) comes from its own spawned child
 stream, consumed exactly once per proposal — so the chain's output depends
 only on the seed, *not* on the batch size, and is deterministic per seed.
 The batch arrays are converted to Python ints in bulk (``.tolist()``) and
-validated/applied by a tight scalar loop; the per-move cost is an order of
-magnitude below the Python engine's (see ``benchmarks/bench_rewiring.py``).
-Because the 3K batch is evaluated against a snapshot of the chain state, a
-proposal whose endpoints were touched by an *earlier accepted move of the
-same batch* is detected through per-node move stamps and transparently
-re-evaluated against the live state — which is what keeps the 3K chains
-batch-size invariant too.
-
-The two engines draw from differently-structured streams, so for a given
-seed they produce *different* (but individually deterministic) dK-random
-graphs with *identical* preserved invariants; the engine choice is therefore
-excluded from all artifact-store cache keys, exactly like the metric
-backends.
+validated/applied by a tight scalar loop.  Because the 3K batch is evaluated
+against a snapshot of the chain state, a proposal whose endpoints were
+touched by an *earlier accepted move of the same batch* is detected through
+per-node move stamps and re-evaluated against the live state — which is
+what keeps the 2K-proposal chains batch-size invariant too.  Beyond
+:data:`BITSET_MAX_NODES` nodes those chains take an exact per-move scalar
+path over adjacency sets instead; it samples the same chain.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +58,6 @@ from repro.generators.rewiring.chain import (
     THREEK_BATCH_SIZE,
     record_batch_efficiency,
     record_chain_stats,
-    warn_not_converged,
-)
-from repro.generators.rewiring.targeting import (
-    TargetingResult,
-    _distance_change,
-    _squared_distance,
-    constant_temperature,
 )
 from repro.graph.simple_graph import SimpleGraph
 from repro.graph.subgraphs import (
@@ -77,7 +66,6 @@ from repro.graph.subgraphs import (
     wedge_degree_counts,
     wedge_key,
 )
-from repro.kernels.backend import register_kernel
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Name recorded in the chain stats of graphs built by this engine.
@@ -817,7 +805,7 @@ def _initial_threek_diff(tk: _ThreeKState, target):
     Returns ``(keys, vals, distance)``: aligned arrays of rank-packed unified
     keys (wedges below ``tk.n_ranks**3``, triangles above) and their
     ``current - target`` counts with zero entries dropped, plus the exact
-    squared distance as a float.
+    integer squared distance.
 
     Triangles are enumerated once per incident edge through the batched
     common-neighbor kernel (each key's raw count is therefore divisible by
@@ -891,9 +879,7 @@ def _initial_threek_diff(tk: _ThreeKState, target):
     else:
         keys_f = np.empty(0, dtype=np.int64)
         vals_f = np.empty(0, dtype=np.int64)
-    # exact integer accumulation, converted to float once (like the python
-    # engine's _squared_distance)
-    distance = float(sum(v * v for v in vals_f.tolist()))
+    distance = sum(v * v for v in vals_f.tolist())
     return keys_f, vals_f, distance
 
 
@@ -1400,7 +1386,6 @@ def _chain_3k_scalar(state, rng, target, budget, batch_size):
     return accepted, attempted
 
 
-@register_kernel("rewire_randomize", "csr")
 def randomize(
     graph: SimpleGraph,
     d: int,
@@ -1411,9 +1396,9 @@ def randomize(
     stats: dict | None = None,
     batch_size: int | None = None,
 ) -> SimpleGraph:
-    """dK-preserving randomization of ``graph`` on the vectorized engine.
+    """dK-preserving randomization of a copy of ``graph``.
 
-    Semantics match :func:`repro.generators.rewiring.preserving.dk_randomize`:
+    The engine behind :func:`repro.generators.rewiring.preserving.dk_randomize`:
     the chain performs ``multiplier * m`` accepted dK-preserving moves (or
     stops at the attempt budget), records the unified
     ``attempted/accepted/converged`` stats, and warns when the budget binds.
@@ -1454,8 +1439,41 @@ def randomize(
 
 
 # --------------------------------------------------------------------------- #
-# targeting chains (Metropolis dynamics toward a dK-distribution)
+# objective chains: targeting (Metropolis toward a dK-distribution) and
+# dK-space exploration (a next-level metric pushed to an extreme)
 # --------------------------------------------------------------------------- #
+#
+# Both run one of two loops: 1K proposals (degree-preserving double swaps)
+# scored on their JDD delta, or 2K proposals (degree-matched head exchanges)
+# scored on their wedge/triangle delta.  The objective turns a delta into an
+# exact integer energy change:
+#
+# * targeting: the squared distance to the target counts, a Metropolis chain
+#   that takes zero-change moves as free randomization steps and stops when
+#   the distance reaches 0;
+# * exploration: a dot product of the delta with an integer weight vector,
+#   accepting only strict improvements, for the whole attempt budget.
+#
+# Integer energies keep every decision exact, so the batched and scalar
+# evaluation paths (and every batch size) take the same moves.
+
+
+def _squared_distance(current: dict, target: dict) -> int:
+    keys = set(current) | set(target)
+    return sum((current.get(k, 0) - target.get(k, 0)) ** 2 for k in keys)
+
+
+def _distance_change(current: dict, target: dict, delta: dict) -> int:
+    change = 0
+    for key, d in delta.items():
+        if d == 0:
+            continue
+        c = current.get(key, 0)
+        t = target.get(key, 0)
+        change += (c + d - t) ** 2 - (c - t) ** 2
+    return change
+
+
 def _jdd_bump(delta: dict, k1: int, k2: int, amount: int) -> None:
     key = (k1, k2) if k1 <= k2 else (k2, k1)
     value = delta.get(key, 0) + amount
@@ -1474,31 +1492,190 @@ def _commit_counts(current: dict, delta: dict) -> None:
             current.pop(key, None)
 
 
-def _accepts(change: float, temperature: float, uniform: float) -> bool:
-    if change <= 0:
-        return True
-    if temperature <= 0:
-        return False
-    return uniform < math.exp(-change / temperature)
+def _metropolis(change: int, temperature: float, uniform: float) -> bool:
+    """Uphill acceptance of a Metropolis move (``change > 0``)."""
+    return temperature > 0 and uniform < math.exp(-change / temperature)
 
 
-@register_kernel("rewire_target_2k", "csr")
-def target_2k(
+class JddDistance:
+    """Squared distance ``D_2`` to a target JDD: 2K-targeting on 1K proposals."""
+
+    proposal = 1
+    label = "2K-targeting"
+    limit = 0  # a zero-change move is a free randomization step
+    stops = True  # the chain ends once the target is reached
+
+    def __init__(self, target):
+        self.target = dict(target.counts)
+        self.current: dict = {}
+
+    def start(self, graph: SimpleGraph) -> int:
+        self.current = dict(joint_degree_distribution(graph).counts)
+        return _squared_distance(self.current, self.target)
+
+    def change(self, delta: dict) -> int:
+        return _distance_change(self.current, self.target, delta)
+
+    def commit(self, delta: dict) -> None:
+        _commit_counts(self.current, delta)
+
+
+class ThreeKDistance:
+    """Squared distance ``D_3`` to target wedge and triangle counts:
+    3K-targeting on 2K proposals."""
+
+    proposal = 2
+    label = "3K-targeting"
+    limit = 0
+    stops = True
+    quadratic = True
+
+    def __init__(self, target):
+        self.target = target
+
+    def target_degrees(self) -> np.ndarray:
+        keys = (*self.target.wedges, *self.target.triangles)
+        return np.fromiter((k for key in keys for k in key), np.int64)
+
+    def dense(self, tk: _ThreeKState, kd: np.ndarray):
+        """``(grad, energy)`` on the rank-packed keys: ``grad = 2 (current -
+        target)``, so a delta's change is ``Σ net (grad + net)``."""
+        keys0, vals0, distance = _initial_threek_diff(tk, self.target)
+        grad = np.zeros(2 * tk.n_ranks**3, dtype=np.int64)
+        grad[keys0] = 2 * vals0
+        return grad, distance
+
+    def start(self, graph: SimpleGraph) -> int:
+        self.wedges = dict(wedge_degree_counts(graph))
+        self.triangles = dict(triangle_degree_counts(graph))
+        self.target_wedges = dict(self.target.wedges)
+        self.target_triangles = dict(self.target.triangles)
+        return _squared_distance(self.wedges, self.target_wedges) + _squared_distance(
+            self.triangles, self.target_triangles
+        )
+
+    def change(self, wedge_delta: dict, triangle_delta: dict) -> int:
+        return _distance_change(
+            self.wedges, self.target_wedges, wedge_delta
+        ) + _distance_change(self.triangles, self.target_triangles, triangle_delta)
+
+    def commit(self, wedge_delta: dict, triangle_delta: dict) -> None:
+        _commit_counts(self.wedges, wedge_delta)
+        _commit_counts(self.triangles, triangle_delta)
+
+
+class LinearObjective:
+    """Energy ``sign * Σ w(key) count(key)``: a weight vector over delta keys.
+
+    ``edge(k1, k2)`` weighs JDD keys (1K proposals); ``wedge(end, centre,
+    end)`` and ``triangle(k1, k2, k3)`` weigh 3K keys (2K proposals; a
+    missing family weighs 0).  The weight functions take degree values as
+    ints or NumPy arrays and must return integers.  ``maximize`` flips the
+    sign, so the chain always lowers the energy, and only a strict
+    improvement is accepted.
+    """
+
+    limit = -1
+    stops = False
+    quadratic = False
+
+    def __init__(self, label, *, edge=None, wedge=None, triangle=None, maximize=False):
+        self.label = label
+        self.proposal = 1 if edge is not None else 2
+        self.edge = edge
+        self.wedge = wedge
+        self.triangle = triangle
+        self.sign = -1 if maximize else 1
+
+    def target_degrees(self) -> np.ndarray:
+        return np.empty(0, dtype=np.int64)
+
+    def dense(self, tk: _ThreeKState, kd: np.ndarray):
+        base = tk.n_ranks
+        index = np.arange(base**3, dtype=np.int64)
+        lo = kd[index // (base * base)]
+        mid = kd[(index // base) % base]
+        hi = kd[index % base]
+        zero = np.zeros(base**3, dtype=np.int64)
+        # wedge keys pack (min end, centre, max end), triangle keys sort
+        wedges = zero if self.wedge is None else self.wedge(lo, mid, hi)
+        triangles = zero if self.triangle is None else self.triangle(lo, mid, hi)
+        grad = self.sign * np.concatenate((wedges, triangles)).astype(np.int64)
+        return grad, 0
+
+    def start(self, graph: SimpleGraph) -> int:
+        return 0
+
+    def change(self, delta: dict, triangle_delta: dict | None = None) -> int:
+        if triangle_delta is None:
+            total = sum(count * self.edge(*key) for key, count in delta.items())
+        else:
+            total = 0
+            if self.wedge is not None:
+                total += sum(count * self.wedge(*key) for key, count in delta.items())
+            if self.triangle is not None:
+                total += sum(
+                    count * self.triangle(*key) for key, count in triangle_delta.items()
+                )
+        return self.sign * int(total)
+
+    def commit(self, *deltas) -> None:
+        pass
+
+
+@dataclass
+class ChainRun:
+    """Outcome of an objective chain: the graph and its energy trajectory."""
+
+    graph: SimpleGraph
+    energy: int
+    accepted: int
+    attempted: int
+    trace: list[int]
+
+
+def run_chain(
     graph: SimpleGraph,
-    target,
+    objective,
     *,
     rng: RngLike = None,
-    max_attempts: int | None = None,
-    temperature=0.0,
+    max_attempts: int,
+    schedule=None,
     trace_every: int = 1000,
     batch_size: int | None = None,
-) -> TargetingResult:
-    """2K-targeting 1K-preserving Metropolis rewiring on the vectorized engine."""
+) -> ChainRun:
+    """Run ``objective``'s chain on a copy of ``graph``.
+
+    1K-proposal objectives preserve the degree sequence, 2K-proposal ones the
+    JDD.  A temperature ``schedule`` (``step -> T``) enables Metropolis
+    uphill moves; without one a move is accepted iff its change is at most
+    ``objective.limit``.  The 2K chain runs the batched delta kernel up to
+    :data:`BITSET_MAX_NODES` nodes and the exact per-move scalar path beyond
+    it (or when degree diversity is too large for the dense rank-packed
+    statistic); the split depends only on the input, never on the batch
+    size.  The trace records the energy every ``trace_every`` attempts, plus
+    the start and end.
+    """
     rng = ensure_rng(rng)
-    if batch_size is None or batch_size < 1:
-        batch_size = DEFAULT_BATCH_SIZE
-    schedule = temperature if callable(temperature) else constant_temperature(float(temperature))
     state = RewiringState(graph)
+    if objective.proposal == 1:
+        chain = _objective_chain_1k
+        if batch_size is None or batch_size < 1:
+            batch_size = DEFAULT_BATCH_SIZE
+    else:
+        state.build_buckets()
+        chain = _objective_chain_2k
+        if batch_size is None or batch_size < 1:
+            batch_size = THREEK_BATCH_SIZE
+    energy, accepted, attempted, trace = chain(
+        state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+    )
+    return ChainRun(state.to_graph(), energy, accepted, attempted, trace)
+
+
+def _objective_chain_1k(
+    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+):
     n = state.n
     m = state.m
     degrees = state.degrees
@@ -1506,17 +1683,17 @@ def target_2k(
     edge_v = state.edge_v
     edge_key = state.edge_key
     edge_set = state.edge_set
-    current = dict(joint_degree_distribution(graph).counts)
-    target_counts = dict(target.counts)
-    distance = _squared_distance(current, target_counts)
-    if max_attempts is None:
-        max_attempts = 200 * max(m, 1)
+    limit = objective.limit
+    stops = objective.stops
+    change_of = objective.change
+    commit = objective.commit
+    energy = objective.start(graph)
 
     stream_first, stream_second, stream_flip, stream_accept = _spawn_streams(rng, 4)
     accepted = 0
     attempts = 0
-    trace = [distance]
-    while distance > 0 and attempts < max_attempts and m >= 2:
+    trace = [energy]
+    while (energy > 0 or not stops) and attempts < max_attempts and m >= 2:
         size = min(batch_size, max_attempts - attempts)
         firsts = stream_first.integers(0, m, size=size).tolist()
         seconds = stream_second.integers(0, m, size=size).tolist()
@@ -1549,8 +1726,10 @@ def target_2k(
                 _jdd_bump(delta, degrees[c], degrees[d], -1)
                 _jdd_bump(delta, degrees[a], degrees[d], +1)
                 _jdd_bump(delta, degrees[c], degrees[b], +1)
-                change = _distance_change(current, target_counts, delta)
-                if _accepts(change, schedule(attempts), uniform):
+                change = change_of(delta)
+                if change <= limit or (
+                    schedule is not None and _metropolis(change, schedule(attempts), uniform)
+                ):
                     edge_set.remove(edge_key[i])
                     edge_set.remove(edge_key[j])
                     edge_set.add(key_ad)
@@ -1560,109 +1739,48 @@ def target_2k(
                     edge_v[i] = d
                     edge_u[j] = c
                     edge_v[j] = b
-                    _commit_counts(current, delta)
-                    distance += change
+                    commit(delta)
+                    energy += change
                     accepted += 1
             if attempts % trace_every == 0:
-                trace.append(distance)
-            if distance == 0:
+                trace.append(energy)
+            if stops and energy == 0:
                 break
         record_batch_efficiency(
-            "2K-targeting", accepted - batch_start_acc, attempts - batch_start_att
+            objective.label, accepted - batch_start_acc, attempts - batch_start_att
         )
-    trace.append(distance)
-    if distance > 0:
-        warn_not_converged(
-            "2K-targeting", f"distance {distance:g} after {attempts} attempts"
-        )
-    return TargetingResult(
-        graph=state.to_graph(),
-        distance=distance,
-        accepted_moves=accepted,
-        attempted_moves=attempts,
-        distance_trace=trace,
-    )
+    trace.append(energy)
+    return energy, accepted, attempts, trace
 
 
-@register_kernel("rewire_target_3k", "csr")
-def target_3k(
-    graph: SimpleGraph,
-    target,
-    *,
-    rng: RngLike = None,
-    max_attempts: int | None = None,
-    temperature=0.0,
-    trace_every: int = 1000,
-    batch_size: int | None = None,
-) -> TargetingResult:
-    """3K-targeting 2K-preserving Metropolis rewiring on the vectorized engine.
-
-    Runs the batched wedge/triangle delta kernel up to
-    :data:`BITSET_MAX_NODES` nodes and the exact per-move scalar path beyond
-    it (or when degree diversity is too pathological for the dense
-    rank-packed statistic).  Both paths are deterministic per seed and
-    batch-size invariant; the path split depends only on the input graph
-    and target, never on the batch size.
-    """
-    rng = ensure_rng(rng)
-    if batch_size is None or batch_size < 1:
-        batch_size = THREEK_BATCH_SIZE
-    schedule = temperature if callable(temperature) else constant_temperature(float(temperature))
-    # the default strict schedule (constant T <= 0) reduces the Metropolis
-    # test to ``change <= 0``; the batched chain then skips the per-attempt
-    # schedule call entirely (a schedule is a pure function of the step, so
-    # not calling it is unobservable)
-    strict = not callable(temperature) and float(temperature) <= 0
-    state = RewiringState(graph)
-    state.build_buckets()
-    if max_attempts is None:
-        max_attempts = 400 * max(state.m, 1)
-    if state.n <= BITSET_MAX_NODES:
-        return _target_3k_batched(
-            state,
-            graph,
-            target,
-            rng,
-            max_attempts,
-            schedule,
-            trace_every,
-            batch_size,
-            strict,
-        )
-    return _target_3k_scalar(
-        state, graph, target, rng, max_attempts, schedule, trace_every, batch_size
-    )
-
-
-def _target_3k_batched(
-    state, graph, target, rng, max_attempts, schedule, trace_every, batch_size, strict
+def _objective_chain_2k(
+    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
 ):
-    n = state.n
-    m = state.m
-    edge_u = state.edge_u
-    edge_v = state.edge_v
-    edge_key = state.edge_key
-    edge_set = state.edge_set
+    if state.n > BITSET_MAX_NODES:
+        return _objective_chain_2k_scalar(
+            state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+        )
     # 2K-preserving moves keep the degree multiset fixed, so every wedge or
     # triangle key the chain can ever meet is a pack over today's distinct
-    # degree values (plus any degree appearing only in the target).  Packing
+    # degree values (plus any degree appearing only in a target).  Packing
     # by degree *rank* instead of degree value makes that key space dense:
     # with ``n_ranks`` distinct degrees every unified key is an index below
-    # ``2 * n_ranks**3``, so the sufficient statistic lives in one flat
-    # int64 array indexed directly by key — no sorted-key binary searches
-    # and no mid-run key discovery anywhere.  The value->rank map is
-    # monotone, so rank-packed keys sort exactly like degree-packed ones and
-    # the batched/scalar item-order identity is untouched.
-    tkeys = np.fromiter(
-        (k for key in (*target.wedges, *target.triangles) for k in key), np.int64
+    # ``2 * n_ranks**3``, so the objective lives in one flat int64 array
+    # indexed directly by key — no sorted-key binary searches and no mid-run
+    # key discovery anywhere.  The value->rank map is monotone, so
+    # rank-packed keys sort exactly like degree-packed ones and the
+    # batched/scalar item-order identity is untouched.
+    kd = np.unique(
+        np.concatenate(
+            (np.asarray(state.degrees, dtype=np.int64), objective.target_degrees())
+        )
     )
-    kd = np.unique(np.concatenate((np.asarray(state.degrees, dtype=np.int64), tkeys)))
     n_ranks = int(kd.size)
     if 2 * n_ranks**3 > THREEK_RANK_SLOTS_MAX:
         # pathological degree diversity would blow up the dense table; the
         # exact per-move scalar chain needs no packed statistic at all
-        return _target_3k_scalar(
-            state, graph, target, rng, max_attempts, schedule, trace_every, batch_size
+        return _objective_chain_2k_scalar(
+            state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
         )
     tk = _ThreeKState(state)
     rank_np = np.zeros(int(kd[-1]) + 1 if n_ranks else 1, dtype=np.int64)
@@ -1672,22 +1790,30 @@ def _target_3k_batched(
     tk.rankv = rank_np[tk.deg]
     tk.rankv_list = tk.rankv.tolist()
     tk.n_ranks = n_ranks
-    # the chain's whole sufficient statistic: dk_vals[key] = current - target
-    # over rank-packed unified keys, plus the scalar squared distance.  All
-    # counts and deltas stay int64-exact, so the Metropolis change of a
-    # proposal is computed exactly and the float distance trace is identical
-    # for every batch size and evaluation path.
-    keys0, vals0, distance = _initial_threek_diff(tk, target)
-    dk_vals = np.zeros(2 * n_ranks**3, dtype=np.int64)
-    dk_vals[keys0] = vals0
+    # the chain's whole objective: ``grad[key]`` is the energy gradient over
+    # rank-packed unified keys.  A delta's change is ``Σ net * grad`` for a
+    # linear objective and ``Σ net * (grad + net)`` for the squared
+    # distance, whose gradient ``2 (current - target)`` then moves by
+    # ``2 * net`` per accepted move.  Everything stays int64-exact, so the
+    # energy trace is identical for every batch size and evaluation path.
+    grad, energy = objective.dense(tk, kd)
+    quadratic = objective.quadratic
+    limit = objective.limit
+    stops = objective.stops
+    n = state.n
+    m = state.m
+    edge_u = state.edge_u
+    edge_v = state.edge_v
+    edge_key = state.edge_key
+    edge_set = state.edge_set
 
     stream_end, stream_pos, stream_accept = _spawn_streams(rng, 3)
     stamp = tk.stamp
     accepted = 0
     attempts = 0
     next_trace = trace_every
-    trace = [distance]
-    while distance > 0 and attempts < max_attempts and m >= 2:
+    trace = [energy]
+    while (energy > 0 or not stops) and attempts < max_attempts and m >= 2:
         size = min(batch_size, max_attempts - attempts)
         ends_all = stream_end.integers(0, 2 * m, size=size)
         positions_all = stream_pos.random(size=size)
@@ -1708,23 +1834,24 @@ def _target_3k_batched(
                 tk, a_arr, b_arr, c_arr, d_arr, valid
             )
             base = tk.clock
-            # the Metropolis change of every snapshot-valid proposal against
-            # the chunk-start statistic, in one vectorized pass: with
-            # v = current - target, (v + net)^2 - v^2 = net * (2v + net) per
-            # key, summed per proposal by segmented cumsum.  Accepted moves
-            # shift v for later proposals of the same chunk; once any accept
-            # dirties the chunk, the per-proposal correction is the exact
-            # integer 2 * (sum(net * v_now) - sum(net * v_start)) — one
-            # gather + dot against the live value array, no rounding.
+            # the change of every snapshot-valid proposal against the
+            # chunk-start gradient, in one vectorized pass summed per
+            # proposal by segmented cumsum.  Accepted moves of a squared
+            # distance shift the gradient for later proposals of the same
+            # chunk; once any accept dirties the chunk, the per-proposal
+            # correction is the exact integer sum(net * grad_now) -
+            # sum(net * grad_start) — one gather + dot, no rounding.
             if keys.size:
-                e0_items = dk_vals[keys]
-                contrib = nets * (2 * e0_items + nets)
+                g0 = grad[keys]
+                contrib = nets * (g0 + nets) if quadratic else nets * g0
                 csum = np.zeros(keys.size + 1, dtype=np.int64)
                 np.cumsum(contrib, out=csum[1:])
                 sarr = np.asarray(starts, dtype=np.int64)
                 change0 = (csum[sarr[1:]] - csum[sarr[:-1]]).tolist()
-                np.cumsum(nets * e0_items, out=csum[1:])
-                base_dot = (csum[sarr[1:]] - csum[sarr[:-1]]).tolist()
+                base_dot = change0
+                if quadratic:
+                    np.cumsum(nets * g0, out=csum[1:])
+                    base_dot = (csum[sarr[1:]] - csum[sarr[:-1]]).tolist()
             else:
                 change0 = [0] * (len(starts) - 1)
                 base_dot = change0
@@ -1756,7 +1883,6 @@ def _target_3k_batched(
                     # stale snapshot: re-resolve the slots (degree bucket
                     # entries are invariant) and recompute the exact delta
                     # per-move, with the same item order as the batched slices
-                    # so the float objective trajectory is batch-size invariant
                     ok = False
                     if si:
                         b = edge_u[i]
@@ -1787,21 +1913,23 @@ def _target_3k_batched(
                     if items is None:
                         change = change0[pos]
                         if dirty and s1 > s0:
-                            change += 2 * (
-                                int(np.dot(nets[s0:s1], dk_vals[keys[s0:s1]]))
+                            change += (
+                                int(np.dot(nets[s0:s1], grad[keys[s0:s1]]))
                                 - base_dot[pos]
                             )
                     elif items:
-                        # the staleness path reads the live value array
+                        # the staleness path reads the live gradient
                         # directly, so it needs no chunk-start correction
                         karr, narr = np.array(items, dtype=np.int64).T
-                        change = int(np.dot(narr, 2 * dk_vals[karr] + narr))
+                        if quadratic:
+                            change = int(np.dot(narr, grad[karr] + narr))
+                        else:
+                            change = int(np.dot(narr, grad[karr]))
                     else:
                         change = 0
-                    if (
-                        change <= 0
-                        if strict
-                        else _accepts(change, schedule(attempts), u)
+                    if change <= limit or (
+                        schedule is not None
+                        and _metropolis(change, schedule(attempts), u)
                     ):
                         edge_set.remove(edge_key[i])
                         edge_set.remove(edge_key[j])
@@ -1818,41 +1946,32 @@ def _target_3k_batched(
                         else:
                             edge_v[j] = b
                         tk.apply_swap(a, b, c, d, i, j, si, ei)
-                        if items is None:
-                            if s1 > s0:
-                                dk_vals[keys[s0:s1]] += nets[s0:s1]
+                        if quadratic:
+                            if items is None:
+                                if s1 > s0:
+                                    grad[keys[s0:s1]] += 2 * nets[s0:s1]
+                                    dirty = True
+                            elif items:
+                                grad[karr] += 2 * narr
                                 dirty = True
-                        elif items:
-                            dk_vals[karr] += narr
-                            dirty = True
-                        distance += change
+                        energy += change
                         accepted += 1
                 if attempts == next_trace:
-                    trace.append(distance)
+                    trace.append(energy)
                     next_trace += trace_every
-                if distance == 0:
+                if stops and energy == 0:
                     break
-            if distance == 0:
+            if stops and energy == 0:
                 break
         record_batch_efficiency(
-            "3K-targeting", accepted - batch_start_acc, attempts - batch_start_att
+            objective.label, accepted - batch_start_acc, attempts - batch_start_att
         )
-    trace.append(distance)
-    if distance > 0:
-        warn_not_converged(
-            "3K-targeting", f"distance {distance:g} after {attempts} attempts"
-        )
-    return TargetingResult(
-        graph=state.to_graph(),
-        distance=distance,
-        accepted_moves=accepted,
-        attempted_moves=attempts,
-        distance_trace=trace,
-    )
+    trace.append(energy)
+    return energy, accepted, attempts, trace
 
 
-def _target_3k_scalar(
-    state, graph, target, rng, max_attempts, schedule, trace_every, batch_size
+def _objective_chain_2k_scalar(
+    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
 ):
     buckets = state.bucket_table
     adj = state.build_adjacency()
@@ -1863,19 +1982,17 @@ def _target_3k_scalar(
     edge_v = state.edge_v
     edge_key = state.edge_key
     edge_set = state.edge_set
-    current_wedges = dict(wedge_degree_counts(graph))
-    current_triangles = dict(triangle_degree_counts(graph))
-    target_wedges = dict(target.wedges)
-    target_triangles = dict(target.triangles)
-    distance = _squared_distance(current_wedges, target_wedges) + _squared_distance(
-        current_triangles, target_triangles
-    )
+    limit = objective.limit
+    stops = objective.stops
+    change_of = objective.change
+    commit = objective.commit
+    energy = objective.start(graph)
 
     stream_end, stream_pos, stream_accept = _spawn_streams(rng, 3)
     accepted = 0
     attempts = 0
-    trace = [distance]
-    while distance > 0 and attempts < max_attempts and m >= 2:
+    trace = [energy]
+    while (energy > 0 or not stops) and attempts < max_attempts and m >= 2:
         size = min(batch_size, max_attempts - attempts)
         ends = stream_end.integers(0, 2 * m, size=size).tolist()
         positions = stream_pos.random(size=size).tolist()
@@ -1911,9 +2028,10 @@ def _target_3k_scalar(
                         valid = False
             if valid:
                 wedge_delta, triangle_delta = _swap_three_k_delta(adj, degrees, a, b, c, d)
-                change = _distance_change(current_wedges, target_wedges, wedge_delta)
-                change += _distance_change(current_triangles, target_triangles, triangle_delta)
-                if _accepts(change, schedule(attempts), uniform):
+                change = change_of(wedge_delta, triangle_delta)
+                if change <= limit or (
+                    schedule is not None and _metropolis(change, schedule(attempts), uniform)
+                ):
                     edge_set.remove(edge_key[i])
                     edge_set.remove(edge_key[j])
                     edge_set.add(key_ad)
@@ -1928,31 +2046,29 @@ def _target_3k_scalar(
                         edge_u[j] = b
                     else:
                         edge_v[j] = b
-                    _commit_counts(current_wedges, wedge_delta)
-                    _commit_counts(current_triangles, triangle_delta)
-                    distance += change
+                    commit(wedge_delta, triangle_delta)
+                    energy += change
                     accepted += 1
                 else:
                     _revert_swap_toggles(adj, a, b, c, d)
             if attempts % trace_every == 0:
-                trace.append(distance)
-            if distance == 0:
+                trace.append(energy)
+            if stops and energy == 0:
                 break
         record_batch_efficiency(
-            "3K-targeting", accepted - batch_start_acc, attempts - batch_start_att
+            objective.label, accepted - batch_start_acc, attempts - batch_start_att
         )
-    trace.append(distance)
-    if distance > 0:
-        warn_not_converged(
-            "3K-targeting", f"distance {distance:g} after {attempts} attempts"
-        )
-    return TargetingResult(
-        graph=state.to_graph(),
-        distance=distance,
-        accepted_moves=accepted,
-        attempted_moves=attempts,
-        distance_trace=trace,
-    )
+    trace.append(energy)
+    return energy, accepted, attempts, trace
 
 
-__all__ = ["ENGINE_NAME", "RewiringState", "randomize", "target_2k", "target_3k"]
+__all__ = [
+    "ENGINE_NAME",
+    "ChainRun",
+    "JddDistance",
+    "LinearObjective",
+    "RewiringState",
+    "ThreeKDistance",
+    "randomize",
+    "run_chain",
+]

@@ -392,7 +392,6 @@ class TopologyService:
         options = body.get("options") or {}
         if not isinstance(options, dict):
             raise HTTPError(400, "'options' must be an object")
-        backend = self._backend(body)
         include_edges = bool(body.get("include_edges", False))
         try:
             spec = get_generator(method)
@@ -419,7 +418,6 @@ class TopologyService:
                     store=store,
                     options=options,
                     source_hash=source_hash,
-                    backend=backend,
                 )
 
         else:
@@ -436,7 +434,7 @@ class TopologyService:
             warm = False
 
             def compute():
-                return spec.build(graph, d, rng=seed, backend=backend, **options)
+                return spec.build(graph, d, rng=seed, **options)
 
         result, cache = await self._keyed_compute(key, warm, compute, self._timeout(body))
         payload = {

@@ -143,7 +143,6 @@ class ServiceClient:
         d: int = 2,
         seed: int = 0,
         options: dict[str, Any] | None = None,
-        backend: str | None = None,
         include_edges: bool = False,
         timeout: float | None = None,
     ) -> dict[str, Any]:
@@ -152,8 +151,6 @@ class ServiceClient:
         self._source(body, topology, edges)
         if options:
             body["options"] = options
-        if backend is not None:
-            body["backend"] = backend
         if include_edges:
             body["include_edges"] = True
         if timeout is not None:

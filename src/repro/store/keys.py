@@ -15,11 +15,11 @@ The code version (:func:`code_version`) folds the package version and the
 store schema into every key, so upgrading either silently invalidates stale
 entries instead of serving results computed by old code.
 
-Execution knobs never enter keys: the kernel/rewiring ``backend`` (and the
-vectorized engine's batch size) select *how* a result is computed, not what
-it is — metric values are bit-identical across backends, and generated
-graphs are per-seed deterministic and invariant-exact on every engine — so
-entries are shared across backends in both directions.
+Execution knobs never enter keys: the metric ``backend`` (and the rewiring
+engine's batch size) select *how* a result is computed, not what it is —
+metric values are bit-identical across backends, and generated graphs do
+not depend on the batch size — so entries are shared across backends in
+both directions.
 """
 
 from __future__ import annotations

@@ -63,26 +63,19 @@ def memoized_build(
     options: Mapping[str, Any] | None = None,
     source_hash: str | None = None,
     read: bool = True,
-    backend: str | None = None,
 ) -> GenerationResult:
     """Build (or load) the ``(spec, d, options, seed)`` graph for ``original``.
 
     On a store hit the :class:`GenerationResult` is reconstructed from the
     artifact manifest — including the stats and the *original* construction
     wall time — and no generator code runs.  ``read=False`` skips the lookup
-    (forced recomputation) while still writing the result.
-
-    ``backend`` selects the rewiring engine for chain-based generators and is
-    deliberately **not** part of the cache key: both engines build per-seed
-    deterministic, invariant-exact dK-graphs, so a graph generated by one
-    engine is served to runs requesting the other (mirroring the metric
-    kernels).  Which engine generated a cached graph is recorded in its
-    manifest stats.
+    (forced recomputation) while still writing the result.  Which engine
+    generated a cached graph is recorded in its manifest stats.
     """
     options = dict(options or {})
     if store is None:
         with span("store.generate", method=spec.name, d=d, seed=seed, cache="off") as sp:
-            result = spec.build(original, d, rng=seed, backend=backend, **options)
+            result = spec.build(original, d, rng=seed, **options)
             sp.set(n=result.graph.number_of_nodes, m=result.graph.number_of_edges)
             return result
     if source_hash is None:
@@ -104,7 +97,7 @@ def memoized_build(
                 content_hash=manifest.get("content_hash"),
             )
         sp.set(cache="miss")
-        result = spec.build(original, d, rng=seed, backend=backend, **options)
+        result = spec.build(original, d, rng=seed, **options)
         sp.set(n=result.graph.number_of_nodes, m=result.graph.number_of_edges)
         manifest = store.put_graph(
             key,

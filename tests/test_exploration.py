@@ -7,9 +7,8 @@ from repro.generators.exploration import (
     explore_1k_likelihood,
     explore_2k,
     extreme_metric_gap,
-    likelihood,
 )
-from repro.metrics.assortativity import likelihood as metric_likelihood
+from repro.metrics.assortativity import likelihood
 from repro.metrics.clustering import mean_clustering
 
 
@@ -21,7 +20,7 @@ def test_explore_1k_likelihood_max_and_min(as_small):
     assert low.metric_value < base
     assert high.metric_value > low.metric_value
     # the reported value matches a recomputation on the returned graph
-    assert high.metric_value == pytest.approx(metric_likelihood(high.graph))
+    assert high.metric_value == pytest.approx(likelihood(high.graph))
     # 1K exploration preserves the degree distribution
     assert degree_distribution(high.graph) == degree_distribution(as_small)
     assert degree_distribution(low.graph) == degree_distribution(as_small)
@@ -52,6 +51,15 @@ def test_explore_modes_validated(as_small):
         explore_1k_likelihood(as_small, "sideways", max_attempts=10)
     with pytest.raises(ValueError):
         explore_2k(as_small, "diameter", "max", max_attempts=10)
+    # arguments are checked before any work, not only when a move is tested
+    with pytest.raises(ValueError, match="mode"):
+        explore_1k_likelihood(as_small, "sideways", max_attempts=0)
+    with pytest.raises(ValueError, match="mode"):
+        explore_2k(as_small, "s2", "sideways", max_attempts=0)
+    with pytest.raises(ValueError, match="mode"):
+        explore_2k(as_small, "clustering", "sideways", max_attempts=0)
+    with pytest.raises(ValueError, match="metric"):
+        explore_2k(as_small, "diameter", "max", max_attempts=0)
 
 
 def test_extreme_metric_gap(as_small):

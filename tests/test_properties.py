@@ -16,7 +16,7 @@ from repro.core.extraction import (
     three_k_distribution,
 )
 from repro.generators.rewiring.preserving import dk_randomize
-from repro.generators.rewiring.swaps import propose_1k_swap
+from repro.generators.rewiring.swaps import double_swap_is_valid, make_double_swap
 from repro.generators.threek import ThreeKTracker
 from repro.graph.simple_graph import SimpleGraph
 from repro.graph.subgraphs import triangle_degree_counts, wedge_degree_counts
@@ -82,9 +82,15 @@ def test_three_k_tracker_matches_recount_after_random_swaps(graph, seed):
     rng = np.random.default_rng(seed)
     tracker = ThreeKTracker(graph)
     for _ in range(20):
-        swap = propose_1k_swap(graph, rng)
-        if swap is None:
+        if graph.number_of_edges < 2:
+            break
+        a, b = graph.edge_at(int(rng.integers(graph.number_of_edges)))
+        c, d = graph.edge_at(int(rng.integers(graph.number_of_edges)))
+        if rng.random() < 0.5:
+            c, d = d, c
+        if not double_swap_is_valid(graph, a, b, c, d):
             continue
+        swap = make_double_swap(a, b, c, d)
         delta = tracker.apply_edges(graph, list(swap.removals), list(swap.additions))
         tracker.commit(delta)
     assert tracker.wedges == wedge_degree_counts(graph)

@@ -1,13 +1,12 @@
-"""Engine-equivalence suite for the vectorized rewiring engine.
+"""Invariant suite for the rewiring engine.
 
-The contract of the rewiring backends differs from the metric backends: the
-two engines draw different random streams, so for one seed they build
-*different* graphs — but each engine must be deterministic per seed and both
-must preserve the chain's dK-invariants *exactly* (degree sequence for
-d >= 1, joint degree distribution for d >= 2, wedge/triangle distributions
-for d = 3).  Because each engine's output is a valid dK-random graph, the
-engine never enters artifact-store cache keys: a graph generated by one
-engine is served from the store to runs requesting the other.
+Every Markov chain — randomizing, targeting and dK-space exploration — runs
+on :mod:`repro.kernels.rewiring`.  Its contract: deterministic per seed,
+the chain's dK-invariants preserved *exactly* (degree sequence for d >= 1,
+joint degree distribution for d >= 2, wedge/triangle distributions for
+d = 3), and the same output for every batch size and on both evaluation
+paths of the 2K-proposal chains (the batched bitset kernel and the per-move
+scalar path beyond ``BITSET_MAX_NODES``).
 """
 
 import warnings
@@ -23,7 +22,7 @@ from repro.core.extraction import (
     three_k_distribution,
 )
 from repro.exceptions import RewiringConvergenceWarning
-from repro.generators.registry import get_generator
+from repro.generators.exploration import explore_1k_likelihood, explore_2k
 from repro.generators.rewiring.preserving import dk_randomize, randomize_1k
 from repro.generators.rewiring.targeting import (
     dk_targeting_result,
@@ -31,12 +30,15 @@ from repro.generators.rewiring.targeting import (
     target_3k_from_2k,
 )
 from repro.graph.simple_graph import SimpleGraph
-from repro.store.artifact_store import ArtifactStore
+from repro.kernels import rewiring as vec
+from repro.kernels.rewiring import ENGINE_NAME
+from repro.measure.plan import MeasurementPlan
 from repro.store.keys import generation_key
-from repro.store.memo import memoized_build
-from repro.store.serialize import graph_content_hash
+from repro.telemetry import disable_tracing, enable_tracing, take_events
 
-ENGINES = ("python", "csr")
+#: The one rewiring engine, named as its chains record it in their stats;
+#: the tests parametrized by it carry the engine name in their ids.
+ENGINES = (ENGINE_NAME,)
 
 
 def _edge_sets(graph):
@@ -58,7 +60,7 @@ def _random_graph(seed, n=60, m=150):
 
 @pytest.mark.parametrize("d", (0, 1, 2, 3))
 def test_vectorized_chain_preserves_dk_invariants(as_small, d):
-    rewired = dk_randomize(as_small, d, rng=3, multiplier=2, backend="csr")
+    rewired = dk_randomize(as_small, d, rng=3, multiplier=2)
     assert rewired.number_of_nodes == as_small.number_of_nodes
     assert rewired.number_of_edges == as_small.number_of_edges
     if d >= 1:
@@ -74,25 +76,27 @@ def test_vectorized_chain_preserves_dk_invariants(as_small, d):
 
 @pytest.mark.parametrize("d", (0, 1, 2))
 def test_vectorized_chain_actually_randomizes(as_small, d):
-    rewired = dk_randomize(as_small, d, rng=5, backend="csr")
+    rewired = dk_randomize(as_small, d, rng=5)
     assert rewired != as_small
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("d", (0, 1, 2, 3))
 def test_each_engine_is_seed_deterministic(as_small, engine, d):
-    first = dk_randomize(as_small, d, rng=11, multiplier=2, backend=engine)
-    second = dk_randomize(as_small, d, rng=11, multiplier=2, backend=engine)
+    stats = {}
+    first = dk_randomize(as_small, d, rng=11, multiplier=2, stats=stats)
+    second = dk_randomize(as_small, d, rng=11, multiplier=2)
     assert _edge_sets(first) == _edge_sets(second)
+    assert stats["engine"] == engine
 
 
 def test_vectorized_output_is_batch_size_invariant(as_small):
     """batch_size is a pure performance knob: per-proposal stream consumption
     makes the chain's output independent of how draws are batched."""
-    reference = dk_randomize(as_small, 2, rng=7, backend="csr")
+    reference = dk_randomize(as_small, 2, rng=7)
     for batch_size in (1, 17, 4096):
         assert _edge_sets(
-            dk_randomize(as_small, 2, rng=7, backend="csr", batch_size=batch_size)
+            dk_randomize(as_small, 2, rng=7, batch_size=batch_size)
         ) == _edge_sets(reference)
 
 
@@ -103,12 +107,10 @@ def test_threek_batched_matches_batch_size_one(as_small):
     exactly, so the batched chain agrees with batch_size=1 move-for-move."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        reference = dk_randomize(
-            as_small, 3, rng=13, multiplier=1, backend="csr", batch_size=1
-        )
+        reference = dk_randomize(as_small, 3, rng=13, multiplier=1, batch_size=1)
         for batch_size in (64, 384):
             batched = dk_randomize(
-                as_small, 3, rng=13, multiplier=1, backend="csr", batch_size=batch_size
+                as_small, 3, rng=13, multiplier=1, batch_size=batch_size
             )
             assert _edge_sets(batched) == _edge_sets(reference)
 
@@ -116,13 +118,11 @@ def test_threek_batched_matches_batch_size_one(as_small):
 def test_threek_scalar_fallback_matches_batched(as_small, monkeypatch):
     """Beyond BITSET_MAX_NODES the 3K chains take the exact per-move scalar
     path; it must sample the same chain as the batched bitset kernel."""
-    import repro.kernels.rewiring as vec
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        reference = dk_randomize(as_small, 3, rng=21, multiplier=1, backend="csr")
+        reference = dk_randomize(as_small, 3, rng=21, multiplier=1)
         monkeypatch.setattr(vec, "BITSET_MAX_NODES", 0)
-        fallback = dk_randomize(as_small, 3, rng=21, multiplier=1, backend="csr")
+        fallback = dk_randomize(as_small, 3, rng=21, multiplier=1)
     assert _edge_sets(fallback) == _edge_sets(reference)
 
 
@@ -130,19 +130,13 @@ def test_threek_targeting_rank_gate_falls_back_to_scalar(hot_small, monkeypatch)
     """Degree diversity beyond the dense rank-packed statistic's slot cap
     sends the 3K-targeting chain down the exact scalar path; both paths
     sample the same chain move-for-move on one seed."""
-    import repro.kernels.rewiring as vec
-
-    seed_graph = dk_randomize(hot_small, 2, rng=3, multiplier=2, backend="python")
+    seed_graph = dk_randomize(hot_small, 2, rng=3, multiplier=2)
     target = three_k_distribution(hot_small)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        batched = target_3k_from_2k(
-            seed_graph, target, rng=5, max_attempts=6000, backend="csr"
-        )
+        batched = target_3k_from_2k(seed_graph, target, rng=5, max_attempts=6000)
         monkeypatch.setattr(vec, "THREEK_RANK_SLOTS_MAX", 0)
-        scalar = target_3k_from_2k(
-            seed_graph, target, rng=5, max_attempts=6000, backend="csr"
-        )
+        scalar = target_3k_from_2k(seed_graph, target, rng=5, max_attempts=6000)
     assert _edge_sets(batched.graph) == _edge_sets(scalar.graph)
     assert batched.distance_trace == scalar.distance_trace
 
@@ -153,7 +147,7 @@ def test_threek_batch_efficiency_gauge_is_observable(as_small):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        dk_randomize(as_small, 3, rng=2, multiplier=1, backend="csr")
+        dk_randomize(as_small, 3, rng=2, multiplier=1)
     value = gauge_value(
         "repro_rewiring_batch_efficiency", chain="3K-preserving randomizing"
     )
@@ -161,25 +155,48 @@ def test_threek_batch_efficiency_gauge_is_observable(as_small):
     assert "repro_rewiring_batch_efficiency" in render_prometheus()
 
 
-def test_engines_sample_different_graphs(as_small):
-    """Not a requirement, but the expected behavior worth pinning down: the
-    engines draw differently-structured streams, so one seed gives two
-    different members of the same dK-graph space."""
-    py = dk_randomize(as_small, 2, rng=11, backend="python")
-    vec = dk_randomize(as_small, 2, rng=11, backend="csr")
-    assert _edge_sets(py) != _edge_sets(vec)
-    assert joint_degree_distribution(py) == joint_degree_distribution(vec)
-
-
 def test_engine_stats_are_unified(as_small):
-    for engine in ENGINES:
-        stats = {}
-        dk_randomize(as_small, 1, rng=2, multiplier=2, backend=engine, stats=stats)
-        assert set(stats) >= {"target_moves", "accepted_moves", "attempted_moves", "converged"}
-        assert stats["engine"] == engine
-        assert stats["converged"] is True
-        assert stats["accepted_moves"] == stats["target_moves"]
-        assert stats["attempted_moves"] >= stats["accepted_moves"]
+    """Every chain records its engine: randomizing and targeting in their
+    stats dicts, exploration on its result."""
+    stats = {}
+    dk_randomize(as_small, 1, rng=2, multiplier=2, stats=stats)
+    assert set(stats) >= {"target_moves", "accepted_moves", "attempted_moves", "converged"}
+    assert stats["engine"] == ENGINE_NAME
+    assert stats["converged"] is True
+    assert stats["accepted_moves"] == stats["target_moves"]
+    assert stats["attempted_moves"] >= stats["accepted_moves"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RewiringConvergenceWarning)
+        _, targeting = dk_targeting_result(
+            joint_degree_distribution(as_small), rng=1, max_attempts=2000
+        )
+    assert targeting["engine"] == ENGINE_NAME
+    assert explore_2k(as_small, "s2", "max", rng=1, max_attempts=50).stats["engine"] == ENGINE_NAME
+
+
+def test_every_chain_span_records_the_engine(as_small):
+    enable_tracing()
+    try:
+        take_events()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RewiringConvergenceWarning)
+            dk_randomize(as_small, 2, rng=1, multiplier=1)
+            target_2k_from_1k(as_small, joint_degree_distribution(as_small), rng=1)
+            target_3k_from_2k(as_small, three_k_distribution(as_small), rng=1)
+            explore_1k_likelihood(as_small, "max", rng=1, max_attempts=50)
+            explore_2k(as_small, "clustering", "min", rng=1, max_attempts=50)
+        spans = [event for event in take_events() if event["name"].startswith("kernel.rewire_")]
+    finally:
+        disable_tracing()
+    names = [event["name"] for event in spans]
+    assert names == [
+        "kernel.rewire_randomize",
+        "kernel.rewire_target_2k",
+        "kernel.rewire_target_3k",
+        "kernel.rewire_explore",
+        "kernel.rewire_explore",
+    ]
+    assert all(event["args"]["engine"] == ENGINE_NAME for event in spans)
 
 
 @settings(max_examples=12, deadline=None)
@@ -187,7 +204,7 @@ def test_engine_stats_are_unified(as_small):
 def test_vectorized_chain_invariants_on_random_graphs(seed, d):
     """Hypothesis property: dK-invariant exactness over random dK graphs."""
     graph = _random_graph(seed)
-    rewired = dk_randomize(graph, d, rng=seed, multiplier=1.5, backend="csr")
+    rewired = dk_randomize(graph, d, rng=seed, multiplier=1.5)
     assert rewired.number_of_edges == graph.number_of_edges
     if d >= 1:
         assert degree_distribution(rewired) == degree_distribution(graph)
@@ -202,7 +219,7 @@ def test_vectorized_3k_chain_invariants_on_random_graphs(seed):
     graph = _random_graph(seed, n=40, m=90)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        rewired = dk_randomize(graph, 3, rng=seed, multiplier=0.5, backend="csr")
+        rewired = dk_randomize(graph, 3, rng=seed, multiplier=0.5)
     original = three_k_distribution(graph)
     generated = three_k_distribution(rewired)
     assert generated.wedges == original.wedges
@@ -214,11 +231,11 @@ def test_vectorized_3k_chain_invariants_on_random_graphs(seed):
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("engine", ENGINES)
 def test_targeting_2k_preserves_degrees_and_improves(as_small, engine):
-    seed_graph = dk_randomize(as_small, 1, rng=5, multiplier=3, backend="python")
+    seed_graph = dk_randomize(as_small, 1, rng=5, multiplier=3)
     target = joint_degree_distribution(as_small)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        run = target_2k_from_1k(seed_graph, target, rng=2, backend=engine)
+        run = target_2k_from_1k(seed_graph, target, rng=2)
     assert degree_distribution(run.graph) == degree_distribution(as_small)
     assert run.distance <= run.distance_trace[0]
     if run.converged:
@@ -227,11 +244,11 @@ def test_targeting_2k_preserves_degrees_and_improves(as_small, engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_targeting_3k_preserves_jdd(hot_small, engine):
-    seed_graph = dk_randomize(hot_small, 2, rng=3, multiplier=3, backend="python")
+    seed_graph = dk_randomize(hot_small, 2, rng=3, multiplier=3)
     target = three_k_distribution(hot_small)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        run = target_3k_from_2k(seed_graph, target, rng=4, max_attempts=30000, backend=engine)
+        run = target_3k_from_2k(seed_graph, target, rng=4, max_attempts=30000)
     assert joint_degree_distribution(run.graph) == joint_degree_distribution(hot_small)
     assert run.distance <= run.distance_trace[0]
 
@@ -240,7 +257,7 @@ def test_targeting_3k_trajectory_is_batch_size_invariant(as_small):
     """The 3K-targeting sufficient statistics are exact integers, so the
     Metropolis trajectory (graph, distance trace, move counts) is identical
     for every batch size."""
-    seed_graph = dk_randomize(as_small, 2, rng=1, backend="csr")
+    seed_graph = dk_randomize(as_small, 2, rng=1)
     target = three_k_distribution(as_small)
     runs = []
     with warnings.catch_warnings():
@@ -252,7 +269,6 @@ def test_targeting_3k_trajectory_is_batch_size_invariant(as_small):
                     target,
                     rng=4,
                     max_attempts=15000,
-                    backend="csr",
                     batch_size=batch_size,
                 )
             )
@@ -267,28 +283,23 @@ def test_targeting_3k_trajectory_is_batch_size_invariant(as_small):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_targeting_3k_is_seed_deterministic(hot_small, engine):
-    seed_graph = dk_randomize(hot_small, 2, rng=3, multiplier=2, backend="python")
+    seed_graph = dk_randomize(hot_small, 2, rng=3, multiplier=2)
     target = three_k_distribution(hot_small)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        first = target_3k_from_2k(
-            seed_graph, target, rng=6, max_attempts=8000, backend=engine
-        )
-        second = target_3k_from_2k(
-            seed_graph, target, rng=6, max_attempts=8000, backend=engine
-        )
+        first = target_3k_from_2k(seed_graph, target, rng=6, max_attempts=8000)
+        second = target_3k_from_2k(seed_graph, target, rng=6, max_attempts=8000)
     assert _edge_sets(first.graph) == _edge_sets(second.graph)
     assert first.distance_trace == second.distance_trace
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_targeting_bootstrap_runs_on_both_engines(as_small, engine):
+def test_targeting_bootstrap_reports_its_stats(as_small):
     target = joint_degree_distribution(as_small)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        graph, stats = dk_targeting_result(target, rng=1, backend=engine)
+        graph, stats = dk_targeting_result(target, rng=1)
     assert graph.number_of_edges > 0
-    assert {"distance", "accepted_moves", "attempted_moves", "converged"} <= set(stats)
+    assert {"distance", "accepted_moves", "attempted_moves", "converged", "engine"} <= set(stats)
 
 
 # --------------------------------------------------------------------------- #
@@ -305,9 +316,9 @@ def test_unconverged_chain_warns(as_small, engine):
             rng=1,
             multiplier=5.0,
             max_attempt_factor=1,
-            backend=engine,
             stats=stats,
         )
+    assert stats["engine"] == engine
     assert stats["converged"] is False
     assert stats["accepted_moves"] < stats["target_moves"]
 
@@ -315,7 +326,93 @@ def test_unconverged_chain_warns(as_small, engine):
 def test_converged_chain_does_not_warn(as_small):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RewiringConvergenceWarning)
-        dk_randomize(as_small, 1, rng=1, multiplier=2, backend="csr")
+        dk_randomize(as_small, 1, rng=1, multiplier=2)
+
+
+# --------------------------------------------------------------------------- #
+# exploration objectives: linear weight vectors on the targeting chains
+# --------------------------------------------------------------------------- #
+OBJECTIVES = [(metric, mode) for metric in ("s", "s2", "clustering") for mode in ("max", "min")]
+MEASURED = {"s": "likelihood", "s2": "second_order_likelihood", "clustering": "mean_clustering"}
+EXPLORE_ATTEMPTS = 3000
+
+
+def _explore(graph, metric, mode, rng=4, max_attempts=EXPLORE_ATTEMPTS):
+    if metric == "s":
+        return explore_1k_likelihood(graph, mode, rng=rng, max_attempts=max_attempts)
+    return explore_2k(graph, metric, mode, rng=rng, max_attempts=max_attempts)
+
+
+@pytest.fixture(params=["as_small", "hot_small"])
+def explored_graph(request):
+    return request.getfixturevalue(request.param)
+
+
+@pytest.mark.parametrize("metric,mode", OBJECTIVES)
+def test_exploration_keeps_invariants_and_tracks_the_metric(explored_graph, metric, mode):
+    graph = explored_graph
+    run = _explore(graph, metric, mode)
+    if metric == "s":
+        assert degree_distribution(run.graph) == degree_distribution(graph)
+    else:
+        assert joint_degree_distribution(run.graph) == joint_degree_distribution(graph)
+    plan = MeasurementPlan((MEASURED[metric],), use_giant_component=False)
+    assert run.metric_trace[0] == pytest.approx(plan.run(graph)[MEASURED[metric]], rel=1e-12)
+    measured = plan.run(run.graph)[MEASURED[metric]]
+    assert run.metric_value == pytest.approx(measured, rel=1e-9, abs=1e-9)
+    assert run.metric_value == run.metric_trace[-1]
+    steps = list(zip(run.metric_trace, run.metric_trace[1:]))
+    if mode == "max":
+        assert all(after >= before for before, after in steps)
+    else:
+        assert all(after <= before for before, after in steps)
+    assert run.accepted_moves > 0
+    assert run.attempted_moves == EXPLORE_ATTEMPTS
+
+
+@pytest.mark.parametrize("metric,mode", OBJECTIVES)
+def test_exploration_is_batch_size_invariant(explored_graph, metric, mode, monkeypatch):
+    """Exploration energies are exact integers, so the chain takes the same
+    moves for every batch size (the default batch sizes are patched because
+    the exploration entry points keep their signatures)."""
+    runs = []
+    for batch_size in (1, 64, 4096):
+        monkeypatch.setattr(vec, "DEFAULT_BATCH_SIZE", batch_size)
+        monkeypatch.setattr(vec, "THREEK_BATCH_SIZE", batch_size)
+        runs.append(_explore(explored_graph, metric, mode))
+    reference = runs[-1]
+    for run in runs:
+        assert _edge_sets(run.graph) == _edge_sets(reference.graph)
+        assert run.metric_trace == reference.metric_trace
+        assert run.accepted_moves == reference.accepted_moves
+
+
+@pytest.mark.parametrize("gate", ("BITSET_MAX_NODES", "THREEK_RANK_SLOTS_MAX"))
+@pytest.mark.parametrize("metric,mode", [o for o in OBJECTIVES if o[0] != "s"])
+def test_exploration_scalar_path_matches_batched(explored_graph, metric, mode, gate, monkeypatch):
+    batched = _explore(explored_graph, metric, mode)
+    monkeypatch.setattr(vec, gate, 0)
+    scalar = _explore(explored_graph, metric, mode)
+    assert _edge_sets(scalar.graph) == _edge_sets(batched.graph)
+    assert scalar.metric_trace == batched.metric_trace
+
+
+def _complete_graph(n):
+    graph = SimpleGraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            graph.add_edge(u, v)
+    return graph
+
+
+@pytest.mark.parametrize("metric,mode", OBJECTIVES)
+def test_frozen_graph_exploration_returns_its_start(star_graph, metric, mode):
+    for graph in (star_graph, _complete_graph(5)):
+        start = MeasurementPlan((MEASURED[metric],), use_giant_component=False).run(graph)
+        run = _explore(graph, metric, mode, max_attempts=500)
+        assert run.accepted_moves == 0
+        assert run.metric_value == start[MEASURED[metric]]
+        assert _edge_sets(run.graph) == _edge_sets(graph)
 
 
 # --------------------------------------------------------------------------- #
@@ -327,26 +424,3 @@ class TestStoreCrossEngine:
         must map to identical keys however the graph will be built."""
         key = generation_key("rewiring", {"multiplier": 2.0}, 7, "source-hash", d=2)
         assert key == generation_key("rewiring", {"multiplier": 2.0}, 7, "source-hash", d=2)
-
-    def test_warm_cache_is_shared_across_engines(self, as_small, tmp_path):
-        """A graph generated by one engine is served to the other engine's
-        runs: the engines sample different graphs for one seed, so getting
-        the python-built graph back from a csr-backend call proves the
-        second call was a store hit, not a rebuild."""
-        store = ArtifactStore(tmp_path / "store")
-        spec = get_generator("rewiring")
-        options = {"multiplier": 2.0}
-        first = memoized_build(
-            spec, as_small, 2, seed=9, store=store, options=options, backend="python"
-        )
-        second = memoized_build(
-            spec, as_small, 2, seed=9, store=store, options=options, backend="csr"
-        )
-        assert first.stats["engine"] == "python"
-        assert second.stats["engine"] == "python"  # manifest stats, not a rebuild
-        assert _edge_sets(second.graph) == _edge_sets(first.graph)
-        assert second.content_hash == first.content_hash == graph_content_hash(first.graph)
-        # sanity: a fresh csr build of the same cell is a different graph,
-        # so the equality above can only come from the store
-        fresh = spec.build(as_small, 2, rng=9, backend="csr", **options)
-        assert _edge_sets(fresh.graph) != _edge_sets(first.graph)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.generators.rewiring.swaps import EdgeEndIndex, propose_2k_swap
+from repro.generators.rewiring.swaps import EdgeEndIndex, double_swap_is_valid, make_double_swap
 from repro.generators.threek import (
     ThreeKDelta,
     ThreeKTracker,
@@ -59,16 +59,20 @@ def test_toggle_deltas_match_full_recount(as_small):
     rng = np.random.default_rng(3)
     graph = as_small.copy()
     tracker = ThreeKTracker(graph)
-    index = EdgeEndIndex(graph)
     applied = 0
     for _ in range(300):
-        swap = propose_2k_swap(graph, index, rng)
-        if swap is None:
+        # exchanging the heads of two oriented ends from one degree bucket
+        # is a JDD-preserving swap
+        buckets = [b for b in EdgeEndIndex(graph).degree_buckets().values() if len(b) > 1]
+        bucket = buckets[int(rng.integers(len(buckets)))]
+        i, j = rng.choice(len(bucket), size=2, replace=False)
+        (a, b), (c, d) = bucket[i], bucket[j]
+        if not double_swap_is_valid(graph, a, b, c, d):
             continue
+        swap = make_double_swap(a, b, c, d)
         delta = tracker.apply_edges(graph, list(swap.removals), list(swap.additions))
         if applied % 2 == 0:
             tracker.commit(delta)
-            index.apply_swap(swap)
         else:
             tracker.revert_edges(graph, list(swap.removals), list(swap.additions))
         applied += 1
