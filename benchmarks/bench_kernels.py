@@ -9,18 +9,28 @@ sources), since the exact pure-Python sweep would take minutes.
 The acceptance bar of the kernel engine is asserted here: the CSR
 distance-distribution kernel must be >= 10x faster than the Python BFS sweep
 from n = 5k up.
+
+The spectrum rows time ``extreme_eigenvalues`` on the 9,204-node
+skitter-like giant component twice: the former sparse method (shift-invert
+at σ = 0, factored under SciPy's default COLAMD ordering, six eigenvalues
+with the zero ones filtered out) as the before row, and the library's
+deflated shift-invert solve as the after row.  Both must agree on λ_1.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from benchmarks._common import AS_SEED, record_result
+from repro.graph.components import giant_component
 from repro.measure import clear_measure_cache
 from repro.metrics.clustering import mean_clustering
 from repro.metrics.distances import mean_distance
+from repro.metrics.spectrum import extreme_eigenvalues, normalized_laplacian
 from repro.metrics.summary import summarize
 from repro.topologies.as_level import synthetic_as_topology
 
@@ -107,3 +117,46 @@ def test_kernel_speedups():
         assert speedup >= 10.0, (
             f"CSR distance kernel only {speedup:.1f}x faster at n={n} (need >= 10x)"
         )
+
+
+#: node count of the skitter-like topology the spectrum rows measure
+SPECTRUM_N = 9204
+
+
+def _zero_shift_extremes(graph):
+    """The former sparse method: shift-invert at σ = 0 under COLAMD (baseline)."""
+    laplacian = normalized_laplacian(graph)
+    largest = spla.eigsh(laplacian, k=1, which="LA", return_eigenvectors=False, tol=1e-6)[0]
+    smallest = np.sort(
+        spla.eigsh(laplacian, k=6, sigma=0, which="LM", return_eigenvectors=False, tol=1e-6)
+    )
+    return float(smallest[smallest > 1e-8][0]), float(largest)
+
+
+def test_spectrum_extremes_before_after():
+    graph = giant_component(synthetic_as_topology(SPECTRUM_N, rng=AS_SEED))
+    results = {}
+    for label, method, function in (
+        ("before", "shift-invert sigma=0, splu COLAMD, k=6", _zero_shift_extremes),
+        (
+            "after",
+            "deflated shift-invert sigma=-1e-3, splu MMD_AT_PLUS_A, k=1",
+            extreme_eigenvalues,
+        ),
+    ):
+        start = time.perf_counter()
+        results[label] = function(graph)
+        wall = time.perf_counter() - start
+        params = {"n": graph.number_of_nodes, "m": graph.number_of_edges, "method": method}
+        record_result(
+            f"spectrum_extremes_skitter_gcc_n{SPECTRUM_N}_{label}",
+            wall,
+            n=graph.number_of_nodes,
+            m=graph.number_of_edges,
+            params=params,
+            lambda_1=results[label][0],
+            lambda_n_1=results[label][1],
+        )
+        print(f"spectrum {label}: {wall:.3f} s, {results[label]}")
+    assert results["after"][0] == pytest.approx(results["before"][0], rel=1e-9)
+    assert results["after"][1] == pytest.approx(results["before"][1], abs=1e-8)
