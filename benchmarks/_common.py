@@ -71,12 +71,17 @@ def run_once(benchmark, func, *args, **kwargs):
     """Run ``func`` exactly once under pytest-benchmark timing.
 
     The wall time and the measured topology's size are also appended to the
-    session's ``BENCH_results.json`` rows.
+    session's ``BENCH_results.json`` rows: the size of the result when it has
+    one, else that of the first argument (the input topology).
     """
     start = time.perf_counter()
     result = benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    wall = time.perf_counter() - start
     name = getattr(benchmark, "name", None) or getattr(func, "__name__", "bench")
-    record_result(name, time.perf_counter() - start, result)
+    n, m = _extract_shape(result)
+    if n is None and args:
+        n, m = _extract_shape(args[0])
+    record_result(name, wall, n=n, m=m)
     return result
 
 

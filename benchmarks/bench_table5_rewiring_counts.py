@@ -8,8 +8,16 @@ Paper shape: the count collapses by orders of magnitude as d grows
 from __future__ import annotations
 
 from repro.analysis.tables import render_table
-from repro.generators.rewiring.counting import rewiring_count_table
-from benchmarks._common import run_once
+from repro.generators.rewiring.counting import RewiringCounts, rewiring_count_table
+from benchmarks._common import FULL_SCALE, run_once
+
+#: The exact counts on the full-scale graph (``synthetic_hot_topology(939,
+#: rng=HOT_SEED)``), as (total, ignoring obvious isomorphisms).
+FULL_SCALE_COUNTS = {
+    1: RewiringCounts(total=999_997, non_isomorphic=680_323),
+    2: RewiringCounts(total=332_616, non_isomorphic=12_942),
+    3: RewiringCounts(total=320_141, non_isomorphic=467),
+}
 
 
 def test_table5_initial_rewiring_counts(benchmark, hot_graph):
@@ -40,3 +48,6 @@ def test_table5_initial_rewiring_counts(benchmark, hot_graph):
     assert non_isomorphic[3] < 0.2 * non_isomorphic[2]
     for d in (1, 2, 3):
         assert table[d].non_isomorphic <= table[d].total
+    if FULL_SCALE:
+        assert hot_graph.number_of_nodes == 939
+        assert {d: table[d] for d in (1, 2, 3)} == FULL_SCALE_COUNTS

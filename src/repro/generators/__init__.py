@@ -45,8 +45,6 @@ _EXPORTS = {
     "explore_2k": "repro.generators.exploration",
     "extreme_metric_gap": "repro.generators.exploration",
     "likelihood": "repro.metrics.assortativity",
-    "ThreeKDelta": "repro.generators.threek",
-    "ThreeKTracker": "repro.generators.threek",
 }
 
 #: Submodules reachable as attributes (``repro.generators.registry`` etc.) —
@@ -59,7 +57,6 @@ _SUBMODULES = (
     "registry",
     "rewiring",
     "stochastic",
-    "threek",
 )
 
 __all__ = [*_SUBMODULES, *_EXPORTS]

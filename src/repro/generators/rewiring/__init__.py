@@ -16,12 +16,6 @@ _EXPORTS = {
     "randomize_2k": "repro.generators.rewiring.preserving",
     "randomize_3k": "repro.generators.rewiring.preserving",
     "verify_randomization_converged": "repro.generators.rewiring.preserving",
-    "EdgeEndIndex": "repro.generators.rewiring.swaps",
-    "Swap": "repro.generators.rewiring.swaps",
-    "double_swap_is_valid": "repro.generators.rewiring.swaps",
-    "jdd_delta_of_double_swap": "repro.generators.rewiring.swaps",
-    "jdd_delta_of_swap": "repro.generators.rewiring.swaps",
-    "make_double_swap": "repro.generators.rewiring.swaps",
     "record_chain_stats": "repro.generators.rewiring.chain",
     "warn_not_converged": "repro.generators.rewiring.chain",
     "TargetingResult": "repro.generators.rewiring.targeting",
@@ -34,7 +28,7 @@ _EXPORTS = {
 }
 
 #: Submodules reachable as attributes, as the eager imports used to bind.
-_SUBMODULES = ("chain", "counting", "preserving", "swaps", "targeting")
+_SUBMODULES = ("chain", "counting", "preserving", "targeting")
 
 __all__ = [*_SUBMODULES, *_EXPORTS]
 

@@ -15,29 +15,40 @@ Conventions (documented because the paper does not spell out its own):
   preserve the joint degree distribution, for ``d = 3`` also the wedge and
   triangle distributions.
 
-For ``d >= 2`` the candidates are enumerated through the same
-degree-bucketed oriented edge-end index the rewiring engine proposes 2K
-moves from (:meth:`EdgeEndIndex.degree_buckets`): a pairing changes the JDD
-unless the exchanged heads — or equivalently the retained tails — carry
-equal degrees, so only end pairs inside one degree bucket can qualify.  That
-replaces the all-pairs ``O(m²)`` sweep with ``O(Σ_k B_k²)`` over the bucket
-sizes ``B_k``, which collapses on graphs with diverse degrees.  ``d = 1``
-keeps the pair enumeration: there every edge pair is a genuine candidate.
+The moves are enumerated on the rewiring engine's own structures
+(:mod:`repro.kernels.rewiring`).  A pairing ``(a,b),(c,d) -> (a,d),(c,b)``
+is an unordered pair of packed oriented edge ends ``2*slot+side`` (tail
+``a``, head ``b`` and tail ``c``, head ``d``) whose heads are exchanged.
+Each pairing has two such representations, ``(a→b, c→d)`` and the
+reversed ``(b→a, d→c)``:
+
+* ``d = 1``: every end pair of all ``2m`` ends is a candidate, so each
+  pairing is visited exactly twice;
+* ``d >= 2``: a pairing keeps the JDD iff ``deg b == deg d`` or
+  ``deg a == deg c``, i.e. iff at least one representation pairs two ends
+  of the same head-degree bucket.  Only end pairs inside one bucket of
+  :meth:`RewiringState.build_buckets` are enumerated; a pairing is visited
+  twice when ``deg a == deg c`` as well, once otherwise.
+
+Counting in half-units (weight 1 per visit of a doubly visited pairing,
+2 otherwise) and halving at the end gives each pairing once.  The end pairs
+of each group are resolved, validity-tested and (for ``d = 3``) given the
+engine's zero-3K-delta verdict in fixed-size vectorized chunks, so working
+memory is O(chunk + m) whatever the bucket sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.extraction import joint_degree_distribution  # noqa: F401  (re-exported for callers)
-from repro.generators.rewiring.swaps import (
-    EdgeEndIndex,
-    double_swap_is_valid,
-    jdd_delta_of_double_swap,
-    make_double_swap,
-)
-from repro.generators.threek import ThreeKTracker
-from repro.graph.simple_graph import SimpleGraph, canonical_edge
+import numpy as np
+
+from repro.graph.simple_graph import SimpleGraph
+from repro.kernels import rewiring as engine
+from repro.telemetry import span
+
+#: End pairs resolved per vectorized chunk.
+PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,118 +66,45 @@ def count_0k_rewirings(graph: SimpleGraph) -> int:
     return m * (n * (n - 1) // 2 - m)
 
 
-def _is_obviously_isomorphic(degrees: list[int], a: int, b: int, c: int, d: int) -> bool:
-    """The paper's example of an isomorphism-preserving swap.
+def _end_pairs(group: np.ndarray, chunk: int):
+    """All unordered pairs of ``group``'s entries, in chunks of at most
+    ``chunk`` pairs (or one row of ``len(group) - 1`` pairs if larger)."""
+    size = group.size
+    per_row = np.arange(size - 1, -1, -1, dtype=np.int64)  # row r pairs with r+1..
+    bounds = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(per_row, out=bounds[1:])
+    row = 0
+    while row < size - 1:
+        stop = int(np.searchsorted(bounds, bounds[row] + chunk, side="right")) - 1
+        stop = max(stop, row + 1)
+        lens = per_row[row:stop]
+        first = np.repeat(np.arange(row, stop, dtype=np.int64), lens)
+        starts = np.cumsum(lens) - lens
+        second = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(starts, lens)
+        yield group[first], group[first + 1 + second]
+        row = stop
 
-    Replacing ``(a,b), (c,d)`` by ``(a,d), (c,b)`` exchanges the endpoints
-    ``b`` and ``d`` (equivalently ``a`` and ``c``).  When both exchanged
-    endpoints are degree-1 leaves, the resulting graph is trivially isomorphic
-    to the original one.
+
+def _zero_three_k_delta(state, tk, a, b, c, d, valid):
+    """The engine's "swap keeps the 3K distribution" verdict per end pair.
+
+    Batched through the bitset kernel when ``tk`` exists; otherwise (beyond
+    :data:`~repro.kernels.rewiring.BITSET_MAX_NODES`) through the per-move
+    adjacency-set toggles, each swap applied and reverted in place.
     """
-    return (degrees[b] == 1 and degrees[d] == 1) or (degrees[a] == 1 and degrees[c] == 1)
-
-
-def _count_by_pair_enumeration(graph: SimpleGraph, d: int) -> RewiringCounts:
-    """All-pairs reference enumeration (O(m²) pairings), valid for d in 1..3."""
-    degrees = graph.degrees()
-    edges = graph.edge_list()
-    tracker = ThreeKTracker(graph) if d == 3 else None
-    working = graph if d < 3 else graph.copy()
-
-    total = 0
-    non_isomorphic = 0
-    m = len(edges)
-    for i in range(m):
-        a, b = edges[i]
-        for j in range(i + 1, m):
-            c, d_node = edges[j]
-            # the two possible endpoint pairings of the edge pair
-            for (x1, y1, x2, y2) in ((a, b, c, d_node), (a, b, d_node, c)):
-                if not double_swap_is_valid(working, x1, y1, x2, y2):
-                    continue
-                if d >= 2:
-                    jdd_delta = jdd_delta_of_double_swap(degrees, x1, y1, x2, y2)
-                    if jdd_delta:
-                        continue
-                if d == 3:
-                    swap = make_double_swap(x1, y1, x2, y2)
-                    delta = tracker.apply_edges(
-                        working, list(swap.removals), list(swap.additions)
-                    )
-                    zero = delta.is_zero()
-                    tracker.revert_edges(working, list(swap.removals), list(swap.additions))
-                    if not zero:
-                        continue
-                total += 1
-                if not _is_obviously_isomorphic(degrees, x1, y1, x2, y2):
-                    non_isomorphic += 1
-    return RewiringCounts(total=total, non_isomorphic=non_isomorphic)
-
-
-def _count_by_degree_buckets(graph: SimpleGraph, d: int) -> RewiringCounts:
-    """Degree-bucketed enumeration of the JDD-preserving pairings (d in 2..3).
-
-    A pairing ``(a,b),(c,d) -> (a,d),(c,b)`` leaves the JDD unchanged iff
-    ``deg(b) == deg(d)`` or ``deg(a) == deg(c)``, i.e. iff at least one of
-    its two oriented representations — ``(a→b, c→d)`` exchanging the heads
-    ``b, d``, or the reversed ``(b→a, d→c)`` exchanging ``a, c`` — pairs two
-    edge ends from the *same* degree bucket.  Enumerating unordered end
-    pairs inside each bucket therefore visits every JDD-preserving pairing
-    once per qualifying representation; pairings whose both representations
-    qualify (``deg(a) == deg(c)`` *and* ``deg(b) == deg(d)``) are visited
-    twice, which the half-unit accounting divides back out.
-    """
-    index = EdgeEndIndex(graph)
-    degrees = index.degrees
-    tracker = ThreeKTracker(graph) if d == 3 else None
-    working = graph if d < 3 else graph.copy()
-
-    total_half_units = 0
-    non_isomorphic_half_units = 0
-    for bucket in index.degree_buckets().values():
-        size = len(bucket)
-        for i in range(size):
-            a, b = bucket[i]
-            edge_ab = canonical_edge(a, b)
-            for j in range(i + 1, size):
-                c, d_node = bucket[j]
-                if canonical_edge(c, d_node) == edge_ab:
-                    continue  # the two orientations of one edge
-                if not double_swap_is_valid(working, a, b, c, d_node):
-                    continue
-                if d == 3:
-                    swap = make_double_swap(a, b, c, d_node)
-                    delta = tracker.apply_edges(
-                        working, list(swap.removals), list(swap.additions)
-                    )
-                    zero = delta.is_zero()
-                    tracker.revert_edges(working, list(swap.removals), list(swap.additions))
-                    if not zero:
-                        continue
-                # 2 half-units when this bucket holds the pairing's only
-                # qualifying representation, 1 when the reversed one (in the
-                # tail-degree bucket) is enumerated as well
-                weight = 1 if degrees[a] == degrees[c] else 2
-                total_half_units += weight
-                if not _is_obviously_isomorphic(degrees, a, b, c, d_node):
-                    non_isomorphic_half_units += weight
-    return RewiringCounts(
-        total=total_half_units // 2,
-        non_isomorphic=non_isomorphic_half_units // 2,
-    )
-
-
-def _bucket_sweep_is_cheaper(graph: SimpleGraph) -> bool:
-    """Whether the degree-bucketed sweep beats the all-pairs enumeration.
-
-    The bucket sweep visits ~``Σ_k B_k² / 2`` end pairs (``B_k = k·n_k``
-    oriented ends carry head degree ``k``), the pair enumeration ``~m²``
-    pairings.  On (near-)regular graphs every end lands in one bucket and
-    the sweep would do ~4x the work, so fall back to the pair walk there.
-    """
-    m = graph.number_of_edges
-    end_pairs = sum((k * count) ** 2 for k, count in graph.degree_histogram().items())
-    return end_pairs < 2 * m * m
+    if tk is not None:
+        return engine._batch_zero_delta(tk, a, b, c, d, valid)
+    zero = np.zeros(valid.shape[0], dtype=bool)
+    adj = state.adj
+    degrees = state.degrees
+    idx = np.flatnonzero(valid)
+    for k, a_, b_, c_, d_ in zip(
+        idx.tolist(), a[idx].tolist(), b[idx].tolist(), c[idx].tolist(), d[idx].tolist()
+    ):
+        wedges, triangles = engine._swap_three_k_delta(adj, degrees, a_, b_, c_, d_)
+        engine._revert_swap_toggles(adj, a_, b_, c_, d_)
+        zero[k] = not (any(wedges.values()) or any(triangles.values()))
+    return zero
 
 
 def count_dk_rewirings(graph: SimpleGraph, d: int) -> RewiringCounts:
@@ -174,20 +112,66 @@ def count_dk_rewirings(graph: SimpleGraph, d: int) -> RewiringCounts:
 
     For ``d = 0`` a closed-form formula is used and the isomorphism filter is
     not applicable (the paper reports "-"); the ``non_isomorphic`` field then
-    equals the total.  ``d = 1`` enumerates all edge pairs (each is a
-    candidate), while ``d >= 2`` walks only the degree-compatible end pairs
-    of a bucketed edge-end index like the rewiring engine's — unless the graph's
-    degrees are so uniform that the buckets degenerate, where the pair
-    enumeration is kept (both paths count identically).
+    equals the total.  For ``d >= 1`` the candidate end pairs are enumerated
+    as described in the module docstring, under a ``kernel.count_rewirings``
+    telemetry span.
     """
     if d == 0:
         total = count_0k_rewirings(graph)
         return RewiringCounts(total=total, non_isomorphic=total)
     if d not in (1, 2, 3):
         raise ValueError(f"d must be in 0..3, got {d}")
-    if d == 1 or not _bucket_sweep_is_cheaper(graph):
-        return _count_by_pair_enumeration(graph, d)
-    return _count_by_degree_buckets(graph, d)
+    n = graph.number_of_nodes
+    with span("kernel.count_rewirings", d=d, n=n, m=graph.number_of_edges) as sp:
+        state = engine.RewiringState(graph)
+        if d == 1:
+            groups = [np.arange(2 * state.m, dtype=np.int64)]
+        else:
+            groups = [np.asarray(b, dtype=np.int64) for b in state.build_buckets() if b]
+        tk = None
+        if d == 3:
+            if n <= engine.BITSET_MAX_NODES:
+                tk = engine._ThreeKState(state)
+            else:
+                state.build_adjacency()
+        edge_u = np.asarray(state.edge_u, dtype=np.int64)
+        edge_v = np.asarray(state.edge_v, dtype=np.int64)
+        edge_keys = np.sort(np.asarray(state.edge_key, dtype=np.int64))
+        deg = np.asarray(state.degrees, dtype=np.int64)
+
+        def is_edge(x, y):
+            key = np.minimum(x, y) * n + np.maximum(x, y)
+            pos = np.minimum(np.searchsorted(edge_keys, key), edge_keys.size - 1)
+            return edge_keys[pos] == key
+
+        end_pairs = 0
+        total_half_units = 0
+        non_isomorphic_half_units = 0
+        for group in groups:
+            for first, second in _end_pairs(group, PAIR_CHUNK):
+                end_pairs += first.size
+                i, _, a, b = engine._resolve_ends(edge_u, edge_v, first)
+                j, _, c, dd = engine._resolve_ends(edge_u, edge_v, second)
+                valid = (i != j) & (a != dd) & (c != b)
+                valid &= ~(is_edge(a, dd) | is_edge(c, b))
+                if d == 3:
+                    valid &= _zero_three_k_delta(state, tk, a, b, c, dd, valid)
+                if d == 1:
+                    weight = valid.astype(np.int64)
+                else:
+                    weight = np.where(deg[a] == deg[c], 1, 2) * valid
+                # the paper's obvious isomorphism: exchanging two leaves
+                isomorphic = ((deg[b] == 1) & (deg[dd] == 1)) | (
+                    (deg[a] == 1) & (deg[c] == 1)
+                )
+                total_half_units += int(weight.sum())
+                non_isomorphic_half_units += int(weight[~isomorphic].sum())
+        counts = RewiringCounts(
+            total=total_half_units // 2,
+            non_isomorphic=non_isomorphic_half_units // 2,
+        )
+        sp.set(end_pairs=end_pairs, valid=counts.total)
+    return counts
 
 
 def rewiring_count_table(graph: SimpleGraph, ds: tuple[int, ...] = (0, 1, 2, 3)) -> dict[int, RewiringCounts]:

@@ -42,7 +42,13 @@ touched by an *earlier accepted move of the same batch* is detected through
 per-node move stamps and re-evaluated against the live state — which is
 what keeps the 2K-proposal chains batch-size invariant too.  Beyond
 :data:`BITSET_MAX_NODES` nodes those chains take an exact per-move scalar
-path over adjacency sets instead; it samples the same chain.
+path over adjacency sets instead; it samples the same chain.  These scalar
+paths (``_swap_three_k_delta``/``_revert_swap_toggles`` and the loops over
+them) stay because they are the only 3K evaluators that run above the
+bitset's memory ceiling; they also give the Table-5 rewiring counter
+(:mod:`repro.generators.rewiring.counting`) its d = 3 verdict there.  Below
+the ceiling the counter uses :func:`_batch_zero_delta`, on end pairs
+resolved by the same :func:`_resolve_ends` the proposal batches use.
 """
 
 from __future__ import annotations
@@ -604,6 +610,15 @@ def _swap_neighborhoods(tk: _ThreeKState, aP, bP, cP, dP):
     return pid % npids, q[mask], pid // npids
 
 
+def _resolve_ends(edge_u, edge_v, ends):
+    """Slot, side, tail and head of packed oriented ends ``2 * slot + side``."""
+    slot = ends >> 1
+    side = ends & 1
+    head = np.where(side == 1, edge_u[slot], edge_v[slot])
+    tail = np.where(side == 1, edge_v[slot], edge_u[slot])
+    return slot, side, tail, head
+
+
 def _batch_resolve(tk: _ThreeKState, ends, positions):
     """Vectorized 2K-proposal resolution against the snapshot state.
 
@@ -611,20 +626,12 @@ def _batch_resolve(tk: _ThreeKState, ends, positions):
     truncation, and returns the resolved slots/sides/endpoints plus the
     snapshot validity mask (distinct slots, simple-graph result).
     """
-    i = ends >> 1
-    side = ends & 1
-    edge_u = tk.edge_u
-    edge_v = tk.edge_v
-    b = np.where(side == 1, edge_u[i], edge_v[i])
-    a = np.where(side == 1, edge_v[i], edge_u[i])
+    i, side, a, b = _resolve_ends(tk.edge_u, tk.edge_v, ends)
     kb = tk.deg[b]
     entry = tk.bucket_flat[
         tk.bucket_start[kb] + (positions * tk.bucket_len[kb]).astype(np.int64)
     ]
-    j = entry >> 1
-    eside = entry & 1
-    d = np.where(eside == 1, edge_u[j], edge_v[j])
-    c = np.where(eside == 1, edge_v[j], edge_u[j])
+    j, eside, c, d = _resolve_ends(tk.edge_u, tk.edge_v, entry)
     valid = (i != j) & (a != d) & (c != b)
     memb = _bitset_member(tk.bits, np.concatenate((a, c)), np.concatenate((d, b)))
     half = a.shape[0]

@@ -58,6 +58,24 @@ def _random_graph(seed, n=60, m=150):
     return graph
 
 
+def test_bucket_table_membership(square_with_diagonal):
+    """Every packed oriented end ``2*slot+side`` sits once in the bucket of
+    its head's degree (the index 2K proposals and Table-5 counting use)."""
+    state = vec.RewiringState(square_with_diagonal)
+    table = state.build_buckets()
+    ends = sorted(end for bucket in table for end in bucket)
+    assert ends == list(range(2 * state.m))
+    _, _, tails, heads = vec._resolve_ends(
+        np.array(state.edge_u), np.array(state.edge_v), np.array(ends)
+    )
+    for degree, bucket in enumerate(table):
+        for end in bucket:
+            tail, head = int(tails[end]), int(heads[end])
+            assert square_with_diagonal.degree(head) == degree
+            assert square_with_diagonal.has_edge(tail, head)
+    assert len(table) == max(square_with_diagonal.degrees()) + 1
+
+
 @pytest.mark.parametrize("d", (0, 1, 2, 3))
 def test_vectorized_chain_preserves_dk_invariants(as_small, d):
     rewired = dk_randomize(as_small, d, rng=3, multiplier=2)

@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from repro.generators.rewiring.counting import count_dk_rewirings
+from repro.graph.simple_graph import SimpleGraph
 from repro.telemetry import (
     Histogram,
     MetricsRegistry,
@@ -107,6 +109,21 @@ def test_chrome_trace_document_schema(tracing, tmp_path):
 def test_chrome_trace_wraps_explicit_events():
     doc = chrome_trace([{"name": "x", "ph": "X"}])
     assert doc == {"traceEvents": [{"name": "x", "ph": "X"}], "displayTimeUnit": "ms"}
+
+
+def test_rewiring_counter_records_kernel_span(tracing):
+    """Table-5 counting runs under ``kernel.count_rewirings`` with its size,
+    the number of end pairs it enumerated and the valid-move count."""
+    path = SimpleGraph(4, edges=[(0, 1), (1, 2), (2, 3)])
+    assert count_dk_rewirings(path, 1).total == 1
+    assert count_dk_rewirings(path, 2).total == 1
+    events = [e for e in take_events() if e["name"] == "kernel.count_rewirings"]
+    # d = 1 pairs all 2m = 6 ends; d = 2 pairs only inside the head-degree
+    # buckets (four ends with a degree-2 head, two with a degree-1 head)
+    assert [e["args"] for e in events] == [
+        {"d": 1, "n": 4, "m": 3, "end_pairs": 15, "valid": 1, "depth": 0},
+        {"d": 2, "n": 4, "m": 3, "end_pairs": 7, "valid": 1, "depth": 0},
+    ]
 
 
 # --------------------------------------------------------------------------- #

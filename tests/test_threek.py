@@ -1,95 +1,98 @@
-"""Tests for the incremental 3K bookkeeping."""
+"""Tests for the rewiring engine's 3K delta evaluators.
+
+The per-edge toggles ``_toggle_remove``/``_toggle_add`` (and the swap-level
+``_swap_three_k_delta`` built on them) are the adjacency-set reference the
+batched and scalar packed-key evaluators are checked against; they are in
+turn checked against from-scratch wedge/triangle recounts.
+"""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import GraphError
-from repro.generators.rewiring.swaps import EdgeEndIndex, double_swap_is_valid, make_double_swap
-from repro.generators.threek import (
-    ThreeKDelta,
-    ThreeKTracker,
-    add_edge_delta,
-    remove_edge_delta,
-)
 from repro.graph.simple_graph import SimpleGraph
 from repro.graph.subgraphs import triangle_degree_counts, wedge_degree_counts
 from repro.kernels import rewiring as vec
 
 
+def _adjacency(graph):
+    return [set(graph.neighbors(u)) for u in range(graph.number_of_nodes)]
+
+
 def test_remove_edge_delta_on_triangle(triangle_graph):
-    degrees = triangle_graph.degrees()
-    delta = remove_edge_delta(triangle_graph, degrees, 0, 1)
-    assert delta.triangles == {(2, 2, 2): -1}
-    assert delta.wedges == {(2, 2, 2): 1}
-    assert delta.node_triangles == {0: -1, 1: -1, 2: -1}
-    assert not triangle_graph.has_edge(0, 1)
+    adj = _adjacency(triangle_graph)
+    wedges, triangles = {}, {}
+    vec._toggle_remove(adj, triangle_graph.degrees(), 0, 1, wedges, triangles)
+    assert triangles == {(2, 2, 2): -1}
+    assert wedges == {(2, 2, 2): 1}
+    assert 1 not in adj[0] and 0 not in adj[1]
 
 
 def test_add_edge_delta_closes_wedge(path_graph):
-    degrees = path_graph.degrees()
-    delta = add_edge_delta(path_graph, degrees, 0, 2)
+    adj = _adjacency(path_graph)
+    wedges, triangles = {}, {}
+    vec._toggle_add(adj, path_graph.degrees(), 0, 2, wedges, triangles)
     # closing 0-1-2 turns that wedge into a triangle and creates new wedges
-    assert sum(delta.triangles.values()) == 1
-    assert path_graph.has_edge(0, 2)
+    assert sum(triangles.values()) == 1
+    assert 2 in adj[0] and 0 in adj[2]
 
 
-def test_remove_missing_edge_raises(path_graph):
-    with pytest.raises(GraphError):
-        remove_edge_delta(path_graph, path_graph.degrees(), 0, 4)
-
-
-def test_add_existing_edge_raises(path_graph):
-    with pytest.raises(GraphError):
-        add_edge_delta(path_graph, path_graph.degrees(), 0, 1)
-
-
-def test_delta_is_zero_helper():
-    assert ThreeKDelta().is_zero()
-    delta = ThreeKDelta()
-    delta.wedges[(1, 2, 3)] += 1
-    assert not delta.is_zero()
-    assert delta.negate().wedges[(1, 2, 3)] == -1
+def _graph_of(adj):
+    return SimpleGraph(len(adj), edges=[(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
 
 
 def test_toggle_deltas_match_full_recount(as_small):
-    """Applying random 2K swaps, the tracker's incremental counts always equal
-    a from-scratch recount of the wedge and triangle distributions."""
+    """Applying random 2K swaps through the engine's ``_swap_three_k_delta``
+    (committing every other one, reverting the rest), the accumulated deltas
+    always equal a from-scratch recount of the wedge and triangle
+    distributions."""
     rng = np.random.default_rng(3)
-    graph = as_small.copy()
-    tracker = ThreeKTracker(graph)
+    state = vec.RewiringState(as_small)
+    buckets = [b for b in state.build_buckets() if len(b) > 1]
+    adj = state.build_adjacency()
+    degrees = state.degrees
+    wedges = wedge_degree_counts(as_small)
+    triangles = triangle_degree_counts(as_small)
     applied = 0
     for _ in range(300):
         # exchanging the heads of two oriented ends from one degree bucket
-        # is a JDD-preserving swap
-        buckets = [b for b in EdgeEndIndex(graph).degree_buckets().values() if len(b) > 1]
+        # is a JDD-preserving swap; slots are re-read from the live arrays
         bucket = buckets[int(rng.integers(len(buckets)))]
-        i, j = rng.choice(len(bucket), size=2, replace=False)
-        (a, b), (c, d) = bucket[i], bucket[j]
-        if not double_swap_is_valid(graph, a, b, c, d):
+        x, y = rng.choice(len(bucket), size=2, replace=False)
+        ends = np.array([bucket[x], bucket[y]], dtype=np.int64)
+        slots, sides, tails, heads = vec._resolve_ends(
+            np.array(state.edge_u), np.array(state.edge_v), ends
+        )
+        (i, j), (a, c), (b, d) = slots.tolist(), tails.tolist(), heads.tolist()
+        if i == j or a == d or c == b or d in adj[a] or b in adj[c]:
             continue
-        swap = make_double_swap(a, b, c, d)
-        delta = tracker.apply_edges(graph, list(swap.removals), list(swap.additions))
+        wedge_delta, triangle_delta = vec._swap_three_k_delta(adj, degrees, a, b, c, d)
         if applied % 2 == 0:
-            tracker.commit(delta)
+            wedges.update(wedge_delta)
+            triangles.update(triangle_delta)
+            for slot, side, head in zip((i, j), sides.tolist(), (d, b)):
+                if side:
+                    state.edge_u[slot] = head
+                else:
+                    state.edge_v[slot] = head
         else:
-            tracker.revert_edges(graph, list(swap.removals), list(swap.additions))
+            vec._revert_swap_toggles(adj, a, b, c, d)
         applied += 1
     assert applied > 50
-    assert tracker.wedges == wedge_degree_counts(graph)
-    assert tracker.triangles == triangle_degree_counts(graph)
+    graph = _graph_of(adj)
+    assert sorted(graph.edges()) == sorted(state.to_graph().edges())
+    assert wedges == wedge_degree_counts(graph)
+    assert triangles == triangle_degree_counts(graph)
 
 
-def test_revert_restores_graph(square_with_diagonal):
-    tracker = ThreeKTracker(square_with_diagonal)
-    before_edges = sorted(square_with_diagonal.edges())
-    delta = tracker.apply_edges(square_with_diagonal, [(0, 1)], [(1, 3)])
-    tracker.revert_edges(square_with_diagonal, [(0, 1)], [(1, 3)])
-    assert sorted(square_with_diagonal.edges()) == before_edges
-    # the un-committed tracker still matches the (restored) graph
-    assert tracker.wedges == wedge_degree_counts(square_with_diagonal)
-    assert tracker.triangles == triangle_degree_counts(square_with_diagonal)
+def test_revert_restores_graph(path_graph):
+    adj = _adjacency(path_graph)
+    before = [set(row) for row in adj]
+    # (0,1),(3,4) -> (0,4),(3,1)
+    vec._swap_three_k_delta(adj, path_graph.degrees(), 0, 1, 3, 4)
+    assert adj != before
+    vec._revert_swap_toggles(adj, 0, 1, 3, 4)
+    assert adj == before
 
 
 # --------------------------------------------------------------------------- #
@@ -177,13 +180,3 @@ def test_vectorized_delta_matches_toggle_reference(seed):
         s0, s1 = starts[slot_of[k]], starts[slot_of[k] + 1]
         assert list(zip(keys[s0:s1], nets[s0:s1])) == want
         assert bool(zero[k]) == (not want)
-
-
-def test_node_triangle_tracking(square_with_diagonal):
-    tracker = ThreeKTracker(square_with_diagonal)
-    assert tracker.node_triangles == [2, 1, 2, 1]
-    delta = tracker.apply_edges(square_with_diagonal, [(0, 2)], [(1, 3)])
-    tracker.commit(delta)
-    # removing the diagonal destroys both original triangles, but the new
-    # diagonal (1,3) closes two fresh ones: (0,1,3) and (1,2,3)
-    assert tracker.node_triangles == [1, 2, 1, 2]
