@@ -7,7 +7,7 @@ into an on-disk memory-mapped CSR artifact, and records into
 BENCH_results.json:
 
 * generation throughput (wall time + edges/sec) per size,
-* the sampled Table-2 core battery wall time on the CSR backend per
+* the sampled Table-2 core battery wall time on the CSR kernels per
   size — these are the n >= 10^6 rows behind ``"full_scale": true``.
 
 The acceptance bar of the tier runs in clean subprocesses (so each path's

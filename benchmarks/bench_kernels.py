@@ -1,10 +1,12 @@
-"""Kernel-engine benchmark: python vs CSR backends on the heavy metrics.
+"""Kernel-engine benchmark: the CSR kernels vs the python oracle.
 
 Times ``mean_distance``, ``mean_clustering`` and the full ``summarize`` on
-skitter-like AS topologies at n ∈ {1k, 5k, 20k}, once per backend, and
-records every timing (plus the derived speedups) into BENCH_results.json.
-At n = 20k the distance sweep is source-sampled (both backends draw the same
-sources), since the exact pure-Python sweep would take minutes.
+skitter-like AS topologies at n ∈ {1k, 5k, 20k}, once on the library's CSR
+kernels and once on the pure-Python reference kernels the test suite keeps
+in ``tests/oracle`` (the ``python`` rows), and records every timing (plus
+the derived speedups) into BENCH_results.json.  At n = 20k the distance
+sweep is source-sampled (both kernel sets draw the same sources), since the
+exact pure-Python sweep would take minutes.
 
 The acceptance bar of the kernel engine is asserted here: the CSR
 distance-distribution kernel must be >= 10x faster than the Python BFS sweep
@@ -20,6 +22,7 @@ deflated shift-invert solve as the after row.  Both must agree on λ_1.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from repro.metrics.distances import mean_distance
 from repro.metrics.spectrum import extreme_eigenvalues, normalized_laplacian
 from repro.metrics.summary import summarize
 from repro.topologies.as_level import synthetic_as_topology
+from tests.oracle import oracle_kernels
 
 SIZES = (1000, 5000, 20000)
 
@@ -41,7 +45,7 @@ DISTANCE_SOURCES = {1000: None, 5000: None, 20000: 500}
 
 _GRAPHS: dict[int, object] = {}
 
-#: wall times keyed by (operation, n, backend), for the speedup rows.
+#: wall times keyed by (operation, n, kernel set), for the speedup rows.
 _TIMINGS: dict[tuple[str, int, str], float] = {}
 
 
@@ -54,7 +58,7 @@ def _graph(n):
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
     """Import the CSR kernel modules (and SciPy) outside the timed regions."""
-    summarize(synthetic_as_topology(64, rng=1), compute_spectrum=False, backend="csr")
+    summarize(synthetic_as_topology(64, rng=1), compute_spectrum=False)
 
 
 def _operation(name, graph, n, backend):
@@ -62,17 +66,14 @@ def _operation(name, graph, n, backend):
     # otherwise let later operations reuse earlier traversals (that sharing
     # is benchmarked separately in bench_measure_plan.py)
     clear_measure_cache(graph)
-    if name == "mean_distance":
-        return mean_distance(graph, sources=DISTANCE_SOURCES[n], rng=1, backend=backend)
-    if name == "mean_clustering":
-        return mean_clustering(graph, backend=backend)
-    return summarize(
-        graph,
-        compute_spectrum=False,
-        distance_sources=DISTANCE_SOURCES[n],
-        rng=1,
-        backend=backend,
-    )
+    with oracle_kernels() if backend == "python" else nullcontext():
+        if name == "mean_distance":
+            return mean_distance(graph, sources=DISTANCE_SOURCES[n], rng=1)
+        if name == "mean_clustering":
+            return mean_clustering(graph)
+        return summarize(
+            graph, compute_spectrum=False, distance_sources=DISTANCE_SOURCES[n], rng=1
+        )
 
 
 @pytest.mark.parametrize("backend", ("python", "csr"))

@@ -23,8 +23,7 @@ import pytest
 
 from benchmarks._common import AS_SEED, record_result
 from repro.graph.components import giant_component
-from repro.kernels import backend as kernel_backend
-from repro.measure import MeasurementPlan, clear_measure_cache
+from repro.measure import MeasurementPlan, clear_measure_cache, intermediates
 from repro.metrics.betweenness import betweenness_by_degree, node_betweenness
 from repro.metrics.distances import (
     diameter,
@@ -61,19 +60,19 @@ def _graph():
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
     """Import the CSR kernel modules outside the timed regions."""
-    summarize(synthetic_as_topology(64, rng=1), compute_spectrum=False, backend="csr")
+    summarize(synthetic_as_topology(64, rng=1), compute_spectrum=False)
 
 
 @pytest.fixture
 def sweep_counter(monkeypatch):
     calls = []
-    real = kernel_backend.get_kernel("bfs_sweep", "csr")
+    real = intermediates.bfs_sweep
 
     def counting(graph, sources, want_betweenness, want_edge_load=False):
         calls.append(want_betweenness)
         return real(graph, sources, want_betweenness, want_edge_load)
 
-    monkeypatch.setitem(kernel_backend._KERNELS, ("bfs_sweep", "csr"), counting)
+    monkeypatch.setattr(intermediates, "bfs_sweep", counting)
     return calls
 
 
@@ -83,7 +82,7 @@ def test_table2_summary_cold_then_warm(benchmark):
 
     def cold():
         clear_measure_cache(graph)
-        return summarize(graph, compute_spectrum=False, backend="csr")
+        return summarize(graph, compute_spectrum=False)
 
     start = time.perf_counter()
     result = benchmark.pedantic(cold, rounds=1, iterations=1)
@@ -91,7 +90,7 @@ def test_table2_summary_cold_then_warm(benchmark):
     record_result(f"measure_plan_table2_cold_n{N}", cold_wall, graph)
 
     start = time.perf_counter()
-    warm_result = summarize(graph, compute_spectrum=False, backend="csr")
+    warm_result = summarize(graph, compute_spectrum=False)
     warm_wall = time.perf_counter() - start
     record_result(f"measure_plan_table2_warm_n{N}", warm_wall, graph)
     assert warm_result == result
@@ -99,27 +98,19 @@ def test_table2_summary_cold_then_warm(benchmark):
     print(f"table2 n={N}: cold {cold_wall:.3f}s, warm {warm_wall:.4f}s")
 
 
-def _combined_metric_at_a_time(target, backend):
+def _combined_metric_at_a_time(target):
     """The pre-planner behaviour: every metric family re-traverses."""
     results = {}
-    clear_measure_cache(target)
-    results["mean_distance"] = mean_distance(target, sources=SOURCES, rng=1, backend=backend)
-    clear_measure_cache(target)
-    results["distance_std"] = distance_std(target, sources=SOURCES, rng=1, backend=backend)
-    clear_measure_cache(target)
-    results["distance_distribution"] = distance_distribution(
-        target, sources=SOURCES, rng=1, backend=backend
-    )
-    clear_measure_cache(target)
-    results["diameter"] = diameter(target, sources=SOURCES, rng=1, backend=backend)
-    clear_measure_cache(target)
-    results["node_betweenness"] = node_betweenness(
-        target, sources=SOURCES, rng=1, backend=backend
-    )
-    clear_measure_cache(target)
-    results["betweenness_by_degree"] = betweenness_by_degree(
-        target, sources=SOURCES, rng=1, backend=backend
-    )
+    for name, metric in (
+        ("mean_distance", mean_distance),
+        ("distance_std", distance_std),
+        ("distance_distribution", distance_distribution),
+        ("diameter", diameter),
+        ("node_betweenness", node_betweenness),
+        ("betweenness_by_degree", betweenness_by_degree),
+    ):
+        clear_measure_cache(target)
+        results[name] = metric(target, sources=SOURCES, rng=1)
     return results
 
 
@@ -130,7 +121,7 @@ def test_combined_distance_betweenness_speedup(benchmark, sweep_counter):
 
     # baseline: metric-at-a-time, cache cleared between calls
     start = time.perf_counter()
-    _combined_metric_at_a_time(target, "csr")
+    _combined_metric_at_a_time(target)
     legacy_wall = time.perf_counter() - start
     legacy_sweeps = len(sweep_counter)
     record_result(f"measure_plan_combined_legacy_n{N}", legacy_wall, graph)
@@ -142,7 +133,7 @@ def test_combined_distance_betweenness_speedup(benchmark, sweep_counter):
 
     def planned():
         clear_measure_cache(graph)
-        return plan.run(graph, rng=1, backend="csr")
+        return plan.run(graph, rng=1)
 
     start = time.perf_counter()
     result = benchmark.pedantic(planned, rounds=1, iterations=1)

@@ -45,9 +45,7 @@ def _warm_kernels():
     """Import the CSR sweep kernel outside the timed regions."""
     from repro.measure import MeasurementPlan
 
-    MeasurementPlan(WORKLOAD_METRICS).run(
-        synthetic_as_topology(64, rng=1), backend="csr"
-    )
+    MeasurementPlan(WORKLOAD_METRICS).run(synthetic_as_topology(64, rng=1))
 
 
 def test_routing_load_cold_then_store_warm(benchmark, tmp_path):
@@ -62,7 +60,6 @@ def test_routing_load_cold_then_store_warm(benchmark, tmp_path):
             store,
             metrics=WORKLOAD_METRICS,
             graph_hash=graph_hash,
-            backend="csr",
         )
 
     start = time.perf_counter()
@@ -83,7 +80,6 @@ def test_routing_load_cold_then_store_warm(benchmark, tmp_path):
         store,
         metrics=WORKLOAD_METRICS,
         graph_hash=graph_hash,
-        backend="csr",
     )
     warm_wall = time.perf_counter() - start
     record_result(f"workload_routing_warm_n{N}", warm_wall, graph)

@@ -43,7 +43,7 @@ Batch pipeline::
 
 from repro._lazy import lazy_exports
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 # Lazy re-exports (PEP 562): nothing heavy is imported until first attribute
 # access, so `import repro` stays cheap.
@@ -82,8 +82,6 @@ _EXPORTS = {
     "memoized_build": "repro.store.memo",
     "memoized_measure": "repro.store.memo",
     "memoized_summarize": "repro.store.memo",
-    "use_backend": "repro.kernels.backend",
-    "current_backend": "repro.kernels.backend",
     "span": "repro.telemetry",
     "enable_tracing": "repro.telemetry",
     "disable_tracing": "repro.telemetry",

@@ -107,18 +107,6 @@ def _method_choices() -> tuple[str, ...]:
     return tuple(available_generators())
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` knob of the metric kernels."""
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("python", "csr", "auto"),
-        help="kernel backend for metrics: pure-Python loops, vectorized "
-        "NumPy kernels, or size-based auto-selection (default); metric "
-        "values are identical either way",
-    )
-
-
 def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
     """The shared ``--metrics`` knob: an à-la-carte metric subset."""
     parser.add_argument(
@@ -221,7 +209,6 @@ def dkdist_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-spectrum", action="store_true", help="skip the Laplacian eigenvalues (faster)"
     )
-    _add_backend_argument(parser)
     _add_metrics_argument(parser)
     args = parser.parse_args(argv)
     metric_names = _parse_metric_names(args.metrics, parser)
@@ -238,10 +225,10 @@ def dkdist_main(argv: list[str] | None = None) -> int:
     print(render_table(["dK-series quantity", "value"], rows, title=f"dK analysis of {args.graph}"))
     print()
     if metric_names is None:
-        summary = summarize(graph, compute_spectrum=not args.no_spectrum, backend=args.backend)
+        summary = summarize(graph, compute_spectrum=not args.no_spectrum)
         print(scalar_metrics_table({"graph": summary}, title="Scalar metrics (Table 2 of the paper)"))
     else:
-        measurement = MeasurementPlan(metric_names).run(graph, backend=args.backend)
+        measurement = MeasurementPlan(metric_names).run(graph)
         print(
             _measurement_report(
                 {"graph": measurement}, metric_names, title="Selected metrics"
@@ -332,7 +319,6 @@ def dkcompare_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-spectrum", action="store_true", help="skip the Laplacian eigenvalues (faster)"
     )
-    _add_backend_argument(parser)
     _add_metrics_argument(parser)
     args = parser.parse_args(argv)
     metric_names = _parse_metric_names(args.metrics, parser)
@@ -352,19 +338,15 @@ def dkcompare_main(argv: list[str] | None = None) -> int:
     print()
     if metric_names is None:
         columns = {
-            args.graph_a: summarize(
-                graph_a, compute_spectrum=not args.no_spectrum, backend=args.backend
-            ),
-            args.graph_b: summarize(
-                graph_b, compute_spectrum=not args.no_spectrum, backend=args.backend
-            ),
+            args.graph_a: summarize(graph_a, compute_spectrum=not args.no_spectrum),
+            args.graph_b: summarize(graph_b, compute_spectrum=not args.no_spectrum),
         }
         print(scalar_metrics_table(columns, title="Scalar metrics"))
     else:
         plan = MeasurementPlan(metric_names)
         columns = {
-            args.graph_a: plan.run(graph_a, backend=args.backend),
-            args.graph_b: plan.run(graph_b, backend=args.backend),
+            args.graph_a: plan.run(graph_a),
+            args.graph_b: plan.run(graph_b),
         }
         print(_measurement_report(columns, metric_names, title="Selected metrics"))
     return 0
@@ -439,7 +421,6 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-original", action="store_true", help="skip measuring the original topologies"
     )
-    _add_backend_argument(parser)
     _add_metrics_argument(parser)
     parser.add_argument("--json", help="write the full results document to this file")
     parser.add_argument(
@@ -477,7 +458,6 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
             compute_spectrum=args.spectrum,
             distance_sources=args.distance_sources,
             dk_distances=args.dk_distances,
-            backend=args.backend,
         )
         result = run_experiment(
             spec, workers=args.workers, store=args.store, resume=args.resume
@@ -573,7 +553,6 @@ def workload_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-original", action="store_true", help="skip measuring the original topologies"
     )
-    _add_backend_argument(parser)
     parser.add_argument(
         "--metrics",
         default=None,
@@ -614,7 +593,6 @@ def workload_main(argv: list[str] | None = None) -> int:
             compute_spectrum=False,
             distance_sources=args.distance_sources,
             scenarios=tuple(args.scenario) if args.scenario else None,
-            backend=args.backend,
         )
         result = run_experiment(
             spec, workers=args.workers, store=args.store, resume=args.resume

@@ -14,7 +14,7 @@ from repro.core.distributions import (
 )
 from repro.graph.simple_graph import SimpleGraph
 from repro.graph.subgraphs import triangle_degree_counts, wedge_degree_counts
-from repro.kernels.backend import dispatch
+from repro.kernels.biggraph import jdd_counts
 
 
 def average_degree(graph: SimpleGraph) -> AverageDegree:
@@ -27,15 +27,9 @@ def degree_distribution(graph: SimpleGraph) -> DegreeDistribution:
     return DegreeDistribution(graph.degree_histogram())
 
 
-def joint_degree_distribution(
-    graph: SimpleGraph, *, backend: str | None = None
-) -> JointDegreeDistribution:
-    """Extract the 2K-distribution (joint degree distribution over edges).
-
-    Dispatches through the kernel backend registry: the vectorized CSR kernel
-    and the pure-Python edge loop return identical integer counts.
-    """
-    counts, zero_degree = dispatch("jdd_counts", graph, backend)(graph)
+def joint_degree_distribution(graph: SimpleGraph) -> JointDegreeDistribution:
+    """Extract the 2K-distribution (joint degree distribution over edges)."""
+    counts, zero_degree = jdd_counts(graph)
     return JointDegreeDistribution(counts, zero_degree_nodes=zero_degree)
 
 

@@ -60,7 +60,7 @@ from repro.exceptions import ExperimentError, ExperimentInterrupted
 from repro.generators.registry import get_generator, json_safe
 from repro.graph.io import read_edge_list
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.backend import BACKENDS, dispatch
+from repro.kernels.biggraph import bfs_histogram
 from repro.measure.plan import Measurement, MeasurementPlan, is_scalar_battery
 from repro.measure.registry import available_metrics
 from repro.metrics.summary import ScalarMetrics
@@ -147,12 +147,6 @@ class ExperimentSpec:
     generator_options:
         Per-method extra keyword arguments, e.g.
         ``{"rewiring": {"multiplier": 5.0}}``.
-    backend:
-        Kernel backend for the metrics ("python", "csr" or "auto"; see
-        :mod:`repro.kernels.backend`).  Metric values are identical on every
-        backend, so the backend is deliberately **not** part of any store
-        cache key: results computed by one backend are served to runs using
-        the other.
     shard_sources:
         Maximum BFS-source block size per worker task for the million-node
         tier.  When set together with ``workers > 1``, cells execute inline
@@ -161,8 +155,8 @@ class ExperimentSpec:
         sharded measurement of one huge graph, instead of cell-level
         parallelism over many small ones.  The distance histogram is an
         order-independent integer sum over sources, so sharded and unsharded
-        runs produce bit-identical records; like ``backend``, this execution
-        knob is deliberately **not** part of any store cache key.
+        runs produce bit-identical records, so this execution knob is
+        deliberately **not** part of any store cache key.
     """
 
     topologies: Sequence[Any]
@@ -180,7 +174,6 @@ class ExperimentSpec:
     scenarios: Sequence[Any] | None = None
     keep_graphs: bool = False
     generator_options: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
-    backend: str | None = None
     shard_sources: int | None = None
 
     def __post_init__(self) -> None:
@@ -231,10 +224,6 @@ class ExperimentSpec:
                     "scenarios=() is empty; use scenarios=None for no scenario dimension"
                 )
             object.__setattr__(self, "scenarios", parsed)
-        if self.backend is not None and self.backend not in (*BACKENDS, "auto"):
-            raise ExperimentError(
-                f"backend must be 'python', 'csr' or 'auto', got {self.backend!r}"
-            )
         if self.shard_sources is not None and self.shard_sources < 1:
             raise ExperimentError(
                 f"shard_sources must be >= 1, got {self.shard_sources}"
@@ -329,7 +318,6 @@ class ExperimentSpec:
             if self.scenarios is None
             else [scenario_label(scenario) for scenario in self.scenarios],
             "generator_options": {m: dict(o) for m, o in self.generator_options.items()},
-            "backend": self.backend,
             "shard_sources": self.shard_sources,
         }
 
@@ -621,8 +609,7 @@ def _sweep_block_in_worker(
             _SWEEP_TARGET_CACHE.clear()
         graph = _materialize_sweep_target(payload)
         _SWEEP_TARGET_CACHE[token] = graph
-    backend = _WORKER_SPEC.backend if _WORKER_SPEC is not None else None
-    histogram = dispatch("bfs_histogram", graph, backend)(graph, list(sources))
+    histogram = bfs_histogram(graph, list(sources))
     return histogram, {
         "events": telemetry.take_events() if telemetry.tracing_enabled() else [],
         "metrics": telemetry.metrics_snapshot(reset=True),
@@ -892,7 +879,6 @@ def _execute_cell_impl(
             distance_sources=spec.distance_sources,
             rng=np.random.default_rng((cell.seed, 1)),
             read=read_cache,
-            backend=spec.backend,
             sweep_executor=sweep_executor,
         )
         if is_scalar_battery(spec.metrics):

@@ -1,33 +1,9 @@
-"""Vectorized CSR graph-kernel engine with pluggable metric backends.
+"""Vectorized CSR graph kernels.
 
-The public surface is the backend registry (:mod:`repro.kernels.backend`) —
-``use_backend`` / ``resolve_backend`` / ``get_kernel``.  The metric kernel
-modules (:mod:`~repro.kernels.biggraph` — the chunked CSR metric kernels,
-for a SimpleGraph's cached CSR snapshot and a BigGraph alike —
-:mod:`~repro.kernels.bfs`, :mod:`~repro.kernels.betweenness` and the
-``*_python`` reference kernels) are imported lazily by the registry on first
-use.  :mod:`~repro.kernels.rewiring` is the one rewiring engine; the
-generators call it directly.
+:mod:`~repro.kernels.biggraph` holds the chunked CSR metric kernels, which
+run on a SimpleGraph's cached CSR snapshot (:mod:`~repro.kernels.csr`) and
+on a BigGraph alike; :mod:`~repro.kernels.bfs` and
+:mod:`~repro.kernels.betweenness` are the bit-parallel BFS and batched
+Brandes sweeps behind them.  :mod:`~repro.kernels.rewiring` is the one
+rewiring engine.  Callers import the kernel they need from its module.
 """
-
-from repro.kernels.backend import (
-    AUTO_THRESHOLD,
-    BACKENDS,
-    current_backend,
-    dispatch,
-    get_kernel,
-    register_kernel,
-    resolve_backend,
-    use_backend,
-)
-
-__all__ = [
-    "AUTO_THRESHOLD",
-    "BACKENDS",
-    "current_backend",
-    "dispatch",
-    "get_kernel",
-    "register_kernel",
-    "resolve_backend",
-    "use_backend",
-]

@@ -16,13 +16,13 @@ The class deliberately duck-types two existing surfaces at once:
   ``nodes``, ``average_degree``, ``_measure_cache`` …) consumed by the
   measurement planner and the shared metric formulas.
 
-The chunked kernels below are the ``"csr"`` metric backend.  They accept a
+The chunked kernels below are the library's metric kernels.  They accept a
 BigGraph *or* a SimpleGraph (via its cached CSR snapshot) — one compressed
-representation behind every query — and produce the same exact integer
-aggregates as the python kernels: histogram counts, triangle counts and
-moment sums are order-independent integers, so every Table-2 scalar derived
-from them by the shared formula layer is bit-identical across backends and
-across the two graph types.
+representation behind every query — and produce exact integer aggregates:
+histogram counts, triangle counts and moment sums are order-independent
+integers, so every Table-2 scalar derived from them by the shared formula
+layer is bit-identical across the two graph types (and to the pure-Python
+reference kernels the test suite keeps as its oracle).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels.backend import register_kernel
 from repro.kernels.bfs import histogram_from_csr
 
 #: Arc positions processed per vectorized batch by the chunked kernels.
@@ -210,15 +209,13 @@ def _arc_rows(view, begin: int, end: int):
 
 
 # ---------------------------------------------------------------------- #
-# kernels (backend "csr")
+# metric kernels
 # ---------------------------------------------------------------------- #
-@register_kernel("bfs_histogram", "csr")
 def bfs_histogram(graph, source_nodes: Sequence[int]) -> dict[int, int]:
     """Distance-pair histogram over ``source_nodes`` (bit-parallel BFS)."""
     return histogram_from_csr(_view(graph), source_nodes)
 
 
-@register_kernel("bfs_sweep", "csr")
 def bfs_sweep(
     graph,
     source_nodes: Sequence[int],
@@ -241,7 +238,6 @@ def bfs_sweep(
     return brandes_sweep(view, source_nodes, want_edge_load)
 
 
-@register_kernel("edge_degree_moments", "csr")
 def edge_degree_moments(graph) -> tuple[int, int, int]:
     """``(Σ k_u·k_v, Σ (k_u+k_v), Σ (k_u²+k_v²))``, chunked over the arcs."""
     view = _view(graph)
@@ -260,34 +256,46 @@ def edge_degree_moments(graph) -> tuple[int, int, int]:
     return sum_prod, sum_ends, sum_ends_sq
 
 
-@register_kernel("jdd_counts", "csr")
+def _edge_chunks(graph):
+    """Canonical ``(u, v)`` edge chunks in the order of ``graph.edges()``."""
+    if getattr(graph, "is_biggraph", False):
+        yield from graph.iter_edge_chunks()
+        return
+    edges = np.asarray(graph.edge_list(), dtype=np.int64).reshape(-1, 2)
+    for begin in range(0, len(edges), ARC_CHUNK):
+        chunk = edges[begin : begin + ARC_CHUNK]
+        yield chunk[:, 0], chunk[:, 1]
+
+
 def jdd_counts(graph) -> tuple[dict[tuple[int, int], int], int]:
-    """JDD edge counts keyed by sorted degree pair, plus zero-degree nodes."""
+    """JDD edge counts keyed by sorted degree pair, plus zero-degree nodes.
+
+    Degree pairs are listed in the order they first occur along
+    ``graph.edges()`` (a SimpleGraph's edge list, a BigGraph's ascending
+    canonical edges).  The JDD-input generators (pseudograph, matching,
+    rescaling) consume the pairs in this order, so it is part of their
+    seeded output.
+    """
     view = _view(graph)
     zero_degree = int(np.count_nonzero(view.degrees == 0)) if view.n else 0
     if view.m == 0:
         return {}, zero_degree
     base = int(view.degrees.max()) + 1
     merged: dict[int, int] = {}
-    total = len(view.indices)
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        neigh = view.indices[begin:end].astype(np.int64)
-        mask = neigh > rows  # canonical arcs only
-        ku = view.degrees[rows[mask]]
-        kv = view.degrees[neigh[mask]]
-        packed, counts = np.unique(
-            np.minimum(ku, kv) * base + np.maximum(ku, kv), return_counts=True
+    for us, vs in _edge_chunks(graph):
+        ku = view.degrees[us]
+        kv = view.degrees[vs]
+        packed, first, counts = np.unique(
+            np.minimum(ku, kv) * base + np.maximum(ku, kv),
+            return_index=True,
+            return_counts=True,
         )
-        for key, count in zip(packed.tolist(), counts.tolist()):
+        order = np.argsort(first)
+        for key, count in zip(packed[order].tolist(), counts[order].tolist()):
             merged[key] = merged.get(key, 0) + count
-    return {
-        (key // base, key % base): merged[key] for key in sorted(merged)
-    }, zero_degree
+    return {(key // base, key % base): count for key, count in merged.items()}, zero_degree
 
 
-@register_kernel("second_order_total", "csr")
 def second_order_total(graph) -> int:
     """``Σ_v [(Σ_{u∈N(v)} k_u)² − Σ_{u∈N(v)} k_u²]``, chunked by node block."""
     view = _view(graph)
@@ -313,7 +321,6 @@ def second_order_total(graph) -> int:
     return total
 
 
-@register_kernel("triangles_per_node", "csr")
 def triangles_per_node(graph):
     """Exact per-node triangle counts via chunked sorted-key intersection.
 
@@ -323,8 +330,7 @@ def triangles_per_node(graph):
     ``u → v`` the third-vertex candidates are the out-neighbors of ``u``
     ranked beyond ``v``; membership ``v → w`` is one vectorized
     ``searchsorted`` against the sorted packed keys ``rank_u·n + rank_v``.
-    Each triangle is found exactly once, from its lowest-ranked corner, so
-    the counts match the python kernel bit for bit.
+    Each triangle is found exactly once, from its lowest-ranked corner.
     """
     view = _view(graph)
     n = view.n

@@ -3,8 +3,8 @@
 Turn a requested metric set into a DAG of shared intermediates (giant
 component, ONE unified BFS sweep, one triangle pass, one edge-moments pass,
 optional spectrum), compute each intermediate exactly once, and evaluate the
-metrics as thin formulas over them — all dispatching through the kernel
-backend registry, so python/csr results stay bit-identical.
+metrics as thin formulas over them, on the csr kernels of
+:mod:`repro.kernels.biggraph`.
 
 The exports are lazy (PEP 562): the spectrum metrics pull in SciPy's
 eigensolvers only on first use.

@@ -13,14 +13,12 @@ figures) is a thin formula over a handful of expensive intermediates:
 * the optional Laplacian **spectrum** extremes.
 
 This module owns those intermediates.  Each ``shared_*`` helper computes its
-quantity through the kernel backend registry (:mod:`repro.kernels.backend`)
-and memoizes the result on the graph instance (``_measure_cache`` slot,
-invalidated by every mutation, keyed by the *resolved* backend so the
-python/csr equivalence suite keeps exercising both implementations).  The
-metric functions in :mod:`repro.metrics` and the declarative planner in
-:mod:`repro.measure.plan` all draw from the same cache, so e.g. a standalone
-``mean_distance`` call followed by ``distance_std`` performs one BFS sweep,
-not two.
+quantity with the csr kernels of :mod:`repro.kernels.biggraph` and memoizes
+the result on the graph instance (``_measure_cache`` slot, invalidated by
+every mutation).  The metric functions in :mod:`repro.metrics` and the
+declarative planner in :mod:`repro.measure.plan` all draw from the same
+cache, so e.g. a standalone ``mean_distance`` call followed by
+``distance_std`` performs one BFS sweep, not two.
 
 Sampled sweeps (``sources`` < n) are *not* cached across calls: a fresh call
 with a fresh ``rng`` must draw a fresh source sample, exactly as before.
@@ -34,7 +32,13 @@ from typing import NamedTuple
 
 from repro.graph.components import giant_component
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.backend import dispatch, resolve_backend
+from repro.kernels.biggraph import (
+    bfs_sweep,
+    biggraph_giant_component,
+    edge_degree_moments,
+    second_order_total,
+    triangles_per_node,
+)
 from repro.telemetry import counter_inc, span
 from repro.utils.rng import RngLike
 
@@ -80,8 +84,6 @@ def shared_target(graph: SimpleGraph, *, use_giant_component: bool = True) -> Si
     target = cache.get("gcc")
     if target is None:
         if getattr(graph, "is_biggraph", False):
-            from repro.kernels.biggraph import biggraph_giant_component
-
             target = biggraph_giant_component(graph)
         else:
             target = giant_component(graph)
@@ -94,7 +96,6 @@ def shared_sweep(
     *,
     sources: int | None = None,
     rng: RngLike = None,
-    backend: str | None = None,
     want_betweenness: bool = False,
     want_edge_load: bool = False,
     executor=None,
@@ -125,17 +126,8 @@ def shared_sweep(
 
     exact = sources is None or sources >= n
     brandes = want_betweenness or want_edge_load
-    concrete = resolve_backend(graph, backend, brandes=brandes)
-    key = ("sweep", concrete)
-    with span(
-        "intermediate.sweep", backend=concrete, n=n, m=graph.number_of_edges
-    ) as sp:
-        cached = _cache(graph).get(key) if exact else None
-        if cached is None and exact and not brandes:
-            # under "auto" a Brandes sweep may have resolved to another
-            # backend; its histogram holds the same exact integer counts
-            brandes_key = ("sweep", resolve_backend(graph, backend, brandes=True))
-            cached = _cache(graph).get(brandes_key)
+    with span("intermediate.sweep", n=n, m=graph.number_of_edges) as sp:
+        cached = _cache(graph).get("sweep") if exact else None
         if (
             cached is not None
             and (cached.centrality is not None or not want_betweenness)
@@ -156,113 +148,56 @@ def shared_sweep(
         if executor is not None and not brandes:
             histogram = executor(graph, source_nodes)
         if histogram is None:
-            histogram, centrality, edge_load = dispatch("bfs_sweep", graph, concrete)(
+            histogram, centrality, edge_load = bfs_sweep(
                 graph, source_nodes, want_betweenness, want_edge_load
             )
         result = SweepResult(
             dict(sorted(histogram.items())), centrality, scale, edge_load
         )
         if exact:
-            _cache(graph)[key] = result
+            _cache(graph)["sweep"] = result
         return result
 
 
-def shared_triangles(graph: SimpleGraph, *, backend: str | None = None) -> list[int]:
+def _cached(graph: SimpleGraph, kind: str, compute):
+    """``compute(graph)``, once per graph, under an ``intermediate.<kind>`` span."""
+    cache = _cache(graph)
+    value = cache.get(kind)
+    outcome = "hit" if value is not None else "miss"
+    with span(
+        f"intermediate.{kind}",
+        n=graph.number_of_nodes,
+        m=graph.number_of_edges,
+        cache=outcome,
+    ):
+        counter_inc("repro_intermediate_total", kind=kind, outcome=outcome)
+        if value is None:
+            value = compute(graph)
+            cache[kind] = value
+        return value
+
+
+def shared_triangles(graph: SimpleGraph) -> list[int]:
     """Per-node triangle counts (one triangle pass, cached)."""
-    concrete = resolve_backend(graph, backend)
-    key = ("triangles", concrete)
-    cache = _cache(graph)
-    counts = cache.get(key)
-    with span(
-        "intermediate.triangles",
-        backend=concrete,
-        n=graph.number_of_nodes,
-        m=graph.number_of_edges,
-        cache="hit" if counts is not None else "miss",
-    ):
-        counter_inc(
-            "repro_intermediate_total",
-            kind="triangles",
-            outcome="hit" if counts is not None else "miss",
-        )
-        if counts is None:
-            counts = dispatch("triangles_per_node", graph, backend)(graph)
-            cache[key] = counts
-        return counts
+    return _cached(graph, "triangles", triangles_per_node)
 
 
-def shared_edge_moments(
-    graph: SimpleGraph, *, backend: str | None = None
-) -> tuple[int, int, int]:
+def shared_edge_moments(graph: SimpleGraph) -> tuple[int, int, int]:
     """``(Σ k_u·k_v, Σ (k_u+k_v), Σ (k_u²+k_v²))`` over edges (cached)."""
-    concrete = resolve_backend(graph, backend)
-    key = ("edge_moments", concrete)
-    cache = _cache(graph)
-    moments = cache.get(key)
-    with span(
-        "intermediate.edge_moments",
-        backend=concrete,
-        n=graph.number_of_nodes,
-        m=graph.number_of_edges,
-        cache="hit" if moments is not None else "miss",
-    ):
-        counter_inc(
-            "repro_intermediate_total",
-            kind="edge_moments",
-            outcome="hit" if moments is not None else "miss",
-        )
-        if moments is None:
-            moments = dispatch("edge_degree_moments", graph, backend)(graph)
-            cache[key] = moments
-        return moments
+    return _cached(graph, "edge_moments", edge_degree_moments)
 
 
-def shared_second_order(graph: SimpleGraph, *, backend: str | None = None) -> int:
+def shared_second_order(graph: SimpleGraph) -> int:
     """The ordered-wedge degree-product total (twice S2; cached)."""
-    concrete = resolve_backend(graph, backend)
-    key = ("second_order", concrete)
-    cache = _cache(graph)
-    total = cache.get(key)
-    with span(
-        "intermediate.second_order",
-        backend=concrete,
-        n=graph.number_of_nodes,
-        m=graph.number_of_edges,
-        cache="hit" if total is not None else "miss",
-    ):
-        counter_inc(
-            "repro_intermediate_total",
-            kind="second_order",
-            outcome="hit" if total is not None else "miss",
-        )
-        if total is None:
-            total = dispatch("second_order_total", graph, backend)(graph)
-            cache[key] = total
-        return total
+    return _cached(graph, "second_order", second_order_total)
 
 
 def shared_spectrum(graph: SimpleGraph) -> tuple[float, float]:
     """``(λ_1, λ_{n-1})`` of the normalized Laplacian (cached)."""
-    cache = _cache(graph)
-    extremes = cache.get("spectrum")
-    with span(
-        "intermediate.spectrum",
-        n=graph.number_of_nodes,
-        m=graph.number_of_edges,
-        cache="hit" if extremes is not None else "miss",
-    ):
-        counter_inc(
-            "repro_intermediate_total",
-            kind="spectrum",
-            outcome="hit" if extremes is not None else "miss",
-        )
-        if extremes is None:
-            # deferred so everything else imports without scipy
-            from repro.metrics.spectrum import extreme_eigenvalues
+    # deferred: the eigensolvers import scipy.sparse.linalg
+    from repro.metrics.spectrum import extreme_eigenvalues
 
-            extremes = extreme_eigenvalues(graph)
-            cache["spectrum"] = extremes
-        return extremes
+    return _cached(graph, "spectrum", extreme_eigenvalues)
 
 
 __all__ = [

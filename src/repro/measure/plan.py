@@ -257,18 +257,17 @@ class _RunContext:
     """
 
     __slots__ = (
-        "target", "sources", "rng", "backend",
+        "target", "sources", "rng",
         "want_betweenness", "want_edge_load", "sweep_executor", "_memo",
     )
 
     def __init__(
-        self, target, *, sources, rng, backend, want_betweenness,
+        self, target, *, sources, rng, want_betweenness,
         want_edge_load=False, sweep_executor=None,
     ):
         self.target = target
         self.sources = sources
         self.rng = rng
-        self.backend = backend
         self.want_betweenness = want_betweenness
         self.want_edge_load = want_edge_load
         self.sweep_executor = sweep_executor
@@ -281,7 +280,6 @@ class _RunContext:
                 self.target,
                 sources=self.sources,
                 rng=self.rng,
-                backend=self.backend,
                 want_betweenness=self.want_betweenness,
                 want_edge_load=self.want_edge_load,
                 executor=self.sweep_executor,
@@ -349,13 +347,13 @@ class _RunContext:
         return values
 
     def triangles(self) -> list[int]:
-        return shared_triangles(self.target, backend=self.backend)
+        return shared_triangles(self.target)
 
     def edge_moments(self) -> tuple[int, int, int]:
-        return shared_edge_moments(self.target, backend=self.backend)
+        return shared_edge_moments(self.target)
 
     def second_order(self) -> int:
-        return shared_second_order(self.target, backend=self.backend)
+        return shared_second_order(self.target)
 
     def spectrum(self) -> tuple[float, float]:
         return shared_spectrum(self.target)
@@ -422,7 +420,6 @@ class MeasurementPlan:
         graph: SimpleGraph,
         *,
         rng: RngLike = None,
-        backend: str | None = None,
         sweep_executor=None,
     ) -> Measurement:
         """Measure ``graph``: every shared intermediate computed once.
@@ -436,7 +433,6 @@ class MeasurementPlan:
             target,
             sources=self.distance_sources,
             rng=rng,
-            backend=backend,
             want_betweenness="betweenness" in needed,
             want_edge_load="edge_load" in needed,
             sweep_executor=sweep_executor,

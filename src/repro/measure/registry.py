@@ -10,7 +10,7 @@ BFS sweep, not four.
 
 The formulas delegate to the exact same shared formula helpers the eager
 functions in :mod:`repro.metrics` use, which keeps planner output
-bit-identical to the standalone metric functions on every backend.
+bit-identical to the standalone metric functions.
 
 ``kind`` distinguishes scalars from richer shapes:
 

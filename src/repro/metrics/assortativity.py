@@ -23,9 +23,8 @@ def likelihood_from_moments(moments: tuple[int, int, int]) -> float:
 def assortativity_from_moments(m: int, moments: tuple[int, int, int]) -> float:
     """Newman's ``r`` from the edge-degree moments (shared formula layer).
 
-    The integer edge-degree sums come from the backend kernel; this float
-    arithmetic is shared, so both backends return the same bits (the
-    intermediate half-sums are halves of integers, exact in binary floats).
+    The integer edge-degree sums come from the moments kernel; the
+    intermediate half-sums are halves of integers, exact in binary floats.
     """
     if m == 0:
         return 0.0
@@ -45,9 +44,9 @@ def second_order_from_total(total: int) -> float:
     return 0.5 * total
 
 
-def likelihood(graph: SimpleGraph, *, backend: str | None = None) -> float:
+def likelihood(graph: SimpleGraph) -> float:
     """``S = Σ_{(u,v) in E} k_u k_v``."""
-    return likelihood_from_moments(shared_edge_moments(graph, backend=backend))
+    return likelihood_from_moments(shared_edge_moments(graph))
 
 
 def s_max_upper_bound(graph: SimpleGraph) -> float:
@@ -79,16 +78,16 @@ def normalized_likelihood(graph: SimpleGraph) -> float:
     return likelihood(graph) / bound
 
 
-def assortativity(graph: SimpleGraph, *, backend: str | None = None) -> float:
+def assortativity(graph: SimpleGraph) -> float:
     """Newman's assortativity coefficient ``r`` (Pearson correlation of
     degrees at the two ends of a randomly chosen edge)."""
     m = graph.number_of_edges
     if m == 0:
         return 0.0
-    return assortativity_from_moments(m, shared_edge_moments(graph, backend=backend))
+    return assortativity_from_moments(m, shared_edge_moments(graph))
 
 
-def second_order_likelihood(graph: SimpleGraph, *, backend: str | None = None) -> float:
+def second_order_likelihood(graph: SimpleGraph) -> float:
     """``S2``: sum of degree products over the ends of all paths of length 2.
 
     Every pair of distinct neighbours of a centre node contributes the
@@ -97,7 +96,7 @@ def second_order_likelihood(graph: SimpleGraph, *, backend: str | None = None) -
     the paper's extreme metrics).  The kernel returns the integer sum over
     *ordered* pairs; halving it here gives the unordered-pair value.
     """
-    return second_order_from_total(shared_second_order(graph, backend=backend))
+    return second_order_from_total(shared_second_order(graph))
 
 
 def second_order_likelihood_open(graph: SimpleGraph) -> float:

@@ -1,12 +1,11 @@
 """Clustering metrics: local clustering, C(k), mean clustering C̄, transitivity.
 
 Per-node triangle counts come from the shared measurement-intermediate layer
-(:mod:`repro.measure.intermediates`), which dispatches through the kernel
-backend registry and caches the single triangle pass on the graph — so
-``mean_clustering`` followed by ``transitivity`` (or a planner run asking
-for both) counts triangles once.  The counts are exact integers on every
-backend, and the coefficient arithmetic below is shared, so clustering
-values are backend-independent bit for bit.
+(:mod:`repro.measure.intermediates`), which caches the single triangle pass
+on the graph — so ``mean_clustering`` followed by ``transitivity`` (or a
+planner run asking for both) counts triangles once.  The counts are exact
+integers, and the coefficient arithmetic below is shared with the planner,
+so clustering values are the same bits on either path.
 """
 
 from __future__ import annotations
@@ -27,26 +26,22 @@ def coefficients_from_triangles(graph: SimpleGraph, triangles: list[int]) -> lis
     return values
 
 
-def local_clustering_coefficients(
-    graph: SimpleGraph, *, backend: str | None = None
-) -> list[float]:
+def local_clustering_coefficients(graph: SimpleGraph) -> list[float]:
     """Local clustering coefficient of every node (0 for degree < 2)."""
-    return coefficients_from_triangles(graph, shared_triangles(graph, backend=backend))
+    return coefficients_from_triangles(graph, shared_triangles(graph))
 
 
-def mean_clustering(graph: SimpleGraph, *, backend: str | None = None) -> float:
+def mean_clustering(graph: SimpleGraph) -> float:
     """``C̄``: mean of the local clustering coefficients over all nodes."""
     n = graph.number_of_nodes
     if n == 0:
         return 0.0
-    return sum(local_clustering_coefficients(graph, backend=backend)) / n
+    return sum(local_clustering_coefficients(graph)) / n
 
 
-def clustering_by_degree(
-    graph: SimpleGraph, *, backend: str | None = None
-) -> dict[int, float]:
+def clustering_by_degree(graph: SimpleGraph) -> dict[int, float]:
     """``C(k)``: mean local clustering of k-degree nodes (k >= 2)."""
-    coefficients = local_clustering_coefficients(graph, backend=backend)
+    coefficients = local_clustering_coefficients(graph)
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for node in graph.nodes():
@@ -68,9 +63,9 @@ def transitivity_from_triangles(graph: SimpleGraph, triangles: list[int]) -> flo
     return 3.0 * triangle_total / triples
 
 
-def transitivity(graph: SimpleGraph, *, backend: str | None = None) -> float:
+def transitivity(graph: SimpleGraph) -> float:
     """Global transitivity ``3 * triangles / (number of connected triples)``."""
-    return transitivity_from_triangles(graph, shared_triangles(graph, backend=backend))
+    return transitivity_from_triangles(graph, shared_triangles(graph))
 
 
 __all__ = [

@@ -3,13 +3,10 @@
 The distance distribution is the fraction of node pairs at each hop distance
 (the paper normalizes by ``n²`` with self-pairs included, so ``d(0) = 1/n``).
 The BFS sweep is obtained from the shared measurement-intermediate layer
-(:mod:`repro.measure.intermediates`), which dispatches the unified
-``bfs_sweep`` kernel through the backend registry — the pure-Python queue
-BFS below, or the vectorized frontier BFS of :mod:`repro.kernels.bfs` — and
-caches the exact sweep on the graph instance.  Both backends produce the
-exact same integer pair counts, so every derived float is
-backend-independent, and consecutive calls (``mean_distance`` then
-``distance_std``, say) reuse one sweep instead of traversing twice.
+(:mod:`repro.measure.intermediates`), which runs the bit-parallel BFS of
+:mod:`repro.kernels.bfs` and caches the exact sweep on the graph instance,
+so consecutive calls (``mean_distance`` then ``distance_std``, say) reuse
+one sweep instead of traversing twice.
 
 For large graphs a uniformly sampled subset of source nodes can be used;
 sources are always drawn **without replacement** (duplicate sources would
@@ -24,7 +21,6 @@ import math
 from collections import deque
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.backend import register_kernel
 from repro.measure.intermediates import shared_sweep
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -42,18 +38,6 @@ def bfs_distances(graph: SimpleGraph, source: int) -> list[int]:
                 distances[v] = next_distance
                 queue.append(v)
     return distances
-
-
-@register_kernel("bfs_histogram", "python")
-def _bfs_histogram_python(graph: SimpleGraph, source_nodes: list[int]) -> dict[int, int]:
-    """Reference BFS sweep: per-source queue BFS, counts per hop distance."""
-    histogram: dict[int, int] = {}
-    for source in source_nodes:
-        for distance in bfs_distances(graph, source):
-            if distance < 0:
-                continue
-            histogram[distance] = histogram.get(distance, 0) + 1
-    return histogram
 
 
 def sample_sources(n: int, sources: int | None, rng: RngLike = None) -> tuple[list[int], float]:
@@ -107,7 +91,6 @@ def distance_histogram(
     *,
     sources: int | None = None,
     rng: RngLike = None,
-    backend: str | None = None,
 ) -> dict[int, int]:
     """Counts of ordered node pairs at each hop distance.
 
@@ -119,7 +102,7 @@ def distance_histogram(
     """
     if graph.number_of_nodes == 0:
         return {}
-    sweep = shared_sweep(graph, sources=sources, rng=rng, backend=backend)
+    sweep = shared_sweep(graph, sources=sources, rng=rng)
     return scale_histogram(sweep.histogram, sweep.scale)
 
 
@@ -136,14 +119,13 @@ def distance_distribution(
     *,
     sources: int | None = None,
     rng: RngLike = None,
-    backend: str | None = None,
 ) -> dict[int, float]:
     """Normalized distance distribution ``d(x)`` (the paper's PDF plots).
 
     Normalized over reachable ordered pairs including self-pairs, so the
     values sum to one for a connected graph.
     """
-    histogram = distance_histogram(graph, sources=sources, rng=rng, backend=backend)
+    histogram = distance_histogram(graph, sources=sources, rng=rng)
     return distribution_from_histogram(histogram)
 
 
@@ -153,10 +135,9 @@ def mean_distance(
     sources: int | None = None,
     rng: RngLike = None,
     include_self_pairs: bool = False,
-    backend: str | None = None,
 ) -> float:
     """Average shortest-path distance ``d̄`` over reachable pairs."""
-    histogram = distance_histogram(graph, sources=sources, rng=rng, backend=backend)
+    histogram = distance_histogram(graph, sources=sources, rng=rng)
     return histogram_mean(histogram, include_self_pairs=include_self_pairs)
 
 
@@ -166,10 +147,9 @@ def distance_std(
     sources: int | None = None,
     rng: RngLike = None,
     include_self_pairs: bool = False,
-    backend: str | None = None,
 ) -> float:
     """Standard deviation ``σ_d`` of the distance distribution."""
-    histogram = distance_histogram(graph, sources=sources, rng=rng, backend=backend)
+    histogram = distance_histogram(graph, sources=sources, rng=rng)
     return histogram_std(histogram, include_self_pairs=include_self_pairs)
 
 
@@ -178,10 +158,9 @@ def diameter(
     *,
     sources: int | None = None,
     rng: RngLike = None,
-    backend: str | None = None,
 ) -> int:
     """Largest finite hop distance observed (the graph diameter when exact)."""
-    histogram = distance_histogram(graph, sources=sources, rng=rng, backend=backend)
+    histogram = distance_histogram(graph, sources=sources, rng=rng)
     return max(histogram, default=0)
 
 

@@ -22,7 +22,7 @@ Since the measurement-planner refactor, ``summarize`` is a thin veneer over
 :meth:`repro.measure.MeasurementPlan.table2`: the giant component is
 extracted once, ONE BFS sweep feeds d̄ and σ_d, one triangle pass feeds C̄
 and one edge-moments pass feeds r/S — with every value bit-identical to the
-metric-at-a-time computation on both kernel backends.
+metric-at-a-time computation.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ def summarize(
     distance_sources: int | None = None,
     compute_spectrum: bool = True,
     rng: RngLike = None,
-    backend: str | None = None,
 ) -> ScalarMetrics:
     """Compute the scalar-metric summary of ``graph``.
 
@@ -78,11 +77,6 @@ def summarize(
     compute_spectrum:
         Skip the Laplacian eigenvalues (the most expensive part for large
         graphs) when false; the two fields are then reported as 0.
-    backend:
-        Kernel backend for the heavy metrics ("python" or "csr"; see
-        :mod:`repro.kernels.backend`).  The summary values are identical on
-        every backend, so this is a pure performance knob — it must never be
-        part of a result cache key.
     """
     # deferred: repro.measure.plan imports the other metric modules
     from repro.measure.plan import MeasurementPlan
@@ -92,7 +86,7 @@ def summarize(
         use_giant_component=use_giant_component,
         distance_sources=distance_sources,
     )
-    return plan.run(graph, rng=rng, backend=backend).scalar_metrics()
+    return plan.run(graph, rng=rng).scalar_metrics()
 
 
 def average_summaries(summaries: list[ScalarMetrics]) -> ScalarMetrics:

@@ -472,7 +472,6 @@ class TopologyService:
         if distance_sources is not None:
             distance_sources = int(distance_sources)
         seed = int(body.get("seed", 0))
-        backend = self._backend(body)
 
         graph, label = self._resolve_source(body)
         if self.store is not None:
@@ -508,7 +507,6 @@ class TopologyService:
                     use_giant_component=use_giant_component,
                     distance_sources=distance_sources,
                     rng=seed,
-                    backend=backend,
                 )
                 return measurement, time.perf_counter() - start
 
@@ -532,7 +530,7 @@ class TopologyService:
 
             def compute():
                 start = time.perf_counter()
-                measurement = plan.run(graph, rng=seed, backend=backend)
+                measurement = plan.run(graph, rng=seed)
                 return measurement, time.perf_counter() - start
 
         (measurement, wall), cache = await self._keyed_compute(
@@ -581,7 +579,6 @@ class TopologyService:
         if distance_sources is not None:
             distance_sources = int(distance_sources)
         seed = int(body.get("seed", 0))
-        backend = self._backend(body)
 
         graph, label = self._resolve_source(body)
         store = self.store
@@ -645,7 +642,6 @@ class TopologyService:
                     use_giant_component=use_giant_component,
                     distance_sources=distance_sources,
                     rng=seed,
-                    backend=backend,
                 )
                 return work, stats, measurement, time.perf_counter() - start
 
@@ -659,7 +655,7 @@ class TopologyService:
             def compute():
                 start = time.perf_counter()
                 work, stats, _ = transform()
-                measurement = plan.run(work, rng=seed, backend=backend)
+                measurement = plan.run(work, rng=seed)
                 return work, stats, measurement, time.perf_counter() - start
 
         key = _local_key(
@@ -709,9 +705,10 @@ class TopologyService:
             "dk_distances",
             "generator_options",
             "scenarios",
-            "backend",
         }
     )
+    #: retired spec fields, still accepted from older clients and ignored
+    _RETIRED_SPEC_FIELDS = frozenset({"backend"})
 
     async def _handle_submit_experiment(self, request: Request) -> tuple[int, Any]:
         body = request.json()
@@ -720,6 +717,11 @@ class TopologyService:
         spec_body = body.get("spec")
         if not isinstance(spec_body, dict):
             raise HTTPError(400, "'spec' is required (an ExperimentSpec object)")
+        spec_body = {
+            name: value
+            for name, value in spec_body.items()
+            if name not in self._RETIRED_SPEC_FIELDS
+        }
         unknown = set(spec_body) - self._SPEC_FIELDS
         if unknown:
             raise HTTPError(
@@ -783,15 +785,6 @@ class TopologyService:
             "status": job.status,
             "cancelling": cancelling,
         }
-
-    @staticmethod
-    def _backend(body: dict[str, Any]) -> str | None:
-        backend = body.get("backend")
-        if backend is not None and backend not in ("python", "csr", "auto"):
-            raise HTTPError(
-                400, f"'backend' must be 'python', 'csr' or 'auto', got {backend!r}"
-            )
-        return backend
 
     # ------------------------------------------------------------------ #
     # routing and the connection loop

@@ -166,7 +166,6 @@ class ServiceClient:
         use_giant_component: bool = True,
         distance_sources: int | None = None,
         seed: int = 0,
-        backend: str | None = None,
         timeout: float | None = None,
     ) -> dict[str, Any]:
         """``POST /v1/measure``: measure a metric subset through the store."""
@@ -176,8 +175,6 @@ class ServiceClient:
             body["use_giant_component"] = False
         if distance_sources is not None:
             body["distance_sources"] = distance_sources
-        if backend is not None:
-            body["backend"] = backend
         if timeout is not None:
             body["timeout"] = timeout
         return await self._call("POST", "/v1/measure", body)
@@ -193,7 +190,6 @@ class ServiceClient:
         use_giant_component: bool = True,
         distance_sources: int | None = None,
         seed: int = 0,
-        backend: str | None = None,
         timeout: float | None = None,
     ) -> dict[str, Any]:
         """``POST /v1/workload``: routing load under an optional scenario.
@@ -216,8 +212,6 @@ class ServiceClient:
             body["use_giant_component"] = False
         if distance_sources is not None:
             body["distance_sources"] = distance_sources
-        if backend is not None:
-            body["backend"] = backend
         if timeout is not None:
             body["timeout"] = timeout
         return await self._call("POST", "/v1/workload", body)

@@ -193,7 +193,6 @@ def memoized_measure(
     distance_sources: int | None = None,
     rng: RngLike = None,
     read: bool = True,
-    backend: str | None = None,
     sweep_executor=None,
 ) -> Measurement:
     """Measure ``graph`` with metric-granular store memoization.
@@ -202,11 +201,6 @@ def memoized_measure(
     together in a single planner run (sharing intermediates — in particular
     one BFS sweep) and written back, each under its own key.  ``read=False``
     skips the lookups (forced recomputation) while still writing.
-
-    ``backend`` selects the kernel backend for the computation only: both
-    backends produce bit-identical values, so it is deliberately **not**
-    part of any cache key — a value computed with CSR kernels is served to
-    pure-Python runs and vice versa.
     """
     plan = MeasurementPlan(
         tuple(metrics),
@@ -221,7 +215,7 @@ def memoized_measure(
             m=graph.number_of_edges,
             cache="off",
         ):
-            return plan.run(graph, rng=rng, backend=backend, sweep_executor=sweep_executor)
+            return plan.run(graph, rng=rng, sweep_executor=sweep_executor)
     if graph_hash is None:
         if getattr(graph, "is_biggraph", False):
             # a BigGraph's identity is its binary CSR hash; the text
@@ -308,9 +302,7 @@ def memoized_measure(
                 use_giant_component=use_giant_component,
                 distance_sources=distance_sources,
             )
-            computed = residual.run(
-                graph, rng=rng, backend=backend, sweep_executor=sweep_executor
-            )
+            computed = residual.run(graph, rng=rng, sweep_executor=sweep_executor)
             for name in missing:
                 values[name] = computed[name]
                 entry = {
@@ -340,7 +332,6 @@ def memoized_summarize(
     compute_spectrum: bool = True,
     rng: RngLike = None,
     read: bool = True,
-    backend: str | None = None,
 ) -> ScalarMetrics:
     """Compute (or load) the Table-2 scalar summary of ``graph``.
 
@@ -360,7 +351,6 @@ def memoized_summarize(
         distance_sources=distance_sources,
         rng=rng,
         read=read,
-        backend=backend,
     )
     return measurement.scalar_metrics()
 

@@ -14,16 +14,15 @@ edge set, independent of the mutation history of the underlying
 :class:`SimpleGraph`, which keeps store-cached values content-stable.
 
 Normalized edge load is the fraction of demand pairs whose (split) routing
-crosses the edge — the same convention as
-:func:`repro.metrics.betweenness.edge_betweenness`, against which the python
-kernel is bit-identical.
+crosses the edge: :func:`repro.metrics.betweenness.edge_betweenness`, which
+shares the scaling (``finalize_edge_load``) and the sweep.
 """
 
 from __future__ import annotations
 
 from repro.graph.simple_graph import SimpleGraph
 from repro.measure.intermediates import shared_sweep
-from repro.metrics.betweenness import finalize_betweenness
+from repro.metrics.betweenness import finalize_betweenness, finalize_edge_load
 from repro.utils.rng import RngLike
 
 
@@ -32,30 +31,11 @@ def canonical_edge_order(graph: SimpleGraph) -> list[tuple[int, int]]:
     return sorted(graph.edge_list())
 
 
-def finalize_edge_load(
-    values: list[float], n: int, scale: float, *, normalized: bool
-) -> list[float]:
-    """Shared scaling of a raw per-edge Brandes accumulation.
-
-    Each undirected pair contributes from both endpoints when all sources
-    are used, hence the ``1/2``; ``scale`` is the Brandes–Pich sampling
-    factor; normalization divides by the ``n(n-1)/2`` demand pairs (the
-    undirected convention of :func:`~repro.metrics.betweenness.edge_betweenness`).
-    """
-    factor = scale / 2.0
-    out = [value * factor for value in values]
-    if normalized and n > 1:
-        norm = n * (n - 1) / 2.0
-        out = [value / norm for value in out]
-    return out
-
-
 def routing_load(
     graph: SimpleGraph,
     *,
     sources: int | None = None,
     rng: RngLike = None,
-    backend: str | None = None,
     normalized: bool = True,
 ) -> tuple[dict[tuple[int, int], float], list[float]]:
     """Eager per-edge and per-node routing load of ``graph`` (one sweep).
@@ -72,7 +52,6 @@ def routing_load(
         graph,
         sources=sources,
         rng=rng,
-        backend=backend,
         want_betweenness=True,
         want_edge_load=True,
     )

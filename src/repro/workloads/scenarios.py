@@ -4,9 +4,9 @@ A :class:`Scenario` is a small, hashable description of a failure mode —
 targeted hub removal (by degree or by routing load) or random node/edge
 failure, each with a configurable fraction.  :func:`apply_scenario` turns a
 graph into its degraded copy deterministically: given the same graph,
-scenario and rng seed it always removes the same elements, on every backend
-(the load ranking sweep is pinned to the python kernel so float summation
-order cannot reorder ties across backends).
+scenario and rng seed it always removes the same elements (loads are
+ranked at 12 significant digits, so float summation order cannot reorder
+nodes whose loads are equal by symmetry).
 
 Scenarios thread through :class:`~repro.experiment.ExperimentSpec` as a grid
 dimension, so "bottleneck load of d=0..3 reproductions before and after
@@ -112,7 +112,9 @@ def apply_scenario(
 
     ``rng`` only matters for the random failure modes; the targeted hub
     modes are rng-free (ties broken by higher degree, then lower node id,
-    so the removal set is a pure function of the graph).
+    so the removal set is a pure function of the graph).  Loads that agree
+    to 12 significant digits tie: the batched Brandes sums leave last-ulp
+    differences between nodes that symmetry makes equal.
     """
     if scenario is None:
         return graph, {"scenario": "none", "removed_nodes": 0, "removed_edges": 0}
@@ -124,14 +126,13 @@ def apply_scenario(
         if scenario.kind == "hub_degree":
             ranking = sorted(graph.nodes(), key=lambda v: (-graph.degree(v), v))
         else:
-            # raw Brandes transit load; python kernel so the ranking (and
-            # therefore the attacked graph) is identical on every backend
+            # raw Brandes transit load, compared at a fixed precision
             from repro.measure.intermediates import shared_sweep
 
-            sweep = shared_sweep(graph, backend="python", want_betweenness=True)
-            load = sweep.centrality
+            load = shared_sweep(graph, want_betweenness=True).centrality
             ranking = sorted(
-                graph.nodes(), key=lambda v: (-load[v], -graph.degree(v), v)
+                graph.nodes(),
+                key=lambda v: (-float(f"{load[v]:.12g}"), -graph.degree(v), v),
             )
         targets = ranking[:count]
         removed_nodes = len(targets)

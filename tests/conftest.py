@@ -7,6 +7,7 @@ so with ``pytest.warns`` or a ``filterwarnings`` mark of its own.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,30 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if _TESTS_DIR in Path(item.fspath).parents:
             item.add_marker(pytest.mark.filterwarnings("error"), append=False)
+
+
+@pytest.fixture
+def hold_sweep(monkeypatch):
+    """``hold_sweep(handle, joiners)``: stall measurement sweeps for a burst.
+
+    Every BFS sweep on the service ``handle`` waits until ``joiners``
+    requests have joined an in-flight computation (or 30 s pass), so a
+    coalescing test does not depend on how long the sweep itself runs.
+    """
+    from repro.measure import intermediates
+
+    real_sweep = intermediates.bfs_sweep
+
+    def hold(handle, joiners: int) -> None:
+        def held_sweep(*args, **kwargs):
+            deadline = time.monotonic() + 30.0
+            while handle.service.flights.joined < joiners and time.monotonic() < deadline:
+                time.sleep(0.002)
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(intermediates, "bfs_sweep", held_sweep)
+
+    return hold
 
 
 def build_graph(edges, n=None):

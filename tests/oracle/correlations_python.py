@@ -2,9 +2,8 @@
 
 These are the reference implementations of the degree-correlation kernels.
 They return *integer* aggregates (sums of degree products, JDD counts); the
-floating-point metric formulas live in :mod:`repro.metrics.assortativity` and
-are shared with the CSR backend, so both backends produce bit-identical
-metric values.
+floating-point metric formulas live in :mod:`repro.metrics.assortativity`,
+so these aggregates and the csr ones yield bit-identical metric values.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.backend import register_kernel
 
 
-@register_kernel("edge_degree_moments", "python")
 def edge_degree_moments(graph: SimpleGraph) -> tuple[int, int, int]:
     """``(Σ k_u·k_v, Σ (k_u+k_v), Σ (k_u²+k_v²))`` over the edges."""
     degrees = graph.degrees()
@@ -30,7 +27,6 @@ def edge_degree_moments(graph: SimpleGraph) -> tuple[int, int, int]:
     return sum_prod, sum_ends, sum_ends_sq
 
 
-@register_kernel("second_order_total", "python")
 def second_order_total(graph: SimpleGraph) -> int:
     """``Σ_v [(Σ_{u∈N(v)} k_u)² − Σ_{u∈N(v)} k_u²]`` — twice the S2 sum."""
     degrees = graph.degrees()
@@ -49,7 +45,6 @@ def second_order_total(graph: SimpleGraph) -> int:
     return total
 
 
-@register_kernel("jdd_counts", "python")
 def jdd_counts(graph: SimpleGraph) -> tuple[dict[tuple[int, int], int], int]:
     """JDD edge counts keyed by sorted degree pair, plus zero-degree nodes."""
     degrees = graph.degrees()

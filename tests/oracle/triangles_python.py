@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from repro.graph import subgraphs
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.backend import register_kernel
 
 
-@register_kernel("triangles_per_node", "python")
 def triangles_per_node(graph: SimpleGraph) -> list[int]:
     """Number of triangles each node participates in, indexed by node id."""
     return subgraphs.triangles_per_node(graph)

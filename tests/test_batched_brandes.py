@@ -3,9 +3,9 @@
 The csr ``bfs_sweep`` kernel runs Brandes on blocks of sources as dense
 matrix columns (:mod:`repro.kernels.betweenness`), on a SimpleGraph's CSR
 snapshot and on a BigGraph alike.  The python
-``bfs_sweep`` (one :func:`~repro.metrics.betweenness.brandes_source` per
-source) is the oracle: histograms must match exactly, node centrality and
-per-edge load to 1e-12 relative error.
+``bfs_sweep`` of ``tests/oracle`` (one ``brandes_source`` per source) is the
+oracle: histograms must match exactly, node centrality and per-edge load to
+1e-12 relative error.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import sweep_python
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels import backend as kernel_backend
 from repro.kernels import betweenness as batched
-from repro.kernels.backend import get_kernel, resolve_backend
-from repro.kernels.biggraph import BigGraph
+from repro.kernels.biggraph import BigGraph, bfs_sweep
+from repro.measure import intermediates
 from repro.measure.intermediates import shared_sweep
 from repro.topologies.as_level import synthetic_as_topology
 
@@ -44,11 +44,9 @@ def assert_close(values, oracle):
 
 def assert_matches_oracle(graph, sources, as_biggraph=False):
     """Run the csr sweep on ``graph`` (or its BigGraph) against python's."""
-    expected = get_kernel("bfs_sweep", "python")(graph, sources, True, True)
+    expected = sweep_python.bfs_sweep(graph, sources, True, True)
     target = BigGraph.from_simple_graph(graph) if as_biggraph else graph
-    histogram, centrality, edge_load = get_kernel("bfs_sweep", "csr")(
-        target, sources, True, True
-    )
+    histogram, centrality, edge_load = bfs_sweep(target, sources, True, True)
     assert histogram == expected[0]
     assert_close(centrality, expected[1])
     assert_close(edge_load, expected[2])
@@ -79,7 +77,7 @@ def test_block_width_does_not_change_the_result(small_blocks):
     graph = synthetic_as_topology(90, rng=8)
     narrow = assert_matches_oracle(graph, list(graph.nodes()))
     batched.BLOCK_SOURCES = 64
-    wide = get_kernel("bfs_sweep", "csr")(graph, list(graph.nodes()), True, True)
+    wide = bfs_sweep(graph, list(graph.nodes()), True, True)
     assert narrow[0] == wide[0]
     assert_close(narrow[1], wide[1])
     assert_close(narrow[2], wide[2])
@@ -123,10 +121,8 @@ def test_edgeless_graph():
 def test_node_centrality_without_edge_load():
     graph = synthetic_as_topology(80, rng=4)
     sources = list(range(0, 80, 3))
-    expected = get_kernel("bfs_sweep", "python")(graph, sources, True, False)
-    histogram, centrality, edge_load = get_kernel("bfs_sweep", "csr")(
-        graph, sources, True, False
-    )
+    expected = sweep_python.bfs_sweep(graph, sources, True, False)
+    histogram, centrality, edge_load = bfs_sweep(graph, sources, True, False)
     assert histogram == expected[0]
     assert_close(centrality, expected[1])
     assert edge_load is None
@@ -159,38 +155,31 @@ def test_block_width_is_bounded_by_scratch_memory():
 
 
 # --------------------------------------------------------------------------- #
-# the auto rule: every Brandes sweep goes to the batched kernel
+# every sweep, plain or Brandes, runs on the csr kernel at every n
 # --------------------------------------------------------------------------- #
 @pytest.fixture
 def counting_sweep(monkeypatch):
-    calls: list[tuple[str, bool]] = []
-    for name in ("python", "csr"):
-        real = get_kernel("bfs_sweep", name)
+    calls: list[tuple[int, bool]] = []
 
-        def counting(graph, sources, want_betweenness, want_edge_load=False,
-                     _real=real, _name=name):
-            calls.append((_name, want_betweenness or want_edge_load))
-            return _real(graph, sources, want_betweenness, want_edge_load)
+    def counting(graph, sources, want_betweenness, want_edge_load=False):
+        calls.append((graph.number_of_nodes, want_betweenness or want_edge_load))
+        return bfs_sweep(graph, sources, want_betweenness, want_edge_load)
 
-        monkeypatch.setitem(kernel_backend._KERNELS, ("bfs_sweep", name), counting)
+    monkeypatch.setattr(intermediates, "bfs_sweep", counting)
     return calls
 
 
 def test_auto_sends_brandes_sweeps_to_csr_at_small_n(counting_sweep):
     graph = synthetic_as_topology(50, rng=6)
-    assert graph.number_of_nodes < kernel_backend.AUTO_THRESHOLD
-    assert resolve_backend(graph, "auto") == "python"
-    assert resolve_backend(graph, "auto", brandes=True) == "csr"
-    shared_sweep(synthetic_as_topology(50, rng=6), backend="auto")
-    shared_sweep(graph, backend="auto", want_betweenness=True)
-    assert counting_sweep == [("python", False), ("csr", True)]
-    # an explicit backend is never overridden
-    assert resolve_backend(graph, "python", brandes=True) == "python"
+    plain = shared_sweep(synthetic_as_topology(50, rng=6))
+    brandes = shared_sweep(graph, want_betweenness=True)
+    assert counting_sweep == [(50, False), (50, True)]
+    assert plain.histogram == brandes.histogram
 
 
 def test_auto_histogram_request_reuses_a_cached_brandes_sweep(counting_sweep):
     graph = synthetic_as_topology(50, rng=6)
-    brandes = shared_sweep(graph, backend="auto", want_edge_load=True)
-    plain = shared_sweep(graph, backend="auto")
+    brandes = shared_sweep(graph, want_edge_load=True)
+    plain = shared_sweep(graph)
     assert plain is brandes
-    assert counting_sweep == [("csr", True)]
+    assert counting_sweep == [(50, True)]

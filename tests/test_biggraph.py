@@ -6,6 +6,7 @@ import asyncio
 
 import numpy as np
 import pytest
+from oracle import oracle_kernels
 
 import repro.graph.mmap_io as mmap_io
 from repro.kernels.biggraph import BigGraph, index_dtype
@@ -88,12 +89,10 @@ def test_table2_biggraph_matches_csr_backend(hot_small):
     from repro.measure.plan import TABLE2_CORE_METRICS, MeasurementPlan
 
     plan = MeasurementPlan(TABLE2_CORE_METRICS)
-    via_python = plan.run(hot_small.copy(), rng=np.random.default_rng(0), backend="python")
-    via_csr = plan.run(hot_small, rng=np.random.default_rng(0), backend="csr")
-    # a BigGraph resolves to the csr kernels under every backend setting
-    via_big = plan.run(
-        BigGraph.from_simple_graph(hot_small), rng=np.random.default_rng(0), backend="python"
-    )
+    with oracle_kernels():
+        via_python = plan.run(hot_small.copy(), rng=np.random.default_rng(0))
+    via_csr = plan.run(hot_small, rng=np.random.default_rng(0))
+    via_big = plan.run(BigGraph.from_simple_graph(hot_small), rng=np.random.default_rng(0))
     for name in TABLE2_CORE_METRICS:
         assert via_big[name] == via_csr[name] == via_python[name], name
 

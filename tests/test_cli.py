@@ -131,52 +131,11 @@ def test_run_experiment_rejects_unknown_topology(tmp_path):
         main(["run-experiment", "--topology", "nope", "--method", "pseudograph"])
 
 
-def test_dist_backend_flag_changes_nothing(hot_small_file, capsys):
-    assert dkdist_main([str(hot_small_file), "--no-spectrum", "--backend", "python"]) == 0
-    python_output = capsys.readouterr().out
-    assert dkdist_main([str(hot_small_file), "--no-spectrum", "--backend", "csr"]) == 0
-    assert capsys.readouterr().out == python_output
-
-
 def test_dist_rejects_unknown_backend(hot_small_file):
-    with pytest.raises(SystemExit):
-        dkdist_main([str(hot_small_file), "--backend", "gpu"])
-
-
-def test_run_experiment_backend_csr(tmp_path, capsys):
-    json_path = tmp_path / "result.json"
-    code = main(
-        [
-            "run-experiment",
-            "--topology", "hot_small",
-            "--method", "pseudograph",
-            "-d", "1",
-            "--seed", "1",
-            "--backend", "csr",
-            "--json", str(json_path),
-        ]
-    )
-    assert code == 0
-    document = json.loads(json_path.read_text())
-    assert document["spec"]["backend"] == "csr"
-    # the backend never changes metric values: rerun on the python backend
-    python_path = tmp_path / "python.json"
-    assert main(
-        [
-            "run-experiment",
-            "--topology", "hot_small",
-            "--method", "pseudograph",
-            "-d", "1",
-            "--seed", "1",
-            "--backend", "python",
-            "--json", str(python_path),
-        ]
-    ) == 0
-    capsys.readouterr()
-    python_doc = json.loads(python_path.read_text())
-    csr_metrics = [record["metrics"] for record in document["records"]]
-    python_metrics = [record["metrics"] for record in python_doc["records"]]
-    assert csr_metrics == python_metrics
+    # every metric runs on the csr kernels: there is no --backend option
+    for name in ("gpu", "csr"):
+        with pytest.raises(SystemExit):
+            dkdist_main([str(hot_small_file), "--backend", name])
 
 
 def test_dkcompare(hot_small_file, capsys):

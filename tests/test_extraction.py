@@ -90,3 +90,25 @@ def test_extraction_counts_match_graph_totals(hot_small):
     one_k = degree_distribution(hot_small)
     assert one_k.nodes == hot_small.number_of_nodes
     assert one_k.edges == hot_small.number_of_edges
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_jdd_keys_follow_edge_list_order(monkeypatch, chunk):
+    # the JDD-input generators (pseudograph, matching, rescaling) read the
+    # degree pairs in order, so the order is part of their seeded output:
+    # pairs are listed by first occurrence along graph.edges()
+    from repro.kernels import biggraph
+
+    if chunk is not None:
+        monkeypatch.setattr(biggraph, "ARC_CHUNK", chunk)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5), (5, 6)]
+    forward = joint_degree_distribution(SimpleGraph(7, edges=edges))
+    backward = joint_degree_distribution(SimpleGraph(7, edges=edges[::-1]))
+    big = joint_degree_distribution(
+        biggraph.BigGraph.from_simple_graph(SimpleGraph(7, edges=edges[::-1]))
+    )
+    assert forward == backward == big
+    assert list(forward.counts) == [(2, 3), (3, 3), (1, 2)]
+    assert list(backward.counts) == [(1, 2), (3, 3), (2, 3)]
+    # a BigGraph lists its canonical edges ascending
+    assert list(big.counts) == [(2, 3), (3, 3), (1, 2)]

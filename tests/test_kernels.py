@@ -1,26 +1,21 @@
-"""Tests of the CSR kernel engine: snapshot caching, registry, kernels."""
+"""Tests of the CSR kernel engine: snapshot caching, kernels, backend labels."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import pickle
 
 import numpy as np
+import oracle
 import pytest
+from oracle import oracle_kernels
 
+import repro
 from repro.graph.simple_graph import SimpleGraph
 from repro.graph.subgraphs import triangles_per_node as triangles_reference
-from repro.kernels import backend as backend_mod
 from repro.kernels import biggraph as biggraph_mod
-from repro.kernels.backend import (
-    AUTO_THRESHOLD,
-    BACKENDS,
-    current_backend,
-    dispatch,
-    get_kernel,
-    resolve_backend,
-    use_backend,
-)
+from repro.kernels.backend import AUTO_THRESHOLD, resolve_backend
 from repro.kernels.biggraph import BigGraph, bfs_histogram
 from repro.kernels.csr import csr_graph
 from repro.metrics.betweenness import node_betweenness
@@ -92,60 +87,52 @@ class TestCSRGraph:
 
 
 class TestBackendRegistry:
-    def test_available_backends(self):
-        assert BACKENDS == ("python", "csr")
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend(None, "biggraph")
+    """``repro.kernels.backend`` is a label shim: every graph runs on csr."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend(None, "fortran")
-        with pytest.raises(ValueError, match="unknown backend"):
-            use_backend("fortran")
+    def test_available_backends(self, mixed_graph):
+        big = BigGraph.from_simple_graph(mixed_graph)
+        assert {resolve_backend(), resolve_backend(mixed_graph), resolve_backend(big)} == {"csr"}
 
-    def test_bad_env_backend_reported_clearly(self, monkeypatch):
-        # a typo'd REPRO_BACKEND lands in _state unvalidated (validating at
-        # import time would make the package unimportable); the first
-        # resolve must surface it as a clear ValueError, not a KeyError
-        monkeypatch.setitem(backend_mod._state, "backend", "numppy")
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend(None)
+    def test_unknown_backend_rejected(self, mixed_graph):
+        # no measurement entry point takes a backend any more
+        from repro import metrics
+        from repro.measure import intermediates
+        from repro.measure.plan import MeasurementPlan
+        from repro.metrics import summary
+        from repro.store import memo
+        from repro.workloads import routing
 
-    def test_per_call_override_wins(self, mixed_graph):
-        with use_backend("csr"):
-            assert resolve_backend(mixed_graph, "python") == "python"
-        with use_backend("python"):
-            assert resolve_backend(mixed_graph, "csr") == "csr"
-
-    def test_use_backend_context_restores(self, mixed_graph):
-        before = current_backend()
-        with use_backend("csr"):
-            assert current_backend() == "csr"
-            assert resolve_backend(mixed_graph) == "csr"
-        assert current_backend() == before
+        entry_points = [
+            summary.summarize,
+            MeasurementPlan.run,
+            memo.memoized_measure,
+            memo.memoized_summarize,
+            routing.routing_load,
+            repro.ExperimentSpec,
+        ]
+        for module in (metrics, intermediates):
+            entry_points.extend(
+                getattr(module, name) for name in module.__all__
+                if callable(getattr(module, name))
+            )
+        for function in entry_points:
+            assert "backend" not in inspect.signature(function).parameters, function
+        with pytest.raises(TypeError, match="backend"):
+            summary.summarize(mixed_graph, backend="python")
 
     def test_auto_threshold(self):
-        small, large = ring(4), ring(AUTO_THRESHOLD + 1)
-        with use_backend("auto"):
-            assert resolve_backend(small) == "python"
-            assert resolve_backend(large) == "csr"
-
-    def test_unknown_kernel(self):
-        with pytest.raises(KeyError, match="no kernel"):
-            get_kernel("warp_drive", "csr")
-
-    def test_dispatch_returns_backend_impl(self, mixed_graph):
-        py = dispatch("triangles_per_node", mixed_graph, "python")
-        csr = dispatch("triangles_per_node", mixed_graph, "csr")
-        assert py is not csr
-        assert py(mixed_graph) == csr(mixed_graph)
+        small, large = ring(4), ring(1025)
+        assert AUTO_THRESHOLD == 0
+        assert resolve_backend(small) == resolve_backend(large) == "csr"
 
     @pytest.mark.parametrize("setting", ["python", "csr", "auto"])
-    def test_biggraph_always_resolves_to_csr(self, mixed_graph, setting):
+    def test_biggraph_always_resolves_to_csr(self, mixed_graph, monkeypatch, setting):
+        # a leftover REPRO_BACKEND setting changes nothing
+        monkeypatch.setenv("REPRO_BACKEND", setting)
         big = BigGraph.from_simple_graph(mixed_graph)
-        assert resolve_backend(big, setting) == "csr"
-        with use_backend(setting):
-            assert resolve_backend(big) == "csr"
+        assert resolve_backend(big) == resolve_backend(mixed_graph) == "csr"
+        summaries = [repro.summarize(g, compute_spectrum=False) for g in (big, mixed_graph)]
+        assert summaries[0] == summaries[1]
 
 
 class TestBfsKernel:
@@ -174,15 +161,16 @@ class TestBfsKernel:
 
 class TestBetweennessKernel:
     def test_matches_python_exactly_enough(self, mixed_graph):
-        py = node_betweenness(mixed_graph, backend="python")
-        csr = node_betweenness(mixed_graph, backend="csr")
+        with oracle_kernels():
+            py = node_betweenness(mixed_graph)
+        csr = node_betweenness(mixed_graph)
         assert len(py) == len(csr)
         for a, b in zip(py, csr):
             assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_star_center_dominates(self):
         star = SimpleGraph(6, edges=[(0, i) for i in range(1, 6)])
-        values = node_betweenness(star, backend="csr")
+        values = node_betweenness(star)
         assert values[0] == pytest.approx(1.0)
         assert all(v == pytest.approx(0.0) for v in values[1:])
 
@@ -218,9 +206,9 @@ def test_triangle_kernels_agree_on_random_graph():
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v)
     expected = triangles_reference(graph)
-    assert dispatch("triangles_per_node", graph, "csr")(graph) == expected
+    assert biggraph_mod.triangles_per_node(graph) == expected
     big = BigGraph.from_simple_graph(graph)
-    assert dispatch("triangles_per_node", big, "python")(big) == expected
+    assert biggraph_mod.triangles_per_node(big) == expected
 
 
 def _random_graph(n, m, seed):
@@ -263,6 +251,6 @@ def test_chunked_kernels_match_python_across_chunks(
     monkeypatch.setattr(biggraph_mod, "TRIANGLE_CANDIDATE_BUDGET", candidate_budget)
     big = BigGraph.from_simple_graph(graph)
     for name in CHUNKED_KERNELS:
-        expected = get_kernel(name, "python")(graph)
-        assert get_kernel(name, "csr")(graph) == expected, name
-        assert get_kernel(name, "csr")(big) == expected, name
+        expected = getattr(oracle, name)(graph)
+        assert getattr(biggraph_mod, name)(graph) == expected, name
+        assert getattr(biggraph_mod, name)(big) == expected, name

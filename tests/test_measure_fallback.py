@@ -1,16 +1,17 @@
-"""Measurement planner on the pure-Python backend.
+"""Measurement planner on the pure-Python oracle kernels.
 
 The planner, the shared-intermediate layer and every non-spectrum metric
-run on the python reference kernels (``bfs_sweep``, triangles,
-correlations) as well as on CSR.
+run on the python reference kernels of ``tests/oracle`` (``bfs_sweep``,
+triangles, correlations) as well as on CSR.
 """
 
 from __future__ import annotations
 
+import oracle
 import pytest
+from oracle import oracle_kernels
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels import backend as kernel_backend
 from repro.measure import MeasurementPlan, clear_measure_cache
 from repro.metrics.distances import distance_std, mean_distance
 from repro.metrics.summary import summarize
@@ -24,13 +25,13 @@ def ring_with_chords(n=24):
 @pytest.fixture
 def counting_sweep(monkeypatch):
     calls: list[bool] = []
-    real = kernel_backend.get_kernel("bfs_sweep", "python")
+    real = oracle.bfs_sweep
 
     def counting(graph, sources, want_betweenness, want_edge_load=False):
         calls.append(want_betweenness)
         return real(graph, sources, want_betweenness, want_edge_load)
 
-    monkeypatch.setitem(kernel_backend._KERNELS, ("bfs_sweep", "python"), counting)
+    monkeypatch.setattr(oracle, "bfs_sweep", counting)
     return calls
 
 
@@ -47,7 +48,8 @@ def test_plan_runs_without_numpy(counting_sweep):
             "betweenness_by_degree",
         )
     )
-    result = plan.run(graph, backend="python")
+    with oracle_kernels():
+        result = plan.run(graph)
     assert counting_sweep == [True]  # one sweep fed distances AND betweenness
     assert result["nodes"] == 24
     assert result["mean_distance"] > 0
@@ -57,14 +59,17 @@ def test_plan_runs_without_numpy(counting_sweep):
 
 def test_plan_matches_summarize_on_python_backend():
     graph = ring_with_chords()
-    summary = summarize(graph, compute_spectrum=False, backend="python")
-    clear_measure_cache(graph)
     plan = MeasurementPlan.table2(compute_spectrum=False)
-    assert plan.run(graph, backend="python").scalar_metrics().as_dict() == summary.as_dict()
+    with oracle_kernels():
+        summary = summarize(graph, compute_spectrum=False)
+        clear_measure_cache(graph)
+        measured = plan.run(graph).scalar_metrics()
+    assert measured.as_dict() == summary.as_dict()
 
 
 def test_standalone_distance_metrics_share_one_sweep(counting_sweep):
     graph = ring_with_chords()
-    mean_distance(graph, backend="python")
-    distance_std(graph, backend="python")
+    with oracle_kernels():
+        mean_distance(graph)
+        distance_std(graph)
     assert counting_sweep == [False]

@@ -7,19 +7,21 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import oracle
 import pytest
+from oracle import KERNEL_SETS, kernel_set, oracle_kernels
 
 from repro.cli import main
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.graph.components import giant_component
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels import backend as kernel_backend
 from repro.measure import (
     Measurement,
     MeasurementPlan,
     average_measurements,
     available_metrics,
     clear_measure_cache,
+    intermediates,
 )
 from repro.measure.plan import TABLE2_CORE_METRICS, is_scalar_battery
 from repro.metrics.assortativity import (
@@ -67,50 +69,49 @@ def graph_corpus():
 
 @pytest.fixture
 def counting_sweep(monkeypatch):
-    """Count ``bfs_sweep`` kernel invocations on both backends."""
+    """Count ``bfs_sweep`` kernel invocations of the csr kernels and the oracle."""
     calls: list[tuple[str, bool]] = []
-    for backend in ("python", "csr"):
-        real = kernel_backend.get_kernel("bfs_sweep", backend)
+    for module, name in ((intermediates, "csr"), (oracle, "python")):
+        real = module.bfs_sweep
 
         def counting(
             graph, sources, want_betweenness, want_edge_load=False,
-            _real=real, _name=backend,
+            _real=real, _name=name,
         ):
             calls.append((_name, want_betweenness))
             return _real(graph, sources, want_betweenness, want_edge_load)
 
-        monkeypatch.setitem(
-            kernel_backend._KERNELS, ("bfs_sweep", backend), counting
-        )
+        monkeypatch.setattr(module, "bfs_sweep", counting)
     return calls
 
 
 # --------------------------------------------------------------------------- #
-# Plan-vs-legacy equivalence: bit-identical on both backends
+# Plan-vs-legacy equivalence: bit-identical on the csr kernels and the oracle
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "graph", graph_corpus(), ids=lambda g: f"n{g.number_of_nodes}m{g.number_of_edges}"
 )
-@pytest.mark.parametrize("backend", ["python", "csr"])
+@pytest.mark.parametrize("backend", KERNEL_SETS)
 def test_plan_bit_identical_to_metric_at_a_time(graph, backend):
     # the pre-refactor summarize() computed each metric in isolation on the
     # giant component; the planner must reproduce that bit for bit
-    summary = summarize(graph, compute_spectrum=False, backend=backend)
-    clear_measure_cache(graph)  # force the planner to recompute everything
-    gcc = giant_component(graph)
-    legacy = ScalarMetrics(
-        nodes=gcc.number_of_nodes,
-        edges=gcc.number_of_edges,
-        average_degree=gcc.average_degree(),
-        assortativity=assortativity(gcc, backend=backend),
-        mean_clustering=mean_clustering(gcc, backend=backend),
-        mean_distance=mean_distance(gcc, backend=backend),
-        distance_std=distance_std(gcc, backend=backend),
-        likelihood=likelihood(gcc, backend=backend),
-        second_order_likelihood=second_order_likelihood(gcc, backend=backend),
-        lambda_1=0.0,
-        lambda_n_1=0.0,
-    )
+    with kernel_set(backend):
+        summary = summarize(graph, compute_spectrum=False)
+        clear_measure_cache(graph)  # force the planner to recompute everything
+        gcc = giant_component(graph)
+        legacy = ScalarMetrics(
+            nodes=gcc.number_of_nodes,
+            edges=gcc.number_of_edges,
+            average_degree=gcc.average_degree(),
+            assortativity=assortativity(gcc),
+            mean_clustering=mean_clustering(gcc),
+            mean_distance=mean_distance(gcc),
+            distance_std=distance_std(gcc),
+            likelihood=likelihood(gcc),
+            second_order_likelihood=second_order_likelihood(gcc),
+            lambda_1=0.0,
+            lambda_n_1=0.0,
+        )
     assert summary.as_dict() == legacy.as_dict()
 
 
@@ -128,8 +129,9 @@ def test_plan_backends_identical_for_combined_requests(graph):
             "betweenness_by_degree",
         )
     )
-    py = plan.run(graph, backend="python")
-    csr = plan.run(graph, backend="csr")
+    with oracle_kernels():
+        py = plan.run(graph)
+    csr = plan.run(graph)
     for name in ("mean_distance", "distance_std", "diameter", "transitivity"):
         assert py[name] == csr[name], name
     assert py["distance_distribution"] == csr["distance_distribution"]
@@ -142,11 +144,11 @@ def test_plan_matches_standalone_distribution_functions():
     plan = MeasurementPlan(
         ("distance_distribution", "diameter", "betweenness_by_degree", "node_betweenness")
     )
-    result = plan.run(graph, backend="python")
-    assert result["distance_distribution"] == distance_distribution(gcc, backend="python")
-    assert result["diameter"] == diameter(gcc, backend="python")
-    assert result["node_betweenness"] == node_betweenness(gcc, backend="python")
-    assert result["betweenness_by_degree"] == betweenness_by_degree(gcc, backend="python")
+    result = plan.run(graph)
+    assert result["distance_distribution"] == distance_distribution(gcc)
+    assert result["diameter"] == diameter(gcc)
+    assert result["node_betweenness"] == node_betweenness(gcc)
+    assert result["betweenness_by_degree"] == betweenness_by_degree(gcc)
     assert result["betweenness_by_degree"] != {}
 
 
@@ -167,7 +169,7 @@ def test_table2_plan_and_battery_detection():
 # --------------------------------------------------------------------------- #
 # The single-sweep guarantee (counting stub)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["python", "csr"])
+@pytest.mark.parametrize("backend", KERNEL_SETS)
 @pytest.mark.parametrize(
     "metrics, expect_betweenness",
     [
@@ -189,52 +191,53 @@ def test_table2_plan_and_battery_detection():
 )
 def test_sweep_runs_exactly_once_per_plan(counting_sweep, backend, metrics, expect_betweenness):
     graph = random_dk_graph(5)
-    MeasurementPlan(metrics).run(graph, backend=backend)
+    with kernel_set(backend):
+        MeasurementPlan(metrics).run(graph)
     assert counting_sweep == [(backend, expect_betweenness)]
 
 
 def test_standalone_mean_and_std_share_one_sweep(counting_sweep):
     graph = random_dk_graph(9)
-    a = mean_distance(graph, backend="python")
-    b = distance_std(graph, backend="python")
-    assert counting_sweep == [("python", False)]
+    a = mean_distance(graph)
+    b = distance_std(graph)
+    assert counting_sweep == [("csr", False)]
     # ... and the whole Table-2 summary on the same graph adds no sweep
-    summary = summarize(graph, compute_spectrum=False, backend="python", use_giant_component=False)
-    assert counting_sweep == [("python", False)]
+    summary = summarize(graph, compute_spectrum=False, use_giant_component=False)
+    assert counting_sweep == [("csr", False)]
     assert summary.mean_distance == a and summary.distance_std == b
 
 
 def test_betweenness_upgrades_cached_sweep_once(counting_sweep):
     graph = random_dk_graph(13)
-    mean_distance(graph, backend="python")
-    node_betweenness(graph, backend="python")
+    mean_distance(graph)
+    node_betweenness(graph)
     # the histogram-only sweep is upgraded by exactly one combined sweep ...
-    assert counting_sweep == [("python", False), ("python", True)]
+    assert counting_sweep == [("csr", False), ("csr", True)]
     # ... after which both kinds of request are cache hits
-    distance_std(graph, backend="python")
-    node_betweenness(graph, backend="python")
+    distance_std(graph)
+    node_betweenness(graph)
     assert len(counting_sweep) == 2
 
 
 def test_mutation_invalidates_cached_intermediates(counting_sweep):
     graph = random_dk_graph(17)
-    before = mean_distance(graph, backend="python")
+    before = mean_distance(graph)
     u, v = next(iter(graph.edges()))
     graph.remove_edge(u, v)
-    after = mean_distance(graph, backend="python")
+    after = mean_distance(graph)
     assert len(counting_sweep) == 2
     assert before != after
 
 
 def test_sampled_sweeps_are_not_cached_across_calls(counting_sweep):
     graph = random_dk_graph(21)
-    mean_distance(graph, sources=10, rng=1, backend="python")
-    mean_distance(graph, sources=10, rng=2, backend="python")
+    mean_distance(graph, sources=10, rng=1)
+    mean_distance(graph, sources=10, rng=2)
     assert len(counting_sweep) == 2
     # but one *plan run* draws the sample once for all sampled metrics
     counting_sweep.clear()
     plan = MeasurementPlan(("mean_distance", "distance_std"), distance_sources=10)
-    plan.run(graph, rng=3, backend="python")
+    plan.run(graph, rng=3)
     assert len(counting_sweep) == 1
 
 
@@ -279,9 +282,7 @@ def test_average_measurements():
 def test_widening_metric_set_computes_only_new_metrics(tmp_path, counting_sweep):
     graph = random_dk_graph(41)
     store = ArtifactStore(tmp_path / "store")
-    first = memoized_measure(
-        graph, store, metrics=("mean_distance", "mean_clustering"), backend="python"
-    )
+    first = memoized_measure(graph, store, metrics=("mean_distance", "mean_clustering"))
     assert store.info()["metrics"] == 2
     assert len(counting_sweep) == 1
 
@@ -289,22 +290,21 @@ def test_widening_metric_set_computes_only_new_metrics(tmp_path, counting_sweep)
     # metrics come from the store, only the new ones compute
     clone = graph.copy()
     triangle_calls = []
-    real_triangles = kernel_backend.get_kernel("triangles_per_node", "python")
+    real_triangles = intermediates.triangles_per_node
 
     def counting_triangles(g):
         triangle_calls.append(1)
         return real_triangles(g)
 
-    kernel_backend._KERNELS[("triangles_per_node", "python")] = counting_triangles
+    intermediates.triangles_per_node = counting_triangles
     try:
         widened = memoized_measure(
             clone,
             store,
             metrics=("mean_distance", "mean_clustering", "distance_std", "transitivity"),
-            backend="python",
         )
     finally:
-        kernel_backend._KERNELS[("triangles_per_node", "python")] = real_triangles
+        intermediates.triangles_per_node = real_triangles
     assert store.info()["metrics"] == 4
     # distance_std needed a sweep (mean_distance's cached value has no
     # histogram), transitivity a triangle pass; mean_clustering did NOT
@@ -320,7 +320,6 @@ def test_widening_metric_set_computes_only_new_metrics(tmp_path, counting_sweep)
         clone,
         store,
         metrics=("mean_distance", "mean_clustering", "distance_std", "transitivity"),
-        backend="python",
     )
     assert len(counting_sweep) == 2
     assert again == widened
@@ -329,9 +328,7 @@ def test_widening_metric_set_computes_only_new_metrics(tmp_path, counting_sweep)
 def test_distance_sources_only_invalidates_traversal_metrics(tmp_path):
     graph = random_dk_graph(43)
     store = ArtifactStore(tmp_path / "store")
-    memoized_measure(
-        graph, store, metrics=("mean_distance", "mean_clustering"), backend="python"
-    )
+    memoized_measure(graph, store, metrics=("mean_distance", "mean_clustering"))
     assert store.info()["metrics"] == 2
     memoized_measure(
         graph,
@@ -339,7 +336,6 @@ def test_distance_sources_only_invalidates_traversal_metrics(tmp_path):
         metrics=("mean_distance", "mean_clustering"),
         distance_sources=5,
         rng=np.random.default_rng(1),
-        backend="python",
     )
     # mean_distance got a new (sampled) entry; mean_clustering was reused
     assert store.info()["metrics"] == 3
@@ -459,7 +455,6 @@ def test_sampled_sweep_metrics_recompute_as_a_group(tmp_path):
         metrics=("mean_distance", "mean_clustering"),
         distance_sources=8,
         rng=np.random.default_rng(1),
-        backend="python",
     )
     clear_measure_cache(graph)
     widened = memoized_measure(
@@ -468,12 +463,11 @@ def test_sampled_sweep_metrics_recompute_as_a_group(tmp_path):
         metrics=("mean_distance", "distance_std", "mean_clustering"),
         distance_sources=8,
         rng=np.random.default_rng(2),
-        backend="python",
     )
     clear_measure_cache(graph)
     one_shot = MeasurementPlan(
         ("mean_distance", "distance_std"), distance_sources=8
-    ).run(graph, rng=np.random.default_rng(2), backend="python")
+    ).run(graph, rng=np.random.default_rng(2))
     # both traversal metrics come from the single rng=2 sample
     assert widened["mean_distance"] == one_shot["mean_distance"]
     assert widened["distance_std"] == one_shot["distance_std"]
@@ -487,28 +481,28 @@ def test_sampled_metrics_cached_by_different_runs_never_mix(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     memoized_measure(
         graph, store, metrics=("mean_distance",), distance_sources=8,
-        rng=np.random.default_rng(1), backend="python",
+        rng=np.random.default_rng(1),
     )
     clear_measure_cache(graph)
     memoized_measure(
         graph, store, metrics=("distance_std",), distance_sources=8,
-        rng=np.random.default_rng(2), backend="python",
+        rng=np.random.default_rng(2),
     )
     clear_measure_cache(graph)
     combined = memoized_measure(
         graph, store, metrics=("mean_distance", "distance_std"), distance_sources=8,
-        rng=np.random.default_rng(3), backend="python",
+        rng=np.random.default_rng(3),
     )
     clear_measure_cache(graph)
     one_shot = MeasurementPlan(
         ("mean_distance", "distance_std"), distance_sources=8
-    ).run(graph, rng=np.random.default_rng(3), backend="python")
+    ).run(graph, rng=np.random.default_rng(3))
     assert combined.as_dict() == one_shot.as_dict()
     # the rewritten entries now share a tag: a repeat is a pure store read
     clear_measure_cache(graph)
     again = memoized_measure(
         graph, store, metrics=("mean_distance", "distance_std"), distance_sources=8,
-        rng=np.random.default_rng(99), backend="python",
+        rng=np.random.default_rng(99),
     )
     assert again.as_dict() == combined.as_dict()
 
@@ -518,14 +512,11 @@ def test_clamped_distance_sources_cache_like_exact(tmp_path, counting_sweep):
     # widening must reuse the cached entries instead of re-sweeping
     graph = random_dk_graph(59, n=40, m=80)
     store = ArtifactStore(tmp_path / "store")
-    memoized_measure(
-        graph, store, metrics=("mean_distance",), distance_sources=10_000,
-        backend="python",
-    )
+    memoized_measure(graph, store, metrics=("mean_distance",), distance_sources=10_000)
     clone = graph.copy()
     widened = memoized_measure(
         clone, store, metrics=("mean_distance", "distance_std"),
-        distance_sources=10_000, backend="python",
+        distance_sources=10_000,
     )
     # one sweep per planner run; the widened run's sweep served distance_std
     # while mean_distance stayed a store read (no group recompute)

@@ -114,8 +114,9 @@ def test_32_concurrent_identical_requests_cost_one_generator_call(
     assert {out["cache"] for out in outs2} <= {"hit", "coalesced"}
 
 
-def test_measure_coalesces_and_then_serves_warm(service):
-    # large enough that the sweep is still in flight when the burst lands
+def test_measure_coalesces_and_then_serves_warm(service, hold_sweep):
+    # the leader's sweep is held until the rest of the burst has joined it
+    hold_sweep(service, joiners=7)
     big = [[i, (i + 1) % 500] for i in range(500)] + [
         [i, (i + 9) % 500] for i in range(500)
     ]
@@ -284,6 +285,32 @@ def test_experiment_job_cancel_is_cooperative_and_resumable(
     assert counting_generator["count"] == calls_before + (4 - detail2["progress"]["cached"])
 
 
+def test_legacy_backend_field_is_accepted_and_ignored(service, counting_generator):
+    # older clients may still name a metric backend; there is one kernel
+    # set, so measure, workload and experiment bodies ignore the field
+    body = {"metrics": ["mean_distance", "assortativity"], "edges": EDGES, "seed": 1}
+
+    async def scenario(client):
+        legacy = await client.request("POST", "/v1/measure", {**body, "backend": "python"})
+        plain = await client.request("POST", "/v1/measure", body)
+        workload = await client.request(
+            "POST", "/v1/workload", {"edges": EDGES, "backend": "python"}
+        )
+        status, job = await client.request(
+            "POST", "/v1/experiments", {"spec": {**JOB_SPEC, "backend": "python"}}
+        )
+        detail = await client.wait_for_experiment(job["id"], poll=0.05, timeout=60)
+        return legacy, plain, workload, status, detail
+
+    legacy, plain, workload, status, detail = drive(service, scenario)
+    assert legacy[0] == plain[0] == 200
+    assert legacy[1]["metrics"] == plain[1]["metrics"]
+    assert workload[0] == 200
+    assert status == 202
+    assert detail["status"] == "done"
+    assert "backend" not in detail["spec"]
+
+
 def test_unknown_job_is_404(service):
     async def scenario(client):
         with pytest.raises(RemoteServiceError) as err:
@@ -328,13 +355,9 @@ def test_experiment_pagination_rejects_junk(service):
 # --------------------------------------------------------------------------- #
 def test_workload_endpoint_applies_scenario_and_serves_warm(service):
     async def scenario(client):
-        baseline = await client.workload(edges=EDGES, backend="python")
-        attacked = await client.workload(
-            edges=EDGES, scenario="hub_degree:0.1", backend="python"
-        )
-        again = await client.workload(
-            edges=EDGES, scenario="hub_degree:0.1", backend="python"
-        )
+        baseline = await client.workload(edges=EDGES)
+        attacked = await client.workload(edges=EDGES, scenario="hub_degree:0.1")
+        again = await client.workload(edges=EDGES, scenario="hub_degree:0.1")
         return baseline, attacked, again
 
     baseline, attacked, again = drive(service, scenario)

@@ -1,7 +1,7 @@
 """Service tests without a store: HTTP framing, single-flight, stats, measure.
 
 The store-less daemon must start and serve ``/v1/measure`` and
-``/v1/workload`` through the pure-Python measurement planner, coalescing
+``/v1/workload`` through the measurement planner, coalescing
 identical concurrent requests without a store to key them.
 """
 
@@ -270,7 +270,6 @@ def test_measure_inline_edges_without_store(bare_service):
         return await client.measure(
             metrics=["average_degree", "mean_distance", "distance_distribution"],
             edges=EDGES,
-            backend="python",
         )
 
     out = scenario(bare_service, run_measure)
@@ -283,12 +282,10 @@ def test_measure_inline_edges_without_store(bare_service):
 
 def test_workload_inline_edges_without_store(bare_service):
     # the workload route (scenario transform + congestion metrics) runs
-    # end-to-end on the pure-Python planner path without a store
+    # end-to-end on the planner path without a store
     async def run_workload(client):
-        baseline = await client.workload(edges=EDGES, backend="python")
-        attacked = await client.workload(
-            edges=EDGES, scenario="hub_degree:0.1", backend="python"
-        )
+        baseline = await client.workload(edges=EDGES)
+        attacked = await client.workload(edges=EDGES, scenario="hub_degree:0.1")
         return baseline, attacked
 
     baseline, attacked = scenario(bare_service, run_workload)
@@ -301,9 +298,10 @@ def test_workload_inline_edges_without_store(bare_service):
     )
 
 
-def test_store_less_identical_requests_coalesce(bare_service):
-    # large enough that the BFS sweep is still running when the last of the
-    # burst arrives — otherwise the key leaves the table and nothing coalesces
+def test_store_less_identical_requests_coalesce(bare_service, hold_sweep):
+    # the leader's sweep is held until the rest of the burst has joined it;
+    # otherwise the key could leave the table and nothing would coalesce
+    hold_sweep(bare_service, joiners=7)
     big = [[i, (i + 1) % 400] for i in range(400)] + [
         [i, (i + 7) % 400] for i in range(400)
     ]
@@ -314,7 +312,6 @@ def test_store_less_identical_requests_coalesce(bare_service):
                 client.measure(
                     metrics=["mean_distance", "node_betweenness"],
                     edges=big,
-                    backend="python",
                     seed=4,
                 )
                 for _ in range(8)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import oracle
 import pytest
+from oracle import KERNEL_SETS, kernel_set, oracle_kernels
+from oracle.sweep_python import edge_betweenness as reference_edge_betweenness
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels import backend as kernel_backend
-from repro.measure import MeasurementPlan, clear_measure_cache
+from repro.measure import MeasurementPlan, clear_measure_cache, intermediates
 from repro.measure.intermediates import shared_sweep, shared_target
 from repro.metrics.betweenness import edge_betweenness, node_betweenness
 from repro.workloads import (
@@ -21,8 +23,6 @@ from repro.workloads import (
     routing_load,
     scenario_label,
 )
-
-BACKENDS = ("python", "csr")
 
 
 def star(n=8):
@@ -42,21 +42,27 @@ def ring_with_chords(n=24):
     return SimpleGraph(n, edges=edges)
 
 
+def grid(side):
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return SimpleGraph(side * side, edges=edges)
+
+
 @pytest.fixture
 def counting_sweep(monkeypatch):
-    """Record every ``bfs_sweep`` kernel call as ``(backend, wants)``."""
+    """Record every ``bfs_sweep`` kernel call as ``(kernel set, wants)``."""
     calls: list[tuple[str, bool, bool]] = []
-    for backend in BACKENDS:
-        real = kernel_backend.get_kernel("bfs_sweep", backend)
+    for module, name in ((intermediates, "csr"), (oracle, "python")):
+        real = module.bfs_sweep
 
         def counting(
             graph, sources, want_betweenness, want_edge_load=False,
-            _real=real, _name=backend,
+            _real=real, _name=name,
         ):
             calls.append((_name, want_betweenness, want_edge_load))
             return _real(graph, sources, want_betweenness, want_edge_load)
 
-        monkeypatch.setitem(kernel_backend._KERNELS, ("bfs_sweep", backend), counting)
+        monkeypatch.setattr(module, "bfs_sweep", counting)
     return calls
 
 
@@ -98,25 +104,31 @@ def test_effective_throughput_is_inverse_bottleneck():
     ids=["star", "path", "cycle", "chords"],
 )
 def test_edge_load_bit_identical_to_edge_betweenness(graph):
-    # the same convention as the standalone per-edge oracle, bit for bit
-    edge_load, _ = routing_load(graph, backend="python")
-    oracle = edge_betweenness(graph, normalized=True)
-    assert set(edge_load) == set(oracle)
-    for edge, value in edge_load.items():
-        assert value == oracle[edge], edge
+    # the same convention as the standalone per-edge oracle: bit for bit on
+    # the reference kernels, to 1e-12 on the batched csr kernel, which
+    # edge_betweenness and routing_load share
+    expected = reference_edge_betweenness(graph, normalized=True)
+    with oracle_kernels():
+        reference, _ = routing_load(graph)
+    edge_load, _ = routing_load(graph)
+    library = edge_betweenness(graph, normalized=True)
+    assert set(reference) == set(edge_load) == set(library) == set(expected)
+    for edge, value in reference.items():
+        assert value == expected[edge], edge
+        assert edge_load[edge] == pytest.approx(value, rel=1e-12, abs=0.0), edge
+        assert library[edge] == edge_load[edge], edge
 
 
 def test_node_load_matches_betweenness_convention():
     graph = ring_with_chords()
-    _, node_load = routing_load(graph, backend="python")
-    oracle = node_betweenness(graph, backend="python")
-    assert node_load == pytest.approx(oracle)
+    _, node_load = routing_load(graph)
+    assert node_load == pytest.approx(node_betweenness(graph))
 
 
 def test_star_load_concentrates_on_hub():
     # every demand pair routes through the hub; all edges carry equal load
     n = 8
-    edge_load, node_load = routing_load(star(n), backend="python")
+    edge_load, node_load = routing_load(star(n))
     values = list(edge_load.values())
     assert values == pytest.approx([values[0]] * len(values))
     assert node_load.index(max(node_load)) == 0
@@ -129,19 +141,19 @@ def test_star_load_concentrates_on_hub():
 
 def test_routing_load_empty_and_edgeless_graphs():
     assert routing_load(SimpleGraph(0)) == ({}, [])
-    edge_load, node_load = routing_load(SimpleGraph(4), backend="python")
+    edge_load, node_load = routing_load(SimpleGraph(4))
     assert edge_load == {}
     assert node_load == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_sampled_routing_load_is_seed_deterministic():
     graph = ring_with_chords()
-    first = routing_load(graph, sources=8, rng=11, backend="python")
+    first = routing_load(graph, sources=8, rng=11)
     clear_measure_cache(graph)
-    second = routing_load(graph, sources=8, rng=11, backend="python")
+    second = routing_load(graph, sources=8, rng=11)
     assert first == second
     clear_measure_cache(graph)
-    other = routing_load(graph, sources=8, rng=12, backend="python")
+    other = routing_load(graph, sources=8, rng=12)
     assert other != first
 
 
@@ -150,19 +162,19 @@ def test_sampled_routing_load_is_seed_deterministic():
 )
 def test_backends_bit_identical_on_dyadic_graphs(graph):
     # sigma ratios are dyadic rationals here, so float summation order
-    # cannot differ: python and csr must agree bit for bit
-    py_edges, py_nodes = routing_load(graph, backend="python")
-    clear_measure_cache(graph)
-    csr_edges, csr_nodes = routing_load(graph, backend="csr")
+    # cannot differ: the csr kernel and the oracle agree bit for bit
+    with oracle_kernels():
+        py_edges, py_nodes = routing_load(graph)
+    csr_edges, csr_nodes = routing_load(graph)
     assert py_edges == csr_edges
     assert py_nodes == csr_nodes
 
 
 def test_backends_agree_on_general_graphs():
     graph = ring_with_chords()
-    py_edges, py_nodes = routing_load(graph, backend="python")
-    clear_measure_cache(graph)
-    csr_edges, csr_nodes = routing_load(graph, backend="csr")
+    with oracle_kernels():
+        py_edges, py_nodes = routing_load(graph)
+    csr_edges, csr_nodes = routing_load(graph)
     assert csr_nodes == pytest.approx(py_nodes, abs=1e-12)
     for edge, value in py_edges.items():
         assert csr_edges[edge] == pytest.approx(value, abs=1e-12)
@@ -170,7 +182,7 @@ def test_backends_agree_on_general_graphs():
 
 def test_edge_load_by_degree_groups_by_degree_product():
     graph = star(5)  # hub degree 4, leaves degree 1 -> one group, product 4
-    edge_load, _ = routing_load(graph, backend="python")
+    edge_load, _ = routing_load(graph)
     profile = edge_load_by_degree(graph, edge_load)
     assert list(profile) == [4]
     assert profile[4] == pytest.approx(sum(edge_load.values()) / len(edge_load))
@@ -179,7 +191,7 @@ def test_edge_load_by_degree_groups_by_degree_product():
 # --------------------------------------------------------------------------- #
 # the one-sweep guarantee (the acceptance criterion)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_SETS)
 def test_betweenness_edge_load_and_congestion_share_one_sweep(counting_sweep, backend):
     graph = ring_with_chords()
     plan = MeasurementPlan(
@@ -192,7 +204,8 @@ def test_betweenness_edge_load_and_congestion_share_one_sweep(counting_sweep, ba
             "edge_load_by_degree",
         )
     )
-    measurement = plan.run(graph, backend=backend)
+    with kernel_set(backend):
+        measurement = plan.run(graph)
     assert counting_sweep == [(backend, True, True)]  # exactly ONE Brandes sweep
     edges = canonical_edge_order(graph)
     assert len(measurement["edge_load"]) == len(edges)
@@ -206,17 +219,17 @@ def test_betweenness_edge_load_and_congestion_share_one_sweep(counting_sweep, ba
 
 def test_edge_load_upgrades_cached_sweep_once(counting_sweep):
     graph = ring_with_chords()
-    MeasurementPlan(("mean_distance",)).run(graph, backend="python")
-    assert counting_sweep == [("python", False, False)]
-    MeasurementPlan(("max_edge_load",)).run(graph, backend="python")
+    MeasurementPlan(("mean_distance",)).run(graph)
+    assert counting_sweep == [("csr", False, False)]
+    MeasurementPlan(("max_edge_load",)).run(graph)
     # upgrade recomputes once; the Brandes path keeps the centrality it
     # produced even though only edge load was requested...
-    assert counting_sweep[-1] == ("python", False, True)
+    assert counting_sweep[-1] == ("csr", False, True)
     assert len(counting_sweep) == 2
     # the planner measures the (cached) giant-component copy
-    assert shared_sweep(shared_target(graph), backend="python").centrality is not None
+    assert shared_sweep(shared_target(graph)).centrality is not None
     # ...after which every workload metric is a cache read
-    MeasurementPlan(("node_betweenness", *WORKLOAD_METRICS)).run(graph, backend="python")
+    MeasurementPlan(("node_betweenness", *WORKLOAD_METRICS)).run(graph)
     assert len(counting_sweep) == 2
 
 
@@ -224,7 +237,7 @@ def test_shared_sweep_keeps_centrality_on_edge_load_requests():
     # whenever the Brandes path runs, the centrality it computed is kept:
     # a later betweenness request must not trigger another sweep
     graph = cycle(6)
-    sweep = shared_sweep(graph, backend="python", want_edge_load=True)
+    sweep = shared_sweep(graph, want_edge_load=True)
     assert sweep.centrality is not None
     assert sweep.edge_load is not None
 
@@ -285,6 +298,17 @@ def test_hub_load_attack_targets_the_transit_hub():
     assert 2 in degraded_nodes or 3 in degraded_nodes
 
 
+def test_hub_load_ties_break_by_degree_then_node_id():
+    # the four centre nodes of a 12x12 grid carry equal load by symmetry,
+    # but the summed floats differ in the last ulp; the documented rule
+    # (equal degree, then lower id) must pick 65 and 66
+    graph = grid(12)
+    attacked, stats = apply_scenario(graph, Scenario("hub_load", 0.01))
+    stripped = {v for v in graph.nodes() if attacked.degree(v) == 0}
+    assert stats["removed_nodes"] == 2
+    assert stripped == {65, 66}
+
+
 def test_random_scenarios_are_seed_deterministic():
     graph = ring_with_chords()
     for kind in ("random_node", "random_edge"):
@@ -308,9 +332,9 @@ def test_zero_fraction_removes_nothing():
 def test_attack_degrades_throughput():
     graph = ring_with_chords()
     plan = MeasurementPlan(("effective_throughput",))
-    intact = plan.run(graph, backend="python")["effective_throughput"]
+    intact = plan.run(graph)["effective_throughput"]
     attacked, _ = apply_scenario(graph, Scenario("hub_degree", 0.1))
-    degraded = plan.run(attacked, backend="python")["effective_throughput"]
+    degraded = plan.run(attacked)["effective_throughput"]
     assert degraded < intact
 
 
