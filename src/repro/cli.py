@@ -57,6 +57,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.analysis.comparison import comparison_from_experiment
@@ -79,7 +80,11 @@ from repro.measure.plan import MeasurementPlan
 from repro.measure.registry import available_metrics, get_metric_def
 from repro.metrics.summary import summarize
 from repro.rescaling.rescale import rescale_jdd
-from repro.store.artifact_store import ArtifactStore, store_process_counters
+from repro.store.artifact_store import (
+    ArtifactStore,
+    store_process_counters,
+    temporary_store,
+)
 from repro.telemetry import (
     enable_tracing,
     event_count,
@@ -700,12 +705,11 @@ def rescale_gen_main(argv: list[str] | None = None) -> int:
         parser.error("--target-n must be positive")
 
     original = _load_graph(args.input)
-    store = ArtifactStore(args.store) if args.store else None
     generator = STREAMING_GENERATORS[(args.method, args.d)]
 
-    graph = None
-    graph_key = None
-    if store is not None:
+    # without --store the run memoizes into a temporary store, removed at the end
+    opened = nullcontext(ArtifactStore(args.store)) if args.store else temporary_store()
+    with opened as store:
         graph_key = stable_hash(
             {
                 "kind": "rescale-gen",
@@ -718,63 +722,63 @@ def rescale_gen_main(argv: list[str] | None = None) -> int:
             }
         )
         graph = store.get_biggraph(graph_key)
-    generation_seconds = None
-    if graph is None:
-        # one rng stream feeds rescale + generation, so the artifact is a
-        # pure function of (input, target_n, d, method, seed)
-        rng = np.random.default_rng(args.seed)
-        started = time.perf_counter()
-        if args.d == 1:
-            rescaled = rescale_degree_distribution(
-                dk_distribution(original, 1), args.target_n, rng=rng
-            )
-        else:
-            rescaled = rescale_jdd(dk_distribution(original, 2), args.target_n, rng=rng)
-        graph = generator(rescaled, rng=rng, path=args.out, encoding=args.encoding)
-        generation_seconds = time.perf_counter() - started
-        if store is not None:
+        generation_seconds = None
+        if graph is None:
+            # one rng stream feeds rescale + generation, so the artifact is a
+            # pure function of (input, target_n, d, method, seed)
+            rng = np.random.default_rng(args.seed)
+            started = time.perf_counter()
+            if args.d == 1:
+                rescaled = rescale_degree_distribution(
+                    dk_distribution(original, 1), args.target_n, rng=rng
+                )
+            else:
+                rescaled = rescale_jdd(dk_distribution(original, 2), args.target_n, rng=rng)
+            graph = generator(rescaled, rng=rng, path=args.out, encoding=args.encoding)
+            generation_seconds = time.perf_counter() - started
             store.put_biggraph(
                 graph_key,
                 graph,
                 encoding=args.encoding,
                 metadata={"code_version": code_version()},
             )
-    rate = (
-        f", {graph.m / generation_seconds:,.0f} edges/s" if generation_seconds else ""
-    )
-    print(
-        f"rescaled {args.input} ({original.number_of_nodes} nodes) to "
-        f"{graph.n:,} nodes / {graph.m:,} edges "
-        f"({args.method} d={args.d}, {np.dtype(graph.indices.dtype).name} indices"
-        f"{rate})"
-    )
-    if graph.path is not None:
-        print(f"artifact: {graph.path}")
-
-    measurement = None
-    measure_seconds = None
-    names = metric_names if metric_names is not None else TABLE2_CORE_METRICS
-    if not args.no_measure:
-        started = time.perf_counter()
-        # the metric rng is its own stream, so a store-served graph measures
-        # identically to a freshly generated one
-        measurement = memoized_measure(
-            graph,
-            store,
-            metrics=names,
-            distance_sources=args.distance_sources,
-            rng=np.random.default_rng((args.seed, 1)),
+        rate = (
+            f", {graph.m / generation_seconds:,.0f} edges/s" if generation_seconds else ""
         )
-        measure_seconds = time.perf_counter() - started
-        print()
         print(
-            _measurement_report(
-                {"rescaled": measurement},
-                names,
-                title=f"Sampled Table-2 metrics (sources="
-                f"{args.distance_sources if args.distance_sources else 'exact'})",
-            )
+            f"rescaled {args.input} ({original.number_of_nodes} nodes) to "
+            f"{graph.n:,} nodes / {graph.m:,} edges "
+            f"({args.method} d={args.d}, {np.dtype(graph.indices.dtype).name} indices"
+            f"{rate})"
         )
+        if graph.path is not None:
+            print(f"artifact: {graph.path}")
+
+        measurement = None
+        measure_seconds = None
+        names = metric_names if metric_names is not None else TABLE2_CORE_METRICS
+        if not args.no_measure:
+            started = time.perf_counter()
+            # the metric rng is its own stream, so a store-served graph measures
+            # identically to a freshly generated one
+            measurement = memoized_measure(
+                graph,
+                store,
+                metrics=names,
+                distance_sources=args.distance_sources,
+                rng=np.random.default_rng((args.seed, 1)),
+            )
+            measure_seconds = time.perf_counter() - started
+            print()
+            print(
+                _measurement_report(
+                    {"rescaled": measurement},
+                    names,
+                    title=f"Sampled Table-2 metrics (sources="
+                    f"{args.distance_sources if args.distance_sources else 'exact'})",
+                )
+            )
+
     peak_rss = sample_peak_rss()
     print(f"\npeak RSS: {peak_rss / 2**20:,.0f} MiB")
 

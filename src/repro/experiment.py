@@ -23,7 +23,8 @@ This module makes that protocol a first-class, batch-oriented API:
   :class:`~repro.store.artifact_store.ArtifactStore`; with ``resume=True``
   (the default) an interrupted or repeated grid skips completed cells
   entirely — including across worker processes — and reuses memoized graphs
-  and metrics for cells whose measurement options changed.
+  and metrics for cells whose measurement options changed.  Without
+  ``store=`` the same path runs on a temporary store, removed at the end.
 
 Quickstart::
 
@@ -48,6 +49,7 @@ import json
 import time
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -64,7 +66,7 @@ from repro.kernels.biggraph import bfs_histogram
 from repro.measure.plan import Measurement, MeasurementPlan, is_scalar_battery
 from repro.measure.registry import available_metrics
 from repro.metrics.summary import ScalarMetrics
-from repro.store.artifact_store import ArtifactStore
+from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.store.keys import code_version, generation_key, stable_hash
 from repro.store.memo import memoized_build, memoized_measure
 from repro.store.serialize import graph_content_hash
@@ -507,7 +509,7 @@ _WORKER_READ_CACHE: bool = True
 
 def _init_worker(
     spec: ExperimentSpec,
-    store: ArtifactStore | None,
+    store: ArtifactStore,
     read_cache: bool,
     trace: bool = False,
 ) -> None:
@@ -524,9 +526,7 @@ def _init_worker(
     telemetry.reset_metrics()
 
 
-def _execute_cell_in_worker(
-    task: tuple[ExperimentCell, str | None, str | None],
-) -> RunRecord:
+def _execute_cell_in_worker(task: tuple[ExperimentCell, str, str]) -> RunRecord:
     cell, cell_key, topology_hash = task
     record = _execute_cell(
         _WORKER_SPEC,
@@ -767,17 +767,17 @@ def _execute_cell(
     spec: ExperimentSpec,
     cell: ExperimentCell,
     *,
-    store: ArtifactStore | None = None,
-    cell_key: str | None = None,
-    topology_hash: str | None = None,
+    store: ArtifactStore,
+    cell_key: str,
+    topology_hash: str,
     read_cache: bool = True,
     sweep_executor: Callable[[Any, Sequence[int]], dict[int, int] | None] | None = None,
 ) -> RunRecord:
     """Run one cell: build the graph, measure it, return the record.
 
-    With a ``store``, generation and metrics are memoized at their own
-    content keys and the finished record is written as a cell manifest, so
-    another process (or a later run) can skip this cell entirely.
+    Generation and metrics are memoized in ``store`` at their own content
+    keys and the finished record is written as a cell manifest, so another
+    process (or a later run) can skip this cell entirely.
     """
     with telemetry.span(
         "experiment.cell",
@@ -807,16 +807,13 @@ def _execute_cell_impl(
     spec: ExperimentSpec,
     cell: ExperimentCell,
     *,
-    store: ArtifactStore | None = None,
-    cell_key: str | None = None,
-    topology_hash: str | None = None,
+    store: ArtifactStore,
+    cell_key: str,
+    topology_hash: str,
     read_cache: bool = True,
     sweep_executor: Callable[[Any, Sequence[int]], dict[int, int] | None] | None = None,
 ) -> RunRecord:
     original = _resolve_topology(spec.topologies[cell.topology_index])
-    if store is not None and topology_hash is None:
-        topology_hash = _topology_content_hash(original)
-
     graph_key = None
     if cell.method == ORIGINAL_METHOD:
         graph = original
@@ -826,30 +823,19 @@ def _execute_cell_impl(
     else:
         generator = get_generator(cell.method)
         options = spec.generator_options.get(cell.method, {})
-        if store is not None:
-            generated = memoized_build(
-                generator,
-                original,
-                cell.d,
-                seed=cell.seed,
-                store=store,
-                options=options,
-                source_hash=topology_hash,
-                read=read_cache,
-            )
-            graph_key = generation_key(cell.method, options, cell.seed, topology_hash, d=cell.d)
-        else:
-            with telemetry.span(
-                "generate", method=cell.method, d=cell.d, seed=cell.seed
-            ):
-                generated = generator.build(
-                    original,
-                    cell.d,
-                    rng=np.random.default_rng(cell.seed),
-                    **options,
-                )
+        generated = memoized_build(
+            generator,
+            original,
+            cell.d,
+            seed=cell.seed,
+            store=store,
+            options=options,
+            source_hash=topology_hash,
+            read=read_cache,
+        )
+        graph_key = generation_key(cell.method, options, cell.seed, topology_hash, d=cell.d)
         graph = generated.graph
-        graph_hash = generated.content_hash  # set iff a store was involved
+        graph_hash = generated.content_hash
         stats = generated.stats
         wall_time = generated.wall_time
 
@@ -863,7 +849,7 @@ def _execute_cell_impl(
             graph, cell.scenario, rng=np.random.default_rng((cell.seed, 2))
         )
         stats = {**stats, "scenario": scenario_stats}
-        graph_hash = graph_content_hash(graph) if store is not None else None
+        graph_hash = graph_content_hash(graph)
 
     metrics = None
     measured = None
@@ -905,11 +891,10 @@ def _execute_cell_impl(
         scenario=scenario_label(cell.scenario) if cell.scenario is not None else None,
         graph=graph if spec.keep_graphs else None,
     )
-    if store is not None and cell_key is not None:
-        store.put_cell(
-            cell_key,
-            {"code_version": code_version(), "graph_key": graph_key, "row": record.to_row()},
-        )
+    store.put_cell(
+        cell_key,
+        {"code_version": code_version(), "graph_key": graph_key, "row": record.to_row()},
+    )
     return record
 
 
@@ -940,7 +925,9 @@ def run_experiment(
     performs zero generator calls — and partially matching work (the same
     generated graph under different measurement options, the same graph
     measured in another grid) is reused at the graph/metric level.
-    ``resume=False`` recomputes everything and refreshes the store.
+    ``resume=False`` recomputes everything and refreshes the store.  Without
+    a ``store`` the grid runs on a temporary one, removed when this call
+    returns or raises.
 
     ``cancel`` is an optional :class:`threading.Event`-like object (anything
     with ``is_set()``) polled between cells: when it becomes set, no further
@@ -949,7 +936,7 @@ def run_experiment(
     :class:`~repro.exceptions.ExperimentInterrupted` is raised carrying the
     partial :class:`ExperimentResult`.  A :class:`KeyboardInterrupt` is
     handled the same way (``reason="interrupt"``) instead of leaving pool
-    workers mid-cell; either way a store-backed grid stays resumable.
+    workers mid-cell; either way a grid on the caller's store stays resumable.
     ``on_cell(done, total)`` is invoked after the resume scan and after each
     completed cell — the progress feed of the topology service's job manager.
 
@@ -961,80 +948,84 @@ def run_experiment(
        ``register_generator`` call in an imported module, or run with
        ``workers=1``.
     """
+    # only a caller's store outlives this call, so only it makes an
+    # interrupted grid resumable
+    resumable = store is not None
     with telemetry.span(
         "experiment.run", name=spec.name, workers=max(1, workers)
     ) as sp:
-        result = _run_experiment(
-            spec,
-            workers=workers,
-            store=store,
-            resume=resume,
-            cancel=cancel,
-            on_cell=on_cell,
-        )
+        for method in spec.methods:
+            get_generator(method)  # fail fast on unknown methods
+        cells = spec.cells()
+        if not cells:
+            raise ExperimentError(
+                "the experiment grid is empty (no method supports the requested d levels)"
+            )
+        with nullcontext(store) if resumable else temporary_store() as opened:
+            result = _run_experiment(
+                spec,
+                cells,
+                workers=workers,
+                store=ArtifactStore.coerce(opened),
+                resume=resume,
+                resumable=resumable,
+                cancel=cancel,
+                on_cell=on_cell,
+            )
         sp.set(cells=len(result.records), cached_cells=result.cached_cells)
         return result
 
 
 def _run_experiment(
     spec: ExperimentSpec,
+    cells: list[ExperimentCell],
     *,
     workers: int,
-    store: ArtifactStore | str | Path | None,
+    store: ArtifactStore,
     resume: bool,
+    resumable: bool,
     cancel: Any | None,
     on_cell: Callable[[int, int], None] | None,
 ) -> ExperimentResult:
-    for method in spec.methods:
-        get_generator(method)  # fail fast on unknown methods
-    cells = spec.cells()
-    if not cells:
-        raise ExperimentError(
-            "the experiment grid is empty (no method supports the requested d levels)"
-        )
-    store = ArtifactStore.coerce(store)
     start = time.perf_counter()
 
     records: list[RunRecord | None] = [None] * len(cells)
-    pending: list[tuple[int, tuple[ExperimentCell, str | None, str | None]]] = []
-    if store is None:
-        pending = [(index, (cell, None, None)) for index, cell in enumerate(cells)]
-    else:
-        topology_hashes: dict[int, str] = {}
-        originals: dict[int, SimpleGraph] = {}
-        for index, cell in enumerate(cells):
-            topo_hash = topology_hashes.get(cell.topology_index)
-            if topo_hash is None:
-                originals[cell.topology_index] = _resolve_topology(
-                    spec.topologies[cell.topology_index]
-                )
-                topo_hash = _topology_content_hash(originals[cell.topology_index])
-                topology_hashes[cell.topology_index] = topo_hash
-            cell_key = _cell_cache_key(spec, cell, topo_hash)
-            if resume:
-                manifest = store.get_cell(cell_key)
-                if manifest is not None:
-                    # a cached cell still gets its span (with cache="hit"), so
-                    # a warm rerun's trace shows where every cell came from
-                    with telemetry.span(
-                        "experiment.cell",
-                        topology=cell.topology,
-                        method=cell.method,
-                        d=cell.d,
-                        replicate=cell.replicate,
-                        cache="hit",
-                    ) as cell_span:
-                        record = _record_from_cell_manifest(
-                            spec, cell, manifest, store, originals[cell.topology_index]
+    pending: list[tuple[int, tuple[ExperimentCell, str, str]]] = []
+    topology_hashes: dict[int, str] = {}
+    originals: dict[int, SimpleGraph] = {}
+    for index, cell in enumerate(cells):
+        topo_hash = topology_hashes.get(cell.topology_index)
+        if topo_hash is None:
+            originals[cell.topology_index] = _resolve_topology(
+                spec.topologies[cell.topology_index]
+            )
+            topo_hash = _topology_content_hash(originals[cell.topology_index])
+            topology_hashes[cell.topology_index] = topo_hash
+        cell_key = _cell_cache_key(spec, cell, topo_hash)
+        if resume:
+            manifest = store.get_cell(cell_key)
+            if manifest is not None:
+                # a cached cell still gets its span (with cache="hit"), so
+                # a warm rerun's trace shows where every cell came from
+                with telemetry.span(
+                    "experiment.cell",
+                    topology=cell.topology,
+                    method=cell.method,
+                    d=cell.d,
+                    replicate=cell.replicate,
+                    cache="hit",
+                ) as cell_span:
+                    record = _record_from_cell_manifest(
+                        spec, cell, manifest, store, originals[cell.topology_index]
+                    )
+                    if record is not None:
+                        records[index] = record
+                        telemetry.counter_inc(
+                            "repro_experiment_cells_total", outcome="cached"
                         )
-                        if record is not None:
-                            records[index] = record
-                            telemetry.counter_inc(
-                                "repro_experiment_cells_total", outcome="cached"
-                            )
-                            continue
-                        cell_span.set(cache="stale")
-            pending.append((index, (cell, cell_key, topo_hash)))
+                        continue
+                    cell_span.set(cache="stale")
+        pending.append((index, (cell, cell_key, topo_hash)))
 
     cached_cells = len(cells) - len(pending)
     completed = cached_cells
@@ -1052,7 +1043,7 @@ def _run_experiment(
         )
         hint = (
             "; completed cells are in the store, re-run with resume=True to continue"
-            if store is not None
+            if resumable
             else ""
         )
         return ExperimentInterrupted(

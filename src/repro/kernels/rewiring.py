@@ -1409,6 +1409,9 @@ def randomize(
     the chain performs ``multiplier * m`` accepted dK-preserving moves (or
     stops at the attempt budget), records the unified
     ``attempted/accepted/converged`` stats, and warns when the budget binds.
+    A chain that accepts nothing because the graph has no valid dK-preserving
+    move at all reports ``stats["frozen"] = True`` instead of warning: no
+    budget can help it.
     """
     if d not in (0, 1, 2, 3):
         raise ValueError(f"dK-randomizing rewiring is implemented for d in 0..3, got {d}")
@@ -1437,11 +1440,26 @@ def randomize(
         state.build_buckets()
         accepted, attempted = _chain_3k(state, rng, target, budget, batch_size)
 
+    frozen = False
+    if accepted == 0:
+        # imported here because the counting module builds on this engine;
+        # the count costs as much as a Table-5 row, so it only runs to tell
+        # a frozen dK-space from an unlucky chain
+        from repro.generators.rewiring.counting import count_dk_rewirings
+
+        frozen = count_dk_rewirings(graph, d).total == 0
     record_chain_stats(
-        stats, label=label, target=target, accepted=accepted, attempted=attempted
+        stats,
+        label=label,
+        target=target,
+        accepted=accepted,
+        attempted=attempted,
+        warn=not frozen,
     )
     if stats is not None:
         stats["engine"] = ENGINE_NAME
+        if frozen:
+            stats["frozen"] = True
     return state.to_graph()
 
 

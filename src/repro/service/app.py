@@ -41,20 +41,21 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import hashlib
 import json
 import logging
 import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.exceptions import ExperimentError, ServiceError, StoreError
+from repro.generators.registry import json_safe
 from repro.graph.simple_graph import SimpleGraph
-from repro.measure.plan import MeasurementPlan, encode_metric_value
+from repro.measure.plan import encode_metric_value
 from repro.measure.registry import available_metrics
 from repro.service.coalesce import SingleFlight
 from repro.service.httputil import (
@@ -66,39 +67,13 @@ from repro.service.httputil import (
 )
 from repro.service.jobs import JobManager
 from repro.service.stats import ServiceStats
+from repro.store.artifact_store import ArtifactStore, temporary_store
+from repro.store.keys import generation_key, stable_hash
+from repro.store.memo import measure_entry_keys, memoized_build, memoized_measure
+from repro.store.serialize import graph_content_hash
 from repro.telemetry import counter_value, render_prometheus, span
 
 log = logging.getLogger("repro.service")
-
-
-def _json_safe(value: Any) -> Any:
-    """Import-light twin of :func:`repro.generators.registry.json_safe`.
-
-    The service defers importing the generator registry (and every generator
-    module behind it) to the first generate request; duck-typing on
-    ``tolist``/``item`` coerces NumPy scalars without it.
-    """
-    if isinstance(value, dict):
-        return {str(key): _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted((_json_safe(item) for item in value), key=repr)
-    if isinstance(value, bool):
-        return value
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if hasattr(value, "item"):
-        return value.item()
-    return value
-
-
-def _local_key(payload: Any) -> str:
-    """Coalescing key for store-less deployments (a stable JSON hash)."""
-    canonical = json.dumps(
-        _json_safe(payload), sort_keys=True, separators=(",", ":"), default=repr
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -108,7 +83,8 @@ class ServiceConfig:
     ``workers`` compute threads serve generate/measure requests; at most
     ``queue_depth`` additional computations may be queued behind them before
     admission control starts answering ``503 Retry-After`` — the graceful
-    degradation point under overload.  Experiment grids run on their own
+    degradation point under overload.  Without a ``store`` the daemon runs
+    on a temporary one that lives until :meth:`TopologyService.stop`.  Experiment grids run on their own
     ``max_jobs``-bounded job threads so long sweeps never starve the
     interactive pool.
     """
@@ -131,7 +107,13 @@ class TopologyService:
         self.config = config or ServiceConfig()
         self.stats = ServiceStats()
         self.flights = SingleFlight()
-        self.store = self._open_store(self.config.store)
+        # owns the temporary store of a daemon started without one
+        self._resources = ExitStack()
+        self.store = (
+            ArtifactStore.coerce(self.config.store)
+            if self.config.store
+            else self._resources.enter_context(temporary_store())
+        )
         self.jobs = JobManager(self.store, max_active=self.config.max_jobs)
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-compute"
@@ -142,17 +124,9 @@ class TopologyService:
         self._topologies: dict[str, SimpleGraph] = {}
         self._topology_hashes: dict[str, str] = {}
         # degraded-graph cache of /v1/workload: (source, scenario, seed) ->
-        # (graph, stats, content_hash | None); bounded FIFO
-        self._degraded: dict[tuple, tuple[SimpleGraph, dict, str | None]] = {}
+        # (graph, stats, content_hash); bounded FIFO
+        self._degraded: dict[tuple, tuple[SimpleGraph, dict, str]] = {}
         self._routes = self._build_routes()
-
-    @staticmethod
-    def _open_store(store: str | Path | None):
-        if store is None:
-            return None
-        from repro.store.artifact_store import ArtifactStore
-
-        return ArtifactStore.coerce(store)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -169,12 +143,17 @@ class TopologyService:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, cancel jobs cooperatively, drain the pool."""
+        """Stop accepting, cancel jobs, drain the pool, drop a temporary store."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await asyncio.get_running_loop().run_in_executor(None, self.jobs.shutdown)
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self.jobs.shutdown)
+        # running computations finish (and write) before a temporary store goes
+        await loop.run_in_executor(
+            None, lambda: self._pool.shutdown(wait=True, cancel_futures=True)
+        )
+        self._resources.close()
 
     # ------------------------------------------------------------------ #
     # admission + coalescing + timeout: the request execution spine
@@ -283,12 +262,26 @@ class TopologyService:
             cached = self._topology_hashes.get(label)
             if cached is not None:
                 return cached
-        from repro.store.serialize import graph_content_hash
-
         digest = graph_content_hash(graph)
         if label is not None:
             self._topology_hashes[label] = digest
         return digest
+
+    def _metrics_warm(
+        self,
+        graph_hash: str,
+        metrics: tuple[str, ...],
+        use_giant_component: bool,
+        distance_sources: int | None,
+    ) -> bool:
+        """Whether the store already holds every requested metric of the graph."""
+        entry_keys = measure_entry_keys(
+            graph_hash,
+            metrics,
+            use_giant_component=use_giant_component,
+            distance_sources=distance_sources,
+        )
+        return all(self.store.get_metric(k) is not None for k in entry_keys.values())
 
     # ------------------------------------------------------------------ #
     # handlers
@@ -299,7 +292,7 @@ class TopologyService:
         return 200, {
             "status": "ok",
             "version": repro.__version__,
-            "store": None if self.store is None else str(self.store.root),
+            "store": str(self.store.root),
             "uptime_s": round(time.time() - self.stats.started, 3),
         }
 
@@ -367,8 +360,6 @@ class TopologyService:
         return 200, TextResponse(render_prometheus())
 
     async def _handle_store_info(self, request: Request) -> tuple[int, Any]:
-        if self.store is None:
-            return 200, {"store": None, "message": "service running without a store"}
         loop = asyncio.get_running_loop()
         info = await loop.run_in_executor(None, self.store.info_dict)
         return 200, info
@@ -379,7 +370,6 @@ class TopologyService:
             UnknownGeneratorError,
             UnsupportedLevelError,
             get_generator,
-            json_safe,
         )
 
         method = body.get("method")
@@ -400,41 +390,20 @@ class TopologyService:
             raise HTTPError(400, str(error)) from None
 
         graph, label = self._resolve_source(body)
-        if self.store is not None:
-            from repro.store.keys import generation_key
-            from repro.store.memo import memoized_build
+        source_hash = self._content_hash(graph, label)
+        key = generation_key(method, options, seed, source_hash, d=d)
+        warm = self.store.has_graph(key)
 
-            source_hash = self._content_hash(graph, label)
-            key = generation_key(method, options, seed, source_hash, d=d)
-            warm = self.store.has_graph(key)
-            store = self.store
-
-            def compute():
-                return memoized_build(
-                    spec,
-                    graph,
-                    d,
-                    seed=seed,
-                    store=store,
-                    options=options,
-                    source_hash=source_hash,
-                )
-
-        else:
-            key = _local_key(
-                {
-                    "kind": "service-generate",
-                    "source": label or _edges_digest(graph),
-                    "method": method,
-                    "d": d,
-                    "seed": seed,
-                    "options": options,
-                }
+        def compute():
+            return memoized_build(
+                spec,
+                graph,
+                d,
+                seed=seed,
+                store=self.store,
+                options=options,
+                source_hash=source_hash,
             )
-            warm = False
-
-            def compute():
-                return spec.build(graph, d, rng=seed, **options)
 
         result, cache = await self._keyed_compute(key, warm, compute, self._timeout(body))
         payload = {
@@ -474,70 +443,39 @@ class TopologyService:
         seed = int(body.get("seed", 0))
 
         graph, label = self._resolve_source(body)
-        if self.store is not None:
-            from repro.store.memo import measure_entry_keys, memoized_measure
+        graph_hash = self._content_hash(graph, label)
+        warm = self._metrics_warm(
+            graph_hash, metrics, use_giant_component, distance_sources
+        )
+        key = stable_hash(
+            {
+                "kind": "service-measure",
+                "graph": graph_hash,
+                "metrics": sorted(metrics),
+                "use_giant_component": use_giant_component,
+                "distance_sources": distance_sources,
+                "seed": seed,
+            }
+        )
 
-            graph_hash = self._content_hash(graph, label)
-            entry_keys = measure_entry_keys(
-                graph_hash,
-                metrics,
+        def compute():
+            start = time.perf_counter()
+            measurement = memoized_measure(
+                graph,
+                self.store,
+                metrics=metrics,
+                graph_hash=graph_hash,
                 use_giant_component=use_giant_component,
                 distance_sources=distance_sources,
+                rng=seed,
             )
-            store = self.store
-            warm = all(store.get_metric(k) is not None for k in entry_keys.values())
-            key = _local_key(
-                {
-                    "kind": "service-measure",
-                    "graph": graph_hash,
-                    "metrics": sorted(metrics),
-                    "use_giant_component": use_giant_component,
-                    "distance_sources": distance_sources,
-                    "seed": seed,
-                }
-            )
-
-            def compute():
-                start = time.perf_counter()
-                measurement = memoized_measure(
-                    graph,
-                    store,
-                    metrics=metrics,
-                    graph_hash=graph_hash,
-                    use_giant_component=use_giant_component,
-                    distance_sources=distance_sources,
-                    rng=seed,
-                )
-                return measurement, time.perf_counter() - start
-
-        else:
-            plan = MeasurementPlan(
-                metrics,
-                use_giant_component=use_giant_component,
-                distance_sources=distance_sources,
-            )
-            key = _local_key(
-                {
-                    "kind": "service-measure",
-                    "source": label or _edges_digest(graph),
-                    "metrics": sorted(metrics),
-                    "use_giant_component": use_giant_component,
-                    "distance_sources": distance_sources,
-                    "seed": seed,
-                }
-            )
-            warm = False
-
-            def compute():
-                start = time.perf_counter()
-                measurement = plan.run(graph, rng=seed)
-                return measurement, time.perf_counter() - start
+            return measurement, time.perf_counter() - start
 
         (measurement, wall), cache = await self._keyed_compute(
             key, warm, compute, self._timeout(body)
         )
         values = {
-            name: _json_safe(encode_metric_value(name, measurement[name]))
+            name: json_safe(encode_metric_value(name, measurement[name]))
             for name in metrics
         }
         return 200, {
@@ -581,14 +519,10 @@ class TopologyService:
         seed = int(body.get("seed", 0))
 
         graph, label = self._resolve_source(body)
-        store = self.store
-        if store is not None:
-            source_id = self._content_hash(graph, label)
-        else:
-            source_id = label or _edges_digest(graph)
+        source_id = self._content_hash(graph, label)
         degraded_key = (source_id, scenario_label(scenario), scenario_seed)
 
-        def transform() -> tuple[SimpleGraph, dict | None, str | None]:
+        def transform() -> tuple[SimpleGraph, dict | None, str]:
             """The graph to measure: ``(graph, scenario_stats, content_hash)``.
 
             Degraded graphs are cached in-process so repeated scenario
@@ -596,69 +530,38 @@ class TopologyService:
             transform and — for ``hub_load`` — its ranking sweep.
             """
             if scenario is None:
-                return graph, None, source_id if store is not None else None
+                return graph, None, source_id
             entry = self._degraded.get(degraded_key)
             if entry is None:
                 degraded, stats = apply_scenario(graph, scenario, rng=scenario_seed)
-                digest = None
-                if store is not None:
-                    from repro.store.serialize import graph_content_hash
-
-                    digest = graph_content_hash(degraded)
                 if len(self._degraded) >= 32:
                     self._degraded.pop(next(iter(self._degraded)))
-                entry = (degraded, stats, digest)
+                entry = (degraded, stats, graph_content_hash(degraded))
                 self._degraded[degraded_key] = entry
             return entry
 
-        warm = False
-        if store is not None:
-            from repro.store.memo import measure_entry_keys, memoized_measure
+        cached_entry = (
+            (graph, None, source_id) if scenario is None else self._degraded.get(degraded_key)
+        )
+        warm = cached_entry is not None and self._metrics_warm(
+            cached_entry[2], metrics, use_giant_component, distance_sources
+        )
 
-            cached_entry = (
-                (graph, None, source_id)
-                if scenario is None
-                else self._degraded.get(degraded_key)
-            )
-            if cached_entry is not None and cached_entry[2] is not None:
-                entry_keys = measure_entry_keys(
-                    cached_entry[2],
-                    metrics,
-                    use_giant_component=use_giant_component,
-                    distance_sources=distance_sources,
-                )
-                warm = all(
-                    store.get_metric(k) is not None for k in entry_keys.values()
-                )
-
-            def compute():
-                start = time.perf_counter()
-                work, stats, work_hash = transform()
-                measurement = memoized_measure(
-                    work,
-                    store,
-                    metrics=metrics,
-                    graph_hash=work_hash,
-                    use_giant_component=use_giant_component,
-                    distance_sources=distance_sources,
-                    rng=seed,
-                )
-                return work, stats, measurement, time.perf_counter() - start
-
-        else:
-            plan = MeasurementPlan(
-                metrics,
+        def compute():
+            start = time.perf_counter()
+            work, stats, work_hash = transform()
+            measurement = memoized_measure(
+                work,
+                self.store,
+                metrics=metrics,
+                graph_hash=work_hash,
                 use_giant_component=use_giant_component,
                 distance_sources=distance_sources,
+                rng=seed,
             )
+            return work, stats, measurement, time.perf_counter() - start
 
-            def compute():
-                start = time.perf_counter()
-                work, stats, _ = transform()
-                measurement = plan.run(work, rng=seed)
-                return work, stats, measurement, time.perf_counter() - start
-
-        key = _local_key(
+        key = stable_hash(
             {
                 "kind": "service-workload",
                 "source": source_id,
@@ -674,14 +577,14 @@ class TopologyService:
             key, warm, compute, self._timeout(body)
         )
         values = {
-            name: _json_safe(encode_metric_value(name, measurement[name]))
+            name: json_safe(encode_metric_value(name, measurement[name]))
             for name in metrics
         }
         return 200, {
             "key": key,
             "cache": cache,
             "scenario": scenario_label(scenario),
-            "scenario_stats": _json_safe(stats),
+            "scenario_stats": json_safe(stats),
             "nodes": work.number_of_nodes,
             "edges_count": work.number_of_edges,
             "metrics": values,
@@ -927,11 +830,6 @@ class TopologyService:
         return request.keep_alive
 
 
-def _edges_digest(graph: SimpleGraph) -> str:
-    """Cheap canonical digest of an inline-edges source (no store needed)."""
-    return _local_key({"n": graph.number_of_nodes, "edges": sorted(graph.edges())})
-
-
 class ServiceThread:
     """A daemon running on its own event loop in a background thread.
 
@@ -966,6 +864,8 @@ class ServiceThread:
             self.port = self.service.port
         except BaseException as error:  # noqa: BLE001 - reported to start()
             self._error = error
+            if self.service is not None:
+                await self.service.stop()  # drops a temporary store
             self._ready.set()
             return
         self._ready.set()
@@ -1047,14 +947,14 @@ def serve_main(argv: list[str] | None = None) -> int:
 
     async def _serve() -> None:
         service = TopologyService(config)
-        await service.start()
-        store_note = f", store {config.store}" if config.store else ", no store"
-        print(
-            f"repro service listening on http://{config.host}:{service.port}"
-            f"{store_note} ({config.workers} workers, queue {config.queue_depth})",
-            flush=True,
-        )
         try:
+            await service.start()
+            print(
+                f"repro service listening on http://{config.host}:{service.port}"
+                f", store {service.store.root}"
+                f" ({config.workers} workers, queue {config.queue_depth})",
+                flush=True,
+            )
             await service.serve_forever()
         except asyncio.CancelledError:
             pass

@@ -95,7 +95,7 @@ class Job:
 class JobManager:
     """Bounded registry of background experiment jobs."""
 
-    def __init__(self, store: Any | None, *, max_active: int = 4, max_history: int = 100):
+    def __init__(self, store: Any, *, max_active: int = 4, max_history: int = 100):
         self._store = store
         self._max_active = max_active
         self._max_history = max_history

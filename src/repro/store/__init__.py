@@ -9,7 +9,8 @@ content key:
 * :mod:`repro.store.keys` — stable SHA-256 cache keys folding in the code
   version;
 * :mod:`repro.store.artifact_store` — :class:`ArtifactStore`, the on-disk
-  content-addressed store with atomic, lock-free concurrent writes;
+  content-addressed store with atomic, lock-free concurrent writes, and
+  :func:`temporary_store`, the throwaway store of store-less runs;
 * :mod:`repro.store.memo` — :func:`memoized_build` /
   :func:`memoized_measure` / :func:`memoized_summarize` facades over the
   generator registry and the measurement planner, with metric-granular
@@ -17,12 +18,13 @@ content key:
   metrics).
 
 :func:`repro.experiment.run_experiment` accepts ``store=`` / ``resume=`` to
-persist per-cell manifests and skip completed cells; the ``repro`` CLI
+persist per-cell manifests and skip completed cells (without ``store=`` it
+runs on a temporary store); the ``repro`` CLI
 exposes the same via ``run-experiment --store DIR --resume`` and the
 ``cache {info,gc,clear}`` maintenance commands.
 """
 
-from repro.store.artifact_store import ArtifactStore
+from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.store.keys import code_version, generation_key, metric_key, stable_hash
 from repro.store.memo import (
     measure_entry_keys,
@@ -52,5 +54,6 @@ __all__ = [
     "graph_from_bytes",
     "graph_to_bytes",
     "read_graph_artifact",
+    "temporary_store",
     "write_graph_artifact",
 ]

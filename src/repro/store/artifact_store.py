@@ -26,9 +26,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import tempfile
 import time
 import uuid
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Union
 
@@ -82,9 +84,9 @@ class ArtifactStore:
             )
 
     @classmethod
-    def coerce(cls, store: "ArtifactStore | PathLike | None") -> "ArtifactStore | None":
-        """Accept an existing store, a directory path, or ``None``."""
-        if store is None or isinstance(store, ArtifactStore):
+    def coerce(cls, store: "ArtifactStore | PathLike") -> "ArtifactStore":
+        """Accept an existing store or a directory path."""
+        if isinstance(store, ArtifactStore):
             return store
         return cls(store)
 
@@ -422,6 +424,18 @@ class ArtifactStore:
         return f"ArtifactStore(root={str(self.root)!r}, compress={self.compress})"
 
 
+@contextmanager
+def temporary_store() -> Iterator[ArtifactStore]:
+    """An :class:`ArtifactStore` in a fresh temporary directory, removed on exit.
+
+    What a pipeline entry point runs on when its caller gives no store: the
+    run memoizes within itself exactly as it would on a persistent store,
+    and nothing outlives it.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as root:
+        yield ArtifactStore(root)
+
+
 def store_process_counters() -> dict[str, Any]:
     """Store hit/miss/write counters accumulated *by this process*.
 
@@ -450,4 +464,4 @@ def store_process_counters() -> dict[str, Any]:
     return {"reads": reads, "writes": writes, "write_bytes": write_bytes}
 
 
-__all__ = ["ArtifactStore", "store_process_counters"]
+__all__ = ["ArtifactStore", "store_process_counters", "temporary_store"]

@@ -19,7 +19,8 @@ Facades that keep the eager APIs' signatures but read/write an
   ``memoized_measure`` over the full scalar battery, rendered as a
   :class:`~repro.metrics.summary.ScalarMetrics`.
 
-All degrade to the eager computation when ``store`` is ``None``.  Note the
+All take a required store; callers without one run on a temporary
+store (see :func:`~repro.store.artifact_store.temporary_store`).  Note the
 one caveat of memoizing sampled metrics: when ``distance_sources`` is set,
 cached values reflect the BFS sample of whichever run computed them (the
 ``rng`` cannot be part of the key), and the traversal metrics of one
@@ -59,7 +60,7 @@ def memoized_build(
     d: int,
     *,
     seed: int,
-    store: ArtifactStore | None,
+    store: ArtifactStore,
     options: Mapping[str, Any] | None = None,
     source_hash: str | None = None,
     read: bool = True,
@@ -73,11 +74,6 @@ def memoized_build(
     generated a cached graph is recorded in its manifest stats.
     """
     options = dict(options or {})
-    if store is None:
-        with span("store.generate", method=spec.name, d=d, seed=seed, cache="off") as sp:
-            result = spec.build(original, d, rng=seed, **options)
-            sp.set(n=result.graph.number_of_nodes, m=result.graph.number_of_edges)
-            return result
     if source_hash is None:
         source_hash = graph_content_hash(original)
     key = generation_key(spec.name, options, seed, source_hash, d=d)
@@ -185,7 +181,7 @@ def measure_entry_keys(
 
 def memoized_measure(
     graph: SimpleGraph,
-    store: ArtifactStore | None,
+    store: ArtifactStore,
     *,
     metrics: Sequence[str],
     graph_hash: str | None = None,
@@ -207,15 +203,6 @@ def memoized_measure(
         use_giant_component=use_giant_component,
         distance_sources=distance_sources,
     )
-    if store is None:
-        with span(
-            "store.measure",
-            metrics=len(plan.metrics),
-            n=graph.number_of_nodes,
-            m=graph.number_of_edges,
-            cache="off",
-        ):
-            return plan.run(graph, rng=rng, sweep_executor=sweep_executor)
     if graph_hash is None:
         if getattr(graph, "is_biggraph", False):
             # a BigGraph's identity is its binary CSR hash; the text
@@ -324,7 +311,7 @@ def memoized_measure(
 
 def memoized_summarize(
     graph: SimpleGraph,
-    store: ArtifactStore | None,
+    store: ArtifactStore,
     *,
     graph_hash: str | None = None,
     use_giant_component: bool = True,

@@ -7,6 +7,7 @@ so with ``pytest.warns`` or a ``filterwarnings`` mark of its own.
 
 from __future__ import annotations
 
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,6 +50,16 @@ def hold_sweep(monkeypatch):
         monkeypatch.setattr(intermediates, "bfs_sweep", held_sweep)
 
     return hold
+
+
+@pytest.fixture
+def temp_root(tmp_path, monkeypatch):
+    """Point ``tempfile`` at an empty directory the test can watch, so it
+    sees every temporary store created and removed."""
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
 
 
 def build_graph(edges, n=None):

@@ -1,10 +1,12 @@
 """Tests for store-backed experiments: memoization, per-cell resume, CLI."""
 
 import json
+import threading
 
 import pytest
 
 from repro.cli import cache_main, main
+from repro.exceptions import ExperimentInterrupted
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.generators.registry import (
     GeneratorSpec,
@@ -140,6 +142,42 @@ def test_store_and_no_store_rows_are_identical(hot_small, store):
     warm = run_experiment(spec, store=store)
     assert stored.to_rows(include_timing=False) == eager.to_rows(include_timing=False)
     assert warm.to_rows(include_timing=False) == eager.to_rows(include_timing=False)
+
+
+# --------------------------------------------------------------------------- #
+# Store-less runs: a temporary store that never outlives the call
+# --------------------------------------------------------------------------- #
+def test_store_less_run_removes_its_temporary_store(counting_generator, temp_root, hot_small):
+    seen = set()
+    result = run_experiment(
+        stub_spec(hot_small), on_cell=lambda done, total: seen.update(temp_root.iterdir())
+    )
+    assert len(result.records) == 3
+    # every cell ran on one temporary store, gone once the call returned
+    assert len(seen) == 1 and seen.pop().name.startswith("repro-store-")
+    assert list(temp_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cancelled_store_less_run_removes_its_temporary_store(temp_root, hot_small, workers):
+    spec = ExperimentSpec(
+        topologies=(hot_small,),
+        methods=("pseudograph",),
+        d_levels=(1, 2),
+        replicates=4,
+        metrics=("average_degree",),
+    )
+    cancel = threading.Event()
+
+    def on_cell(done, total):
+        if done >= 1:
+            cancel.set()
+
+    with pytest.raises(ExperimentInterrupted) as err:
+        run_experiment(spec, workers=workers, cancel=cancel, on_cell=on_cell)
+    assert err.value.reason == "cancelled"
+    assert "resume" not in str(err.value)  # nothing is left to resume from
+    assert list(temp_root.iterdir()) == []
 
 
 def test_workers_share_the_store(store):

@@ -11,6 +11,7 @@ from repro.core.extraction import (
 )
 from repro.core.distance import graph_dk_distance
 from repro.exceptions import RewiringConvergenceWarning
+from repro.graph.simple_graph import SimpleGraph
 from repro.generators.rewiring.preserving import (
     dk_randomize,
     randomize_0k,
@@ -57,6 +58,32 @@ def test_randomize_3k_preserves_wedges_and_triangles(hot_small, as_small):
         assert rewired_3k.wedges == original_3k.wedges
         assert rewired_3k.triangles == original_3k.triangles
         assert rewired_3k.jdd == original_3k.jdd
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_frozen_star_reports_frozen_without_warning(d):
+    # every pair of star edges shares the hub, so no dK-preserving move
+    # exists for d >= 1 and no attempt budget could help
+    star = SimpleGraph.from_edges((0, leaf) for leaf in range(1, 14))
+    stats = {}
+    rewired = dk_randomize(star, d, rng=1, stats=stats)  # warnings are errors here
+    assert stats["frozen"] is True
+    assert stats["accepted_moves"] == 0
+    assert rewired == star
+
+
+def test_frozen_single_edge_at_d0():
+    edge = SimpleGraph.from_edges([(0, 1)])
+    stats = {}
+    dk_randomize(edge, 0, rng=1, stats=stats)
+    assert stats["frozen"] is True
+
+
+def test_unfrozen_chain_has_no_frozen_flag(as_small):
+    stats = {}
+    dk_randomize(as_small, 1, rng=1, multiplier=1, stats=stats)
+    assert stats["accepted_moves"] > 0
+    assert "frozen" not in stats
 
 
 def test_randomize_actually_changes_the_graph(as_small):

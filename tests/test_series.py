@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.distributions import JointDegreeDistribution
 from repro.core.series import SUPPORTED_D, DKSeries
-from repro.exceptions import RewiringConvergenceWarning
 from repro.generators.rewiring.preserving import randomize_1k, randomize_2k
 
 
@@ -53,10 +52,11 @@ def test_distance_to_different_graph(series, path_graph):
 
 
 def test_smallest_matching_d_detects_partial_match(series, square_with_diagonal, as_small):
-    # a 1K-random rewiring of the square preserves 1K but (likely) not 3K;
-    # the square's 1K-space is frozen, so the chain cannot accept a move
-    with pytest.warns(RewiringConvergenceWarning):
-        rewired = randomize_1k(square_with_diagonal, rng=3, multiplier=20)
+    # the square's 1K-space is frozen: no degree-preserving move exists, so
+    # the chain reports that instead of a budget warning (warnings are errors)
+    stats = {}
+    rewired = randomize_1k(square_with_diagonal, rng=3, multiplier=20, stats=stats)
+    assert stats["frozen"] is True
     matched = series.smallest_matching_d(rewired)
     assert matched is not None and matched >= 1
 

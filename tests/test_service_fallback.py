@@ -1,13 +1,14 @@
 """Service tests without a store: HTTP framing, single-flight, stats, measure.
 
-The store-less daemon must start and serve ``/v1/measure`` and
-``/v1/workload`` through the measurement planner, coalescing
-identical concurrent requests without a store to key them.
+A daemon started without a store runs on a temporary one: it serves
+``/v1/measure`` and ``/v1/workload``, coalesces identical concurrent
+requests, caches for its lifetime and removes the directory on stop.
 """
 
 from __future__ import annotations
 
 import asyncio
+from pathlib import Path
 
 import pytest
 
@@ -243,10 +244,10 @@ def test_bad_json_body_is_http_400():
 
 
 # --------------------------------------------------------------------------- #
-# the store-less daemon on the pure-Python measurement path
+# the daemon started without a store (it runs on a temporary one)
 # --------------------------------------------------------------------------- #
 @pytest.fixture
-def bare_service():
+def bare_service(temp_root):
     with ServiceThread(ServiceConfig(port=0, store=None, workers=2)) as handle:
         yield handle
 
@@ -259,10 +260,12 @@ def scenario(handle, coro_fn):
     return asyncio.run(main())
 
 
-def test_healthz_reports_store_state(bare_service):
+def test_healthz_reports_store_state(bare_service, temp_root):
     health = scenario(bare_service, lambda client: client.healthz())
     assert health["status"] == "ok"
-    assert health["store"] is None
+    root = Path(health["store"])
+    assert root.parent == temp_root
+    assert root.name.startswith("repro-store-")
 
 
 def test_measure_inline_edges_without_store(bare_service):
@@ -282,7 +285,7 @@ def test_measure_inline_edges_without_store(bare_service):
 
 def test_workload_inline_edges_without_store(bare_service):
     # the workload route (scenario transform + congestion metrics) runs
-    # end-to-end on the planner path without a store
+    # end-to-end on a daemon started without a store
     async def run_workload(client):
         baseline = await client.workload(edges=EDGES)
         attacked = await client.workload(edges=EDGES, scenario="hub_degree:0.1")
@@ -320,12 +323,31 @@ def test_store_less_identical_requests_coalesce(bare_service, hold_sweep):
 
     outs = scenario(bare_service, wave)
     caches = [out["cache"] for out in outs]
-    # no store: nothing can be "hit", but identical concurrent requests
-    # still collapse onto one planner run
+    # a cold temporary store has nothing to hit, but identical concurrent
+    # requests still collapse onto one planner run
     assert caches.count("miss") == 1
     assert caches.count("coalesced") == 7
 
 
-def test_store_info_without_store(bare_service):
+def test_store_info_without_store(bare_service, temp_root):
     info = scenario(bare_service, lambda client: client.store_info())
-    assert info["store"] is None
+    assert Path(info["root"]).parent == temp_root
+    assert info == bare_service.service.store.info_dict()
+
+
+def test_store_less_service_caches_for_its_lifetime(temp_root):
+    handle = ServiceThread(ServiceConfig(port=0, store=None, workers=2)).start()
+    try:
+        async def twice(client):
+            first = await client.generate(method="pseudograph", edges=EDGES, d=2, seed=5)
+            second = await client.generate(method="pseudograph", edges=EDGES, d=2, seed=5)
+            return first, second
+
+        first, second = scenario(handle, twice)
+        assert first["cache"] == "miss"
+        assert second["cache"] == "hit"
+        assert second["content_hash"] == first["content_hash"]
+        assert len(list(temp_root.iterdir())) == 1
+    finally:
+        handle.stop()
+    assert list(temp_root.iterdir()) == []

@@ -118,7 +118,8 @@ def test_schema_mismatch_detected(tmp_path):
 
 
 def test_coerce(tmp_path, store):
-    assert ArtifactStore.coerce(None) is None
+    with pytest.raises(TypeError):
+        ArtifactStore.coerce(None)
     assert ArtifactStore.coerce(store) is store
     coerced = ArtifactStore.coerce(tmp_path / "other")
     assert isinstance(coerced, ArtifactStore)
@@ -211,12 +212,6 @@ def test_memoized_build_runs_generator_once(store, hot_small):
     # a different seed is a different artifact
     other = memoized_build(spec, hot_small, 2, seed=12, store=store, options={"multiplier": 2.0})
     assert other.graph != first.graph
-
-
-def test_memoized_build_without_store_is_eager(hot_small):
-    spec = get_generator("pseudograph")
-    result = memoized_build(spec, hot_small, 2, seed=3, store=None)
-    assert result.graph.number_of_nodes == hot_small.number_of_nodes
 
 
 def test_memoized_summarize_hits_cache(store, hot_small, monkeypatch):
