@@ -189,8 +189,8 @@ def _warn_unconverged_chain(stats: dict, *, prefix: str = "") -> None:
         detail = f"distance {stats['distance']:g} from the target distribution"
     else:
         detail = (
-            f"accepted {stats.get('accepted_moves', '?')} of "
-            f"{stats.get('target_moves', '?')} rewiring moves"
+            f"attempt budget reached: accepted {stats.get('accepted_moves', '?')} "
+            f"of {stats.get('target_moves', '?')} expected rewiring moves"
         )
     print(
         f"WARNING: {prefix}chain stopped before convergence "

@@ -56,9 +56,10 @@ class RewiringConvergenceWarning(RuntimeWarning):
     """Emitted when a rewiring Markov chain exhausts its attempt budget.
 
     The returned graph is still a valid dK-graph (every accepted move
-    preserved the invariants), but it performed fewer accepted moves than the
-    mixing target — it may be insufficiently randomized, or a targeting chain
-    may have stopped short of its target distribution.
+    preserved the invariants), but a randomizing chain ran fewer attempts
+    than its expected mixing target needs — it may be insufficiently
+    randomized — or a targeting chain stopped short of its target
+    distribution.
     """
 
 

@@ -37,19 +37,17 @@ def record_chain_stats(
     target: int,
     accepted: int,
     attempted: int,
-    converged: bool | None = None,
+    converged: bool,
     warn: bool = True,
     stacklevel: int = 3,
 ) -> None:
     """Fill the caller-supplied ``stats`` dict and warn on non-convergence.
 
-    ``converged`` defaults to "the accepted-move target was reached"; the
-    targeting chains pass their own flag (distance-to-target is zero).  The
-    warning fires regardless of whether a ``stats`` dict was supplied — the
-    driver, not the caller, owns convergence reporting.
+    ``target`` is the expected number of accepted moves; ``converged`` is
+    false when the attempt budget cut the chain short of the attempts that
+    target needs.  The warning fires regardless of whether a ``stats`` dict
+    was supplied — the chain, not the caller, owns convergence reporting.
     """
-    if converged is None:
-        converged = accepted >= target
     counter_inc("repro_rewiring_accepted_moves_total", accepted, chain=label)
     counter_inc("repro_rewiring_attempted_moves_total", attempted, chain=label)
     if stats is not None:
@@ -60,7 +58,8 @@ def record_chain_stats(
     if warn and not converged:
         warn_not_converged(
             label,
-            f"accepted {accepted}/{target} moves in {attempted} attempts",
+            f"attempt budget of {attempted} reached with {accepted} of "
+            f"{target} expected moves accepted",
             stacklevel=stacklevel + 1,
         )
 

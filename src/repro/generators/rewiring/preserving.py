@@ -10,12 +10,18 @@ performing a large number of random dK-preserving moves:
 * d = 3: 2K-preserving swaps accepted only when the wedge and triangle
   distributions are left exactly unchanged.
 
-The number of *accepted* moves defaults to ``multiplier * m`` (the Markov
-chain of [Gkantsidis et al. 2003] mixes in O(m) steps; the paper performs ten
-times its count of possible initial rewirings, which is of the same order).
-A global attempt budget guards against the very restricted 3K case in which
-acceptable moves may be rare; a chain that exhausts it emits a
-:class:`~repro.exceptions.RewiringConvergenceWarning`.
+The chain runs for a number of *attempts* fixed before it starts, and a
+rejected proposal counts as a hold, so it samples the graphs sharing P_d
+uniformly (stopping at an accepted-move count would weight each graph by its
+number of valid moves; Fosdick et al., SIAM Review 2018).  The attempt count
+is sized so that the *expected* number of accepted moves is ``multiplier *
+m`` (the Markov chain of [Gkantsidis et al. 2003] mixes in O(m) steps; the
+paper performs ten times its count of possible initial rewirings, which is
+of the same order): a short pilot chain on its own random stream estimates
+the acceptance rate.  A global attempt budget caps the count in the very
+restricted 3K case, where acceptable moves may be rare; a chain it caps
+emits a :class:`~repro.exceptions.RewiringConvergenceWarning`.  The stats
+record both acceptance rates (``pilot_accept_rate``, ``accept_rate``).
 
 The chains run on the rewiring engine in :mod:`repro.kernels.rewiring`,
 which is deterministic per seed and preserves the dK-invariants exactly.
@@ -45,15 +51,17 @@ def _run_randomize(
     stats: dict | None,
     batch_size: int | None,
 ) -> SimpleGraph:
-    """Run the d-level chain on a copy of ``graph`` under a telemetry span."""
+    """Run the d-level chain on a copy of ``graph`` under a telemetry span,
+    which records the chain's move counts and pilot acceptance rate."""
+    stats = {} if stats is None else stats
     with span(
         "kernel.rewire_randomize",
         engine=ENGINE_NAME,
         d=d,
         n=graph.number_of_nodes,
         m=graph.number_of_edges,
-    ):
-        return randomize(
+    ) as chain_span:
+        rewired = randomize(
             graph,
             d,
             rng=rng,
@@ -62,6 +70,12 @@ def _run_randomize(
             stats=stats,
             batch_size=batch_size,
         )
+        chain_span.set(
+            attempted=stats["attempted_moves"],
+            accepted=stats["accepted_moves"],
+            pilot_accept_rate=stats["pilot_accept_rate"],
+        )
+    return rewired
 
 
 def randomize_0k(
@@ -165,7 +179,8 @@ def dk_randomize(
     """Dispatch to the dK-preserving randomizer for ``d`` in ``{0, 1, 2, 3}``.
 
     When a ``stats`` dict is supplied, the chain's accepted/attempted move
-    counts, convergence flag and engine name are recorded into it.
+    counts, acceptance rates, convergence flag and engine name are recorded
+    into it.
     ``batch_size`` tunes the engine's proposal batches without affecting its
     output.
     """
@@ -203,7 +218,7 @@ def verify_randomization_converged(
     metric:
         Callable mapping a graph to a float.
     extra_multiplier:
-        How many extra accepted moves (in units of ``m``) to apply.
+        How many extra accepted moves (in units of ``m``) to expect.
     relative_tolerance:
         Maximum allowed relative change of the metric.
     """

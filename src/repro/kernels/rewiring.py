@@ -25,11 +25,15 @@ built once per chain:
   zero/nonzero verdict per proposal; the objective chains get full
   per-proposal delta lists over rank-packed wedge/triangle keys.
 
-Targeting and exploration share one entry point, :func:`run_chain`, with an
-objective: the squared distance to a target distribution
-(:class:`JddDistance`, :class:`ThreeKDistance`) or a weight vector over the
-delta keys (:class:`LinearObjective`).  Energies are exact integers, so
-every accept decision is exact.
+Every chain runs through one entry point, :func:`run_chain`, with an objective
+and an attempt budget: dK-preserving randomizing (:class:`DkPreserving`),
+the squared distance to a target distribution (:class:`JddDistance`,
+:class:`ThreeKDistance`) or a weight vector over the delta keys
+(:class:`LinearObjective`).  Energies are exact integers, so every accept
+decision is exact.  :func:`randomize` is a thin wrapper: a pilot chain
+sizes the attempt budget before the randomizing chain starts, so the chain
+stops on attempts, never on its accepted-move count, and samples the
+dK-random graphs uniformly.
 
 Proposals are drawn in vectorized batches: each random quantity (edge slot,
 partner, orientation, Metropolis uniform) comes from its own spawned child
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -93,6 +98,11 @@ THREEK_EVAL_CHUNK = 160
 #: statistic (``2 * n_ranks**3`` int64 slots, i.e. 128 MiB at the cap).
 #: Graphs whose degree diversity exceeds it take the scalar chain instead.
 THREEK_RANK_SLOTS_MAX = 16_777_216
+
+#: Attempts of the pilot chain that sizes a randomize chain's attempt budget
+#: from its acceptance rate (never more than the chain's accepted-move
+#: target, so the pilot never costs more than the chain it sizes).
+PILOT_ATTEMPTS = 4096
 
 
 def _spawn_streams(rng, count: int) -> list:
@@ -478,8 +488,6 @@ class _ThreeKState:
         indptr = self.indptr_list
         offset_of = self.offset_of
         pend_rows = self.pend_rows
-        bit_node = self.pend_bit_node
-        bit_nbr = self.pend_bit_nbr
         self.clock += 1
         clock = self.clock
         stamp = self.stamp
@@ -488,20 +496,20 @@ class _ThreeKState:
             offset = offsets.pop(old)
             offsets[new] = offset
             pend_rows[indptr[node] + offset] = new
-            bit_node.append(node)
-            bit_nbr.append(old)
-            bit_node.append(node)
-            bit_nbr.append(new)
             stamp[node] = clock
+        # each row loses its old neighbor's bit and gains the new one's
+        self.pend_bit_node.extend((a, a, b, b, c, c, d, d))
+        self.pend_bit_nbr.extend((b, d, a, c, d, b, c, a))
         # only the exchanged heads' neighbor-degree histograms change: a and
         # c swap equal-degree neighbors (deg b == deg d)
         degrees = self.degrees
         ka = degrees[a]
         kc = degrees[c]
-        _bump(self.nbrdeg[b], ka, -1)
-        _bump(self.nbrdeg[b], kc, 1)
-        _bump(self.nbrdeg[d], kc, -1)
-        _bump(self.nbrdeg[d], ka, 1)
+        if ka != kc:
+            _bump(self.nbrdeg[b], ka, -1)
+            _bump(self.nbrdeg[b], kc, 1)
+            _bump(self.nbrdeg[d], kc, -1)
+            _bump(self.nbrdeg[d], ka, 1)
 
     def flush(self) -> None:
         """Apply the queued NumPy-side updates (batch boundary only).
@@ -898,24 +906,17 @@ def _bump(counts: dict, key: int, amount: int) -> None:
         counts.pop(key, None)
 
 
-def _wpack_scalar(e1: int, e2: int, center: int, base: int) -> int:
-    if e1 > e2:
-        e1, e2 = e2, e1
-    return (e1 * base + center) * base + e2
-
-
 def _scalar_zero_eval(tk: _ThreeKState, a, b, c, d) -> bool:
     """Per-move 3K zero-delta verdict against the *current* structures.
 
     The staleness-path twin of :func:`_batch_zero_delta`: used for proposals
     invalidated by an earlier accepted move of the same batch.
     """
-    degrees = tk.degrees
-    base = tk.degree_pack
-    row_a = tk.row_set(a)
-    row_b = tk.row_set(b)
-    row_c = tk.row_set(c)
-    row_d = tk.row_set(d)
+    offset_of = tk.offset_of
+    row_a = offset_of[a].keys()
+    row_b = offset_of[b].keys()
+    row_c = offset_of[c].keys()
+    row_d = offset_of[d].keys()
     com_ab = row_a & row_b
     com_cd = row_c & row_d
     com_ad = row_a & row_d
@@ -926,46 +927,31 @@ def _scalar_zero_eval(tk: _ThreeKState, a, b, c, d) -> bool:
     com_cb.discard(a)
     if len(com_ab) + len(com_cd) != len(com_ad) + len(com_cb):
         return False
+    degrees = tk.degrees
     ka = degrees[a]
     kb = degrees[b]
     kc = degrees[c]
     kd = degrees[d]
-
-    def pack3(k1: int, k2: int, k3: int) -> int:
-        lo, mid, hi = sorted((k1, k2, k3))
-        return (lo * base + mid) * base + hi
-
-    destroyed = sorted(
-        [pack3(ka, kb, degrees[x]) for x in com_ab]
-        + [pack3(kc, kd, degrees[x]) for x in com_cd]
-    )
-    created = sorted(
-        [pack3(ka, kd, degrees[y]) for y in com_ad]
-        + [pack3(kc, kb, degrees[y]) for y in com_cb]
-    )
-    if destroyed != created:
-        return False
+    if com_ab or com_cd or com_ad or com_cb:
+        destroyed = sorted(
+            [sorted((ka, kb, degrees[x])) for x in com_ab]
+            + [sorted((kc, kd, degrees[x])) for x in com_cd]
+        )
+        created = sorted(
+            [sorted((ka, kd, degrees[y])) for y in com_ad]
+            + [sorted((kc, kb, degrees[y])) for y in com_cb]
+        )
+        if destroyed != created:
+            return False
     if ka == kc:
         return True
-
-    def pack2(p: int, q: int) -> int:
-        return p * base + q if p < q else q * base + p
-
-    # open-path balance from the exchanged heads' neighbor-degree histograms
-    # (the shared center degree kb == kd is dropped from the keys); the two
-    # trailing corrections exclude x == a from b's row and x == c from d's
-    net: dict = {}
-    for kx, count in tk.nbrdeg[b].items():
-        _bump(net, pack2(kc, kx), count)
-        _bump(net, pack2(ka, kx), -count)
-    _bump(net, pack2(kc, ka), -1)
-    _bump(net, pack2(ka, ka), 1)
-    for kx, count in tk.nbrdeg[d].items():
-        _bump(net, pack2(ka, kx), count)
-        _bump(net, pack2(kc, kx), -count)
-    _bump(net, pack2(ka, kc), -1)
-    _bump(net, pack2(kc, kc), 1)
-    return not net
+    # open paths change only at the exchanged heads (kb == kd), trading a
+    # (ka, kx) pair for a (kc, kx) one at b and back at d: they balance iff
+    # b's neighbors other than a and d's other than c carry the same degrees
+    heads = dict(tk.nbrdeg[b])
+    _bump(heads, ka, -1)
+    _bump(heads, kc, 1)
+    return heads == tk.nbrdeg[d]
 
 
 def _scalar_full_eval(tk: _ThreeKState, a, b, c, d):
@@ -1047,432 +1033,20 @@ def _scalar_full_eval(tk: _ThreeKState, a, b, c, d):
 
 
 # --------------------------------------------------------------------------- #
-# randomizing chains (dK-preserving, d = 0..3)
-# --------------------------------------------------------------------------- #
-def _chain_0k(state, rng, target, budget, batch_size):
-    stream_edge, stream_x, stream_y = _spawn_streams(rng, 3)
-    edge_u = state.edge_u
-    edge_v = state.edge_v
-    edge_key = state.edge_key
-    edge_set = state.edge_set
-    n = state.n
-    m = state.m
-    accepted = 0
-    attempted = 0
-    while accepted < target and attempted < budget:
-        size = min(batch_size, budget - attempted)
-        slots = stream_edge.integers(0, m, size=size).tolist()
-        xs = stream_x.integers(0, n, size=size).tolist()
-        ys = stream_y.integers(0, n, size=size).tolist()
-        done = 0
-        batch_start = accepted
-        for slot, x, y in zip(slots, xs, ys):
-            done += 1
-            if x == y:
-                continue
-            key_xy = x * n + y if x < y else y * n + x
-            if key_xy in edge_set:
-                continue
-            edge_set.remove(edge_key[slot])
-            edge_set.add(key_xy)
-            edge_key[slot] = key_xy
-            if x < y:
-                edge_u[slot] = x
-                edge_v[slot] = y
-            else:
-                edge_u[slot] = y
-                edge_v[slot] = x
-            accepted += 1
-            if accepted == target:
-                break
-        attempted += done
-        record_batch_efficiency("0K-preserving randomizing", accepted - batch_start, done)
-    return accepted, attempted
-
-
-def _chain_1k(state, rng, target, budget, batch_size):
-    stream_first, stream_second, stream_flip = _spawn_streams(rng, 3)
-    edge_u = state.edge_u
-    edge_v = state.edge_v
-    edge_key = state.edge_key
-    edge_set = state.edge_set
-    n = state.n
-    m = state.m
-    accepted = 0
-    attempted = 0
-    while accepted < target and attempted < budget:
-        size = min(batch_size, budget - attempted)
-        firsts = stream_first.integers(0, m, size=size).tolist()
-        seconds = stream_second.integers(0, m, size=size).tolist()
-        flips = stream_flip.integers(0, 2, size=size).tolist()
-        done = 0
-        batch_start = accepted
-        for i, j, flip in zip(firsts, seconds, flips):
-            done += 1
-            if i == j:
-                continue
-            a = edge_u[i]
-            b = edge_v[i]
-            if flip:
-                c = edge_v[j]
-                d = edge_u[j]
-            else:
-                c = edge_u[j]
-                d = edge_v[j]
-            if a == d or c == b:
-                continue
-            key_ad = a * n + d if a < d else d * n + a
-            if key_ad in edge_set:
-                continue
-            key_cb = c * n + b if c < b else b * n + c
-            if key_cb in edge_set:
-                continue
-            edge_set.remove(edge_key[i])
-            edge_set.remove(edge_key[j])
-            edge_set.add(key_ad)
-            edge_set.add(key_cb)
-            edge_key[i] = key_ad
-            edge_key[j] = key_cb
-            edge_v[i] = d
-            edge_u[j] = c
-            edge_v[j] = b
-            accepted += 1
-            if accepted == target:
-                break
-        attempted += done
-        record_batch_efficiency("1K-preserving randomizing", accepted - batch_start, done)
-    return accepted, attempted
-
-
-def _chain_2k(state, rng, target, budget, batch_size):
-    stream_end, stream_pos = _spawn_streams(rng, 2)
-    edge_u = state.edge_u
-    edge_v = state.edge_v
-    edge_key = state.edge_key
-    edge_set = state.edge_set
-    buckets = state.bucket_table
-    degrees = state.degrees
-    n = state.n
-    m = state.m
-    accepted = 0
-    attempted = 0
-    while accepted < target and attempted < budget:
-        size = min(batch_size, budget - attempted)
-        # one packed draw per proposal: oriented end = 2 * slot + side
-        ends = stream_end.integers(0, 2 * m, size=size).tolist()
-        positions = stream_pos.random(size=size).tolist()
-        done = 0
-        batch_start = accepted
-        for end, r in zip(ends, positions):
-            done += 1
-            i = end >> 1
-            if end & 1:
-                b = edge_u[i]
-                a = edge_v[i]
-            else:
-                b = edge_v[i]
-                a = edge_u[i]
-            bucket = buckets[degrees[b]]
-            entry = bucket[int(r * len(bucket))]
-            j = entry >> 1
-            if i == j:
-                continue
-            if entry & 1:
-                d = edge_u[j]
-                c = edge_v[j]
-            else:
-                d = edge_v[j]
-                c = edge_u[j]
-            if a == d or c == b:
-                continue
-            key_ad = a * n + d if a < d else d * n + a
-            if key_ad in edge_set:
-                continue
-            key_cb = c * n + b if c < b else b * n + c
-            if key_cb in edge_set:
-                continue
-            edge_set.remove(edge_key[i])
-            edge_set.remove(edge_key[j])
-            edge_set.add(key_ad)
-            edge_set.add(key_cb)
-            edge_key[i] = key_ad
-            edge_key[j] = key_cb
-            # write the equal-degree new heads into the same columns, keeping
-            # every bucket entry's head degree (hence the index) invariant
-            if end & 1:
-                edge_u[i] = d
-            else:
-                edge_v[i] = d
-            if entry & 1:
-                edge_u[j] = b
-            else:
-                edge_v[j] = b
-            accepted += 1
-            if accepted == target:
-                break
-        attempted += done
-        record_batch_efficiency("2K-preserving randomizing", accepted - batch_start, done)
-    return accepted, attempted
-
-
-def _chain_3k(state, rng, target, budget, batch_size):
-    """3K-preserving chain: batched delta kernel, scalar path beyond the
-    bitset memory ceiling.  Both paths consume the spawned streams one draw
-    per proposal and accept exactly the zero-delta swaps, so they sample the
-    same chain; the path split is by ``n`` only, never by batch size."""
-    if state.n <= BITSET_MAX_NODES:
-        return _chain_3k_batched(state, rng, target, budget, batch_size)
-    state.build_adjacency()
-    return _chain_3k_scalar(state, rng, target, budget, batch_size)
-
-
-def _chain_3k_batched(state, rng, target, budget, batch_size):
-    stream_end, stream_pos = _spawn_streams(rng, 2)
-    tk = _ThreeKState(state)
-    edge_u = state.edge_u
-    edge_v = state.edge_v
-    edge_key = state.edge_key
-    edge_set = state.edge_set
-    stamp = tk.stamp
-    n = state.n
-    m = state.m
-    accepted = 0
-    attempted = 0
-    while accepted < target and attempted < budget:
-        tk.flush()
-        size = min(batch_size, budget - attempted)
-        ends = stream_end.integers(0, 2 * m, size=size)
-        positions = stream_pos.random(size=size)
-        i_arr, side, a_arr, b_arr, j_arr, eside, c_arr, d_arr, valid = _batch_resolve(
-            tk, ends, positions
-        )
-        accept = (valid & _batch_zero_delta(tk, a_arr, b_arr, c_arr, d_arr, valid)).tolist()
-        il = i_arr.tolist()
-        jl = j_arr.tolist()
-        sl = side.tolist()
-        el = eside.tolist()
-        al = a_arr.tolist()
-        bl = b_arr.tolist()
-        cl = c_arr.tolist()
-        dl = d_arr.tolist()
-        base = tk.clock
-        done = 0
-        batch_start = accepted
-        for k in range(size):
-            done += 1
-            a = al[k]
-            b = bl[k]
-            c = cl[k]
-            d = dl[k]
-            i = il[k]
-            j = jl[k]
-            if stamp[a] > base or stamp[b] > base or stamp[c] > base or stamp[d] > base:
-                # an earlier accepted move of this batch rewrote one of the
-                # snapshot endpoints' rows: re-resolve the slots (the degree
-                # bucket entry itself is invariant) and redo the exact test
-                # against the live state — this is what makes the batched
-                # chain move-for-move identical to batch_size=1
-                if sl[k]:
-                    b = edge_u[i]
-                    a = edge_v[i]
-                else:
-                    b = edge_v[i]
-                    a = edge_u[i]
-                if el[k]:
-                    d = edge_u[j]
-                    c = edge_v[j]
-                else:
-                    d = edge_v[j]
-                    c = edge_u[j]
-                if i == j or a == d or c == b:
-                    continue
-                key_ad = a * n + d if a < d else d * n + a
-                key_cb = c * n + b if c < b else b * n + c
-                if key_ad in edge_set or key_cb in edge_set:
-                    continue
-                if not _scalar_zero_eval(tk, a, b, c, d):
-                    continue
-            else:
-                if not accept[k]:
-                    continue
-                key_ad = a * n + d if a < d else d * n + a
-                key_cb = c * n + b if c < b else b * n + c
-            edge_set.remove(edge_key[i])
-            edge_set.remove(edge_key[j])
-            edge_set.add(key_ad)
-            edge_set.add(key_cb)
-            edge_key[i] = key_ad
-            edge_key[j] = key_cb
-            if sl[k]:
-                edge_u[i] = d
-            else:
-                edge_v[i] = d
-            if el[k]:
-                edge_u[j] = b
-            else:
-                edge_v[j] = b
-            tk.apply_swap(a, b, c, d, i, j, sl[k], el[k])
-            accepted += 1
-            if accepted == target:
-                break
-        attempted += done
-        record_batch_efficiency("3K-preserving randomizing", accepted - batch_start, done)
-    return accepted, attempted
-
-
-def _chain_3k_scalar(state, rng, target, budget, batch_size):
-    stream_end, stream_pos = _spawn_streams(rng, 2)
-    edge_u = state.edge_u
-    edge_v = state.edge_v
-    edge_key = state.edge_key
-    edge_set = state.edge_set
-    buckets = state.bucket_table
-    degrees = state.degrees
-    adj = state.adj
-    n = state.n
-    m = state.m
-    accepted = 0
-    attempted = 0
-    while accepted < target and attempted < budget:
-        size = min(batch_size, budget - attempted)
-        ends = stream_end.integers(0, 2 * m, size=size).tolist()
-        positions = stream_pos.random(size=size).tolist()
-        done = 0
-        batch_start = accepted
-        for end, r in zip(ends, positions):
-            done += 1
-            i = end >> 1
-            if end & 1:
-                b = edge_u[i]
-                a = edge_v[i]
-            else:
-                b = edge_v[i]
-                a = edge_u[i]
-            bucket = buckets[degrees[b]]
-            entry = bucket[int(r * len(bucket))]
-            j = entry >> 1
-            if i == j:
-                continue
-            if entry & 1:
-                d = edge_u[j]
-                c = edge_v[j]
-            else:
-                d = edge_v[j]
-                c = edge_u[j]
-            if a == d or c == b:
-                continue
-            key_ad = a * n + d if a < d else d * n + a
-            if key_ad in edge_set:
-                continue
-            key_cb = c * n + b if c < b else b * n + c
-            if key_cb in edge_set:
-                continue
-            wedges, triangles = _swap_three_k_delta(adj, degrees, a, b, c, d)
-            if any(wedges.values()) or any(triangles.values()):
-                _revert_swap_toggles(adj, a, b, c, d)
-                continue
-            edge_set.remove(edge_key[i])
-            edge_set.remove(edge_key[j])
-            edge_set.add(key_ad)
-            edge_set.add(key_cb)
-            edge_key[i] = key_ad
-            edge_key[j] = key_cb
-            if end & 1:
-                edge_u[i] = d
-            else:
-                edge_v[i] = d
-            if entry & 1:
-                edge_u[j] = b
-            else:
-                edge_v[j] = b
-            accepted += 1
-            if accepted == target:
-                break
-        attempted += done
-        record_batch_efficiency("3K-preserving randomizing", accepted - batch_start, done)
-    return accepted, attempted
-
-
-def randomize(
-    graph: SimpleGraph,
-    d: int,
-    *,
-    rng: RngLike = None,
-    multiplier: float = 10.0,
-    max_attempt_factor: int | None = None,
-    stats: dict | None = None,
-    batch_size: int | None = None,
-) -> SimpleGraph:
-    """dK-preserving randomization of a copy of ``graph``.
-
-    The engine behind :func:`repro.generators.rewiring.preserving.dk_randomize`:
-    the chain performs ``multiplier * m`` accepted dK-preserving moves (or
-    stops at the attempt budget), records the unified
-    ``attempted/accepted/converged`` stats, and warns when the budget binds.
-    A chain that accepts nothing because the graph has no valid dK-preserving
-    move at all reports ``stats["frozen"] = True`` instead of warning: no
-    budget can help it.
-    """
-    if d not in (0, 1, 2, 3):
-        raise ValueError(f"dK-randomizing rewiring is implemented for d in 0..3, got {d}")
-    rng = ensure_rng(rng)
-    if batch_size is None or batch_size < 1:
-        batch_size = THREEK_BATCH_SIZE if d == 3 else DEFAULT_BATCH_SIZE
-    if max_attempt_factor is None:
-        max_attempt_factor = 200 if d == 3 else 50
-    state = RewiringState(graph)
-    m = state.m
-    target = max(1, int(multiplier * m))
-    budget = max_attempt_factor * (max(m, 1) if d == 3 else target)
-    label = f"{d}K-preserving randomizing"
-
-    feasible = (m >= 1 and state.n >= 2) if d == 0 else m >= 2
-    if not feasible:
-        accepted, attempted = 0, 0
-    elif d == 0:
-        accepted, attempted = _chain_0k(state, rng, target, budget, batch_size)
-    elif d == 1:
-        accepted, attempted = _chain_1k(state, rng, target, budget, batch_size)
-    elif d == 2:
-        state.build_buckets()
-        accepted, attempted = _chain_2k(state, rng, target, budget, batch_size)
-    else:
-        state.build_buckets()
-        accepted, attempted = _chain_3k(state, rng, target, budget, batch_size)
-
-    frozen = False
-    if accepted == 0:
-        # imported here because the counting module builds on this engine;
-        # the count costs as much as a Table-5 row, so it only runs to tell
-        # a frozen dK-space from an unlucky chain
-        from repro.generators.rewiring.counting import count_dk_rewirings
-
-        frozen = count_dk_rewirings(graph, d).total == 0
-    record_chain_stats(
-        stats,
-        label=label,
-        target=target,
-        accepted=accepted,
-        attempted=attempted,
-        warn=not frozen,
-    )
-    if stats is not None:
-        stats["engine"] = ENGINE_NAME
-        if frozen:
-            stats["frozen"] = True
-    return state.to_graph()
-
-
-# --------------------------------------------------------------------------- #
-# objective chains: targeting (Metropolis toward a dK-distribution) and
-# dK-space exploration (a next-level metric pushed to an extreme)
+# objective chains: dK-preserving randomizing, targeting (Metropolis toward a
+# dK-distribution) and dK-space exploration (a next-level metric pushed to an
+# extreme)
 # --------------------------------------------------------------------------- #
 #
-# Both run one of two loops: 1K proposals (degree-preserving double swaps)
-# scored on their JDD delta, or 2K proposals (degree-matched head exchanges)
-# scored on their wedge/triangle delta.  The objective turns a delta into an
-# exact integer energy change:
+# Every chain runs one of three loops: 0K proposals (an edge re-attached to a
+# random node pair), 1K proposals (degree-preserving double swaps) scored on
+# their JDD delta, or 2K proposals (degree-matched head exchanges) scored on
+# their wedge/triangle delta.  The objective turns a delta into an exact
+# integer energy change:
 #
+# * randomizing: no change at all.  The d <= 2 chains accept every valid
+#   proposal without computing a delta; the 3K chain accepts a 2K proposal
+#   iff its wedge/triangle delta is empty;
 # * targeting: the squared distance to the target counts, a Metropolis chain
 #   that takes zero-change moves as free randomization steps and stops when
 #   the distance reaches 0;
@@ -1529,6 +1103,7 @@ class JddDistance:
     label = "2K-targeting"
     limit = 0  # a zero-change move is a free randomization step
     stops = True  # the chain ends once the target is reached
+    scored = True  # every valid proposal's delta is computed
 
     def __init__(self, target):
         self.target = dict(target.counts)
@@ -1553,6 +1128,7 @@ class ThreeKDistance:
     label = "3K-targeting"
     limit = 0
     stops = True
+    scored = True
     quadratic = True
 
     def __init__(self, target):
@@ -1602,6 +1178,7 @@ class LinearObjective:
 
     limit = -1
     stops = False
+    scored = True
     quadratic = False
 
     def __init__(self, label, *, edge=None, wedge=None, triangle=None, maximize=False):
@@ -1648,6 +1225,37 @@ class LinearObjective:
         pass
 
 
+class DkPreserving:
+    """dK-preserving randomizing: every valid dK-preserving proposal is a move.
+
+    d = 0 runs on 0K proposals, d = 1 on 1K proposals, d = 2 and 3 on 2K
+    proposals.  The energy is 0 throughout and never stops the chain, so it
+    runs its whole attempt budget.  Only d = 3 is scored: a proposal is
+    accepted iff it leaves the wedge and triangle distributions unchanged.
+    Below :data:`BITSET_MAX_NODES` that verdict comes from
+    :func:`_batch_zero_delta` on each draw batch; beyond it, :meth:`change`
+    reads the per-move scalar delta.
+    """
+
+    limit = 0
+    stops = False
+    quadratic = False
+
+    def __init__(self, d: int):
+        self.proposal = min(d, 2)
+        self.label = f"{d}K-preserving randomizing"
+        self.scored = d == 3
+
+    def start(self, graph: SimpleGraph) -> int:
+        return 0
+
+    def change(self, wedge_delta: dict, triangle_delta: dict) -> int:
+        return int(any(wedge_delta.values()) or any(triangle_delta.values()))
+
+    def commit(self, *deltas) -> None:
+        pass
+
+
 @dataclass
 class ChainRun:
     """Outcome of an objective chain: the graph and its energy trajectory."""
@@ -1671,31 +1279,176 @@ def run_chain(
 ) -> ChainRun:
     """Run ``objective``'s chain on a copy of ``graph``.
 
-    1K-proposal objectives preserve the degree sequence, 2K-proposal ones the
-    JDD.  A temperature ``schedule`` (``step -> T``) enables Metropolis
-    uphill moves; without one a move is accepted iff its change is at most
-    ``objective.limit``.  The 2K chain runs the batched delta kernel up to
-    :data:`BITSET_MAX_NODES` nodes and the exact per-move scalar path beyond
-    it (or when degree diversity is too large for the dense rank-packed
-    statistic); the split depends only on the input, never on the batch
-    size.  The trace records the energy every ``trace_every`` attempts, plus
-    the start and end.
+    0K-proposal objectives preserve the edge count, 1K-proposal ones the
+    degree sequence, 2K-proposal ones the JDD.  A temperature ``schedule``
+    (``step -> T``) enables Metropolis uphill moves; without one a move is
+    accepted iff its change is at most ``objective.limit``.  The scored 2K
+    chain runs the batched delta kernel up to :data:`BITSET_MAX_NODES`
+    nodes and the exact per-move scalar path beyond it (or when degree
+    diversity is too large for the dense rank-packed statistic); the split
+    depends only on the input, never on the batch size.  The trace records
+    the energy every ``trace_every`` attempts, plus the start and end.
     """
     rng = ensure_rng(rng)
     state = RewiringState(graph)
-    if objective.proposal == 1:
-        chain = _objective_chain_1k
-        if batch_size is None or batch_size < 1:
-            batch_size = DEFAULT_BATCH_SIZE
-    else:
+    if objective.proposal == 2:
         state.build_buckets()
         chain = _objective_chain_2k
         if batch_size is None or batch_size < 1:
             batch_size = THREEK_BATCH_SIZE
+    else:
+        chain = _objective_chain_0k if objective.proposal == 0 else _objective_chain_1k
+        if batch_size is None or batch_size < 1:
+            batch_size = DEFAULT_BATCH_SIZE
     energy, accepted, attempted, trace = chain(
         state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
     )
     return ChainRun(state.to_graph(), energy, accepted, attempted, trace)
+
+
+def randomize(
+    graph: SimpleGraph,
+    d: int,
+    *,
+    rng: RngLike = None,
+    multiplier: float = 10.0,
+    max_attempt_factor: int | None = None,
+    stats: dict | None = None,
+    batch_size: int | None = None,
+) -> SimpleGraph:
+    """dK-preserving randomization of a copy of ``graph``.
+
+    The engine behind :func:`repro.generators.rewiring.preserving.dk_randomize`:
+    :func:`run_chain` on the :class:`DkPreserving` objective for ``T``
+    attempts, with ``T`` fixed before the chain starts.  A rejected proposal
+    counts as a hold, so the chain samples the dK-random graphs uniformly;
+    stopping at an accepted-move count instead would weight each graph by
+    its number of valid moves.  A pilot chain on its own stream estimates
+    the acceptance rate ``a0`` from ``min(PILOT_ATTEMPTS, target)``
+    attempts, and ``T = ceil(target / a0)`` for ``target = multiplier * m``
+    expected accepted moves, capped by the attempt budget (``T`` is the
+    budget when the pilot accepts nothing).
+
+    Records the unified ``target/accepted/attempted/converged`` stats plus
+    ``pilot_accept_rate`` and ``accept_rate``; ``converged`` means the
+    budget did not cap ``T``, and a capped chain warns.  A chain that
+    accepts nothing because the graph has no valid dK-preserving move at all
+    reports ``stats["frozen"] = True`` instead of warning: no budget can
+    help it.
+    """
+    if d not in (0, 1, 2, 3):
+        raise ValueError(f"dK-randomizing rewiring is implemented for d in 0..3, got {d}")
+    rng = ensure_rng(rng)
+    if batch_size is None or batch_size < 1:
+        batch_size = THREEK_BATCH_SIZE if d == 3 else DEFAULT_BATCH_SIZE
+    if max_attempt_factor is None:
+        max_attempt_factor = 200 if d == 3 else 50
+    m = graph.number_of_edges
+    target = max(1, int(multiplier * m))
+    budget = max_attempt_factor * (max(m, 1) if d == 3 else target)
+    objective = DkPreserving(d)
+
+    # the pilot's seed is a draw from ``rng``, which leaves the children
+    # ``rng`` spawns for the chain itself (its random streams) unchanged
+    pilot = run_chain(
+        graph,
+        objective,
+        rng=np.random.default_rng(int(rng.integers(0, 2**63 - 1))),
+        max_attempts=min(PILOT_ATTEMPTS, target),
+        batch_size=batch_size,
+    )
+    pilot_rate = pilot.accepted / pilot.attempted if pilot.attempted else 0.0
+    wanted = math.ceil(target / pilot_rate) if pilot_rate else math.inf
+    run = run_chain(
+        graph, objective, rng=rng, max_attempts=min(budget, wanted), batch_size=batch_size
+    )
+
+    frozen = False
+    if run.accepted == 0:
+        # imported here because the counting module builds on this engine;
+        # the count costs as much as a Table-5 row, so it only runs to tell
+        # a frozen dK-space from an unlucky chain
+        from repro.generators.rewiring.counting import count_dk_rewirings
+
+        frozen = count_dk_rewirings(graph, d).total == 0
+    record_chain_stats(
+        stats,
+        label=objective.label,
+        target=target,
+        accepted=run.accepted,
+        attempted=run.attempted,
+        converged=wanted <= budget,
+        warn=not frozen,
+    )
+    if stats is not None:
+        stats["engine"] = ENGINE_NAME
+        stats["pilot_accept_rate"] = pilot_rate
+        stats["accept_rate"] = run.accepted / run.attempted if run.attempted else 0.0
+        if frozen:
+            stats["frozen"] = True
+    return run.graph
+
+
+def _close_trace(trace: list, energy: int, attempts: int, next_trace: int) -> list:
+    """End a trace whose loop records the energy of attempt ``k`` on reaching
+    attempt ``k + 1``: add the last attempt's entry if it was due, then the
+    end."""
+    if attempts == next_trace:
+        trace.append(energy)
+    trace.append(energy)
+    return trace
+
+
+def _objective_chain_0k(
+    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+):
+    """0K proposals: re-attach a random edge to a random node pair.  Their
+    only objective is 0K-preserving randomizing, so every valid proposal
+    (a new simple edge) is accepted and no delta is computed."""
+    n = state.n
+    m = state.m
+    edge_u = state.edge_u
+    edge_v = state.edge_v
+    edge_key = state.edge_key
+    edge_set = state.edge_set
+    energy = objective.start(graph)
+
+    stream_edge, stream_x, stream_y = _spawn_streams(rng, 3)
+    accepted = 0
+    attempts = 0
+    next_trace = trace_every
+    trace = [energy]
+    while attempts < max_attempts and m >= 1 and n >= 2:
+        size = min(batch_size, max_attempts - attempts)
+        slots = stream_edge.integers(0, m, size=size).tolist()
+        xs = stream_x.integers(0, n, size=size).tolist()
+        ys = stream_y.integers(0, n, size=size).tolist()
+        batch_start_acc = accepted
+        batch_start_att = attempts
+        for slot, x, y in zip(slots, xs, ys):
+            if attempts == next_trace:
+                trace.append(energy)
+                next_trace += trace_every
+            attempts += 1
+            if x == y:
+                continue
+            key_xy = x * n + y if x < y else y * n + x
+            if key_xy in edge_set:
+                continue
+            edge_set.remove(edge_key[slot])
+            edge_set.add(key_xy)
+            edge_key[slot] = key_xy
+            if x < y:
+                edge_u[slot] = x
+                edge_v[slot] = y
+            else:
+                edge_u[slot] = y
+                edge_v[slot] = x
+            accepted += 1
+        record_batch_efficiency(
+            objective.label, accepted - batch_start_acc, attempts - batch_start_att
+        )
+    return energy, accepted, attempts, _close_trace(trace, energy, attempts, next_trace)
 
 
 def _objective_chain_1k(
@@ -1710,118 +1463,142 @@ def _objective_chain_1k(
     edge_set = state.edge_set
     limit = objective.limit
     stops = objective.stops
+    scored = objective.scored
     change_of = objective.change
     commit = objective.commit
     energy = objective.start(graph)
 
     stream_first, stream_second, stream_flip, stream_accept = _spawn_streams(rng, 4)
+    no_uniforms = repeat(0.0)
     accepted = 0
     attempts = 0
+    next_trace = trace_every
     trace = [energy]
     while (energy > 0 or not stops) and attempts < max_attempts and m >= 2:
         size = min(batch_size, max_attempts - attempts)
         firsts = stream_first.integers(0, m, size=size).tolist()
         seconds = stream_second.integers(0, m, size=size).tolist()
         flips = stream_flip.integers(0, 2, size=size).tolist()
-        uniforms = stream_accept.random(size=size).tolist()
+        # the Metropolis uniforms are read only under a schedule; theirs is
+        # the last stream spawned, so skipping its draws changes no move
+        uniforms = (
+            stream_accept.random(size=size).tolist() if schedule is not None else no_uniforms
+        )
         batch_start_acc = accepted
         batch_start_att = attempts
         for i, j, flip, uniform in zip(firsts, seconds, flips, uniforms):
+            if attempts == next_trace:
+                trace.append(energy)
+                next_trace += trace_every
             attempts += 1
-            valid = i != j
-            if valid:
-                a = edge_u[i]
-                b = edge_v[i]
-                if flip:
-                    c = edge_v[j]
-                    d = edge_u[j]
-                else:
-                    c = edge_u[j]
-                    d = edge_v[j]
-                if a == d or c == b:
-                    valid = False
-                else:
-                    key_ad = a * n + d if a < d else d * n + a
-                    key_cb = c * n + b if c < b else b * n + c
-                    if key_ad in edge_set or key_cb in edge_set:
-                        valid = False
-            if valid:
+            if i == j:
+                continue
+            a = edge_u[i]
+            b = edge_v[i]
+            if flip:
+                c = edge_v[j]
+                d = edge_u[j]
+            else:
+                c = edge_u[j]
+                d = edge_v[j]
+            if a == d or c == b:
+                continue
+            key_ad = a * n + d if a < d else d * n + a
+            key_cb = c * n + b if c < b else b * n + c
+            if key_ad in edge_set or key_cb in edge_set:
+                continue
+            if scored:
                 delta: dict = {}
                 _jdd_bump(delta, degrees[a], degrees[b], -1)
                 _jdd_bump(delta, degrees[c], degrees[d], -1)
                 _jdd_bump(delta, degrees[a], degrees[d], +1)
                 _jdd_bump(delta, degrees[c], degrees[b], +1)
                 change = change_of(delta)
-                if change <= limit or (
+                if change > limit and not (
                     schedule is not None and _metropolis(change, schedule(attempts), uniform)
                 ):
-                    edge_set.remove(edge_key[i])
-                    edge_set.remove(edge_key[j])
-                    edge_set.add(key_ad)
-                    edge_set.add(key_cb)
-                    edge_key[i] = key_ad
-                    edge_key[j] = key_cb
-                    edge_v[i] = d
-                    edge_u[j] = c
-                    edge_v[j] = b
-                    commit(delta)
-                    energy += change
-                    accepted += 1
-            if attempts % trace_every == 0:
-                trace.append(energy)
+                    continue
+                commit(delta)
+                energy += change
+            edge_set.remove(edge_key[i])
+            edge_set.remove(edge_key[j])
+            edge_set.add(key_ad)
+            edge_set.add(key_cb)
+            edge_key[i] = key_ad
+            edge_key[j] = key_cb
+            edge_v[i] = d
+            edge_u[j] = c
+            edge_v[j] = b
+            accepted += 1
             if stops and energy == 0:
                 break
         record_batch_efficiency(
             objective.label, accepted - batch_start_acc, attempts - batch_start_att
         )
-    trace.append(energy)
-    return energy, accepted, attempts, trace
+    return energy, accepted, attempts, _close_trace(trace, energy, attempts, next_trace)
 
 
 def _objective_chain_2k(
     state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
 ):
-    if state.n > BITSET_MAX_NODES:
+    if not objective.scored or state.n > BITSET_MAX_NODES:
+        # an unscored objective (2K-preserving randomizing) needs none of
+        # the 3K structures: the per-move loop builds none for it
         return _objective_chain_2k_scalar(
             state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
         )
-    # 2K-preserving moves keep the degree multiset fixed, so every wedge or
-    # triangle key the chain can ever meet is a pack over today's distinct
-    # degree values (plus any degree appearing only in a target).  Packing
-    # by degree *rank* instead of degree value makes that key space dense:
-    # with ``n_ranks`` distinct degrees every unified key is an index below
-    # ``2 * n_ranks**3``, so the objective lives in one flat int64 array
-    # indexed directly by key — no sorted-key binary searches and no mid-run
-    # key discovery anywhere.  The value->rank map is monotone, so
-    # rank-packed keys sort exactly like degree-packed ones and the
-    # batched/scalar item-order identity is untouched.
-    kd = np.unique(
-        np.concatenate(
-            (np.asarray(state.degrees, dtype=np.int64), objective.target_degrees())
+    # 3K-preserving randomizing needs only a zero/nonzero verdict per
+    # proposal: no rank-packed statistic, no gradient, and one snapshot per
+    # draw batch (that verdict is cheap enough that fewer, wider snapshots
+    # beat fewer staleness fallbacks)
+    zero = isinstance(objective, DkPreserving)
+    if zero:
+        tk = _ThreeKState(state)
+        grad, energy = None, objective.start(graph)
+        chunk = batch_size
+        no_keys = np.empty(0, dtype=np.int64)
+    else:
+        # 2K-preserving moves keep the degree multiset fixed, so every wedge
+        # or triangle key the chain can ever meet is a pack over today's
+        # distinct degree values (plus any degree appearing only in a
+        # target).  Packing by degree *rank* instead of degree value makes
+        # that key space dense: with ``n_ranks`` distinct degrees every
+        # unified key is an index below ``2 * n_ranks**3``, so the objective
+        # lives in one flat int64 array indexed directly by key — no
+        # sorted-key binary searches and no mid-run key discovery anywhere.
+        # The value->rank map is monotone, so rank-packed keys sort exactly
+        # like degree-packed ones and the batched/scalar item-order identity
+        # is untouched.
+        kd = np.unique(
+            np.concatenate(
+                (np.asarray(state.degrees, dtype=np.int64), objective.target_degrees())
+            )
         )
-    )
-    n_ranks = int(kd.size)
-    if 2 * n_ranks**3 > THREEK_RANK_SLOTS_MAX:
-        # pathological degree diversity would blow up the dense table; the
-        # exact per-move scalar chain needs no packed statistic at all
-        return _objective_chain_2k_scalar(
-            state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
-        )
-    tk = _ThreeKState(state)
-    rank_np = np.zeros(int(kd[-1]) + 1 if n_ranks else 1, dtype=np.int64)
-    rank_np[kd] = np.arange(n_ranks, dtype=np.int64)
-    tk.rank_np = rank_np
-    tk.rank_list = rank_np.tolist()
-    tk.rankv = rank_np[tk.deg]
-    tk.rankv_list = tk.rankv.tolist()
-    tk.n_ranks = n_ranks
-    # the chain's whole objective: ``grad[key]`` is the energy gradient over
-    # rank-packed unified keys.  A delta's change is ``Σ net * grad`` for a
-    # linear objective and ``Σ net * (grad + net)`` for the squared
-    # distance, whose gradient ``2 (current - target)`` then moves by
-    # ``2 * net`` per accepted move.  Everything stays int64-exact, so the
-    # energy trace is identical for every batch size and evaluation path.
-    grad, energy = objective.dense(tk, kd)
+        n_ranks = int(kd.size)
+        if 2 * n_ranks**3 > THREEK_RANK_SLOTS_MAX:
+            # pathological degree diversity would blow up the dense table;
+            # the exact per-move scalar chain needs no packed statistic at all
+            return _objective_chain_2k_scalar(
+                state, graph, objective, rng, max_attempts, schedule, trace_every,
+                batch_size,
+            )
+        tk = _ThreeKState(state)
+        rank_np = np.zeros(int(kd[-1]) + 1 if n_ranks else 1, dtype=np.int64)
+        rank_np[kd] = np.arange(n_ranks, dtype=np.int64)
+        tk.rank_np = rank_np
+        tk.rank_list = rank_np.tolist()
+        tk.rankv = rank_np[tk.deg]
+        tk.rankv_list = tk.rankv.tolist()
+        tk.n_ranks = n_ranks
+        # the chain's whole objective: ``grad[key]`` is the energy gradient
+        # over rank-packed unified keys.  A delta's change is ``Σ net * grad``
+        # for a linear objective and ``Σ net * (grad + net)`` for the squared
+        # distance, whose gradient ``2 (current - target)`` then moves by
+        # ``2 * net`` per accepted move.  Everything stays int64-exact, so
+        # the energy trace is identical for every batch size and evaluation
+        # path.
+        grad, energy = objective.dense(tk, kd)
+        chunk = THREEK_EVAL_CHUNK
     quadratic = objective.quadratic
     limit = objective.limit
     stops = objective.stops
@@ -1849,15 +1626,21 @@ def _objective_chain_2k(
         # decoupled: every decision equals the live-state decision either
         # way, but a smaller evaluation chunk leaves fewer proposals behind
         # an accepted move of the same snapshot, i.e. fewer scalar fallbacks
-        for off in range(0, size, THREEK_EVAL_CHUNK):
-            hi = min(off + THREEK_EVAL_CHUNK, size)
+        for off in range(0, size, chunk):
+            hi = min(off + chunk, size)
             tk.flush()
             i_arr, side, a_arr, b_arr, j_arr, eside, c_arr, d_arr, valid = (
                 _batch_resolve(tk, ends_all[off:hi], positions_all[off:hi])
             )
-            starts, keys, nets, slot_of = _batch_full_delta(
-                tk, a_arr, b_arr, c_arr, d_arr, valid
-            )
+            if zero:
+                # every proposal that passes owns the one empty delta slice
+                valid &= _batch_zero_delta(tk, a_arr, b_arr, c_arr, d_arr, valid)
+                starts, keys, nets = [0, 0], no_keys, no_keys
+                slot_of = [0] * (hi - off)
+            else:
+                starts, keys, nets, slot_of = _batch_full_delta(
+                    tk, a_arr, b_arr, c_arr, d_arr, valid
+                )
             base = tk.clock
             # the change of every snapshot-valid proposal against the
             # chunk-start gradient, in one vectorized pass summed per
@@ -1925,8 +1708,12 @@ def _objective_chain_2k(
                         key_ad = a * n + d if a < d else d * n + a
                         key_cb = c * n + b if c < b else b * n + c
                         if key_ad not in edge_set and key_cb not in edge_set:
-                            items = _scalar_full_eval(tk, a, b, c, d)
-                            ok = True
+                            if zero:
+                                ok = _scalar_zero_eval(tk, a, b, c, d)
+                                items = []
+                            else:
+                                items = _scalar_full_eval(tk, a, b, c, d)
+                                ok = True
                 else:
                     ok = ok0
                     if ok:
@@ -1998,8 +1785,9 @@ def _objective_chain_2k(
 def _objective_chain_2k_scalar(
     state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
 ):
+    scored = objective.scored
     buckets = state.bucket_table
-    adj = state.build_adjacency()
+    adj = state.build_adjacency() if scored else None
     n = state.n
     m = state.m
     degrees = state.degrees
@@ -2014,17 +1802,26 @@ def _objective_chain_2k_scalar(
     energy = objective.start(graph)
 
     stream_end, stream_pos, stream_accept = _spawn_streams(rng, 3)
+    no_uniforms = repeat(0.0)
     accepted = 0
     attempts = 0
+    next_trace = trace_every
     trace = [energy]
     while (energy > 0 or not stops) and attempts < max_attempts and m >= 2:
         size = min(batch_size, max_attempts - attempts)
         ends = stream_end.integers(0, 2 * m, size=size).tolist()
         positions = stream_pos.random(size=size).tolist()
-        uniforms = stream_accept.random(size=size).tolist()
+        # the Metropolis uniforms are read only under a schedule; theirs is
+        # the last stream spawned, so skipping its draws changes no move
+        uniforms = (
+            stream_accept.random(size=size).tolist() if schedule is not None else no_uniforms
+        )
         batch_start_acc = accepted
         batch_start_att = attempts
         for end, r, uniform in zip(ends, positions, uniforms):
+            if attempts == next_trace:
+                trace.append(energy)
+                next_trace += trace_every
             attempts += 1
             i = end >> 1
             if end & 1:
@@ -2036,60 +1833,57 @@ def _objective_chain_2k_scalar(
             bucket = buckets[degrees[b]]
             entry = bucket[int(r * len(bucket))]
             j = entry >> 1
-            valid = i != j
-            if valid:
-                if entry & 1:
-                    d = edge_u[j]
-                    c = edge_v[j]
-                else:
-                    d = edge_v[j]
-                    c = edge_u[j]
-                if a == d or c == b:
-                    valid = False
-                else:
-                    key_ad = a * n + d if a < d else d * n + a
-                    key_cb = c * n + b if c < b else b * n + c
-                    if key_ad in edge_set or key_cb in edge_set:
-                        valid = False
-            if valid:
+            if i == j:
+                continue
+            if entry & 1:
+                d = edge_u[j]
+                c = edge_v[j]
+            else:
+                d = edge_v[j]
+                c = edge_u[j]
+            if a == d or c == b:
+                continue
+            key_ad = a * n + d if a < d else d * n + a
+            key_cb = c * n + b if c < b else b * n + c
+            if key_ad in edge_set or key_cb in edge_set:
+                continue
+            if scored:
                 wedge_delta, triangle_delta = _swap_three_k_delta(adj, degrees, a, b, c, d)
                 change = change_of(wedge_delta, triangle_delta)
-                if change <= limit or (
+                if change > limit and not (
                     schedule is not None and _metropolis(change, schedule(attempts), uniform)
                 ):
-                    edge_set.remove(edge_key[i])
-                    edge_set.remove(edge_key[j])
-                    edge_set.add(key_ad)
-                    edge_set.add(key_cb)
-                    edge_key[i] = key_ad
-                    edge_key[j] = key_cb
-                    if end & 1:
-                        edge_u[i] = d
-                    else:
-                        edge_v[i] = d
-                    if entry & 1:
-                        edge_u[j] = b
-                    else:
-                        edge_v[j] = b
-                    commit(wedge_delta, triangle_delta)
-                    energy += change
-                    accepted += 1
-                else:
                     _revert_swap_toggles(adj, a, b, c, d)
-            if attempts % trace_every == 0:
-                trace.append(energy)
+                    continue
+                commit(wedge_delta, triangle_delta)
+                energy += change
+            edge_set.remove(edge_key[i])
+            edge_set.remove(edge_key[j])
+            edge_set.add(key_ad)
+            edge_set.add(key_cb)
+            edge_key[i] = key_ad
+            edge_key[j] = key_cb
+            if end & 1:
+                edge_u[i] = d
+            else:
+                edge_v[i] = d
+            if entry & 1:
+                edge_u[j] = b
+            else:
+                edge_v[j] = b
+            accepted += 1
             if stops and energy == 0:
                 break
         record_batch_efficiency(
             objective.label, accepted - batch_start_acc, attempts - batch_start_att
         )
-    trace.append(energy)
-    return energy, accepted, attempts, trace
+    return energy, accepted, attempts, _close_trace(trace, energy, attempts, next_trace)
 
 
 __all__ = [
     "ENGINE_NAME",
     "ChainRun",
+    "DkPreserving",
     "JddDistance",
     "LinearObjective",
     "RewiringState",

@@ -22,6 +22,7 @@ from repro.core.extraction import (
     three_k_distribution,
 )
 from repro.exceptions import RewiringConvergenceWarning
+from repro.experiment import ExperimentSpec, run_experiment
 from repro.generators.exploration import explore_1k_likelihood, explore_2k
 from repro.generators.rewiring.preserving import dk_randomize, randomize_1k
 from repro.generators.rewiring.targeting import (
@@ -181,8 +182,8 @@ def test_engine_stats_are_unified(as_small):
     assert set(stats) >= {"target_moves", "accepted_moves", "attempted_moves", "converged"}
     assert stats["engine"] == ENGINE_NAME
     assert stats["converged"] is True
-    assert stats["accepted_moves"] == stats["target_moves"]
     assert stats["attempted_moves"] >= stats["accepted_moves"]
+    assert 0 < stats["pilot_accept_rate"] <= 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
         _, targeting = dk_targeting_result(
@@ -215,6 +216,31 @@ def test_every_chain_span_records_the_engine(as_small):
         "kernel.rewire_explore",
     ]
     assert all(event["args"]["engine"] == ENGINE_NAME for event in spans)
+
+
+def test_randomize_reports_its_acceptance_rates(hot_small):
+    """A randomize chain records its pilot and whole-chain acceptance rates
+    in its stats (hence in its RunRecord) and its move counts and pilot
+    rate on its span."""
+    enable_tracing()
+    try:
+        take_events()
+        record = run_experiment(
+            ExperimentSpec(
+                topologies=(hot_small,), methods=("rewiring",), d_levels=(2,), seed=5, metrics=()
+            )
+        ).records[0]
+        spans = [event for event in take_events() if event["name"] == "kernel.rewire_randomize"]
+    finally:
+        disable_tracing()
+    stats = record.stats
+    assert 0 < stats["pilot_accept_rate"] <= 1
+    assert stats["accept_rate"] == stats["accepted_moves"] / stats["attempted_moves"]
+    assert record.to_row()["stats"]["pilot_accept_rate"] == stats["pilot_accept_rate"]
+    (chain,) = spans
+    assert chain["args"]["attempted"] == stats["attempted_moves"]
+    assert chain["args"]["accepted"] == stats["accepted_moves"]
+    assert chain["args"]["pilot_accept_rate"] == stats["pilot_accept_rate"]
 
 
 @settings(max_examples=12, deadline=None)
