@@ -8,7 +8,9 @@ topologies at n ∈ {1k, 5k}, recording every timing into BENCH_results.json
 named after the chain's span, ``rewire_target_3k``.  Chain *inputs* — the
 seed graphs and the target dK-distributions — are prepared once per size
 outside the timed region, so the rows measure the chains themselves.  The
-3K chains also run at n = 20k, where their cost grows fastest.
+3K chains also run at n = 20k, where their cost grows fastest, and 3K
+randomizing at n = 10^5, above the 3K kernel's bitset ceiling
+(``BITSET_MAX_NODES``), where it tests membership on sorted arc keys.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from repro.topologies.as_level import synthetic_as_topology
 SIZES = (1000, 5000)
 
 #: (chain, n) cells; the 3K chains get an extra n=20k row — the cliff the
-#: batched delta kernel closes grows with n.
+#: batched delta kernel closes grows with n — and 3K randomizing an n=10^5
+#: row on the arc-key membership table.
 CASES = [
     (chain, n)
     for chain in ("d0", "d1", "d2", "d3", "target2k", "target3k")
     for n in SIZES
-] + [("d3", 20000), ("target3k", 20000)]
+] + [("d3", 20000), ("target3k", 20000), ("d3", 100000)]
 
 #: d -> (accepted-move multiplier, attempt budget factor); the 3K chain uses
 #: a deliberately small budget — acceptable moves are rare and the budget,

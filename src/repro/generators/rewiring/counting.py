@@ -33,8 +33,10 @@ reversed ``(b→a, d→c)``:
 Counting in half-units (weight 1 per visit of a doubly visited pairing,
 2 otherwise) and halving at the end gives each pairing once.  The end pairs
 of each group are resolved, validity-tested and (for ``d = 3``) given the
-engine's zero-3K-delta verdict in fixed-size vectorized chunks, so working
-memory is O(chunk + m) whatever the bucket sizes.
+engine's zero-3K-delta verdict (:func:`~repro.kernels.rewiring._batch_zero_delta`,
+the 3K-randomizing chain's own kernel, at every graph size) in fixed-size
+vectorized chunks, so working memory is O(chunk + m) whatever the bucket
+sizes, plus the kernel's membership table for ``d = 3``.
 """
 
 from __future__ import annotations
@@ -85,28 +87,6 @@ def _end_pairs(group: np.ndarray, chunk: int):
         row = stop
 
 
-def _zero_three_k_delta(state, tk, a, b, c, d, valid):
-    """The engine's "swap keeps the 3K distribution" verdict per end pair.
-
-    Batched through the bitset kernel when ``tk`` exists; otherwise (beyond
-    :data:`~repro.kernels.rewiring.BITSET_MAX_NODES`) through the per-move
-    adjacency-set toggles, each swap applied and reverted in place.
-    """
-    if tk is not None:
-        return engine._batch_zero_delta(tk, a, b, c, d, valid)
-    zero = np.zeros(valid.shape[0], dtype=bool)
-    adj = state.adj
-    degrees = state.degrees
-    idx = np.flatnonzero(valid)
-    for k, a_, b_, c_, d_ in zip(
-        idx.tolist(), a[idx].tolist(), b[idx].tolist(), c[idx].tolist(), d[idx].tolist()
-    ):
-        wedges, triangles = engine._swap_three_k_delta(adj, degrees, a_, b_, c_, d_)
-        engine._revert_swap_toggles(adj, a_, b_, c_, d_)
-        zero[k] = not (any(wedges.values()) or any(triangles.values()))
-    return zero
-
-
 def count_dk_rewirings(graph: SimpleGraph, d: int) -> RewiringCounts:
     """Count the possible initial dK-preserving rewirings for ``d`` in 0..3.
 
@@ -128,12 +108,9 @@ def count_dk_rewirings(graph: SimpleGraph, d: int) -> RewiringCounts:
             groups = [np.arange(2 * state.m, dtype=np.int64)]
         else:
             groups = [np.asarray(b, dtype=np.int64) for b in state.build_buckets() if b]
-        tk = None
-        if d == 3:
-            if n <= engine.BITSET_MAX_NODES:
-                tk = engine._ThreeKState(state)
-            else:
-                state.build_adjacency()
+        # the d = 3 verdict is the randomizing chain's batched kernel, on
+        # whichever membership table the graph's size selects
+        tk = engine._ThreeKState(state) if d == 3 else None
         edge_u = np.asarray(state.edge_u, dtype=np.int64)
         edge_v = np.asarray(state.edge_v, dtype=np.int64)
         edge_keys = np.sort(np.asarray(state.edge_key, dtype=np.int64))
@@ -155,7 +132,7 @@ def count_dk_rewirings(graph: SimpleGraph, d: int) -> RewiringCounts:
                 valid = (i != j) & (a != dd) & (c != b)
                 valid &= ~(is_edge(a, dd) | is_edge(c, b))
                 if d == 3:
-                    valid &= _zero_three_k_delta(state, tk, a, b, c, dd, valid)
+                    valid &= engine._batch_zero_delta(tk, a, b, c, dd, valid)
                 if d == 1:
                     weight = valid.astype(np.int64)
                 else:

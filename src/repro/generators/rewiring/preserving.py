@@ -26,11 +26,13 @@ record both acceptance rates (``pilot_accept_rate``, ``accept_rate``).
 The chains run on the rewiring engine in :mod:`repro.kernels.rewiring`,
 which is deterministic per seed and preserves the dK-invariants exactly.
 For d = 3 it evaluates the wedge/triangle acceptance test batched across
-each proposal block (CSR rows + adjacency bitset, packed-key reductions);
-accepted moves update the neighborhood structures incrementally, and
-proposals invalidated by an earlier accepted move in the same batch fall
-back to an exact scalar re-evaluation, keeping the chain's output
-independent of the batch size.
+each proposal block (CSR rows, an adjacency membership table and
+packed-key reductions) at every graph size; the membership table is a
+bitset up to ``BITSET_MAX_NODES`` nodes and sorted packed arc keys beyond
+it, with the same moves either way.  Accepted moves update the
+neighborhood structures incrementally, and proposals invalidated by an
+earlier accepted move in the same batch get an exact per-move
+re-evaluation, keeping the chain's output independent of the batch size.
 """
 
 from __future__ import annotations

@@ -18,12 +18,12 @@ built once per chain:
   never updated;
 * for 3K acceptance tests and 2K-proposal objectives, a batched
   wedge/triangle delta kernel (:class:`_ThreeKState`): fixed-capacity
-  adjacency rows plus a packed adjacency *bitset*, both updated in O(deg)
-  per accepted move, with the exact per-proposal deltas of a whole batch
-  evaluated at once through NumPy gather / bitset-membership /
-  sort-and-segment reductions.  The 3K-*preserving* chain only needs a
-  zero/nonzero verdict per proposal; the objective chains get full
-  per-proposal delta lists over rank-packed wedge/triangle keys.
+  adjacency rows plus an adjacency membership table, both updated per
+  accepted move, with the exact per-proposal deltas of a whole batch
+  evaluated at once through NumPy gather / membership / sort-and-segment
+  reductions.  The 3K-*preserving* chain only needs a zero/nonzero verdict
+  per proposal; the objective chains get full per-proposal delta lists over
+  rank-packed wedge/triangle keys.
 
 Every chain runs through one entry point, :func:`run_chain`, with an objective
 and an attempt budget: dK-preserving randomizing (:class:`DkPreserving`),
@@ -44,15 +44,17 @@ validated/applied by a tight scalar loop.  Because the 3K batch is evaluated
 against a snapshot of the chain state, a proposal whose endpoints were
 touched by an *earlier accepted move of the same batch* is detected through
 per-node move stamps and re-evaluated against the live state — which is
-what keeps the 2K-proposal chains batch-size invariant too.  Beyond
-:data:`BITSET_MAX_NODES` nodes those chains take an exact per-move scalar
-path over adjacency sets instead; it samples the same chain.  These scalar
-paths (``_swap_three_k_delta``/``_revert_swap_toggles`` and the loops over
-them) stay because they are the only 3K evaluators that run above the
-bitset's memory ceiling; they also give the Table-5 rewiring counter
-(:mod:`repro.generators.rewiring.counting`) its d = 3 verdict there.  Below
-the ceiling the counter uses :func:`_batch_zero_delta`, on end pairs
-resolved by the same :func:`_resolve_ends` the proposal batches use.
+what keeps the 2K-proposal chains batch-size invariant too.
+
+The scored 2K-proposal chains and the Table-5 rewiring counter
+(:mod:`repro.generators.rewiring.counting`) run this one kernel at every
+input size.  Only its two memory-bound tables pick a representation by
+size, each behind one access point: adjacency membership is a packed
+bitset up to :data:`BITSET_MAX_NODES` nodes and sorted packed arc keys
+beyond it (:meth:`_ThreeKState.member`), and the objective gradient is a
+dense rank-packed array up to :data:`THREEK_RANK_SLOTS_MAX` slots and a
+sorted sparse key/value array beyond it (:func:`_gradient`).  Both twins
+take exactly the moves of their dense counterparts.
 """
 
 from __future__ import annotations
@@ -71,32 +73,27 @@ from repro.generators.rewiring.chain import (
     record_chain_stats,
 )
 from repro.graph.simple_graph import SimpleGraph
-from repro.graph.subgraphs import (
-    triangle_degree_counts,
-    triangle_key,
-    wedge_degree_counts,
-    wedge_key,
-)
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Name recorded in the chain stats of graphs built by this engine.
 ENGINE_NAME = "csr"
 
-#: Node-count ceiling for the batched 3K kernel: its packed adjacency bitset
-#: costs ``n * ceil(n / 64) * 8`` bytes (128 MiB at the default), so beyond
-#: this the 3K chains fall back to the exact per-move scalar path.
+#: Node-count ceiling of the 3K kernel's packed adjacency bitset, which costs
+#: ``n * ceil(n / 64) * 8`` bytes (128 MiB at the default).  Beyond it the
+#: kernel tests membership on sorted packed arc keys instead (about 1.3x
+#: slower per chain, O(m) memory).
 BITSET_MAX_NODES = 32768
 
 #: Snapshot-evaluation width of the 3K-targeting chain.  RNG draws still
 #: happen at ``batch_size`` (draw width is semantics-neutral), but deltas are
 #: evaluated against a refreshed snapshot every this-many proposals: smaller
 #: chunks mean fewer proposals sit behind an accepted move of the same chunk
-#: and fall back to the per-move scalar path.
+#: and need a per-move re-evaluation.
 THREEK_EVAL_CHUNK = 160
 
-#: Slot cap for the 3K-targeting chain's dense rank-packed sufficient
-#: statistic (``2 * n_ranks**3`` int64 slots, i.e. 128 MiB at the cap).
-#: Graphs whose degree diversity exceeds it take the scalar chain instead.
+#: Slot cap for the scored 2K-proposal chains' dense rank-packed gradient
+#: (``2 * n_ranks**3`` int64 slots, i.e. 128 MiB at the cap).  Graphs whose
+#: degree diversity exceeds it keep the gradient as a sorted sparse array.
 THREEK_RANK_SLOTS_MAX = 16_777_216
 
 #: Attempts of the pilot chain that sizes a randomize chain's attempt budget
@@ -141,7 +138,6 @@ class RewiringState:
         "edge_set",
         "degrees",
         "bucket_table",
-        "adj",
     )
 
     def __init__(self, graph: SimpleGraph):
@@ -163,7 +159,6 @@ class RewiringState:
         self.edge_set = set(edge_key)
         self.degrees = graph.degrees()
         self.bucket_table: list[list[int]] | None = None
-        self.adj: list[set[int]] | None = None
 
     def build_buckets(self) -> list[list[int]]:
         """Degree-bucketed oriented edge-end index (packed ``2*slot+side``).
@@ -185,100 +180,13 @@ class RewiringState:
         self.bucket_table = table
         return table
 
-    def build_adjacency(self) -> list[set[int]]:
-        """Adjacency sets for the wedge/triangle delta computations."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in zip(self.edge_u, self.edge_v):
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj = adj
-        return adj
-
     def to_graph(self) -> SimpleGraph:
         """Materialize the current edge arrays as a :class:`SimpleGraph`."""
         return SimpleGraph.from_flat_edges(self.n, self.edge_u, self.edge_v)
 
 
 # --------------------------------------------------------------------------- #
-# wedge/triangle toggles over plain adjacency sets (3K acceptance / targeting)
-# --------------------------------------------------------------------------- #
-def _toggle_remove(adj, degrees, u, v, wedges, triangles) -> None:
-    """Remove edge ``(u, v)`` from ``adj``, accumulating the exact 3K delta."""
-    neighbors_u = adj[u]
-    neighbors_v = adj[v]
-    ku = degrees[u]
-    kv = degrees[v]
-    for x in neighbors_u:
-        if x == v:
-            continue
-        kx = degrees[x]
-        if x in neighbors_v:
-            key = triangle_key(ku, kv, kx)
-            triangles[key] = triangles.get(key, 0) - 1
-            key = wedge_key(kx, ku, kv)
-            wedges[key] = wedges.get(key, 0) + 1
-        else:
-            key = wedge_key(ku, kv, kx)
-            wedges[key] = wedges.get(key, 0) - 1
-    for y in neighbors_v:
-        if y == u or y in neighbors_u:
-            continue
-        key = wedge_key(kv, ku, degrees[y])
-        wedges[key] = wedges.get(key, 0) - 1
-    neighbors_u.discard(v)
-    neighbors_v.discard(u)
-
-
-def _toggle_add(adj, degrees, u, v, wedges, triangles) -> None:
-    """Add edge ``(u, v)`` to ``adj``, accumulating the exact 3K delta."""
-    neighbors_u = adj[u]
-    neighbors_v = adj[v]
-    ku = degrees[u]
-    kv = degrees[v]
-    for x in neighbors_u:
-        kx = degrees[x]
-        if x in neighbors_v:
-            key = triangle_key(ku, kv, kx)
-            triangles[key] = triangles.get(key, 0) + 1
-            key = wedge_key(kx, ku, kv)
-            wedges[key] = wedges.get(key, 0) - 1
-        else:
-            key = wedge_key(ku, kv, kx)
-            wedges[key] = wedges.get(key, 0) + 1
-    for y in neighbors_v:
-        if y == u or y in neighbors_u:
-            continue
-        key = wedge_key(kv, ku, degrees[y])
-        wedges[key] = wedges.get(key, 0) + 1
-    neighbors_u.add(v)
-    neighbors_v.add(u)
-
-
-def _swap_three_k_delta(adj, degrees, a, b, c, d):
-    """Toggle ``(a,b),(c,d) -> (a,d),(c,b)`` on ``adj``; return its 3K delta."""
-    wedges: dict = {}
-    triangles: dict = {}
-    _toggle_remove(adj, degrees, a, b, wedges, triangles)
-    _toggle_remove(adj, degrees, c, d, wedges, triangles)
-    _toggle_add(adj, degrees, a, d, wedges, triangles)
-    _toggle_add(adj, degrees, c, b, wedges, triangles)
-    return wedges, triangles
-
-
-def _revert_swap_toggles(adj, a, b, c, d) -> None:
-    """Undo the adjacency toggles of :func:`_swap_three_k_delta`."""
-    adj[a].discard(d)
-    adj[d].discard(a)
-    adj[c].discard(b)
-    adj[b].discard(c)
-    adj[a].add(b)
-    adj[b].add(a)
-    adj[c].add(d)
-    adj[d].add(c)
-
-
-# --------------------------------------------------------------------------- #
-# batched 3K delta kernel (flat rows + bitset + packed-key reductions)
+# batched 3K delta kernel (flat rows + membership + packed-key reductions)
 # --------------------------------------------------------------------------- #
 #
 # A 2K-preserving swap ``(a,b),(c,d) -> (a,d),(c,b)`` (with ``deg b == deg d``
@@ -298,9 +206,9 @@ def _revert_swap_toggles(adj, a, b, c, d) -> None:
 #
 # All keys are packed into int64 (base ``degree_pack``) so per-proposal
 # deltas reduce to integer-array sort/segment operations; the scalar
-# evaluators below produce byte-identical items and back both the
-# within-batch staleness path and the property tests against the
-# ``_toggle_remove``/``_toggle_add`` reference.
+# evaluators below produce byte-identical items and back the within-batch
+# staleness path.  The tests check all four evaluators against a
+# from-scratch wedge/triangle recount of the swapped graph.
 
 
 def _pack_sorted3(k1, k2, k3, base):
@@ -321,22 +229,21 @@ def _pack_wedge(e1, e2, center, base):
     return (np.minimum(e1, e2) * base + center) * base + np.maximum(e1, e2)
 
 
-def _bitset_member(bits, u, v):
-    """Elementwise adjacency test ``v[k] in N(u[k])`` on the packed bitset."""
-    return (bits[u, v >> 6] >> (v & 63).astype(np.uint64)) & np.uint64(1)
-
-
 class _ThreeKState:
     """Neighborhood structures backing the batched 3K delta kernel.
 
-    Built once per 3K chain on top of a :class:`RewiringState` and updated in
-    O(deg) per accepted move:
+    Built once per 3K chain (or Table-5 count) on top of a
+    :class:`RewiringState` and updated per accepted move:
 
     * ``rows``/``indptr``/``deg`` — fixed-capacity (degrees are invariant
       under every 2K-preserving move) unsorted adjacency rows, gathered
       raggedly by the batch evaluators;
-    * ``bits`` — ``n x ceil(n/64)`` uint64 adjacency bitset for O(1)
-      vectorized membership tests;
+    * ``bits`` or ``arcs`` — the adjacency membership table behind
+      :meth:`member`.  Up to :data:`BITSET_MAX_NODES` nodes it is an
+      ``n x ceil(n/64)`` uint64 bitset (O(1) tests, ``n**2 / 8`` bytes);
+      beyond it, the sorted packed arc keys ``u * n + v`` of both
+      orientations of every edge (O(log m) tests, ``16 m`` bytes).  The
+      bitset is the faster table, so it stays wherever it fits;
     * ``edge_u``/``edge_v`` — NumPy mirrors of the flat edge arrays for
       vectorized proposal resolution;
     * ``bucket_flat``/``bucket_start``/``bucket_len`` — the degree-bucketed
@@ -352,8 +259,9 @@ class _ThreeKState:
     * ``stamp``/``clock`` — per-node stamps of the last accepted move that
       rewrote the node's row, backing the within-batch staleness test.
 
-    The NumPy-side structures (``rows``, ``bits``, ``edge_u``/``edge_v``)
-    are only *read* by the vectorized batch evaluators, never mid-batch, so
+    The NumPy-side structures (``rows``, ``bits``/``arcs``,
+    ``edge_u``/``edge_v``) are only *read* by the vectorized batch
+    evaluators, never mid-batch, so
     :meth:`apply_swap` merely queues their updates and :meth:`flush` applies
     them in bulk at the next batch boundary — per-element NumPy scalar
     writes are ~10x the cost of the equivalent list/dict operation and were
@@ -368,13 +276,13 @@ class _ThreeKState:
         "indptr_list",
         "rows",
         "bits",
+        "arcs",
         "edge_u",
         "edge_v",
         "bucket_flat",
         "bucket_start",
         "bucket_len",
         "degree_pack",
-        "tri_off",
         "rankv",
         "rankv_list",
         "rank_np",
@@ -391,7 +299,7 @@ class _ThreeKState:
         "pend_bit_nbr",
     )
 
-    def __init__(self, state: RewiringState, min_degree_pack: int = 0):
+    def __init__(self, state: RewiringState):
         n = state.n
         self.n = n
         self.degrees = state.degrees
@@ -408,13 +316,17 @@ class _ThreeKState:
         dst = np.concatenate((edge_v, edge_u))
         order = np.argsort(src, kind="stable")
         self.rows = dst[order]
-        words = (n + 63) >> 6
-        bits = np.zeros((n, words), dtype=np.uint64)
-        if src.size:
-            np.bitwise_or.at(
-                bits, (src, dst >> 6), np.uint64(1) << (dst & 63).astype(np.uint64)
-            )
-        self.bits = bits
+        if n <= BITSET_MAX_NODES:
+            bits = np.zeros((n, (n + 63) >> 6), dtype=np.uint64)
+            if src.size:
+                np.bitwise_or.at(
+                    bits, (src, dst >> 6), np.uint64(1) << (dst & 63).astype(np.uint64)
+                )
+            self.bits = bits
+            self.arcs = None
+        else:
+            self.bits = None
+            self.arcs = np.sort(src * n + dst)
         table = state.bucket_table if state.bucket_table is not None else []
         lens = np.array([len(bucket) for bucket in table], dtype=np.int64)
         starts = np.zeros(max(lens.size, 1), dtype=np.int64)
@@ -426,20 +338,8 @@ class _ThreeKState:
             [end for bucket in table for end in bucket], dtype=np.int64
         )
         top = int(deg.max()) if n else 0
-        self.degree_pack = max(top, min_degree_pack) + 1
-        self.tri_off = self.degree_pack**3
-        # degree-rank packing (targeting evaluators): dense unified keys
-        # below ``2 * n_ranks**3``.  Seeded from the node degrees here; the
-        # targeting chain overrides the map when its target carries degrees
-        # the graph lacks.
-        kd = np.unique(deg)
-        self.n_ranks = int(kd.size)
-        rank_np = np.zeros(int(kd[-1]) + 1 if kd.size else 1, dtype=np.int64)
-        rank_np[kd] = np.arange(kd.size, dtype=np.int64)
-        self.rank_np = rank_np
-        self.rank_list = rank_np.tolist()
-        self.rankv = rank_np[deg]
-        self.rankv_list = self.rankv.tolist()
+        self.degree_pack = top + 1
+        self.rank_by(np.unique(deg))
         degrees = state.degrees
         offset_of: list[dict[int, int]] = [{} for _ in range(n)]
         nbrdeg: list[dict[int, int]] = [{} for _ in range(n)]
@@ -464,6 +364,40 @@ class _ThreeKState:
         self.pend_rows: dict[int, int] = {}
         self.pend_bit_node: list[int] = []
         self.pend_bit_nbr: list[int] = []
+
+    def rank_by(self, kd: np.ndarray) -> None:
+        """Pack full-delta keys by rank in the sorted distinct degrees ``kd``.
+
+        Keys are unified (wedges below ``n_ranks**3``, triangles above), so
+        they are dense indices below ``2 * n_ranks**3``.  Seeded from the
+        node degrees; the scored chains re-rank when their objective carries
+        degrees the graph lacks.
+        """
+        self.n_ranks = int(kd.size)
+        rank_np = np.zeros(int(kd[-1]) + 1 if kd.size else 1, dtype=np.int64)
+        rank_np[kd] = np.arange(kd.size, dtype=np.int64)
+        self.rank_np = rank_np
+        self.rank_list = rank_np.tolist()
+        self.rankv = rank_np[self.deg]
+        self.rankv_list = self.rankv.tolist()
+
+    def member(self, u, v):
+        """Elementwise adjacency test ``v[k] in N(u[k])`` (a bool array).
+
+        The arc-key table is probed with sorted needles, which keeps
+        ``np.searchsorted``'s successive probes close together.
+        """
+        if self.bits is not None:
+            word = self.bits[u, v >> 6] >> (v & 63).astype(np.uint64)
+            return (word & np.uint64(1)).astype(bool)
+        needles = u * self.n + v
+        order = np.argsort(needles)
+        needles = needles[order]
+        pos = np.searchsorted(self.arcs, needles)
+        inside = pos < self.arcs.size
+        hit = np.zeros(needles.size, dtype=bool)
+        hit[order[inside]] = self.arcs[pos[inside]] == needles[inside]
+        return hit
 
     def row_set(self, u: int):
         """The current neighbor set of ``u`` (scalar staleness path).
@@ -514,9 +448,11 @@ class _ThreeKState:
     def flush(self) -> None:
         """Apply the queued NumPy-side updates (batch boundary only).
 
-        Row rewrites and edge-mirror writes are last-value-wins dicts; the
-        bitset toggles are an XOR sequence, which ``np.bitwise_xor.at``
-        replays correctly even with repeated ``(node, word)`` targets.
+        Row rewrites and edge-mirror writes are last-value-wins dicts.  The
+        membership toggles are an XOR sequence: ``np.bitwise_xor.at``
+        replays it on the bitset even with repeated ``(node, word)``
+        targets, and on the arc keys only the arcs toggled an odd number of
+        times change, each deleted if present and inserted if not.
         """
         if self.pend_rows:
             count = len(self.pend_rows)
@@ -536,8 +472,19 @@ class _ThreeKState:
         if self.pend_bit_node:
             node = np.array(self.pend_bit_node, dtype=np.int64)
             nbr = np.array(self.pend_bit_nbr, dtype=np.int64)
-            mask = np.uint64(1) << (nbr & 63).astype(np.uint64)
-            np.bitwise_xor.at(self.bits, (node, nbr >> 6), mask)
+            if self.bits is not None:
+                mask = np.uint64(1) << (nbr & 63).astype(np.uint64)
+                np.bitwise_xor.at(self.bits, (node, nbr >> 6), mask)
+            else:
+                keys, counts = np.unique(node * self.n + nbr, return_counts=True)
+                flip = keys[(counts & 1) == 1]
+                arcs = self.arcs
+                pos = np.searchsorted(arcs, flip)
+                present = pos < arcs.size
+                present[present] = arcs[pos[present]] == flip[present]
+                arcs = np.delete(arcs, pos[present])
+                added = flip[~present]
+                self.arcs = np.insert(arcs, np.searchsorted(arcs, added), added)
             del self.pend_bit_node[:]
             del self.pend_bit_nbr[:]
 
@@ -560,14 +507,14 @@ def _common_neighbors(tk: _ThreeKState, u, w, ex1=None, ex2=None):
     """Common neighbors of node pairs ``(u[p], w[p])`` as ``(pid, x)`` pairs.
 
     Iterates the smaller-degree row of each pair and membership-tests the
-    other via the bitset; ``ex1``/``ex2`` drop the named nodes from the
+    other; ``ex1``/``ex2`` drop the named nodes from the
     result (value-based, hence symmetric in ``u``/``w``).
     """
     pick_w = tk.deg[w] < tk.deg[u]
     iterate = np.where(pick_w, w, u)
     other = np.where(pick_w, u, w)
     pid, q = _ragged_rows(tk, iterate)
-    mask = _bitset_member(tk.bits, other[pid], q).astype(bool)
+    mask = tk.member(other[pid], q)
     if ex1 is not None:
         mask &= (q != ex1[pid]) & (q != ex2[pid])
     return pid[mask], q[mask]
@@ -594,7 +541,7 @@ def _nonzero_net_pids(pid, key, sign, n_pids):
 def _swap_neighborhoods(tk: _ThreeKState, aP, bP, cP, dP):
     """The four common-neighbor families every 3K delta is built from, fused.
 
-    One ragged-row + bitset-membership pass over the concatenated pair
+    One ragged-row + membership pass over the concatenated pair
     families ``ab, cd, ad, cb`` instead of four: per kept common neighbor,
     returns ``(rel, x, fam)`` — the proposal index, the common neighbor, and
     the family index 0..3.  Family parity encodes the kept tail (even: ``a``,
@@ -612,7 +559,7 @@ def _swap_neighborhoods(tk: _ThreeKState, aP, bP, cP, dP):
     iterate = np.where(pick_w, w, u)
     other = np.where(pick_w, u, w)
     pid, q = _ragged_rows(tk, iterate)
-    mask = _bitset_member(tk.bits, other[pid], q).astype(bool)
+    mask = tk.member(other[pid], q)
     mask &= (q != ex1[pid]) & (q != ex2[pid])
     pid = pid[mask]
     return pid % npids, q[mask], pid // npids
@@ -630,7 +577,7 @@ def _resolve_ends(edge_u, edge_v, ends):
 def _batch_resolve(tk: _ThreeKState, ends, positions):
     """Vectorized 2K-proposal resolution against the snapshot state.
 
-    Mirrors the scalar loops exactly, including ``int(r * len(bucket))``
+    Mirrors the per-move 2K loop exactly, including ``int(r * len(bucket))``
     truncation, and returns the resolved slots/sides/endpoints plus the
     snapshot validity mask (distinct slots, simple-graph result).
     """
@@ -641,9 +588,9 @@ def _batch_resolve(tk: _ThreeKState, ends, positions):
     ]
     j, eside, c, d = _resolve_ends(tk.edge_u, tk.edge_v, entry)
     valid = (i != j) & (a != d) & (c != b)
-    memb = _bitset_member(tk.bits, np.concatenate((a, c)), np.concatenate((d, b)))
+    memb = tk.member(np.concatenate((a, c)), np.concatenate((d, b)))
     half = a.shape[0]
-    valid &= (memb[:half] | memb[half:]) == 0
+    valid &= ~(memb[:half] | memb[half:])
     return i, side, a, b, j, eside, c, d, valid
 
 
@@ -1053,8 +1000,9 @@ def _scalar_full_eval(tk: _ThreeKState, a, b, c, d):
 # * exploration: a dot product of the delta with an integer weight vector,
 #   accepting only strict improvements, for the whole attempt budget.
 #
-# Integer energies keep every decision exact, so the batched and scalar
-# evaluation paths (and every batch size) take the same moves.
+# Integer energies keep every decision exact, so the batched and per-move
+# evaluators, both membership tables, both gradient layouts and every batch
+# size take the same moves.
 
 
 def _squared_distance(current: dict, target: dict) -> int:
@@ -1122,7 +1070,11 @@ class JddDistance:
 
 class ThreeKDistance:
     """Squared distance ``D_3`` to target wedge and triangle counts:
-    3K-targeting on 2K proposals."""
+    3K-targeting on 2K proposals.
+
+    Its gradient over the rank-packed keys is ``2 (current - target)``, so a
+    delta's change is ``Σ net (grad + net)``; a key in neither count holds 0.
+    """
 
     proposal = 2
     label = "3K-targeting"
@@ -1138,31 +1090,14 @@ class ThreeKDistance:
         keys = (*self.target.wedges, *self.target.triangles)
         return np.fromiter((k for key in keys for k in key), np.int64)
 
-    def dense(self, tk: _ThreeKState, kd: np.ndarray):
-        """``(grad, energy)`` on the rank-packed keys: ``grad = 2 (current -
-        target)``, so a delta's change is ``Σ net (grad + net)``."""
-        keys0, vals0, distance = _initial_threek_diff(tk, self.target)
-        grad = np.zeros(2 * tk.n_ranks**3, dtype=np.int64)
-        grad[keys0] = 2 * vals0
-        return grad, distance
+    def gradient_entries(self, tk: _ThreeKState):
+        """``(keys, values, energy)``: the gradient where it differs from
+        :meth:`gradient_fill`, and the start distance."""
+        keys, vals, distance = _initial_threek_diff(tk, self.target)
+        return keys, 2 * vals, distance
 
-    def start(self, graph: SimpleGraph) -> int:
-        self.wedges = dict(wedge_degree_counts(graph))
-        self.triangles = dict(triangle_degree_counts(graph))
-        self.target_wedges = dict(self.target.wedges)
-        self.target_triangles = dict(self.target.triangles)
-        return _squared_distance(self.wedges, self.target_wedges) + _squared_distance(
-            self.triangles, self.target_triangles
-        )
-
-    def change(self, wedge_delta: dict, triangle_delta: dict) -> int:
-        return _distance_change(
-            self.wedges, self.target_wedges, wedge_delta
-        ) + _distance_change(self.triangles, self.target_triangles, triangle_delta)
-
-    def commit(self, wedge_delta: dict, triangle_delta: dict) -> None:
-        _commit_counts(self.wedges, wedge_delta)
-        _commit_counts(self.triangles, triangle_delta)
+    def gradient_fill(self, keys: np.ndarray, kd: np.ndarray) -> np.ndarray:
+        return np.zeros(keys.size, dtype=np.int64)
 
 
 class LinearObjective:
@@ -1171,9 +1106,10 @@ class LinearObjective:
     ``edge(k1, k2)`` weighs JDD keys (1K proposals); ``wedge(end, centre,
     end)`` and ``triangle(k1, k2, k3)`` weigh 3K keys (2K proposals; a
     missing family weighs 0).  The weight functions take degree values as
-    ints or NumPy arrays and must return integers.  ``maximize`` flips the
-    sign, so the chain always lowers the energy, and only a strict
-    improvement is accepted.
+    ints (``edge``) or NumPy arrays (``wedge``, ``triangle``) and must return
+    integers.  ``maximize`` flips the sign, so the chain always lowers the
+    energy, and only a strict improvement is accepted.  On 2K proposals the
+    gradient is the weight vector itself.
     """
 
     limit = -1
@@ -1192,36 +1128,33 @@ class LinearObjective:
     def target_degrees(self) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
 
-    def dense(self, tk: _ThreeKState, kd: np.ndarray):
-        base = tk.n_ranks
-        index = np.arange(base**3, dtype=np.int64)
-        lo = kd[index // (base * base)]
-        mid = kd[(index // base) % base]
-        hi = kd[index % base]
-        zero = np.zeros(base**3, dtype=np.int64)
+    def gradient_entries(self, tk: _ThreeKState):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, 0
+
+    def gradient_fill(self, keys: np.ndarray, kd: np.ndarray) -> np.ndarray:
+        """The signed weights of rank-packed unified ``keys`` over the
+        sorted distinct degrees ``kd``."""
+        base = kd.size
+        cube = base**3
+        triangle = keys >= cube
+        out = np.zeros(keys.size, dtype=np.int64)
         # wedge keys pack (min end, centre, max end), triangle keys sort
-        wedges = zero if self.wedge is None else self.wedge(lo, mid, hi)
-        triangles = zero if self.triangle is None else self.triangle(lo, mid, hi)
-        grad = self.sign * np.concatenate((wedges, triangles)).astype(np.int64)
-        return grad, 0
+        for family, weight, offset in ((~triangle, self.wedge, 0), (triangle, self.triangle, cube)):
+            if weight is not None:
+                rest = keys[family] - offset
+                out[family] = weight(
+                    kd[rest // (base * base)], kd[(rest // base) % base], kd[rest % base]
+                )
+        return self.sign * out
 
     def start(self, graph: SimpleGraph) -> int:
         return 0
 
-    def change(self, delta: dict, triangle_delta: dict | None = None) -> int:
-        if triangle_delta is None:
-            total = sum(count * self.edge(*key) for key, count in delta.items())
-        else:
-            total = 0
-            if self.wedge is not None:
-                total += sum(count * self.wedge(*key) for key, count in delta.items())
-            if self.triangle is not None:
-                total += sum(
-                    count * self.triangle(*key) for key, count in triangle_delta.items()
-                )
-        return self.sign * int(total)
+    def change(self, delta: dict) -> int:
+        return self.sign * int(sum(count * self.edge(*key) for key, count in delta.items()))
 
-    def commit(self, *deltas) -> None:
+    def commit(self, delta: dict) -> None:
         pass
 
 
@@ -1232,9 +1165,9 @@ class DkPreserving:
     proposals.  The energy is 0 throughout and never stops the chain, so it
     runs its whole attempt budget.  Only d = 3 is scored: a proposal is
     accepted iff it leaves the wedge and triangle distributions unchanged.
-    Below :data:`BITSET_MAX_NODES` that verdict comes from
-    :func:`_batch_zero_delta` on each draw batch; beyond it, :meth:`change`
-    reads the per-move scalar delta.
+    At every n that verdict comes from :func:`_batch_zero_delta` on each
+    draw batch, and from :func:`_scalar_zero_eval` for a proposal behind an
+    accepted move of its batch.
     """
 
     limit = 0
@@ -1249,11 +1182,63 @@ class DkPreserving:
     def start(self, graph: SimpleGraph) -> int:
         return 0
 
-    def change(self, wedge_delta: dict, triangle_delta: dict) -> int:
-        return int(any(wedge_delta.values()) or any(triangle_delta.values()))
 
-    def commit(self, *deltas) -> None:
-        pass
+class _SparseGradient:
+    """Sorted key/value twin of the dense gradient array.
+
+    Serves the two operations the scored chain performs on its gradient: a
+    gather ``grad[keys]`` and a scatter ``grad[keys] = values`` of distinct
+    keys (so ``grad[keys] += values`` works as on an array).  A key absent
+    from the stored arrays reads ``fill(keys)``, what the dense array holds
+    there; a scatter to an absent key inserts it.
+    """
+
+    __slots__ = ("keys", "vals", "fill")
+
+    def __init__(self, keys: np.ndarray, vals: np.ndarray, fill):
+        self.keys = keys
+        self.vals = vals
+        self.fill = fill
+
+    def _find(self, keys):
+        pos = np.searchsorted(self.keys, keys)
+        hit = pos < self.keys.size
+        hit[hit] = self.keys[pos[hit]] == keys[hit]
+        return pos, hit
+
+    def __getitem__(self, keys):
+        pos, hit = self._find(keys)
+        out = self.fill(keys)
+        out[hit] = self.vals[pos[hit]]
+        return out
+
+    def __setitem__(self, keys, values):
+        pos, hit = self._find(keys)
+        self.vals[pos[hit]] = values[hit]
+        if not hit.all():
+            order = np.argsort(keys[~hit])
+            new_keys = keys[~hit][order]
+            at = np.searchsorted(self.keys, new_keys)
+            self.keys = np.insert(self.keys, at, new_keys)
+            self.vals = np.insert(self.vals, at, values[~hit][order])
+
+
+def _gradient(objective, tk: _ThreeKState, kd: np.ndarray):
+    """``(grad, energy)``: a scored 2K chain's energy gradient over the
+    rank-packed unified keys, and its start energy.
+
+    The gradient is a dense int64 array with one slot per key up to
+    :data:`THREEK_RANK_SLOTS_MAX` slots and a :class:`_SparseGradient`
+    beyond it; both read and update identically.
+    """
+    keys, vals, energy = objective.gradient_entries(tk)
+    slots = 2 * tk.n_ranks**3
+    if slots <= THREEK_RANK_SLOTS_MAX:
+        grad = objective.gradient_fill(np.arange(slots, dtype=np.int64), kd)
+        grad[keys] = vals
+    else:
+        grad = _SparseGradient(keys, vals, lambda k: objective.gradient_fill(k, kd))
+    return grad, energy
 
 
 @dataclass
@@ -1282,12 +1267,12 @@ def run_chain(
     0K-proposal objectives preserve the edge count, 1K-proposal ones the
     degree sequence, 2K-proposal ones the JDD.  A temperature ``schedule``
     (``step -> T``) enables Metropolis uphill moves; without one a move is
-    accepted iff its change is at most ``objective.limit``.  The scored 2K
-    chain runs the batched delta kernel up to :data:`BITSET_MAX_NODES`
-    nodes and the exact per-move scalar path beyond it (or when degree
-    diversity is too large for the dense rank-packed statistic); the split
-    depends only on the input, never on the batch size.  The trace records
-    the energy every ``trace_every`` attempts, plus the start and end.
+    accepted iff its change is at most ``objective.limit``.  A scored 2K
+    chain runs the batched delta kernel at every input size; only its
+    membership table (bitset or sorted arc keys, by :data:`BITSET_MAX_NODES`)
+    and gradient layout (dense or sparse, by :data:`THREEK_RANK_SLOTS_MAX`)
+    depend on the input, and neither changes a move.  The trace records the
+    energy every ``trace_every`` attempts, plus the start and end.
     """
     rng = ensure_rng(rng)
     state = RewiringState(graph)
@@ -1464,8 +1449,9 @@ def _objective_chain_1k(
     limit = objective.limit
     stops = objective.stops
     scored = objective.scored
-    change_of = objective.change
-    commit = objective.commit
+    if scored:
+        change_of = objective.change
+        commit = objective.commit
     energy = objective.start(graph)
 
     stream_first, stream_second, stream_flip, stream_accept = _spawn_streams(rng, 4)
@@ -1541,19 +1527,18 @@ def _objective_chain_1k(
 def _objective_chain_2k(
     state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
 ):
-    if not objective.scored or state.n > BITSET_MAX_NODES:
-        # an unscored objective (2K-preserving randomizing) needs none of
-        # the 3K structures: the per-move loop builds none for it
-        return _objective_chain_2k_scalar(
-            state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+    if not objective.scored:
+        # 2K-preserving randomizing needs none of the 3K structures
+        return _objective_chain_2k_unscored(
+            state, objective, rng, max_attempts, trace_every, batch_size
         )
+    tk = _ThreeKState(state)
     # 3K-preserving randomizing needs only a zero/nonzero verdict per
     # proposal: no rank-packed statistic, no gradient, and one snapshot per
     # draw batch (that verdict is cheap enough that fewer, wider snapshots
     # beat fewer staleness fallbacks)
     zero = isinstance(objective, DkPreserving)
     if zero:
-        tk = _ThreeKState(state)
         grad, energy = None, objective.start(graph)
         chunk = batch_size
         no_keys = np.empty(0, dtype=np.int64)
@@ -1563,41 +1548,20 @@ def _objective_chain_2k(
         # distinct degree values (plus any degree appearing only in a
         # target).  Packing by degree *rank* instead of degree value makes
         # that key space dense: with ``n_ranks`` distinct degrees every
-        # unified key is an index below ``2 * n_ranks**3``, so the objective
-        # lives in one flat int64 array indexed directly by key — no
-        # sorted-key binary searches and no mid-run key discovery anywhere.
-        # The value->rank map is monotone, so rank-packed keys sort exactly
-        # like degree-packed ones and the batched/scalar item-order identity
-        # is untouched.
-        kd = np.unique(
-            np.concatenate(
-                (np.asarray(state.degrees, dtype=np.int64), objective.target_degrees())
-            )
-        )
-        n_ranks = int(kd.size)
-        if 2 * n_ranks**3 > THREEK_RANK_SLOTS_MAX:
-            # pathological degree diversity would blow up the dense table;
-            # the exact per-move scalar chain needs no packed statistic at all
-            return _objective_chain_2k_scalar(
-                state, graph, objective, rng, max_attempts, schedule, trace_every,
-                batch_size,
-            )
-        tk = _ThreeKState(state)
-        rank_np = np.zeros(int(kd[-1]) + 1 if n_ranks else 1, dtype=np.int64)
-        rank_np[kd] = np.arange(n_ranks, dtype=np.int64)
-        tk.rank_np = rank_np
-        tk.rank_list = rank_np.tolist()
-        tk.rankv = rank_np[tk.deg]
-        tk.rankv_list = tk.rankv.tolist()
-        tk.n_ranks = n_ranks
+        # unified key is an index below ``2 * n_ranks**3`` — no mid-run key
+        # discovery anywhere.  The value->rank map is monotone, so
+        # rank-packed keys sort exactly like degree-packed ones and the
+        # batched/scalar item-order identity is untouched.
+        kd = np.unique(np.concatenate((tk.deg, objective.target_degrees())))
+        tk.rank_by(kd)
         # the chain's whole objective: ``grad[key]`` is the energy gradient
         # over rank-packed unified keys.  A delta's change is ``Σ net * grad``
         # for a linear objective and ``Σ net * (grad + net)`` for the squared
         # distance, whose gradient ``2 (current - target)`` then moves by
         # ``2 * net`` per accepted move.  Everything stays int64-exact, so
-        # the energy trace is identical for every batch size and evaluation
-        # path.
-        grad, energy = objective.dense(tk, kd)
+        # the energy trace is identical for every batch size, evaluation
+        # path and gradient layout.
+        grad, energy = _gradient(objective, tk, kd)
         chunk = THREEK_EVAL_CHUNK
     quadratic = objective.quadratic
     limit = objective.limit
@@ -1782,12 +1746,10 @@ def _objective_chain_2k(
     return energy, accepted, attempts, trace
 
 
-def _objective_chain_2k_scalar(
-    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
-):
-    scored = objective.scored
+def _objective_chain_2k_unscored(state, objective, rng, max_attempts, trace_every, batch_size):
+    """2K proposals with no score: 2K-preserving randomizing, which accepts
+    every valid degree-matched head exchange."""
     buckets = state.bucket_table
-    adj = state.build_adjacency() if scored else None
     n = state.n
     m = state.m
     degrees = state.degrees
@@ -1795,32 +1757,23 @@ def _objective_chain_2k_scalar(
     edge_v = state.edge_v
     edge_key = state.edge_key
     edge_set = state.edge_set
-    limit = objective.limit
-    stops = objective.stops
-    change_of = objective.change
-    commit = objective.commit
-    energy = objective.start(graph)
 
-    stream_end, stream_pos, stream_accept = _spawn_streams(rng, 3)
-    no_uniforms = repeat(0.0)
+    # the third (Metropolis) stream is never read here; spawning it anyway
+    # leaves the caller's generator as every 2K-proposal chain leaves it
+    stream_end, stream_pos, _ = _spawn_streams(rng, 3)
     accepted = 0
     attempts = 0
     next_trace = trace_every
-    trace = [energy]
-    while (energy > 0 or not stops) and attempts < max_attempts and m >= 2:
+    trace = [0]
+    while attempts < max_attempts and m >= 2:
         size = min(batch_size, max_attempts - attempts)
         ends = stream_end.integers(0, 2 * m, size=size).tolist()
         positions = stream_pos.random(size=size).tolist()
-        # the Metropolis uniforms are read only under a schedule; theirs is
-        # the last stream spawned, so skipping its draws changes no move
-        uniforms = (
-            stream_accept.random(size=size).tolist() if schedule is not None else no_uniforms
-        )
         batch_start_acc = accepted
         batch_start_att = attempts
-        for end, r, uniform in zip(ends, positions, uniforms):
+        for end, r in zip(ends, positions):
             if attempts == next_trace:
-                trace.append(energy)
+                trace.append(0)
                 next_trace += trace_every
             attempts += 1
             i = end >> 1
@@ -1847,16 +1800,6 @@ def _objective_chain_2k_scalar(
             key_cb = c * n + b if c < b else b * n + c
             if key_ad in edge_set or key_cb in edge_set:
                 continue
-            if scored:
-                wedge_delta, triangle_delta = _swap_three_k_delta(adj, degrees, a, b, c, d)
-                change = change_of(wedge_delta, triangle_delta)
-                if change > limit and not (
-                    schedule is not None and _metropolis(change, schedule(attempts), uniform)
-                ):
-                    _revert_swap_toggles(adj, a, b, c, d)
-                    continue
-                commit(wedge_delta, triangle_delta)
-                energy += change
             edge_set.remove(edge_key[i])
             edge_set.remove(edge_key[j])
             edge_set.add(key_ad)
@@ -1872,12 +1815,10 @@ def _objective_chain_2k_scalar(
             else:
                 edge_v[j] = b
             accepted += 1
-            if stops and energy == 0:
-                break
         record_batch_efficiency(
             objective.label, accepted - batch_start_acc, attempts - batch_start_att
         )
-    return energy, accepted, attempts, _close_trace(trace, energy, attempts, next_trace)
+    return 0, accepted, attempts, _close_trace(trace, 0, attempts, next_trace)
 
 
 __all__ = [

@@ -7,6 +7,8 @@ kernels must reproduce: integer counts exactly, Brandes accumulations to
 1e-12 relative error.  Tests call them directly, or measure a graph through
 the whole library with :func:`oracle_kernels`.  The benchmarks import this
 package as ``tests.oracle`` to time the reference kernels.
+:func:`three_k_delta_by_recount` is the oracle of the rewiring engine's 3K
+delta evaluators: one swap's wedge/triangle change, by recount.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.measure import intermediates
 
 from .correlations_python import edge_degree_moments, jdd_counts, second_order_total
 from .sweep_python import bfs_histogram, bfs_sweep
+from .threek_recount import pack_three_k_delta, three_k_delta_by_recount
 from .triangles_python import triangles_per_node
 
 #: the two kernel sets a parametrized test can measure with
@@ -63,6 +66,8 @@ __all__ = [
     "jdd_counts",
     "kernel_set",
     "oracle_kernels",
+    "pack_three_k_delta",
     "second_order_total",
+    "three_k_delta_by_recount",
     "triangles_per_node",
 ]

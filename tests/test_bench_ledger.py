@@ -62,3 +62,19 @@ def test_missing_or_corrupt_ledger_starts_fresh(tmp_path, session_rows):
 def test_empty_session_writes_nothing(tmp_path, session_rows):
     assert _common.write_results(tmp_path / "ledger.json") is None
     assert not (tmp_path / "ledger.json").exists()
+
+
+class _Benchmark:
+    """The slice of pytest-benchmark's fixture that ``run_once`` uses."""
+
+    name = "test_fig"
+
+    def pedantic(self, func, args, kwargs, rounds, iterations):
+        return func(*args, **kwargs)
+
+
+def test_run_once_records_the_input_size_behind_a_tuple(session_rows, triangle_graph):
+    """A bench returning plain tables, like Fig 3's ``(rows, distances)``,
+    records the size of the graph it was given."""
+    _common.run_once(_Benchmark(), lambda graph: ([["0K", 1.0]], {0: 2.0}), triangle_graph)
+    assert [(row["bench"], row["n"], row["m"]) for row in session_rows] == [("test_fig", 3, 3)]

@@ -140,8 +140,8 @@ def test_counts_match_brute_force_oracle(oracle_cases):
 
 
 def test_scalar_three_k_verdict_matches_oracle(oracle_cases, monkeypatch):
-    """Beyond BITSET_MAX_NODES the d = 3 verdict comes from the per-move
-    adjacency-set toggles; it must count exactly what the oracle counts."""
+    """Beyond BITSET_MAX_NODES the d = 3 verdict runs on sorted arc keys
+    instead of the bitset; it must count exactly what the oracle counts."""
     monkeypatch.setattr(engine, "BITSET_MAX_NODES", 0)
     for graph, expected in oracle_cases:
         assert count_dk_rewirings(graph, 3) == expected[3], graph

@@ -4,9 +4,10 @@ Every Markov chain — randomizing, targeting and dK-space exploration — runs
 on :mod:`repro.kernels.rewiring`.  Its contract: deterministic per seed,
 the chain's dK-invariants preserved *exactly* (degree sequence for d >= 1,
 joint degree distribution for d >= 2, wedge/triangle distributions for
-d = 3), and the same output for every batch size and on both evaluation
-paths of the 2K-proposal chains (the batched bitset kernel and the per-move
-scalar path beyond ``BITSET_MAX_NODES``).
+d = 3), and the same output for every batch size and on both twins of
+each size-picked table of the 2K-proposal chains' batched kernel: the
+membership bitset and the sorted arc keys beyond ``BITSET_MAX_NODES``, the
+dense gradient and the sparse one beyond ``THREEK_RANK_SLOTS_MAX``.
 """
 
 import warnings
@@ -135,8 +136,9 @@ def test_threek_batched_matches_batch_size_one(as_small):
 
 
 def test_threek_scalar_fallback_matches_batched(as_small, monkeypatch):
-    """Beyond BITSET_MAX_NODES the 3K chains take the exact per-move scalar
-    path; it must sample the same chain as the batched bitset kernel."""
+    """Beyond BITSET_MAX_NODES the batched 3K kernel tests membership on
+    sorted arc keys instead of the bitset; it must sample the same chain
+    move for move."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
         reference = dk_randomize(as_small, 3, rng=21, multiplier=1)
@@ -146,18 +148,18 @@ def test_threek_scalar_fallback_matches_batched(as_small, monkeypatch):
 
 
 def test_threek_targeting_rank_gate_falls_back_to_scalar(hot_small, monkeypatch):
-    """Degree diversity beyond the dense rank-packed statistic's slot cap
-    sends the 3K-targeting chain down the exact scalar path; both paths
-    sample the same chain move-for-move on one seed."""
+    """Degree diversity beyond the dense rank-packed gradient's slot cap
+    makes the 3K-targeting chain keep a sorted sparse gradient; both
+    layouts sample the same chain move-for-move on one seed."""
     seed_graph = dk_randomize(hot_small, 2, rng=3, multiplier=2)
     target = three_k_distribution(hot_small)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
         batched = target_3k_from_2k(seed_graph, target, rng=5, max_attempts=6000)
         monkeypatch.setattr(vec, "THREEK_RANK_SLOTS_MAX", 0)
-        scalar = target_3k_from_2k(seed_graph, target, rng=5, max_attempts=6000)
-    assert _edge_sets(batched.graph) == _edge_sets(scalar.graph)
-    assert batched.distance_trace == scalar.distance_trace
+        sparse = target_3k_from_2k(seed_graph, target, rng=5, max_attempts=6000)
+    assert _edge_sets(batched.graph) == _edge_sets(sparse.graph)
+    assert batched.distance_trace == sparse.distance_trace
 
 
 def test_threek_batch_efficiency_gauge_is_observable(as_small):
@@ -434,11 +436,13 @@ def test_exploration_is_batch_size_invariant(explored_graph, metric, mode, monke
 @pytest.mark.parametrize("gate", ("BITSET_MAX_NODES", "THREEK_RANK_SLOTS_MAX"))
 @pytest.mark.parametrize("metric,mode", [o for o in OBJECTIVES if o[0] != "s"])
 def test_exploration_scalar_path_matches_batched(explored_graph, metric, mode, gate, monkeypatch):
+    """Past either ceiling (sorted arc keys for the bitset, a sparse
+    gradient for the dense one) a 2K exploration takes the same moves."""
     batched = _explore(explored_graph, metric, mode)
     monkeypatch.setattr(vec, gate, 0)
-    scalar = _explore(explored_graph, metric, mode)
-    assert _edge_sets(scalar.graph) == _edge_sets(batched.graph)
-    assert scalar.metric_trace == batched.metric_trace
+    twin = _explore(explored_graph, metric, mode)
+    assert _edge_sets(twin.graph) == _edge_sets(batched.graph)
+    assert twin.metric_trace == batched.metric_trace
 
 
 def _complete_graph(n):

@@ -1,103 +1,24 @@
-"""Tests for the rewiring engine's 3K delta evaluators.
+"""Tests for the rewiring engine's 3K delta evaluators and their state.
 
-The per-edge toggles ``_toggle_remove``/``_toggle_add`` (and the swap-level
-``_swap_three_k_delta`` built on them) are the adjacency-set reference the
-batched and scalar packed-key evaluators are checked against; they are in
-turn checked against from-scratch wedge/triangle recounts.
+The oracle is :func:`oracle.three_k_delta_by_recount`: a swap applied to a
+copy of the graph, and the wedge/triangle counts of both graphs diffed.  All
+four evaluators (batched and per-move, zero verdict and full delta) are
+checked against it, on fresh graphs and on a state that accepted moves.
+The state's two membership tables (bitset and sorted arc keys) and two
+gradient layouts (dense and sparse) are checked against each other.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import pack_three_k_delta, three_k_delta_by_recount
+from repro.core.extraction import three_k_distribution
 from repro.graph.simple_graph import SimpleGraph
 from repro.graph.subgraphs import triangle_degree_counts, wedge_degree_counts
 from repro.kernels import rewiring as vec
 
 
-def _adjacency(graph):
-    return [set(graph.neighbors(u)) for u in range(graph.number_of_nodes)]
-
-
-def test_remove_edge_delta_on_triangle(triangle_graph):
-    adj = _adjacency(triangle_graph)
-    wedges, triangles = {}, {}
-    vec._toggle_remove(adj, triangle_graph.degrees(), 0, 1, wedges, triangles)
-    assert triangles == {(2, 2, 2): -1}
-    assert wedges == {(2, 2, 2): 1}
-    assert 1 not in adj[0] and 0 not in adj[1]
-
-
-def test_add_edge_delta_closes_wedge(path_graph):
-    adj = _adjacency(path_graph)
-    wedges, triangles = {}, {}
-    vec._toggle_add(adj, path_graph.degrees(), 0, 2, wedges, triangles)
-    # closing 0-1-2 turns that wedge into a triangle and creates new wedges
-    assert sum(triangles.values()) == 1
-    assert 2 in adj[0] and 0 in adj[2]
-
-
-def _graph_of(adj):
-    return SimpleGraph(len(adj), edges=[(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
-
-
-def test_toggle_deltas_match_full_recount(as_small):
-    """Applying random 2K swaps through the engine's ``_swap_three_k_delta``
-    (committing every other one, reverting the rest), the accumulated deltas
-    always equal a from-scratch recount of the wedge and triangle
-    distributions."""
-    rng = np.random.default_rng(3)
-    state = vec.RewiringState(as_small)
-    buckets = [b for b in state.build_buckets() if len(b) > 1]
-    adj = state.build_adjacency()
-    degrees = state.degrees
-    wedges = wedge_degree_counts(as_small)
-    triangles = triangle_degree_counts(as_small)
-    applied = 0
-    for _ in range(300):
-        # exchanging the heads of two oriented ends from one degree bucket
-        # is a JDD-preserving swap; slots are re-read from the live arrays
-        bucket = buckets[int(rng.integers(len(buckets)))]
-        x, y = rng.choice(len(bucket), size=2, replace=False)
-        ends = np.array([bucket[x], bucket[y]], dtype=np.int64)
-        slots, sides, tails, heads = vec._resolve_ends(
-            np.array(state.edge_u), np.array(state.edge_v), ends
-        )
-        (i, j), (a, c), (b, d) = slots.tolist(), tails.tolist(), heads.tolist()
-        if i == j or a == d or c == b or d in adj[a] or b in adj[c]:
-            continue
-        wedge_delta, triangle_delta = vec._swap_three_k_delta(adj, degrees, a, b, c, d)
-        if applied % 2 == 0:
-            wedges.update(wedge_delta)
-            triangles.update(triangle_delta)
-            for slot, side, head in zip((i, j), sides.tolist(), (d, b)):
-                if side:
-                    state.edge_u[slot] = head
-                else:
-                    state.edge_v[slot] = head
-        else:
-            vec._revert_swap_toggles(adj, a, b, c, d)
-        applied += 1
-    assert applied > 50
-    graph = _graph_of(adj)
-    assert sorted(graph.edges()) == sorted(state.to_graph().edges())
-    assert wedges == wedge_degree_counts(graph)
-    assert triangles == triangle_degree_counts(graph)
-
-
-def test_revert_restores_graph(path_graph):
-    adj = _adjacency(path_graph)
-    before = [set(row) for row in adj]
-    # (0,1),(3,4) -> (0,4),(3,1)
-    vec._swap_three_k_delta(adj, path_graph.degrees(), 0, 1, 3, 4)
-    assert adj != before
-    vec._revert_swap_toggles(adj, 0, 1, 3, 4)
-    assert adj == before
-
-
-# --------------------------------------------------------------------------- #
-# vectorized 3K delta kernel vs the _toggle_remove/_toggle_add reference
-# --------------------------------------------------------------------------- #
 def _random_simple_graph(seed, n=40, m=100):
     rng = np.random.default_rng(seed)
     graph = SimpleGraph(n)
@@ -111,72 +32,199 @@ def _random_simple_graph(seed, n=40, m=100):
     return graph
 
 
-def _valid_2k_proposals(state, adj, rng, count=8, tries=400):
-    """Random valid 2K swaps ``(a,b),(c,d) -> (a,d),(c,b)`` with kb == kd."""
-    degrees = state.degrees
-    edge_u, edge_v = state.edge_u, state.edge_v
+def _valid_2k_proposals(graph, rng, count=8, tries=400, tail=None):
+    """Random valid 2K swaps ``(a,b),(c,d) -> (a,d),(c,b)`` with kb == kd
+    (``a`` is ``tail`` when given)."""
+    degrees = graph.degrees()
     proposals = []
     for _ in range(tries):
         if len(proposals) >= count:
             break
-        i, j = (int(x) for x in rng.integers(state.m, size=2))
-        if i == j:
-            continue
-        a, b = (edge_u[i], edge_v[i]) if rng.integers(2) else (edge_v[i], edge_u[i])
-        c, d = (edge_u[j], edge_v[j]) if rng.integers(2) else (edge_v[j], edge_u[j])
+        a, b = graph.edge_at(int(rng.integers(graph.number_of_edges)))
+        c, d = graph.edge_at(int(rng.integers(graph.number_of_edges)))
+        if rng.integers(2):
+            a, b = b, a
+        if rng.integers(2):
+            c, d = d, c
+        if tail is not None:
+            row = sorted(graph.neighbors(tail))
+            a, b = tail, row[int(rng.integers(len(row)))]
         if degrees[b] != degrees[d] or len({a, b, c, d}) < 4:
             continue
-        if d in adj[a] or b in adj[c]:
+        if graph.has_edge(a, d) or graph.has_edge(c, b):
             continue
         proposals.append((a, b, c, d))
     return proposals
 
 
-def _pack_reference(wedges, triangles, rank, base, tri_off):
-    """The toggle reference's dicts as sorted unified rank-packed (key, net)
-    items — the degree->rank map is monotone, so tuple component order is
-    preserved."""
-    packed: dict[int, int] = {}
-    for (e1, center, e2), value in wedges.items():
-        key = (rank[e1] * base + rank[center]) * base + rank[e2]
-        packed[key] = packed.get(key, 0) + value
-    for (lo, mid, hi), value in triangles.items():
-        key = (rank[lo] * base + rank[mid]) * base + rank[hi] + tri_off
-        packed[key] = packed.get(key, 0) + value
-    return sorted(item for item in packed.items() if item[1])
+def _ends(state):
+    """Oriented edge ``(tail, head)`` -> ``(slot, side)`` of the packed end."""
+    ends = {}
+    for slot, (u, v) in enumerate(zip(state.edge_u, state.edge_v)):
+        ends[(u, v)] = (slot, 0)
+        ends[(v, u)] = (slot, 1)
+    return ends
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_vectorized_delta_matches_toggle_reference(seed):
-    """Hypothesis property: the batched and scalar packed-key 3K delta
-    evaluators agree item-for-item with the ``_toggle_remove``/``_toggle_add``
-    adjacency-set reference on random graphs and random valid 2K swaps."""
-    rng = np.random.default_rng(seed)
-    graph = _random_simple_graph(seed)
-    state = vec.RewiringState(graph)
-    adj = state.build_adjacency()
-    tk = vec._ThreeKState(state)
-    proposals = _valid_2k_proposals(state, adj, rng)
-    if not proposals:
-        return
-    expected = []
-    for a, b, c, d in proposals:
-        wedges, triangles = vec._swap_three_k_delta(adj, state.degrees, a, b, c, d)
-        vec._revert_swap_toggles(adj, a, b, c, d)
-        expected.append(
-            _pack_reference(wedges, triangles, tk.rank_list, tk.n_ranks, tk.n_ranks**3)
+def _accept(tks, graph, ends, a, b, c, d):
+    """Accept ``(a,b),(c,d) -> (a,d),(c,b)`` on every engine state in
+    ``tks`` (queued until their next flush) and on ``graph``."""
+    i, si = ends.pop((a, b))
+    j, sj = ends.pop((c, d))
+    del ends[(b, a)], ends[(d, c)]
+    for tk in tks:
+        tk.apply_swap(a, b, c, d, i, j, si, sj)
+    ends[(a, d)], ends[(d, a)] = (i, si), (i, 1 - si)
+    ends[(c, b)], ends[(b, c)] = (j, sj), (j, 1 - sj)
+    graph.remove_edge(a, b)
+    graph.remove_edge(c, d)
+    graph.add_edge(a, d)
+    graph.add_edge(c, b)
+
+
+def _check_evaluators(tk, graph, proposals):
+    """All four evaluators on ``tk`` (flushed, in sync with ``graph``) equal
+    the recount oracle on every proposal; returns the oracle's items."""
+    expected = [
+        pack_three_k_delta(
+            *three_k_delta_by_recount(graph, a, b, c, d), tk.rank_list, tk.n_ranks
         )
-    # scalar evaluator (the within-batch staleness path)
+        for a, b, c, d in proposals
+    ]
+    # per-move evaluators (the within-batch staleness path)
     for (a, b, c, d), want in zip(proposals, expected):
         assert vec._scalar_full_eval(tk, a, b, c, d) == want
         assert vec._scalar_zero_eval(tk, a, b, c, d) == (not want)
-    # batched evaluator
+    # batched evaluators
     arrays = [np.array(col, dtype=np.int64) for col in zip(*proposals)]
     valid = np.ones(len(proposals), dtype=bool)
     starts, keys, nets, slot_of = vec._batch_full_delta(tk, *arrays, valid)
     zero = vec._batch_zero_delta(tk, *arrays, valid)
     for k, want in enumerate(expected):
         s0, s1 = starts[slot_of[k]], starts[slot_of[k] + 1]
-        assert list(zip(keys[s0:s1], nets[s0:s1])) == want
+        assert list(zip(keys[s0:s1].tolist(), nets[s0:s1].tolist())) == want
         assert bool(zero[k]) == (not want)
+    return expected
+
+
+def _arc_keys(tk):
+    """Fresh sorted packed arc keys ``owner * n + neighbor`` of ``tk.rows``."""
+    owner = np.repeat(np.arange(tk.n, dtype=np.int64), tk.deg)
+    return np.sort(owner * tk.n + tk.rows)
+
+
+def test_toggle_deltas_match_full_recount(as_small):
+    """Random 2K swaps accepted on the engine state (``apply_swap``, then
+    ``flush``): every evaluator's delta on the live state equals the recount
+    oracle's, the accumulated deltas equal a from-scratch recount, and the
+    state's rows end on the graph the swaps produced."""
+    rng = np.random.default_rng(3)
+    graph = as_small.copy()
+    state = vec.RewiringState(graph)
+    state.build_buckets()
+    tk = vec._ThreeKState(state)
+    ends = _ends(state)
+    wedges = wedge_degree_counts(graph)
+    triangles = triangle_degree_counts(graph)
+    applied = 0
+    for _ in range(40):
+        proposals = _valid_2k_proposals(graph, rng, count=4)
+        expected = _check_evaluators(tk, graph, proposals)
+        # accept the first proposal of each round, with its oracle delta
+        a, b, c, d = proposals[0]
+        wedge_delta, triangle_delta = three_k_delta_by_recount(graph, a, b, c, d)
+        wedges.update(wedge_delta)
+        triangles.update(triangle_delta)
+        _accept([tk], graph, ends, a, b, c, d)
+        tk.flush()
+        applied += bool(expected[0])
+    assert applied > 10
+    assert wedges == wedge_degree_counts(graph)
+    assert triangles == triangle_degree_counts(graph)
+    for node in range(graph.number_of_nodes):
+        row = tk.rows[tk.indptr[node] : tk.indptr[node + 1]]
+        assert set(row.tolist()) == graph.neighbors(node)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_vectorized_delta_matches_recount_oracle(seed):
+    """Hypothesis property: the batched and per-move 3K delta evaluators
+    agree item-for-item with the recount oracle on random graphs and random
+    valid 2K swaps."""
+    rng = np.random.default_rng(seed)
+    graph = _random_simple_graph(seed)
+    tk = vec._ThreeKState(vec.RewiringState(graph))
+    proposals = _valid_2k_proposals(graph, rng)
+    if proposals:
+        _check_evaluators(tk, graph, proposals)
+
+
+def test_arc_keys_follow_flush(as_small, monkeypatch):
+    """Beyond ``BITSET_MAX_NODES`` membership is a sorted packed arc-key
+    array updated at ``flush``.  A flush that holds an accepted move and its
+    exact reverse, plus moves on the hub's row, leaves it equal to a fresh
+    sort of the rows, and it agrees with the bitset on every node pair."""
+    graph = as_small.copy()
+    state = vec.RewiringState(graph)
+    bitset = vec._ThreeKState(state)
+    monkeypatch.setattr(vec, "BITSET_MAX_NODES", 0)
+    arcs = vec._ThreeKState(state)
+    assert bitset.arcs is None and arcs.bits is None
+    assert np.array_equal(arcs.arcs, _arc_keys(arcs))
+    ends = _ends(state)
+    rng = np.random.default_rng(11)
+    hub = int(np.argmax(arcs.deg))
+    a, b, c, d = _valid_2k_proposals(graph, rng, count=1, tail=hub)[0]
+    _accept([bitset, arcs], graph, ends, a, b, c, d)
+    _accept([bitset, arcs], graph, ends, a, d, c, b)  # the exact reverse
+    hub_moves = 0
+    for _ in range(20):
+        # moves on the live graph, so later ones may rewrite earlier ones
+        for a, b, c, d in _valid_2k_proposals(graph, rng, count=1, tail=hub):
+            _accept([bitset, arcs], graph, ends, a, b, c, d)
+            hub_moves += 1
+    assert hub_moves >= 5
+    for tk in (bitset, arcs):
+        tk.flush()
+    assert np.array_equal(arcs.arcs, _arc_keys(arcs))
+    n = graph.number_of_nodes
+    u, v = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    member = arcs.member(u, v)
+    assert np.array_equal(member, bitset.member(u, v))
+    assert member.sum() == 2 * graph.number_of_edges
+    assert all(member[a * n + b] for a, b in graph.edges())
+
+
+def test_sparse_gradient_reads_and_updates_like_dense(hot_small, monkeypatch):
+    """Beyond ``THREEK_RANK_SLOTS_MAX`` the gradient is a sorted sparse
+    array: it reads the dense array's value at every key (0 off the stored
+    keys for the squared distance, the weight for a linear objective) and
+    stays equal to it under scattered updates, inserts included."""
+    target = three_k_distribution(hot_small)
+    graph = _random_simple_graph(5, n=60, m=150)
+    objectives = (
+        vec.ThreeKDistance(target),
+        vec.LinearObjective(
+            "S2", wedge=lambda e1, c, e2: e1 * e2, triangle=lambda k1, k2, k3: k1 * k2 * k3
+        ),
+    )
+    rng = np.random.default_rng(2)
+    for objective in objectives:
+        tk = vec._ThreeKState(vec.RewiringState(graph))
+        kd = np.unique(np.concatenate((tk.deg, objective.target_degrees())))
+        tk.rank_by(kd)
+        dense, energy = vec._gradient(objective, tk, kd)
+        monkeypatch.setattr(vec, "THREEK_RANK_SLOTS_MAX", 0)
+        sparse, sparse_energy = vec._gradient(objective, tk, kd)
+        monkeypatch.undo()
+        assert isinstance(sparse, vec._SparseGradient)
+        assert sparse_energy == energy
+        every = np.arange(dense.size, dtype=np.int64)
+        assert np.array_equal(sparse[every], dense)
+        for _ in range(30):
+            keys = np.unique(rng.integers(0, dense.size, size=5))
+            step = rng.integers(-3, 4, size=keys.size)
+            dense[keys] += step
+            sparse[keys] += step
+        assert np.array_equal(sparse[every], dense)
