@@ -5,7 +5,9 @@ copy of the graph, and the wedge/triangle counts of both graphs diffed.  All
 four evaluators (batched and per-move, zero verdict and full delta) are
 checked against it, on fresh graphs and on a state that accepted moves.
 The state's two membership tables (bitset and sorted arc keys) and two
-gradient layouts (dense and sparse) are checked against each other.
+gradient layouts (dense and sparse) are checked against each other, and its
+per-node neighbor-degree sums (the zero verdict's O(1) first filter) against
+a recount.
 """
 
 import numpy as np
@@ -55,6 +57,22 @@ def _valid_2k_proposals(graph, rng, count=8, tries=400, tail=None):
             continue
         proposals.append((a, b, c, d))
     return proposals
+
+
+def _all_valid_2k_swaps(graph):
+    """Every valid 2K swap ``(a,b),(c,d) -> (a,d),(c,b)`` with kb == kd,
+    over both orientations of every ordered pair of edges."""
+    degrees = graph.degrees()
+    arcs = [arc for u, v in graph.edges() for arc in ((u, v), (v, u))]
+    return [
+        (a, b, c, d)
+        for a, b in arcs
+        for c, d in arcs
+        if degrees[b] == degrees[d]
+        and len({a, b, c, d}) == 4
+        and not graph.has_edge(a, d)
+        and not graph.has_edge(c, b)
+    ]
 
 
 def _ends(state):
@@ -160,6 +178,69 @@ def test_vectorized_delta_matches_recount_oracle(seed):
         _check_evaluators(tk, graph, proposals)
 
 
+def test_zero_verdict_filter_never_decides():
+    """The neighbor-degree-sum test only rejects swaps the exact zero-delta
+    checks reject too.  On every valid degree-matched swap of a small
+    mixed-degree graph, fresh and after accepted moves plus ``flush``, both
+    zero-delta evaluators equal the recount oracle, and the enumeration holds
+    ``ka != kc`` swaps of both verdicts and sum-matching swaps that the exact
+    checks behind the filter still reject."""
+    graph = _random_simple_graph(2, n=20, m=40)
+    state = vec.RewiringState(graph)
+    tk = vec._ThreeKState(state)
+    ends = _ends(state)
+    degrees = graph.degrees()
+    kinds = set()
+    for round_ in range(3):
+        if round_:
+            # accept a few ka != kc swaps (they move the sums), then flush
+            for _ in range(3):
+                a, b, c, d = next(
+                    swap
+                    for swap in _all_valid_2k_swaps(graph)
+                    if degrees[swap[0]] != degrees[swap[2]]
+                )
+                _accept([tk], graph, ends, a, b, c, d)
+            tk.flush()
+        swaps = _all_valid_2k_swaps(graph)
+        nodes = range(graph.number_of_nodes)
+        sums = [sum(degrees[x] for x in graph.neighbors(u)) for u in nodes]
+        assert tk.nbrdeg_sum_list == sums
+        assert tk.nbrdeg_sum.tolist() == sums
+        arrays = [np.array(col, dtype=np.int64) for col in zip(*swaps)]
+        batch = vec._batch_zero_delta(tk, *arrays, np.ones(len(swaps), dtype=bool))
+        for (a, b, c, d), batch_zero in zip(swaps, batch.tolist()):
+            zero = three_k_delta_by_recount(graph, a, b, c, d) == ({}, {})
+            assert batch_zero == zero
+            assert vec._scalar_zero_eval(tk, a, b, c, d) == zero
+            if degrees[a] != degrees[c]:
+                sums_match = sums[b] - degrees[a] == sums[d] - degrees[c]
+                kinds.add((sums_match, zero))
+    assert (True, True) in kinds and (False, False) in kinds
+    assert (True, False) in kinds  # passed the filter, rejected behind it
+    assert (False, True) not in kinds
+
+
+def _flush_move_reverse_and_hub_moves(tks, graph, state):
+    """Queue one accepted move on a hub's row, its exact reverse and more
+    hub-row moves on every state in ``tks``, then flush them all at once."""
+    ends = _ends(state)
+    rng = np.random.default_rng(11)
+    hub = int(np.argmax(tks[0].deg))
+    a, b, c, d = _valid_2k_proposals(graph, rng, count=1, tail=hub)[0]
+    _accept(tks, graph, ends, a, b, c, d)
+    _accept(tks, graph, ends, a, d, c, b)  # the exact reverse
+    hub_moves = 0
+    for _ in range(20):
+        # moves on the live graph, so later ones may rewrite earlier ones
+        for a, b, c, d in _valid_2k_proposals(graph, rng, count=1, tail=hub):
+            _accept(tks, graph, ends, a, b, c, d)
+            hub_moves += 1
+    assert hub_moves >= 5
+    for tk in tks:
+        tk.flush()
+
+
 def test_arc_keys_follow_flush(as_small, monkeypatch):
     """Beyond ``BITSET_MAX_NODES`` membership is a sorted packed arc-key
     array updated at ``flush``.  A flush that holds an accepted move and its
@@ -172,21 +253,7 @@ def test_arc_keys_follow_flush(as_small, monkeypatch):
     arcs = vec._ThreeKState(state)
     assert bitset.arcs is None and arcs.bits is None
     assert np.array_equal(arcs.arcs, _arc_keys(arcs))
-    ends = _ends(state)
-    rng = np.random.default_rng(11)
-    hub = int(np.argmax(arcs.deg))
-    a, b, c, d = _valid_2k_proposals(graph, rng, count=1, tail=hub)[0]
-    _accept([bitset, arcs], graph, ends, a, b, c, d)
-    _accept([bitset, arcs], graph, ends, a, d, c, b)  # the exact reverse
-    hub_moves = 0
-    for _ in range(20):
-        # moves on the live graph, so later ones may rewrite earlier ones
-        for a, b, c, d in _valid_2k_proposals(graph, rng, count=1, tail=hub):
-            _accept([bitset, arcs], graph, ends, a, b, c, d)
-            hub_moves += 1
-    assert hub_moves >= 5
-    for tk in (bitset, arcs):
-        tk.flush()
+    _flush_move_reverse_and_hub_moves([bitset, arcs], graph, state)
     assert np.array_equal(arcs.arcs, _arc_keys(arcs))
     n = graph.number_of_nodes
     u, v = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
@@ -194,6 +261,23 @@ def test_arc_keys_follow_flush(as_small, monkeypatch):
     assert np.array_equal(member, bitset.member(u, v))
     assert member.sum() == 2 * graph.number_of_edges
     assert all(member[a * n + b] for a, b in graph.edges())
+
+
+def test_neighbor_degree_sums_follow_flush(as_small):
+    """The per-node neighbor-degree sums are a live list updated per accepted
+    move and a NumPy mirror updated at ``flush``.  A flush that holds an
+    accepted move and its exact reverse, plus moves on the hub's row, leaves
+    both equal to a fresh per-node sum over the rows."""
+    graph = as_small.copy()
+    state = vec.RewiringState(graph)
+    tk = vec._ThreeKState(state)
+    before = tk.nbrdeg_sum.copy()
+    _flush_move_reverse_and_hub_moves([tk], graph, state)
+    owner = np.repeat(np.arange(tk.n, dtype=np.int64), tk.deg)
+    fresh = np.bincount(owner, weights=tk.deg[tk.rows], minlength=tk.n).astype(np.int64)
+    assert not np.array_equal(fresh, before)
+    assert tk.nbrdeg_sum_list == fresh.tolist()
+    assert np.array_equal(tk.nbrdeg_sum, fresh)
 
 
 def test_sparse_gradient_reads_and_updates_like_dense(hot_small, monkeypatch):
@@ -228,3 +312,4 @@ def test_sparse_gradient_reads_and_updates_like_dense(hot_small, monkeypatch):
             dense[keys] += step
             sparse[keys] += step
         assert np.array_equal(sparse[every], dense)
+
