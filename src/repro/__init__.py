@@ -71,7 +71,6 @@ _EXPORTS = {
     "ExperimentResult": "repro.experiment",
     "RunRecord": "repro.experiment",
     "run_experiment": "repro.experiment",
-    "ScalarMetrics": "repro.metrics.summary",
     "summarize": "repro.metrics.summary",
     "MeasurementPlan": "repro.measure.plan",
     "Measurement": "repro.measure.plan",
@@ -81,7 +80,6 @@ _EXPORTS = {
     "graph_content_hash": "repro.store.serialize",
     "memoized_build": "repro.store.memo",
     "memoized_measure": "repro.store.memo",
-    "memoized_summarize": "repro.store.memo",
     "span": "repro.telemetry",
     "enable_tracing": "repro.telemetry",
     "disable_tracing": "repro.telemetry",

@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from repro.core.randomness import dk_random_graph
 from repro.exceptions import ExperimentError
 from repro.graph.simple_graph import SimpleGraph
-from repro.measure.plan import average_measurements, battery_plan
-from repro.metrics.summary import ScalarMetrics, average_summaries
+from repro.measure.plan import Measurement, average_measurements, battery_plan
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,22 +24,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 GraphFactory = Callable[..., SimpleGraph]
 
-SummaryLike = "ScalarMetrics | Measurement"
-
 
 @dataclass
 class AlgorithmComparison:
     """Result of comparing several construction algorithms on one topology.
 
-    The cells are :class:`ScalarMetrics` for the default Table-2 battery, or
-    planner :class:`~repro.measure.plan.Measurement` objects when a custom
-    ``metrics=`` subset was compared; the table renderers accept either.
+    Every cell is a planner :class:`~repro.measure.plan.Measurement` of the
+    compared metric set: the Table-2 battery by default (without the λ
+    metrics when the spectrum was off), or a custom ``metrics=`` subset.
     """
 
-    original: SummaryLike
-    columns: dict[str, SummaryLike]
+    original: Measurement
+    columns: dict[str, Measurement]
 
-    def as_columns(self, original_label: str = "Original") -> dict[str, SummaryLike]:
+    def as_columns(self, original_label: str = "Original") -> dict[str, Measurement]:
         """All columns including the original graph (for table rendering)."""
         combined = dict(self.columns)
         combined[original_label] = self.original
@@ -67,26 +64,20 @@ def compare_generators(
     paper's Table-2 scalar battery.
     """
     rng = ensure_rng(rng)
-    plan, scalar = battery_plan(
+    plan = battery_plan(
         metrics, compute_spectrum=compute_spectrum, distance_sources=distance_sources
     )
-
-    def measure(graph: SimpleGraph, child_rng) -> SummaryLike:
-        measurement = plan.run(graph, rng=child_rng)
-        return measurement.scalar_metrics() if scalar else measurement
-
-    average = average_summaries if scalar else average_measurements
     # the original is measured without touching the parent rng stream, so the
     # spawned per-instance children (and hence the generated graphs) are
     # unchanged from the pre-planner behaviour
-    original_summary = measure(original, None)
-    columns: dict[str, SummaryLike] = {}
+    original_summary = plan.run(original)
+    columns: dict[str, Measurement] = {}
     for label, factory in generators.items():
         summaries = []
         for child in spawn_rngs(rng, instances):
             graph = factory(rng=child)
-            summaries.append(measure(graph, child))
-        columns[label] = average(summaries)
+            summaries.append(plan.run(graph, rng=child))
+        columns[label] = average_measurements(summaries)
     return AlgorithmComparison(original=original_summary, columns=columns)
 
 
@@ -165,10 +156,8 @@ def comparison_from_experiment(
     """Build an :class:`AlgorithmComparison` from Experiment pipeline results.
 
     The experiment must have been run with ``include_original=True`` and a
-    non-empty metric set (the default provides the full Table-2 battery;
-    custom ``ExperimentSpec.metrics=`` subsets are averaged as
-    :class:`~repro.measure.plan.Measurement` columns); replicates of each
-    method are averaged exactly like :func:`compare_generators` does.
+    non-empty metric set (the default is the Table-2 battery); replicates of
+    each method are averaged exactly like :func:`compare_generators` does.
 
     Parameters
     ----------
@@ -194,13 +183,12 @@ def comparison_from_experiment(
             )
         topology = labels[0]
 
-    def summary_of(record: "RunRecord") -> SummaryLike:
-        block = record.metrics if record.metrics is not None else record.measured
-        if block is None:
+    def summary_of(record: "RunRecord") -> Measurement:
+        if record.metrics is None:
             raise ExperimentError(
                 "the experiment did not collect metrics (metrics=())"
             )
-        return block
+        return record.metrics
 
     original = result.original_record(topology)
     original_summary = summary_of(original)
@@ -224,12 +212,9 @@ def comparison_from_experiment(
     for record in generated:
         grouped.setdefault(label_by(record), []).append(summary_of(record))
 
-    def average(summaries: list) -> SummaryLike:
-        if isinstance(summaries[0], ScalarMetrics):
-            return average_summaries(summaries)
-        return average_measurements(summaries)
-
-    columns = {label: average(summaries) for label, summaries in grouped.items()}
+    columns = {
+        label: average_measurements(summaries) for label, summaries in grouped.items()
+    }
     return AlgorithmComparison(original=original_summary, columns=columns)
 
 

@@ -18,8 +18,7 @@ from typing import Sequence
 
 from repro.core.randomness import dk_random_graph
 from repro.graph.simple_graph import SimpleGraph
-from repro.measure.plan import average_measurements, battery_plan
-from repro.metrics.summary import average_summaries
+from repro.measure.plan import Measurement, average_measurements, battery_plan
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
@@ -27,17 +26,16 @@ from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 class ConvergenceStudy:
     """Metric convergence of dK-random graphs toward an original graph.
 
-    The cells are :class:`~repro.metrics.summary.ScalarMetrics` for the
-    default Table-2 battery or :class:`~repro.measure.plan.Measurement`
-    objects for a custom metric subset; ``convergence_error`` and the table
-    renderers accept either.
+    Every cell is a planner :class:`~repro.measure.plan.Measurement` of the
+    study's metric set: the Table-2 battery by default (without the λ
+    metrics when the spectrum was off), or a custom ``metrics=`` subset.
     """
 
-    original: object
-    by_d: dict[int, object]
+    original: Measurement
+    by_d: dict[int, Measurement]
     sample_graphs: dict[int, SimpleGraph] = field(default_factory=dict)
 
-    def as_columns(self, original_label: str = "Original") -> dict[str, object]:
+    def as_columns(self, original_label: str = "Original") -> dict[str, Measurement]:
         """Columns for table rendering: 0K..3K followed by the original."""
         columns = {f"{d}K": summary for d, summary in sorted(self.by_d.items())}
         columns[original_label] = self.original
@@ -85,20 +83,14 @@ def dk_convergence_study(
     metrics:
         À-la-carte metric subset (see
         :func:`repro.measure.registry.available_metrics`); the default is
-        the full Table-2 battery rendered as ``ScalarMetrics``.
+        the full Table-2 battery.
     """
     rng = ensure_rng(rng)
-    plan, scalar = battery_plan(
+    plan = battery_plan(
         metrics, compute_spectrum=compute_spectrum, distance_sources=distance_sources
     )
-
-    def measure(graph: SimpleGraph, child_rng):
-        measurement = plan.run(graph, rng=child_rng)
-        return measurement.scalar_metrics() if scalar else measurement
-
-    average = average_summaries if scalar else average_measurements
-    original_summary = measure(original, None)
-    by_d: dict[int, object] = {}
+    original_summary = plan.run(original)
+    by_d: dict[int, Measurement] = {}
     samples: dict[int, SimpleGraph] = {}
     for d in ds:
         summaries = []
@@ -106,8 +98,8 @@ def dk_convergence_study(
             graph = dk_random_graph(original, d, method=method, rng=child)
             if keep_sample_graphs and index == 0:
                 samples[d] = graph
-            summaries.append(measure(graph, child))
-        by_d[d] = average(summaries)
+            summaries.append(plan.run(graph, rng=child))
+        by_d[d] = average_measurements(summaries)
     return ConvergenceStudy(original=original_summary, by_d=by_d, sample_graphs=samples)
 
 

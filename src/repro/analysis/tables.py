@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiment import ExperimentResult
     from repro.measure.plan import Measurement
-    from repro.metrics.summary import ScalarMetrics
 
 # row order and labels used for the paper-style scalar-metric tables
 SCALAR_ROWS: tuple[tuple[str, str], ...] = (
@@ -64,16 +63,16 @@ def render_table(
 
 
 def scalar_metrics_table(
-    columns: "Mapping[str, ScalarMetrics | Measurement]",
+    columns: "Mapping[str, Measurement]",
     *,
     title: str | None = None,
     rows: Sequence[tuple[str, str]] = SCALAR_ROWS,
 ) -> str:
     """Render a paper-style table: one column per graph, one row per metric.
 
-    Columns may be :class:`ScalarMetrics` or planner
-    :class:`~repro.measure.plan.Measurement` objects; rows whose metric none
-    of the columns measured are dropped, and a column missing one metric
+    Columns are planner :class:`~repro.measure.plan.Measurement` objects;
+    rows whose metric none of the columns measured are dropped (so the λ
+    rows vanish when the spectrum was off), and a column missing one metric
     shows ``-`` (à-la-carte subsets render cleanly).
     """
     headers = ["Metric", *columns.keys()]

@@ -132,15 +132,12 @@ def _parse_metric_names(
     if value is None:
         return None
     names = tuple(name.strip() for name in value.split(",") if name.strip())
-    known = available_metrics()
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        parser.error(
-            f"unknown metric(s) {', '.join(unknown)}; available: {', '.join(known)}"
-        )
     if not names:
         parser.error("--metrics needs at least one metric name")
-    return names
+    try:
+        return MeasurementPlan(names).metrics
+    except ValueError as error:
+        parser.error(str(error))
 
 
 def _measurement_report(columns: dict, names: tuple[str, ...], *, title: str) -> str:

@@ -63,9 +63,7 @@ from repro.generators.registry import get_generator, json_safe
 from repro.graph.io import read_edge_list
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import bfs_histogram
-from repro.measure.plan import Measurement, MeasurementPlan, is_scalar_battery
-from repro.measure.registry import available_metrics
-from repro.metrics.summary import ScalarMetrics
+from repro.measure.plan import Measurement, MeasurementPlan
 from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.store.keys import code_version, generation_key, stable_hash
 from repro.store.memo import memoized_build, memoized_measure
@@ -201,19 +199,13 @@ class ExperimentSpec:
                 f"method name {ORIGINAL_METHOD!r} is reserved for include_original"
             )
         if self.metrics is None:
-            resolved = MeasurementPlan.table2(
-                compute_spectrum=self.compute_spectrum
-            ).metrics
+            plan = MeasurementPlan.table2(compute_spectrum=self.compute_spectrum)
         else:
-            resolved = tuple(dict.fromkeys(self.metrics))
-            known = available_metrics()
-            unknown = [name for name in resolved if name not in known]
-            if unknown:
-                raise ExperimentError(
-                    f"unknown metric(s) {', '.join(map(repr, unknown))}; "
-                    f"available: {', '.join(known)}"
-                )
-        object.__setattr__(self, "metrics", resolved)
+            try:
+                plan = MeasurementPlan(tuple(self.metrics))
+            except ValueError as error:
+                raise ExperimentError(str(error)) from None
+        object.__setattr__(self, "metrics", plan.metrics)
         if self.scenarios is not None:
             try:
                 parsed = tuple(
@@ -328,11 +320,10 @@ class ExperimentSpec:
 class RunRecord:
     """Measured outcome of one experiment cell.
 
-    ``metrics`` carries the classic :class:`ScalarMetrics` block when the
-    cell was measured with the full Table-2 battery (the default);
-    ``measured`` carries the :class:`~repro.measure.plan.Measurement` of a
-    custom ``ExperimentSpec.metrics=`` subset (which may include
-    distribution metrics).  At most one of the two is set.
+    ``metrics`` is the :class:`~repro.measure.plan.Measurement` of the
+    spec's metric set (the Table-2 battery by default; a custom
+    ``ExperimentSpec.metrics=`` subset may include distribution metrics),
+    or ``None`` when the spec measures nothing (``metrics=()``).
     """
 
     topology: str
@@ -343,8 +334,7 @@ class RunRecord:
     nodes: int
     edges: int
     wall_time: float
-    metrics: ScalarMetrics | None = None
-    measured: Measurement | None = None
+    metrics: Measurement | None = None
     stats: dict[str, Any] = field(default_factory=dict)
     dk_distance: float | None = None
     scenario: str | None = None
@@ -355,12 +345,10 @@ class RunRecord:
     telemetry: dict[str, Any] | None = None
 
     def metric_value(self, name: str, default: Any = None) -> Any:
-        """The measured value of one metric, whichever block holds it."""
-        if self.metrics is not None:
-            return getattr(self.metrics, name, default)
-        if self.measured is not None:
-            return self.measured.get(name, default)
-        return default
+        """The measured value of one metric (``default`` when not measured)."""
+        if self.metrics is None:
+            return default
+        return self.metrics.get(name, default)
 
     def to_row(self, *, include_timing: bool = True) -> dict[str, Any]:
         """Flat, JSON-serializable view of the record (drops the graph).
@@ -378,12 +366,10 @@ class RunRecord:
             "edges": self.edges,
             "dk_distance": None if self.dk_distance is None else float(self.dk_distance),
             "stats": json_safe(self.stats),
-            "metrics": None if self.metrics is None else json_safe(self.metrics.as_dict()),
+            "metrics": None if self.metrics is None else json_safe(self.metrics.to_jsonable()),
         }
         if self.scenario is not None:
             row["scenario"] = self.scenario
-        if self.measured is not None:
-            row["measured"] = json_safe(self.measured.to_jsonable())
         if include_timing:
             row["wall_time"] = float(self.wall_time)
         return row
@@ -704,21 +690,22 @@ def _record_from_cell_manifest(
 ) -> RunRecord | None:
     """Rebuild a :class:`RunRecord` from a stored cell manifest.
 
-    Returns ``None`` when the manifest cannot satisfy the spec (e.g.
-    ``keep_graphs=True`` but the graph artifact was garbage-collected); the
-    caller then recomputes the cell.
+    Returns ``None`` when the manifest cannot satisfy the spec (a metric of
+    ``spec.metrics`` is missing from the row, or ``keep_graphs=True`` but the
+    graph artifact was garbage-collected); the caller then recomputes the
+    cell.  Exactly ``spec.metrics`` is restored, in the spec's order (the
+    cell key sorts the metric set, so a spec listing the same metrics in
+    another order reads this manifest too).
     """
     row = payload.get("row")
     if not isinstance(row, dict):
         return None
-    metrics_row = row.get("metrics")
-    measured_row = row.get("measured")
+    metrics = None
     if spec.metrics:
-        if is_scalar_battery(spec.metrics):
-            if metrics_row is None:
-                return None
-        elif measured_row is None:
+        metrics_row = row.get("metrics")
+        if not isinstance(metrics_row, dict) or not set(spec.metrics) <= set(metrics_row):
             return None
+        metrics = Measurement.from_jsonable({name: metrics_row[name] for name in spec.metrics})
     graph = None
     if spec.keep_graphs:
         if cell.method == ORIGINAL_METHOD:
@@ -735,16 +722,6 @@ def _record_from_cell_manifest(
             graph, _ = apply_scenario(
                 graph, cell.scenario, rng=np.random.default_rng((cell.seed, 2))
             )
-    measured = None
-    if measured_row is not None:
-        restored = Measurement.from_jsonable(measured_row)
-        # the cell key canonicalizes the metric set by sorting, so a spec
-        # listing the same metrics in another order matches this manifest:
-        # re-order to the *requesting* spec so restored and freshly computed
-        # records agree (e.g. for averaging)
-        if spec.metrics and set(restored.metrics) == set(spec.metrics):
-            restored = Measurement({name: restored[name] for name in spec.metrics})
-        measured = restored
     return RunRecord(
         topology=cell.topology,
         method=cell.method,
@@ -754,8 +731,7 @@ def _record_from_cell_manifest(
         nodes=int(row["nodes"]),
         edges=int(row["edges"]),
         wall_time=float(row.get("wall_time", 0.0)),
-        metrics=None if metrics_row is None else ScalarMetrics(**metrics_row),
-        measured=measured,
+        metrics=metrics,
         stats=dict(row.get("stats", {})),
         dk_distance=row.get("dk_distance"),
         scenario=row.get("scenario", scenario_label(cell.scenario) if cell.scenario else None),
@@ -852,12 +828,11 @@ def _execute_cell_impl(
         graph_hash = graph_content_hash(graph)
 
     metrics = None
-    measured = None
     if spec.metrics:
         # metrics draw from their own seed-derived stream, so a cell whose
         # generation step was served from the store measures identically to
         # one that generated from scratch
-        measurement = memoized_measure(
+        metrics = memoized_measure(
             graph,
             store,
             metrics=spec.metrics,
@@ -867,10 +842,6 @@ def _execute_cell_impl(
             read=read_cache,
             sweep_executor=sweep_executor,
         )
-        if is_scalar_battery(spec.metrics):
-            metrics = measurement.scalar_metrics()
-        else:
-            measured = measurement
     dk_dist = None
     if spec.dk_distances and cell.method != ORIGINAL_METHOD:
         dk_dist = float(graph_dk_distance(original, intact, cell.d))
@@ -885,7 +856,6 @@ def _execute_cell_impl(
         edges=graph.number_of_edges,
         wall_time=wall_time,
         metrics=metrics,
-        measured=measured,
         stats=stats,
         dk_distance=dk_dist,
         scenario=scenario_label(cell.scenario) if cell.scenario is not None else None,

@@ -17,7 +17,6 @@ _EXPORTS = {
     "Measurement": "repro.measure.plan",
     "average_measurements": "repro.measure.plan",
     "battery_plan": "repro.measure.plan",
-    "is_scalar_battery": "repro.measure.plan",
     "TABLE2_CORE_METRICS": "repro.measure.plan",
     "SPECTRUM_METRICS": "repro.measure.plan",
     "MetricDef": "repro.measure.registry",

@@ -9,9 +9,9 @@ particular, ONE unified BFS sweep feeds d̄, σ_d, d(x), the diameter and
 betweenness, whichever subset of those is requested.
 
 The result is a :class:`Measurement` — an ordered name → value mapping that
-also supports attribute access (so the table renderers treat it like a
-:class:`~repro.metrics.summary.ScalarMetrics`) and JSON round-tripping for
-the artifact store and experiment rows.
+also supports attribute access (``result.mean_distance``) and JSON
+round-tripping as one flat ``{name: encoded value}`` dict, the form of
+experiment rows, cell manifests and the service's measure responses.
 
 Quickstart::
 
@@ -21,7 +21,7 @@ Quickstart::
     result = plan.run(graph)            # one BFS sweep, three metrics
     print(result.mean_distance, result["betweenness_by_degree"])
 
-    table2 = MeasurementPlan.table2().run(graph).scalar_metrics()
+    table2 = MeasurementPlan.table2().run(graph)   # == summarize(graph)
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.metrics.distances import scale_histogram
 from repro.utils.rng import RngLike
 
 #: The nine always-on scalar metrics of the paper's Table 2 (plus sizes),
-#: in :class:`~repro.metrics.summary.ScalarMetrics` field order.
+#: in table order.
 TABLE2_CORE_METRICS = (
     "nodes",
     "edges",
@@ -58,14 +58,6 @@ TABLE2_CORE_METRICS = (
 
 #: The Laplacian extremes — the expensive, SciPy-backed tail of Table 2.
 SPECTRUM_METRICS = ("lambda_1", "lambda_n_1")
-
-
-def is_scalar_battery(metrics: tuple[str, ...]) -> bool:
-    """Whether ``metrics`` is (a spectrum-optional form of) the full Table-2
-    battery, i.e. representable as a plain :class:`ScalarMetrics`."""
-    names = set(metrics)
-    scalar_fields = set(TABLE2_CORE_METRICS) | set(SPECTRUM_METRICS)
-    return names <= scalar_fields and names >= set(TABLE2_CORE_METRICS)
 
 
 class Measurement:
@@ -100,8 +92,7 @@ class Measurement:
         return len(self._values)
 
     def __getattr__(self, name: str):
-        # attribute access mirrors ScalarMetrics, so the table renderers
-        # accept either; _values itself is resolved normally
+        # _values itself is resolved normally
         if name.startswith("_"):
             raise AttributeError(name)
         try:
@@ -119,41 +110,20 @@ class Measurement:
         more = "" if len(self._values) <= 4 else ", ..."
         return f"Measurement({inner}{more})"
 
-    def scalar_metrics(self):
-        """Render as a :class:`ScalarMetrics` (absent fields default to 0).
-
-        Meaningful for (subsets of) the Table-2 battery; the spectrum fields
-        default to 0.0 exactly like ``summarize(compute_spectrum=False)``.
-        """
-        from dataclasses import fields
-
-        from repro.metrics.summary import ScalarMetrics
-
-        kwargs = {}
-        for f in fields(ScalarMetrics):
-            default = 0 if f.name in ("nodes", "edges") else 0.0
-            kwargs[f.name] = self._values.get(f.name, default)
-        return ScalarMetrics(**kwargs)
-
     # ------------------------------------------------------------------ #
     # JSON round trip (experiment rows, store entries)
     # ------------------------------------------------------------------ #
     def to_jsonable(self) -> dict[str, object]:
-        """JSON-safe rendering; reversed by :meth:`from_jsonable`."""
+        """The flat, ordered ``{name: encoded value}`` dict (see
+        :func:`encode_metric_value`); reversed by :meth:`from_jsonable`."""
         return {
-            "metrics": list(self._values),
-            "values": {
-                name: encode_metric_value(name, value)
-                for name, value in self._values.items()
-            },
+            name: encode_metric_value(name, value) for name, value in self._values.items()
         }
 
     @classmethod
     def from_jsonable(cls, payload: dict[str, object]) -> "Measurement":
         """Rebuild a measurement from :meth:`to_jsonable` output."""
-        names = payload["metrics"]
-        values = payload["values"]
-        return cls({name: decode_metric_value(name, values[name]) for name in names})
+        return cls({name: decode_metric_value(name, value) for name, value in payload.items()})
 
 
 def encode_metric_value(name: str, value):
@@ -224,27 +194,23 @@ def battery_plan(
     compute_spectrum: bool = True,
     distance_sources: int | None = None,
     use_giant_component: bool = True,
-) -> tuple["MeasurementPlan", bool]:
-    """The plan of a study plus whether it is the default Table-2 battery.
+) -> "MeasurementPlan":
+    """The plan of a comparison or convergence study.
 
-    The shared policy of the comparison/convergence harnesses: ``metrics is
-    None`` selects the full Table-2 battery (rendered as
-    :class:`ScalarMetrics`, second element ``True``); an explicit tuple
-    selects an à-la-carte plan (rendered as :class:`Measurement`).
+    ``metrics is None`` selects the full Table-2 battery (the λ metrics iff
+    ``compute_spectrum``); an explicit tuple selects exactly those metrics.
     """
     if metrics is None:
-        plan = MeasurementPlan.table2(
+        return MeasurementPlan.table2(
             compute_spectrum=compute_spectrum,
             use_giant_component=use_giant_component,
             distance_sources=distance_sources,
         )
-        return plan, True
-    plan = MeasurementPlan(
+    return MeasurementPlan(
         tuple(metrics),
         use_giant_component=use_giant_component,
         distance_sources=distance_sources,
     )
-    return plan, False
 
 
 class _RunContext:
@@ -382,6 +348,8 @@ class MeasurementPlan:
     distance_sources: int | None = None
 
     def __post_init__(self) -> None:
+        # the one check of metric names: the experiment spec, the CLI and the
+        # service map its ValueError to their own errors
         deduped = tuple(dict.fromkeys(self.metrics))
         known = available_metrics()
         unknown = [name for name in deduped if name not in known]
@@ -445,7 +413,6 @@ class MeasurementPlan:
 __all__ = [
     "TABLE2_CORE_METRICS",
     "SPECTRUM_METRICS",
-    "is_scalar_battery",
     "battery_plan",
     "Measurement",
     "average_measurements",

@@ -113,7 +113,7 @@ def _metric(name, kind, needs, formula, **kwargs):
 
 
 # --------------------------------------------------------------------------- #
-# The Table-2 scalar battery (field order of ScalarMetrics)
+# The Table-2 scalar battery (in table order)
 # --------------------------------------------------------------------------- #
 _SWEEP_PARAMS = ("use_giant_component", "distance_sources")
 

@@ -47,7 +47,7 @@ from repro.metrics.distances import (
     mean_distance,
     sample_sources,
 )
-from repro.metrics.summary import ScalarMetrics, average_summaries, summarize
+from repro.metrics.summary import summarize
 
 _EXPORTS = {
     "extreme_eigenvalues": "repro.metrics.spectrum",
@@ -89,8 +89,6 @@ __all__ = [
     "distance_std",
     "eccentricity",
     "mean_distance",
-    "ScalarMetrics",
-    "average_summaries",
     "summarize",
     *_EXPORTS,
 ]

@@ -13,45 +13,29 @@ Smallest non-zero Laplacian eigenvalue ``λ_1``
 Largest Laplacian eigenvalue          ``λ_{n-1}``
 ====================================  ==========
 
-:func:`summarize` computes them for one graph; :func:`average_summaries`
-averages several instances (the paper averages over 100 random seeds).
-Metrics are computed on the giant connected component by default, as in the
-paper's evaluation.
+:func:`summarize` computes them for one graph as a
+:class:`~repro.measure.plan.Measurement`;
+:func:`~repro.measure.plan.average_measurements` averages several instances
+(the paper averages over 100 random seeds).  Metrics are computed on the
+giant connected component by default, as in the paper's evaluation.
 
-Since the measurement-planner refactor, ``summarize`` is a thin veneer over
+``summarize`` is a thin veneer over
 :meth:`repro.measure.MeasurementPlan.table2`: the giant component is
 extracted once, ONE BFS sweep feeds d̄ and σ_d, one triangle pass feeds C̄
 and one edge-moments pass feeds r/S — with every value bit-identical to the
-metric-at-a-time computation.
+metric-at-a-time computation.  Without the spectrum the two λ metrics are
+absent, not 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from repro.graph.simple_graph import SimpleGraph
 from repro.utils.rng import RngLike
 
-
-@dataclass
-class ScalarMetrics:
-    """The scalar graph metrics of the paper's Table 2 (plus sizes)."""
-
-    nodes: int
-    edges: int
-    average_degree: float
-    assortativity: float
-    mean_clustering: float
-    mean_distance: float
-    distance_std: float
-    likelihood: float
-    second_order_likelihood: float
-    lambda_1: float
-    lambda_n_1: float
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain dictionary view (used by the table renderers and CLI)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.measure.plan import Measurement
 
 
 def summarize(
@@ -61,7 +45,7 @@ def summarize(
     distance_sources: int | None = None,
     compute_spectrum: bool = True,
     rng: RngLike = None,
-) -> ScalarMetrics:
+) -> "Measurement":
     """Compute the scalar-metric summary of ``graph``.
 
     Parameters
@@ -76,37 +60,16 @@ def summarize(
         d̄ and σ_d.
     compute_spectrum:
         Skip the Laplacian eigenvalues (the most expensive part for large
-        graphs) when false; the two fields are then reported as 0.
+        graphs) when false; ``lambda_1`` and ``lambda_n_1`` are then absent.
     """
     # deferred: repro.measure.plan imports the other metric modules
     from repro.measure.plan import MeasurementPlan
 
-    plan = MeasurementPlan.table2(
+    return MeasurementPlan.table2(
         compute_spectrum=compute_spectrum,
         use_giant_component=use_giant_component,
         distance_sources=distance_sources,
-    )
-    return plan.run(graph, rng=rng).scalar_metrics()
+    ).run(graph, rng=rng)
 
 
-def average_summaries(summaries: list[ScalarMetrics]) -> ScalarMetrics:
-    """Element-wise average of several summaries (multi-seed experiments).
-
-    Integer-typed fields (``nodes``, ``edges``, and any integer field a
-    :class:`ScalarMetrics` subclass adds) are rounded back to ``int``; the
-    check handles both resolved annotations and the stringified ones PEP 563
-    produces under ``from __future__ import annotations``.
-    """
-    if not summaries:
-        raise ValueError("cannot average an empty list of summaries")
-    count = len(summaries)
-    cls = type(summaries[0])
-    averaged = {}
-    for f in fields(cls):
-        total = sum(getattr(summary, f.name) for summary in summaries)
-        value = total / count
-        averaged[f.name] = int(round(value)) if f.type in (int, "int") else value
-    return cls(**averaged)
-
-
-__all__ = ["ScalarMetrics", "summarize", "average_summaries"]
+__all__ = ["summarize"]

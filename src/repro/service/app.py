@@ -55,8 +55,7 @@ from typing import Any, Callable
 from repro.exceptions import ExperimentError, ServiceError, StoreError
 from repro.generators.registry import json_safe
 from repro.graph.simple_graph import SimpleGraph
-from repro.measure.plan import encode_metric_value
-from repro.measure.registry import available_metrics
+from repro.measure.plan import MeasurementPlan
 from repro.service.coalesce import SingleFlight
 from repro.service.httputil import (
     HTTPError,
@@ -427,15 +426,10 @@ class TopologyService:
         metrics = body.get("metrics")
         if not isinstance(metrics, list) or not metrics:
             raise HTTPError(400, "'metrics' is required (a non-empty list of names)")
-        known = available_metrics()
-        unknown = [name for name in metrics if name not in known]
-        if unknown:
-            raise HTTPError(
-                400,
-                f"unknown metric(s) {', '.join(map(repr, unknown))}; "
-                f"available: {', '.join(known)}",
-            )
-        metrics = tuple(dict.fromkeys(metrics))
+        try:
+            metrics = MeasurementPlan(tuple(metrics)).metrics
+        except ValueError as error:
+            raise HTTPError(400, str(error)) from None
         use_giant_component = bool(body.get("use_giant_component", True))
         distance_sources = body.get("distance_sources")
         if distance_sources is not None:
@@ -474,16 +468,12 @@ class TopologyService:
         (measurement, wall), cache = await self._keyed_compute(
             key, warm, compute, self._timeout(body)
         )
-        values = {
-            name: json_safe(encode_metric_value(name, measurement[name]))
-            for name in metrics
-        }
         return 200, {
             "key": key,
             "cache": cache,
             "nodes": graph.number_of_nodes,
             "edges_count": graph.number_of_edges,
-            "metrics": values,
+            "metrics": json_safe(measurement.to_jsonable()),
             "wall_time": float(wall),
         }
 
@@ -498,15 +488,10 @@ class TopologyService:
             metrics = list(WORKLOAD_METRICS)
         if not isinstance(metrics, list) or not metrics:
             raise HTTPError(400, "'metrics' must be a non-empty list of names")
-        known = available_metrics()
-        unknown = [name for name in metrics if name not in known]
-        if unknown:
-            raise HTTPError(
-                400,
-                f"unknown metric(s) {', '.join(map(repr, unknown))}; "
-                f"available: {', '.join(known)}",
-            )
-        metrics = tuple(dict.fromkeys(metrics))
+        try:
+            metrics = MeasurementPlan(tuple(metrics)).metrics
+        except ValueError as error:
+            raise HTTPError(400, str(error)) from None
         try:
             scenario = Scenario.parse(body.get("scenario"))
         except (ValueError, TypeError, KeyError) as error:
@@ -576,10 +561,6 @@ class TopologyService:
         (work, stats, measurement, wall), cache = await self._keyed_compute(
             key, warm, compute, self._timeout(body)
         )
-        values = {
-            name: json_safe(encode_metric_value(name, measurement[name]))
-            for name in metrics
-        }
         return 200, {
             "key": key,
             "cache": cache,
@@ -587,7 +568,7 @@ class TopologyService:
             "scenario_stats": json_safe(stats),
             "nodes": work.number_of_nodes,
             "edges_count": work.number_of_edges,
-            "metrics": values,
+            "metrics": json_safe(measurement.to_jsonable()),
             "wall_time": float(wall),
         }
 

@@ -12,7 +12,7 @@ content key:
   content-addressed store with atomic, lock-free concurrent writes, and
   :func:`temporary_store`, the throwaway store of store-less runs;
 * :mod:`repro.store.memo` — :func:`memoized_build` /
-  :func:`memoized_measure` / :func:`memoized_summarize` facades over the
+  :func:`memoized_measure` facades over the
   generator registry and the measurement planner, with metric-granular
   cache entries (widening a measured metric set computes only the new
   metrics).
@@ -30,7 +30,6 @@ from repro.store.memo import (
     measure_entry_keys,
     memoized_build,
     memoized_measure,
-    memoized_summarize,
 )
 from repro.store.serialize import (
     graph_content_hash,
@@ -49,7 +48,6 @@ __all__ = [
     "measure_entry_keys",
     "memoized_build",
     "memoized_measure",
-    "memoized_summarize",
     "graph_content_hash",
     "graph_from_bytes",
     "graph_to_bytes",

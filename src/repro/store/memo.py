@@ -15,11 +15,8 @@ Facades that keep the eager APIs' signatures but read/write an
   measured metric set computes only the new metrics (sharing one planner
   run — and hence one BFS sweep — among them) while the old ones are store
   reads.
-* :func:`memoized_summarize` keeps the historical Table-2 facade: it is now
-  ``memoized_measure`` over the full scalar battery, rendered as a
-  :class:`~repro.metrics.summary.ScalarMetrics`.
 
-All take a required store; callers without one run on a temporary
+Both take a required store; callers without one run on a temporary
 store (see :func:`~repro.store.artifact_store.temporary_store`).  Note the
 one caveat of memoizing sampled metrics: when ``distance_sources`` is set,
 cached values reflect the BFS sample of whichever run computed them (the
@@ -42,16 +39,11 @@ from repro.measure.plan import (
     encode_metric_value,
 )
 from repro.measure.registry import get_metric_def
-from repro.metrics.summary import ScalarMetrics
 from repro.store.artifact_store import ArtifactStore
 from repro.store.keys import code_version, generation_key, metric_key
 from repro.store.serialize import graph_content_hash
 from repro.telemetry import counter_inc, span
 from repro.utils.rng import RngLike
-
-#: Legacy metric name of the monolithic Table-2 block (store entries are now
-#: metric-granular; kept for reference and external tooling).
-SCALAR_SUMMARY_METRIC = "scalar_summary"
 
 
 def memoized_build(
@@ -309,43 +301,8 @@ def memoized_measure(
         return Measurement({name: values[name] for name in plan.metrics})
 
 
-def memoized_summarize(
-    graph: SimpleGraph,
-    store: ArtifactStore,
-    *,
-    graph_hash: str | None = None,
-    use_giant_component: bool = True,
-    distance_sources: int | None = None,
-    compute_spectrum: bool = True,
-    rng: RngLike = None,
-    read: bool = True,
-) -> ScalarMetrics:
-    """Compute (or load) the Table-2 scalar summary of ``graph``.
-
-    Since the measurement-planner refactor this is metric-granular:
-    ``compute_spectrum=True`` after a cached ``compute_spectrum=False`` run
-    computes *only* the two Laplacian extremes and reuses the other nine
-    entries.  ``graph_hash`` may be supplied when the caller already knows
-    the content hash (saves re-canonicalizing the graph).
-    """
-    plan = MeasurementPlan.table2(compute_spectrum=compute_spectrum)
-    measurement = memoized_measure(
-        graph,
-        store,
-        metrics=plan.metrics,
-        graph_hash=graph_hash,
-        use_giant_component=use_giant_component,
-        distance_sources=distance_sources,
-        rng=rng,
-        read=read,
-    )
-    return measurement.scalar_metrics()
-
-
 __all__ = [
-    "SCALAR_SUMMARY_METRIC",
     "measure_entry_keys",
     "memoized_build",
     "memoized_measure",
-    "memoized_summarize",
 ]

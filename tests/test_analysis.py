@@ -119,9 +119,14 @@ class TestTables:
         assert len(lines) == 5
 
     def test_scalar_metrics_table(self, hot_small):
-        summary = summarize(hot_small, compute_spectrum=False)
+        summary = summarize(hot_small)
         text = scalar_metrics_table({"HOT": summary}, title="Table")
         assert "kbar" in text and "lambda_1" in text and "HOT" in text
+        # without the spectrum the eigenvalues were never computed: no λ rows
+        # (not rows of zeros)
+        summary = summarize(hot_small, compute_spectrum=False)
+        text = scalar_metrics_table({"HOT": summary}, title="Table")
+        assert "kbar" in text and "lambda" not in text
 
     def test_series_table(self):
         text = series_table({"a": {1: 0.5, 2: 0.25}, "b": {2: 1.0}}, x_label="hops")

@@ -12,7 +12,6 @@ property test also runs the csr kernels on the same graph as a
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,9 +26,10 @@ from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import BigGraph
 from repro.metrics.betweenness import node_betweenness
 from repro.metrics.distances import distance_distribution, distance_histogram
-from repro.metrics.summary import ScalarMetrics, summarize
+from repro.measure.plan import TABLE2_CORE_METRICS, Measurement
+from repro.metrics.summary import summarize
 from repro.store.artifact_store import ArtifactStore
-from repro.store.memo import memoized_summarize
+from repro.store.memo import memoized_measure
 
 
 def star(n):
@@ -86,13 +86,14 @@ def corpus_id(graph):
     return f"n{graph.number_of_nodes}m{graph.number_of_edges}"
 
 
-def assert_summaries_equivalent(a: ScalarMetrics, b: ScalarMetrics):
-    for f in fields(ScalarMetrics):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if f.name in ("nodes", "edges"):
-            assert va == vb, f.name  # counts: exact
+def assert_summaries_equivalent(a: Measurement, b: Measurement):
+    assert a.metrics == b.metrics
+    for name in a.metrics:
+        va, vb = a[name], b[name]
+        if name in ("nodes", "edges"):
+            assert va == vb, name  # counts: exact
         else:
-            assert math.isclose(va, vb, rel_tol=1e-12, abs_tol=1e-12), (f.name, va, vb)
+            assert math.isclose(va, vb, rel_tol=1e-12, abs_tol=1e-12), (name, va, vb)
 
 
 @pytest.mark.parametrize("graph", CORPUS, ids=corpus_id)
@@ -162,13 +163,13 @@ class TestBackendNeverChangesCacheKeys:
     def test_summary_store_entry_shared_across_backends(self, tmp_path):
         graph = star(30)
         store = ArtifactStore(tmp_path / "store")
-        first = memoized_summarize(graph, store, compute_spectrum=False)
+        first = memoized_measure(graph, store, metrics=TABLE2_CORE_METRICS)
         written = store.info()["metrics"]
         assert written == 9  # one metric-granular entry per Table-2 scalar
         # keys never name a kernel set: an oracle run is served the
         # csr-computed entries (same keys, no write) and agrees with them
         with oracle_kernels():
-            second = memoized_summarize(graph.copy(), store, compute_spectrum=False)
+            second = memoized_measure(graph.copy(), store, metrics=TABLE2_CORE_METRICS)
             recomputed = summarize(graph.copy(), compute_spectrum=False)
         assert store.info()["metrics"] == written
         assert first == second == recomputed

@@ -126,6 +126,31 @@ def test_run_experiment_end_to_end(tmp_path, capsys):
     assert methods == {"original", "pseudograph"}
 
 
+def test_rescale_gen_json_report_metrics_are_flat(hot_small_file, tmp_path, capsys):
+    json_path = tmp_path / "report.json"
+    code = main(
+        [
+            "rescale-gen",
+            "--input", str(hot_small_file),
+            "--target-n", "2000",
+            "-d", "2",
+            "--method", "pseudograph",
+            "--seed", "1",
+            "--distance-sources", "16",
+            "--metrics", "mean_distance,distance_distribution",
+            "--store", str(tmp_path / "store"),
+            "--json", str(json_path),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    metrics = json.loads(json_path.read_text())["metrics"]
+    # the one JSON form of a measurement: {name: encoded value}
+    assert set(metrics) == {"mean_distance", "distance_distribution"}
+    assert metrics["mean_distance"] > 0
+    assert sum(value for _, value in metrics["distance_distribution"]) == pytest.approx(1.0)
+
+
 def test_run_experiment_rejects_unknown_topology(tmp_path):
     with pytest.raises(SystemExit):
         main(["run-experiment", "--topology", "nope", "--method", "pseudograph"])

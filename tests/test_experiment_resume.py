@@ -237,6 +237,67 @@ def test_missing_graph_artifact_forces_recompute(store, hot_small):
     assert warm.records[0].graph == cold.records[0].graph
 
 
+def _rewrite_cell_rows(spec, store, hot_small, rewrite):
+    """Overwrite every cell manifest of ``spec`` with ``rewrite(row)``."""
+    from repro.experiment import _cell_cache_key, _topology_content_hash
+    from repro.store.keys import code_version
+
+    topology_hash = _topology_content_hash(hot_small)
+    for cell in spec.cells():
+        key = _cell_cache_key(spec, cell, topology_hash)
+        manifest = store.get_cell(key)
+        store.put_cell(
+            key,
+            {
+                "code_version": code_version(),
+                "graph_key": manifest["graph_key"],
+                "row": rewrite(dict(manifest["row"])),
+            },
+        )
+
+
+def test_old_battery_manifest_restores_only_the_spec_metrics(
+    counting_generator, store, hot_small
+):
+    # a manifest written before Measurement was the only metric block: the
+    # default battery as a flat dict that includes made-up zero eigenvalues
+    spec = stub_spec(hot_small)
+    fresh = run_experiment(spec, store=store)
+
+    def battery_row(row):
+        row["metrics"] = {**row["metrics"], "lambda_1": 0.0, "lambda_n_1": 0.0}
+        return row
+
+    _rewrite_cell_rows(spec, store, hot_small, battery_row)
+    CALLS.clear()
+    warm = run_experiment(spec, store=store)
+    assert warm.cached_cells == len(warm.records) == 3
+    assert CALLS == []
+    for record in warm.records:
+        assert record.metrics.metrics == spec.metrics  # no lambda_1 / lambda_n_1
+    assert warm.to_rows(include_timing=False) == fresh.to_rows(include_timing=False)
+
+
+def test_old_subset_manifest_is_stale(counting_generator, store, hot_small):
+    # a manifest of a custom metric subset in the old two-block shape
+    # ("metrics": null plus a "measured" block) is recomputed, not misread
+    spec = stub_spec(hot_small, metrics=("mean_distance", "distance_distribution"))
+    fresh = run_experiment(spec, store=store)
+
+    def subset_row(row):
+        values = row.pop("metrics")
+        row["metrics"] = None
+        row["measured"] = {"metrics": list(spec.metrics), "values": values}
+        return row
+
+    _rewrite_cell_rows(spec, store, hot_small, subset_row)
+    recomputed = run_experiment(spec, store=store)
+    assert recomputed.cached_cells == 0
+    assert recomputed.to_rows(include_timing=False) == fresh.to_rows(include_timing=False)
+    # the recomputed cells rewrote their manifests in the current shape
+    assert run_experiment(spec, store=store).cached_cells == 3
+
+
 def test_label_independence_of_cell_keys(store, tmp_path, hot_small):
     # the same graph reached via a file path and via an in-memory object
     # shares cells: content-addressing ignores the topology label

@@ -106,7 +106,6 @@ class TestBackendRegistry:
             summary.summarize,
             MeasurementPlan.run,
             memo.memoized_measure,
-            memo.memoized_summarize,
             routing.routing_load,
             repro.ExperimentSpec,
         ]

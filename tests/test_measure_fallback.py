@@ -63,7 +63,7 @@ def test_plan_matches_summarize_on_python_backend():
     with oracle_kernels():
         summary = summarize(graph, compute_spectrum=False)
         clear_measure_cache(graph)
-        measured = plan.run(graph).scalar_metrics()
+        measured = plan.run(graph)
     assert measured.as_dict() == summary.as_dict()
 
 

@@ -11,6 +11,7 @@ import oracle
 import pytest
 from oracle import KERNEL_SETS, kernel_set, oracle_kernels
 
+from repro.analysis.tables import scalar_metrics_table
 from repro.cli import main
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.graph.components import giant_component
@@ -23,7 +24,7 @@ from repro.measure import (
     clear_measure_cache,
     intermediates,
 )
-from repro.measure.plan import TABLE2_CORE_METRICS, is_scalar_battery
+from repro.measure.plan import TABLE2_CORE_METRICS, battery_plan
 from repro.metrics.assortativity import (
     assortativity,
     likelihood,
@@ -37,7 +38,7 @@ from repro.metrics.distances import (
     distance_std,
     mean_distance,
 )
-from repro.metrics.summary import ScalarMetrics, summarize
+from repro.metrics.summary import summarize
 from repro.store import ArtifactStore
 from repro.store.memo import memoized_measure
 
@@ -99,20 +100,19 @@ def test_plan_bit_identical_to_metric_at_a_time(graph, backend):
         summary = summarize(graph, compute_spectrum=False)
         clear_measure_cache(graph)  # force the planner to recompute everything
         gcc = giant_component(graph)
-        legacy = ScalarMetrics(
-            nodes=gcc.number_of_nodes,
-            edges=gcc.number_of_edges,
-            average_degree=gcc.average_degree(),
-            assortativity=assortativity(gcc),
-            mean_clustering=mean_clustering(gcc),
-            mean_distance=mean_distance(gcc),
-            distance_std=distance_std(gcc),
-            likelihood=likelihood(gcc),
-            second_order_likelihood=second_order_likelihood(gcc),
-            lambda_1=0.0,
-            lambda_n_1=0.0,
-        )
-    assert summary.as_dict() == legacy.as_dict()
+        legacy = {
+            "nodes": gcc.number_of_nodes,
+            "edges": gcc.number_of_edges,
+            "average_degree": gcc.average_degree(),
+            "assortativity": assortativity(gcc),
+            "mean_clustering": mean_clustering(gcc),
+            "mean_distance": mean_distance(gcc),
+            "distance_std": distance_std(gcc),
+            "likelihood": likelihood(gcc),
+            "second_order_likelihood": second_order_likelihood(gcc),
+        }
+    assert summary.metrics == tuple(legacy)
+    assert summary.as_dict() == legacy
 
 
 @pytest.mark.parametrize(
@@ -160,10 +160,11 @@ def test_plan_validates_metric_names():
 def test_table2_plan_and_battery_detection():
     full = MeasurementPlan.table2()
     assert full.metrics == TABLE2_CORE_METRICS + ("lambda_1", "lambda_n_1")
-    assert is_scalar_battery(full.metrics)
-    assert is_scalar_battery(MeasurementPlan.table2(compute_spectrum=False).metrics)
-    assert not is_scalar_battery(("mean_distance",))
-    assert not is_scalar_battery(TABLE2_CORE_METRICS + ("diameter",))
+    assert MeasurementPlan.table2(compute_spectrum=False).metrics == TABLE2_CORE_METRICS
+    # a study's plan: the battery when no metric set is named, else exactly it
+    assert battery_plan(None) == full
+    assert battery_plan(None, compute_spectrum=False).metrics == TABLE2_CORE_METRICS
+    assert battery_plan(("diameter", "nodes")).metrics == ("diameter", "nodes")
 
 
 # --------------------------------------------------------------------------- #
@@ -252,7 +253,13 @@ def test_measurement_accessors_and_roundtrip():
     assert "nodes" in result and len(result) == 3
     with pytest.raises(AttributeError):
         result.betweenness_by_degree
-    decoded = Measurement.from_jsonable(json.loads(json.dumps(result.to_jsonable())))
+    # one flat, ordered {name: encoded value} dict (distributions as pairs)
+    encoded = result.to_jsonable()
+    assert list(encoded) == ["mean_distance", "distance_distribution", "nodes"]
+    assert encoded["distance_distribution"] == sorted(
+        [key, value] for key, value in result["distance_distribution"].items()
+    )
+    decoded = Measurement.from_jsonable(json.loads(json.dumps(encoded)))
     assert decoded == result
     assert list(decoded["distance_distribution"]) == sorted(
         decoded["distance_distribution"]
@@ -355,14 +362,12 @@ def test_experiment_metric_subset_records(hot_small):
     )
     result = run_experiment(spec)
     for record in result.records:
-        assert record.metrics is None
-        assert isinstance(record.measured, Measurement)
+        assert isinstance(record.metrics, Measurement)
         assert record.metric_value("mean_distance") > 0
-        assert sum(record.measured["distance_distribution"].values()) == pytest.approx(1.0)
-        assert record.measured["betweenness_by_degree"]
+        assert sum(record.metrics["distance_distribution"].values()) == pytest.approx(1.0)
+        assert record.metrics["betweenness_by_degree"]
     rows = result.to_rows(include_timing=False)
-    assert rows[0]["metrics"] is None
-    assert rows[0]["measured"]["metrics"] == list(spec.metrics)
+    assert list(rows[0]["metrics"]) == list(spec.metrics)
     json.dumps(rows)  # distribution metrics serialize cleanly
 
 
@@ -372,9 +377,22 @@ def test_experiment_default_metrics_unchanged(hot_small):
     )
     assert spec.metrics == TABLE2_CORE_METRICS  # compute_spectrum=False default
     record = run_experiment(spec).records[0]
-    assert isinstance(record.metrics, ScalarMetrics)
-    assert record.measured is None
-    assert "measured" not in record.to_row()
+    assert isinstance(record.metrics, Measurement)
+    assert record.metrics.metrics == TABLE2_CORE_METRICS
+    # no lambda_1 / lambda_n_1 at all: the spectrum was never computed
+    assert list(record.to_row()["metrics"]) == list(TABLE2_CORE_METRICS)
+    assert "lambda" not in scalar_metrics_table({"pseudograph": record.metrics})
+
+
+def test_experiment_spectrum_metrics_are_measured():
+    spec = ExperimentSpec(
+        topologies=("hot_small",), methods=(), include_original=True, compute_spectrum=True
+    )
+    (record,) = run_experiment(spec).records
+    assert list(record.to_row()["metrics"])[-2:] == ["lambda_1", "lambda_n_1"]
+    # a connected graph's smallest non-zero eigenvalue is positive
+    assert 0 < record.metrics.lambda_1 < record.metrics.lambda_n_1
+    assert "lambda_1" in scalar_metrics_table({"original": record.metrics})
 
 
 def test_experiment_metrics_validation_and_aliases(hot_small):
@@ -405,9 +423,9 @@ def test_experiment_subset_resume_roundtrip(tmp_path, hot_small):
     warm = run_experiment(spec, store=store)
     assert warm.cached_cells == len(warm.records) == 2
     assert warm.to_rows(include_timing=False) == cold.to_rows(include_timing=False)
-    restored = warm.records[0].measured
+    restored = warm.records[0].metrics
     assert isinstance(restored, Measurement)
-    assert restored == cold.records[0].measured
+    assert restored == cold.records[0].metrics
 
 
 def test_reordered_metric_spec_shares_cells_and_averages(tmp_path, hot_small):
@@ -439,7 +457,7 @@ def test_reordered_metric_spec_shares_cells_and_averages(tmp_path, hot_small):
     grown = run_experiment(reordered, store=store)
     assert grown.cached_cells == 2  # original + replicate 0 reused
     for record in grown.records:
-        assert record.measured.metrics == ("mean_distance", "distance_std")
+        assert record.metrics.metrics == ("mean_distance", "distance_std")
     comparison = comparison_from_experiment(grown)  # averaging must not raise
     assert comparison.columns["pseudograph"]["mean_distance"] > 0
 

@@ -42,7 +42,8 @@ from repro.metrics.distances import (
     mean_distance,
 )
 from repro.metrics.spectrum import extreme_eigenvalues, laplacian_spectrum, normalized_laplacian
-from repro.metrics.summary import ScalarMetrics, average_summaries, summarize
+from repro.measure.plan import TABLE2_CORE_METRICS, Measurement, average_measurements
+from repro.metrics.summary import summarize
 
 
 class TestDegreeMetrics:
@@ -218,11 +219,11 @@ class TestSpectrumMetrics:
 class TestSummary:
     def test_summarize_fields(self, hot_small):
         summary = summarize(hot_small)
-        assert isinstance(summary, ScalarMetrics)
+        assert isinstance(summary, Measurement)
         assert summary.nodes <= hot_small.number_of_nodes
         assert summary.average_degree > 0
-        assert summary.lambda_n_1 <= 2.0 + 1e-9
-        assert set(summary.as_dict()) == {
+        assert 0 < summary.lambda_1 < summary.lambda_n_1 <= 2.0 + 1e-9
+        assert summary.metrics == (
             "nodes",
             "edges",
             "average_degree",
@@ -234,42 +235,38 @@ class TestSummary:
             "second_order_likelihood",
             "lambda_1",
             "lambda_n_1",
-        }
+        )
 
     def test_summarize_without_spectrum(self, hot_small):
+        # the eigenvalues were never computed: absent, not a made-up 0
         summary = summarize(hot_small, compute_spectrum=False)
-        assert summary.lambda_1 == 0.0 and summary.lambda_n_1 == 0.0
+        assert "lambda_1" not in summary and "lambda_n_1" not in summary
+        assert summary.metrics == TABLE2_CORE_METRICS
+        with pytest.raises(AttributeError):
+            summary.lambda_1
 
     def test_summarize_uses_gcc(self, disconnected_graph):
         summary = summarize(disconnected_graph)
         assert summary.nodes == 3
 
-    def test_average_summaries(self, hot_small, as_small):
+    def test_averaging_summaries(self, hot_small, as_small):
         a = summarize(hot_small, compute_spectrum=False)
         b = summarize(as_small, compute_spectrum=False)
-        averaged = average_summaries([a, b])
+        averaged = average_measurements([a, b])
         assert averaged.average_degree == pytest.approx(
             (a.average_degree + b.average_degree) / 2
         )
         with pytest.raises(ValueError):
-            average_summaries([])
+            average_measurements([])
 
-    def test_average_summaries_rounds_every_int_field(self, hot_small):
-        # regression: under `from __future__ import annotations` field types
-        # are strings, so `f.type is int` was always False and int-rounding
-        # silently relied on a hardcoded ("nodes", "edges") name list —
-        # a new int field must round too, without being enumerated anywhere
-        from dataclasses import dataclass
-
-        @dataclass
-        class ExtendedMetrics(ScalarMetrics):
-            diameter: int = 0
-
+    def test_averaging_summaries_rounds_every_int_field(self, hot_small):
+        # every metric the registry declares int-valued rounds back to int,
+        # without being enumerated anywhere — the Table-2 sizes and any
+        # other int metric averaged alongside them
         base = summarize(hot_small, compute_spectrum=False)
-        a = ExtendedMetrics(**base.as_dict(), diameter=4)
-        b = ExtendedMetrics(**base.as_dict(), diameter=7)
-        averaged = average_summaries([a, b])
-        assert isinstance(averaged, ExtendedMetrics)
+        a = Measurement({**base.as_dict(), "diameter": 4})
+        b = Measurement({**base.as_dict(), "diameter": 7})
+        averaged = average_measurements([a, b])
         assert averaged.diameter == 6 and isinstance(averaged.diameter, int)
         assert averaged.nodes == base.nodes and isinstance(averaged.nodes, int)
         assert isinstance(averaged.average_degree, float)

@@ -7,13 +7,14 @@ import pytest
 
 from repro.exceptions import StoreError
 from repro.generators.registry import get_generator
+from repro.measure.plan import MeasurementPlan
 from repro.metrics.summary import summarize
 from repro.store import (
     ArtifactStore,
     generation_key,
     graph_content_hash,
     memoized_build,
-    memoized_summarize,
+    memoized_measure,
     metric_key,
     stable_hash,
 )
@@ -214,8 +215,13 @@ def test_memoized_build_runs_generator_once(store, hot_small):
     assert other.graph != first.graph
 
 
-def test_memoized_summarize_hits_cache(store, hot_small, monkeypatch):
-    first = memoized_summarize(hot_small, store, compute_spectrum=False)
+#: The Table-2 battery without and with the Laplacian extremes.
+TABLE2 = MeasurementPlan.table2(compute_spectrum=False).metrics
+TABLE2_SPECTRUM = MeasurementPlan.table2().metrics
+
+
+def test_memoized_table2_hits_cache(store, hot_small, monkeypatch):
+    first = memoized_measure(hot_small, store, metrics=TABLE2)
     assert first == summarize(hot_small, compute_spectrum=False)
 
     import repro.store.memo as memo
@@ -224,16 +230,16 @@ def test_memoized_summarize_hits_cache(store, hot_small, monkeypatch):
         raise AssertionError("no metric should be recomputed on a warm cache")
 
     monkeypatch.setattr(memo.MeasurementPlan, "run", boom)
-    second = memoized_summarize(hot_small, store, compute_spectrum=False)
+    second = memoized_measure(hot_small, store, metrics=TABLE2)
     assert second == first
     # a widened metric set misses the cache for the new metrics only
     # (and here: the residual planner run blows up)
     with pytest.raises(AssertionError):
-        memoized_summarize(hot_small, store, compute_spectrum=True)
+        memoized_measure(hot_small, store, metrics=TABLE2_SPECTRUM)
 
 
-def test_memoized_summarize_widening_computes_only_new_metrics(store, hot_small, monkeypatch):
-    memoized_summarize(hot_small, store, compute_spectrum=False)
+def test_memoized_table2_widening_computes_only_new_metrics(store, hot_small, monkeypatch):
+    memoized_measure(hot_small, store, metrics=TABLE2)
     written = store.info()["metrics"]
     assert written == 9
 
@@ -247,16 +253,28 @@ def test_memoized_summarize_widening_computes_only_new_metrics(store, hot_small,
         return real_run(self, *args, **kwargs)
 
     monkeypatch.setattr(memo.MeasurementPlan, "run", spying_run)
-    widened = memoized_summarize(hot_small, store, compute_spectrum=True)
+    widened = memoized_measure(hot_small, store, metrics=TABLE2_SPECTRUM)
     # only the two Laplacian extremes were computed; the other nine reused
     assert residual_runs == [("lambda_1", "lambda_n_1")]
     assert store.info()["metrics"] == written + 2
     assert widened.lambda_n_1 > 0.0
 
 
-def test_memoized_summarize_read_false_recomputes(store, triangle_graph):
-    first = memoized_summarize(triangle_graph, store, compute_spectrum=False)
-    again = memoized_summarize(triangle_graph, store, compute_spectrum=False, read=False)
+def test_memoized_table2_read_false_recomputes(store, triangle_graph, monkeypatch):
+    first = memoized_measure(triangle_graph, store, metrics=TABLE2)
+
+    import repro.store.memo as memo
+
+    residual_runs = []
+    real_run = memo.MeasurementPlan.run
+
+    def spying_run(self, *args, **kwargs):
+        residual_runs.append(self.metrics)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(memo.MeasurementPlan, "run", spying_run)
+    again = memoized_measure(triangle_graph, store, metrics=TABLE2, read=False)
+    assert residual_runs == [TABLE2]  # every metric recomputed, none read
     assert again == first
 
 
