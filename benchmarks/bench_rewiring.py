@@ -22,9 +22,9 @@ import pytest
 
 from benchmarks._common import AS_SEED, record_result
 from repro.core.extraction import joint_degree_distribution, three_k_distribution
-from repro.generators.rewiring.preserving import dk_randomize, randomize_1k
+from repro.generators.rewiring.preserving import dk_randomize
 from repro.generators.rewiring.targeting import target_2k_from_1k, target_3k_from_2k
-from repro.kernels.rewiring import ENGINE_NAME, randomize
+from repro.kernels.rewiring import ENGINE_NAME
 from repro.topologies.as_level import synthetic_as_topology
 
 SIZES = (1000, 5000)
@@ -59,7 +59,7 @@ def _graph(n):
 def _target_seed_graph(n):
     """A 1K-randomized copy whose JDD the targeting chain pushes back."""
     if n not in _TARGET_SEEDS:
-        _TARGET_SEEDS[n] = randomize_1k(_graph(n), rng=1, multiplier=3)
+        _TARGET_SEEDS[n] = dk_randomize(_graph(n), 1, rng=1, multiplier=3)
     return _TARGET_SEEDS[n]
 
 
@@ -99,7 +99,7 @@ def _warm_engines():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for d in (0, 1, 2, 3):
-            randomize(graph, d, rng=1, multiplier=0.3, max_attempt_factor=3)
+            dk_randomize(graph, d, rng=1, multiplier=0.3, max_attempt_factor=3)
         target_2k_from_1k(graph, jdd, rng=1, max_attempts=500)
         target_3k_from_2k(graph, threek, rng=1, max_attempts=500)
 
@@ -107,7 +107,7 @@ def _warm_engines():
 def _run_randomizing(d, graph):
     multiplier, attempt_factor = CHAIN_BUDGETS[d]
     stats: dict = {}
-    randomize(
+    dk_randomize(
         graph,
         d,
         rng=1,

@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.tables import render_table, series_table
 from repro.generators.exploration import explore_2k
-from repro.generators.rewiring.preserving import randomize_2k
+from repro.generators.rewiring.preserving import dk_randomize
 from repro.metrics.assortativity import assortativity, second_order_likelihood
 from repro.metrics.clustering import clustering_by_degree, mean_clustering
 from repro.metrics.distances import mean_distance
@@ -26,7 +26,7 @@ def _exploration_study(graph, attempts):
         "Max C": explore_2k(graph, "clustering", "max", rng=GENERATION_SEED, max_attempts=attempts).graph,
         "Min S2": explore_2k(graph, "s2", "min", rng=GENERATION_SEED, max_attempts=attempts).graph,
         "Max S2": explore_2k(graph, "s2", "max", rng=GENERATION_SEED, max_attempts=attempts).graph,
-        "2K-rand.": randomize_2k(graph, rng=GENERATION_SEED, multiplier=5),
+        "2K-rand.": dk_randomize(graph, 2, rng=GENERATION_SEED, multiplier=5),
         "skitter-like": graph,
     }
     for label, candidate in graphs.items():

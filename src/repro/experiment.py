@@ -59,7 +59,12 @@ import numpy as np
 from repro import telemetry
 from repro.core.distance import graph_dk_distance
 from repro.exceptions import ExperimentError, ExperimentInterrupted
-from repro.generators.registry import get_generator, json_safe
+from repro.generators.registry import (
+    GeneratorInputError,
+    available_generators,
+    get_generator,
+    json_safe,
+)
 from repro.graph.io import read_edge_list
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import bfs_histogram
@@ -185,6 +190,13 @@ class ExperimentSpec:
             "generator_options",
             {method: dict(options) for method, options in self.generator_options.items()},
         )
+        registered = available_generators()
+        for method, options in self.generator_options.items():
+            if method in registered:
+                try:
+                    registered[method].check_options(options)
+                except GeneratorInputError as error:
+                    raise ExperimentError(str(error)) from None
         if not self.topologies:
             raise ExperimentError("an experiment needs at least one topology")
         if not self.methods and not self.include_original:

@@ -19,10 +19,6 @@ _EXPORTS = {
     "matching_1k": "repro.generators.matching",
     "matching_2k": "repro.generators.matching",
     "dk_randomize": "repro.generators.rewiring.preserving",
-    "randomize_0k": "repro.generators.rewiring.preserving",
-    "randomize_1k": "repro.generators.rewiring.preserving",
-    "randomize_2k": "repro.generators.rewiring.preserving",
-    "randomize_3k": "repro.generators.rewiring.preserving",
     "verify_randomization_converged": "repro.generators.rewiring.preserving",
     "GenerationResult": "repro.generators.registry",
     "GeneratorSpec": "repro.generators.registry",

@@ -35,9 +35,10 @@ Extension point::
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Literal
+from typing import Any, Callable, Literal, Mapping
 
 import numpy as np
 
@@ -147,6 +148,25 @@ class GeneratorSpec:
                 f"the {self.name!r} construction is only defined for d in {{{levels}}}, got {d}"
             )
 
+    def check_options(self, options: Mapping[str, Any]) -> None:
+        """Raise :class:`GeneratorInputError` for any option name the builder
+        does not accept as a keyword after ``(source, d, rng)``."""
+        params = list(inspect.signature(self.builder).parameters.values())
+        if any(param.kind is param.VAR_KEYWORD for param in params):
+            return
+        accepted = {
+            param.name
+            for param in params[3:]
+            if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+        }
+        unknown = sorted(set(options) - accepted)
+        if unknown:
+            raise GeneratorInputError(
+                f"the {self.name!r} construction takes no option(s) "
+                f"{', '.join(map(repr, unknown))}; accepted: "
+                f"{', '.join(sorted(accepted)) or 'none'}"
+            )
+
     def levels_label(self) -> str:
         """Compact human-readable form of the supported levels, e.g. ``"0-3"``."""
         levels = sorted(self.supported_d)
@@ -167,11 +187,13 @@ class GeneratorSpec:
         ``source`` may always be a :class:`SimpleGraph`; for
         distribution-input algorithms the level-``d`` distribution is
         extracted automatically.  Passing a bare distribution to a
-        graph-input algorithm raises :class:`GeneratorInputError`.
+        graph-input algorithm, or an option the builder does not take,
+        raises :class:`GeneratorInputError` before any work.
         """
         if d not in (0, 1, 2, 3):
             raise ValueError(f"d must be in 0..3, got {d}")
         self.check_supports(d)
+        self.check_options(options)
 
         if self.input_kind == "graph":
             if not isinstance(source, SimpleGraph):
@@ -273,17 +295,9 @@ def _build_rewiring(
     rng,
     *,
     multiplier: float = 10.0,
-    batch_size: int | None = None,
 ):
     stats: dict[str, Any] = {}
-    result = dk_randomize(
-        graph,
-        d,
-        rng=rng,
-        multiplier=multiplier,
-        stats=stats,
-        batch_size=batch_size,
-    )
+    result = dk_randomize(graph, d, rng=rng, multiplier=multiplier, stats=stats)
     return result, stats
 
 

@@ -11,10 +11,6 @@ _EXPORTS = {
     "count_dk_rewirings": "repro.generators.rewiring.counting",
     "rewiring_count_table": "repro.generators.rewiring.counting",
     "dk_randomize": "repro.generators.rewiring.preserving",
-    "randomize_0k": "repro.generators.rewiring.preserving",
-    "randomize_1k": "repro.generators.rewiring.preserving",
-    "randomize_2k": "repro.generators.rewiring.preserving",
-    "randomize_3k": "repro.generators.rewiring.preserving",
     "verify_randomization_converged": "repro.generators.rewiring.preserving",
     "record_chain_stats": "repro.generators.rewiring.chain",
     "warn_not_converged": "repro.generators.rewiring.chain",

@@ -1,10 +1,10 @@
-"""Shared bookkeeping for the rewiring chain drivers.
+"""Shared outcome reporting for the rewiring chain drivers.
 
-Every chain of the rewiring engine (:mod:`repro.kernels.rewiring`) reports
-its outcome through the helpers here, so the stats dictionaries are
-identical across chains and a chain that exhausts its attempt budget is
-surfaced the same way everywhere: a
-:class:`~repro.exceptions.RewiringConvergenceWarning` from the chain
+The drivers of the rewiring engine's chains (:mod:`repro.kernels.rewiring`)
+— randomizing, targeting — report their outcome through the two helpers
+here, so the stats dictionaries are identical across chains and a chain
+that exhausts its attempt budget is surfaced the same way everywhere: a
+:class:`~repro.exceptions.RewiringConvergenceWarning` from the driver
 itself, instead of a silently dropped caller-opt-in stats dict.
 """
 
@@ -13,21 +13,7 @@ from __future__ import annotations
 import warnings
 
 from repro.exceptions import RewiringConvergenceWarning
-from repro.telemetry.metrics import counter_inc, gauge_set
-
-#: Proposals drawn per vectorized batch.  A pure performance knob: the
-#: engine consumes each random stream per-proposal, so the chain's output is
-#: identical for every batch size.
-DEFAULT_BATCH_SIZE = 4096
-
-#: Default batch for the chains scored on wedge/triangle deltas (3K
-#: randomizing, 3K targeting, S2 and C̄ exploration).  Their deltas are
-#: precomputed for the whole batch against a state snapshot, and every
-#: accepted move invalidates the precomputation for later proposals touching
-#: the same nodes (those fall back to an exact per-move recompute) — so the
-#: sweet spot is much smaller than for the other chains.  Still a pure
-#: performance knob: the output is identical for every batch size.
-THREEK_BATCH_SIZE = 768
+from repro.telemetry.metrics import counter_inc
 
 
 def record_chain_stats(
@@ -64,20 +50,6 @@ def record_chain_stats(
         )
 
 
-def record_batch_efficiency(label: str, accepted: int, attempted: int) -> None:
-    """Publish the acceptance ratio of one proposal batch.
-
-    The vectorized engine calls this once per batch so operators can watch
-    ``repro_rewiring_batch_efficiency`` (accepted/attempted, labelled by
-    chain) on ``/v1/metrics`` — a chain whose ratio collapses is wasting its
-    precomputed batch work and wants a smaller ``batch_size``.
-    """
-    if attempted > 0:
-        gauge_set(
-            "repro_rewiring_batch_efficiency", accepted / attempted, chain=label
-        )
-
-
 def warn_not_converged(label: str, detail: str, *, stacklevel: int = 3) -> None:
     """Emit the driver-level non-convergence warning."""
     warnings.warn(
@@ -89,9 +61,6 @@ def warn_not_converged(label: str, detail: str, *, stacklevel: int = 3) -> None:
 
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "THREEK_BATCH_SIZE",
-    "record_batch_efficiency",
     "record_chain_stats",
     "warn_not_converged",
 ]

@@ -1,7 +1,8 @@
 """dK-preserving randomizing rewiring (Section 4.1.4 of the paper).
 
-``dk_randomize(graph, d)`` produces a dK-random counterpart of ``graph`` by
-performing a large number of random dK-preserving moves:
+``dk_randomize(graph, d)`` — the one randomize entry point, for every
+``d`` — produces a dK-random counterpart of ``graph`` by performing a large
+number of random dK-preserving moves:
 
 * d = 0: re-attach random edges to random non-adjacent node pairs,
 * d = 1: degree-preserving double edge swaps,
@@ -23,7 +24,7 @@ restricted 3K case, where acceptable moves may be rare; a chain it caps
 emits a :class:`~repro.exceptions.RewiringConvergenceWarning`.  The stats
 record both acceptance rates (``pilot_accept_rate``, ``accept_rate``).
 
-The chains run on the rewiring engine in :mod:`repro.kernels.rewiring`,
+The chains run on the rewiring engine's :func:`~repro.kernels.rewiring.run_chain`,
 which is deterministic per seed and preserves the dK-invariants exactly.
 For d = 3 it evaluates the wedge/triangle acceptance test batched across
 each proposal block (CSR rows, an adjacency membership table and
@@ -32,141 +33,27 @@ bitset up to ``BITSET_MAX_NODES`` nodes and sorted packed arc keys beyond
 it, with the same moves either way.  Accepted moves update the
 neighborhood structures incrementally, and proposals invalidated by an
 earlier accepted move in the same batch get an exact per-move
-re-evaluation, keeping the chain's output independent of the batch size.
+re-evaluation, keeping the chain's output independent of the batch width
+(a kernel constant, not a parameter).
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
+from repro.generators.rewiring.chain import record_chain_stats
+from repro.generators.rewiring.counting import count_dk_rewirings
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.rewiring import ENGINE_NAME, randomize
+from repro.kernels.rewiring import ENGINE_NAME, DkPreserving, run_chain
 from repro.telemetry import span
-from repro.utils.rng import RngLike
+from repro.utils.rng import RngLike, ensure_rng
 
-
-def _run_randomize(
-    graph: SimpleGraph,
-    d: int,
-    *,
-    rng: RngLike,
-    multiplier: float,
-    max_attempt_factor: int | None,
-    stats: dict | None,
-    batch_size: int | None,
-) -> SimpleGraph:
-    """Run the d-level chain on a copy of ``graph`` under a telemetry span,
-    which records the chain's move counts and pilot acceptance rate."""
-    stats = {} if stats is None else stats
-    with span(
-        "kernel.rewire_randomize",
-        engine=ENGINE_NAME,
-        d=d,
-        n=graph.number_of_nodes,
-        m=graph.number_of_edges,
-    ) as chain_span:
-        rewired = randomize(
-            graph,
-            d,
-            rng=rng,
-            multiplier=multiplier,
-            max_attempt_factor=max_attempt_factor,
-            stats=stats,
-            batch_size=batch_size,
-        )
-        chain_span.set(
-            attempted=stats["attempted_moves"],
-            accepted=stats["accepted_moves"],
-            pilot_accept_rate=stats["pilot_accept_rate"],
-        )
-    return rewired
-
-
-def randomize_0k(
-    graph: SimpleGraph,
-    *,
-    rng: RngLike = None,
-    multiplier: float = 10.0,
-    max_attempt_factor: int = 50,
-    stats: dict | None = None,
-    batch_size: int | None = None,
-) -> SimpleGraph:
-    """0K-preserving randomization of a copy of ``graph``."""
-    return _run_randomize(
-        graph,
-        0,
-        rng=rng,
-        multiplier=multiplier,
-        max_attempt_factor=max_attempt_factor,
-        stats=stats,
-        batch_size=batch_size,
-    )
-
-
-def randomize_1k(
-    graph: SimpleGraph,
-    *,
-    rng: RngLike = None,
-    multiplier: float = 10.0,
-    max_attempt_factor: int = 50,
-    stats: dict | None = None,
-    batch_size: int | None = None,
-) -> SimpleGraph:
-    """1K-preserving (degree-preserving) randomization of a copy of ``graph``."""
-    return _run_randomize(
-        graph,
-        1,
-        rng=rng,
-        multiplier=multiplier,
-        max_attempt_factor=max_attempt_factor,
-        stats=stats,
-        batch_size=batch_size,
-    )
-
-
-def randomize_2k(
-    graph: SimpleGraph,
-    *,
-    rng: RngLike = None,
-    multiplier: float = 10.0,
-    max_attempt_factor: int = 50,
-    stats: dict | None = None,
-    batch_size: int | None = None,
-) -> SimpleGraph:
-    """2K-preserving (JDD-preserving) randomization of a copy of ``graph``."""
-    return _run_randomize(
-        graph,
-        2,
-        rng=rng,
-        multiplier=multiplier,
-        max_attempt_factor=max_attempt_factor,
-        stats=stats,
-        batch_size=batch_size,
-    )
-
-
-def randomize_3k(
-    graph: SimpleGraph,
-    *,
-    rng: RngLike = None,
-    multiplier: float = 10.0,
-    max_attempt_factor: int = 200,
-    stats: dict | None = None,
-    batch_size: int | None = None,
-) -> SimpleGraph:
-    """3K-preserving randomization of a copy of ``graph``.
-
-    Proposals are 2K-preserving swaps accepted only when the wedge and
-    triangle distributions stay exactly unchanged; the attempt budget is
-    usually the binding limit (cf. Table 5 of the paper).
-    """
-    return _run_randomize(
-        graph,
-        3,
-        rng=rng,
-        multiplier=multiplier,
-        max_attempt_factor=max_attempt_factor,
-        stats=stats,
-        batch_size=batch_size,
-    )
+#: Attempts of the pilot chain that sizes a randomize chain's attempt budget
+#: from its acceptance rate (never more than the chain's accepted-move
+#: target, so the pilot never costs more than the chain it sizes).
+PILOT_ATTEMPTS = 4096
 
 
 def dk_randomize(
@@ -175,28 +62,81 @@ def dk_randomize(
     *,
     rng: RngLike = None,
     multiplier: float = 10.0,
+    max_attempt_factor: int | None = None,
     stats: dict | None = None,
-    batch_size: int | None = None,
 ) -> SimpleGraph:
-    """Dispatch to the dK-preserving randomizer for ``d`` in ``{0, 1, 2, 3}``.
+    """dK-preserving randomization of a copy of ``graph``, ``d`` in ``{0, 1, 2, 3}``.
 
-    When a ``stats`` dict is supplied, the chain's accepted/attempted move
-    counts, acceptance rates, convergence flag and engine name are recorded
-    into it.
-    ``batch_size`` tunes the engine's proposal batches without affecting its
-    output.
+    Runs :func:`~repro.kernels.rewiring.run_chain` on the
+    :class:`~repro.kernels.rewiring.DkPreserving` objective for ``T``
+    attempts, with ``T`` fixed before the chain starts.  A pilot chain on its
+    own stream estimates the acceptance rate ``a0`` from
+    ``min(PILOT_ATTEMPTS, target)`` attempts, and ``T = ceil(target / a0)``
+    for ``target = multiplier * m`` expected accepted moves, capped by the
+    attempt budget: ``max_attempt_factor * target`` attempts for d < 3 and
+    ``max_attempt_factor * m`` for d = 3 (the factor defaults to 50 and 200).
+    ``T`` is the budget when the pilot accepts nothing.
+
+    When a ``stats`` dict is supplied it receives the unified
+    ``target/accepted/attempted/converged`` move stats, ``engine``,
+    ``pilot_accept_rate`` and ``accept_rate``; ``converged`` means the
+    budget did not cap ``T``, and a capped chain warns.  A chain that
+    accepts nothing because the graph has no valid dK-preserving move at all
+    reports ``stats["frozen"] = True`` instead of warning: no budget can
+    help it.  The chain runs under a ``kernel.rewire_randomize`` span.
     """
     if d not in (0, 1, 2, 3):
         raise ValueError(f"dK-randomizing rewiring is implemented for d in 0..3, got {d}")
-    return _run_randomize(
-        graph,
-        d,
-        rng=rng,
-        multiplier=multiplier,
-        max_attempt_factor=None,
-        stats=stats,
-        batch_size=batch_size,
-    )
+    rng = ensure_rng(rng)
+    if max_attempt_factor is None:
+        max_attempt_factor = 200 if d == 3 else 50
+    m = graph.number_of_edges
+    target = max(1, int(multiplier * m))
+    budget = max_attempt_factor * (max(m, 1) if d == 3 else target)
+    objective = DkPreserving(d)
+    stats = {} if stats is None else stats
+    with span(
+        "kernel.rewire_randomize",
+        engine=ENGINE_NAME,
+        d=d,
+        n=graph.number_of_nodes,
+        m=m,
+    ) as chain_span:
+        # the pilot's seed is a draw from ``rng``, which leaves the children
+        # ``rng`` spawns for the chain itself (its random streams) unchanged
+        pilot = run_chain(
+            graph,
+            objective,
+            rng=np.random.default_rng(int(rng.integers(0, 2**63 - 1))),
+            max_attempts=min(PILOT_ATTEMPTS, target),
+        )
+        pilot_rate = pilot.accepted / pilot.attempted if pilot.attempted else 0.0
+        wanted = math.ceil(target / pilot_rate) if pilot_rate else math.inf
+        run = run_chain(graph, objective, rng=rng, max_attempts=min(budget, wanted))
+
+        # the count costs as much as a Table-5 row, so it only runs to tell
+        # a frozen dK-space from an unlucky chain
+        frozen = run.accepted == 0 and count_dk_rewirings(graph, d).total == 0
+        record_chain_stats(
+            stats,
+            label=objective.label,
+            target=target,
+            accepted=run.accepted,
+            attempted=run.attempted,
+            converged=wanted <= budget,
+            warn=not frozen,
+        )
+        stats["engine"] = ENGINE_NAME
+        stats["pilot_accept_rate"] = pilot_rate
+        stats["accept_rate"] = run.accepted / run.attempted if run.attempted else 0.0
+        if frozen:
+            stats["frozen"] = True
+        chain_span.set(
+            attempted=run.attempted,
+            accepted=run.accepted,
+            pilot_accept_rate=pilot_rate,
+        )
+    return run.graph
 
 
 def verify_randomization_converged(
@@ -232,10 +172,6 @@ def verify_randomization_converged(
 
 
 __all__ = [
-    "randomize_0k",
-    "randomize_1k",
-    "randomize_2k",
-    "randomize_3k",
     "dk_randomize",
     "verify_randomization_converged",
 ]

@@ -79,7 +79,6 @@ def _run_targeting(
     max_attempts: int,
     temperature: float | TemperatureSchedule,
     trace_every: int,
-    batch_size: int | None,
 ) -> TargetingResult:
     if callable(temperature):
         schedule = temperature
@@ -101,7 +100,6 @@ def _run_targeting(
             max_attempts=max_attempts,
             schedule=schedule,
             trace_every=trace_every,
-            batch_size=batch_size,
         )
     if run.energy > 0:
         warn_not_converged(
@@ -126,7 +124,6 @@ def target_2k_from_1k(
     max_attempts: int | None = None,
     temperature: float | TemperatureSchedule = 0.0,
     trace_every: int = 1000,
-    batch_size: int | None = None,
 ) -> TargetingResult:
     """2K-targeting 1K-preserving rewiring of (a copy of) ``graph``.
 
@@ -144,7 +141,6 @@ def target_2k_from_1k(
         max_attempts=max_attempts,
         temperature=temperature,
         trace_every=trace_every,
-        batch_size=batch_size,
     )
 
 
@@ -156,7 +152,6 @@ def target_3k_from_2k(
     max_attempts: int | None = None,
     temperature: float | TemperatureSchedule = 0.0,
     trace_every: int = 1000,
-    batch_size: int | None = None,
 ) -> TargetingResult:
     """3K-targeting 2K-preserving rewiring of (a copy of) ``graph``.
 
@@ -173,7 +168,6 @@ def target_3k_from_2k(
         max_attempts=max_attempts,
         temperature=temperature,
         trace_every=trace_every,
-        batch_size=batch_size,
     )
 
 

@@ -30,15 +30,17 @@ and an attempt budget: dK-preserving randomizing (:class:`DkPreserving`),
 the squared distance to a target distribution (:class:`JddDistance`,
 :class:`ThreeKDistance`) or a weight vector over the delta keys
 (:class:`LinearObjective`).  Energies are exact integers, so every accept
-decision is exact.  :func:`randomize` is a thin wrapper: a pilot chain
-sizes the attempt budget before the randomizing chain starts, so the chain
-stops on attempts, never on its accepted-move count, and samples the
-dK-random graphs uniformly.
+decision is exact.  The callers live in :mod:`repro.generators`;
+:func:`~repro.generators.rewiring.preserving.dk_randomize` sizes a
+randomizing chain's attempt budget with a pilot chain before it starts, so
+the chain stops on attempts, never on its accepted-move count, and samples
+the dK-random graphs uniformly.
 
 Proposals are drawn in vectorized batches: each random quantity (edge slot,
 partner, orientation, Metropolis uniform) comes from its own spawned child
 stream, consumed exactly once per proposal — so the chain's output depends
-only on the seed, *not* on the batch size, and is deterministic per seed.
+only on the seed, *not* on the batch width (:data:`DEFAULT_BATCH_SIZE`,
+:data:`THREEK_BATCH_SIZE`), and is deterministic per seed.
 The batch arrays are converted to Python ints in bulk (``.tolist()``) and
 validated/applied by a tight scalar loop.  Because the 3K batch is evaluated
 against a snapshot of the chain state, a proposal whose endpoints were
@@ -66,13 +68,8 @@ from itertools import repeat
 import numpy as np
 
 from repro.core.extraction import joint_degree_distribution
-from repro.generators.rewiring.chain import (
-    DEFAULT_BATCH_SIZE,
-    THREEK_BATCH_SIZE,
-    record_batch_efficiency,
-    record_chain_stats,
-)
 from repro.graph.simple_graph import SimpleGraph
+from repro.telemetry.metrics import gauge_set
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Name recorded in the chain stats of graphs built by this engine.
@@ -84,8 +81,22 @@ ENGINE_NAME = "csr"
 #: slower per chain, O(m) memory).
 BITSET_MAX_NODES = 32768
 
+#: Proposals drawn per vectorized batch.  A pure performance constant: the
+#: engine consumes each random stream per-proposal, so the chain's output is
+#: identical for every batch size.
+DEFAULT_BATCH_SIZE = 4096
+
+#: Batch width of the chains scored on wedge/triangle deltas (3K
+#: randomizing, 3K targeting, S2 and C̄ exploration).  Their deltas are
+#: precomputed for the whole batch against a state snapshot, and every
+#: accepted move invalidates the precomputation for later proposals touching
+#: the same nodes (those fall back to an exact per-move recompute) — so the
+#: sweet spot is much smaller than for the other chains.  Still a pure
+#: performance constant: the output is identical for every batch size.
+THREEK_BATCH_SIZE = 768
+
 #: Snapshot-evaluation width of the 3K-targeting chain.  RNG draws still
-#: happen at ``batch_size`` (draw width is semantics-neutral), but deltas are
+#: happen at the batch width (draw width is semantics-neutral), but deltas are
 #: evaluated against a refreshed snapshot every this-many proposals: smaller
 #: chunks mean fewer proposals sit behind an accepted move of the same chunk
 #: and need a per-move re-evaluation.
@@ -96,10 +107,19 @@ THREEK_EVAL_CHUNK = 160
 #: degree diversity exceeds it keep the gradient as a sorted sparse array.
 THREEK_RANK_SLOTS_MAX = 16_777_216
 
-#: Attempts of the pilot chain that sizes a randomize chain's attempt budget
-#: from its acceptance rate (never more than the chain's accepted-move
-#: target, so the pilot never costs more than the chain it sizes).
-PILOT_ATTEMPTS = 4096
+
+def record_batch_efficiency(label: str, accepted: int, attempted: int) -> None:
+    """Publish the acceptance ratio of one proposal batch.
+
+    The chains call this once per batch so operators can watch
+    ``repro_rewiring_batch_efficiency`` (accepted/attempted, labelled by
+    chain) on ``/v1/metrics`` — a chain whose ratio collapses is wasting its
+    precomputed batch work and wants a smaller batch-width constant.
+    """
+    if attempted > 0:
+        gauge_set(
+            "repro_rewiring_batch_efficiency", accepted / attempted, chain=label
+        )
 
 
 def _spawn_streams(rng, count: int) -> list:
@@ -1294,7 +1314,6 @@ def run_chain(
     max_attempts: int,
     schedule=None,
     trace_every: int = 1000,
-    batch_size: int | None = None,
 ) -> ChainRun:
     """Run ``objective``'s chain on a copy of ``graph``.
 
@@ -1305,107 +1324,25 @@ def run_chain(
     chain runs the batched delta kernel at every input size; only its
     membership table (bitset or sorted arc keys, by :data:`BITSET_MAX_NODES`)
     and gradient layout (dense or sparse, by :data:`THREEK_RANK_SLOTS_MAX`)
-    depend on the input, and neither changes a move.  The trace records the
-    energy every ``trace_every`` attempts, plus the start and end.
+    depend on the input, and neither changes a move.  Proposals are drawn
+    :data:`THREEK_BATCH_SIZE` at a time by a scored 2K chain and
+    :data:`DEFAULT_BATCH_SIZE` at a time by every other chain; no batch
+    width changes a move either.  The trace records the energy every
+    ``trace_every`` attempts, plus the start and end.
     """
     rng = ensure_rng(rng)
     state = RewiringState(graph)
     if objective.proposal == 2:
         state.build_buckets()
         chain = _objective_chain_2k
-        if batch_size is None or batch_size < 1:
-            batch_size = THREEK_BATCH_SIZE
     else:
         chain = _objective_chain_0k if objective.proposal == 0 else _objective_chain_1k
-        if batch_size is None or batch_size < 1:
-            batch_size = DEFAULT_BATCH_SIZE
+    scored_2k = objective.proposal == 2 and objective.scored
+    batch_size = THREEK_BATCH_SIZE if scored_2k else DEFAULT_BATCH_SIZE
     energy, accepted, attempted, trace = chain(
         state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
     )
     return ChainRun(state.to_graph(), energy, accepted, attempted, trace)
-
-
-def randomize(
-    graph: SimpleGraph,
-    d: int,
-    *,
-    rng: RngLike = None,
-    multiplier: float = 10.0,
-    max_attempt_factor: int | None = None,
-    stats: dict | None = None,
-    batch_size: int | None = None,
-) -> SimpleGraph:
-    """dK-preserving randomization of a copy of ``graph``.
-
-    The engine behind :func:`repro.generators.rewiring.preserving.dk_randomize`:
-    :func:`run_chain` on the :class:`DkPreserving` objective for ``T``
-    attempts, with ``T`` fixed before the chain starts.  A rejected proposal
-    counts as a hold, so the chain samples the dK-random graphs uniformly;
-    stopping at an accepted-move count instead would weight each graph by
-    its number of valid moves.  A pilot chain on its own stream estimates
-    the acceptance rate ``a0`` from ``min(PILOT_ATTEMPTS, target)``
-    attempts, and ``T = ceil(target / a0)`` for ``target = multiplier * m``
-    expected accepted moves, capped by the attempt budget (``T`` is the
-    budget when the pilot accepts nothing).
-
-    Records the unified ``target/accepted/attempted/converged`` stats plus
-    ``pilot_accept_rate`` and ``accept_rate``; ``converged`` means the
-    budget did not cap ``T``, and a capped chain warns.  A chain that
-    accepts nothing because the graph has no valid dK-preserving move at all
-    reports ``stats["frozen"] = True`` instead of warning: no budget can
-    help it.
-    """
-    if d not in (0, 1, 2, 3):
-        raise ValueError(f"dK-randomizing rewiring is implemented for d in 0..3, got {d}")
-    rng = ensure_rng(rng)
-    if batch_size is None or batch_size < 1:
-        batch_size = THREEK_BATCH_SIZE if d == 3 else DEFAULT_BATCH_SIZE
-    if max_attempt_factor is None:
-        max_attempt_factor = 200 if d == 3 else 50
-    m = graph.number_of_edges
-    target = max(1, int(multiplier * m))
-    budget = max_attempt_factor * (max(m, 1) if d == 3 else target)
-    objective = DkPreserving(d)
-
-    # the pilot's seed is a draw from ``rng``, which leaves the children
-    # ``rng`` spawns for the chain itself (its random streams) unchanged
-    pilot = run_chain(
-        graph,
-        objective,
-        rng=np.random.default_rng(int(rng.integers(0, 2**63 - 1))),
-        max_attempts=min(PILOT_ATTEMPTS, target),
-        batch_size=batch_size,
-    )
-    pilot_rate = pilot.accepted / pilot.attempted if pilot.attempted else 0.0
-    wanted = math.ceil(target / pilot_rate) if pilot_rate else math.inf
-    run = run_chain(
-        graph, objective, rng=rng, max_attempts=min(budget, wanted), batch_size=batch_size
-    )
-
-    frozen = False
-    if run.accepted == 0:
-        # imported here because the counting module builds on this engine;
-        # the count costs as much as a Table-5 row, so it only runs to tell
-        # a frozen dK-space from an unlucky chain
-        from repro.generators.rewiring.counting import count_dk_rewirings
-
-        frozen = count_dk_rewirings(graph, d).total == 0
-    record_chain_stats(
-        stats,
-        label=objective.label,
-        target=target,
-        accepted=run.accepted,
-        attempted=run.attempted,
-        converged=wanted <= budget,
-        warn=not frozen,
-    )
-    if stats is not None:
-        stats["engine"] = ENGINE_NAME
-        stats["pilot_accept_rate"] = pilot_rate
-        stats["accept_rate"] = run.accepted / run.attempted if run.attempted else 0.0
-        if frozen:
-            stats["frozen"] = True
-    return run.graph
 
 
 def _close_trace(trace: list, energy: int, attempts: int, next_trace: int) -> list:
@@ -1867,6 +1804,5 @@ __all__ = [
     "LinearObjective",
     "RewiringState",
     "ThreeKDistance",
-    "randomize",
     "run_chain",
 ]

@@ -350,6 +350,9 @@ class MeasurementPlan:
     def __post_init__(self) -> None:
         # the one check of metric names: the experiment spec, the CLI and the
         # service map its ValueError to their own errors
+        bad = [name for name in self.metrics if not isinstance(name, str)]
+        if bad:
+            raise ValueError(f"metric names must be strings, got {', '.join(map(repr, bad))}")
         deduped = tuple(dict.fromkeys(self.metrics))
         known = available_metrics()
         unknown = [name for name in deduped if name not in known]

@@ -236,9 +236,9 @@ class TopologyService:
                 )
             except (TypeError, ValueError, IndexError) as error:
                 raise HTTPError(400, f"malformed 'edges': {error}") from None
-            nodes = body.get("nodes")
+            nodes = self._body_int(body, "nodes")
             if nodes is not None:
-                while graph.number_of_nodes < int(nodes):
+                while graph.number_of_nodes < nodes:
                     graph.add_node()
             return graph, None
         if not isinstance(topology, str):
@@ -366,6 +366,7 @@ class TopologyService:
     async def _handle_generate(self, request: Request) -> tuple[int, Any]:
         body = request.json()
         from repro.generators.registry import (
+            GeneratorInputError,
             UnknownGeneratorError,
             UnsupportedLevelError,
             get_generator,
@@ -377,7 +378,7 @@ class TopologyService:
         d = body.get("d", 2)
         if d not in (0, 1, 2, 3):
             raise HTTPError(400, f"'d' must be in 0..3, got {d!r}")
-        seed = int(body.get("seed", 0))
+        seed = self._body_int(body, "seed", default=0)
         options = body.get("options") or {}
         if not isinstance(options, dict):
             raise HTTPError(400, "'options' must be an object")
@@ -385,7 +386,8 @@ class TopologyService:
         try:
             spec = get_generator(method)
             spec.check_supports(d)
-        except (UnknownGeneratorError, UnsupportedLevelError) as error:
+            spec.check_options(options)
+        except (UnknownGeneratorError, UnsupportedLevelError, GeneratorInputError) as error:
             raise HTTPError(400, str(error)) from None
 
         graph, label = self._resolve_source(body)
@@ -431,10 +433,8 @@ class TopologyService:
         except ValueError as error:
             raise HTTPError(400, str(error)) from None
         use_giant_component = bool(body.get("use_giant_component", True))
-        distance_sources = body.get("distance_sources")
-        if distance_sources is not None:
-            distance_sources = int(distance_sources)
-        seed = int(body.get("seed", 0))
+        distance_sources = self._body_int(body, "distance_sources", minimum=1)
+        seed = self._body_int(body, "seed", default=0)
 
         graph, label = self._resolve_source(body)
         graph_hash = self._content_hash(graph, label)
@@ -496,12 +496,10 @@ class TopologyService:
             scenario = Scenario.parse(body.get("scenario"))
         except (ValueError, TypeError, KeyError) as error:
             raise HTTPError(400, f"invalid 'scenario': {error}") from None
-        scenario_seed = int(body.get("scenario_seed", 0))
+        scenario_seed = self._body_int(body, "scenario_seed", default=0)
         use_giant_component = bool(body.get("use_giant_component", True))
-        distance_sources = body.get("distance_sources")
-        if distance_sources is not None:
-            distance_sources = int(distance_sources)
-        seed = int(body.get("seed", 0))
+        distance_sources = self._body_int(body, "distance_sources", minimum=1)
+        seed = self._body_int(body, "seed", default=0)
 
         graph, label = self._resolve_source(body)
         source_id = self._content_hash(graph, label)
@@ -620,9 +618,7 @@ class TopologyService:
         except (ExperimentError, TypeError, ValueError) as error:
             raise HTTPError(400, f"invalid experiment spec: {error}") from None
 
-        workers = int(body.get("workers", 1))
-        if workers < 1:
-            raise HTTPError(400, f"'workers' must be >= 1, got {workers}")
+        workers = self._body_int(body, "workers", default=1, minimum=1)
         workers = min(workers, self.config.job_grid_workers)
         resume = bool(body.get("resume", True))
         try:
@@ -654,6 +650,23 @@ class TopologyService:
             raise HTTPError(400, f"query parameter {name!r} must be an integer, got {raw!r}") from None
         if value < minimum:
             raise HTTPError(400, f"query parameter {name!r} must be >= {minimum}, got {value}")
+        return value
+
+    @staticmethod
+    def _body_int(
+        body: dict[str, Any], name: str, *, default: int | None = None, minimum: int | None = None
+    ) -> int | None:
+        """An optional integer body field, ``default`` when absent or null
+        (400 on junk)."""
+        raw = body.get(name)
+        if raw is None:
+            return default
+        try:
+            value = int(raw)
+        except (TypeError, ValueError):
+            raise HTTPError(400, f"{name!r} must be an integer, got {raw!r}") from None
+        if minimum is not None and value < minimum:
+            raise HTTPError(400, f"{name!r} must be >= {minimum}, got {value}")
         return value
 
     async def _handle_experiment_status(self, request: Request) -> tuple[int, Any]:

@@ -18,7 +18,7 @@ from repro.core.entropy import (
 )
 from repro.core.extraction import degree_distribution, joint_degree_distribution
 from repro.generators.pseudograph import pseudograph_1k
-from repro.generators.rewiring.preserving import randomize_1k
+from repro.generators.rewiring.preserving import dk_randomize
 from repro.generators.stochastic import stochastic_0k
 
 
@@ -55,7 +55,7 @@ def test_maximum_entropy_jdd_matches_1k_random_graphs():
     rng = np.random.default_rng(11)
     one_k = DegreeDistribution({1: 400, 2: 300, 3: 200, 6: 100})
     graph = pseudograph_1k(one_k, rng=rng)
-    graph = randomize_1k(graph, rng=rng, multiplier=5)
+    graph = dk_randomize(graph, 1, rng=rng, multiplier=5)
     observed = joint_degree_distribution(graph).pmf()
     expected = maximum_entropy_jdd(degree_distribution(graph))
     for key, value in expected.items():

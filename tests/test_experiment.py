@@ -43,6 +43,15 @@ def test_spec_rejects_empty_and_invalid_inputs():
         small_spec(methods=(ORIGINAL_METHOD,), include_original=True)
 
 
+def test_spec_rejects_unknown_generator_options_and_metric_names():
+    with pytest.raises(ExperimentError, match="'foo'"):
+        small_spec(methods=("rewiring",), generator_options={"rewiring": {"foo": 1}})
+    with pytest.raises(ExperimentError, match="'batch_size'"):
+        small_spec(generator_options={"pseudograph": {"batch_size": 7}})
+    with pytest.raises(ExperimentError, match="must be strings"):
+        small_spec(metrics=[["x"]])
+
+
 def test_cells_skip_unsupported_combinations():
     spec = small_spec(methods=("matching", "rewiring"), d_levels=(2, 3), replicates=1)
     cells = spec.cells()

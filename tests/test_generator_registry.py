@@ -103,6 +103,27 @@ def test_graph_input_generator_rejects_bare_distribution(hot_small):
         get_generator("rewiring").build(jdd, 2)
 
 
+def test_unknown_option_is_rejected_before_any_work(scratch_registry, hot_small):
+    calls = []
+    register_generator(
+        GeneratorSpec(
+            name="keyword-stub",
+            description="builder with one keyword option",
+            supported_d=frozenset({1}),
+            input_kind="graph",
+            builder=lambda graph, d, rng, *, level=0: calls.append(level) or graph,
+        )
+    )
+    with pytest.raises(GeneratorInputError, match="'foo'"):
+        get_generator("keyword-stub").build(hot_small, 1, rng=1, foo=1)
+    assert calls == []
+    assert get_generator("keyword-stub").build(hot_small, 1, rng=1, level=2).graph is hot_small
+    assert calls == [2]
+    # the batch width is a kernel constant, not a rewiring option
+    with pytest.raises(GeneratorInputError, match="'batch_size'"):
+        get_generator("rewiring").build(hot_small, 2, rng=1, batch_size=7)
+
+
 def test_distribution_generator_accepts_graph_or_distribution(hot_small):
     spec = get_generator("pseudograph")
     from_graph = spec.build(hot_small, 2, rng=3)

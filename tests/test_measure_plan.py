@@ -155,6 +155,9 @@ def test_plan_matches_standalone_distribution_functions():
 def test_plan_validates_metric_names():
     with pytest.raises(ValueError, match="unknown metric"):
         MeasurementPlan(("mean_distance", "no_such_metric"))
+    # an unhashable name is a bad name, not a TypeError
+    with pytest.raises(ValueError, match="must be strings"):
+        MeasurementPlan(("mean_distance", ["x"]))
 
 
 def test_table2_plan_and_battery_detection():

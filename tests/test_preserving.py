@@ -1,5 +1,6 @@
 """Tests for dK-preserving randomizing rewiring (d = 0..3)."""
 
+import hashlib
 from contextlib import nullcontext
 
 import pytest
@@ -14,17 +15,13 @@ from repro.exceptions import RewiringConvergenceWarning
 from repro.graph.simple_graph import SimpleGraph
 from repro.generators.rewiring.preserving import (
     dk_randomize,
-    randomize_0k,
-    randomize_1k,
-    randomize_2k,
-    randomize_3k,
     verify_randomization_converged,
 )
 from repro.metrics.assortativity import likelihood
 
 
 def test_randomize_0k_preserves_only_density(as_small):
-    rewired = randomize_0k(as_small, rng=1, multiplier=3)
+    rewired = dk_randomize(as_small, 0, rng=1, multiplier=3)
     assert rewired.number_of_edges == as_small.number_of_edges
     assert rewired.number_of_nodes == as_small.number_of_nodes
     # degrees are destroyed (with overwhelming probability)
@@ -32,19 +29,19 @@ def test_randomize_0k_preserves_only_density(as_small):
 
 
 def test_randomize_1k_preserves_degrees(as_small):
-    rewired = randomize_1k(as_small, rng=2, multiplier=3)
+    rewired = dk_randomize(as_small, 1, rng=2, multiplier=3)
     assert degree_distribution(rewired) == degree_distribution(as_small)
     # the JDD is (generally) not preserved
     assert graph_dk_distance(as_small, rewired, 2) > 0
 
 
 def test_randomize_2k_preserves_jdd(as_small):
-    rewired = randomize_2k(as_small, rng=3, multiplier=3)
+    rewired = dk_randomize(as_small, 2, rng=3, multiplier=3)
     assert joint_degree_distribution(rewired) == joint_degree_distribution(as_small)
 
 
 def test_randomize_2k_changes_three_k(as_small):
-    rewired = randomize_2k(as_small, rng=3, multiplier=3)
+    rewired = dk_randomize(as_small, 2, rng=3, multiplier=3)
     assert graph_dk_distance(as_small, rewired, 3) > 0
 
 
@@ -52,7 +49,7 @@ def test_randomize_3k_preserves_wedges_and_triangles(hot_small, as_small):
     for graph in (hot_small, as_small):
         # the AS graph's 3K chain exhausts this fixed budget
         with pytest.warns(RewiringConvergenceWarning) if graph is as_small else nullcontext():
-            rewired = randomize_3k(graph, rng=4, multiplier=2, max_attempt_factor=30)
+            rewired = dk_randomize(graph, 3, rng=4, multiplier=2, max_attempt_factor=30)
         original_3k = three_k_distribution(graph)
         rewired_3k = three_k_distribution(rewired)
         assert rewired_3k.wedges == original_3k.wedges
@@ -103,12 +100,12 @@ def test_dk_randomize_dispatch_and_validation(as_small):
 def test_randomize_1k_destroys_degree_correlations(as_small):
     """1K randomization pushes the likelihood S toward its uncorrelated value."""
     original_s = likelihood(as_small)
-    rewired = randomize_1k(as_small, rng=7, multiplier=5)
+    rewired = dk_randomize(as_small, 1, rng=7, multiplier=5)
     assert likelihood(rewired) != original_s
 
 
 def test_verify_randomization_converged(as_small):
-    randomized = randomize_1k(as_small, rng=8, multiplier=5)
+    randomized = dk_randomize(as_small, 1, rng=8, multiplier=5)
     assert verify_randomization_converged(
         randomized, 1, likelihood, rng=9, relative_tolerance=0.2
     )
@@ -118,3 +115,47 @@ def test_inputs_are_not_mutated(as_small):
     checksum = (as_small.number_of_edges, sorted(as_small.edges()))
     dk_randomize(as_small, 2, rng=10, multiplier=1)
     assert (as_small.number_of_edges, sorted(as_small.edges())) == checksum
+
+
+#: ``dk_randomize(as_small, d, rng=5, multiplier=1)`` for d = 0..3: the
+#: SHA-256 of the sorted edge list and the full stats dict.  Any change to a
+#: move, the pilot, the attempt budget or the stats shows up here.
+GOLDEN = {
+    0: (
+        "5b44fa63039431647e2c5207f0872f2d45c3cc7904b07987a3f3b6d8f5bd40dd",
+        {"target_moves": 742, "accepted_moves": 745, "attempted_moves": 760,
+         "converged": True, "engine": "csr",
+         "pilot_accept_rate": 0.977088948787062,
+         "accept_rate": 0.9802631578947368},
+    ),
+    1: (
+        "8c296105ab41dff794b6ac65b1f04f60afa5b0e8a88482c314a4bfe7aeabac72",
+        {"target_moves": 742, "accepted_moves": 734, "attempted_moves": 924,
+         "converged": True, "engine": "csr",
+         "pilot_accept_rate": 0.8032345013477089,
+         "accept_rate": 0.7943722943722944},
+    ),
+    2: (
+        "9310092bd24ec24244779ef6d9fa4dace753d12ed13c5310f3271783683cedf4",
+        {"target_moves": 742, "accepted_moves": 680, "attempted_moves": 1145,
+         "converged": True, "engine": "csr",
+         "pilot_accept_rate": 0.6482479784366577,
+         "accept_rate": 0.5938864628820961},
+    ),
+    3: (
+        "45d946adff85350d08d2788a396d85342171a639c5292565c532dfa8bcee7781",
+        {"target_moves": 742, "accepted_moves": 681, "attempted_moves": 14489,
+         "converged": True, "engine": "csr",
+         "pilot_accept_rate": 0.05121293800539083,
+         "accept_rate": 0.04700117330388571},
+    ),
+}
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN))
+def test_dk_randomize_matches_golden_run(as_small, d):
+    stats = {}
+    rewired = dk_randomize(as_small, d, rng=5, multiplier=1, stats=stats)
+    edges = sorted(tuple(sorted(edge)) for edge in rewired.edges())
+    digest = hashlib.sha256(repr(edges).encode()).hexdigest()
+    assert (digest, stats) == GOLDEN[d]

@@ -25,7 +25,7 @@ from repro.core.extraction import (
 from repro.exceptions import RewiringConvergenceWarning
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.generators.exploration import explore_1k_likelihood, explore_2k
-from repro.generators.rewiring.preserving import dk_randomize, randomize_1k
+from repro.generators.rewiring.preserving import dk_randomize
 from repro.generators.rewiring.targeting import (
     dk_targeting_result,
     target_2k_from_1k,
@@ -110,28 +110,34 @@ def test_each_engine_is_seed_deterministic(as_small, engine, d):
     assert stats["engine"] == engine
 
 
-def test_vectorized_output_is_batch_size_invariant(as_small):
-    """batch_size is a pure performance knob: per-proposal stream consumption
-    makes the chain's output independent of how draws are batched."""
+def _patch_batch_size(monkeypatch, batch_size):
+    monkeypatch.setattr(vec, "DEFAULT_BATCH_SIZE", batch_size)
+    monkeypatch.setattr(vec, "THREEK_BATCH_SIZE", batch_size)
+
+
+def test_vectorized_output_is_batch_size_invariant(as_small, monkeypatch):
+    """The batch width is a pure performance constant: per-proposal stream
+    consumption makes the chain's output independent of how draws are
+    batched."""
     reference = dk_randomize(as_small, 2, rng=7)
     for batch_size in (1, 17, 4096):
-        assert _edge_sets(
-            dk_randomize(as_small, 2, rng=7, batch_size=batch_size)
-        ) == _edge_sets(reference)
+        _patch_batch_size(monkeypatch, batch_size)
+        assert _edge_sets(dk_randomize(as_small, 2, rng=7)) == _edge_sets(reference)
 
 
-def test_threek_batched_matches_batch_size_one(as_small):
+def test_threek_batched_matches_batch_size_one(as_small, monkeypatch):
     """Regression for within-batch duplicate proposals: an accepted 3K move
     invalidates the precomputed deltas of later proposals in the same batch
     touching the same nodes; the staleness path must re-evaluate those
-    exactly, so the batched chain agrees with batch_size=1 move-for-move."""
+    exactly, so the batched chain agrees with a batch width of 1
+    move-for-move."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        reference = dk_randomize(as_small, 3, rng=13, multiplier=1, batch_size=1)
+        _patch_batch_size(monkeypatch, 1)
+        reference = dk_randomize(as_small, 3, rng=13, multiplier=1)
         for batch_size in (64, 384):
-            batched = dk_randomize(
-                as_small, 3, rng=13, multiplier=1, batch_size=batch_size
-            )
+            _patch_batch_size(monkeypatch, batch_size)
+            batched = dk_randomize(as_small, 3, rng=13, multiplier=1)
             assert _edge_sets(batched) == _edge_sets(reference)
 
 
@@ -299,7 +305,7 @@ def test_targeting_3k_preserves_jdd(hot_small, engine):
     assert run.distance <= run.distance_trace[0]
 
 
-def test_targeting_3k_trajectory_is_batch_size_invariant(as_small):
+def test_targeting_3k_trajectory_is_batch_size_invariant(as_small, monkeypatch):
     """The 3K-targeting sufficient statistics are exact integers, so the
     Metropolis trajectory (graph, distance trace, move counts) is identical
     for every batch size."""
@@ -309,15 +315,8 @@ def test_targeting_3k_trajectory_is_batch_size_invariant(as_small):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
         for batch_size in (1, 64, 384):
-            runs.append(
-                target_3k_from_2k(
-                    seed_graph,
-                    target,
-                    rng=4,
-                    max_attempts=15000,
-                    batch_size=batch_size,
-                )
-            )
+            _patch_batch_size(monkeypatch, batch_size)
+            runs.append(target_3k_from_2k(seed_graph, target, rng=4, max_attempts=15000))
     reference = runs[-1]
     for run in runs:
         assert _edge_sets(run.graph) == _edge_sets(reference.graph)
@@ -357,8 +356,9 @@ def test_unconverged_chain_warns(as_small, engine):
     # so the chain deterministically stops short and must say so
     stats = {}
     with pytest.warns(RewiringConvergenceWarning):
-        randomize_1k(
+        dk_randomize(
             as_small,
+            1,
             rng=1,
             multiplier=5.0,
             max_attempt_factor=1,
@@ -419,12 +419,11 @@ def test_exploration_keeps_invariants_and_tracks_the_metric(explored_graph, metr
 @pytest.mark.parametrize("metric,mode", OBJECTIVES)
 def test_exploration_is_batch_size_invariant(explored_graph, metric, mode, monkeypatch):
     """Exploration energies are exact integers, so the chain takes the same
-    moves for every batch size (the default batch sizes are patched because
-    the exploration entry points keep their signatures)."""
+    moves for every batch size (the batch widths are kernel constants,
+    patched here)."""
     runs = []
     for batch_size in (1, 64, 4096):
-        monkeypatch.setattr(vec, "DEFAULT_BATCH_SIZE", batch_size)
-        monkeypatch.setattr(vec, "THREEK_BATCH_SIZE", batch_size)
+        _patch_batch_size(monkeypatch, batch_size)
         runs.append(_explore(explored_graph, metric, mode))
     reference = runs[-1]
     for run in runs:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.distributions import JointDegreeDistribution
 from repro.core.series import SUPPORTED_D, DKSeries
-from repro.generators.rewiring.preserving import randomize_1k, randomize_2k
+from repro.generators.rewiring.preserving import dk_randomize
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ def test_smallest_matching_d_detects_partial_match(series, square_with_diagonal,
     # the square's 1K-space is frozen: no degree-preserving move exists, so
     # the chain reports that instead of a budget warning (warnings are errors)
     stats = {}
-    rewired = randomize_1k(square_with_diagonal, rng=3, multiplier=20, stats=stats)
+    rewired = dk_randomize(square_with_diagonal, 1, rng=3, multiplier=20, stats=stats)
     assert stats["frozen"] is True
     matched = series.smallest_matching_d(rewired)
     assert matched is not None and matched >= 1
@@ -66,7 +66,7 @@ def test_smallest_matching_d_detects_partial_match(series, square_with_diagonal,
 
 def test_2k_random_graph_matches_up_to_2(as_small):
     series = DKSeries.from_graph(as_small)
-    rewired = randomize_2k(as_small, rng=9, multiplier=3)
+    rewired = dk_randomize(as_small, 2, rng=9, multiplier=3)
     assert series.matches_graph(rewired, 0)
     assert series.matches_graph(rewired, 1)
     assert series.matches_graph(rewired, 2)

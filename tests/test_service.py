@@ -433,6 +433,68 @@ def test_workload_endpoint_rejects_bad_input(service):
     assert statuses["unknown_metric"][0] == 400
 
 
+def test_unknown_generator_options_answer_400(service):
+    async def scenario(client):
+        statuses = {}
+        for name, options in (("foo", {"foo": 1}), ("batch_size", {"batch_size": 7})):
+            status, body = await client.request(
+                "POST",
+                "/v1/graphs",
+                {"method": "rewiring", "edges": EDGES, "d": 1, "options": options},
+            )
+            statuses[f"graphs_{name}"] = (status, body["error"])
+        status, body = await client.request(
+            "POST",
+            "/v1/experiments",
+            {"spec": {**JOB_SPEC, "generator_options": {"rewiring": {"foo": 1}}}},
+        )
+        statuses["experiments_foo"] = (status, body["error"])
+        return statuses
+
+    statuses = drive(service, scenario)
+    for name, option in (("graphs_foo", "foo"), ("graphs_batch_size", "batch_size")):
+        assert statuses[name][0] == 400
+        assert repr(option) in statuses[name][1]
+    assert statuses["experiments_foo"][0] == 400
+    assert "'foo'" in statuses["experiments_foo"][1]
+
+
+def test_malformed_body_fields_answer_400(service):
+    """Non-string metric names and non-integer numeric fields are the
+    client's error on every endpoint, never a 500."""
+    cases = [
+        ("/v1/measure", {"edges": EDGES, "metrics": [["x"]]}, "must be strings"),
+        ("/v1/workload", {"edges": EDGES, "metrics": [["x"]]}, "must be strings"),
+        (
+            "/v1/experiments",
+            {"spec": {**JOB_SPEC, "metrics": [["x"]]}},
+            "must be strings",
+        ),
+        ("/v1/graphs", {"method": "rewiring", "edges": EDGES, "seed": "abc"}, "'seed'"),
+        ("/v1/measure", {"edges": EDGES, "metrics": ["nodes"], "seed": [1]}, "'seed'"),
+        (
+            "/v1/measure",
+            {"edges": EDGES, "metrics": ["nodes"], "distance_sources": "many"},
+            "'distance_sources'",
+        ),
+        (
+            "/v1/workload",
+            {"edges": EDGES, "metrics": ["mean_distance"], "distance_sources": 0},
+            "'distance_sources' must be >= 1",
+        ),
+        ("/v1/workload", {"edges": EDGES, "scenario_seed": "x"}, "'scenario_seed'"),
+        ("/v1/measure", {"edges": EDGES, "metrics": ["nodes"], "nodes": "ten"}, "'nodes'"),
+        ("/v1/experiments", {"spec": JOB_SPEC, "workers": "two"}, "'workers'"),
+    ]
+
+    async def scenario(client):
+        return [await client.request("POST", path, body) for path, body, _ in cases]
+
+    for (path, _, needle), (status, body) in zip(cases, drive(service, scenario)):
+        assert status == 400, (path, body)
+        assert needle in body["error"], (path, body)
+
+
 def test_experiment_job_accepts_scenarios_dimension(service, counting_generator):
     spec = {**JOB_SPEC, "d_levels": [1], "scenarios": ["none", "hub_degree:0.1"]}
 

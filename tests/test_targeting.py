@@ -10,7 +10,7 @@ from repro.core.extraction import (
 from repro.core.distance import distance_2k, distance_3k
 from repro.exceptions import RewiringConvergenceWarning
 from repro.generators.matching import matching_1k
-from repro.generators.rewiring.preserving import randomize_2k
+from repro.generators.rewiring.preserving import dk_randomize
 from repro.generators.rewiring.targeting import (
     constant_temperature,
     dk_targeting_construct,
@@ -46,7 +46,7 @@ def test_target_2k_from_1k_reaches_target(as_small):
 
 def test_target_3k_from_2k_improves_distance(hot_small):
     target = three_k_distribution(hot_small)
-    seed_graph = randomize_2k(hot_small, rng=3, multiplier=3)
+    seed_graph = dk_randomize(hot_small, 2, rng=3, multiplier=3)
     start_distance = distance_3k(target, three_k_distribution(seed_graph))
     with pytest.warns(RewiringConvergenceWarning):  # a fixed budget short of 0
         result = target_3k_from_2k(seed_graph, target, rng=4, max_attempts=40000)
