@@ -9,72 +9,31 @@
   degree-``k`` nodes of the final graph.  Self-loops and parallel edges are
   again dropped when the pseudograph is simplified.
 
-The functions return simple graphs (possibly with a few lost edges and small
-extra components); callers interested in the paper's evaluation protocol
-extract the giant connected component afterwards.
+Both are the streaming constructions of :mod:`repro.generators.streaming`
+materialized as a :class:`SimpleGraph`: one seed gives one edge set on
+either path.  The graphs may have a few lost edges and small extra
+components; the paper's evaluation protocol takes
+:func:`~repro.graph.components.giant_component` afterwards.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.distributions import DegreeDistribution, JointDegreeDistribution
-from repro.exceptions import GenerationError
-from repro.graph.components import giant_component
+from repro.generators.streaming import (
+    in_memory,
+    streaming_pseudograph_1k,
+    streaming_pseudograph_2k,
+)
 from repro.graph.simple_graph import SimpleGraph
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 
 
-def _stub_list(one_k: DegreeDistribution) -> list[int]:
-    stubs: list[int] = []
-    node = 0
-    for degree in sorted(one_k.counts):
-        for _ in range(one_k.counts[degree]):
-            stubs.extend([node] * degree)
-            node += 1
-    return stubs
+def pseudograph_1k(one_k: DegreeDistribution, *, rng: RngLike = None) -> SimpleGraph:
+    """Configuration-model graph for the target degree distribution."""
+    return in_memory(streaming_pseudograph_1k, one_k, rng)
 
 
-def pseudograph_1k(
-    one_k: DegreeDistribution,
-    *,
-    rng: RngLike = None,
-    connected: bool = False,
-) -> SimpleGraph:
-    """Configuration-model graph for the target degree distribution.
-
-    Parameters
-    ----------
-    one_k:
-        Target 1K-distribution.
-    connected:
-        When true, return only the giant connected component (the paper's
-        post-processing step); node ids are then relabelled.
-    """
-    rng = ensure_rng(rng)
-    if one_k.stub_count % 2:
-        raise GenerationError("the degree distribution has an odd number of stubs")
-    stubs = np.array(_stub_list(one_k), dtype=np.int64)
-    graph = SimpleGraph(one_k.nodes)
-    if len(stubs) == 0:
-        return graph
-    rng.shuffle(stubs)
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = int(stubs[i]), int(stubs[i + 1])
-        if u == v:
-            continue  # self-loop dropped
-        graph.add_edge(u, v)  # parallel edges silently collapse
-    if connected:
-        return giant_component(graph)
-    return graph
-
-
-def pseudograph_2k(
-    jdd: JointDegreeDistribution,
-    *,
-    rng: RngLike = None,
-    connected: bool = False,
-) -> SimpleGraph:
+def pseudograph_2k(jdd: JointDegreeDistribution, *, rng: RngLike = None) -> SimpleGraph:
     """The paper's 2K pseudograph construction.
 
     Edge ends labelled with each degree ``k`` are randomly grouped ``k`` at a
@@ -82,50 +41,7 @@ def pseudograph_2k(
     pseudograph level, and only the (few) self-loops and parallel edges lost
     during simplification perturb it.
     """
-    rng = ensure_rng(rng)
-    node_counts = jdd.node_counts()
-
-    # allocate node ids per degree class
-    class_nodes: dict[int, list[int]] = {}
-    next_id = 0
-    for degree in sorted(node_counts):
-        count = node_counts[degree]
-        class_nodes[degree] = list(range(next_id, next_id + count))
-        next_id += count
-    graph = SimpleGraph(next_id + jdd.zero_degree_nodes)
-
-    # build the labelled edge list: one entry per edge, ends labelled (k1, k2)
-    edges: list[tuple[int, int]] = []
-    for (k1, k2), count in jdd.counts.items():
-        edges.extend([(k1, k2)] * count)
-
-    # for each degree, assign the edge-ends labelled with that degree to the
-    # degree-k nodes in random order, k slots per node
-    end_assignments: dict[int, list[int]] = {}
-    for degree, nodes in class_nodes.items():
-        slots = []
-        for node in nodes:
-            slots.extend([node] * degree)
-        slots = np.array(slots, dtype=np.int64)
-        rng.shuffle(slots)
-        end_assignments[degree] = [int(x) for x in slots]
-
-    cursors = {degree: 0 for degree in end_assignments}
-
-    def next_node(degree: int) -> int:
-        position = cursors[degree]
-        cursors[degree] = position + 1
-        return end_assignments[degree][position]
-
-    for k1, k2 in edges:
-        u = next_node(k1)
-        v = next_node(k2)
-        if u == v:
-            continue  # self-loop dropped
-        graph.add_edge(u, v)  # parallel edges silently collapse
-    if connected:
-        return giant_component(graph)
-    return graph
+    return in_memory(streaming_pseudograph_2k, jdd, rng)
 
 
 __all__ = ["pseudograph_1k", "pseudograph_2k"]

@@ -36,6 +36,8 @@ Extension point::
 from __future__ import annotations
 
 import inspect
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Literal, Mapping
@@ -119,6 +121,29 @@ class GenerationResult:
         }
 
 
+def _positive_real(value: Any) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
+def _positive_int_or_none(value: Any) -> bool:
+    return value is None or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    )
+
+
+#: ``option name -> (requirement, predicate)``: the values the built-in
+#: builders accept, checked before any work.
+OPTION_CHECKS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "multiplier": ("a finite real number > 0", _positive_real),
+    "max_attempts": ("None or an integer >= 1", _positive_int_or_none),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """One registered construction-algorithm family.
@@ -150,22 +175,29 @@ class GeneratorSpec:
 
     def check_options(self, options: Mapping[str, Any]) -> None:
         """Raise :class:`GeneratorInputError` for any option name the builder
-        does not accept as a keyword after ``(source, d, rng)``."""
+        does not accept as a keyword after ``(source, d, rng)``, or a value
+        that fails its :data:`OPTION_CHECKS` rule."""
         params = list(inspect.signature(self.builder).parameters.values())
-        if any(param.kind is param.VAR_KEYWORD for param in params):
-            return
-        accepted = {
-            param.name
-            for param in params[3:]
-            if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
-        }
-        unknown = sorted(set(options) - accepted)
-        if unknown:
-            raise GeneratorInputError(
-                f"the {self.name!r} construction takes no option(s) "
-                f"{', '.join(map(repr, unknown))}; accepted: "
-                f"{', '.join(sorted(accepted)) or 'none'}"
-            )
+        if not any(param.kind is param.VAR_KEYWORD for param in params):
+            accepted = {
+                param.name
+                for param in params[3:]
+                if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+            }
+            unknown = sorted(set(options) - accepted)
+            if unknown:
+                raise GeneratorInputError(
+                    f"the {self.name!r} construction takes no option(s) "
+                    f"{', '.join(map(repr, unknown))}; accepted: "
+                    f"{', '.join(sorted(accepted)) or 'none'}"
+                )
+        for name, value in options.items():
+            requirement, valid = OPTION_CHECKS.get(name, (None, None))
+            if valid is not None and not valid(value):
+                raise GeneratorInputError(
+                    f"option {name!r} of the {self.name!r} construction must be "
+                    f"{requirement}, got {value!r}"
+                )
 
     def levels_label(self) -> str:
         """Compact human-readable form of the supported levels, e.g. ``"0-3"``."""

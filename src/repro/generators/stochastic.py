@@ -8,6 +8,12 @@
   ``p(q1, q2) = (q̄/n) P(q1,q2) / (P(q1) P(q2))``, which reproduces the
   expected joint degree distribution.
 
+Every construction draws each block of node pairs that share one
+connection probability as a binomial edge count placed on distinct uniform
+pairs (:func:`repro.generators.streaming._distinct_pairs`).  0K is a single
+block; 1K and 2K are the streaming constructions of
+:mod:`repro.generators.streaming` materialized as a :class:`SimpleGraph`.
+
 As the paper observes, these constructions only reproduce the *expected*
 distributions and suffer from high statistical variance (e.g. expected
 degree-1 nodes frequently end up isolated); they are included both for
@@ -17,65 +23,31 @@ against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.distributions import (
     AverageDegree,
     DegreeDistribution,
     JointDegreeDistribution,
 )
+from repro.generators.streaming import (
+    _distinct_pairs,
+    in_memory,
+    streaming_stochastic_1k,
+    streaming_stochastic_2k,
+)
 from repro.graph.simple_graph import SimpleGraph
 from repro.utils.rng import RngLike, ensure_rng
-
-
-def _random_distinct_pairs(
-    n_left: int,
-    n_right: int,
-    count: int,
-    rng: np.random.Generator,
-    *,
-    same_class: bool,
-    max_oversample: int = 4,
-) -> set[tuple[int, int]]:
-    """Sample ``count`` distinct index pairs between two classes of nodes.
-
-    ``same_class`` indicates that both classes are the same node set, in which
-    case pairs are unordered and the diagonal is excluded.
-    """
-    pairs: set[tuple[int, int]] = set()
-    if count <= 0:
-        return pairs
-    attempts = 0
-    budget = max_oversample * count + 100
-    while len(pairs) < count and attempts < budget:
-        attempts += 1
-        i = int(rng.integers(n_left))
-        j = int(rng.integers(n_right))
-        if same_class:
-            if i == j:
-                continue
-            pair = (i, j) if i < j else (j, i)
-        else:
-            pair = (i, j)
-        pairs.add(pair)
-    return pairs
 
 
 def stochastic_0k(zero_k: AverageDegree, *, rng: RngLike = None) -> SimpleGraph:
     """Erdős–Rényi graph matching the expected average degree of ``zero_k``."""
     rng = ensure_rng(rng)
     n = zero_k.nodes
-    graph = SimpleGraph(n)
-    if n < 2:
-        return graph
     p = zero_k.edge_probability()
-    if p <= 0:
-        return graph
+    if n < 2 or p <= 0:
+        return SimpleGraph(n)
     possible = n * (n - 1) // 2
-    edge_target = int(rng.binomial(possible, p))
-    for u, v in _random_distinct_pairs(n, n, edge_target, rng, same_class=True):
-        graph.add_edge(u, v)
-    return graph
+    u, v = _distinct_pairs(n, n, int(rng.binomial(possible, p)), rng, same_class=True)
+    return SimpleGraph.from_flat_edges(n, u.tolist(), v.tolist())
 
 
 def stochastic_1k(one_k: DegreeDistribution, *, rng: RngLike = None) -> SimpleGraph:
@@ -83,27 +55,10 @@ def stochastic_1k(one_k: DegreeDistribution, *, rng: RngLike = None) -> SimpleGr
 
     The expected-degree labels ``q_i`` are the exact degree sequence of the
     target distribution (the paper labels nodes with expected degrees drawn
-    from ``P(k)``); connection probabilities are ``q_i q_j / (n q̄)`` capped
-    at one.  The pair loop is vectorized row-by-row with numpy.
+    from ``P(k)``), in ascending order; connection probabilities are
+    ``q_i q_j / (n q̄)`` capped at one.
     """
-    rng = ensure_rng(rng)
-    degrees = np.array(one_k.degree_sequence(), dtype=float)
-    n = len(degrees)
-    graph = SimpleGraph(n)
-    if n < 2:
-        return graph
-    total = degrees.sum()
-    if total <= 0:
-        return graph
-    for i in range(n - 1):
-        if degrees[i] == 0:
-            continue
-        others = degrees[i + 1:]
-        probabilities = np.minimum(1.0, degrees[i] * others / total)
-        draws = rng.random(len(others)) < probabilities
-        for offset in np.nonzero(draws)[0]:
-            graph.add_edge(i, i + 1 + int(offset))
-    return graph
+    return in_memory(streaming_stochastic_1k, one_k, rng)
 
 
 def stochastic_2k(jdd: JointDegreeDistribution, *, rng: RngLike = None) -> SimpleGraph:
@@ -114,46 +69,7 @@ def stochastic_2k(jdd: JointDegreeDistribution, *, rng: RngLike = None) -> Simpl
     distribution whose mean equals the target ``m(k1, k2)``, and the edges are
     placed on distinct uniformly random node pairs of those classes.
     """
-    rng = ensure_rng(rng)
-    node_counts = jdd.node_counts()
-    # allocate node ids per degree class
-    class_nodes: dict[int, list[int]] = {}
-    next_id = 0
-    for degree in sorted(node_counts):
-        count = node_counts[degree]
-        class_nodes[degree] = list(range(next_id, next_id + count))
-        next_id += count
-    graph = SimpleGraph(next_id + jdd.zero_degree_nodes)
-
-    one_k = jdd.to_lower()
-    n = one_k.nodes
-    if n == 0:
-        return graph
-    pmf_1k = one_k.pmf()
-    pmf_2k = jdd.pmf()
-    qbar = one_k.average_degree()
-
-    for (k1, k2), joint_probability in pmf_2k.items():
-        nodes_1 = class_nodes.get(k1, [])
-        nodes_2 = class_nodes.get(k2, [])
-        if not nodes_1 or not nodes_2:
-            continue
-        p = (qbar / n) * joint_probability / (pmf_1k[k1] * pmf_1k[k2])
-        p = min(1.0, p)
-        if k1 == k2:
-            possible = len(nodes_1) * (len(nodes_1) - 1) // 2
-        else:
-            possible = len(nodes_1) * len(nodes_2)
-        if possible == 0 or p <= 0:
-            continue
-        edge_target = int(rng.binomial(possible, p))
-        same = k1 == k2
-        pairs = _random_distinct_pairs(
-            len(nodes_1), len(nodes_2), edge_target, rng, same_class=same
-        )
-        for i, j in pairs:
-            graph.add_edge(nodes_1[i], nodes_2[j])
-    return graph
+    return in_memory(streaming_stochastic_2k, jdd, rng)
 
 
 __all__ = ["stochastic_0k", "stochastic_1k", "stochastic_2k"]

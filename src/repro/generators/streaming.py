@@ -1,27 +1,24 @@
-"""Streaming dK generators: flat edge chunks straight into the CSR builder.
+"""dK generators: flat edge chunks straight into the CSR builder.
 
-The eager 1K/2K generators in :mod:`repro.generators.pseudograph` and
-:mod:`repro.generators.stochastic` materialize a Python :class:`SimpleGraph`
-— per-node adjacency *sets*, hundreds of bytes per edge — which caps them
-around n≈10^5.  The variants here emit flat ``(u, v)`` endpoint chunks
-directly into a :class:`~repro.graph.mmap_io.CSRBuilder` (external
-sort-by-key merge), so peak memory is bounded by the builder's spill
-threshold and a 10^6–10^7-node topology streams onto disk as a
-memory-mapped :class:`~repro.kernels.biggraph.BigGraph`.
+These are the one implementation of the stochastic (§4.1.1) and pseudograph
+(§4.1.2) constructions.  Each emits flat ``(u, v)`` endpoint chunks into a
+:class:`~repro.graph.mmap_io.CSRBuilder` (external sort-by-key merge), so
+peak memory is bounded by the builder's spill threshold and a
+10^6–10^7-node topology streams onto disk as a memory-mapped
+:class:`~repro.kernels.biggraph.BigGraph`.  The in-memory
+:class:`SimpleGraph` generators of :mod:`repro.generators.pseudograph` and
+:mod:`repro.generators.stochastic` are these constructions followed by
+:meth:`BigGraph.to_simple_graph`.
 
-Semantics match the eager constructions **distributionally**, not RNG
-stream for stream:
-
-* the pseudograph matchings assign node ids exactly like the eager code
-  (sequential over ascending degree classes) and pair stubs/edge-ends by the
-  same uniform shuffles, with self-loops dropped and parallel edges
-  collapsed by the builder;
-* the stochastic constructions use the fact that the Chung–Lu / block-model
-  connection probability depends only on the endpoint degree classes: per
-  class pair the edge count is one binomial draw (the sum of the per-pair
-  Bernoullis) placed on distinct uniform pairs — the same model, drawn
-  block-wise instead of pair-wise, which is what makes it O(m) instead of
-  O(n²).
+* The pseudograph matchings assign node ids sequentially over ascending
+  degree classes and pair stubs/edge-ends by uniform shuffles; the builder
+  drops self-loops and collapses parallel edges.
+* The stochastic constructions use the fact that the Chung–Lu /
+  block-model connection probability depends only on the endpoint degree
+  classes: per class pair the edge count is one binomial draw (the sum of
+  the per-pair Bernoullis) placed on a uniform set of that many distinct
+  pairs (:func:`_distinct_pairs`, exact at every density).  That is the
+  per-pair model drawn block-wise, at O(m) instead of O(n²) cost.
 
 The sequential loop-avoiding 2K matching (``matching_2k``) is excluded:
 its accept/reject step depends on the partially built adjacency, which is
@@ -30,11 +27,14 @@ inherently per-edge sequential and incompatible with streaming chunks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.distributions import DegreeDistribution, JointDegreeDistribution
 from repro.exceptions import GenerationError
 from repro.graph.mmap_io import CSRBuilder
+from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import BigGraph
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -45,9 +45,8 @@ EDGE_CHUNK = 2_000_000
 def _class_layout(node_counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray, int]:
     """(degrees, first node id per class, next free id): ascending classes.
 
-    Mirrors the eager generators' id convention — node ids are assigned
-    sequentially over ascending degree classes starting at 0 — so streamed
-    and eager graphs agree on which ids carry which target degree.
+    Node ids are assigned sequentially over ascending degree classes
+    starting at 0, so the ids of a class are one contiguous range.
     """
     degrees = np.array(sorted(node_counts), dtype=np.int64)
     counts = np.array([node_counts[int(k)] for k in degrees], dtype=np.int64)
@@ -67,9 +66,9 @@ def streaming_pseudograph_1k(
 ) -> BigGraph:
     """Configuration-model (1K) graph, streamed into a BigGraph.
 
-    Same construction as :func:`~repro.generators.pseudograph.
-    pseudograph_1k`: ``k`` stubs per degree-``k`` node, one uniform shuffle,
-    consecutive stubs paired; self-loops dropped, parallels collapsed.
+    The classical configuration model / PLRG: ``k`` stubs per degree-``k``
+    node, one uniform shuffle, consecutive stubs paired; self-loops dropped,
+    parallels collapsed.
     ``path`` persists the result as a BigGraph artifact directory (the
     returned graph is then memory-mapped from it).
     """
@@ -100,11 +99,10 @@ def streaming_pseudograph_2k(
 ) -> BigGraph:
     """The paper's 2K pseudograph construction, streamed into a BigGraph.
 
-    Edge ends labelled ``k`` are shuffled and grouped ``k`` at a time into
-    the degree-``k`` nodes, exactly like :func:`~repro.generators.
-    pseudograph.pseudograph_2k` — the per-degree slot arrays are the same
-    shuffled structures, consumed class pair by class pair (sorted order)
-    instead of edge by edge.
+    ``m(k1, k2)`` edges get ends labelled ``k1`` and ``k2``; the edge-ends
+    labelled ``k`` are shuffled and grouped ``k`` at a time into the
+    degree-``k`` nodes.  Each degree's shuffled slot array is consumed class
+    pair by class pair, in sorted order.
     """
     rng = ensure_rng(rng)
     node_counts = jdd.node_counts()
@@ -140,6 +138,33 @@ def streaming_pseudograph_2k(
     return builder.finalize(path, encoding=encoding, metadata={"method": "pseudograph", "d": 2})
 
 
+def _distinct_indices(possible: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` distinct uniform integers of ``[0, possible)``, ascending.
+
+    Above half the population the complement is sampled instead, so the
+    oversample-and-unique loop always runs where at least half the space is
+    free: each round keeps most of its draws and memory stays O(count).
+    Keeping a uniform subset of an exchangeable set of distinct draws keeps
+    the law exact.
+    """
+    if count > possible // 2:
+        keep = np.ones(possible, dtype=bool)
+        keep[_distinct_indices(possible, possible - count, rng)] = False
+        return np.flatnonzero(keep)
+    collected = np.empty(0, dtype=np.int64)
+    while len(collected) < count:
+        need = count - len(collected)
+        free = possible - len(collected)
+        # coupon-collector count of draws expected to hit `need` new values
+        batch = int(1.05 * possible * math.log1p(need / (free - need))) + 64
+        keys = np.concatenate((collected, rng.integers(0, possible, size=batch, dtype=np.int64)))
+        keys.sort()  # sort + mask dedup: np.unique is far slower here
+        collected = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    if len(collected) > count:
+        collected = np.sort(rng.permutation(collected)[:count])
+    return collected
+
+
 def _distinct_pairs(
     n_left: int,
     n_right: int,
@@ -147,36 +172,47 @@ def _distinct_pairs(
     rng: np.random.Generator,
     *,
     same_class: bool,
-    rounds: int = 8,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Up to ``count`` distinct uniform pairs between two classes, vectorized.
+    """Exactly ``count`` distinct uniform pairs between two classes, vectorized.
 
-    Unordered (diagonal excluded) when ``same_class``.  Oversample-and-unique
-    with a bounded number of rounds: the eager ``_random_distinct_pairs`` has
-    the same bounded-budget semantics, so falling marginally short on
-    pathologically dense blocks matches the eager behavior.
+    ``same_class`` means both classes are one node set: pairs are then
+    unordered ``(i, j)`` with ``i < j``.  Every ``count`` from 0 to the
+    number of possible pairs is valid; the pairs are a uniform
+    ``count``-subset of them, indexed row-major.
     """
-    if count <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    collected = np.empty(0, dtype=np.int64)
-    for _ in range(rounds):
-        need = count - len(collected)
-        if need <= 0:
-            break
-        batch = need + need // 8 + 16
-        i = rng.integers(0, n_left, size=batch, dtype=np.int64)
-        j = rng.integers(0, n_right, size=batch, dtype=np.int64)
-        if same_class:
-            keep = i != j
-            lo = np.minimum(i[keep], j[keep])
-            hi = np.maximum(i[keep], j[keep])
-            keys = lo * n_right + hi
-        else:
-            keys = i * n_right + j
-        collected = np.unique(np.concatenate((collected, keys)))
-    if len(collected) > count:
-        collected = rng.permutation(collected)[:count]
-    return collected // n_right, collected % n_right
+    possible = n_left * (n_left - 1) // 2 if same_class else n_left * n_right
+    if not 0 <= count <= possible:
+        raise ValueError(f"cannot draw {count} distinct pairs out of {possible}")
+    index = _distinct_indices(possible, count, rng)
+    if not same_class:
+        return index // n_right, index % n_right
+    # row i of the upper triangle starts at offset(i) = i (2 n - 1 - i) / 2;
+    # invert in floating point, then correct the row by one either way
+    b = 2 * n_left - 1
+    row = ((b - np.sqrt(b * b - 8.0 * index)) // 2).astype(np.int64)
+    row += (row + 1) * (b - row - 1) // 2 <= index
+    row -= row * (b - row) // 2 > index
+    return row, index - row * (b - row) // 2 + row + 1
+
+
+def _add_block(builder, starts, a_pos: int, b_pos: int, p: float, rng) -> None:
+    """Connect each pair of two degree classes with probability ``p``.
+
+    The block's edge count is one ``Binomial(possible, p)`` draw, placed on
+    that many distinct uniform pairs (unordered when ``a_pos == b_pos``).
+    """
+    s1 = int(starts[a_pos + 1] - starts[a_pos])
+    s2 = int(starts[b_pos + 1] - starts[b_pos])
+    same = a_pos == b_pos
+    possible = s1 * (s1 - 1) // 2 if same else s1 * s2
+    if possible == 0 or p <= 0:
+        return
+    i, j = _distinct_pairs(s1, s2, int(rng.binomial(possible, p)), rng, same_class=same)
+    for begin in range(0, len(i), EDGE_CHUNK):
+        builder.add_edges(
+            int(starts[a_pos]) + i[begin : begin + EDGE_CHUNK],
+            int(starts[b_pos]) + j[begin : begin + EDGE_CHUNK],
+        )
 
 
 def streaming_stochastic_1k(
@@ -190,10 +226,12 @@ def streaming_stochastic_1k(
 ) -> BigGraph:
     """Chung–Lu (stochastic 1K) graph, streamed block-wise into a BigGraph.
 
-    The eager per-pair Bernoulli with ``p = q_i q_j / Σq`` is drawn degree
-    class by degree class: within a class pair every node pair shares the
-    same ``p``, so the block's edge count is ``Binomial(possible, p)`` placed
-    on distinct uniform pairs — the identical model at O(m) cost.
+    Node ``i`` carries the expected degree ``q_i`` of the target degree
+    sequence and each pair connects with ``p = min(1, q_i q_j / Σq)``.  The
+    per-pair Bernoullis are drawn degree class by degree class: within a
+    class pair every node pair shares the same ``p``, so the block's edge
+    count is ``Binomial(possible, p)`` placed on distinct uniform pairs —
+    the identical model at O(m) cost.
     """
     rng = ensure_rng(rng)
     degrees, starts, n = _class_layout(dict(one_k.counts))
@@ -201,26 +239,10 @@ def streaming_stochastic_1k(
     total = float(sum(k * c for k, c in one_k.counts.items()))
     if n >= 2 and total > 0:
         live = [p for p, k in enumerate(degrees.tolist()) if k > 0]
-        for a_pos in live:
-            k1 = int(degrees[a_pos])
-            s1 = int(starts[a_pos + 1] - starts[a_pos])
-            for b_pos in live:
-                if b_pos < a_pos:
-                    continue
-                k2 = int(degrees[b_pos])
-                s2 = int(starts[b_pos + 1] - starts[b_pos])
-                p = min(1.0, k1 * k2 / total)
-                same = a_pos == b_pos
-                possible = s1 * (s1 - 1) // 2 if same else s1 * s2
-                if possible == 0 or p <= 0:
-                    continue
-                edge_target = int(rng.binomial(possible, p))
-                i, j = _distinct_pairs(s1, s2, edge_target, rng, same_class=same)
-                for begin in range(0, len(i), EDGE_CHUNK):
-                    builder.add_edges(
-                        int(starts[a_pos]) + i[begin : begin + EDGE_CHUNK],
-                        int(starts[b_pos]) + j[begin : begin + EDGE_CHUNK],
-                    )
+        for index, a_pos in enumerate(live):
+            for b_pos in live[index:]:
+                p = min(1.0, int(degrees[a_pos]) * int(degrees[b_pos]) / total)
+                _add_block(builder, starts, a_pos, b_pos, p, rng)
     return builder.finalize(path, encoding=encoding, metadata={"method": "stochastic", "d": 1})
 
 
@@ -235,10 +257,10 @@ def streaming_stochastic_2k(
 ) -> BigGraph:
     """Degree-class block model (stochastic 2K), streamed into a BigGraph.
 
-    The same block model as :func:`~repro.generators.stochastic.
-    stochastic_2k` — ``p(k1,k2) = (q̄/n) P(k1,k2) / (P(k1) P(k2))`` capped at
-    one, binomial edge counts per class pair, distinct uniform placement —
-    with vectorized pair sampling instead of the per-pair rejection loop.
+    Nodes are grouped into the degree classes the JDD implies; class pair
+    ``(k1, k2)`` connects with ``p = (q̄/n) P(k1,k2) / (P(k1) P(k2))`` capped
+    at one, which reproduces the expected JDD.  Per class pair the edge
+    count is binomial and placed on distinct uniform pairs.
     """
     rng = ensure_rng(rng)
     node_counts = jdd.node_counts()
@@ -256,21 +278,19 @@ def streaming_stochastic_2k(
             a_pos, b_pos = position.get(k1), position.get(k2)
             if a_pos is None or b_pos is None:
                 continue
-            s1 = int(starts[a_pos + 1] - starts[a_pos])
-            s2 = int(starts[b_pos + 1] - starts[b_pos])
             p = min(1.0, (qbar / n) * joint_probability / (pmf_1k[k1] * pmf_1k[k2]))
-            same = k1 == k2
-            possible = s1 * (s1 - 1) // 2 if same else s1 * s2
-            if possible == 0 or p <= 0:
-                continue
-            edge_target = int(rng.binomial(possible, p))
-            i, j = _distinct_pairs(s1, s2, edge_target, rng, same_class=same)
-            for begin in range(0, len(i), EDGE_CHUNK):
-                builder.add_edges(
-                    int(starts[a_pos]) + i[begin : begin + EDGE_CHUNK],
-                    int(starts[b_pos]) + j[begin : begin + EDGE_CHUNK],
-                )
+            _add_block(builder, starts, a_pos, b_pos, p, rng)
     return builder.finalize(path, encoding=encoding, metadata={"method": "stochastic", "d": 2})
+
+
+def in_memory(build, distribution, rng: RngLike) -> SimpleGraph:
+    """``build(distribution, rng=rng)`` materialized as a :class:`SimpleGraph`.
+
+    An empty distribution gives the empty graph: the builder needs a node.
+    """
+    if not distribution.nodes:
+        return SimpleGraph(0)
+    return build(distribution, rng=rng).to_simple_graph()
 
 
 #: ``(method, d) -> streaming generator`` over the matching distribution type.

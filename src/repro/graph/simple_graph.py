@@ -272,9 +272,10 @@ class SimpleGraph:
     ) -> "SimpleGraph":
         """Trusted bulk constructor from parallel endpoint arrays.
 
-        Built for the rewiring engine, whose chain state is a flat
-        edge-array pair: endpoints may be stored in either orientation, but
-        the caller guarantees a *valid simple graph* (no self-loops, no
+        Built for flat edge arrays (the rewiring engine's chain state, CSR
+        edge chunks, sampled pair blocks): endpoints may be stored in
+        either orientation, but the caller guarantees a *valid simple
+        graph* (no self-loops, no
         duplicate edges, ids below ``n``) — nothing is validated here, which
         makes this several times faster than ``add_edge`` per edge.
         """
@@ -290,16 +291,6 @@ class SimpleGraph:
             positions[(u, v)] = len(edges)
             edges.append((u, v))
         return graph
-
-    @classmethod
-    def from_degree_sequence_nodes(cls, degrees: Sequence[int]) -> "SimpleGraph":
-        """Create an edgeless graph with one node per entry of ``degrees``.
-
-        This is a convenience used by the stub-matching generators which
-        first allocate nodes for a target degree sequence and then connect
-        them.
-        """
-        return cls(len(degrees))
 
 
 __all__ = ["SimpleGraph", "Edge", "canonical_edge"]

@@ -52,6 +52,20 @@ def test_spec_rejects_unknown_generator_options_and_metric_names():
         small_spec(metrics=[["x"]])
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"rewiring": {"multiplier": "x"}},
+        {"rewiring": {"multiplier": -3}},
+        {"targeting": {"max_attempts": "5"}},
+        {"targeting": {"max_attempts": 0}},
+    ],
+)
+def test_spec_rejects_bad_generator_option_values(options):
+    with pytest.raises(ExperimentError, match="must be"):
+        small_spec(methods=tuple(options), generator_options=options)
+
+
 def test_cells_skip_unsupported_combinations():
     spec = small_spec(methods=("matching", "rewiring"), d_levels=(2, 3), replicates=1)
     cells = spec.cells()

@@ -124,6 +124,40 @@ def test_unknown_option_is_rejected_before_any_work(scratch_registry, hot_small)
         get_generator("rewiring").build(hot_small, 2, rng=1, batch_size=7)
 
 
+BAD_OPTION_VALUES = [
+    ("rewiring", 1, "multiplier", "x"),
+    ("rewiring", 1, "multiplier", -3),
+    ("rewiring", 1, "multiplier", 0),
+    ("rewiring", 1, "multiplier", float("nan")),
+    ("rewiring", 1, "multiplier", float("inf")),
+    ("rewiring", 1, "multiplier", True),
+    ("targeting", 2, "max_attempts", "5"),
+    ("targeting", 2, "max_attempts", 0),
+    ("targeting", 2, "max_attempts", 2.5),
+    ("targeting", 2, "max_attempts", True),
+]
+
+
+@pytest.mark.parametrize(
+    "method, d, name, value",
+    BAD_OPTION_VALUES,
+    ids=[f"{name}={value!r}" for _, _, name, value in BAD_OPTION_VALUES],
+)
+def test_bad_option_values_are_rejected_before_any_work(hot_small, method, d, name, value):
+    spec = get_generator(method)
+    with pytest.raises(GeneratorInputError, match=repr(name)):
+        spec.check_options({name: value})
+    with pytest.raises(GeneratorInputError, match=repr(name)):
+        spec.build(hot_small, d, rng=1, **{name: value})
+
+
+def test_good_option_values_pass_the_check():
+    get_generator("rewiring").check_options({"multiplier": 0.5})
+    get_generator("rewiring").check_options({"multiplier": 2})
+    get_generator("targeting").check_options({"max_attempts": None})
+    get_generator("targeting").check_options({"max_attempts": 1})
+
+
 def test_distribution_generator_accepts_graph_or_distribution(hot_small):
     spec = get_generator("pseudograph")
     from_graph = spec.build(hot_small, 2, rng=3)

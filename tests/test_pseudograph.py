@@ -9,7 +9,7 @@ from repro.core.distributions import DegreeDistribution
 from repro.core.extraction import degree_distribution, joint_degree_distribution
 from repro.exceptions import GenerationError
 from repro.generators.pseudograph import pseudograph_1k, pseudograph_2k
-from repro.graph.components import is_connected
+from repro.graph.components import giant_component, is_connected
 
 
 def test_pseudograph_1k_close_to_target_degrees():
@@ -31,10 +31,12 @@ def test_pseudograph_1k_empty():
     assert graph.number_of_nodes == 0
 
 
-def test_pseudograph_1k_connected_option():
+def test_pseudograph_1k_giant_component_is_connected():
+    # the paper's post-processing step is the caller's giant_component
     one_k = DegreeDistribution({1: 30, 2: 30, 3: 20, 6: 4})
-    graph = pseudograph_1k(one_k, rng=2, connected=True)
+    graph = giant_component(pseudograph_1k(one_k, rng=2))
     assert is_connected(graph)
+    assert 0 < graph.number_of_nodes <= one_k.nodes
 
 
 def test_pseudograph_2k_reproduces_jdd_closely(hot_small):

@@ -459,6 +459,38 @@ def test_unknown_generator_options_answer_400(service):
     assert "'foo'" in statuses["experiments_foo"][1]
 
 
+def test_bad_generator_option_values_answer_400(service):
+    cases = [
+        ("rewiring", 1, {"multiplier": "x"}),
+        ("rewiring", 1, {"multiplier": -3}),
+        ("targeting", 2, {"max_attempts": "5"}),
+        ("targeting", 2, {"max_attempts": 0}),
+    ]
+
+    async def scenario(client):
+        answers = []
+        for method, d, options in cases:
+            status, body = await client.request(
+                "POST",
+                "/v1/graphs",
+                {"method": method, "edges": EDGES, "d": d, "options": options},
+            )
+            answers.append((status, body["error"]))
+        status, body = await client.request(
+            "POST",
+            "/v1/experiments",
+            {"spec": {**JOB_SPEC, "generator_options": {"rewiring": {"multiplier": "x"}}}},
+        )
+        answers.append((status, body["error"]))
+        return answers
+
+    answers = drive(service, scenario)
+    assert [status for status, _ in answers] == [400] * (len(cases) + 1)
+    for (_, _, options), (_, error) in zip(cases, answers):
+        assert repr(next(iter(options))) in error
+    assert "'multiplier'" in answers[-1][1]
+
+
 def test_malformed_body_fields_answer_400(service):
     """Non-string metric names and non-integer numeric fields are the
     client's error on every endpoint, never a 500."""
