@@ -137,9 +137,9 @@ import numpy as np
 from repro.core.extraction import dk_distribution
 from repro.generators.pseudograph import pseudograph_2k
 from repro.generators.streaming import streaming_pseudograph_2k
+from repro.graph.mmap_io import graph_content_hash
 from repro.rescaling.rescale import rescale_jdd
 from repro.store.artifact_store import ArtifactStore
-from repro.store.serialize import graph_content_hash
 from repro.topologies.hot import synthetic_hot_topology
 
 small = synthetic_hot_topology(500, rng=hot_seed)

@@ -22,10 +22,10 @@ import time
 import pytest
 
 from benchmarks._common import AS_SEED, FULL_SCALE, record_result
+from repro.graph.mmap_io import graph_content_hash
 from repro.measure import clear_measure_cache
 from repro.store import ArtifactStore
 from repro.store.memo import memoized_measure
-from repro.store.serialize import graph_content_hash
 from repro.topologies.as_level import synthetic_as_topology
 from repro.workloads import WORKLOAD_METRICS
 

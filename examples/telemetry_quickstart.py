@@ -60,7 +60,8 @@ def main() -> None:
 
     # 3. counters are always on — no enable step needed
     print("\nstore traffic this process (parent + merged worker deltas):")
-    for category in ("graphs", "metrics", "cells"):
+    # every graph, SimpleGraph or BigGraph, is one CSR artifact in `biggraphs`
+    for category in ("biggraphs", "metrics", "cells"):
         hits = telemetry.counter_value(
             "repro_store_reads_total", category=category, outcome="hit"
         )
@@ -68,7 +69,7 @@ def main() -> None:
             "repro_store_reads_total", category=category, outcome="miss"
         )
         writes = telemetry.counter_value("repro_store_writes_total", category=category)
-        print(f"  {category:8s} hits={hits:<4g} misses={misses:<4g} writes={writes:g}")
+        print(f"  {category:9s} hits={hits:<4g} misses={misses:<4g} writes={writes:g}")
 
     # a warm re-run: every cell comes back from the store
     result = run_experiment(spec, store=workdir / "store", resume=True)

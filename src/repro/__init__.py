@@ -77,7 +77,7 @@ _EXPORTS = {
     "average_measurements": "repro.measure.plan",
     "available_metrics": "repro.measure.registry",
     "ArtifactStore": "repro.store.artifact_store",
-    "graph_content_hash": "repro.store.serialize",
+    "graph_content_hash": "repro.graph.mmap_io",
     "memoized_build": "repro.store.memo",
     "memoized_measure": "repro.store.memo",
     "span": "repro.telemetry",

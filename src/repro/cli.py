@@ -640,11 +640,11 @@ def rescale_gen_main(argv: list[str] | None = None) -> int:
 
     from repro.core.extraction import dk_distribution
     from repro.generators.streaming import STREAMING_GENERATORS
+    from repro.graph.mmap_io import graph_content_hash
     from repro.measure.plan import TABLE2_CORE_METRICS
     from repro.rescaling.rescale import rescale_degree_distribution
     from repro.store.keys import code_version, stable_hash
     from repro.store.memo import memoized_measure
-    from repro.store.serialize import graph_content_hash
     from repro.telemetry import sample_peak_rss
 
     parser = argparse.ArgumentParser(

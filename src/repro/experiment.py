@@ -66,13 +66,13 @@ from repro.generators.registry import (
     json_safe,
 )
 from repro.graph.io import read_edge_list
+from repro.graph.mmap_io import graph_content_hash
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import bfs_histogram
 from repro.measure.plan import Measurement, MeasurementPlan
 from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.store.keys import code_version, generation_key, stable_hash
 from repro.store.memo import memoized_build, memoized_measure
-from repro.store.serialize import graph_content_hash
 from repro.topologies.registry import available_topologies, build_topology
 from repro.workloads.scenarios import Scenario, apply_scenario, scenario_label
 
@@ -465,16 +465,6 @@ def _derive_seed(
 
 #: Per-process cache of topologies resolved from registered names or paths.
 _TOPOLOGY_CACHE: dict[str, SimpleGraph] = {}
-
-
-def _topology_content_hash(graph: Any) -> str:
-    """Content hash of a topology: text canonicalization for SimpleGraph,
-    the streamed CSR hash for a (possibly out-of-core) BigGraph."""
-    if getattr(graph, "is_biggraph", False):
-        from repro.graph.mmap_io import biggraph_content_hash
-
-        return graph.content_hash or biggraph_content_hash(graph.indptr, graph.indices)
-    return graph_content_hash(graph)
 
 
 def _resolve_topology(entry: Any) -> SimpleGraph:
@@ -981,7 +971,7 @@ def _run_experiment(
             originals[cell.topology_index] = _resolve_topology(
                 spec.topologies[cell.topology_index]
             )
-            topo_hash = _topology_content_hash(originals[cell.topology_index])
+            topo_hash = graph_content_hash(originals[cell.topology_index])
             topology_hashes[cell.topology_index] = topo_hash
         cell_key = _cell_cache_key(spec, cell, topo_hash)
         if resume:

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.distributions import DegreeDistribution, JointDegreeDistribution
 from repro.exceptions import GenerationError
-from repro.graph.mmap_io import CSRBuilder
+from repro.graph.mmap_io import CSRBuilder, sorted_unique
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import BigGraph
 from repro.utils.rng import RngLike, ensure_rng
@@ -76,7 +76,7 @@ def streaming_pseudograph_1k(
     if one_k.stub_count % 2:
         raise GenerationError("the degree distribution has an odd number of stubs")
     degrees, starts, n = _class_layout(dict(one_k.counts))
-    builder = CSRBuilder(max(n, 1), spill_threshold=spill_threshold, spill_dir=spill_dir)
+    builder = CSRBuilder(n, spill_threshold=spill_threshold, spill_dir=spill_dir)
     node_degrees = np.repeat(degrees, np.diff(starts))
     stubs = np.repeat(np.arange(n, dtype=np.int64), node_degrees)
     if len(stubs):
@@ -108,7 +108,7 @@ def streaming_pseudograph_2k(
     node_counts = jdd.node_counts()
     degrees, starts, next_id = _class_layout(node_counts)
     n = next_id + jdd.zero_degree_nodes
-    builder = CSRBuilder(max(n, 1), spill_threshold=spill_threshold, spill_dir=spill_dir)
+    builder = CSRBuilder(n, spill_threshold=spill_threshold, spill_dir=spill_dir)
     # per-degree shuffled slot arrays: node id repeated `degree` times
     slots: dict[int, np.ndarray] = {}
     cursors: dict[int, int] = {}
@@ -157,9 +157,9 @@ def _distinct_indices(possible: int, count: int, rng: np.random.Generator) -> np
         free = possible - len(collected)
         # coupon-collector count of draws expected to hit `need` new values
         batch = int(1.05 * possible * math.log1p(need / (free - need))) + 64
-        keys = np.concatenate((collected, rng.integers(0, possible, size=batch, dtype=np.int64)))
-        keys.sort()  # sort + mask dedup: np.unique is far slower here
-        collected = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        collected = sorted_unique(
+            np.concatenate((collected, rng.integers(0, possible, size=batch, dtype=np.int64)))
+        )
     if len(collected) > count:
         collected = np.sort(rng.permutation(collected)[:count])
     return collected
@@ -235,7 +235,7 @@ def streaming_stochastic_1k(
     """
     rng = ensure_rng(rng)
     degrees, starts, n = _class_layout(dict(one_k.counts))
-    builder = CSRBuilder(max(n, 1), spill_threshold=spill_threshold, spill_dir=spill_dir)
+    builder = CSRBuilder(n, spill_threshold=spill_threshold, spill_dir=spill_dir)
     total = float(sum(k * c for k, c in one_k.counts.items()))
     if n >= 2 and total > 0:
         live = [p for p, k in enumerate(degrees.tolist()) if k > 0]
@@ -266,7 +266,7 @@ def streaming_stochastic_2k(
     node_counts = jdd.node_counts()
     degrees, starts, next_id = _class_layout(node_counts)
     n_total = next_id + jdd.zero_degree_nodes
-    builder = CSRBuilder(max(n_total, 1), spill_threshold=spill_threshold, spill_dir=spill_dir)
+    builder = CSRBuilder(n_total, spill_threshold=spill_threshold, spill_dir=spill_dir)
     one_k = jdd.to_lower()
     n = one_k.nodes
     if n:
@@ -284,12 +284,7 @@ def streaming_stochastic_2k(
 
 
 def in_memory(build, distribution, rng: RngLike) -> SimpleGraph:
-    """``build(distribution, rng=rng)`` materialized as a :class:`SimpleGraph`.
-
-    An empty distribution gives the empty graph: the builder needs a node.
-    """
-    if not distribution.nodes:
-        return SimpleGraph(0)
+    """``build(distribution, rng=rng)`` materialized as a :class:`SimpleGraph`."""
     return build(distribution, rng=rng).to_simple_graph()
 
 

@@ -54,6 +54,7 @@ from typing import Any, Callable
 
 from repro.exceptions import ExperimentError, ServiceError, StoreError
 from repro.generators.registry import json_safe
+from repro.graph.mmap_io import graph_content_hash
 from repro.graph.simple_graph import SimpleGraph
 from repro.measure.plan import MeasurementPlan
 from repro.service.coalesce import SingleFlight
@@ -69,7 +70,6 @@ from repro.service.stats import ServiceStats
 from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.store.keys import generation_key, stable_hash
 from repro.store.memo import measure_entry_keys, memoized_build, memoized_measure
-from repro.store.serialize import graph_content_hash
 from repro.telemetry import counter_value, render_prometheus, span
 
 log = logging.getLogger("repro.service")
@@ -121,7 +121,6 @@ class TopologyService:
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
         self._topologies: dict[str, SimpleGraph] = {}
-        self._topology_hashes: dict[str, str] = {}
         # degraded-graph cache of /v1/workload: (source, scenario, seed) ->
         # (graph, stats, content_hash); bounded FIFO
         self._degraded: dict[tuple, tuple[SimpleGraph, dict, str]] = {}
@@ -221,8 +220,8 @@ class TopologyService:
     # ------------------------------------------------------------------ #
     # request sources: registered topologies, paths, inline edge lists
     # ------------------------------------------------------------------ #
-    def _resolve_source(self, body: dict[str, Any]) -> tuple[SimpleGraph, str | None]:
-        """The graph a request operates on: ``(graph, topology_label_or_None)``."""
+    def _resolve_source(self, body: dict[str, Any]) -> SimpleGraph:
+        """The graph a request operates on (a topology or an inline edge list)."""
         edges = body.get("edges")
         topology = body.get("topology")
         if (edges is None) == (topology is None):
@@ -240,12 +239,12 @@ class TopologyService:
             if nodes is not None:
                 while graph.number_of_nodes < nodes:
                     graph.add_node()
-            return graph, None
+            return graph
         if not isinstance(topology, str):
             raise HTTPError(400, "'topology' must be a string")
         cached = self._topologies.get(topology)
         if cached is not None:
-            return cached, topology
+            return cached
         from repro.experiment import _resolve_topology
 
         try:
@@ -253,18 +252,7 @@ class TopologyService:
         except ExperimentError as error:
             raise HTTPError(400, str(error)) from None
         self._topologies[topology] = graph
-        return graph, topology
-
-    def _content_hash(self, graph: SimpleGraph, label: str | None) -> str:
-        """Canonical content hash, cached per registered-topology label."""
-        if label is not None:
-            cached = self._topology_hashes.get(label)
-            if cached is not None:
-                return cached
-        digest = graph_content_hash(graph)
-        if label is not None:
-            self._topology_hashes[label] = digest
-        return digest
+        return graph
 
     def _metrics_warm(
         self,
@@ -336,7 +324,7 @@ class TopologyService:
                     counter_value("repro_store_write_bytes_total", category=category)
                 ),
             }
-            for category in ("graphs", "metrics", "cells")
+            for category in ("biggraphs", "metrics", "cells")
         }
         return {
             "store": store,
@@ -390,10 +378,10 @@ class TopologyService:
         except (UnknownGeneratorError, UnsupportedLevelError, GeneratorInputError) as error:
             raise HTTPError(400, str(error)) from None
 
-        graph, label = self._resolve_source(body)
-        source_hash = self._content_hash(graph, label)
+        graph = self._resolve_source(body)
+        source_hash = graph_content_hash(graph)
         key = generation_key(method, options, seed, source_hash, d=d)
-        warm = self.store.has_graph(key)
+        warm = self.store.has_biggraph(key)
 
         def compute():
             return memoized_build(
@@ -436,8 +424,8 @@ class TopologyService:
         distance_sources = self._body_int(body, "distance_sources", minimum=1)
         seed = self._body_int(body, "seed", default=0)
 
-        graph, label = self._resolve_source(body)
-        graph_hash = self._content_hash(graph, label)
+        graph = self._resolve_source(body)
+        graph_hash = graph_content_hash(graph)
         warm = self._metrics_warm(
             graph_hash, metrics, use_giant_component, distance_sources
         )
@@ -501,8 +489,8 @@ class TopologyService:
         distance_sources = self._body_int(body, "distance_sources", minimum=1)
         seed = self._body_int(body, "seed", default=0)
 
-        graph, label = self._resolve_source(body)
-        source_id = self._content_hash(graph, label)
+        graph = self._resolve_source(body)
+        source_id = graph_content_hash(graph)
         degraded_key = (source_id, scenario_label(scenario), scenario_seed)
 
         def transform() -> tuple[SimpleGraph, dict | None, str]:

@@ -3,12 +3,16 @@
 Layout under the store root::
 
     store.json                      # schema marker
-    graphs/<k[:2]>/<k>/             # graph artifact dirs (payload + manifest)
-    biggraphs/<k[:2]>/<k>/          # memory-mapped BigGraph artifact dirs
+    biggraphs/<k[:2]>/<k>/          # CSR graph artifact dirs (meta + arrays)
     metrics/<k[:2]>/<k>.json        # memoized metric results
     cells/<k[:2]>/<k>.json          # per-cell experiment manifests
 
-where ``<k>`` is the SHA-256 key from :mod:`repro.store.keys`.  Entries are
+where ``<k>`` is the SHA-256 key from :mod:`repro.store.keys`.  Every graph
+is stored in the one CSR artifact format of :mod:`repro.graph.mmap_io`:
+:meth:`ArtifactStore.put_graph` gap-encodes a ``SimpleGraph``,
+:meth:`ArtifactStore.put_biggraph` writes a ``BigGraph`` as given, and the
+recorded content hash is :func:`~repro.graph.mmap_io.graph_content_hash`
+either way.  Entries are
 immutable: a key fully determines its content, so concurrent writers (the
 ``ProcessPoolExecutor`` path of :func:`repro.experiment.run_experiment`)
 need no locking — every write goes to a unique temporary name in the same
@@ -35,22 +39,28 @@ from pathlib import Path
 from typing import Any, Iterator, Union
 
 from repro.exceptions import GraphError, StoreError
+from repro.graph.mmap_io import biggraph_content_hash, load_biggraph, write_biggraph_artifact
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import BigGraph
 from repro.store.keys import STORE_SCHEMA_VERSION, code_version
-from repro.store.serialize import read_graph_artifact, write_graph_artifact
 from repro.telemetry.metrics import counter_inc, counter_value
 
 PathLike = Union[str, Path]
 
 _MARKER_NAME = "store.json"
-_CATEGORIES = ("graphs", "biggraphs", "metrics", "cells")
+_CATEGORIES = ("biggraphs", "metrics", "cells")
 
-#: Categories stored as artifact *directories* (vs single JSON files).
-_DIR_CATEGORIES = ("graphs", "biggraphs")
+#: Errors a corrupt artifact raises while loading: each one is a miss.
+_CORRUPT = (StoreError, GraphError, OSError, ValueError, KeyError, EOFError, zlib.error)
 
 
 def _shard(category_dir: Path, key: str) -> Path:
     return category_dir / key[:2]
+
+
+def _count_read(loaded: Any) -> None:
+    outcome = "hit" if loaded is not None else "miss"
+    counter_inc("repro_store_reads_total", category="biggraphs", outcome=outcome)
 
 
 class ArtifactStore:
@@ -61,13 +71,10 @@ class ArtifactStore:
     root:
         Store directory; created (with a ``store.json`` schema marker) if it
         does not exist yet.
-    compress:
-        Gzip graph payloads (on by default; plain text when false).
     """
 
-    def __init__(self, root: PathLike, *, compress: bool = True):
+    def __init__(self, root: PathLike):
         self.root = Path(root)
-        self.compress = compress
         self.root.mkdir(parents=True, exist_ok=True)
         marker = self.root / _MARKER_NAME
         if marker.exists():
@@ -125,67 +132,13 @@ class ArtifactStore:
             yield path.stem, path
 
     # ------------------------------------------------------------------ #
-    # graphs
-    # ------------------------------------------------------------------ #
-    def _graph_dir(self, key: str) -> Path:
-        return _shard(self.root / "graphs", key) / key
-
-    def has_graph(self, key: str) -> bool:
-        """Whether a graph artifact exists for ``key``."""
-        return self._graph_dir(key).is_dir()
-
-    def put_graph(
-        self, key: str, graph: SimpleGraph, *, metadata: dict[str, Any] | None = None
-    ) -> dict[str, Any] | None:
-        """Store ``graph`` under ``key``; returns the manifest it wrote.
-
-        A no-op returning ``None`` when the key is already present (the
-        existing entry has identical content, by construction).
-        """
-        final = self._graph_dir(key)
-        if final.is_dir():
-            return None
-        tmp = self._tmp_name(final)
-        manifest = write_graph_artifact(tmp, graph, metadata=metadata, compress=self.compress)
-        try:
-            os.replace(tmp, final)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)  # lost the race: keep the winner
-            if not final.is_dir():
-                raise
-        counter_inc("repro_store_writes_total", category="graphs")
-        counter_inc(
-            "repro_store_write_bytes_total",
-            sum(child.stat().st_size for child in final.iterdir() if child.is_file()),
-            category="graphs",
-        )
-        return manifest
-
-    def get_graph(self, key: str) -> tuple[SimpleGraph, dict[str, Any]] | None:
-        """Load ``(graph, manifest)`` for ``key``, or ``None`` on a miss."""
-        directory = self._graph_dir(key)
-        if not directory.is_dir():
-            counter_inc("repro_store_reads_total", category="graphs", outcome="miss")
-            return None
-        try:
-            loaded = read_graph_artifact(directory)
-        except (StoreError, GraphError, OSError, ValueError, EOFError, zlib.error):
-            loaded = None  # corrupt entry (bad payload, manifest, or gzip): miss
-        counter_inc(
-            "repro_store_reads_total",
-            category="graphs",
-            outcome="hit" if loaded is not None else "miss",
-        )
-        return loaded
-
-    # ------------------------------------------------------------------ #
-    # biggraphs (memory-mapped CSR artifacts of the million-node tier)
+    # graphs (CSR artifacts; SimpleGraphs gap-encoded, BigGraphs as given)
     # ------------------------------------------------------------------ #
     def _biggraph_dir(self, key: str) -> Path:
         return _shard(self.root / "biggraphs", key) / key
 
     def has_biggraph(self, key: str) -> bool:
-        """Whether a BigGraph artifact exists for ``key``."""
+        """Whether a graph artifact exists for ``key``."""
         return self._biggraph_dir(key).is_dir()
 
     def biggraph_path(self, key: str) -> Path | None:
@@ -193,22 +146,54 @@ class ArtifactStore:
         directory = self._biggraph_dir(key)
         return directory if directory.is_dir() else None
 
+    def put_graph(
+        self, key: str, graph: SimpleGraph, *, metadata: dict[str, Any] | None = None
+    ) -> dict[str, Any] | None:
+        """Store a :class:`SimpleGraph` under ``key`` (gap-encoded CSR).
+
+        Returns the artifact meta dict, or ``None`` when the key was already
+        present (the existing entry has identical content, by construction).
+        """
+        return self.put_biggraph(
+            key, BigGraph.from_simple_graph(graph), encoding="gap", metadata=metadata
+        )
+
+    def get_graph(self, key: str) -> tuple[SimpleGraph, dict[str, Any]] | None:
+        """Load ``(graph, {"content_hash", "metadata"})`` for ``key``.
+
+        The stored content hash is checked against the loaded arrays, so a
+        missing, corrupt or torn artifact is a miss (``None``).
+        """
+        graph = None
+        try:
+            loaded = self._open_graph(key)
+            if loaded is not None and loaded.content_hash == biggraph_content_hash(
+                loaded.indptr, loaded.indices
+            ):
+                graph = loaded.to_simple_graph()
+                if graph.number_of_edges != loaded.m:
+                    graph = None  # not a simple graph (e.g. a self-loop arc)
+        except _CORRUPT:
+            graph = None
+        _count_read(graph)
+        if graph is None:
+            return None
+        return graph, {"content_hash": loaded.content_hash, "metadata": loaded.meta}
+
     def put_biggraph(
         self,
         key: str,
-        graph,
+        graph: BigGraph,
         *,
         encoding: str = "raw",
         metadata: dict[str, Any] | None = None,
     ) -> dict[str, Any] | None:
         """Store a :class:`~repro.kernels.biggraph.BigGraph` under ``key``.
 
-        Same atomic-publish and lost-race semantics as :meth:`put_graph`.
-        Returns the artifact meta dict, or ``None`` when the key was already
-        present.
+        Publishes atomically; a writer that loses the race keeps the
+        winner's copy.  Returns the artifact meta dict, or ``None`` when the
+        key was already present.
         """
-        from repro.graph.mmap_io import write_biggraph_artifact
-
         final = self._biggraph_dir(key)
         if final.is_dir():
             return None
@@ -228,24 +213,22 @@ class ArtifactStore:
         )
         return meta
 
-    def get_biggraph(self, key: str):
-        """Memory-map the BigGraph stored under ``key`` (``None`` on a miss)."""
-        from repro.graph.mmap_io import load_biggraph
+    def get_biggraph(self, key: str) -> BigGraph | None:
+        """Open the graph artifact under ``key`` (``None`` on a miss).
 
-        directory = self._biggraph_dir(key)
-        if not directory.is_dir():
-            counter_inc("repro_store_reads_total", category="biggraphs", outcome="miss")
-            return None
+        Raw arrays are memory-mapped and nothing is hashed, so opening a
+        10^7-node graph stays O(1).
+        """
         try:
-            loaded = load_biggraph(directory)
-        except (StoreError, OSError, ValueError, EOFError, zlib.error):
-            loaded = None  # corrupt entry: miss
-        counter_inc(
-            "repro_store_reads_total",
-            category="biggraphs",
-            outcome="hit" if loaded is not None else "miss",
-        )
+            loaded = self._open_graph(key)
+        except _CORRUPT:
+            loaded = None
+        _count_read(loaded)
         return loaded
+
+    def _open_graph(self, key: str) -> BigGraph | None:
+        directory = self._biggraph_dir(key)
+        return load_biggraph(directory) if directory.is_dir() else None
 
     # ------------------------------------------------------------------ #
     # metrics and experiment cells
@@ -299,24 +282,18 @@ class ArtifactStore:
             "root": str(self.root),
             "schema": STORE_SCHEMA_VERSION,
             "code_version": code_version(),
-            "compress": self.compress,
         }
         category_bytes: dict[str, int] = {}
-        for category in _DIR_CATEGORIES:
-            count = 0
-            size = 0
-            base = self.root / category
-            if base.exists():
-                for artifact in base.glob("*/*"):
-                    if artifact.is_dir() and not artifact.name.endswith(".tmp"):
-                        count += 1
-                        size += sum(
-                            child.stat().st_size
-                            for child in artifact.iterdir()
-                            if child.is_file()
-                        )
-            counts[category] = count
-            category_bytes[category] = size
+        count = 0
+        size = 0
+        for artifact in (self.root / "biggraphs").glob("*/*"):
+            if artifact.is_dir() and not artifact.name.endswith(".tmp"):
+                count += 1
+                size += sum(
+                    child.stat().st_size for child in artifact.iterdir() if child.is_file()
+                )
+        counts["biggraphs"] = count
+        category_bytes["biggraphs"] = size
         for category in ("metrics", "cells"):
             entries = list(self._iter_json(category))
             counts[category] = len(entries)
@@ -344,7 +321,7 @@ class ArtifactStore:
         (e.g. metrics of an original topology).
         """
         current = code_version()
-        removed = {"graphs": 0, "biggraphs": 0, "metrics": 0, "cells": 0, "tmp": 0}
+        removed = {"biggraphs": 0, "metrics": 0, "cells": 0, "tmp": 0}
 
         cutoff = time.time() - self.GC_TMP_AGE_SECONDS
         for tmp in self.root.glob("*/*/.*.tmp"):
@@ -359,36 +336,20 @@ class ArtifactStore:
                 tmp.unlink(missing_ok=True)
             removed["tmp"] += 1
 
-        graphs = self.root / "graphs"
         live_graphs: set[str] = set()
-        if graphs.exists():
-            for artifact in sorted(graphs.glob("*/*")):
-                if not artifact.is_dir():
-                    continue
-                try:
-                    manifest = json.loads((artifact / "manifest.json").read_text())
-                    stale = manifest["metadata"].get("code_version") not in (None, current)
-                except (OSError, json.JSONDecodeError, KeyError):
-                    stale = True  # unreadable manifest: corrupt artifact
-                if stale:
-                    shutil.rmtree(artifact, ignore_errors=True)
-                    removed["graphs"] += 1
-                else:
-                    live_graphs.add(artifact.name)
-
-        biggraphs = self.root / "biggraphs"
-        if biggraphs.exists():
-            for artifact in sorted(biggraphs.glob("*/*")):
-                if not artifact.is_dir():
-                    continue
-                try:
-                    meta = json.loads((artifact / "meta.json").read_text())
-                    stale = meta["metadata"].get("code_version") not in (None, current)
-                except (OSError, json.JSONDecodeError, KeyError):
-                    stale = True  # unreadable meta: corrupt artifact
-                if stale:
-                    shutil.rmtree(artifact, ignore_errors=True)
-                    removed["biggraphs"] += 1
+        for artifact in sorted((self.root / "biggraphs").glob("*/*")):
+            if not artifact.is_dir() or artifact.name.endswith(".tmp"):
+                continue  # a temporary belongs to the sweep above
+            try:
+                meta = json.loads((artifact / "meta.json").read_text())
+                stale = meta["metadata"].get("code_version") not in (None, current)
+            except (OSError, json.JSONDecodeError, KeyError):
+                stale = True  # unreadable meta: corrupt artifact
+            if stale:
+                shutil.rmtree(artifact, ignore_errors=True)
+                removed["biggraphs"] += 1
+            else:
+                live_graphs.add(artifact.name)
 
         for category in ("metrics", "cells"):
             for key, path in self._iter_json(category):
@@ -421,7 +382,7 @@ class ArtifactStore:
         (root / _MARKER_NAME).unlink(missing_ok=True)
 
     def __repr__(self) -> str:
-        return f"ArtifactStore(root={str(self.root)!r}, compress={self.compress})"
+        return f"ArtifactStore(root={str(self.root)!r})"
 
 
 @contextmanager
@@ -443,9 +404,9 @@ def store_process_counters() -> dict[str, Any]:
     persisted on disk), so this reports the activity of the current process
     against whichever stores it touched.  Shape::
 
-        {"reads": {"graphs": {"hit": 3, "miss": 1}, ...},
-         "writes": {"graphs": 1, ...},
-         "write_bytes": {"graphs": 15234, ...}}
+        {"reads": {"biggraphs": {"hit": 3, "miss": 1}, ...},
+         "writes": {"biggraphs": 1, ...},
+         "write_bytes": {"biggraphs": 15234, ...}}
     """
     reads: dict[str, dict[str, int]] = {}
     writes: dict[str, int] = {}

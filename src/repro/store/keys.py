@@ -29,7 +29,7 @@ from typing import Any, Mapping
 from repro.generators.registry import json_safe
 
 #: Bump when the on-disk layout or key derivation changes incompatibly.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 
 def code_version() -> str:

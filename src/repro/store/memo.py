@@ -31,6 +31,7 @@ import uuid
 from typing import Any, Mapping, Sequence
 
 from repro.generators.registry import GenerationResult, GeneratorSpec, json_safe
+from repro.graph.mmap_io import graph_content_hash
 from repro.graph.simple_graph import SimpleGraph
 from repro.measure.plan import (
     Measurement,
@@ -41,7 +42,6 @@ from repro.measure.plan import (
 from repro.measure.registry import get_metric_def
 from repro.store.artifact_store import ArtifactStore
 from repro.store.keys import code_version, generation_key, metric_key
-from repro.store.serialize import graph_content_hash
 from repro.telemetry import counter_inc, span
 from repro.utils.rng import RngLike
 
@@ -60,10 +60,10 @@ def memoized_build(
     """Build (or load) the ``(spec, d, options, seed)`` graph for ``original``.
 
     On a store hit the :class:`GenerationResult` is reconstructed from the
-    artifact manifest — including the stats and the *original* construction
+    artifact's metadata — including the stats and the *original* construction
     wall time — and no generator code runs.  ``read=False`` skips the lookup
     (forced recomputation) while still writing the result.  Which engine
-    generated a cached graph is recorded in its manifest stats.
+    generated a cached graph is recorded in its metadata stats.
     """
     options = dict(options or {})
     if source_hash is None:
@@ -72,8 +72,8 @@ def memoized_build(
     with span("store.generate", method=spec.name, d=d, seed=seed) as sp:
         cached = store.get_graph(key) if read else None
         if cached is not None:
-            graph, manifest = cached
-            metadata = manifest.get("metadata", {})
+            graph, entry = cached
+            metadata = entry["metadata"]
             sp.set(cache="hit", n=graph.number_of_nodes, m=graph.number_of_edges)
             return GenerationResult(
                 graph=graph,
@@ -82,12 +82,12 @@ def memoized_build(
                 seed=seed,
                 wall_time=float(metadata.get("wall_time", 0.0)),
                 stats=dict(metadata.get("stats", {})),
-                content_hash=manifest.get("content_hash"),
+                content_hash=entry["content_hash"],
             )
         sp.set(cache="miss")
         result = spec.build(original, d, rng=seed, **options)
         sp.set(n=result.graph.number_of_nodes, m=result.graph.number_of_edges)
-        manifest = store.put_graph(
+        store.put_graph(
             key,
             result.graph,
             metadata={
@@ -101,11 +101,6 @@ def memoized_build(
                 "stats": json_safe(result.stats),
             },
         )
-        # reuse the hash put_graph computed while serializing; only a lost write
-        # race (manifest None) needs its own canonicalization pass
-        content_hash = (
-            manifest["content_hash"] if manifest else graph_content_hash(result.graph)
-        )
         return GenerationResult(
             graph=result.graph,
             method=result.method,
@@ -113,7 +108,7 @@ def memoized_build(
             seed=result.seed,
             wall_time=result.wall_time,
             stats=result.stats,
-            content_hash=content_hash,
+            content_hash=graph_content_hash(result.graph),
         )
 
 
@@ -196,16 +191,7 @@ def memoized_measure(
         distance_sources=distance_sources,
     )
     if graph_hash is None:
-        if getattr(graph, "is_biggraph", False):
-            # a BigGraph's identity is its binary CSR hash; the text
-            # canonicalization below would materialize all 2m edge tuples
-            from repro.graph.mmap_io import biggraph_content_hash
-
-            graph_hash = graph.content_hash or biggraph_content_hash(
-                graph.indptr, graph.indices
-            )
-        else:
-            graph_hash = graph_content_hash(graph)
+        graph_hash = graph_content_hash(graph)
 
     keys = measure_entry_keys(
         graph_hash,

@@ -11,7 +11,7 @@ them without any opt-in.
 Metrics are keyed by ``(name, labels)`` where ``labels`` is a sorted tuple of
 ``(key, value)`` string pairs, e.g.::
 
-    counter_inc("repro_store_reads_total", category="graphs", outcome="hit")
+    counter_inc("repro_store_reads_total", category="biggraphs", outcome="hit")
     observe("repro_request_latency_seconds", 0.0123, route="/v1/graphs")
 
 Snapshots (:func:`metrics_snapshot`) are plain JSON-able dicts so worker

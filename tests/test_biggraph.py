@@ -82,6 +82,66 @@ def test_csrbuilder_drops_loops_and_collapses_duplicates():
     assert builder.self_loops == 1
 
 
+def test_csrbuilder_collapses_duplicates_across_spilled_runs(tmp_path):
+    rng = np.random.default_rng(5)
+    u = rng.integers(0, 50, 400)
+    v = rng.integers(0, 50, 400)
+    whole = mmap_io.CSRBuilder(50)
+    whole.add_edges(u, v)
+    expected = whole.finalize()
+    spilled = mmap_io.CSRBuilder(50, spill_threshold=100, spill_dir=tmp_path)
+    for begin in range(0, 400, 100):  # every chunk spills as its own run ...
+        spilled.add_edges(u[begin : begin + 100], v[begin : begin + 100])
+    spilled.add_edges(v, u)  # ... and every edge recurs, mirrored, in later runs
+    graph = spilled.finalize()
+    assert len(spilled._runs) == 0  # runs were merged and cleaned up
+    assert graph.m == expected.m
+    assert graph.content_hash == expected.content_hash
+    assert np.array_equal(graph.indices, expected.indices)
+
+
+def test_sorted_unique_matches_np_unique():
+    keys = np.random.default_rng(1).integers(0, 1000, 5000)
+    assert np.array_equal(mmap_io.sorted_unique(keys.copy()), np.unique(keys))
+    assert len(mmap_io.sorted_unique(np.empty(0, dtype=np.int64))) == 0
+
+
+def test_edgeless_raw_artifact_loads(tmp_path):
+    from repro.core.distributions import DegreeDistribution
+    from repro.generators.streaming import streaming_pseudograph_1k
+    from repro.graph.simple_graph import SimpleGraph
+    from repro.store import ArtifactStore
+
+    graph = BigGraph.from_simple_graph(SimpleGraph(5))
+    graph.save(tmp_path / "art")
+    loaded = BigGraph.load(tmp_path / "art")
+    assert (loaded.n, loaded.m) == (5, 0)
+    assert loaded.to_simple_graph() == SimpleGraph(5)
+
+    store = ArtifactStore(tmp_path / "store")
+    store.put_biggraph("ab" + "0" * 62, graph)
+    assert store.get_biggraph("ab" + "0" * 62).n == 5
+
+    streamed = streaming_pseudograph_1k(DegreeDistribution({0: 3}), path=tmp_path / "gen")
+    assert (streamed.n, streamed.m) == (3, 0)
+
+
+@pytest.mark.parametrize("method", ["pseudograph", "stochastic"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_empty_distribution_gives_the_empty_graph(method, d, tmp_path):
+    from repro.core.distributions import DegreeDistribution, JointDegreeDistribution
+    from repro.generators import pseudograph, stochastic
+    from repro.generators.streaming import STREAMING_GENERATORS
+
+    empty = DegreeDistribution({}) if d == 1 else JointDegreeDistribution({})
+    stream = STREAMING_GENERATORS[(method, d)]
+    assert stream(empty, rng=0).n == 0
+    assert stream(empty, rng=0, path=tmp_path / "art").n == 0
+    assert BigGraph.load(tmp_path / "art").n == 0
+    in_memory = getattr(pseudograph if method == "pseudograph" else stochastic, f"{method}_{d}k")
+    assert in_memory(empty, rng=0).number_of_nodes == 0
+
+
 # --------------------------------------------------------------------------- #
 # measurement equivalence
 # --------------------------------------------------------------------------- #

@@ -231,7 +231,7 @@ def test_missing_graph_artifact_forces_recompute(store, hot_small):
     # wipe the graph artifacts but keep the cell manifests
     import shutil
 
-    shutil.rmtree(store.root / "graphs")
+    shutil.rmtree(store.root / "biggraphs")
     warm = run_experiment(spec, store=store)
     assert warm.cached_cells == 0  # cells could not satisfy keep_graphs
     assert warm.records[0].graph == cold.records[0].graph
@@ -239,10 +239,11 @@ def test_missing_graph_artifact_forces_recompute(store, hot_small):
 
 def _rewrite_cell_rows(spec, store, hot_small, rewrite):
     """Overwrite every cell manifest of ``spec`` with ``rewrite(row)``."""
-    from repro.experiment import _cell_cache_key, _topology_content_hash
+    from repro.experiment import _cell_cache_key
+    from repro.store import graph_content_hash
     from repro.store.keys import code_version
 
-    topology_hash = _topology_content_hash(hot_small)
+    topology_hash = graph_content_hash(hot_small)
     for cell in spec.cells():
         key = _cell_cache_key(spec, cell, topology_hash)
         manifest = store.get_cell(key)
@@ -391,7 +392,7 @@ def test_cli_cache_info_gc_clear(tmp_path, capsys):
     capsys.readouterr()
     assert cache_main(["info", "--store", str(store_dir)]) == 0
     output = capsys.readouterr().out
-    assert "graphs" in output and "cells" in output
+    assert "biggraphs" in output and "cells" in output
     assert cache_main(["gc", "--store", str(store_dir)]) == 0
     capsys.readouterr()
     assert cache_main(["clear", "--store", str(store_dir)]) == 0

@@ -606,7 +606,7 @@ def test_metrics_endpoint_serves_prometheus_exposition(service, counting_generat
     # /v1/stats carries the process-global counter overview alongside
     telemetry = stats["telemetry"]
     assert telemetry["coalescer_started"] >= 2
-    assert telemetry["store"]["graphs"]["writes"] >= 1
+    assert telemetry["store"]["biggraphs"]["writes"] >= 1
 
 
 def test_http_error_statuses(service):

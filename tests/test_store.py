@@ -67,10 +67,10 @@ def test_metric_key_depends_on_graph_and_params():
 # --------------------------------------------------------------------------- #
 def test_graph_put_get_roundtrip(store, small_mixed_graph):
     key = "ab" + "0" * 62
-    assert not store.has_graph(key)
+    assert not store.has_biggraph(key)
     assert store.get_graph(key) is None
     store.put_graph(key, small_mixed_graph, metadata={"method": "test"})
-    assert store.has_graph(key)
+    assert store.has_biggraph(key)
     graph, manifest = store.get_graph(key)
     assert graph == small_mixed_graph
     assert manifest["metadata"]["method"] == "test"
@@ -89,12 +89,12 @@ def test_metric_and_cell_roundtrip(store):
 
 def test_info_counts_entries(store, triangle_graph):
     info = store.info()
-    assert (info["graphs"], info["metrics"], info["cells"]) == (0, 0, 0)
+    assert (info["biggraphs"], info["metrics"], info["cells"]) == (0, 0, 0)
     store.put_graph("cc" + "0" * 62, triangle_graph)
     store.put_metric("dd33", {"value": 1})
     store.put_cell("ee44", {"row": {}})
     info = store.info()
-    assert (info["graphs"], info["metrics"], info["cells"]) == (1, 1, 1)
+    assert (info["biggraphs"], info["metrics"], info["cells"]) == (1, 1, 1)
     assert info["total_bytes"] > 0
 
 
@@ -103,7 +103,7 @@ def test_clear_removes_everything(store, triangle_graph):
     store.put_metric("dd33", {"value": 1})
     store.clear()
     info = store.info()
-    assert (info["graphs"], info["metrics"], info["cells"]) == (0, 0, 0)
+    assert (info["biggraphs"], info["metrics"], info["cells"]) == (0, 0, 0)
     # the store stays usable after a clear
     store.put_metric("dd33", {"value": 1})
     assert store.get_metric("dd33") == {"value": 1}
@@ -135,14 +135,14 @@ def test_torn_json_entry_is_a_miss(store):
 def test_corrupt_graph_payload_is_a_miss(store, triangle_graph):
     key = "aa" + "0" * 62
     store.put_graph(key, triangle_graph)
-    payload = store._graph_dir(key) / "graph.edges.gz"
+    payload = store.biggraph_path(key) / "indices.bin"
     # valid gzip magic, corrupt body: decompression raises deep inside
     payload.write_bytes(b"\x1f\x8b" + b"garbage")
     assert store.get_graph(key) is None
-    # non-numeric edge data raises ValueError; also a miss
+    # a well-formed gzip stream of the wrong length is a miss too
     import gzip
 
-    payload.write_bytes(gzip.compress(b"repro-graph 1 2 1\nx y\n"))
+    payload.write_bytes(gzip.compress(b"\x00" * 4))
     assert store.get_graph(key) is None
 
 
@@ -154,7 +154,7 @@ def test_wipe_resets_a_schema_mismatched_store(tmp_path, triangle_graph):
         ArtifactStore(root)
     ArtifactStore.wipe(root)
     reopened = ArtifactStore(root)  # fresh marker, empty store
-    assert reopened.info()["graphs"] == 0
+    assert reopened.info()["biggraphs"] == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -182,7 +182,7 @@ def test_gc_drops_stale_versions_orphans_and_temporaries(store, triangle_graph):
     fresh.write_text("{}")
 
     removed = store.gc()
-    assert removed == {"graphs": 0, "biggraphs": 0, "metrics": 1, "cells": 1, "tmp": 1}
+    assert removed == {"biggraphs": 0, "metrics": 1, "cells": 1, "tmp": 1}
     assert fresh.exists() and not tmp.exists()
     # the live entries survived
     assert store.get_graph(graph_key) is not None
@@ -192,11 +192,22 @@ def test_gc_drops_stale_versions_orphans_and_temporaries(store, triangle_graph):
     assert store.get_cell("ee44") is None
 
 
+def test_gc_leaves_a_live_graph_temporary_alone(store, triangle_graph):
+    key = "aa" + "0" * 62
+    store.put_graph(key, triangle_graph, metadata={"code_version": code_version()})
+    # a writer mid-way through an artifact: its directory has no meta.json yet
+    live = store.biggraph_path(key).parent / f".{key}.123.abc.tmp"
+    live.mkdir()
+    (live / "indptr.bin").write_bytes(b"")
+    assert store.gc()["biggraphs"] == 0
+    assert live.is_dir()
+
+
 def test_gc_drops_graphs_from_other_code_versions(store, triangle_graph):
     store.put_graph("aa" + "0" * 62, triangle_graph, metadata={"code_version": "ancient"})
     removed = store.gc()
-    assert removed["graphs"] == 1
-    assert not store.has_graph("aa" + "0" * 62)
+    assert removed["biggraphs"] == 1
+    assert not store.has_biggraph("aa" + "0" * 62)
 
 
 # --------------------------------------------------------------------------- #
@@ -279,5 +290,5 @@ def test_memoized_table2_read_false_recomputes(store, triangle_graph, monkeypatc
 
 
 def test_content_hash_matches_store_key_usage(hot_small):
-    # the hash used by the memo layer is the serialization-level content hash
+    # the hash used by the memo layer is the one CSR content hash
     assert len(graph_content_hash(hot_small)) == 64
