@@ -120,3 +120,38 @@ def write_results(path: str | os.PathLike | None = None) -> Path | None:
         + "\n"
     )
     return target
+
+
+def chain_stats_table(result: Any, *, title: str | None = None) -> str:
+    """One row per generated cell of an experiment: its chain's moves.
+
+    Shows accepted and attempted moves, the acceptance rate, whether the
+    chain converged and, for targeting chains, the distance it stopped at.
+    """
+    from repro.analysis.tables import render_table
+    from repro.experiment import ORIGINAL_METHOD
+
+    rows = []
+    for record in result.records:
+        if record.method == ORIGINAL_METHOD:
+            continue
+        stats = record.stats
+        accepted = stats.get("accepted_moves", "-")
+        attempted = stats.get("attempted_moves", "-")
+        rate = stats.get("accept_rate")
+        if rate is None and isinstance(attempted, int) and attempted > 0:
+            rate = accepted / attempted
+        rows.append(
+            [
+                record.method,
+                record.d,
+                record.replicate,
+                accepted,
+                attempted,
+                "-" if rate is None else float(rate),
+                stats.get("converged", "-"),
+                stats.get("distance", "-"),
+            ]
+        )
+    headers = ["method", "d", "rep", "accepted", "attempted", "accept_rate", "converged", "distance"]
+    return render_table(headers, rows, title=title)

@@ -8,9 +8,9 @@ to the original -- which converge toward the original as d grows.
 
 from __future__ import annotations
 
-from repro.analysis.convergence import dk_random_family
 from repro.analysis.tables import render_table
 from repro.core.distance import graph_dk_distance
+from repro.experiment import ExperimentSpec, run_experiment
 from repro.metrics.assortativity import assortativity
 from repro.metrics.distances import mean_distance
 from repro.topologies.hot import hot_like_statistics
@@ -18,7 +18,15 @@ from benchmarks._common import GENERATION_SEED, run_once
 
 
 def _fingerprints(hot_graph):
-    family = dk_random_family(hot_graph, ds=(0, 1, 2, 3), rng=GENERATION_SEED)
+    spec = ExperimentSpec(
+        topologies=(hot_graph,),
+        methods=("rewiring",),
+        d_levels=(0, 1, 2, 3),
+        seed=GENERATION_SEED,
+        metrics=(),
+        keep_graphs=True,
+    )
+    family = {record.d: record.graph for record in run_experiment(spec).records}
     rows = []
     distances = {}
     for d, graph in sorted(family.items()):

@@ -6,7 +6,6 @@ the last metric to fall in line (only at 3K).
 
 from __future__ import annotations
 
-from repro.analysis.convergence import dk_random_family
 from repro.analysis.figures import (
     betweenness_series,
     clustering_series,
@@ -14,14 +13,21 @@ from repro.analysis.figures import (
     series_l1_difference,
 )
 from repro.analysis.tables import series_table
+from repro.experiment import ExperimentSpec, run_experiment
 from benchmarks._common import GENERATION_SEED, run_once
 
 
 def test_fig6_skitter_series(benchmark, skitter_graph):
-    family = run_once(
-        benchmark, dk_random_family, skitter_graph, ds=(0, 1, 2, 3), rng=GENERATION_SEED
+    spec = ExperimentSpec(
+        topologies=(skitter_graph,),
+        methods=("rewiring",),
+        d_levels=(0, 1, 2, 3),
+        seed=GENERATION_SEED,
+        metrics=(),
+        keep_graphs=True,
     )
-    graphs = {f"{d}K-random": graph for d, graph in sorted(family.items())}
+    result = run_once(benchmark, run_experiment, spec)
+    graphs = {f"{record.d}K-random": record.graph for record in result.records}
     graphs["skitter-like"] = skitter_graph
 
     distances = distance_distribution_series(graphs)

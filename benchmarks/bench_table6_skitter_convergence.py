@@ -8,22 +8,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.convergence import dk_convergence_study
+from repro.analysis.convergence import convergence_from_experiment
 from repro.analysis.tables import scalar_metrics_table
-from benchmarks._common import GENERATION_SEED, run_once
+from repro.experiment import ExperimentSpec, run_experiment
+from benchmarks._common import GENERATION_SEED, chain_stats_table, run_once
 
 
 def test_table6_skitter_convergence(benchmark, skitter_graph):
-    study = run_once(
-        benchmark,
-        dk_convergence_study,
-        skitter_graph,
-        ds=(0, 1, 2, 3),
-        instances=1,
-        rng=GENERATION_SEED,
+    spec = ExperimentSpec(
+        topologies=(skitter_graph,),
+        methods=("rewiring",),
+        d_levels=(0, 1, 2, 3),
+        seed=GENERATION_SEED,
+        include_original=True,
         distance_sources=300,
         compute_spectrum=True,
     )
+    result = run_once(benchmark, run_experiment, spec)
+    study = convergence_from_experiment(result)
     print()
     print(
         scalar_metrics_table(
@@ -31,6 +33,7 @@ def test_table6_skitter_convergence(benchmark, skitter_graph):
             title="Table 6: scalar metrics for dK-random vs skitter-like graphs",
         )
     )
+    print(chain_stats_table(result, title="Table 6 chains"))
     original = study.original
     by_d = study.by_d
     # 0K destroys the degree correlations entirely

@@ -9,21 +9,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.convergence import dk_convergence_study
+from repro.analysis.convergence import convergence_from_experiment
 from repro.analysis.tables import scalar_metrics_table
-from benchmarks._common import GENERATION_SEED, run_once
+from repro.experiment import ExperimentSpec, run_experiment
+from benchmarks._common import GENERATION_SEED, chain_stats_table, run_once
 
 
 def test_table8_hot_convergence(benchmark, hot_graph):
-    study = run_once(
-        benchmark,
-        dk_convergence_study,
-        hot_graph,
-        ds=(0, 1, 2, 3),
-        instances=1,
-        rng=GENERATION_SEED,
+    spec = ExperimentSpec(
+        topologies=(hot_graph,),
+        methods=("rewiring",),
+        d_levels=(0, 1, 2, 3),
+        seed=GENERATION_SEED,
+        include_original=True,
         compute_spectrum=True,
     )
+    result = run_once(benchmark, run_experiment, spec)
+    study = convergence_from_experiment(result)
     print()
     print(
         scalar_metrics_table(
@@ -31,6 +33,7 @@ def test_table8_hot_convergence(benchmark, hot_graph):
             title="Table 8: scalar metrics for dK-random vs HOT-like graphs",
         )
     )
+    print(chain_stats_table(result, title="Table 8 chains"))
     original = study.original
     by_d = study.by_d
     # 1K-random graphs approximate HOT poorly: their assortativity error is

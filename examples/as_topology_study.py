@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis.convergence import dk_convergence_study, dk_random_family
+from repro.analysis.convergence import convergence_from_experiment
 from repro.analysis.figures import clustering_series
 from repro.analysis.tables import scalar_metrics_table, series_table
+from repro.experiment import ExperimentSpec
 from repro.topologies import synthetic_as_topology
 
 
@@ -24,14 +25,17 @@ def main(nodes: int = 800) -> None:
     original = synthetic_as_topology(nodes, rng=7)
     print(f"skitter-like AS topology: {original}")
 
-    study = dk_convergence_study(
-        original,
-        ds=(0, 1, 2, 3),
-        instances=1,
-        rng=1,
+    spec = ExperimentSpec(
+        topologies=(original,),
+        methods=("rewiring",),
+        d_levels=(0, 1, 2, 3),
+        seed=1,
+        include_original=True,
         distance_sources=200,
         compute_spectrum=True,
+        keep_graphs=True,
     )
+    study = convergence_from_experiment(spec.run())
     print()
     print(
         scalar_metrics_table(
@@ -40,8 +44,7 @@ def main(nodes: int = 800) -> None:
         )
     )
 
-    family = dk_random_family(original, ds=(1, 2, 3), rng=2)
-    graphs = {f"{d}K-random": graph for d, graph in family.items()}
+    graphs = {f"{d}K-random": study.sample_graphs[d] for d in (1, 2, 3)}
     graphs["AS original"] = original
     print()
     print(

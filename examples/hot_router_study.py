@@ -14,10 +14,10 @@ Usage::
 
 from __future__ import annotations
 
-from repro.analysis.convergence import dk_convergence_study
+from repro.analysis.convergence import convergence_from_experiment
 from repro.analysis.figures import distance_distribution_series
 from repro.analysis.tables import scalar_metrics_table, series_table
-from repro.core.randomness import dk_random_graph
+from repro.experiment import ExperimentSpec
 from repro.generators.exploration import explore_1k_likelihood
 from repro.metrics.assortativity import likelihood
 from repro.topologies import build_topology
@@ -28,9 +28,16 @@ def main() -> None:
     print(f"HOT-like router topology: {original}")
 
     # Table 8 shape: convergence of the scalar metrics
-    study = dk_convergence_study(
-        original, ds=(0, 1, 2, 3), instances=1, rng=3, compute_spectrum=True
+    spec = ExperimentSpec(
+        topologies=(original,),
+        methods=("rewiring",),
+        d_levels=(0, 1, 2, 3),
+        seed=3,
+        include_original=True,
+        compute_spectrum=True,
+        keep_graphs=True,
     )
+    study = convergence_from_experiment(spec.run())
     print()
     print(
         scalar_metrics_table(
@@ -39,13 +46,9 @@ def main() -> None:
         )
     )
 
-    # Figure 8 shape: distance distributions
-    graphs = {
-        "1K-random": dk_random_graph(original, 1, rng=4),
-        "2K-random": dk_random_graph(original, 2, rng=4),
-        "3K-random": dk_random_graph(original, 3, rng=4),
-        "HOT original": original,
-    }
+    # Figure 8 shape: distance distributions of the same dK-random graphs
+    graphs = {f"{d}K-random": study.sample_graphs[d] for d in (1, 2, 3)}
+    graphs["HOT original"] = original
     print()
     print(
         series_table(

@@ -1,18 +1,20 @@
-"""Analysis harness: algorithm comparison, convergence studies, figures, tables."""
+"""Analysis of experiment grids: algorithm comparisons, convergence studies,
+figure series and tables.
+
+Every paper table and figure is one :class:`~repro.experiment.ExperimentSpec`
+grid run by :func:`~repro.experiment.run_experiment`;
+:func:`comparison_from_experiment` (one column per method, Tables 3 and 4)
+and :func:`convergence_from_experiment` (one column per ``d``, Tables 6 and
+8) fold its records into the paper's layout.
+"""
 
 from repro.analysis.comparison import (
     AlgorithmComparison,
-    compare_2k_algorithms,
-    compare_3k_algorithms,
-    compare_generators,
     comparison_from_experiment,
-    standard_2k_generators,
-    standard_3k_generators,
 )
 from repro.analysis.convergence import (
     ConvergenceStudy,
-    dk_convergence_study,
-    dk_random_family,
+    convergence_from_experiment,
 )
 from repro.analysis.figures import (
     betweenness_series,
@@ -33,15 +35,9 @@ from repro.analysis.tables import (
 
 __all__ = [
     "AlgorithmComparison",
-    "compare_generators",
-    "compare_2k_algorithms",
-    "compare_3k_algorithms",
     "comparison_from_experiment",
-    "standard_2k_generators",
-    "standard_3k_generators",
     "ConvergenceStudy",
-    "dk_convergence_study",
-    "dk_random_family",
+    "convergence_from_experiment",
     "betweenness_series",
     "clustering_series",
     "degree_ccdf_series",

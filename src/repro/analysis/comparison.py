@@ -1,28 +1,21 @@
-"""Algorithm-comparison harness (Tables 3 and 4 of the paper).
+"""Algorithm comparison (Tables 3 and 4 of the paper) from an experiment grid.
 
-Given one original topology, generate dK-random counterparts with several
-construction algorithms, summarize each with the scalar metrics of Table 2,
-and collect the results side by side.  Each algorithm is run over several
-random seeds and the summaries averaged, as in the paper (which averages 100
-instances; the default here is smaller to stay laptop-friendly and can be
-raised by callers).
+:func:`repro.experiment.run_experiment` generates the dK-random counterparts
+of a topology with every construction algorithm and measures them; this
+module folds its records into one column per algorithm, averaging the
+replicates as the paper averages its instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
-from repro.core.randomness import dk_random_graph
 from repro.exceptions import ExperimentError
-from repro.graph.simple_graph import SimpleGraph
-from repro.measure.plan import Measurement, average_measurements, battery_plan
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.measure.plan import Measurement, average_measurements
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiment import ExperimentResult, RunRecord
-
-GraphFactory = Callable[..., SimpleGraph]
 
 
 @dataclass
@@ -35,115 +28,13 @@ class AlgorithmComparison:
     """
 
     original: Measurement
-    columns: dict[str, Measurement]
+    columns: dict[Any, Measurement]
 
-    def as_columns(self, original_label: str = "Original") -> dict[str, Measurement]:
+    def as_columns(self, original_label: str = "Original") -> dict[Any, Measurement]:
         """All columns including the original graph (for table rendering)."""
         combined = dict(self.columns)
         combined[original_label] = self.original
         return combined
-
-
-def compare_generators(
-    original: SimpleGraph,
-    generators: Mapping[str, GraphFactory],
-    *,
-    instances: int = 3,
-    rng: RngLike = None,
-    distance_sources: int | None = None,
-    compute_spectrum: bool = True,
-    metrics: Sequence[str] | None = None,
-) -> AlgorithmComparison:
-    """Run every generator ``instances`` times and average the metrics.
-
-    Each generator is called as ``generator(rng=child_rng)`` and must return
-    a :class:`SimpleGraph`.  One measurement plan is built for the whole
-    comparison, so every graph is measured with shared intermediates (one
-    BFS sweep each).  ``metrics`` selects an à-la-carte subset (names from
-    :func:`repro.measure.registry.available_metrics`); the default is the
-    paper's Table-2 scalar battery.
-    """
-    rng = ensure_rng(rng)
-    plan = battery_plan(
-        metrics, compute_spectrum=compute_spectrum, distance_sources=distance_sources
-    )
-    # the original is measured without touching the parent rng stream, so the
-    # spawned per-instance children (and hence the generated graphs) are
-    # unchanged from the pre-planner behaviour
-    original_summary = plan.run(original)
-    columns: dict[str, Measurement] = {}
-    for label, factory in generators.items():
-        summaries = []
-        for child in spawn_rngs(rng, instances):
-            graph = factory(rng=child)
-            summaries.append(plan.run(graph, rng=child))
-        columns[label] = average_measurements(summaries)
-    return AlgorithmComparison(original=original_summary, columns=columns)
-
-
-def standard_2k_generators(original: SimpleGraph) -> dict[str, GraphFactory]:
-    """The five 2K construction algorithms compared in Table 3 / Figure 5."""
-    return {
-        "Stochastic": lambda rng=None: dk_random_graph(original, 2, method="stochastic", rng=rng),
-        "Pseudograph": lambda rng=None: dk_random_graph(original, 2, method="pseudograph", rng=rng),
-        "Matching": lambda rng=None: dk_random_graph(original, 2, method="matching", rng=rng),
-        "2K-randomizing": lambda rng=None: dk_random_graph(original, 2, method="rewiring", rng=rng),
-        "2K-targeting": lambda rng=None: dk_random_graph(original, 2, method="targeting", rng=rng),
-    }
-
-
-def standard_3k_generators(original: SimpleGraph) -> dict[str, GraphFactory]:
-    """The two 3K construction algorithms compared in Table 4 / Figure 5c."""
-    return {
-        "3K-randomizing": lambda rng=None: dk_random_graph(original, 3, method="rewiring", rng=rng),
-        "3K-targeting": lambda rng=None: dk_random_graph(original, 3, method="targeting", rng=rng),
-    }
-
-
-def compare_2k_algorithms(
-    original: SimpleGraph,
-    *,
-    instances: int = 3,
-    rng: RngLike = None,
-    distance_sources: int | None = None,
-    compute_spectrum: bool = True,
-    labels: Sequence[str] | None = None,
-    metrics: Sequence[str] | None = None,
-) -> AlgorithmComparison:
-    """Table 3: scalar metrics of 2K-random graphs from the five algorithms."""
-    generators = standard_2k_generators(original)
-    if labels is not None:
-        generators = {label: generators[label] for label in labels}
-    return compare_generators(
-        original,
-        generators,
-        instances=instances,
-        rng=rng,
-        distance_sources=distance_sources,
-        compute_spectrum=compute_spectrum,
-        metrics=metrics,
-    )
-
-
-def compare_3k_algorithms(
-    original: SimpleGraph,
-    *,
-    instances: int = 3,
-    rng: RngLike = None,
-    distance_sources: int | None = None,
-    compute_spectrum: bool = True,
-    metrics: Sequence[str] | None = None,
-) -> AlgorithmComparison:
-    """Table 4: scalar metrics of 3K-random graphs (randomizing vs targeting)."""
-    return compare_generators(
-        original,
-        standard_3k_generators(original),
-        instances=instances,
-        rng=rng,
-        distance_sources=distance_sources,
-        compute_spectrum=compute_spectrum,
-        metrics=metrics,
-    )
 
 
 def comparison_from_experiment(
@@ -151,13 +42,14 @@ def comparison_from_experiment(
     *,
     topology: str | None = None,
     d: int | None = None,
-    label_by: Callable[["RunRecord"], str] | None = None,
+    label_by: Callable[["RunRecord"], Hashable] | None = None,
 ) -> AlgorithmComparison:
     """Build an :class:`AlgorithmComparison` from Experiment pipeline results.
 
     The experiment must have been run with ``include_original=True`` and a
-    non-empty metric set (the default is the Table-2 battery); replicates of
-    each method are averaged exactly like :func:`compare_generators` does.
+    non-empty metric set (the default is the Table-2 battery); the
+    replicates of each column are averaged with
+    :func:`~repro.measure.plan.average_measurements`.
 
     Parameters
     ----------
@@ -169,8 +61,8 @@ def comparison_from_experiment(
     d:
         Restrict to one dK level (optional when unambiguous).
     label_by:
-        Column-label function of a record; the default uses the method name,
-        suffixed with the dK level when several levels are present.
+        Column key of a record; the default uses the method name, suffixed
+        with the dK level when several levels are present.
     """
     from repro.experiment import ORIGINAL_METHOD
 
@@ -208,7 +100,7 @@ def comparison_from_experiment(
         else:
             label_by = lambda record: record.method  # noqa: E731
 
-    grouped: dict[str, list] = {}
+    grouped: dict[Hashable, list] = {}
     for record in generated:
         grouped.setdefault(label_by(record), []).append(summary_of(record))
 
@@ -218,12 +110,4 @@ def comparison_from_experiment(
     return AlgorithmComparison(original=original_summary, columns=columns)
 
 
-__all__ = [
-    "AlgorithmComparison",
-    "compare_generators",
-    "standard_2k_generators",
-    "standard_3k_generators",
-    "compare_2k_algorithms",
-    "compare_3k_algorithms",
-    "comparison_from_experiment",
-]
+__all__ = ["AlgorithmComparison", "comparison_from_experiment"]

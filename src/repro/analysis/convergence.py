@@ -2,24 +2,24 @@
 
 A convergence study compares an original topology against its dK-random
 counterparts for ``d = 0..3`` and reports how the metrics (and the figure
-series) approach the original as ``d`` grows.  Measurement goes through one
-:class:`~repro.measure.plan.MeasurementPlan` shared by the original and all
-generated instances, so each graph pays a single BFS sweep / triangle pass
-regardless of how many metrics are requested — and a custom ``metrics=``
-subset (e.g. only ``mean_distance`` for a convergence trace, or
-``distance_distribution`` + ``betweenness_by_degree`` for distribution
-studies) measures exactly what the study needs.
+series) approach the original as ``d`` grows.  The graphs are generated and
+measured by :func:`repro.experiment.run_experiment` over a one-method grid;
+:func:`convergence_from_experiment` folds its records into one column per
+``d``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING
 
-from repro.core.randomness import dk_random_graph
+from repro.analysis.comparison import comparison_from_experiment
+from repro.exceptions import ExperimentError
 from repro.graph.simple_graph import SimpleGraph
-from repro.measure.plan import Measurement, average_measurements, battery_plan
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.measure.plan import Measurement
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiment import ExperimentResult
 
 
 @dataclass
@@ -48,75 +48,35 @@ class ConvergenceStudy:
             d: abs(getattr(summary, metric) - reference) for d, summary in self.by_d.items()
         }
 
-    def is_monotonically_converging(self, metric: str, slack: float = 0.0) -> bool:
-        """True when the metric error does not grow as ``d`` increases.
 
-        ``slack`` allows small non-monotonic wiggles (random instances).
-        """
-        errors = [error for _, error in sorted(self.convergence_error(metric).items())]
-        return all(later <= earlier + slack for earlier, later in zip(errors, errors[1:]))
-
-
-def dk_convergence_study(
-    original: SimpleGraph,
-    *,
-    ds: tuple[int, ...] = (0, 1, 2, 3),
-    instances: int = 3,
-    method: str = "rewiring",
-    rng: RngLike = None,
-    distance_sources: int | None = None,
-    compute_spectrum: bool = True,
-    keep_sample_graphs: bool = False,
-    metrics: Sequence[str] | None = None,
+def convergence_from_experiment(
+    result: "ExperimentResult", *, topology: str | None = None
 ) -> ConvergenceStudy:
-    """Generate dK-random graphs for each requested ``d`` and summarize them.
+    """Build a :class:`ConvergenceStudy` from a one-method experiment grid.
 
-    Parameters
-    ----------
-    instances:
-        Number of random instances per ``d`` whose summaries are averaged
-        (the paper uses 100; benchmarks use a handful to stay fast).
-    method:
-        Construction method passed to :func:`repro.core.dk_random_graph`.
-    keep_sample_graphs:
-        Keep one generated instance per ``d`` (used by the figure series).
-    metrics:
-        À-la-carte metric subset (see
-        :func:`repro.measure.registry.available_metrics`); the default is
-        the full Table-2 battery.
+    The grid must have been run with ``include_original=True``, a non-empty
+    metric set and a single method; the replicates at each ``d`` are
+    averaged as in :func:`~repro.analysis.comparison.comparison_from_experiment`.
+    With ``keep_graphs=True`` the replicate-0 graph of each ``d`` becomes its
+    sample graph.
     """
-    rng = ensure_rng(rng)
-    plan = battery_plan(
-        metrics, compute_spectrum=compute_spectrum, distance_sources=distance_sources
+    if len(result.spec.methods) > 1:
+        raise ExperimentError(
+            f"a convergence study needs a one-method grid, got "
+            f"{', '.join(result.spec.methods)}"
+        )
+    comparison = comparison_from_experiment(
+        result, topology=topology, label_by=lambda record: record.d
     )
-    original_summary = plan.run(original)
-    by_d: dict[int, Measurement] = {}
-    samples: dict[int, SimpleGraph] = {}
-    for d in ds:
-        summaries = []
-        for index, child in enumerate(spawn_rngs(rng, instances)):
-            graph = dk_random_graph(original, d, method=method, rng=child)
-            if keep_sample_graphs and index == 0:
-                samples[d] = graph
-            summaries.append(plan.run(graph, rng=child))
-        by_d[d] = average_measurements(summaries)
-    return ConvergenceStudy(original=original_summary, by_d=by_d, sample_graphs=samples)
-
-
-def dk_random_family(
-    original: SimpleGraph,
-    *,
-    ds: tuple[int, ...] = (0, 1, 2, 3),
-    method: str = "rewiring",
-    rng: RngLike = None,
-) -> dict[int, SimpleGraph]:
-    """One dK-random instance per requested ``d`` (for figure-series plots)."""
-    rng = ensure_rng(rng)
-    children = spawn_rngs(rng, len(ds))
-    return {
-        d: dk_random_graph(original, d, method=method, rng=child)
-        for d, child in zip(ds, children)
+    topology = topology or result.topology_labels()[0]
+    samples = {
+        record.d: record.graph
+        for record in result.records_for(topology=topology, method=result.spec.methods[0])
+        if record.replicate == 0 and record.graph is not None
     }
+    return ConvergenceStudy(
+        original=comparison.original, by_d=comparison.columns, sample_graphs=samples
+    )
 
 
-__all__ = ["ConvergenceStudy", "dk_convergence_study", "dk_random_family"]
+__all__ = ["ConvergenceStudy", "convergence_from_experiment"]

@@ -2,7 +2,9 @@
 
 The paper's evaluation protocol runs every construction algorithm over every
 topology at every dK level, several times, and averages the scalar metrics.
-This module makes that protocol a first-class, batch-oriented API:
+This module makes that protocol a first-class, batch-oriented API, and is
+the one grid runner behind every paper table and figure, the CLI and the
+service:
 
 * :class:`ExperimentSpec` declares the grid — topology names (or graphs, or
   edge-list paths), generator-registry method names, dK levels and a
@@ -16,8 +18,10 @@ This module makes that protocol a first-class, batch-oriented API:
   the results are bit-identical regardless of worker count or scheduling.
 * :class:`ExperimentResult` holds one :class:`RunRecord` per cell and renders
   to plain rows (:meth:`~ExperimentResult.to_rows`) or JSON
-  (:meth:`~ExperimentResult.to_json`); ``repro.analysis.comparison`` and
-  ``repro.analysis.tables`` consume it to rebuild the paper's tables.
+  (:meth:`~ExperimentResult.to_json`); ``repro.analysis.comparison``
+  (one column per method), ``repro.analysis.convergence`` (one column per
+  d) and ``repro.analysis.tables`` consume it to rebuild the paper's tables.
+  Each record keeps its chain's ``stats``.
 * ``run_experiment(spec, store=...)`` persists every generated graph, metric
   block and finished cell into a content-addressed
   :class:`~repro.store.artifact_store.ArtifactStore`; with ``resume=True``
@@ -69,7 +73,7 @@ from repro.graph.io import read_edge_list
 from repro.graph.mmap_io import graph_content_hash
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import bfs_histogram
-from repro.measure.plan import Measurement, MeasurementPlan
+from repro.measure.plan import Measurement, battery_plan
 from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.store.keys import code_version, generation_key, stable_hash
 from repro.store.memo import memoized_build, memoized_measure
@@ -210,13 +214,10 @@ class ExperimentSpec:
             raise ExperimentError(
                 f"method name {ORIGINAL_METHOD!r} is reserved for include_original"
             )
-        if self.metrics is None:
-            plan = MeasurementPlan.table2(compute_spectrum=self.compute_spectrum)
-        else:
-            try:
-                plan = MeasurementPlan(tuple(self.metrics))
-            except ValueError as error:
-                raise ExperimentError(str(error)) from None
+        try:
+            plan = battery_plan(self.metrics, compute_spectrum=self.compute_spectrum)
+        except ValueError as error:
+            raise ExperimentError(str(error)) from None
         object.__setattr__(self, "metrics", plan.metrics)
         if self.scenarios is not None:
             try:
@@ -464,7 +465,9 @@ def _derive_seed(
 
 
 #: Per-process cache of topologies resolved from registered names or paths.
-_TOPOLOGY_CACHE: dict[str, SimpleGraph] = {}
+#: An edge-list path is keyed by its resolved path and holds the file's
+#: ``(st_mtime_ns, st_size)`` stamp, so a rewritten file is read again.
+_TOPOLOGY_CACHE: dict[str, tuple[tuple[int, int] | None, SimpleGraph]] = {}
 
 
 def _resolve_topology(entry: Any) -> SimpleGraph:
@@ -472,19 +475,22 @@ def _resolve_topology(entry: Any) -> SimpleGraph:
     if isinstance(entry, SimpleGraph) or getattr(entry, "is_biggraph", False):
         return entry
     key = str(entry)
+    stamp = None
+    if key not in available_topologies():
+        path = Path(key)
+        if not path.exists():
+            raise ExperimentError(
+                f"{key!r} is neither a registered topology "
+                f"({', '.join(available_topologies())}) nor an existing edge-list file"
+            )
+        key = str(path.resolve())
+        stat = path.stat()
+        stamp = (stat.st_mtime_ns, stat.st_size)
     cached = _TOPOLOGY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if key in available_topologies():
-        graph = build_topology(key)
-    elif Path(key).exists():
-        graph = read_edge_list(key)
-    else:
-        raise ExperimentError(
-            f"{key!r} is neither a registered topology "
-            f"({', '.join(available_topologies())}) nor an existing edge-list file"
-        )
-    _TOPOLOGY_CACHE[key] = graph
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    graph = build_topology(key) if stamp is None else read_edge_list(key)
+    _TOPOLOGY_CACHE[key] = (stamp, graph)
     return graph
 
 
@@ -1025,36 +1031,23 @@ def _run_experiment(
         )
 
     if pending:
-        if workers <= 1:
-            try:
-                for index, (cell, cell_key, topo_hash) in pending:
-                    if cancel is not None and cancel.is_set():
-                        raise _interrupted("cancelled")
-                    records[index] = _execute_cell(
-                        spec,
-                        cell,
-                        store=store,
-                        cell_key=cell_key,
-                        topology_hash=topo_hash,
-                        read_cache=resume,
-                    )
-                    completed += 1
-                    if on_cell is not None:
-                        on_cell(completed, len(cells))
-            except KeyboardInterrupt:
-                # the in-flight cell is abandoned (no manifest written), but
-                # everything it memoized at the graph/metric level is kept
-                raise _interrupted("interrupt") from None
-        elif spec.shard_sources is not None:
-            # million-node mode: cells run inline (one huge graph rarely fits
-            # in several workers at once), and the pool parallelizes *within*
-            # each cell by sharding the BFS sweep's source blocks
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(spec, store, resume, telemetry.tracing_enabled()),
+        if workers <= 1 or spec.shard_sources is not None:
+            # cells run inline; with shard_sources (the million-node mode: one
+            # huge graph rarely fits in several workers at once) the pool
+            # parallelizes *within* each cell by sharding the BFS sweep's
+            # source blocks
+            with (
+                nullcontext()
+                if workers <= 1
+                else ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_init_worker,
+                    initargs=(spec, store, resume, telemetry.tracing_enabled()),
+                )
             ) as pool:
-                sweep_executor = _make_sweep_executor(pool, spec.shard_sources)
+                sweep_executor = (
+                    None if pool is None else _make_sweep_executor(pool, spec.shard_sources)
+                )
                 try:
                     for index, (cell, cell_key, topo_hash) in pending:
                         if cancel is not None and cancel.is_set():
@@ -1072,6 +1065,8 @@ def _run_experiment(
                         if on_cell is not None:
                             on_cell(completed, len(cells))
                 except KeyboardInterrupt:
+                    # the in-flight cell is abandoned (no manifest written), but
+                    # everything it memoized at the graph/metric level is kept
                     raise _interrupted("interrupt") from None
         else:
             with ProcessPoolExecutor(

@@ -195,7 +195,7 @@ def battery_plan(
     distance_sources: int | None = None,
     use_giant_component: bool = True,
 ) -> "MeasurementPlan":
-    """The plan of a comparison or convergence study.
+    """The plan of an experiment grid's metric set.
 
     ``metrics is None`` selects the full Table-2 battery (the λ metrics iff
     ``compute_spectrum``); an explicit tuple selects exactly those metrics.

@@ -120,7 +120,6 @@ class TopologyService:
         self._active = 0  # computations admitted and not yet finished
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
-        self._topologies: dict[str, SimpleGraph] = {}
         # degraded-graph cache of /v1/workload: (source, scenario, seed) ->
         # (graph, stats, content_hash); bounded FIFO
         self._degraded: dict[tuple, tuple[SimpleGraph, dict, str]] = {}
@@ -242,17 +241,12 @@ class TopologyService:
             return graph
         if not isinstance(topology, str):
             raise HTTPError(400, "'topology' must be a string")
-        cached = self._topologies.get(topology)
-        if cached is not None:
-            return cached
         from repro.experiment import _resolve_topology
 
         try:
-            graph = _resolve_topology(topology)
+            return _resolve_topology(topology)
         except ExperimentError as error:
             raise HTTPError(400, str(error)) from None
-        self._topologies[topology] = graph
-        return graph
 
     def _metrics_warm(
         self,

@@ -34,13 +34,4 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     raise TypeError(f"cannot build a random generator from {type(rng).__name__}")
 
 
-def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
-    """Spawn ``count`` statistically independent child generators."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    parent = ensure_rng(rng)
-    seeds = parent.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(seed)) for seed in seeds]
-
-
-__all__ = ["RngLike", "ensure_rng", "spawn_rngs"]
+__all__ = ["RngLike", "ensure_rng"]

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.analysis.comparison import (
-    compare_2k_algorithms,
-    compare_generators,
-    standard_2k_generators,
-    standard_3k_generators,
-)
-from repro.analysis.convergence import dk_convergence_study, dk_random_family
+from repro.analysis.comparison import comparison_from_experiment
+from repro.analysis.convergence import convergence_from_experiment
 from repro.analysis.figures import (
     betweenness_series,
     clustering_series,
@@ -17,70 +12,73 @@ from repro.analysis.figures import (
     series_l1_difference,
 )
 from repro.analysis.tables import format_value, render_table, scalar_metrics_table, series_table
-from repro.core.randomness import dk_random_graph
+from repro.exceptions import ExperimentError
+from repro.experiment import ExperimentSpec, run_experiment
 from repro.metrics.summary import summarize
 
 
+def _rewiring_grid(graph, d_levels, **options):
+    spec = ExperimentSpec(
+        topologies=(graph,),
+        methods=("rewiring",),
+        d_levels=d_levels,
+        include_original=True,
+        **options,
+    )
+    return run_experiment(spec)
+
+
 class TestComparison:
-    def test_compare_generators(self, hot_small):
-        generators = {
-            "1K-rewiring": lambda rng=None: dk_random_graph(hot_small, 1, rng=rng),
-            "2K-rewiring": lambda rng=None: dk_random_graph(hot_small, 2, rng=rng),
-        }
-        comparison = compare_generators(
-            hot_small, generators, instances=2, rng=1, compute_spectrum=False
-        )
-        assert set(comparison.columns) == {"1K-rewiring", "2K-rewiring"}
+    def test_comparison_labels_each_level(self, hot_small):
+        result = _rewiring_grid(hot_small, (1, 2), replicates=2, seed=1)
+        comparison = comparison_from_experiment(result)
+        assert set(comparison.columns) == {"rewiring (d=1)", "rewiring (d=2)"}
         columns = comparison.as_columns()
         assert "Original" in columns
         # rewirings preserve the average degree exactly (GCC effects aside)
-        assert columns["2K-rewiring"].average_degree == pytest.approx(
+        assert columns["rewiring (d=2)"].average_degree == pytest.approx(
             columns["Original"].average_degree, rel=0.05
         )
 
-    def test_standard_generator_sets(self, hot_small):
-        assert set(standard_2k_generators(hot_small)) == {
-            "Stochastic",
-            "Pseudograph",
-            "Matching",
-            "2K-randomizing",
-            "2K-targeting",
-        }
-        assert set(standard_3k_generators(hot_small)) == {"3K-randomizing", "3K-targeting"}
-
-    def test_compare_2k_algorithms_subset(self, hot_small):
-        comparison = compare_2k_algorithms(
-            hot_small,
-            instances=1,
-            rng=2,
-            compute_spectrum=False,
-            labels=("Pseudograph", "2K-randomizing"),
-        )
-        assert set(comparison.columns) == {"Pseudograph", "2K-randomizing"}
+    def test_original_column_is_seeded(self, as_small):
+        # the original is measured on its own seeded stream, so a sampled
+        # distance estimate reads the same in every run of the grid
+        originals = [
+            comparison_from_experiment(
+                _rewiring_grid(as_small, (1,), seed=2, distance_sources=20)
+            ).original
+            for _ in range(2)
+        ]
+        assert originals[0] == originals[1]
 
 
 class TestConvergence:
-    def test_dk_convergence_study(self, hot_small):
-        study = dk_convergence_study(
-            hot_small, ds=(0, 1, 2), instances=1, rng=3, compute_spectrum=False
-        )
+    def test_convergence_from_experiment(self, hot_small):
+        study = convergence_from_experiment(_rewiring_grid(hot_small, (0, 1, 2), seed=3))
         assert set(study.by_d) == {0, 1, 2}
         columns = study.as_columns()
         assert list(columns) == ["0K", "1K", "2K", "Original"]
         errors = study.convergence_error("assortativity")
         # 2K-random graphs reproduce r exactly; 0K-random graphs do not
         assert errors[2] <= errors[0]
+        assert study.sample_graphs == {}
 
-    def test_convergence_monotonicity_helper(self, hot_small):
-        study = dk_convergence_study(
-            hot_small, ds=(1, 2), instances=1, rng=4, compute_spectrum=False
+    def test_convergence_sample_graphs(self, hot_small):
+        result = _rewiring_grid(hot_small, (0, 2), replicates=2, seed=5, keep_graphs=True)
+        study = convergence_from_experiment(result)
+        assert set(study.sample_graphs) == {0, 2}
+        assert study.sample_graphs[2] is result.records_for(d=2)[0].graph
+        assert study.sample_graphs[2].number_of_edges == hot_small.number_of_edges
+
+    def test_convergence_needs_one_method(self, hot_small):
+        spec = ExperimentSpec(
+            topologies=(hot_small,),
+            methods=("rewiring", "pseudograph"),
+            d_levels=(1,),
+            include_original=True,
         )
-        assert isinstance(study.is_monotonically_converging("average_degree", slack=1.0), bool)
-
-    def test_dk_random_family(self, hot_small):
-        family = dk_random_family(hot_small, ds=(0, 2), rng=5)
-        assert set(family) == {0, 2}
-        assert family[2].number_of_edges == hot_small.number_of_edges
+        with pytest.raises(ExperimentError, match="one-method"):
+            convergence_from_experiment(run_experiment(spec))
 
 
 class TestFigures:

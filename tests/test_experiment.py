@@ -158,6 +158,15 @@ def test_graph_and_path_topology_entries(tmp_path, hot_small):
     assert by_topology[str(path)].edges > 0
 
 
+def test_rewritten_edge_list_is_read_again(tmp_path):
+    path = tmp_path / "grown.edges"
+    spec = ExperimentSpec(topologies=(str(path),), methods=(), include_original=True)
+    path.write_text("0 1\n1 2\n")
+    assert run_experiment(spec).records[0].edges == 2
+    path.write_text("0 1\n1 2\n2 3\n3 0\n")
+    assert run_experiment(spec).records[0].edges == 4
+
+
 def test_unresolvable_topology_raises():
     spec = ExperimentSpec(topologies=("no-such-thing",), methods=("pseudograph",), d_levels=(2,))
     with pytest.raises(ExperimentError, match="neither a registered topology"):

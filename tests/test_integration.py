@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.analysis.convergence import dk_convergence_study
+from repro.analysis.convergence import convergence_from_experiment
 from repro.core.randomness import dk_random_graph
 from repro.core.series import DKSeries
+from repro.experiment import ExperimentSpec
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.metrics.summary import summarize
 from repro.topologies.registry import build_topology
@@ -36,9 +37,14 @@ def test_full_pipeline_analyze_generate_compare(tmp_path, hot_small):
 def test_convergence_shape_on_hot_like_topology(hot_small):
     """The HOT-like headline result: higher d reproduces the original more
     faithfully (Table 8's qualitative shape)."""
-    study = dk_convergence_study(
-        hot_small, ds=(0, 1, 2, 3), instances=1, rng=7, compute_spectrum=False
+    spec = ExperimentSpec(
+        topologies=(hot_small,),
+        methods=("rewiring",),
+        d_levels=(0, 1, 2, 3),
+        seed=7,
+        include_original=True,
     )
+    study = convergence_from_experiment(spec.run())
     errors_r = study.convergence_error("assortativity")
     errors_d = study.convergence_error("mean_distance")
     # 0K-random graphs are far from the original; 2K/3K-random graphs match r
