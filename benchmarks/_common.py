@@ -139,8 +139,6 @@ def chain_stats_table(result: Any, *, title: str | None = None) -> str:
         accepted = stats.get("accepted_moves", "-")
         attempted = stats.get("attempted_moves", "-")
         rate = stats.get("accept_rate")
-        if rate is None and isinstance(attempted, int) and attempted > 0:
-            rate = accepted / attempted
         rows.append(
             [
                 record.method,

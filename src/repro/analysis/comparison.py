@@ -46,10 +46,13 @@ def comparison_from_experiment(
 ) -> AlgorithmComparison:
     """Build an :class:`AlgorithmComparison` from Experiment pipeline results.
 
-    The experiment must have been run with ``include_original=True`` and a
-    non-empty metric set (the default is the Table-2 battery); the
-    replicates of each column are averaged with
-    :func:`~repro.measure.plan.average_measurements`.
+    The experiment must have been run with ``include_original=True``, a
+    non-empty metric set (the default is the Table-2 battery) and at most
+    one scenario; the replicates of each column are averaged with
+    :func:`~repro.measure.plan.average_measurements`.  A grid of several
+    scenarios raises :class:`ExperimentError`: averaging intact and degraded
+    graphs into one column would compare their mean with the intact
+    original.
 
     Parameters
     ----------
@@ -66,6 +69,11 @@ def comparison_from_experiment(
     """
     from repro.experiment import ORIGINAL_METHOD
 
+    scenarios = result.spec.scenarios
+    if scenarios is not None and len(scenarios) > 1:
+        raise ExperimentError(
+            f"a comparison needs a grid of at most one scenario, got {len(scenarios)}"
+        )
     labels = result.topology_labels()
     if topology is None:
         if len(labels) != 1:

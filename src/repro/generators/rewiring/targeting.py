@@ -190,8 +190,9 @@ def dk_targeting_result(
       2K-preserving rewiring.
 
     The ``stats`` dict records the Metropolis chain's outcome: the final
-    distance to the target distribution, accepted/attempted move counts,
-    whether the target was reached exactly (``converged``) and the engine.
+    distance to the target distribution, accepted/attempted move counts and
+    their ratio (``accept_rate``, as the randomize chains report it), whether
+    the target was reached exactly (``converged``) and the engine.
     """
     rng = ensure_rng(rng)
     if isinstance(target, JointDegreeDistribution):
@@ -209,6 +210,9 @@ def dk_targeting_result(
         "distance": float(run.distance),
         "accepted_moves": run.accepted_moves,
         "attempted_moves": run.attempted_moves,
+        "accept_rate": (
+            run.accepted_moves / run.attempted_moves if run.attempted_moves else 0.0
+        ),
         "converged": run.converged,
         "engine": ENGINE_NAME,
     }

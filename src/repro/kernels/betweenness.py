@@ -35,6 +35,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.kernels.bfs import MAX_GATHER_BYTES
+from repro.kernels.biggraph import _canonical_edges
 
 #: Sources (dense columns) per block at most.
 BLOCK_SOURCES = 64
@@ -48,19 +49,6 @@ _ENTRY_BYTES = 4 + 7 * 8
 def _block_sources(n: int) -> int:
     """Sources per block keeping the dense scratch under MAX_GATHER_BYTES."""
     return max(1, min(BLOCK_SOURCES, MAX_GATHER_BYTES // (max(n, 1) * _ENTRY_BYTES)))
-
-
-def _canonical_edges(view) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted canonical edges ``(u, v)``, ``u < v``, of a CSR-shaped view.
-
-    With every row sorted, the arcs with ``neighbor > row`` in CSR order are
-    exactly the canonical edges in ascending ``(u, v)`` order — the order
-    the workload layer emits per-edge load vectors in.
-    """
-    rows = np.repeat(np.arange(view.n, dtype=np.int64), view.degrees)
-    cols = np.asarray(view.indices, dtype=np.int64)
-    keep = cols > rows
-    return rows[keep], cols[keep]
 
 
 def _accumulate_block(

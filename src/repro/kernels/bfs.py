@@ -12,7 +12,13 @@ is
 
 — a single gather of the CSR neighbor rows plus one ``np.bitwise_or.reduceat``
 over the row boundaries.  The number of pairs at distance exactly ``level``
-is the growth of the total popcount.  Per level the whole sweep touches
+is the growth of the total popcount (``np.bitwise_count``, the hardware
+popcount, one byte per word).  Three details keep a level at array speed:
+the ``uint32`` indices of a memory-mapped BigGraph are converted to the
+``intp`` gather index once per sweep, not once per level; the gather is an
+``np.take`` along axis 0, cheaper than the equivalent fancy index; and when
+every row has a neighbor (always on a giant component) the merged rows are
+ORed into ``R`` in place, with no row index.  Per level the whole sweep touches
 ``2m · ⌈sources/64⌉`` words, so the full all-pairs histogram costs
 ``O(diameter · n · m / 64)`` word operations — typically 40-100x faster than
 the per-source Python BFS, with bit-identical integer counts.
@@ -32,14 +38,6 @@ MAX_GATHER_BYTES = 256 * 1024 * 1024
 
 #: Bits (sources) packed into one block at most.
 MAX_BLOCK_BITS = 4096
-
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
-
-
-def _popcount(words: np.ndarray) -> int:
-    """Total set bits; byte histogram keeps the intermediate at 256 entries."""
-    per_byte = np.bincount(words.view(np.uint8).ravel(), minlength=256)
-    return int(per_byte @ _POPCOUNT)
 
 
 def _block_bits(edge_slots: int) -> int:
@@ -63,8 +61,10 @@ def histogram_from_csr(csr, source_nodes: Sequence[int]) -> dict[int, int]:
     sources = np.asarray(source_nodes, dtype=np.int64)
     histogram: dict[int, int] = {0: len(sources)}  # every source sees itself
     reachable_rows = np.flatnonzero(csr.degrees > 0)
+    every_row = reachable_rows.size == csr.n  # always true on a GCC
     row_starts = csr.indptr[reachable_rows]
-    block = _block_bits(len(csr.indices))
+    indices = np.asarray(csr.indices, dtype=np.intp)  # gather index, once per sweep
+    block = _block_bits(len(indices))
     for begin in range(0, len(sources), block):
         batch = sources[begin : begin + block]
         words = (len(batch) + 63) // 64
@@ -78,10 +78,13 @@ def histogram_from_csr(csr, source_nodes: Sequence[int]) -> dict[int, int]:
         covered = len(batch)  # running popcount: pairs within `level` hops
         level = 0
         while reachable_rows.size:
-            gathered = balls[csr.indices]  # a copy, so the in-place OR is safe
+            gathered = np.take(balls, indices, axis=0)  # a copy: the OR below is safe
             merged = np.bitwise_or.reduceat(gathered, row_starts, axis=0)
-            balls[reachable_rows] |= merged
-            now_covered = _popcount(balls)
+            if every_row:
+                balls |= merged
+            else:
+                balls[reachable_rows] |= merged
+            now_covered = int(np.bitwise_count(balls).sum(dtype=np.int64))
             if now_covered == covered:
                 break  # no ball grew: every remaining pair is disconnected
             level += 1

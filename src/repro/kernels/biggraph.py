@@ -202,6 +202,19 @@ def _view(graph):
     return csr_graph(graph)
 
 
+def _canonical_edges(view) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted canonical edges ``(u, v)``, ``u < v``, of a CSR-shaped view.
+
+    With every row sorted, the arcs with ``neighbor > row`` in CSR order are
+    exactly the canonical edges in ascending ``(u, v)`` order — the order
+    the workload layer emits per-edge load vectors in.
+    """
+    rows = np.repeat(np.arange(view.n, dtype=np.int64), view.degrees)
+    cols = np.asarray(view.indices, dtype=np.int64)
+    keep = cols > rows
+    return rows[keep], cols[keep]
+
+
 def _arc_rows(view, begin: int, end: int):
     """Row (origin node) of every arc position in ``[begin, end)``."""
     positions = np.arange(begin, end, dtype=np.int64)
@@ -238,22 +251,43 @@ def bfs_sweep(
     return brandes_sweep(view, source_nodes, want_edge_load)
 
 
+def _neighbor_degree_sums(view):
+    """``(k, s)`` per node block: degrees and neighbor-degree row sums.
+
+    ``s_v = Σ_{u∈N(v)} k_u`` is one sparse product of the block's adjacency
+    rows with ``k``, exact in int64.  Node blocks are picked so their arc
+    span stays near ``ARC_CHUNK``.  Every edge-degree moment is a node sum of
+    ``k`` and ``s``, since each arc ``v → u`` adds ``k_u`` to ``s_v``.
+    """
+    from scipy.sparse import csr_matrix
+
+    block = max(1, int(view.n * ARC_CHUNK / max(len(view.indices), 1)))
+    for begin in range(0, view.n, block):
+        end = min(begin + block, view.n)
+        lo, hi = int(view.indptr[begin]), int(view.indptr[end])
+        rows = csr_matrix(
+            (
+                np.ones(hi - lo, dtype=np.int64),
+                view.indices[lo:hi],
+                view.indptr[begin : end + 1] - lo,
+            ),
+            shape=(end - begin, view.n),
+        )
+        yield view.degrees[begin:end], rows @ view.degrees
+
+
 def edge_degree_moments(graph) -> tuple[int, int, int]:
-    """``(Σ k_u·k_v, Σ (k_u+k_v), Σ (k_u²+k_v²))``, chunked over the arcs."""
-    view = _view(graph)
-    sum_prod = sum_ends = sum_ends_sq = 0
-    total = len(view.indices)
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        neigh = view.indices[begin:end].astype(np.int64)
-        mask = neigh > rows  # canonical arcs only: each edge counted once
-        ku = view.degrees[rows[mask]]
-        kv = view.degrees[neigh[mask]]
-        sum_prod += int(np.sum(ku * kv))
-        sum_ends += int(np.sum(ku) + np.sum(kv))
-        sum_ends_sq += int(np.sum(ku * ku) + np.sum(kv * kv))
-    return sum_prod, sum_ends, sum_ends_sq
+    """``(Σ k_u·k_v, Σ (k_u+k_v), Σ (k_u²+k_v²))`` over the edges.
+
+    From node sums: ``½ Σ k_v·s_v``, ``Σ k²`` and ``Σ k³``.
+    """
+    twice_prod = sum_ends = sum_ends_sq = 0
+    for k, s in _neighbor_degree_sums(_view(graph)):
+        squares = k * k
+        twice_prod += int(np.dot(k, s))
+        sum_ends += int(np.sum(squares))
+        sum_ends_sq += int(np.dot(squares, k))
+    return twice_prod // 2, sum_ends, sum_ends_sq
 
 
 def _edge_chunks(graph):
@@ -297,27 +331,10 @@ def jdd_counts(graph) -> tuple[dict[tuple[int, int], int], int]:
 
 
 def second_order_total(graph) -> int:
-    """``Σ_v [(Σ_{u∈N(v)} k_u)² − Σ_{u∈N(v)} k_u²]``, chunked by node block."""
-    view = _view(graph)
-    if view.m == 0:
-        return 0
+    """``Σ_v [(Σ_{u∈N(v)} k_u)² − Σ_{u∈N(v)} k_u²] = Σ s_v² − Σ k³``."""
     total = 0
-    n = view.n
-    # pick node blocks whose arc span stays near ARC_CHUNK
-    block = max(1, int(n * ARC_CHUNK / max(len(view.indices), 1)))
-    for begin in range(0, n, block):
-        end = min(begin + block, n)
-        lo, hi = int(view.indptr[begin]), int(view.indptr[end])
-        if lo == hi:
-            continue
-        neighbor_degrees = view.degrees[view.indices[lo:hi].astype(np.int64)]
-        local_indptr = view.indptr[begin : end + 1] - lo
-        cumulative = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(neighbor_degrees, out=cumulative[1:])
-        row_sums = cumulative[local_indptr[1:]] - cumulative[local_indptr[:-1]]
-        np.cumsum(neighbor_degrees * neighbor_degrees, out=cumulative[1:])
-        row_sq_sums = cumulative[local_indptr[1:]] - cumulative[local_indptr[:-1]]
-        total += int(np.sum(row_sums * row_sums - row_sq_sums))
+    for k, s in _neighbor_degree_sums(_view(graph)):
+        total += int(np.dot(s, s)) - int(np.dot(k * k, k))
     return total
 
 

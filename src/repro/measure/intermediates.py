@@ -9,7 +9,9 @@ figures) is a thin formula over a handful of expensive intermediates:
   single time and returns both the distance histogram and the raw
   betweenness accumulation,
 * one **triangle pass** feeding C̄ / C(k) / transitivity,
-* one **edge-degree-moments pass** feeding r, S and (via the wedge total) S2,
+* the **edge-degree moments** feeding r and S, and the **wedge total**
+  feeding S2 — each one pass over the degrees k and the neighbor-degree
+  row sums s_v = Σ_{u∈N(v)} k_u,
 * the optional Laplacian **spectrum** extremes.
 
 This module owns those intermediates.  Each ``shared_*`` helper computes its

@@ -5,25 +5,33 @@ Per-node triangle counts come from the shared measurement-intermediate layer
 on the graph — so ``mean_clustering`` followed by ``transitivity`` (or a
 planner run asking for both) counts triangles once.  The counts are exact
 integers, and the coefficient arithmetic below is shared with the planner,
-so clustering values are the same bits on either path.
+so clustering values are the same bits on either path.  Degrees come from
+the CSR view every kernel shares, so a :class:`SimpleGraph` and a
+:class:`~repro.kernels.biggraph.BigGraph` run the same array formula.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import _view
 from repro.measure.intermediates import shared_triangles
 
 
 def coefficients_from_triangles(graph: SimpleGraph, triangles: list[int]) -> list[float]:
-    """Local clustering coefficients from per-node triangle counts."""
-    values = []
-    for node in graph.nodes():
-        k = graph.degree(node)
-        if k < 2:
-            values.append(0.0)
-        else:
-            values.append(2.0 * triangles[node] / (k * (k - 1)))
-    return values
+    """Local clustering coefficients ``2t / (k(k−1))`` (0 where k < 2)."""
+    degrees = _view(graph).degrees
+    values = np.zeros(len(degrees))
+    # float64 numerator over the int64 pair count: the same IEEE division
+    # as the scalar ``2.0 * t / (k * (k - 1))``
+    np.divide(
+        2.0 * np.asarray(triangles, dtype=np.int64),
+        degrees * (degrees - 1),
+        out=values,
+        where=degrees >= 2,
+    )
+    return values.tolist()
 
 
 def local_clustering_coefficients(graph: SimpleGraph) -> list[float]:
@@ -55,7 +63,8 @@ def clustering_by_degree(graph: SimpleGraph) -> dict[int, float]:
 
 def transitivity_from_triangles(graph: SimpleGraph, triangles: list[int]) -> float:
     """Global transitivity from per-node triangle counts (shared formula)."""
-    triples = sum(k * (k - 1) // 2 for k in graph.degrees())
+    degrees = _view(graph).degrees
+    triples = int(np.sum(degrees * (degrees - 1) // 2))
     if triples == 0:
         return 0.0
     # each triangle is counted once per member node

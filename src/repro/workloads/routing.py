@@ -21,6 +21,7 @@ shares the scaling (``finalize_edge_load``) and the sweep.
 from __future__ import annotations
 
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import _canonical_edges, _view
 from repro.measure.intermediates import shared_sweep
 from repro.metrics.betweenness import finalize_betweenness, finalize_edge_load
 from repro.utils.rng import RngLike
@@ -28,7 +29,8 @@ from repro.utils.rng import RngLike
 
 def canonical_edge_order(graph: SimpleGraph) -> list[tuple[int, int]]:
     """The sorted canonical edge list every per-edge load vector aligns with."""
-    return sorted(graph.edge_list())
+    us, vs = _canonical_edges(_view(graph))
+    return list(zip(us.tolist(), vs.tolist()))
 
 
 def routing_load(
@@ -73,10 +75,11 @@ def edge_load_by_degree(
     scaling in scale-free graphs ("Communication Bottlenecks in Scale-Free
     Networks"): hub–hub links concentrate the load.
     """
+    degrees = _view(graph).degrees.tolist()
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for (u, v), value in edge_load.items():
-        key = graph.degree(u) * graph.degree(v)
+        key = degrees[u] * degrees[v]
         sums[key] = sums.get(key, 0.0) + value
         counts[key] = counts.get(key, 0) + 1
     return {key: sums[key] / counts[key] for key in sorted(sums)}

@@ -51,6 +51,17 @@ class TestComparison:
         ]
         assert originals[0] == originals[1]
 
+    def test_comparison_refuses_a_scenario_grid(self, hot_small):
+        # one column per method would average the intact and the degraded
+        # graphs, against an intact original
+        result = _rewiring_grid(
+            hot_small, (1,), seed=1, metrics=("edges",), scenarios=(None, "hub_degree:0.05")
+        )
+        with pytest.raises(ExperimentError, match="at most one scenario"):
+            comparison_from_experiment(result)
+        with pytest.raises(ExperimentError, match="at most one scenario"):
+            convergence_from_experiment(result)
+
 
 class TestConvergence:
     def test_convergence_from_experiment(self, hot_small):

@@ -220,6 +220,15 @@ def test_generator_options_are_forwarded(hot_small):
     assert record.stats["target_moves"] == hot_small.number_of_edges
 
 
+def test_targeting_cell_reports_its_accept_rate(hot_small):
+    spec = ExperimentSpec(
+        topologies=(hot_small,), methods=("targeting",), d_levels=(2,), seed=5, metrics=()
+    )
+    stats = run_experiment(spec).records[0].stats
+    assert stats["attempted_moves"] > 0
+    assert stats["accept_rate"] == stats["accepted_moves"] / stats["attempted_moves"]
+
+
 # --------------------------------------------------------------------------- #
 # Analysis consumption
 # --------------------------------------------------------------------------- #

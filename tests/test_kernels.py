@@ -14,10 +14,12 @@ from oracle import oracle_kernels
 import repro
 from repro.graph.simple_graph import SimpleGraph
 from repro.graph.subgraphs import triangles_per_node as triangles_reference
+from repro.kernels import bfs as bfs_mod
 from repro.kernels import biggraph as biggraph_mod
 from repro.kernels.backend import AUTO_THRESHOLD, resolve_backend
 from repro.kernels.biggraph import BigGraph, bfs_histogram
 from repro.kernels.csr import csr_graph
+from repro.measure.plan import MeasurementPlan
 from repro.metrics.betweenness import node_betweenness
 from repro.metrics.distances import bfs_distances, sample_sources
 
@@ -157,6 +159,30 @@ class TestBfsKernel:
         assert full[0] == 130
         assert sum(full.values()) == 130 * 130
 
+    def test_histogram_with_isolated_nodes_matches_oracle(self):
+        # nodes 60..69 have no neighbor: the sweep ORs into the reachable
+        # rows only, and a source among them sees just itself
+        graph = SimpleGraph(70, edges=_random_graph(60, 90, seed=4).edge_list())
+        for sources in (list(graph.nodes()), [0, 5, 61, 69]):
+            expected = oracle.bfs_histogram(graph, sources)
+            assert bfs_histogram(graph, sources) == expected
+            assert bfs_histogram(BigGraph.from_simple_graph(graph), sources) == expected
+
+    def test_histogram_over_several_source_blocks_matches_oracle(self, monkeypatch, hot_small):
+        # a tiny gather budget cuts the sweep into 64-source blocks
+        monkeypatch.setattr(bfs_mod, "MAX_GATHER_BYTES", 8)
+        sources = list(hot_small.nodes())
+        assert bfs_mod._block_bits(2 * hot_small.number_of_edges) == 64 < len(sources)
+        assert bfs_histogram(hot_small, sources) == oracle.bfs_histogram(hot_small, sources)
+
+    def test_histogram_on_memory_mapped_uint32_graph_matches_oracle(self, hot_small, tmp_path):
+        BigGraph.from_simple_graph(hot_small).save(tmp_path / "art")
+        loaded = BigGraph.load(tmp_path / "art")
+        assert isinstance(loaded.indices, np.memmap)
+        assert loaded.indices.dtype == np.uint32
+        sources = list(hot_small.nodes())[::3]
+        assert bfs_histogram(loaded, sources) == oracle.bfs_histogram(hot_small, sources)
+
 
 class TestBetweennessKernel:
     def test_matches_python_exactly_enough(self, mixed_graph):
@@ -253,3 +279,13 @@ def test_chunked_kernels_match_python_across_chunks(
         expected = getattr(oracle, name)(graph)
         assert getattr(biggraph_mod, name)(graph) == expected, name
         assert getattr(biggraph_mod, name)(big) == expected, name
+
+
+@pytest.mark.parametrize("metric", ["transitivity", "edge_load_by_degree"])
+def test_triangle_and_edge_load_metrics_run_on_biggraph(metric, hot_small):
+    # edge_load_by_degree is the degree-product load of Sreenivasan et al. 2006
+    plan = MeasurementPlan((metric,))
+    simple = plan.run(hot_small)[metric]
+    assert plan.run(BigGraph.from_simple_graph(hot_small))[metric] == simple
+    with oracle_kernels():
+        assert plan.run(hot_small.copy())[metric] == pytest.approx(simple, rel=1e-12)
