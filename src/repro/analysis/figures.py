@@ -10,14 +10,17 @@ counterparts:
 Since this reproduction is head-less, each "figure" is a mapping
 ``series label -> {x: y}`` that benchmarks render as aligned text tables and
 record in EXPERIMENTS.md; any plotting front-end can consume the same data.
+Every series measures the graph's cached measurement target
+(:func:`~repro.measure.intermediates.shared_target`), so the figures of one
+graph extract its giant component once and share its exact sweep.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.graph.components import giant_component
 from repro.graph.simple_graph import SimpleGraph
+from repro.measure.intermediates import shared_target
 from repro.metrics.betweenness import betweenness_by_degree
 from repro.metrics.clustering import clustering_by_degree
 from repro.metrics.degree import degree_ccdf
@@ -25,10 +28,6 @@ from repro.metrics.distances import distance_distribution
 from repro.utils.rng import RngLike
 
 FigureSeries = dict[str, dict]
-
-
-def _prepare(graph: SimpleGraph, use_giant_component: bool) -> SimpleGraph:
-    return giant_component(graph) if use_giant_component else graph
 
 
 def distance_distribution_series(
@@ -40,7 +39,11 @@ def distance_distribution_series(
 ) -> FigureSeries:
     """Distance-distribution PDFs for several labelled graphs."""
     return {
-        label: distance_distribution(_prepare(graph, use_giant_component), sources=sources, rng=rng)
+        label: distance_distribution(
+            shared_target(graph, use_giant_component=use_giant_component),
+            sources=sources,
+            rng=rng,
+        )
         for label, graph in graphs.items()
     }
 
@@ -55,7 +58,9 @@ def betweenness_series(
     """Normalized node betweenness averaged per degree, per labelled graph."""
     return {
         label: betweenness_by_degree(
-            _prepare(graph, use_giant_component), sources=sources, rng=rng
+            shared_target(graph, use_giant_component=use_giant_component),
+            sources=sources,
+            rng=rng,
         )
         for label, graph in graphs.items()
     }
@@ -68,7 +73,9 @@ def clustering_series(
 ) -> FigureSeries:
     """Clustering ``C(k)`` per degree, per labelled graph."""
     return {
-        label: clustering_by_degree(_prepare(graph, use_giant_component))
+        label: clustering_by_degree(
+            shared_target(graph, use_giant_component=use_giant_component)
+        )
         for label, graph in graphs.items()
     }
 
@@ -80,7 +87,7 @@ def degree_ccdf_series(
 ) -> FigureSeries:
     """Degree CCDFs per labelled graph (the standard AS-topology plot)."""
     return {
-        label: degree_ccdf(_prepare(graph, use_giant_component))
+        label: degree_ccdf(shared_target(graph, use_giant_component=use_giant_component))
         for label, graph in graphs.items()
     }
 

@@ -13,7 +13,8 @@ service:
   default is the paper's Table-2 battery), spectrum, dK distances, keeping
   the generated graphs.
 * :func:`run_experiment` (or ``spec.run()``) executes every cell of the grid,
-  optionally in parallel over ``workers`` processes.  Per-cell seeds are
+  optionally in parallel over ``workers`` processes, one cell per task; each
+  cell measures its graph in-process, on one BFS sweep.  Per-cell seeds are
   derived deterministically from the spec seed and the cell coordinates, so
   the results are bit-identical regardless of worker count or scheduling.
 * :class:`ExperimentResult` holds one :class:`RunRecord` per cell and renders
@@ -48,7 +49,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 import zlib
@@ -72,7 +72,6 @@ from repro.generators.registry import (
 from repro.graph.io import read_edge_list
 from repro.graph.mmap_io import graph_content_hash
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.biggraph import bfs_histogram
 from repro.measure.plan import Measurement, battery_plan
 from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.store.keys import code_version, generation_key, stable_hash
@@ -156,16 +155,6 @@ class ExperimentSpec:
     generator_options:
         Per-method extra keyword arguments, e.g.
         ``{"rewiring": {"multiplier": 5.0}}``.
-    shard_sources:
-        Maximum BFS-source block size per worker task for the million-node
-        tier.  When set together with ``workers > 1``, cells execute inline
-        in the parent process while their distance sweeps fan source blocks
-        of (at most) this size out across the worker pool — bounded-memory
-        sharded measurement of one huge graph, instead of cell-level
-        parallelism over many small ones.  The distance histogram is an
-        order-independent integer sum over sources, so sharded and unsharded
-        runs produce bit-identical records, so this execution knob is
-        deliberately **not** part of any store cache key.
     """
 
     topologies: Sequence[Any]
@@ -183,7 +172,6 @@ class ExperimentSpec:
     scenarios: Sequence[Any] | None = None
     keep_graphs: bool = False
     generator_options: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
-    shard_sources: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "topologies", tuple(self.topologies))
@@ -231,10 +219,6 @@ class ExperimentSpec:
                     "scenarios=() is empty; use scenarios=None for no scenario dimension"
                 )
             object.__setattr__(self, "scenarios", parsed)
-        if self.shard_sources is not None and self.shard_sources < 1:
-            raise ExperimentError(
-                f"shard_sources must be >= 1, got {self.shard_sources}"
-            )
 
     def topology_label(self, index: int) -> str:
         """Stable label of the ``index``-th topology entry."""
@@ -325,7 +309,6 @@ class ExperimentSpec:
             if self.scenarios is None
             else [scenario_label(scenario) for scenario in self.scenarios],
             "generator_options": {m: dict(o) for m, o in self.generator_options.items()},
-            "shard_sources": self.shard_sources,
         }
 
 
@@ -550,115 +533,6 @@ def _absorb_worker_telemetry(record: RunRecord) -> None:
     record.telemetry = None
 
 
-#: Worker-side cache of materialized sweep targets, keyed by the parent's
-#: per-graph token (see :func:`_make_sweep_executor`); bounded so a grid of
-#: many distinct big graphs cannot pile memory-maps up in every worker.
-_SWEEP_TARGET_CACHE: dict[int, Any] = {}
-_SWEEP_TARGET_CACHE_MAX = 4
-
-
-def _sweep_payload(graph: Any) -> tuple | None:
-    """A picklable recipe from which a worker rebuilds the sweep target.
-
-    BigGraphs ship as their on-disk artifact path (the worker memory-maps the
-    same bytes; a giant-component view ships its *source* path and is
-    re-derived deterministically), in-memory :class:`SimpleGraph` targets ship
-    as their canonical edge list.  ``None`` means the target is not shippable
-    (a BigGraph that was never persisted) and the sweep runs in-process.
-    """
-    if getattr(graph, "is_biggraph", False):
-        if graph.path is not None:
-            return ("biggraph", str(graph.path))
-        if graph.derived == "gcc" and graph.source_path is not None:
-            return ("biggraph_gcc", str(graph.source_path))
-        return None
-    return ("edges", graph.number_of_nodes, tuple(graph.edges()))
-
-
-def _materialize_sweep_target(payload: tuple) -> Any:
-    kind = payload[0]
-    if kind == "edges":
-        return SimpleGraph(payload[1], edges=payload[2])
-    from repro.kernels.biggraph import BigGraph, biggraph_giant_component
-
-    if kind == "biggraph":
-        return BigGraph.load(payload[1])
-    if kind == "biggraph_gcc":
-        return biggraph_giant_component(BigGraph.load(payload[1]))
-    raise ExperimentError(f"unknown sweep payload kind {kind!r}")
-
-
-def _sweep_block_in_worker(
-    task: tuple[int, tuple, tuple[int, ...]],
-) -> tuple[dict[int, int], dict[str, Any]]:
-    """Worker task of a sharded sweep: BFS one block of sources.
-
-    Returns the block's distance histogram plus this worker's telemetry
-    delta, which the parent folds in (mirroring ``_execute_cell_in_worker``).
-    """
-    token, payload, sources = task
-    graph = _SWEEP_TARGET_CACHE.get(token)
-    if graph is None:
-        if len(_SWEEP_TARGET_CACHE) >= _SWEEP_TARGET_CACHE_MAX:
-            _SWEEP_TARGET_CACHE.clear()
-        graph = _materialize_sweep_target(payload)
-        _SWEEP_TARGET_CACHE[token] = graph
-    histogram = bfs_histogram(graph, list(sources))
-    return histogram, {
-        "events": telemetry.take_events() if telemetry.tracing_enabled() else [],
-        "metrics": telemetry.metrics_snapshot(reset=True),
-    }
-
-
-def _make_sweep_executor(
-    pool: ProcessPoolExecutor, block: int
-) -> Callable[[Any, Sequence[int]], dict[int, int] | None]:
-    """A :func:`~repro.measure.intermediates.shared_sweep` executor that fans
-    source blocks of (at most) ``block`` sources out across ``pool``.
-
-    Each distinct sweep target gets a token stashed on its measure cache, so
-    every worker materializes it once and serves later blocks from its local
-    cache.  Block histograms merge by integer addition, which is
-    bit-identical to the unsharded sweep for any block size or worker count.
-    """
-    tokens = itertools.count(1)
-
-    def executor(graph: Any, source_nodes: Sequence[int]) -> dict[int, int] | None:
-        if len(source_nodes) <= block:
-            return None  # one block: not worth the shipping overhead
-        payload = _sweep_payload(graph)
-        if payload is None:
-            return None
-        cache = graph._measure_cache
-        if cache is None:
-            cache = {}
-            graph._measure_cache = cache
-        token = cache.get("sweep-shard-token")
-        if token is None:
-            token = next(tokens)
-            cache["sweep-shard-token"] = token
-        futures = [
-            pool.submit(
-                _sweep_block_in_worker,
-                (token, payload, tuple(source_nodes[start : start + block])),
-            )
-            for start in range(0, len(source_nodes), block)
-        ]
-        merged: dict[int, int] = {}
-        for future in futures:
-            histogram, shipped = future.result()
-            for distance, count in histogram.items():
-                merged[distance] = merged.get(distance, 0) + count
-            telemetry.add_events(shipped.get("events") or [])
-            metrics = shipped.get("metrics")
-            if metrics:
-                telemetry.merge_metrics(metrics)
-        telemetry.counter_inc("repro_sweep_shards_total", len(futures))
-        return merged
-
-    return executor
-
-
 def _cell_cache_key(spec: ExperimentSpec, cell: ExperimentCell, topology_hash: str) -> str:
     """Store key of one finished cell.
 
@@ -755,7 +629,6 @@ def _execute_cell(
     cell_key: str,
     topology_hash: str,
     read_cache: bool = True,
-    sweep_executor: Callable[[Any, Sequence[int]], dict[int, int] | None] | None = None,
 ) -> RunRecord:
     """Run one cell: build the graph, measure it, return the record.
 
@@ -779,7 +652,6 @@ def _execute_cell(
             cell_key=cell_key,
             topology_hash=topology_hash,
             read_cache=read_cache,
-            sweep_executor=sweep_executor,
         )
         # lifetime high-water mark of this process, sampled after every cell
         # so the repro_peak_rss_bytes gauge tracks the heaviest cell so far
@@ -795,7 +667,6 @@ def _execute_cell_impl(
     cell_key: str,
     topology_hash: str,
     read_cache: bool = True,
-    sweep_executor: Callable[[Any, Sequence[int]], dict[int, int] | None] | None = None,
 ) -> RunRecord:
     original = _resolve_topology(spec.topologies[cell.topology_index])
     graph_key = None
@@ -848,7 +719,6 @@ def _execute_cell_impl(
             distance_sources=spec.distance_sources,
             rng=np.random.default_rng((cell.seed, 1)),
             read=read_cache,
-            sweep_executor=sweep_executor,
         )
     dk_dist = None
     if spec.dk_distances and cell.method != ORIGINAL_METHOD:
@@ -891,10 +761,6 @@ def run_experiment(
     :class:`~concurrent.futures.ProcessPoolExecutor` (the spec is shipped to
     each worker once, at pool start-up).  Results are returned in grid order
     and are deterministic for a fixed spec regardless of the worker count.
-    With ``spec.shard_sources`` set, ``workers>1`` parallelizes *within* each
-    cell instead: cells execute inline while the pool BFS-sweeps blocks of
-    sources of one (possibly huge, memory-mapped) graph — the million-node
-    sharding mode, bit-identical to the unsharded run.
 
     ``store`` (an :class:`~repro.store.artifact_store.ArtifactStore` or a
     directory path) persists generated graphs, metric blocks and per-cell
@@ -1031,43 +897,26 @@ def _run_experiment(
         )
 
     if pending:
-        if workers <= 1 or spec.shard_sources is not None:
-            # cells run inline; with shard_sources (the million-node mode: one
-            # huge graph rarely fits in several workers at once) the pool
-            # parallelizes *within* each cell by sharding the BFS sweep's
-            # source blocks
-            with (
-                nullcontext()
-                if workers <= 1
-                else ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=(spec, store, resume, telemetry.tracing_enabled()),
-                )
-            ) as pool:
-                sweep_executor = (
-                    None if pool is None else _make_sweep_executor(pool, spec.shard_sources)
-                )
-                try:
-                    for index, (cell, cell_key, topo_hash) in pending:
-                        if cancel is not None and cancel.is_set():
-                            raise _interrupted("cancelled")
-                        records[index] = _execute_cell(
-                            spec,
-                            cell,
-                            store=store,
-                            cell_key=cell_key,
-                            topology_hash=topo_hash,
-                            read_cache=resume,
-                            sweep_executor=sweep_executor,
-                        )
-                        completed += 1
-                        if on_cell is not None:
-                            on_cell(completed, len(cells))
-                except KeyboardInterrupt:
-                    # the in-flight cell is abandoned (no manifest written), but
-                    # everything it memoized at the graph/metric level is kept
-                    raise _interrupted("interrupt") from None
+        if workers <= 1:
+            try:
+                for index, (cell, cell_key, topo_hash) in pending:
+                    if cancel is not None and cancel.is_set():
+                        raise _interrupted("cancelled")
+                    records[index] = _execute_cell(
+                        spec,
+                        cell,
+                        store=store,
+                        cell_key=cell_key,
+                        topology_hash=topo_hash,
+                        read_cache=resume,
+                    )
+                    completed += 1
+                    if on_cell is not None:
+                        on_cell(completed, len(cells))
+            except KeyboardInterrupt:
+                # the in-flight cell is abandoned (no manifest written), but
+                # everything it memoized at the graph/metric level is kept
+                raise _interrupted("interrupt") from None
         else:
             with ProcessPoolExecutor(
                 max_workers=workers,

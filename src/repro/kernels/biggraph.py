@@ -51,6 +51,8 @@ class BigGraph:
     Construct via :meth:`from_arrays` (trusted, canonical CSR input),
     :meth:`from_simple_graph`, the streaming :class:`~repro.graph.mmap_io.
     CSRBuilder`, or :meth:`load` (memory-mapped from an on-disk artifact).
+    A graph derived in memory, such as :func:`biggraph_giant_component`,
+    has ``path=None``; every kernel measures either kind in-process.
     """
 
     is_biggraph = True
@@ -63,8 +65,6 @@ class BigGraph:
         "degrees",
         "content_hash",
         "path",
-        "source_path",
-        "derived",
         "meta",
         "_measure_cache",
     )
@@ -76,8 +76,6 @@ class BigGraph:
         *,
         content_hash: str | None = None,
         path: str | None = None,
-        source_path: str | None = None,
-        derived: str | None = None,
         meta: dict | None = None,
     ):
         self.indptr = indptr
@@ -88,10 +86,6 @@ class BigGraph:
         self.content_hash = content_hash
         #: directory this graph was mapped from (None for in-memory graphs)
         self.path = path
-        #: for derived graphs (e.g. a giant component): the artifact of the
-        #: graph it was derived from, letting worker processes re-derive it
-        self.source_path = source_path
-        self.derived = derived
         self.meta = dict(meta or {})
         self._measure_cache = None
 
@@ -224,11 +218,6 @@ def _arc_rows(view, begin: int, end: int):
 # ---------------------------------------------------------------------- #
 # metric kernels
 # ---------------------------------------------------------------------- #
-def bfs_histogram(graph, source_nodes: Sequence[int]) -> dict[int, int]:
-    """Distance-pair histogram over ``source_nodes`` (bit-parallel BFS)."""
-    return histogram_from_csr(_view(graph), source_nodes)
-
-
 def bfs_sweep(
     graph,
     source_nodes: Sequence[int],
@@ -481,12 +470,7 @@ def biggraph_giant_component(graph: BigGraph) -> BigGraph:
         gathered = np.asarray(graph.indices)[positions].astype(np.int64)
         sub_indices[out : out + width] = new_ids[gathered].astype(dtype)
         out += width
-    return BigGraph(
-        sub_indptr,
-        sub_indices,
-        source_path=graph.path or graph.source_path,
-        derived="gcc",
-    )
+    return BigGraph(sub_indptr, sub_indices)
 
 
 __all__ = [

@@ -100,7 +100,6 @@ def shared_sweep(
     rng: RngLike = None,
     want_betweenness: bool = False,
     want_edge_load: bool = False,
-    executor=None,
 ) -> SweepResult:
     """The unified BFS sweep of ``graph`` (one traversal, cached when exact).
 
@@ -110,14 +109,8 @@ def shared_sweep(
     additionally accumulates per-edge routing load inside the same Brandes
     backward pass.  A cached sweep missing a requested accumulation is
     upgraded — recomputed once with the union of everything requested so
-    far, so no previously computed field is dropped from the cache.
-
-    ``executor`` is the sharding hook used by big-n experiment cells: a
-    callable ``(target, source_nodes) -> histogram | None`` that may fan the
-    source blocks out across a process pool.  It is consulted only for the
-    plain histogram sweep (the histogram is an order-independent integer sum
-    over sources, so a sharded merge is bit-identical); a ``None`` return
-    falls back to the in-process kernel.
+    far, so no previously computed field is dropped from the cache.  Every
+    sweep runs in-process on the csr ``bfs_sweep`` kernel.
     """
     n = graph.number_of_nodes
     if n == 0:
@@ -127,7 +120,6 @@ def shared_sweep(
     from repro.metrics.distances import sample_sources
 
     exact = sources is None or sources >= n
-    brandes = want_betweenness or want_edge_load
     with span("intermediate.sweep", n=n, m=graph.number_of_edges) as sp:
         cached = _cache(graph).get("sweep") if exact else None
         if (
@@ -146,13 +138,9 @@ def shared_sweep(
         sp.set(cache="miss", sources=len(source_nodes))
         counter_inc("repro_intermediate_total", kind="sweep", outcome="miss")
         counter_inc("repro_sweep_sources_total", len(source_nodes))
-        histogram = centrality = edge_load = None
-        if executor is not None and not brandes:
-            histogram = executor(graph, source_nodes)
-        if histogram is None:
-            histogram, centrality, edge_load = bfs_sweep(
-                graph, source_nodes, want_betweenness, want_edge_load
-            )
+        histogram, centrality, edge_load = bfs_sweep(
+            graph, source_nodes, want_betweenness, want_edge_load
+        )
         result = SweepResult(
             dict(sorted(histogram.items())), centrality, scale, edge_load
         )

@@ -224,19 +224,18 @@ class _RunContext:
 
     __slots__ = (
         "target", "sources", "rng",
-        "want_betweenness", "want_edge_load", "sweep_executor", "_memo",
+        "want_betweenness", "want_edge_load", "_memo",
     )
 
     def __init__(
         self, target, *, sources, rng, want_betweenness,
-        want_edge_load=False, sweep_executor=None,
+        want_edge_load=False,
     ):
         self.target = target
         self.sources = sources
         self.rng = rng
         self.want_betweenness = want_betweenness
         self.want_edge_load = want_edge_load
-        self.sweep_executor = sweep_executor
         self._memo: dict[str, object] = {}
 
     def sweep(self) -> SweepResult:
@@ -248,7 +247,6 @@ class _RunContext:
                 rng=self.rng,
                 want_betweenness=self.want_betweenness,
                 want_edge_load=self.want_edge_load,
-                executor=self.sweep_executor,
             )
             self._memo["sweep"] = result
         return result
@@ -391,12 +389,12 @@ class MeasurementPlan:
         graph: SimpleGraph,
         *,
         rng: RngLike = None,
-        sweep_executor=None,
     ) -> Measurement:
         """Measure ``graph``: every shared intermediate computed once.
 
-        ``sweep_executor`` optionally shards the plain histogram sweep
-        across a pool — see :func:`repro.measure.intermediates.shared_sweep`.
+        The target (the giant component unless ``use_giant_component`` is
+        off) is swept once, in-process, by
+        :func:`repro.measure.intermediates.shared_sweep`.
         """
         target = shared_target(graph, use_giant_component=self.use_giant_component)
         needed = self.needs()
@@ -406,7 +404,6 @@ class MeasurementPlan:
             rng=rng,
             want_betweenness="betweenness" in needed,
             want_edge_load="edge_load" in needed,
-            sweep_executor=sweep_executor,
         )
         return Measurement(
             {name: get_metric_def(name).formula(ctx) for name in self.metrics}

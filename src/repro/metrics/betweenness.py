@@ -16,7 +16,10 @@ metrics *and* betweenness pays for a single traversal.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import _view
 from repro.measure.intermediates import shared_sweep
 from repro.utils.rng import RngLike
 
@@ -56,15 +59,23 @@ def finalize_edge_load(
     return out
 
 
+def mean_by_key(keys: np.ndarray, values: list[float]) -> dict[int, float]:
+    """Mean of ``values`` grouped by the integer ``keys`` (sorted keys).
+
+    ``np.bincount`` adds each group's values in input order, so every mean
+    is the same float as the running sum ``0.0 + v_0 + v_1 + …`` over it.
+    """
+    unique, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(
+        inverse, weights=np.asarray(values, dtype=np.float64), minlength=len(unique)
+    )
+    counts = np.bincount(inverse, minlength=len(unique))
+    return dict(zip(unique.tolist(), (sums / counts).tolist()))
+
+
 def group_mean_by_degree(graph: SimpleGraph, values: list[float]) -> dict[int, float]:
     """Mean of a per-node quantity grouped by node degree (sorted keys)."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for node in graph.nodes():
-        k = graph.degree(node)
-        sums[k] = sums.get(k, 0.0) + values[node]
-        counts[k] = counts.get(k, 0) + 1
-    return {k: sums[k] / counts[k] for k in sorted(sums)}
+    return mean_by_key(_view(graph).degrees, values)
 
 
 def node_betweenness(
@@ -133,4 +144,5 @@ __all__ = [
     "finalize_betweenness",
     "finalize_edge_load",
     "group_mean_by_degree",
+    "mean_by_key",
 ]

@@ -17,6 +17,7 @@ import numpy as np
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import _view
 from repro.measure.intermediates import shared_triangles
+from repro.metrics.betweenness import group_mean_by_degree
 
 
 def coefficients_from_triangles(graph: SimpleGraph, triangles: list[int]) -> list[float]:
@@ -49,16 +50,8 @@ def mean_clustering(graph: SimpleGraph) -> float:
 
 def clustering_by_degree(graph: SimpleGraph) -> dict[int, float]:
     """``C(k)``: mean local clustering of k-degree nodes (k >= 2)."""
-    coefficients = local_clustering_coefficients(graph)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for node in graph.nodes():
-        k = graph.degree(node)
-        if k < 2:
-            continue
-        sums[k] = sums.get(k, 0.0) + coefficients[node]
-        counts[k] = counts.get(k, 0) + 1
-    return {k: sums[k] / counts[k] for k in sorted(sums)}
+    by_degree = group_mean_by_degree(graph, local_clustering_coefficients(graph))
+    return {k: value for k, value in by_degree.items() if k >= 2}
 
 
 def transitivity_from_triangles(graph: SimpleGraph, triangles: list[int]) -> float:

@@ -176,7 +176,6 @@ def memoized_measure(
     distance_sources: int | None = None,
     rng: RngLike = None,
     read: bool = True,
-    sweep_executor=None,
 ) -> Measurement:
     """Measure ``graph`` with metric-granular store memoization.
 
@@ -267,7 +266,7 @@ def memoized_measure(
                 use_giant_component=use_giant_component,
                 distance_sources=distance_sources,
             )
-            computed = residual.run(graph, rng=rng, sweep_executor=sweep_executor)
+            computed = residual.run(graph, rng=rng)
             for name in missing:
                 values[name] = computed[name]
                 entry = {

@@ -20,10 +20,16 @@ shares the scaling (``finalize_edge_load``) and the sweep.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import _canonical_edges, _view
 from repro.measure.intermediates import shared_sweep
-from repro.metrics.betweenness import finalize_betweenness, finalize_edge_load
+from repro.metrics.betweenness import (
+    finalize_betweenness,
+    finalize_edge_load,
+    mean_by_key,
+)
 from repro.utils.rng import RngLike
 
 
@@ -75,14 +81,10 @@ def edge_load_by_degree(
     scaling in scale-free graphs ("Communication Bottlenecks in Scale-Free
     Networks"): hub–hub links concentrate the load.
     """
-    degrees = _view(graph).degrees.tolist()
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for (u, v), value in edge_load.items():
-        key = degrees[u] * degrees[v]
-        sums[key] = sums.get(key, 0.0) + value
-        counts[key] = counts.get(key, 0) + 1
-    return {key: sums[key] / counts[key] for key in sorted(sums)}
+    degrees = _view(graph).degrees
+    ends = np.array(list(edge_load), dtype=np.int64).reshape(-1, 2)
+    products = degrees[ends[:, 0]] * degrees[ends[:, 1]]
+    return mean_by_key(products, list(edge_load.values()))
 
 
 __all__ = [

@@ -1,7 +1,7 @@
 """Pure-Python unified BFS sweep: distance histogram + optional betweenness.
 
-The reference implementation of the csr ``bfs_sweep`` and ``bfs_histogram``
-kernels.  Without betweenness it is exactly the per-source queue-BFS
+The reference implementation of the csr ``bfs_sweep`` kernel
+(``bfs_histogram`` is its plain-histogram mode).  Without betweenness it is exactly the per-source queue-BFS
 histogram sweep; with betweenness it runs Brandes' single-source
 accumulation and histograms the hop distances that pass computes anyway —
 one traversal either way.  The integer pair counts are identical in both

@@ -1,4 +1,4 @@
-"""Million-node tier tests: BigGraph artifacts, streaming builders, sharding."""
+"""Million-node tier tests: BigGraph artifacts, streaming builders, in-process measurement."""
 
 from __future__ import annotations
 
@@ -155,31 +155,6 @@ def test_table2_biggraph_matches_csr_backend(hot_small):
     via_big = plan.run(BigGraph.from_simple_graph(hot_small), rng=np.random.default_rng(0))
     for name in TABLE2_CORE_METRICS:
         assert via_big[name] == via_csr[name] == via_python[name], name
-
-
-def test_sharded_and_unsharded_cells_identical(hot_small, tmp_path):
-    from repro.experiment import ExperimentSpec, run_experiment
-
-    def spec(**overrides):
-        base = dict(
-            topologies=(hot_small,),
-            methods=("pseudograph",),
-            d_levels=(2,),
-            replicates=1,
-            seed=7,
-            distance_sources=30,
-            include_original=True,
-        )
-        base.update(overrides)
-        return ExperimentSpec(**base)
-
-    plain = run_experiment(spec(), workers=1)
-    sharded = run_experiment(
-        spec(shard_sources=10), workers=2, store=tmp_path / "store"
-    )
-    rows_plain = [record.to_row(include_timing=False) for record in plain.records]
-    rows_sharded = [record.to_row(include_timing=False) for record in sharded.records]
-    assert rows_plain == rows_sharded
 
 
 def test_rescale_generate_measure_end_to_end(tmp_path):

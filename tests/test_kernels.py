@@ -17,7 +17,7 @@ from repro.graph.subgraphs import triangles_per_node as triangles_reference
 from repro.kernels import bfs as bfs_mod
 from repro.kernels import biggraph as biggraph_mod
 from repro.kernels.backend import AUTO_THRESHOLD, resolve_backend
-from repro.kernels.biggraph import BigGraph, bfs_histogram
+from repro.kernels.biggraph import BigGraph, bfs_sweep
 from repro.kernels.csr import csr_graph
 from repro.measure.plan import MeasurementPlan
 from repro.metrics.betweenness import node_betweenness
@@ -144,18 +144,18 @@ class TestBfsKernel:
             for d in bfs_distances(mixed_graph, s):
                 if d >= 0:
                     expected[d] = expected.get(d, 0) + 1
-        assert bfs_histogram(mixed_graph, sources) == expected
+        assert bfs_sweep(mixed_graph, sources, False)[0] == expected
 
     def test_histogram_subset_of_sources(self, mixed_graph):
-        assert bfs_histogram(mixed_graph, [2]) == {0: 1, 1: 3}
+        assert bfs_sweep(mixed_graph, [2], False)[0] == {0: 1, 1: 3}
 
     def test_histogram_empty(self):
-        assert bfs_histogram(SimpleGraph(0), []) == {}
+        assert bfs_sweep(SimpleGraph(0), [], False)[0] == {}
 
     def test_histogram_many_source_blocks(self):
         # more sources than one 64-bit word forces multi-word packing
         graph = ring(130)
-        full = bfs_histogram(graph, list(graph.nodes()))
+        full = bfs_sweep(graph, list(graph.nodes()), False)[0]
         assert full[0] == 130
         assert sum(full.values()) == 130 * 130
 
@@ -165,15 +165,15 @@ class TestBfsKernel:
         graph = SimpleGraph(70, edges=_random_graph(60, 90, seed=4).edge_list())
         for sources in (list(graph.nodes()), [0, 5, 61, 69]):
             expected = oracle.bfs_histogram(graph, sources)
-            assert bfs_histogram(graph, sources) == expected
-            assert bfs_histogram(BigGraph.from_simple_graph(graph), sources) == expected
+            assert bfs_sweep(graph, sources, False)[0] == expected
+            assert bfs_sweep(BigGraph.from_simple_graph(graph), sources, False)[0] == expected
 
     def test_histogram_over_several_source_blocks_matches_oracle(self, monkeypatch, hot_small):
         # a tiny gather budget cuts the sweep into 64-source blocks
         monkeypatch.setattr(bfs_mod, "MAX_GATHER_BYTES", 8)
         sources = list(hot_small.nodes())
         assert bfs_mod._block_bits(2 * hot_small.number_of_edges) == 64 < len(sources)
-        assert bfs_histogram(hot_small, sources) == oracle.bfs_histogram(hot_small, sources)
+        assert bfs_sweep(hot_small, sources, False)[0] == oracle.bfs_histogram(hot_small, sources)
 
     def test_histogram_on_memory_mapped_uint32_graph_matches_oracle(self, hot_small, tmp_path):
         BigGraph.from_simple_graph(hot_small).save(tmp_path / "art")
@@ -181,7 +181,7 @@ class TestBfsKernel:
         assert isinstance(loaded.indices, np.memmap)
         assert loaded.indices.dtype == np.uint32
         sources = list(hot_small.nodes())[::3]
-        assert bfs_histogram(loaded, sources) == oracle.bfs_histogram(hot_small, sources)
+        assert bfs_sweep(loaded, sources, False)[0] == oracle.bfs_histogram(hot_small, sources)
 
 
 class TestBetweennessKernel:

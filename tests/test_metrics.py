@@ -8,6 +8,7 @@ import pytest
 
 from repro.graph.conversion import to_networkx
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import BigGraph
 from repro.metrics.assortativity import (
     assortativity,
     assortativity_from_likelihood,
@@ -18,7 +19,12 @@ from repro.metrics.assortativity import (
     second_order_likelihood,
     second_order_likelihood_open,
 )
-from repro.metrics.betweenness import betweenness_by_degree, edge_betweenness, node_betweenness
+from repro.metrics.betweenness import (
+    betweenness_by_degree,
+    edge_betweenness,
+    group_mean_by_degree,
+    node_betweenness,
+)
 from repro.metrics.clustering import (
     clustering_by_degree,
     local_clustering_coefficients,
@@ -44,6 +50,7 @@ from repro.metrics.distances import (
 from repro.metrics.spectrum import extreme_eigenvalues, laplacian_spectrum, normalized_laplacian
 from repro.measure.plan import TABLE2_CORE_METRICS, Measurement, average_measurements
 from repro.metrics.summary import summarize
+from repro.workloads.routing import edge_load_by_degree, routing_load
 
 
 class TestDegreeMetrics:
@@ -270,3 +277,39 @@ class TestSummary:
         assert averaged.diameter == 6 and isinstance(averaged.diameter, int)
         assert averaged.nodes == base.nodes and isinstance(averaged.nodes, int)
         assert isinstance(averaged.average_degree, float)
+
+
+def _dict_loop_mean(pairs):
+    """Per-key mean by the running-sum dict loop (the reference order)."""
+    sums: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for key, value in pairs:
+        sums[key] = sums.get(key, 0.0) + value
+        counts[key] = counts.get(key, 0) + 1
+    return {key: sums[key] / counts[key] for key in sorted(sums)}
+
+
+@pytest.mark.parametrize("kind", ["simple", "big"])
+def test_per_degree_means_match_the_dict_loop_bit_for_bit(kind, hot_small):
+    graph = hot_small.copy() if kind == "simple" else BigGraph.from_simple_graph(hot_small)
+    degree = [graph.degree(node) for node in graph.nodes()]
+    assert min(degree) == 1  # the k >= 2 restriction of C(k) drops something
+
+    coefficients = local_clustering_coefficients(graph)
+    expected_ck = _dict_loop_mean(
+        (degree[node], coefficients[node]) for node in graph.nodes() if degree[node] >= 2
+    )
+    assert list(clustering_by_degree(graph).items()) == list(expected_ck.items())
+
+    centrality = node_betweenness(graph)
+    expected_bk = _dict_loop_mean((degree[node], centrality[node]) for node in graph.nodes())
+    assert list(group_mean_by_degree(graph, centrality).items()) == list(expected_bk.items())
+
+    edge_load, _ = routing_load(graph)
+    expected_load = _dict_loop_mean(
+        (degree[u] * degree[v], value) for (u, v), value in edge_load.items()
+    )
+    by_product = edge_load_by_degree(graph, edge_load)
+    assert list(by_product.items()) == list(expected_load.items())
+    assert all(type(key) is int and type(value) is float for key, value in by_product.items())
+    assert edge_load_by_degree(graph, {}) == {}

@@ -25,7 +25,7 @@ from repro.generators.registry import (
     unregister_generator,
 )
 from repro.graph.simple_graph import SimpleGraph
-from repro.service import ServiceConfig, ServiceThread
+from repro.service import ServiceConfig, ServiceThread, TopologyService
 from repro.service.client import RemoteServiceError, ServiceClient
 from repro.store.artifact_store import ArtifactStore
 
@@ -309,6 +309,28 @@ def test_legacy_backend_field_is_accepted_and_ignored(service, counting_generato
     assert status == 202
     assert detail["status"] == "done"
     assert "backend" not in detail["spec"]
+
+
+def test_experiment_spec_object_submits_through_the_client(service):
+    spec = ExperimentSpec(
+        topologies=("hot_small",),
+        methods=("pseudograph",),
+        metrics=("mean_distance",),
+    )
+
+    async def scenario(client):
+        job = await client.submit_experiment(spec, workers=1)
+        return await client.wait_for_experiment(job["id"], poll=0.05, timeout=60)
+
+    detail = drive(service, scenario)
+    assert detail["status"] == "done"
+    assert detail["spec"]["methods"] == ["pseudograph"]
+    assert len(detail["records"]) == 1
+
+
+def test_spec_serialization_stays_within_the_service_fields():
+    spec = ExperimentSpec(topologies=("hot_small",), methods=("pseudograph",))
+    assert set(spec.to_dict()) <= TopologyService._SPEC_FIELDS
 
 
 def test_unknown_job_is_404(service):
