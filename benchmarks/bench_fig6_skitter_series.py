@@ -1,10 +1,14 @@
 """Figure 6: distance distribution, betweenness(k) and C(k) for dK-random vs skitter.
 
 Paper shape: the series converge toward the original as d grows; clustering is
-the last metric to fall in line (only at 3K).
+the last metric to fall in line (only at 3K).  The ledger gets two rows: the
+experiment grid that generates the four dK-random graphs, and the three
+series measured afterwards over those graphs and the original.
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.analysis.figures import (
     betweenness_series,
@@ -14,7 +18,9 @@ from repro.analysis.figures import (
 )
 from repro.analysis.tables import series_table
 from repro.experiment import ExperimentSpec, run_experiment
-from benchmarks._common import GENERATION_SEED, run_once
+from benchmarks._common import GENERATION_SEED, record_result, run_once
+
+BETWEENNESS_SOURCES = 200
 
 
 def test_fig6_skitter_series(benchmark, skitter_graph):
@@ -30,9 +36,17 @@ def test_fig6_skitter_series(benchmark, skitter_graph):
     graphs = {f"{record.d}K-random": record.graph for record in result.records}
     graphs["skitter-like"] = skitter_graph
 
+    start = time.perf_counter()
     distances = distance_distribution_series(graphs)
-    betweenness = betweenness_series(graphs, sources=200, rng=GENERATION_SEED)
+    betweenness = betweenness_series(graphs, sources=BETWEENNESS_SOURCES, rng=GENERATION_SEED)
     clustering = clustering_series(graphs)
+    record_result(
+        "fig6_skitter_series_measure",
+        time.perf_counter() - start,
+        skitter_graph,
+        graphs=len(graphs),
+        betweenness_sources=BETWEENNESS_SOURCES,
+    )
 
     print()
     print(series_table(distances, x_label="hops", title="Figure 6a: distance distribution", max_rows=15))

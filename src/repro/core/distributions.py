@@ -23,7 +23,21 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.exceptions import DistributionError
-from repro.graph.subgraphs import TriangleKey, WedgeKey, triangle_key, wedge_key
+
+WedgeKey = tuple[int, int, int]
+TriangleKey = tuple[int, int, int]
+
+
+def wedge_key(center_degree: int, end_degree_a: int, end_degree_b: int) -> WedgeKey:
+    """Canonical key of a wedge: ``(min end, centre, max end)`` degrees."""
+    if end_degree_a <= end_degree_b:
+        return (end_degree_a, center_degree, end_degree_b)
+    return (end_degree_b, center_degree, end_degree_a)
+
+
+def triangle_key(k1: int, k2: int, k3: int) -> TriangleKey:
+    """Canonical key of a triangle: sorted degree triple."""
+    return tuple(sorted((k1, k2, k3)))  # type: ignore[return-value]
 
 
 # --------------------------------------------------------------------------- #
@@ -413,4 +427,8 @@ __all__ = [
     "ThreeKDistribution",
     "canonical_wedge_counts",
     "canonical_triangle_counts",
+    "TriangleKey",
+    "WedgeKey",
+    "triangle_key",
+    "wedge_key",
 ]

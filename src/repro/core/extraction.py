@@ -1,7 +1,11 @@
 """Extraction of dK-distributions from graphs (the paper's *analysis* side).
 
 These functions implement the "dkdist" part of the paper's released tooling:
-given an input graph, compute its 0K/1K/2K/3K-distribution.
+given an input graph, compute its 0K/1K/2K/3K-distribution.  P_2 and P_3
+are counted by the chunked csr kernels of :mod:`repro.kernels.biggraph`
+(:func:`~repro.kernels.biggraph.jdd_counts` and
+:func:`~repro.kernels.biggraph.threek_counts`), so every extraction runs on
+a SimpleGraph (through its cached CSR view) and on a BigGraph alike.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ from repro.core.distributions import (
     ThreeKDistribution,
 )
 from repro.graph.simple_graph import SimpleGraph
-from repro.graph.subgraphs import triangle_degree_counts, wedge_degree_counts
-from repro.kernels.biggraph import jdd_counts
+from repro.kernels.biggraph import jdd_counts, threek_counts
 
 
 def average_degree(graph: SimpleGraph) -> AverageDegree:
@@ -35,10 +38,9 @@ def joint_degree_distribution(graph: SimpleGraph) -> JointDegreeDistribution:
 
 def three_k_distribution(graph: SimpleGraph) -> ThreeKDistribution:
     """Extract the 3K-distribution (wedge and triangle degree correlations)."""
+    wedges, triangles = threek_counts(graph)
     return ThreeKDistribution(
-        wedges=wedge_degree_counts(graph),
-        triangles=triangle_degree_counts(graph),
-        jdd=joint_degree_distribution(graph),
+        wedges=wedges, triangles=triangles, jdd=joint_degree_distribution(graph)
     )
 
 

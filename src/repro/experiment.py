@@ -301,6 +301,7 @@ class ExperimentSpec:
             "replicates": self.replicates,
             "seed": self.seed,
             "include_original": self.include_original,
+            "skip_unsupported": self.skip_unsupported,
             "metrics": list(self.metrics),
             "compute_spectrum": self.compute_spectrum,
             "distance_sources": self.distance_sources,

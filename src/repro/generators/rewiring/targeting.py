@@ -20,8 +20,10 @@ pipeline for dK-random graphs when no original graph is available:
 Both run on the rewiring engine's objective chains
 (:func:`repro.kernels.rewiring.run_chain`).  The 3K-targeting chain keeps
 its objective as an incremental sufficient statistic — a ``current -
-target`` diff over packed wedge and triangle keys, updated per accepted move
-in O(deg) — so the Metropolis distance change is an exact integer and the
+target`` diff over packed wedge and triangle keys, started from the counts
+of the csr 3K counter that also extracts P_3
+(:func:`repro.kernels.biggraph.threek_counts`) and updated per accepted
+move in O(deg) — so the Metropolis distance change is an exact integer and the
 distance trace is identical for every batch size.  A chain that stops short
 of its target emits a :class:`~repro.exceptions.RewiringConvergenceWarning`.
 """

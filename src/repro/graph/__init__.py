@@ -1,4 +1,4 @@
-"""Graph substrate: simple-graph data structure, components, subgraph counts, I/O.
+"""Graph substrate: simple-graph data structure, components, I/O.
 
 Re-exports are lazy (PEP 562): the substrate is pure Python except the
 networkx/adjacency-matrix conversion helpers.
@@ -16,12 +16,6 @@ _EXPORTS = {
     "number_of_components": "repro.graph.components",
     "from_networkx": "repro.graph.conversion",
     "to_networkx": "repro.graph.conversion",
-    "iter_triangles": "repro.graph.subgraphs",
-    "local_clustering": "repro.graph.subgraphs",
-    "triangle_count": "repro.graph.subgraphs",
-    "triangle_degree_counts": "repro.graph.subgraphs",
-    "wedge_count": "repro.graph.subgraphs",
-    "wedge_degree_counts": "repro.graph.subgraphs",
 }
 
 __all__ = list(_EXPORTS)

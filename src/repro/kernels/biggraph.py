@@ -19,10 +19,11 @@ The class deliberately duck-types two existing surfaces at once:
 The chunked kernels below are the library's metric kernels.  They accept a
 BigGraph *or* a SimpleGraph (via its cached CSR snapshot) — one compressed
 representation behind every query — and produce exact integer aggregates:
-histogram counts, triangle counts and moment sums are order-independent
-integers, so every Table-2 scalar derived from them by the shared formula
-layer is bit-identical across the two graph types (and to the pure-Python
-reference kernels the test suite keeps as its oracle).
+histogram counts, triangle counts, moment sums and the JDD and 3K degree
+counts are order-independent integers, so every Table-2 scalar and every
+P_2 / P_3 extracted from them is bit-identical across the two graph types
+(and to the pure-Python reference kernels the test suite keeps as its
+oracle).
 """
 
 from __future__ import annotations
@@ -327,22 +328,31 @@ def second_order_total(graph) -> int:
     return total
 
 
-def triangles_per_node(graph):
-    """Exact per-node triangle counts via chunked sorted-key intersection.
+def _budget_spans(cum):
+    """Item ranges ``[start, stop)`` whose widths sum to about
+    :data:`TRIANGLE_CANDIDATE_BUDGET` (one item at least); ``cum`` holds
+    the running width sums, from 0."""
+    start = 0
+    while start < len(cum) - 1:
+        stop = int(np.searchsorted(cum, cum[start] + TRIANGLE_CANDIDATE_BUDGET, side="left"))
+        stop = max(start + 1, min(stop, len(cum) - 1))
+        yield start, stop
+        start = stop
 
-    Nodes are ranked by ``(degree, id)`` and every edge is oriented towards
-    its higher-ranked end, which keeps out-rows short even at hubs (the
-    edge-iterator bound of O(m^1.5) candidates).  For every oriented edge
-    ``u → v`` the third-vertex candidates are the out-neighbors of ``u``
-    ranked beyond ``v``; membership ``v → w`` is one vectorized
-    ``searchsorted`` against the sorted packed keys ``rank_u·n + rank_v``.
-    Each triangle is found exactly once, from its lowest-ranked corner.
+
+def _triangle_batches(view, order):
+    """Every triangle of ``view`` once, as rank arrays ``(u, v, w)`` per batch.
+
+    ``order`` lists the nodes by rank, ascending ``(degree, id)``, and every
+    edge is oriented towards its higher-ranked end, which keeps out-rows
+    short even at hubs (the edge-iterator bound of O(m^1.5) candidates).
+    For every oriented edge ``u → v`` the third-vertex candidates are the
+    out-neighbors of ``u`` ranked beyond ``v``; membership ``v → w`` is one
+    vectorized ``searchsorted`` against the sorted packed keys
+    ``rank_u·n + rank_v``.  Each triangle is found exactly once, from its
+    lowest-ranked corner, so ``u < v < w`` and ``k_u <= k_v <= k_w``.
     """
-    view = _view(graph)
     n = view.n
-    if view.m == 0:
-        return [0] * n
-    order = np.argsort(view.degrees, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
     # sorted keys of the oriented edges; rank r's out-row is [r·n, (r+1)·n)
@@ -363,7 +373,6 @@ def triangles_per_node(graph):
     keys.sort()
     row_end = np.searchsorted(keys, np.arange(1, n + 1, dtype=np.int64) * n)
 
-    counts = np.zeros(n, dtype=np.int64)  # indexed by rank
     for begin in range(0, view.m, ARC_CHUNK):
         end = min(begin + ARC_CHUNK, view.m)
         positions = np.arange(begin, end, dtype=np.int64)
@@ -371,13 +380,7 @@ def triangles_per_node(graph):
         cand_counts = row_end[u] - (positions + 1)
         cum = np.zeros(len(cand_counts) + 1, dtype=np.int64)
         np.cumsum(cand_counts, out=cum[1:])
-        start = 0
-        while start < len(u):
-            # split so one batch's candidate buffer stays bounded
-            stop = int(
-                np.searchsorted(cum, cum[start] + TRIANGLE_CANDIDATE_BUDGET, side="left")
-            )
-            stop = max(start + 1, min(stop, len(u)))
+        for start, stop in _budget_spans(cum):
             width = int(cum[stop] - cum[start])
             if width:
                 # in-place steps: a batch holds at most four width-sized arrays
@@ -396,56 +399,169 @@ def triangles_per_node(graph):
                 hit = found == wanted
                 del found, wanted
                 edge_of = edge_of[hit]
-                counts += np.bincount(
-                    np.concatenate((u[edge_of], v[edge_of], w[hit])), minlength=n
+                yield u[edge_of], v[edge_of], w[hit]
+
+
+def triangles_per_node(graph):
+    """Exact per-node triangle counts, from the chunked triangle enumeration."""
+    view = _view(graph)
+    n = view.n
+    if view.m == 0:
+        return [0] * n
+    order = np.argsort(view.degrees, kind="stable")
+    counts = np.zeros(n, dtype=np.int64)  # indexed by rank
+    for u, v, w in _triangle_batches(view, order):
+        counts += np.bincount(np.concatenate((u, v, w)), minlength=n)
+    per_node = np.empty(n, dtype=np.int64)
+    per_node[order] = counts
+    return per_node.tolist()
+
+
+def _sum_by_key(keys, values):
+    """``(distinct keys ascending, summed values)`` in exact int64."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    if not keys.size:
+        return keys, values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def threek_counts(graph):
+    """``(wedges, triangles)``: the 3K counts keyed by degree triples.
+
+    Open wedges are keyed ``(min end, centre, max end)`` and triangles by
+    their sorted degree triple, both in ascending key order and without
+    zero entries.  Wedges are the neighbor pairs of each centre, counted per
+    pair of neighbor degrees from the centre's neighbor-degree histogram,
+    minus the pair each triangle closes at each of its three corners.
+    Inside, a key packs a degree triple by its ranks among the ``D``
+    distinct degrees, ``(r1·D + r2)·D + r3``, far below 2^63 at any n.
+    """
+    view = _view(graph)
+    degrees = np.asarray(view.degrees, dtype=np.int64)
+    kd = np.unique(degrees)
+    base = max(int(kd.size), 1)
+    drank = np.searchsorted(kd, degrees)
+    wedges = tris = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    def merge(total, keys, values):
+        return _sum_by_key(np.concatenate((total[0], keys)), np.concatenate((total[1], values)))
+
+    # open + closed neighbor pairs: a node block's (centre, neighbor degree)
+    # histogram, expanded to its degree pairs TRIANGLE_CANDIDATE_BUDGET at a time
+    block = max(1, int(view.n * ARC_CHUNK / max(len(view.indices), 1)))
+    for begin in range(0, view.n, block):
+        end = min(begin + block, view.n)
+        lo, hi = int(view.indptr[begin]), int(view.indptr[end])
+        if hi == lo:
+            continue
+        centre = np.repeat(np.arange(end - begin, dtype=np.int64), degrees[begin:end])
+        cells, hist = np.unique(
+            centre * base + drank[np.asarray(view.indices[lo:hi], dtype=np.int64)],
+            return_counts=True,
+        )
+        owner, nbr = np.divmod(cells, base)
+        t_len = np.bincount(owner, minlength=end - begin)
+        square = t_len * t_len
+        cum = np.zeros(len(square) + 1, dtype=np.int64)
+        np.cumsum(square, out=cum[1:])
+        first = np.cumsum(t_len) - t_len  # each centre's first histogram cell
+        for start, stop in _budget_spans(cum):
+            total = int(cum[stop] - cum[start])
+            if total:
+                sq = square[start:stop]
+                t_rep = np.repeat(t_len[start:stop], sq)
+                local = np.arange(total, dtype=np.int64) - np.repeat(
+                    cum[start:stop] - cum[start], sq
                 )
-            start = stop
-    return counts[rank].tolist()
+                p = np.repeat(first[start:stop], sq)
+                q = p + local % t_rep
+                p += local // t_rep
+                keep = p <= q
+                p, q = p[keep], q[keep]
+                h = hist[p]
+                # distinct-degree pairs h_p·h_q, same-degree pairs C(h, 2)
+                pairs = np.where(p == q, h * (h - 1) // 2, h * hist[q])
+                centre_rank = drank[begin + owner[p]]
+                wedges = merge(wedges, (nbr[p] * base + centre_rank) * base + nbr[q], pairs)
+
+    # triangles, and the pair each one closes at its three corners
+    if view.m:
+        order = np.argsort(degrees, kind="stable")
+        by_rank = drank[order]
+        for u, v, w in _triangle_batches(view, order):
+            a, b, c = by_rank[u], by_rank[v], by_rank[w]  # a <= b <= c
+            tris = merge(tris, (a * base + b) * base + c, np.ones(len(a), dtype=np.int64))
+            corners = np.concatenate(
+                ((b * base + a) * base + c, (a * base + b) * base + c, (a * base + c) * base + b)
+            )
+            wedges = merge(wedges, corners, -np.ones(len(corners), dtype=np.int64))
+
+    def unpack(keys, counts) -> dict[tuple[int, int, int], int]:
+        r12, r3 = np.divmod(keys, base)
+        r1, r2 = np.divmod(r12, base)
+        return dict(zip(zip(kd[r1].tolist(), kd[r2].tolist(), kd[r3].tolist()), counts.tolist()))
+
+    open_pairs = wedges[1] > 0
+    return unpack(wedges[0][open_pairs], wedges[1][open_pairs]), unpack(*tris)
 
 
 # ---------------------------------------------------------------------- #
 # giant component
 # ---------------------------------------------------------------------- #
-def _component_labels(view):
-    """Component label per node (labels are arbitrary but consistent)."""
-    from scipy.sparse import csr_matrix
+def component_labels(adjacency) -> tuple[int, np.ndarray]:
+    """``(count, component label per node)`` of a scipy sparse adjacency.
+
+    The graph is undirected: ``adjacency`` may hold each edge once or in
+    both orientations.  Labels are arbitrary but consistent.
+    """
+    # deferred: csgraph adds ~0.1 s to the import of every caller of this module
     from scipy.sparse.csgraph import connected_components
 
-    matrix = csr_matrix(
-        (
-            np.ones(len(view.indices), dtype=np.int8),
-            np.asarray(view.indices),
-            np.asarray(view.indptr),
-        ),
-        shape=(view.n, view.n),
-    )
-    _, labels = connected_components(matrix, directed=False)
-    return np.asarray(labels, dtype=np.int64)
+    count, labels = connected_components(adjacency, directed=False)
+    return int(count), np.asarray(labels, dtype=np.int64)
+
+
+def giant_component_mask(labels: np.ndarray) -> np.ndarray:
+    """Member mask of the giant component of a node labelling.
+
+    The largest component wins; among equally large ones, the component
+    holding the smallest node id.
+    """
+    sizes = np.bincount(labels)
+    candidates = np.flatnonzero(sizes == sizes.max())
+    winner = candidates[0]
+    if len(candidates) > 1:
+        smallest = np.full(len(sizes), len(labels), dtype=np.int64)
+        np.minimum.at(smallest, labels, np.arange(len(labels), dtype=np.int64))
+        winner = candidates[np.argmin(smallest[candidates])]
+    return labels == winner
 
 
 def biggraph_giant_component(graph: BigGraph) -> BigGraph:
     """The giant connected component of ``graph``, relabelled ascending.
 
-    Ties are broken exactly like :func:`repro.graph.components.
-    giant_component`: among maximum-size components the one discovered first
-    by ascending-start BFS wins — i.e. the one containing the smallest node
-    id — and member ids are relabelled in ascending order.
+    The winner is the one :func:`giant_component_mask` picks, as for
+    :func:`repro.graph.components.giant_component`, and member ids are
+    relabelled in ascending order.
     """
     if graph.n == 0:
         return graph
-    labels = _component_labels(graph)
-    sizes = np.bincount(labels)
-    best_size = int(sizes.max())
-    if best_size == graph.n:
-        return graph
-    # first-seen largest: the max-size label whose first occurrence is earliest
-    candidates = np.flatnonzero(sizes == best_size)
-    first_seen = np.full(len(sizes), graph.n, dtype=np.int64)
-    order = np.arange(graph.n - 1, -1, -1, dtype=np.int64)
-    first_seen[labels[order]] = order  # later assignments (smaller ids) win
-    winner = int(candidates[np.argmin(first_seen[candidates])])
+    from scipy.sparse import csr_matrix
 
-    member = labels == winner
+    adjacency = csr_matrix(
+        (
+            np.ones(len(graph.indices), dtype=np.int8),
+            np.asarray(graph.indices),
+            np.asarray(graph.indptr),
+        ),
+        shape=(graph.n, graph.n),
+    )
+    member = giant_component_mask(component_labels(adjacency)[1])
+    if member.all():
+        return graph
+
     new_ids = np.cumsum(member, dtype=np.int64) - 1
     member_nodes = np.flatnonzero(member)
     sub_degrees = graph.degrees[member_nodes]

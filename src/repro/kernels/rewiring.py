@@ -69,6 +69,7 @@ import numpy as np
 
 from repro.core.extraction import joint_degree_distribution
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import _sum_by_key, threek_counts
 from repro.telemetry.metrics import gauge_set
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -539,23 +540,6 @@ def _ragged_rows(tk: _ThreeKState, nodes):
     return pid, tk.rows[tk.indptr[nodes][pid] + offsets]
 
 
-def _common_neighbors(tk: _ThreeKState, u, w, ex1=None, ex2=None):
-    """Common neighbors of node pairs ``(u[p], w[p])`` as ``(pid, x)`` pairs.
-
-    Iterates the smaller-degree row of each pair and membership-tests the
-    other; ``ex1``/``ex2`` drop the named nodes from the
-    result (value-based, hence symmetric in ``u``/``w``).
-    """
-    pick_w = tk.deg[w] < tk.deg[u]
-    iterate = np.where(pick_w, w, u)
-    other = np.where(pick_w, u, w)
-    pid, q = _ragged_rows(tk, iterate)
-    mask = tk.member(other[pid], q)
-    if ex1 is not None:
-        mask &= (q != ex1[pid]) & (q != ex2[pid])
-    return pid[mask], q[mask]
-
-
 def _nonzero_net_pids(pid, key, sign, n_pids):
     """Boolean mask of pids whose signed (pid, key) entries do not cancel."""
     out = np.zeros(n_pids, dtype=bool)
@@ -809,88 +793,38 @@ def _batch_full_delta(tk: _ThreeKState, a, b, c, d, valid):
     return starts, keys, nets, slot_of
 
 
-def _initial_threek_diff(tk: _ThreeKState, target):
-    """Vectorized ``current - target`` sufficient statistics for 3K targeting.
+def _initial_threek_diff(tk: _ThreeKState, graph: SimpleGraph, target):
+    """``current - target`` sufficient statistics for 3K targeting.
 
     Returns ``(keys, vals, distance)``: aligned arrays of rank-packed unified
     keys (wedges below ``tk.n_ranks**3``, triangles above) and their
     ``current - target`` counts with zero entries dropped, plus the exact
-    integer squared distance.
-
-    Triangles are enumerated once per incident edge through the batched
-    common-neighbor kernel (each key's raw count is therefore divisible by
-    3); wedge counts come from the per-center neighbor-degree histograms,
-    whose pair expansion is tiny (sum over nodes of the squared number of
-    distinct neighbor degrees) compared with walking all neighbor pairs.
+    integer squared distance.  The start graph's counts come from the csr
+    3K counter :func:`~repro.kernels.biggraph.threek_counts`, the one that
+    extracts P_3; both sides are degree-keyed, so they share one packing.
     """
     base = tk.n_ranks
     tri_off = base * base * base
     rank_np = tk.rank_np
-    deg = tk.rankv
-    n = tk.n
-    p_t, x_t = _common_neighbors(tk, tk.edge_u, tk.edge_v)
-    ku_t = deg[tk.edge_u[p_t]]
-    kv_t = deg[tk.edge_v[p_t]]
-    kx_t = deg[x_t]
-    tri_keys = _pack_sorted3(ku_t, kv_t, kx_t, base)
-    t_uniq, t_counts = np.unique(tri_keys, return_counts=True)
-    t_vals = t_counts // 3
-    # each (edge, common neighbor) instance is one triangle corner: the pair
-    # it closes at centre x must be removed from the open-wedge counts below
-    corner_keys = _pack_wedge(ku_t, kv_t, kx_t, base)
-    c_uniq, c_counts = np.unique(corner_keys, return_counts=True)
-    nbrdeg = tk.nbrdeg
-    t_len = np.fromiter((len(h) for h in nbrdeg), np.int64, n)
-    flat = int(t_len.sum())
-    # histogram keys are degree *values*; rank them for packing
-    kx = rank_np[np.fromiter((k for h in nbrdeg for k in h), np.int64, flat)]
-    hh = np.fromiter((v for h in nbrdeg for v in h.values()), np.int64, flat)
-    tsq = t_len * t_len
-    total = int(tsq.sum())
-    if total:
-        starts_flat = np.cumsum(t_len) - t_len
-        rep_start = np.repeat(starts_flat, tsq)
-        t_rep = np.repeat(t_len, tsq)
-        r_local = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(tsq) - tsq, tsq
-        )
-        p_idx = rep_start + r_local // t_rep
-        q_idx = rep_start + r_local % t_rep
-        keep = p_idx <= q_idx
-        p_idx = p_idx[keep]
-        q_idx = q_idx[keep]
-        kc_flat = np.repeat(deg, t_len)
-        h1 = hh[p_idx]
-        # distinct-degree pair (h1 * h2) wedges; same-degree pairs C(h, 2)
-        w = np.where(p_idx == q_idx, h1 * (h1 - 1) // 2, h1 * hh[q_idx])
-        wkeys = _pack_wedge(kx[p_idx], kx[q_idx], kc_flat[p_idx], base)
-        w_uniq, w_inv = np.unique(wkeys, return_inverse=True)
-        w_vals = np.bincount(w_inv, weights=w.astype(np.float64)).astype(np.int64)
-    else:
-        w_uniq = np.empty(0, np.int64)
-        w_vals = np.empty(0, np.int64)
-    parts_k = [w_uniq, c_uniq, t_uniq + tri_off]
-    parts_v = [w_vals, -c_counts, t_vals]
-    for counts, off in ((target.wedges, 0), (target.triangles, tri_off)):
+    wedges, triangles = threek_counts(graph)
+    parts_k = [np.empty(0, dtype=np.int64)]
+    parts_v = [np.empty(0, dtype=np.int64)]
+    for counts, off, sign in (
+        (wedges, 0, 1),
+        (triangles, tri_off, 1),
+        (target.wedges, 0, -1),
+        (target.triangles, tri_off, -1),
+    ):
         if counts:
-            # target keys are degree-value triples; rank them component-wise
-            # (the rank map is monotone, so ordered tuples stay ordered)
-            arr = rank_np[np.array(list(counts.keys()), dtype=np.int64)]
+            # keys are degree-value triples; rank them component-wise (the
+            # rank map is monotone, so ordered tuples stay ordered)
+            arr = rank_np[np.array(list(counts), dtype=np.int64)]
             parts_k.append((arr[:, 0] * base + arr[:, 1]) * base + arr[:, 2] + off)
-            parts_v.append(-np.fromiter(counts.values(), np.int64, len(counts)))
-    all_keys = np.concatenate(parts_k)
-    all_vals = np.concatenate(parts_v)
-    if all_keys.size:
-        uniq, inv = np.unique(all_keys, return_inverse=True)
-        net = np.bincount(inv, weights=all_vals.astype(np.float64)).astype(np.int64)
-        nonzero = net != 0
-        keys_f = uniq[nonzero]
-        vals_f = net[nonzero]
-    else:
-        keys_f = np.empty(0, dtype=np.int64)
-        vals_f = np.empty(0, dtype=np.int64)
-    distance = sum(v * v for v in vals_f.tolist())
-    return keys_f, vals_f, distance
+            parts_v.append(sign * np.fromiter(counts.values(), np.int64, len(counts)))
+    keys, net = _sum_by_key(np.concatenate(parts_k), np.concatenate(parts_v))
+    nonzero = net != 0
+    keys, net = keys[nonzero], net[nonzero]
+    return keys, net, sum(v * v for v in net.tolist())
 
 
 def _bump(counts: dict, key: int, amount: int) -> None:
@@ -1144,10 +1078,10 @@ class ThreeKDistance:
         keys = (*self.target.wedges, *self.target.triangles)
         return np.fromiter((k for key in keys for k in key), np.int64)
 
-    def gradient_entries(self, tk: _ThreeKState):
+    def gradient_entries(self, tk: _ThreeKState, graph: SimpleGraph):
         """``(keys, values, energy)``: the gradient where it differs from
         :meth:`gradient_fill`, and the start distance."""
-        keys, vals, distance = _initial_threek_diff(tk, self.target)
+        keys, vals, distance = _initial_threek_diff(tk, graph, self.target)
         return keys, 2 * vals, distance
 
     def gradient_fill(self, keys: np.ndarray, kd: np.ndarray) -> np.ndarray:
@@ -1182,7 +1116,7 @@ class LinearObjective:
     def target_degrees(self) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
 
-    def gradient_entries(self, tk: _ThreeKState):
+    def gradient_entries(self, tk: _ThreeKState, graph: SimpleGraph):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, 0
 
@@ -1277,15 +1211,15 @@ class _SparseGradient:
             self.vals = np.insert(self.vals, at, values[~hit][order])
 
 
-def _gradient(objective, tk: _ThreeKState, kd: np.ndarray):
+def _gradient(objective, tk: _ThreeKState, graph: SimpleGraph, kd: np.ndarray):
     """``(grad, energy)``: a scored 2K chain's energy gradient over the
-    rank-packed unified keys, and its start energy.
+    rank-packed unified keys, and its start energy on ``graph``.
 
     The gradient is a dense int64 array with one slot per key up to
     :data:`THREEK_RANK_SLOTS_MAX` slots and a :class:`_SparseGradient`
     beyond it; both read and update identically.
     """
-    keys, vals, energy = objective.gradient_entries(tk)
+    keys, vals, energy = objective.gradient_entries(tk, graph)
     slots = 2 * tk.n_ranks**3
     if slots <= THREEK_RANK_SLOTS_MAX:
         grad = objective.gradient_fill(np.arange(slots, dtype=np.int64), kd)
@@ -1536,7 +1470,7 @@ def _objective_chain_2k(
         # ``2 * net`` per accepted move.  Everything stays int64-exact, so
         # the energy trace is identical for every batch size, evaluation
         # path and gradient layout.
-        grad, energy = _gradient(objective, tk, kd)
+        grad, energy = _gradient(objective, tk, graph, kd)
         chunk = THREEK_EVAL_CHUNK
     quadratic = objective.quadratic
     limit = objective.limit

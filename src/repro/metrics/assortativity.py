@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.graph.subgraphs import iter_triangles
+from repro.kernels.biggraph import threek_counts
 from repro.measure.intermediates import shared_edge_moments, shared_second_order
 
 
@@ -101,12 +101,9 @@ def second_order_likelihood(graph: SimpleGraph) -> float:
 
 def second_order_likelihood_open(graph: SimpleGraph) -> float:
     """``S2`` restricted to *open* wedges (triangle pairs excluded)."""
-    degrees = graph.degrees()
-    total = second_order_likelihood(graph)
-    for a, b, c in iter_triangles(graph):
-        ka, kb, kc = degrees[a], degrees[b], degrees[c]
-        total -= ka * kb + ka * kc + kb * kc
-    return total
+    _, triangles = threek_counts(graph)
+    closed = sum(count * (a * b + a * c + b * c) for (a, b, c), count in triangles.items())
+    return second_order_likelihood(graph) - closed
 
 
 def average_neighbor_degree(graph: SimpleGraph) -> dict[int, float]:

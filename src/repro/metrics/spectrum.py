@@ -28,6 +28,7 @@ import scipy.sparse.linalg as spla
 
 from repro.graph.conversion import adjacency_matrix
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import component_labels
 
 # graphs up to this size use a dense eigen-decomposition (exact, simple);
 # larger graphs compute the two extreme eigenvalues with sparse Lanczos runs.
@@ -129,11 +130,8 @@ def _null_space(adjacency: sp.csr_matrix, degrees: np.ndarray) -> sp.csr_matrix:
     An ``n × c`` matrix with one column per connected component ``C``:
     ``D^{1/2}·1_C`` normalised, which is ``e_i`` for an isolated node ``i``.
     """
-    # deferred: csgraph adds ~0.1 s to the import of every caller of this module
-    from scipy.sparse.csgraph import connected_components
-
     n = len(degrees)
-    count, labels = connected_components(adjacency, directed=False)
+    count, labels = component_labels(adjacency)
     weights = np.where(degrees > 0, degrees, 1.0)
     norms = np.sqrt(np.bincount(labels, weights=weights, minlength=count))
     values = np.sqrt(weights) / norms[labels]

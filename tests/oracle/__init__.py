@@ -7,8 +7,11 @@ kernels must reproduce: integer counts exactly, Brandes accumulations to
 1e-12 relative error.  Tests call them directly, or measure a graph through
 the whole library with :func:`oracle_kernels`.  The benchmarks import this
 package as ``tests.oracle`` to time the reference kernels.
-:func:`three_k_delta_by_recount` is the oracle of the rewiring engine's 3K
-delta evaluators: one swap's wedge/triangle change, by recount.
+:mod:`.triangles_python` holds the size-3 subgraph counters (triangle
+enumeration, degree-keyed wedge and triangle counts) that P_3 extraction
+must reproduce, and :func:`three_k_delta_by_recount` is the oracle of the
+rewiring engine's 3K delta evaluators: one swap's wedge/triangle change, by
+a recount with those counters, so neither oracle reads the csr 3K kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.measure import intermediates
 from .correlations_python import edge_degree_moments, jdd_counts, second_order_total
 from .sweep_python import bfs_histogram, bfs_sweep
 from .threek_recount import pack_three_k_delta, three_k_delta_by_recount
-from .triangles_python import triangles_per_node
+from .triangles_python import threek_counts, triangles_per_node
 
 #: the two kernel sets a parametrized test can measure with
 KERNEL_SETS = ("python", "csr")
@@ -33,7 +36,7 @@ def oracle_kernels():
     """Run the measurement layer on the reference kernels inside the block.
 
     Every intermediate (sweep, triangles, edge moments, S2 total) and the
-    JDD extraction use the pure-Python kernels.  Intermediates computed
+    JDD and 3K extractions use the pure-Python kernels.  Intermediates computed
     inside the block are cached apart from the csr ones, so measuring the
     same graph inside and outside the block runs both kernel sets.
     """
@@ -49,7 +52,7 @@ def oracle_kernels():
         triangles_per_node=triangles_per_node,
         edge_degree_moments=edge_degree_moments,
         second_order_total=second_order_total,
-    ), mock.patch.object(extraction, "jdd_counts", jdd_counts):
+    ), mock.patch.multiple(extraction, jdd_counts=jdd_counts, threek_counts=threek_counts):
         yield
 
 
@@ -69,5 +72,6 @@ __all__ = [
     "pack_three_k_delta",
     "second_order_total",
     "three_k_delta_by_recount",
+    "threek_counts",
     "triangles_per_node",
 ]

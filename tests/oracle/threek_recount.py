@@ -9,7 +9,8 @@ graph and diff the two graphs' wedge and triangle counts.
 from __future__ import annotations
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.graph.subgraphs import triangle_degree_counts, wedge_degree_counts
+
+from .triangles_python import triangle_degree_counts, wedge_degree_counts
 
 
 def _diff(after, before) -> dict:

@@ -19,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import oracle_kernels
 
-from repro.core.extraction import joint_degree_distribution
+from repro.core.extraction import (
+    dk_distribution,
+    joint_degree_distribution,
+    three_k_distribution,
+)
 from repro.core.randomness import dk_random_graph
 from repro.experiment import ExperimentSpec
 from repro.graph.simple_graph import SimpleGraph
@@ -115,11 +119,20 @@ def test_integer_kernels_exactly_equal(graph):
     with oracle_kernels():
         histogram_py = distance_histogram(graph)
         jdd_py = joint_degree_distribution(graph)
+        threek_py = three_k_distribution(graph)
     assert histogram_py == distance_histogram(graph)
     jdd_csr = joint_degree_distribution(graph)
     # same pairs in the same (edge-list) order: generators read them in order
     assert list(jdd_py.counts.items()) == list(jdd_csr.counts.items())
     assert jdd_py.zero_degree_nodes == jdd_csr.zero_degree_nodes
+    # P_3: the same wedge and triangle counts
+    assert three_k_distribution(graph) == threek_py
+
+
+@pytest.mark.parametrize("graph", CORPUS, ids=corpus_id)
+def test_biggraph_extracts_p3(graph):
+    big = BigGraph.from_simple_graph(graph)
+    assert dk_distribution(big, 3) == dk_distribution(graph, 3)
 
 
 @pytest.mark.parametrize("graph", CORPUS, ids=corpus_id)

@@ -13,7 +13,6 @@ from oracle import oracle_kernels
 
 import repro
 from repro.graph.simple_graph import SimpleGraph
-from repro.graph.subgraphs import triangles_per_node as triangles_reference
 from repro.kernels import bfs as bfs_mod
 from repro.kernels import biggraph as biggraph_mod
 from repro.kernels.backend import AUTO_THRESHOLD, resolve_backend
@@ -230,7 +229,7 @@ def test_triangle_kernels_agree_on_random_graph():
         u, v = int(rng.integers(80)), int(rng.integers(80))
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v)
-    expected = triangles_reference(graph)
+    expected = oracle.triangles_per_node(graph)
     assert biggraph_mod.triangles_per_node(graph) == expected
     big = BigGraph.from_simple_graph(graph)
     assert biggraph_mod.triangles_per_node(big) == expected
@@ -248,6 +247,7 @@ def _random_graph(n, m, seed):
 
 CHUNKED_KERNELS = (
     "triangles_per_node",
+    "threek_counts",
     "edge_degree_moments",
     "second_order_total",
     "jdd_counts",
@@ -271,7 +271,8 @@ def test_chunked_kernels_match_python_across_chunks(
     monkeypatch, graph, arc_chunk, candidate_budget
 ):
     # tiny chunks force the cross-chunk JDD merge, the node-block split of
-    # second_order_total and the triangle batch split on small graphs
+    # second_order_total and the 3K wedge pass, and the triangle and
+    # wedge-pair batch splits on small graphs
     monkeypatch.setattr(biggraph_mod, "ARC_CHUNK", arc_chunk)
     monkeypatch.setattr(biggraph_mod, "TRIANGLE_CANDIDATE_BUDGET", candidate_budget)
     big = BigGraph.from_simple_graph(graph)

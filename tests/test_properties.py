@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import pack_three_k_delta, three_k_delta_by_recount
+from oracle.triangles_python import triangle_degree_counts, wedge_degree_counts
 from repro.core.distance import dk_distance
 from repro.core.distributions import DegreeDistribution
 from repro.core.extraction import (
@@ -18,7 +19,6 @@ from repro.core.extraction import (
 )
 from repro.generators.rewiring.preserving import dk_randomize
 from repro.graph.simple_graph import SimpleGraph
-from repro.graph.subgraphs import triangle_degree_counts, wedge_degree_counts
 from repro.kernels.rewiring import (
     RewiringState,
     _batch_full_delta,

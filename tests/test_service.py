@@ -333,6 +333,18 @@ def test_spec_serialization_stays_within_the_service_fields():
     assert set(spec.to_dict()) <= TopologyService._SPEC_FIELDS
 
 
+def test_spec_round_trip_keeps_skip_unsupported():
+    # a client-side spec that must fail on unsupported cells keeps that
+    # setting through the body the service rebuilds its spec from
+    spec = ExperimentSpec(
+        topologies=("hot_small",), methods=("pseudograph",), skip_unsupported=False
+    )
+    body = spec.to_dict()
+    rebuilt = ExperimentSpec(**{**body, "metrics": tuple(body["metrics"])})
+    assert rebuilt.skip_unsupported is False
+    assert rebuilt.to_dict() == body
+
+
 def test_unknown_job_is_404(service):
     async def scenario(client):
         with pytest.raises(RemoteServiceError) as err:

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import pack_three_k_delta, three_k_delta_by_recount
+from oracle.triangles_python import triangle_degree_counts, wedge_degree_counts
 from repro.core.extraction import three_k_distribution
 from repro.graph.simple_graph import SimpleGraph
-from repro.graph.subgraphs import triangle_degree_counts, wedge_degree_counts
 from repro.kernels import rewiring as vec
 
 
@@ -298,9 +298,9 @@ def test_sparse_gradient_reads_and_updates_like_dense(hot_small, monkeypatch):
         tk = vec._ThreeKState(vec.RewiringState(graph))
         kd = np.unique(np.concatenate((tk.deg, objective.target_degrees())))
         tk.rank_by(kd)
-        dense, energy = vec._gradient(objective, tk, kd)
+        dense, energy = vec._gradient(objective, tk, graph, kd)
         monkeypatch.setattr(vec, "THREEK_RANK_SLOTS_MAX", 0)
-        sparse, sparse_energy = vec._gradient(objective, tk, kd)
+        sparse, sparse_energy = vec._gradient(objective, tk, graph, kd)
         monkeypatch.undo()
         assert isinstance(sparse, vec._SparseGradient)
         assert sparse_energy == energy
