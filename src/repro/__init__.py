@@ -43,15 +43,13 @@ Batch pipeline::
 
 from repro._lazy import lazy_exports
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 # Lazy re-exports (PEP 562): nothing heavy is imported until first attribute
 # access, so `import repro` stays cheap.
 _EXPORTS = {
     "SimpleGraph": "repro.graph.simple_graph",
     "canonical_edge": "repro.graph.simple_graph",
-    "from_networkx": "repro.graph.conversion",
-    "to_networkx": "repro.graph.conversion",
     "giant_component": "repro.graph.components",
     "AverageDegree": "repro.core.distributions",
     "DegreeDistribution": "repro.core.distributions",

@@ -19,7 +19,6 @@ from repro.analysis.convergence import (
 from repro.analysis.figures import (
     betweenness_series,
     clustering_series,
-    degree_ccdf_series,
     distance_distribution_series,
     series_l1_difference,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "convergence_from_experiment",
     "betweenness_series",
     "clustering_series",
-    "degree_ccdf_series",
     "distance_distribution_series",
     "series_l1_difference",
     "SCALAR_ROWS",

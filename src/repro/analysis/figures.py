@@ -23,7 +23,6 @@ from repro.graph.simple_graph import SimpleGraph
 from repro.measure.intermediates import shared_target
 from repro.metrics.betweenness import betweenness_by_degree
 from repro.metrics.clustering import clustering_by_degree
-from repro.metrics.degree import degree_ccdf
 from repro.metrics.distances import distance_distribution
 from repro.utils.rng import RngLike
 
@@ -80,18 +79,6 @@ def clustering_series(
     }
 
 
-def degree_ccdf_series(
-    graphs: Mapping[str, SimpleGraph],
-    *,
-    use_giant_component: bool = True,
-) -> FigureSeries:
-    """Degree CCDFs per labelled graph (the standard AS-topology plot)."""
-    return {
-        label: degree_ccdf(shared_target(graph, use_giant_component=use_giant_component))
-        for label, graph in graphs.items()
-    }
-
-
 def series_l1_difference(series_a: dict, series_b: dict) -> float:
     """Total absolute difference between two ``{x: y}`` series.
 
@@ -107,6 +94,5 @@ __all__ = [
     "distance_distribution_series",
     "betweenness_series",
     "clustering_series",
-    "degree_ccdf_series",
     "series_l1_difference",
 ]

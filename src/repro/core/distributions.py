@@ -20,24 +20,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.exceptions import DistributionError
 
 WedgeKey = tuple[int, int, int]
 TriangleKey = tuple[int, int, int]
-
-
-def wedge_key(center_degree: int, end_degree_a: int, end_degree_b: int) -> WedgeKey:
-    """Canonical key of a wedge: ``(min end, centre, max end)`` degrees."""
-    if end_degree_a <= end_degree_b:
-        return (end_degree_a, center_degree, end_degree_b)
-    return (end_degree_b, center_degree, end_degree_a)
-
-
-def triangle_key(k1: int, k2: int, k3: int) -> TriangleKey:
-    """Canonical key of a triangle: sorted degree triple."""
-    return tuple(sorted((k1, k2, k3)))  # type: ignore[return-value]
 
 
 # --------------------------------------------------------------------------- #
@@ -404,31 +392,11 @@ class ThreeKDistribution:
         )
 
 
-def canonical_wedge_counts(raw: Mapping[WedgeKey, int]) -> Counter:
-    """Re-canonicalize an arbitrary wedge-count mapping."""
-    counts: Counter = Counter()
-    for (a, c, b), value in raw.items():
-        counts[wedge_key(c, a, b)] += value
-    return counts
-
-
-def canonical_triangle_counts(raw: Mapping[TriangleKey, int]) -> Counter:
-    """Re-canonicalize an arbitrary triangle-count mapping."""
-    counts: Counter = Counter()
-    for key, value in raw.items():
-        counts[triangle_key(*key)] += value
-    return counts
-
-
 __all__ = [
     "AverageDegree",
     "DegreeDistribution",
     "JointDegreeDistribution",
     "ThreeKDistribution",
-    "canonical_wedge_counts",
-    "canonical_triangle_counts",
     "TriangleKey",
     "WedgeKey",
-    "triangle_key",
-    "wedge_key",
 ]

@@ -1,14 +1,17 @@
 """Extraction of dK-distributions from graphs (the paper's *analysis* side).
 
 These functions implement the "dkdist" part of the paper's released tooling:
-given an input graph, compute its 0K/1K/2K/3K-distribution.  P_2 and P_3
-are counted by the chunked csr kernels of :mod:`repro.kernels.biggraph`
+given an input graph, compute its 0K/1K/2K/3K-distribution.  P_1 is one
+``np.bincount`` of the CSR view's degree array, and P_2 and P_3 are counted
+by the chunked csr kernels of :mod:`repro.kernels.biggraph`
 (:func:`~repro.kernels.biggraph.jdd_counts` and
 :func:`~repro.kernels.biggraph.threek_counts`), so every extraction runs on
 a SimpleGraph (through its cached CSR view) and on a BigGraph alike.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.distributions import (
     AverageDegree,
@@ -17,7 +20,7 @@ from repro.core.distributions import (
     ThreeKDistribution,
 )
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.biggraph import jdd_counts, threek_counts
+from repro.kernels.biggraph import _view, jdd_counts, threek_counts
 
 
 def average_degree(graph: SimpleGraph) -> AverageDegree:
@@ -27,7 +30,8 @@ def average_degree(graph: SimpleGraph) -> AverageDegree:
 
 def degree_distribution(graph: SimpleGraph) -> DegreeDistribution:
     """Extract the 1K-distribution (node degree distribution)."""
-    return DegreeDistribution(graph.degree_histogram())
+    counts = np.bincount(_view(graph).degrees)
+    return DegreeDistribution(dict(enumerate(counts.tolist())))
 
 
 def joint_degree_distribution(graph: SimpleGraph) -> JointDegreeDistribution:

@@ -19,10 +19,6 @@ class GenerationError(ReproError):
     """Raised when a graph generator cannot complete a construction."""
 
 
-class ConvergenceError(ReproError):
-    """Raised when an iterative procedure fails to converge within budget."""
-
-
 class ExperimentError(ReproError):
     """Raised for invalid experiment specifications or unresolvable inputs."""
 
@@ -68,7 +64,6 @@ __all__ = [
     "GraphError",
     "DistributionError",
     "GenerationError",
-    "ConvergenceError",
     "ExperimentError",
     "ExperimentInterrupted",
     "StoreError",

@@ -39,7 +39,6 @@ _EXPORTS = {
     "ExplorationResult": "repro.generators.exploration",
     "explore_1k_likelihood": "repro.generators.exploration",
     "explore_2k": "repro.generators.exploration",
-    "extreme_metric_gap": "repro.generators.exploration",
     "likelihood": "repro.metrics.assortativity",
 }
 

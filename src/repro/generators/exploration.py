@@ -41,7 +41,7 @@ from repro.kernels.rewiring import (
 from repro.metrics.assortativity import likelihood, second_order_likelihood
 from repro.metrics.clustering import mean_clustering
 from repro.telemetry import span
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 
 Mode = Literal["max", "min"]
 
@@ -164,36 +164,8 @@ def explore_2k(
     return _explore(graph, objective, mean_clustering, scale, rng, max_attempts)
 
 
-def extreme_metric_gap(
-    graph: SimpleGraph,
-    d: int,
-    *,
-    rng: RngLike = None,
-    max_attempts: int | None = None,
-) -> dict[str, float]:
-    """Gap between extreme values of the next-level metrics for a dK space.
-
-    This is the paper's heuristic for deciding whether a given ``d`` is
-    constraining enough: explore the dK space toward the maximum and minimum
-    of metrics defined by ``P_{d+1}`` and report the spread.
-    """
-    rng = ensure_rng(rng)
-    if d == 1:
-        high = explore_1k_likelihood(graph, "max", rng=rng, max_attempts=max_attempts)
-        low = explore_1k_likelihood(graph, "min", rng=rng, max_attempts=max_attempts)
-        return {"metric": 1.0, "max": high.metric_value, "min": low.metric_value,
-                "gap": high.metric_value - low.metric_value}
-    if d == 2:
-        high = explore_2k(graph, "clustering", "max", rng=rng, max_attempts=max_attempts)
-        low = explore_2k(graph, "clustering", "min", rng=rng, max_attempts=max_attempts)
-        return {"metric": 2.0, "max": high.metric_value, "min": low.metric_value,
-                "gap": high.metric_value - low.metric_value}
-    raise ValueError("extreme_metric_gap is implemented for d in {1, 2}")
-
-
 __all__ = [
     "ExplorationResult",
     "explore_1k_likelihood",
     "explore_2k",
-    "extreme_metric_gap",
 ]

@@ -16,7 +16,6 @@ _EXPORTS = {
     "warn_not_converged": "repro.generators.rewiring.chain",
     "TargetingResult": "repro.generators.rewiring.targeting",
     "constant_temperature": "repro.generators.rewiring.targeting",
-    "geometric_cooling": "repro.generators.rewiring.targeting",
     "dk_targeting_construct": "repro.generators.rewiring.targeting",
     "dk_targeting_result": "repro.generators.rewiring.targeting",
     "target_2k_from_1k": "repro.generators.rewiring.targeting",

@@ -49,13 +49,6 @@ def constant_temperature(value: float) -> TemperatureSchedule:
     return lambda step: value
 
 
-def geometric_cooling(start: float, ratio: float = 0.999) -> TemperatureSchedule:
-    """Simulated-annealing style geometric cooling ``T(step) = start * ratio^step``."""
-    if not 0 < ratio <= 1:
-        raise ValueError("ratio must lie in (0, 1]")
-    return lambda step: start * (ratio**step)
-
-
 @dataclass
 class TargetingResult:
     """Outcome of a targeting-rewiring run."""
@@ -238,7 +231,6 @@ __all__ = [
     "TargetingResult",
     "TemperatureSchedule",
     "constant_temperature",
-    "geometric_cooling",
     "target_2k_from_1k",
     "target_3k_from_2k",
     "dk_targeting_result",

@@ -1,7 +1,7 @@
 """Graph substrate: simple-graph data structure, components, I/O.
 
-Re-exports are lazy (PEP 562): the substrate is pure Python except the
-networkx/adjacency-matrix conversion helpers.
+Re-exports are lazy (PEP 562), so ``import repro.graph`` imports none of
+the modules below until one of their names is used.
 """
 
 from repro._lazy import lazy_exports
@@ -11,11 +11,7 @@ _EXPORTS = {
     "canonical_edge": "repro.graph.simple_graph",
     "connected_components": "repro.graph.components",
     "giant_component": "repro.graph.components",
-    "is_connected": "repro.graph.components",
     "largest_component_nodes": "repro.graph.components",
-    "number_of_components": "repro.graph.components",
-    "from_networkx": "repro.graph.conversion",
-    "to_networkx": "repro.graph.conversion",
 }
 
 __all__ = list(_EXPORTS)

@@ -47,16 +47,6 @@ def connected_components(graph: SimpleGraph) -> Iterator[list[int]]:
         yield group.tolist()
 
 
-def number_of_components(graph: SimpleGraph) -> int:
-    """Number of connected components (0 for the empty graph)."""
-    return _labels(graph.number_of_nodes, _edge_array(graph))[0]
-
-
-def is_connected(graph: SimpleGraph) -> bool:
-    """True when the graph has exactly one connected component."""
-    return number_of_components(graph) == 1
-
-
 def largest_component_nodes(graph: SimpleGraph) -> list[int]:
     """Node ids of the giant component, ascending (empty graph -> [])."""
     if graph.number_of_nodes == 0:
@@ -91,8 +81,6 @@ def component_size_distribution(graph: SimpleGraph) -> dict[int, int]:
 
 __all__ = [
     "connected_components",
-    "number_of_components",
-    "is_connected",
     "largest_component_nodes",
     "giant_component",
     "component_size_distribution",

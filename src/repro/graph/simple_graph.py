@@ -11,8 +11,8 @@ these are O(1):
 
 Nodes are consecutive integers ``0 .. n-1``.  Self-loops and parallel edges
 are rejected: the dK-series of the paper is defined on simple graphs.
-Conversion helpers to and from :mod:`networkx` live in
-:mod:`repro.graph.conversion`.
+The array kernels read a graph through its cached CSR view
+(:func:`repro.kernels.csr.csr_graph`).
 """
 
 from __future__ import annotations
@@ -190,14 +190,6 @@ class SimpleGraph:
         if n == 0:
             return 0.0
         return 2.0 * len(self._edges) / n
-
-    def degree_histogram(self) -> dict[int, int]:
-        """Mapping ``degree -> number of nodes with that degree``."""
-        hist: dict[int, int] = {}
-        for neigh in self._adj:
-            k = len(neigh)
-            hist[k] = hist.get(k, 0) + 1
-        return hist
 
     def max_degree(self) -> int:
         """Largest node degree (0 for an empty graph)."""

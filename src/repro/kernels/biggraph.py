@@ -508,8 +508,22 @@ def threek_counts(graph):
 
 
 # ---------------------------------------------------------------------- #
-# giant component
+# adjacency matrix and giant component
 # ---------------------------------------------------------------------- #
+def adjacency_matrix(graph, dtype=np.float64):
+    """Sparse symmetric adjacency matrix of ``graph``: its CSR view, ones as data.
+
+    The spectrum takes float entries and the component labelling int8 ones.
+    """
+    from scipy.sparse import csr_matrix
+
+    view = _view(graph)
+    return csr_matrix(
+        (np.ones(len(view.indices), dtype=dtype), view.indices, view.indptr),
+        shape=(view.n, view.n),
+    )
+
+
 def component_labels(adjacency) -> tuple[int, np.ndarray]:
     """``(count, component label per node)`` of a scipy sparse adjacency.
 
@@ -548,17 +562,7 @@ def biggraph_giant_component(graph: BigGraph) -> BigGraph:
     """
     if graph.n == 0:
         return graph
-    from scipy.sparse import csr_matrix
-
-    adjacency = csr_matrix(
-        (
-            np.ones(len(graph.indices), dtype=np.int8),
-            np.asarray(graph.indices),
-            np.asarray(graph.indptr),
-        ),
-        shape=(graph.n, graph.n),
-    )
-    member = giant_component_mask(component_labels(adjacency)[1])
+    member = giant_component_mask(component_labels(adjacency_matrix(graph, np.int8))[1])
     if member.all():
         return graph
 
@@ -592,6 +596,7 @@ def biggraph_giant_component(graph: BigGraph) -> BigGraph:
 __all__ = [
     "ARC_CHUNK",
     "BigGraph",
+    "adjacency_matrix",
     "biggraph_giant_component",
     "index_dtype",
 ]

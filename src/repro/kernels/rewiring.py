@@ -278,11 +278,11 @@ class _ThreeKState:
       accepted move, and the staleness-path evaluators get their open-path
       deltas in O(distinct neighbor degrees) instead of O(deg);
     * ``nbrdeg_sum_list``/``nbrdeg_sum`` — per-node neighbor-degree sums
-      ``s_u = sum(k_x for x in N(u))`` (a live list and its NumPy mirror,
-      ``S2 = sum(k_u * s_u) / 2``).  Like the histograms, only the exchanged
-      heads' sums change, in O(1): ``s_b += k_c - k_a``, ``s_d += k_a - k_c``.
-      Both zero-delta evaluators reject on ``s_b - k_a != s_d - k_c`` before
-      any neighborhood work;
+      ``s_u = sum(k_x for x in N(u))`` (a live list and its NumPy mirror;
+      ``S2 = (sum(s_u**2) - sum(k_u**3)) / 2``).  Like the histograms, only
+      the exchanged heads' sums change, in O(1): ``s_b += k_c - k_a``,
+      ``s_d += k_a - k_c``.  Both zero-delta evaluators reject on
+      ``s_b - k_a != s_d - k_c`` before any neighborhood work;
     * ``stamp``/``clock`` — per-node stamps of the last accepted move that
       rewrote the node's row, backing the within-batch staleness test.
 

@@ -9,11 +9,7 @@ re-exports are lazy (PEP 562) to keep importing the package cheap.  The rest are
 from repro._lazy import lazy_exports
 from repro.metrics.assortativity import (
     assortativity,
-    assortativity_from_likelihood,
-    average_neighbor_degree,
     likelihood,
-    normalized_likelihood,
-    s_max_upper_bound,
     second_order_likelihood,
     second_order_likelihood_open,
 )
@@ -30,20 +26,14 @@ from repro.metrics.clustering import (
 )
 from repro.metrics.degree import (
     average_degree,
-    degree_ccdf,
-    degree_histogram,
-    degree_moment,
-    degree_pmf,
     max_degree,
     power_law_exponent_mle,
 )
 from repro.metrics.distances import (
-    bfs_distances,
     diameter,
     distance_distribution,
     distance_histogram,
     distance_std,
-    eccentricity,
     mean_distance,
     sample_sources,
 )
@@ -53,18 +43,13 @@ _EXPORTS = {
     "extreme_eigenvalues": "repro.metrics.spectrum",
     "laplacian_spectrum": "repro.metrics.spectrum",
     "normalized_laplacian": "repro.metrics.spectrum",
-    "spectral_gap": "repro.metrics.spectrum",
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "assortativity",
-    "assortativity_from_likelihood",
-    "average_neighbor_degree",
     "likelihood",
-    "normalized_likelihood",
-    "s_max_upper_bound",
     "second_order_likelihood",
     "second_order_likelihood_open",
     "betweenness_by_degree",
@@ -75,19 +60,13 @@ __all__ = [
     "mean_clustering",
     "transitivity",
     "average_degree",
-    "degree_ccdf",
-    "degree_histogram",
-    "degree_moment",
-    "degree_pmf",
     "max_degree",
     "power_law_exponent_mle",
-    "bfs_distances",
     "sample_sources",
     "diameter",
     "distance_distribution",
     "distance_histogram",
     "distance_std",
-    "eccentricity",
     "mean_distance",
     "summarize",
     *_EXPORTS,

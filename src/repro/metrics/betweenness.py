@@ -4,7 +4,7 @@ Betweenness estimates the potential traffic load on a node or link under
 uniform shortest-path routing.  The paper plots *normalized node betweenness
 averaged per degree* against node degree (Figures 6b and 9).  Node
 betweenness is Brandes' accumulation, with optional source sampling for
-large graphs; networkx is used in the test-suite as an oracle but not here.
+large graphs.
 
 The heavy traversal is obtained from the shared measurement-intermediate
 layer (:mod:`repro.measure.intermediates`): one unified BFS sweep (the

@@ -1,4 +1,4 @@
-"""Degree-based metrics: P(k), CCDF, moments."""
+"""Degree-based metrics: average and maximum degree, power-law exponent."""
 
 from __future__ import annotations
 
@@ -7,41 +7,9 @@ import math
 from repro.graph.simple_graph import SimpleGraph
 
 
-def degree_histogram(graph: SimpleGraph) -> dict[int, int]:
-    """Mapping ``degree -> number of nodes``."""
-    return graph.degree_histogram()
-
-
-def degree_pmf(graph: SimpleGraph) -> dict[int, float]:
-    """Normalized degree distribution ``P(k)``."""
-    n = graph.number_of_nodes
-    if n == 0:
-        return {}
-    return {k: c / n for k, c in sorted(graph.degree_histogram().items())}
-
-
-def degree_ccdf(graph: SimpleGraph) -> dict[int, float]:
-    """Complementary CDF ``P(K >= k)`` -- the standard AS-topology plot."""
-    pmf = degree_pmf(graph)
-    ccdf: dict[int, float] = {}
-    remaining = 1.0
-    for k in sorted(pmf):
-        ccdf[k] = remaining
-        remaining -= pmf[k]
-    return ccdf
-
-
 def average_degree(graph: SimpleGraph) -> float:
     """Average node degree ``k̄``."""
     return graph.average_degree()
-
-
-def degree_moment(graph: SimpleGraph, order: int) -> float:
-    """The ``order``-th raw moment of the degree distribution."""
-    n = graph.number_of_nodes
-    if n == 0:
-        return 0.0
-    return sum(k**order for k in graph.degrees()) / n
 
 
 def max_degree(graph: SimpleGraph) -> int:
@@ -64,11 +32,7 @@ def power_law_exponent_mle(graph: SimpleGraph, k_min: int = 1) -> float:
 
 
 __all__ = [
-    "degree_histogram",
-    "degree_pmf",
-    "degree_ccdf",
     "average_degree",
-    "degree_moment",
     "max_degree",
     "power_law_exponent_mle",
 ]

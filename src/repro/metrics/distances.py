@@ -18,26 +18,10 @@ each call with a fresh ``rng`` draws a fresh sample.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from repro.graph.simple_graph import SimpleGraph
 from repro.measure.intermediates import shared_sweep
 from repro.utils.rng import RngLike, ensure_rng
-
-
-def bfs_distances(graph: SimpleGraph, source: int) -> list[int]:
-    """Hop distances from ``source`` to every node (-1 when unreachable)."""
-    distances = [-1] * graph.number_of_nodes
-    distances[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        next_distance = distances[u] + 1
-        for v in graph.neighbors(u):
-            if distances[v] < 0:
-                distances[v] = next_distance
-                queue.append(v)
-    return distances
 
 
 def sample_sources(n: int, sources: int | None, rng: RngLike = None) -> tuple[list[int], float]:
@@ -164,13 +148,7 @@ def diameter(
     return max(histogram, default=0)
 
 
-def eccentricity(graph: SimpleGraph, source: int) -> int:
-    """Largest finite distance from ``source``."""
-    return max((d for d in bfs_distances(graph, source) if d >= 0), default=0)
-
-
 __all__ = [
-    "bfs_distances",
     "sample_sources",
     "scale_histogram",
     "histogram_mean",
@@ -181,5 +159,4 @@ __all__ = [
     "mean_distance",
     "distance_std",
     "diameter",
-    "eccentricity",
 ]

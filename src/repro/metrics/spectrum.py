@@ -4,7 +4,9 @@ The paper uses the normalized Laplacian ``L`` with matrix elements
 ``L_ij = -1/sqrt(k_i k_j)`` for edges, 1 on the diagonal (isolated nodes
 excluded) -- i.e. ``L = I - D^{-1/2} A D^{-1/2}``.  All eigenvalues lie in
 ``[0, 2]``; the smallest non-zero eigenvalue ``λ_1`` and the largest
-eigenvalue ``λ_{n-1}`` bound network resilience and performance.
+eigenvalue ``λ_{n-1}`` bound network resilience and performance.  ``A``
+is :func:`~repro.kernels.biggraph.adjacency_matrix` over the graph's CSR
+view, so every function here takes a SimpleGraph or a BigGraph.
 
 Up to :data:`DENSE_LIMIT` nodes :func:`extreme_eigenvalues` reads both
 values off the full dense spectrum.  Above it, ``λ_1`` comes from one
@@ -26,9 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.graph.conversion import adjacency_matrix
-from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.biggraph import component_labels
+from repro.kernels.biggraph import adjacency_matrix, component_labels
 
 # graphs up to this size use a dense eigen-decomposition (exact, simple);
 # larger graphs compute the two extreme eigenvalues with sparse Lanczos runs.
@@ -39,7 +39,7 @@ DENSE_LIMIT = 2500
 SHIFT = -1e-3
 
 
-def normalized_laplacian(graph: SimpleGraph) -> sp.csr_matrix:
+def normalized_laplacian(graph) -> sp.csr_matrix:
     """Sparse normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``.
 
     Isolated nodes contribute a zero row/column (their "1" diagonal entry is
@@ -60,13 +60,13 @@ def _laplacian_of(adjacency: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     return (identity_like - d_inv_sqrt @ adjacency @ d_inv_sqrt).tocsr(), degrees
 
 
-def laplacian_spectrum(graph: SimpleGraph) -> np.ndarray:
+def laplacian_spectrum(graph) -> np.ndarray:
     """All eigenvalues of the normalized Laplacian (dense computation)."""
     laplacian = normalized_laplacian(graph).toarray()
     return np.sort(np.linalg.eigvalsh(laplacian))
 
 
-def extreme_eigenvalues(graph: SimpleGraph, *, tolerance: float = 1e-8) -> tuple[float, float]:
+def extreme_eigenvalues(graph, *, tolerance: float = 1e-8) -> tuple[float, float]:
     """``(λ_1, λ_{n-1})``: smallest non-zero and largest eigenvalues.
 
     Up to :data:`DENSE_LIMIT` nodes the full dense spectrum is computed and
@@ -138,15 +138,9 @@ def _null_space(adjacency: sp.csr_matrix, degrees: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((values, (np.arange(n), labels)), shape=(n, count))
 
 
-def spectral_gap(graph: SimpleGraph) -> float:
-    """The smallest non-zero eigenvalue ``λ_1`` (algebraic connectivity proxy)."""
-    return extreme_eigenvalues(graph)[0]
-
-
 __all__ = [
     "normalized_laplacian",
     "laplacian_spectrum",
     "extreme_eigenvalues",
-    "spectral_gap",
     "DENSE_LIMIT",
 ]

@@ -36,7 +36,6 @@ from repro.telemetry.metrics import (
     counter_value,
     gauge_set,
     gauge_value,
-    get_registry,
     merge_metrics,
     metrics_snapshot,
     observe,
@@ -71,6 +70,5 @@ __all__ = [
     "merge_metrics",
     "render_prometheus",
     "reset_metrics",
-    "get_registry",
     "sample_peak_rss",
 ]

@@ -39,7 +39,6 @@ __all__ = [
     "merge_metrics",
     "render_prometheus",
     "reset_metrics",
-    "get_registry",
     "sample_peak_rss",
 ]
 
@@ -274,10 +273,6 @@ class MetricsRegistry:
 
 #: the process-global registry every instrumented layer writes to
 _REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return _REGISTRY
 
 
 def counter_inc(name: str, amount: float = 1, **labels: Any) -> None:

@@ -1,6 +1,6 @@
 """Evaluation topologies: synthetic HOT-like and AS-level graphs plus a registry."""
 
-from repro.topologies.as_level import as_like_statistics, synthetic_as_topology
+from repro.topologies.as_level import synthetic_as_topology
 from repro.topologies.hot import hot_like_statistics, synthetic_hot_topology
 from repro.topologies.registry import (
     TopologySpec,
@@ -12,7 +12,6 @@ from repro.topologies.registry import (
 
 __all__ = [
     "synthetic_as_topology",
-    "as_like_statistics",
     "synthetic_hot_topology",
     "hot_like_statistics",
     "TopologySpec",

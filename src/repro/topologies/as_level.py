@@ -163,17 +163,4 @@ def synthetic_as_topology(
     return giant_component(graph)
 
 
-def as_like_statistics(graph: SimpleGraph) -> dict[str, float]:
-    """Structural fingerprint used by the tests: k̄, max degree, and the share
-    of degree-1 and degree-2 nodes (AS graphs are dominated by stub ASes)."""
-    degrees = graph.degrees()
-    n = graph.number_of_nodes
-    low_degree = sum(1 for k in degrees if k <= 2)
-    return {
-        "average_degree": graph.average_degree(),
-        "max_degree": float(max(degrees, default=0)),
-        "low_degree_fraction": low_degree / n if n else 0.0,
-    }
-
-
-__all__ = ["synthetic_as_topology", "as_like_statistics"]
+__all__ = ["synthetic_as_topology"]

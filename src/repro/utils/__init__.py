@@ -1,15 +1,5 @@
-"""Shared utilities: random number handling and input validation."""
+"""Shared utilities: random number handling."""
 
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import (
-    require_non_negative,
-    require_positive,
-    require_probability,
-)
 
-__all__ = [
-    "ensure_rng",
-    "require_non_negative",
-    "require_positive",
-    "require_probability",
-]
+__all__ = ["ensure_rng"]

@@ -8,10 +8,16 @@ kernels must reproduce: integer counts exactly, Brandes accumulations to
 the whole library with :func:`oracle_kernels`.  The benchmarks import this
 package as ``tests.oracle`` to time the reference kernels.
 :mod:`.triangles_python` holds the size-3 subgraph counters (triangle
-enumeration, degree-keyed wedge and triangle counts) that P_3 extraction
-must reproduce, and :func:`three_k_delta_by_recount` is the oracle of the
-rewiring engine's 3K delta evaluators: one swap's wedge/triangle change, by
+enumeration, degree-keyed wedge and triangle counts, and their canonical
+keys) that P_3 extraction must reproduce, and
+:func:`three_k_delta_by_recount` is the oracle of the rewiring engine's 3K
+delta evaluators: one swap's wedge/triangle change, by
 a recount with those counters, so neither oracle reads the csr 3K kernel.
+:mod:`.sweep_python` also keeps the single-source ``bfs_distances``, and
+:mod:`.correlations_python` a second formula for ``r``.
+:mod:`.networkx_bridge` converts to and from networkx for the tests that
+check against it; this package does not import it, so the oracle itself
+needs no networkx.
 """
 
 from __future__ import annotations

@@ -27,6 +27,31 @@ def edge_degree_moments(graph: SimpleGraph) -> tuple[int, int, int]:
     return sum_prod, sum_ends, sum_ends_sq
 
 
+def assortativity_from_likelihood(graph: SimpleGraph) -> float:
+    """Newman's ``r`` through its linear relation with the likelihood ``S``.
+
+    ``r = (S/m - k̄_e²) / (k²̄_e - k̄_e²)`` where the ``e`` subscripts denote
+    moments of the edge-end degree distribution: a second formula for ``r``,
+    against the library's Pearson form over the edge-degree moments.
+    """
+    m = graph.number_of_edges
+    if m == 0:
+        return 0.0
+    degrees = graph.degrees()
+    likelihood = 0
+    end_sum = 0.0
+    end_sq_sum = 0.0
+    for u, v in graph.edges():
+        likelihood += degrees[u] * degrees[v]
+        end_sum += 0.5 * (degrees[u] + degrees[v])
+        end_sq_sum += 0.5 * (degrees[u] ** 2 + degrees[v] ** 2)
+    mean_end = end_sum / m
+    variance = end_sq_sum / m - mean_end**2
+    if variance == 0:
+        return 0.0
+    return (likelihood / m - mean_end**2) / variance
+
+
 def second_order_total(graph: SimpleGraph) -> int:
     """``Σ_v [(Σ_{u∈N(v)} k_u)² − Σ_{u∈N(v)} k_u²]`` — twice the S2 sum."""
     degrees = graph.degrees()
@@ -57,4 +82,9 @@ def jdd_counts(graph: SimpleGraph) -> tuple[dict[tuple[int, int], int], int]:
     return dict(counter), zero_degree
 
 
-__all__ = ["edge_degree_moments", "second_order_total", "jdd_counts"]
+__all__ = [
+    "assortativity_from_likelihood",
+    "edge_degree_moments",
+    "second_order_total",
+    "jdd_counts",
+]

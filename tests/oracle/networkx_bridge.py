@@ -1,8 +1,8 @@
 """Conversions between :class:`SimpleGraph` and :mod:`networkx` graphs.
 
-networkx is used as a cross-check oracle in the test suite and for a few
-metrics (betweenness centrality) where its implementations are convenient.
-The library's own algorithms all operate on :class:`SimpleGraph`.
+networkx is the test suite's independent reference for the library's
+metrics (distances, betweenness, clustering, assortativity, spectrum and
+components); the library itself never imports it.
 """
 
 from __future__ import annotations
@@ -37,34 +37,9 @@ def from_networkx(g: nx.Graph) -> tuple[SimpleGraph, dict]:
     return graph, mapping
 
 
-def adjacency_matrix(graph: SimpleGraph):
-    """Sparse symmetric adjacency matrix of the graph (requires SciPy)."""
-    import numpy as np
-    import scipy.sparse as sp
-
-    n = graph.number_of_nodes
-    edges = graph.edge_list()
-    if not edges:
-        return sp.csr_matrix((n, n))
-    rows = []
-    cols = []
-    for u, v in edges:
-        rows.append(u)
-        cols.append(v)
-        rows.append(v)
-        cols.append(u)
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def to_adjacency_lists(graph: SimpleGraph) -> list[list[int]]:
     """Plain list-of-lists adjacency representation (sorted neighbours)."""
     return [sorted(graph.neighbors(u)) for u in graph.nodes()]
 
 
-__all__ = [
-    "to_networkx",
-    "from_networkx",
-    "adjacency_matrix",
-    "to_adjacency_lists",
-]
+__all__ = ["to_networkx", "from_networkx", "to_adjacency_lists"]

@@ -15,7 +15,21 @@ from collections import deque
 from typing import Sequence
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.metrics.distances import bfs_distances
+
+
+def bfs_distances(graph: SimpleGraph, source: int) -> list[int]:
+    """Hop distances from ``source`` to every node (-1 when unreachable)."""
+    distances = [-1] * graph.number_of_nodes
+    distances[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        next_distance = distances[u] + 1
+        for v in graph.neighbors(u):
+            if distances[v] < 0:
+                distances[v] = next_distance
+                queue.append(v)
+    return distances
 
 
 def bfs_histogram(graph: SimpleGraph, source_nodes: list[int]) -> dict[int, int]:
@@ -168,4 +182,5 @@ def edge_betweenness(
     return centrality
 
 
-__all__ = ["bfs_histogram", "brandes_source", "bfs_sweep", "edge_betweenness"]
+__all__ = ["bfs_distances", "bfs_histogram", "brandes_source", "bfs_sweep",
+           "edge_betweenness"]

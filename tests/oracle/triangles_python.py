@@ -17,10 +17,38 @@ neighbour-degree histograms minus the pairs closed by triangles for wedges.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
+from typing import Iterator, Mapping
 
-from repro.core.distributions import triangle_key, wedge_key
+from repro.core.distributions import TriangleKey, WedgeKey
 from repro.graph.simple_graph import SimpleGraph
+
+
+def wedge_key(center_degree: int, end_degree_a: int, end_degree_b: int) -> WedgeKey:
+    """Canonical key of a wedge: ``(min end, centre, max end)`` degrees."""
+    if end_degree_a <= end_degree_b:
+        return (end_degree_a, center_degree, end_degree_b)
+    return (end_degree_b, center_degree, end_degree_a)
+
+
+def triangle_key(k1: int, k2: int, k3: int) -> TriangleKey:
+    """Canonical key of a triangle: sorted degree triple."""
+    return tuple(sorted((k1, k2, k3)))  # type: ignore[return-value]
+
+
+def canonical_wedge_counts(raw: Mapping[WedgeKey, int]) -> Counter:
+    """Re-canonicalize an arbitrary wedge-count mapping."""
+    counts: Counter = Counter()
+    for (a, c, b), value in raw.items():
+        counts[wedge_key(c, a, b)] += value
+    return counts
+
+
+def canonical_triangle_counts(raw: Mapping[TriangleKey, int]) -> Counter:
+    """Re-canonicalize an arbitrary triangle-count mapping."""
+    counts: Counter = Counter()
+    for key, value in raw.items():
+        counts[triangle_key(*key)] += value
+    return counts
 
 
 def iter_triangles(graph: SimpleGraph) -> Iterator[tuple[int, int, int]]:
@@ -126,12 +154,16 @@ def local_clustering(graph: SimpleGraph, node: int) -> float:
 
 
 __all__ = [
+    "canonical_triangle_counts",
+    "canonical_wedge_counts",
     "iter_triangles",
     "local_clustering",
     "threek_counts",
     "triangle_count",
     "triangle_degree_counts",
+    "triangle_key",
     "triangles_per_node",
     "wedge_count",
     "wedge_degree_counts",
+    "wedge_key",
 ]

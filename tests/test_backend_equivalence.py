@@ -131,8 +131,10 @@ def test_integer_kernels_exactly_equal(graph):
 
 @pytest.mark.parametrize("graph", CORPUS, ids=corpus_id)
 def test_biggraph_extracts_p3(graph):
+    # P_3 and every lower distribution: P_0 to P_2 as well
     big = BigGraph.from_simple_graph(graph)
-    assert dk_distribution(big, 3) == dk_distribution(graph, 3)
+    for d in range(4):
+        assert dk_distribution(big, d) == dk_distribution(graph, d), d
 
 
 @pytest.mark.parametrize("graph", CORPUS, ids=corpus_id)

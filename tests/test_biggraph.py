@@ -10,6 +10,7 @@ from oracle import oracle_kernels
 
 import repro.graph.mmap_io as mmap_io
 from repro.kernels.biggraph import BigGraph, index_dtype
+from repro.metrics.summary import summarize
 
 
 # --------------------------------------------------------------------------- #
@@ -155,6 +156,14 @@ def test_table2_biggraph_matches_csr_backend(hot_small):
     via_big = plan.run(BigGraph.from_simple_graph(hot_small), rng=np.random.default_rng(0))
     for name in TABLE2_CORE_METRICS:
         assert via_big[name] == via_csr[name] == via_python[name], name
+
+
+def test_summarize_biggraph_twin_with_spectrum(hot_small):
+    # the spectrum reads the same CSR adjacency, so λ is bit-equal as well
+    expected = summarize(hot_small)
+    assert "lambda_1" in expected.as_dict()
+    twin = summarize(BigGraph.from_simple_graph(hot_small))
+    assert twin.as_dict() == expected.as_dict()
 
 
 def test_rescale_generate_measure_end_to_end(tmp_path):

@@ -1,15 +1,11 @@
-"""Tests for networkx / matrix conversions."""
+"""Tests for the adjacency matrix and the tests' networkx conversions."""
 
 import networkx as nx
 import numpy as np
+from oracle.networkx_bridge import from_networkx, to_adjacency_lists, to_networkx
 
-from repro.graph.conversion import (
-    adjacency_matrix,
-    from_networkx,
-    to_adjacency_lists,
-    to_networkx,
-)
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import BigGraph, adjacency_matrix
 
 
 def test_to_networkx_preserves_structure(square_with_diagonal):
@@ -66,3 +62,10 @@ def test_to_adjacency_lists(star_graph):
     lists = to_adjacency_lists(star_graph)
     assert lists[0] == [1, 2, 3, 4, 5]
     assert all(lists[i] == [0] for i in range(1, 6))
+
+
+def test_adjacency_matrix_same_for_biggraph_twin(random_graph):
+    expected = adjacency_matrix(random_graph)
+    twin = adjacency_matrix(BigGraph.from_simple_graph(random_graph))
+    assert twin.dtype == expected.dtype == np.float64
+    assert (twin != expected).nnz == 0

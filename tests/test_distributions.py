@@ -1,14 +1,13 @@
 """Tests for the dK-distribution containers and their projections."""
 
 import pytest
+from oracle.triangles_python import canonical_triangle_counts, canonical_wedge_counts
 
 from repro.core.distributions import (
     AverageDegree,
     DegreeDistribution,
     JointDegreeDistribution,
     ThreeKDistribution,
-    canonical_triangle_counts,
-    canonical_wedge_counts,
 )
 from repro.core.extraction import three_k_distribution
 from repro.exceptions import DistributionError

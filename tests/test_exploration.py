@@ -1,12 +1,12 @@
 """Tests for dK-space explorations (Section 4.3)."""
 
+import numpy as np
 import pytest
 
 from repro.core.extraction import degree_distribution, joint_degree_distribution
 from repro.generators.exploration import (
     explore_1k_likelihood,
     explore_2k,
-    extreme_metric_gap,
 )
 from repro.metrics.assortativity import likelihood
 from repro.metrics.clustering import mean_clustering
@@ -62,19 +62,12 @@ def test_explore_modes_validated(as_small):
         explore_2k(as_small, "diameter", "max", max_attempts=0)
 
 
-def test_extreme_metric_gap(as_small):
-    gap_1k = extreme_metric_gap(as_small, 1, rng=4, max_attempts=5000)
-    assert gap_1k["gap"] >= 0
-    gap_2k = extreme_metric_gap(as_small, 2, rng=4, max_attempts=5000)
-    assert gap_2k["gap"] >= 0
-    with pytest.raises(ValueError):
-        extreme_metric_gap(as_small, 3)
-
-
 def test_exploration_smaller_gap_at_higher_d(as_small):
     """The paper's heuristic: higher d is more constraining, so the spread of
     next-level metrics shrinks.  Compare the *relative* spreads of the same
     metric family (clustering is only defined by P3, likelihood by P2)."""
-    gap_1k = extreme_metric_gap(as_small, 1, rng=5, max_attempts=15000)
-    rel_1k = gap_1k["gap"] / max(abs(gap_1k["max"]), 1e-9)
+    rng = np.random.default_rng(5)
+    high = explore_1k_likelihood(as_small, "max", rng=rng, max_attempts=15000)
+    low = explore_1k_likelihood(as_small, "min", rng=rng, max_attempts=15000)
+    rel_1k = (high.metric_value - low.metric_value) / max(abs(high.metric_value), 1e-9)
     assert 0 <= rel_1k <= 1.5

@@ -10,6 +10,7 @@ import numpy as np
 import oracle
 import pytest
 from oracle import oracle_kernels
+from oracle.sweep_python import bfs_distances
 
 import repro
 from repro.graph.simple_graph import SimpleGraph
@@ -20,7 +21,7 @@ from repro.kernels.biggraph import BigGraph, bfs_sweep
 from repro.kernels.csr import csr_graph
 from repro.measure.plan import MeasurementPlan
 from repro.metrics.betweenness import node_betweenness
-from repro.metrics.distances import bfs_distances, sample_sources
+from repro.metrics.distances import sample_sources
 
 
 def ring(n):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.extraction import degree_distribution
 from repro.exceptions import GraphError
 from repro.graph.simple_graph import SimpleGraph, canonical_edge
 
@@ -115,7 +116,7 @@ class TestDegrees:
 
     def test_degree_histogram(self):
         graph = SimpleGraph(4, edges=[(0, 1), (0, 2), (0, 3)])
-        assert graph.degree_histogram() == {3: 1, 1: 3}
+        assert degree_distribution(graph).counts == {1: 3, 3: 1}
 
     def test_max_degree(self):
         graph = SimpleGraph(4, edges=[(0, 1), (0, 2)])

@@ -1,18 +1,19 @@
 """Tests of the pure-Python wedge/triangle counters keyed by degrees (the 3K oracle)."""
 
 import networkx as nx
-
+from oracle.networkx_bridge import to_networkx
 from oracle.triangles_python import (
     iter_triangles,
     local_clustering,
     triangle_count,
     triangle_degree_counts,
+    triangle_key,
     triangles_per_node,
     wedge_count,
     wedge_degree_counts,
+    wedge_key,
 )
-from repro.core.distributions import triangle_key, wedge_key
-from repro.graph.conversion import to_networkx
+
 from repro.graph.simple_graph import SimpleGraph
 
 

@@ -14,7 +14,6 @@ from repro.generators.rewiring.preserving import dk_randomize
 from repro.generators.rewiring.targeting import (
     constant_temperature,
     dk_targeting_construct,
-    geometric_cooling,
     target_2k_from_1k,
     target_3k_from_2k,
 )
@@ -22,11 +21,6 @@ from repro.generators.rewiring.targeting import (
 
 def test_temperature_schedules():
     assert constant_temperature(2.0)(100) == 2.0
-    cooling = geometric_cooling(1.0, 0.5)
-    assert cooling(0) == 1.0
-    assert cooling(2) == 0.25
-    with pytest.raises(ValueError):
-        geometric_cooling(1.0, 1.5)
 
 
 def test_target_2k_from_1k_reaches_target(as_small):
