@@ -26,7 +26,6 @@ _EXPORTS = {
     "poisson_degree_pmf": "repro.core.entropy",
     "maximum_entropy_degree_distribution": "repro.core.entropy",
     "maximum_entropy_jdd": "repro.core.entropy",
-    "expected_jdd_edge_counts": "repro.core.entropy",
     "dk_random_graph": "repro.core.randomness",
     "DKSeries": "repro.core.series",
     "SUPPORTED_D": "repro.core.series",

@@ -7,24 +7,19 @@ their ``(d+1)K``-distributions take specific maximum-entropy forms.
   distribution ``P_0K(k) = e^{-k̄} k̄^k / k!``.
 * 1K-random graphs have the uncorrelated joint degree distribution
   ``P_1K(k1,k2) = k1 P(k1) k2 P(k2) / k̄²``.
-* The stochastic edge-existence probabilities are
-  ``p_0K = k̄/n``, ``p_1K(q1,q2) = q1 q2/(n q̄)`` and
-  ``p_2K(q1,q2) = (q̄/n) P(q1,q2)/(P(q1) P(q2))``.
 
-These closed forms are used both by the stochastic generators and by the
-test-suite/benchmarks to verify that our dK-random graphs are indeed
-maximally random with respect to the next level of the series.
+The Table 1 bench compares generated graphs against these closed forms,
+and the test suite uses them to check that dK-random graphs are maximally
+random with respect to the next level of the series.  The stochastic
+edge-existence probabilities ``p_dK`` live inline in the streaming
+constructions of :mod:`repro.generators.streaming`.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.core.distributions import (
-    AverageDegree,
-    DegreeDistribution,
-    JointDegreeDistribution,
-)
+from repro.core.distributions import AverageDegree, DegreeDistribution
 
 
 def poisson_degree_pmf(average_degree: float, max_degree: int) -> dict[int, float]:
@@ -68,87 +63,8 @@ def maximum_entropy_jdd(one_k: DegreeDistribution) -> dict[tuple[int, int], floa
     return result
 
 
-def expected_jdd_edge_counts(one_k: DegreeDistribution) -> dict[tuple[int, int], float]:
-    """Expected edge counts ``m(k1,k2)`` in 1K-random graphs.
-
-    Obtained from the maximum-entropy normalized JDD through
-    ``m(k1,k2) = 2m P(k1,k2) / µ(k1,k2)``.
-    """
-    m = one_k.edges
-    counts = {}
-    for (k1, k2), probability in maximum_entropy_jdd(one_k).items():
-        mu = 2 if k1 == k2 else 1
-        counts[(k1, k2)] = 2.0 * m * probability / mu
-    return counts
-
-
-def stochastic_edge_probability_0k(zero_k: AverageDegree) -> float:
-    """``p_0K = k̄ / n``."""
-    return zero_k.edge_probability()
-
-
-def stochastic_edge_probability_1k(q1: float, q2: float, nodes: int, mean_q: float) -> float:
-    """``p_1K(q1, q2) = q1 q2 / (n q̄)`` capped at 1."""
-    if nodes <= 0 or mean_q <= 0:
-        return 0.0
-    return min(1.0, q1 * q2 / (nodes * mean_q))
-
-
-def stochastic_edge_probability_2k(
-    q1: int, q2: int, jdd: JointDegreeDistribution
-) -> float:
-    """``p_2K(q1,q2) = (q̄/n) P(q1,q2) / (P(q1) P(q2))`` capped at 1."""
-    one_k = jdd.to_lower()
-    n = one_k.nodes
-    if n == 0:
-        return 0.0
-    pmf_1k = one_k.pmf()
-    p1 = pmf_1k.get(q1, 0.0)
-    p2 = pmf_1k.get(q2, 0.0)
-    if p1 == 0.0 or p2 == 0.0:
-        return 0.0
-    p_joint = jdd.pmf().get((q1, q2) if q1 <= q2 else (q2, q1), 0.0)
-    qbar = one_k.average_degree()
-    return min(1.0, (qbar / n) * p_joint / (p1 * p2))
-
-
-def jdd_mutual_information(jdd: JointDegreeDistribution) -> float:
-    """Mutual information of the JDD with respect to its edge-end marginals.
-
-    1K-random graphs minimize this quantity (maximum joint entropy for the
-    fixed marginals), so it acts as a scalar measure of how far a graph's
-    degree correlations are from the maximum-entropy prediction.
-    """
-    pmf = jdd.pmf()
-    if not pmf:
-        return 0.0
-    # marginal distribution of the degree found at a random edge end; pmf
-    # values are ordered-pair probabilities on canonical keys, so an
-    # off-diagonal key contributes its probability to both marginals.
-    marginal: dict[int, float] = {}
-    for (k1, k2), probability in pmf.items():
-        marginal[k1] = marginal.get(k1, 0.0) + probability
-        if k1 != k2:
-            marginal[k2] = marginal.get(k2, 0.0) + probability
-    info = 0.0
-    for (k1, k2), probability in pmf.items():
-        if probability <= 0:
-            continue
-        expected = marginal[k1] * marginal[k2]
-        contribution = probability * math.log(probability / expected)
-        if k1 != k2:
-            contribution *= 2.0  # both ordered orientations
-        info += contribution
-    return info
-
-
 __all__ = [
     "poisson_degree_pmf",
     "maximum_entropy_degree_distribution",
     "maximum_entropy_jdd",
-    "expected_jdd_edge_counts",
-    "stochastic_edge_probability_0k",
-    "stochastic_edge_probability_1k",
-    "stochastic_edge_probability_2k",
-    "jdd_mutual_information",
 ]

@@ -11,7 +11,6 @@ _EXPORTS = {
     "canonical_edge": "repro.graph.simple_graph",
     "connected_components": "repro.graph.components",
     "giant_component": "repro.graph.components",
-    "largest_component_nodes": "repro.graph.components",
 }
 
 __all__ = list(_EXPORTS)

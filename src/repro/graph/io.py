@@ -1,10 +1,9 @@
 """Graph and dK-distribution file formats.
 
-Three formats are supported:
+Two formats are supported:
 
 * plain edge lists -- one ``u v`` pair per line, ``#`` comments allowed;
   this is the format used by most public AS-topology snapshots;
-* CAIDA-style AS adjacency lists -- ``asn neighbour neighbour ...`` per line;
 * JDD files -- ``k1 k2 m(k1,k2)`` per line, the paper's 2K-distribution
   interchange format (the input that the 2K pseudograph/matching generators
   consume when no original graph is available).
@@ -12,7 +11,6 @@ Three formats are supported:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -59,36 +57,6 @@ def read_edge_list(path: PathLike) -> SimpleGraph:
     return graph
 
 
-def read_adjacency_list(path: PathLike) -> SimpleGraph:
-    """Read a CAIDA-style adjacency list (``node neigh neigh ...`` per line)."""
-    pairs: list[tuple[int, int]] = []
-    labels: set[int] = set()
-    for fields in _clean_lines(Path(path).read_text()):
-        u = int(fields[0])
-        labels.add(u)
-        for field in fields[1:]:
-            v = int(field)
-            if v == u:
-                continue
-            labels.add(v)
-            pairs.append((u, v))
-    mapping = {label: index for index, label in enumerate(sorted(labels))}
-    graph = SimpleGraph(len(mapping))
-    for u, v in pairs:
-        graph.add_edge(mapping[u], mapping[v])
-    return graph
-
-
-def write_adjacency_list(graph: SimpleGraph, path: PathLike) -> None:
-    """Write the graph in CAIDA-style adjacency-list format."""
-    lines = []
-    for u in graph.nodes():
-        neigh = sorted(graph.neighbors(u))
-        if neigh:
-            lines.append(" ".join(str(x) for x in [u, *neigh]))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
 def write_jdd(jdd_counts: dict[tuple[int, int], int], path: PathLike) -> None:
     """Write 2K edge counts ``m(k1,k2)`` as ``k1 k2 count`` lines."""
     lines = [
@@ -110,32 +78,9 @@ def read_jdd(path: PathLike) -> dict[tuple[int, int], int]:
     return counts
 
 
-def write_json(graph: SimpleGraph, path: PathLike, *, metadata: dict | None = None) -> None:
-    """Write the graph (and optional metadata) as a small JSON document."""
-    payload = {
-        "n": graph.number_of_nodes,
-        "edges": [list(edge) for edge in graph.edges()],
-        "metadata": metadata or {},
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def read_json(path: PathLike) -> tuple[SimpleGraph, dict]:
-    """Read a graph written by :func:`write_json`; returns (graph, metadata)."""
-    payload = json.loads(Path(path).read_text())
-    graph = SimpleGraph(int(payload["n"]))
-    for u, v in payload["edges"]:
-        graph.add_edge(int(u), int(v))
-    return graph, dict(payload.get("metadata", {}))
-
-
 __all__ = [
     "write_edge_list",
     "read_edge_list",
-    "read_adjacency_list",
-    "write_adjacency_list",
     "write_jdd",
     "read_jdd",
-    "write_json",
-    "read_json",
 ]

@@ -19,8 +19,8 @@ gap-encoded and materialized again on load.
 The **content hash** (:func:`graph_content_hash`) is a streamed SHA-256 over
 a canonical binary form (header + int64 indptr + uint64 indices),
 independent of the stored dtype and encoding and of the order in which
-edges were inserted.  A ``SimpleGraph`` hashes its cached CSR snapshot, so
-it and its ``BigGraph`` twin have one identity; every generated graph and
+edges were inserted.  A ``SimpleGraph`` hashes its cached CSR view, so it
+and its ``BigGraph`` twin have one identity; every generated graph and
 every memoized metric in the store is keyed by it.
 
 :class:`CSRBuilder` turns an unordered stream of ``(u, v)`` chunks into a
@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import StoreError
-from repro.kernels.biggraph import BigGraph, index_dtype
+from repro.kernels.biggraph import BigGraph, _view, index_dtype
 
 FORMAT_NAME = "repro-biggraph"
 FORMAT_VERSION = 1
@@ -94,17 +94,14 @@ def biggraph_content_hash(indptr, indices) -> str:
 def graph_content_hash(graph) -> str:
     """The identity of a SimpleGraph or BigGraph: the hash of its CSR arrays.
 
-    A BigGraph caches it on ``content_hash``; a SimpleGraph hashes its
-    cached CSR snapshot, so both forms of one graph share one hash.
+    The hash is cached on the ``content_hash`` of the graph's CSR view: a
+    BigGraph is its own view, and a SimpleGraph's cached view is dropped,
+    hash and all, by any mutation.  Both forms of one graph share one hash.
     """
-    if getattr(graph, "is_biggraph", False):
-        if graph.content_hash is None:
-            graph.content_hash = biggraph_content_hash(graph.indptr, graph.indices)
-        return graph.content_hash
-    from repro.kernels.csr import csr_graph
-
-    csr = csr_graph(graph)
-    return biggraph_content_hash(csr.indptr, csr.indices)
+    view = _view(graph)
+    if view.content_hash is None:
+        view.content_hash = biggraph_content_hash(view.indptr, view.indices)
+    return view.content_hash
 
 
 def write_biggraph_artifact(

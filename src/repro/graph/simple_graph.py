@@ -11,8 +11,8 @@ these are O(1):
 
 Nodes are consecutive integers ``0 .. n-1``.  Self-loops and parallel edges
 are rejected: the dK-series of the paper is defined on simple graphs.
-The array kernels read a graph through its cached CSR view
-(:func:`repro.kernels.csr.csr_graph`).
+The array kernels read a graph through its cached CSR view, a ``BigGraph``
+(:func:`repro.kernels.biggraph._view`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class SimpleGraph:
         self._adj: list[set[int]] = [set() for _ in range(n)]
         self._edges: list[Edge] = []
         self._edge_pos: dict[Edge, int] = {}
-        # CSR snapshot memoized by repro.kernels.csr.csr_graph, and the
+        # CSR view memoized by repro.kernels.biggraph._view, and the
         # measurement-intermediate cache of repro.measure.intermediates
         # (giant component, BFS sweep, triangle counts, ...); every mutation
         # resets both so kernels never see a stale view

@@ -114,7 +114,7 @@ def _accumulate_block(
 def brandes_sweep(
     view, source_nodes: Sequence[int], want_edge_load: bool
 ) -> tuple[dict[int, int], list[float], list[float] | None]:
-    """Batched Brandes over any CSR-shaped view (CSRGraph or BigGraph).
+    """Batched Brandes over a BigGraph (a SimpleGraph's CSR view or not).
 
     Returns ``(histogram, centrality, edge load)``: the exact distance-pair
     histogram, the raw per-node dependency sums, and (when

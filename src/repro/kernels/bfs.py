@@ -49,12 +49,12 @@ def _block_bits(edge_slots: int) -> int:
 
 
 def histogram_from_csr(csr, source_nodes: Sequence[int]) -> dict[int, int]:
-    """Bit-parallel distance histogram over any CSR-shaped view.
+    """Bit-parallel distance histogram over a graph's CSR view.
 
-    ``csr`` only needs ``n`` / ``degrees`` / ``indptr`` / ``indices``
-    attributes, so both :class:`CSRGraph` and the memory-mapped BigGraph
-    share this body.  Exact integer counts, identical to the pure-Python
-    BFS sweep (self-pairs included at distance 0, unreachable excluded).
+    ``csr`` is a BigGraph, memory-mapped or a SimpleGraph's cached view;
+    only ``n`` / ``degrees`` / ``indptr`` / ``indices`` are read.  Exact
+    integer counts, identical to the pure-Python BFS sweep (self-pairs
+    included at distance 0, unreachable excluded).
     """
     if csr.n == 0 or len(source_nodes) == 0:
         return {}

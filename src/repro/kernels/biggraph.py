@@ -7,17 +7,15 @@ The arrays may be plain ndarrays or ``numpy.memmap`` views of an on-disk
 artifact (see :mod:`repro.graph.mmap_io`), so a 10^7-node topology costs a
 couple of hundred MB of *address space* and only the pages a kernel touches.
 
-The class deliberately duck-types two existing surfaces at once:
-
-* the **CSR kernel surface** (``n``/``m``/``indptr``/``indices``/``degrees``)
-  shared with the :class:`~repro.kernels.csr.CSRGraph` snapshot of a
-  SimpleGraph, and
-* the **read-only SimpleGraph surface** (``number_of_nodes``, ``degree``,
-  ``nodes``, ``average_degree``, ``_measure_cache`` …) consumed by the
-  measurement planner and the shared metric formulas.
+It is the library's one CSR class.  Besides the kernel surface
+(``n``/``m``/``indptr``/``indices``/``degrees``) it offers the read-only
+SimpleGraph surface (``number_of_nodes``, ``degree``, ``nodes``,
+``average_degree``, ``_measure_cache`` …) the measurement planner and the
+shared metric formulas consume.  A SimpleGraph's CSR view (:func:`_view`)
+is a BigGraph too, over int64 arrays cached on the SimpleGraph.
 
 The chunked kernels below are the library's metric kernels.  They accept a
-BigGraph *or* a SimpleGraph (via its cached CSR snapshot) — one compressed
+BigGraph *or* a SimpleGraph (via its cached view) — one compressed
 representation behind every query — and produce exact integer aggregates:
 histogram counts, triangle counts, moment sums and the JDD and 3K degree
 counts are order-independent integers, so every Table-2 scalar and every
@@ -52,8 +50,9 @@ class BigGraph:
     Construct via :meth:`from_arrays` (trusted, canonical CSR input),
     :meth:`from_simple_graph`, the streaming :class:`~repro.graph.mmap_io.
     CSRBuilder`, or :meth:`load` (memory-mapped from an on-disk artifact).
-    A graph derived in memory, such as :func:`biggraph_giant_component`,
-    has ``path=None``; every kernel measures either kind in-process.
+    A graph derived in memory, such as a giant component or a SimpleGraph's
+    CSR view, has ``path=None``; every kernel measures either kind
+    in-process.
     """
 
     is_biggraph = True
@@ -104,10 +103,8 @@ class BigGraph:
     @classmethod
     def from_simple_graph(cls, graph) -> "BigGraph":
         """Snapshot a :class:`SimpleGraph` (test/interop path, not streaming)."""
-        from repro.kernels.csr import csr_graph
-
-        csr = csr_graph(graph)
-        return cls.from_arrays(csr.indptr, csr.indices)
+        view = _view(graph)
+        return cls.from_arrays(view.indptr, view.indices)
 
     @classmethod
     def load(cls, path) -> "BigGraph":
@@ -188,13 +185,26 @@ class BigGraph:
 # ---------------------------------------------------------------------- #
 # shared view helpers
 # ---------------------------------------------------------------------- #
-def _view(graph):
-    """A CSR-attribute view of ``graph`` (itself for BigGraph)."""
+def _view(graph) -> BigGraph:
+    """The CSR view of ``graph``: itself for a BigGraph.
+
+    A SimpleGraph's view is a BigGraph over int64 arrays, built once in
+    ``O(m log m)`` and cached on the graph (``_csr_cache`` slot); every
+    mutation of the graph drops it.
+    """
     if getattr(graph, "is_biggraph", False):
         return graph
-    from repro.kernels.csr import csr_graph
-
-    return csr_graph(graph)
+    view = graph._csr_cache
+    if view is None:
+        n = graph.number_of_nodes
+        edges = np.asarray(graph.edge_list(), dtype=np.int64).reshape(-1, 2)
+        src = np.concatenate((edges[:, 0], edges[:, 1]))
+        dst = np.concatenate((edges[:, 1], edges[:, 0]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        order = np.lexsort((dst, src))  # by row, then by neighbor id
+        view = graph._csr_cache = BigGraph(indptr, dst[order])
+    return view
 
 
 def _canonical_edges(view) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +518,7 @@ def threek_counts(graph):
 
 
 # ---------------------------------------------------------------------- #
-# adjacency matrix and giant component
+# adjacency matrix and component labels
 # ---------------------------------------------------------------------- #
 def adjacency_matrix(graph, dtype=np.float64):
     """Sparse symmetric adjacency matrix of ``graph``: its CSR view, ones as data.
@@ -553,50 +563,9 @@ def giant_component_mask(labels: np.ndarray) -> np.ndarray:
     return labels == winner
 
 
-def biggraph_giant_component(graph: BigGraph) -> BigGraph:
-    """The giant connected component of ``graph``, relabelled ascending.
-
-    The winner is the one :func:`giant_component_mask` picks, as for
-    :func:`repro.graph.components.giant_component`, and member ids are
-    relabelled in ascending order.
-    """
-    if graph.n == 0:
-        return graph
-    member = giant_component_mask(component_labels(adjacency_matrix(graph, np.int8))[1])
-    if member.all():
-        return graph
-
-    new_ids = np.cumsum(member, dtype=np.int64) - 1
-    member_nodes = np.flatnonzero(member)
-    sub_degrees = graph.degrees[member_nodes]
-    sub_indptr = np.zeros(len(member_nodes) + 1, dtype=np.int64)
-    np.cumsum(sub_degrees, out=sub_indptr[1:])
-    dtype = index_dtype(len(member_nodes))
-    sub_indices = np.empty(int(sub_indptr[-1]), dtype=dtype)
-    # gather member rows chunk by chunk (neighbors of members are members,
-    # and the monotone relabelling keeps every row sorted)
-    out = 0
-    starts = graph.indptr[member_nodes]
-    for block in range(0, len(member_nodes), 262_144):
-        stop = min(block + 262_144, len(member_nodes))
-        counts = sub_degrees[block:stop]
-        width = int(counts.sum())
-        if width == 0:
-            continue
-        offsets = np.zeros(stop - block + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        positions = np.arange(width, dtype=np.int64)
-        positions += np.repeat(starts[block:stop] - offsets[:-1], counts)
-        gathered = np.asarray(graph.indices)[positions].astype(np.int64)
-        sub_indices[out : out + width] = new_ids[gathered].astype(dtype)
-        out += width
-    return BigGraph(sub_indptr, sub_indices)
-
-
 __all__ = [
     "ARC_CHUNK",
     "BigGraph",
     "adjacency_matrix",
-    "biggraph_giant_component",
     "index_dtype",
 ]

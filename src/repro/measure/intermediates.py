@@ -36,7 +36,6 @@ from repro.graph.components import giant_component
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import (
     bfs_sweep,
-    biggraph_giant_component,
     edge_degree_moments,
     second_order_total,
     triangles_per_node,
@@ -85,11 +84,7 @@ def shared_target(graph: SimpleGraph, *, use_giant_component: bool = True) -> Si
     cache = _cache(graph)
     target = cache.get("gcc")
     if target is None:
-        if getattr(graph, "is_biggraph", False):
-            target = biggraph_giant_component(graph)
-        else:
-            target = giant_component(graph)
-        cache["gcc"] = target
+        target = cache["gcc"] = giant_component(graph)
     return target
 
 

@@ -11,7 +11,6 @@ from repro.metrics.assortativity import (
     assortativity,
     likelihood,
     second_order_likelihood,
-    second_order_likelihood_open,
 )
 from repro.metrics.betweenness import (
     betweenness_by_degree,
@@ -27,7 +26,6 @@ from repro.metrics.clustering import (
 from repro.metrics.degree import (
     average_degree,
     max_degree,
-    power_law_exponent_mle,
 )
 from repro.metrics.distances import (
     diameter,
@@ -51,7 +49,6 @@ __all__ = [
     "assortativity",
     "likelihood",
     "second_order_likelihood",
-    "second_order_likelihood_open",
     "betweenness_by_degree",
     "edge_betweenness",
     "node_betweenness",
@@ -61,7 +58,6 @@ __all__ = [
     "transitivity",
     "average_degree",
     "max_degree",
-    "power_law_exponent_mle",
     "sample_sources",
     "diameter",
     "distance_distribution",

@@ -10,7 +10,6 @@ of the 3K-distribution.
 from __future__ import annotations
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.biggraph import threek_counts
 from repro.measure.intermediates import shared_edge_moments, shared_second_order
 
 
@@ -69,13 +68,6 @@ def second_order_likelihood(graph: SimpleGraph) -> float:
     return second_order_from_total(shared_second_order(graph))
 
 
-def second_order_likelihood_open(graph: SimpleGraph) -> float:
-    """``S2`` restricted to *open* wedges (triangle pairs excluded)."""
-    _, triangles = threek_counts(graph)
-    closed = sum(count * (a * b + a * c + b * c) for (a, b, c), count in triangles.items())
-    return second_order_likelihood(graph) - closed
-
-
 __all__ = [
     "likelihood_from_moments",
     "assortativity_from_moments",
@@ -83,5 +75,4 @@ __all__ = [
     "likelihood",
     "assortativity",
     "second_order_likelihood",
-    "second_order_likelihood_open",
 ]

@@ -15,7 +15,7 @@ delta evaluators: one swap's wedge/triangle change, by
 a recount with those counters, so neither oracle reads the csr 3K kernel.
 :mod:`.sweep_python` also keeps the single-source ``bfs_distances``, and
 :mod:`.correlations_python` a second formula for ``r``.
-:mod:`.networkx_bridge` converts to and from networkx for the tests that
+:mod:`.networkx_bridge` converts to networkx for the tests that
 check against it; this package does not import it, so the oracle itself
 needs no networkx.
 """

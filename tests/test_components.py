@@ -1,16 +1,16 @@
 """Tests for connected-component utilities."""
 
 import networkx as nx
-
+import numpy as np
+import pytest
 from oracle.networkx_bridge import to_networkx
 
-from repro.graph.components import (
-    component_size_distribution,
-    connected_components,
-    giant_component,
-    largest_component_nodes,
-)
+from repro.core.distributions import DegreeDistribution
+from repro.generators.pseudograph import pseudograph_1k
+from repro.graph.components import connected_components, giant_component
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.biggraph import BigGraph
+from repro.topologies import build_topology
 
 
 def _component_count(graph):
@@ -32,10 +32,6 @@ def test_components_partition_nodes(disconnected_graph):
     assert all_nodes == list(range(disconnected_graph.number_of_nodes))
 
 
-def test_largest_component_nodes(disconnected_graph):
-    assert sorted(largest_component_nodes(disconnected_graph)) == [0, 1, 2]
-
-
 def test_giant_component_extraction(disconnected_graph):
     gcc = giant_component(disconnected_graph)
     assert gcc.number_of_nodes == 3
@@ -48,11 +44,6 @@ def test_giant_component_matches_networkx(random_graph):
     assert gcc.number_of_nodes == len(nx_gcc_nodes)
 
 
-def test_component_size_distribution(disconnected_graph):
-    sizes = component_size_distribution(disconnected_graph)
-    assert sizes == {3: 1, 2: 1, 1: 1}
-
-
 def test_empty_graph_is_not_connected():
     assert _component_count(SimpleGraph()) == 0
 
@@ -61,3 +52,25 @@ def test_isolated_nodes_are_components():
     graph = SimpleGraph(4)
     assert _component_count(graph) == 4
     assert giant_component(graph).number_of_nodes == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_topology("hot_small"),
+        lambda: pseudograph_1k(DegreeDistribution({1: 60, 2: 30, 3: 10}), rng=3),
+    ],
+    ids=["hot_small", "pseudograph"],
+)
+def test_biggraph_twin_has_the_same_components(build):
+    graph = build()
+    twin = BigGraph.from_simple_graph(graph)
+    components = list(connected_components(graph))
+    assert list(connected_components(twin)) == components
+    gcc = giant_component(twin)
+    expected = BigGraph.from_simple_graph(giant_component(graph))
+    assert isinstance(gcc, BigGraph)
+    assert np.array_equal(gcc.indptr, expected.indptr)
+    assert gcc.indices.dtype == expected.indices.dtype
+    assert np.array_equal(gcc.indices, expected.indices)
+    assert gcc.n == max(len(component) for component in components)

@@ -7,14 +7,9 @@ import pytest
 
 from repro.core.distributions import DegreeDistribution
 from repro.core.entropy import (
-    expected_jdd_edge_counts,
-    jdd_mutual_information,
     maximum_entropy_degree_distribution,
     maximum_entropy_jdd,
     poisson_degree_pmf,
-    stochastic_edge_probability_0k,
-    stochastic_edge_probability_1k,
-    stochastic_edge_probability_2k,
 )
 from repro.core.extraction import degree_distribution, joint_degree_distribution
 from repro.generators.pseudograph import pseudograph_1k
@@ -61,43 +56,6 @@ def test_maximum_entropy_jdd_matches_1k_random_graphs():
     for key, value in expected.items():
         if value > 0.01:
             assert observed.get(key, 0.0) == pytest.approx(value, rel=0.35, abs=0.02)
-
-
-def test_expected_jdd_edge_counts_total(as_small):
-    one_k = degree_distribution(as_small)
-    counts = expected_jdd_edge_counts(one_k)
-    assert sum(counts.values()) == pytest.approx(one_k.edges, rel=1e-6)
-
-
-def test_stochastic_edge_probabilities():
-    from repro.core.distributions import AverageDegree
-
-    assert stochastic_edge_probability_0k(AverageDegree(100, 200)) == pytest.approx(0.04)
-    assert stochastic_edge_probability_1k(2, 3, nodes=100, mean_q=2.0) == pytest.approx(0.03)
-    assert stochastic_edge_probability_1k(50, 50, nodes=10, mean_q=1.0) == 1.0
-    assert stochastic_edge_probability_1k(2, 3, nodes=0, mean_q=2.0) == 0.0
-
-
-def test_stochastic_edge_probability_2k(square_with_diagonal):
-    jdd = joint_degree_distribution(square_with_diagonal)
-    p = stochastic_edge_probability_2k(2, 3, jdd)
-    assert 0.0 < p <= 1.0
-    # a degree pair absent from the graph has probability 0
-    assert stochastic_edge_probability_2k(7, 3, jdd) == 0.0
-
-
-def test_mutual_information_zero_for_uncorrelated_jdd():
-    """A JDD with perfectly factorized edge ends has (near) zero MI."""
-    # all nodes degree 2: only one edge type exists, hence no correlation
-    from repro.core.distributions import JointDegreeDistribution
-
-    jdd = JointDegreeDistribution({(2, 2): 10})
-    assert jdd_mutual_information(jdd) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_mutual_information_positive_for_correlated_jdd(hot_small):
-    jdd = joint_degree_distribution(hot_small)
-    assert jdd_mutual_information(jdd) > 0.0
 
 
 def test_maximum_entropy_degree_distribution_default_range():

@@ -3,16 +3,7 @@
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graph.io import (
-    read_adjacency_list,
-    read_edge_list,
-    read_jdd,
-    read_json,
-    write_adjacency_list,
-    write_edge_list,
-    write_jdd,
-    write_json,
-)
+from repro.graph.io import read_edge_list, read_jdd, write_edge_list, write_jdd
 from repro.graph.simple_graph import SimpleGraph
 
 
@@ -45,21 +36,6 @@ def test_edge_list_malformed_line_raises(tmp_path):
         read_edge_list(path)
 
 
-def test_adjacency_list_roundtrip(tmp_path, star_graph):
-    path = tmp_path / "adj.txt"
-    write_adjacency_list(star_graph, path)
-    loaded = read_adjacency_list(path)
-    assert loaded == star_graph
-
-
-def test_adjacency_list_caida_style(tmp_path):
-    path = tmp_path / "adj.txt"
-    path.write_text("# AS adjacencies\n701 1239 3356\n1239 3356\n")
-    graph = read_adjacency_list(path)
-    assert graph.number_of_nodes == 3
-    assert graph.number_of_edges == 3
-
-
 def test_jdd_roundtrip(tmp_path):
     counts = {(1, 3): 4, (2, 2): 1, (2, 3): 2}
     path = tmp_path / "graph.jdd"
@@ -78,14 +54,6 @@ def test_jdd_malformed_raises(tmp_path):
     path.write_text("1 2\n")
     with pytest.raises(GraphError):
         read_jdd(path)
-
-
-def test_json_roundtrip_with_metadata(tmp_path, triangle_graph):
-    path = tmp_path / "graph.json"
-    write_json(triangle_graph, path, metadata={"name": "triangle"})
-    loaded, metadata = read_json(path)
-    assert loaded == triangle_graph
-    assert metadata == {"name": "triangle"}
 
 
 def test_empty_graph_files(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests of the CSR kernel engine: snapshot caching, kernels, backend labels."""
+"""Tests of the CSR kernel engine: view caching, kernels, backend labels."""
 
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from repro.graph.simple_graph import SimpleGraph
 from repro.kernels import bfs as bfs_mod
 from repro.kernels import biggraph as biggraph_mod
 from repro.kernels.backend import AUTO_THRESHOLD, resolve_backend
-from repro.kernels.biggraph import BigGraph, bfs_sweep
-from repro.kernels.csr import csr_graph
+from repro.kernels.biggraph import BigGraph, _view, bfs_sweep
 from repro.measure.plan import MeasurementPlan
 from repro.metrics.betweenness import node_betweenness
 from repro.metrics.distances import sample_sources
@@ -35,8 +34,12 @@ def mixed_graph():
 
 
 class TestCSRGraph:
+    """A SimpleGraph's CSR view: a BigGraph over int64 arrays, cached."""
+
     def test_layout(self, mixed_graph):
-        csr = csr_graph(mixed_graph)
+        csr = _view(mixed_graph)
+        assert isinstance(csr, BigGraph)
+        assert csr.indptr.dtype == csr.indices.dtype == np.int64
         assert csr.n == 7
         assert csr.m == 5
         assert list(csr.degrees) == mixed_graph.degrees()
@@ -46,16 +49,16 @@ class TestCSRGraph:
             assert row == sorted(mixed_graph.neighbors(u))
 
     def test_empty_graph(self):
-        csr = csr_graph(SimpleGraph(0))
+        csr = _view(SimpleGraph(0))
         assert csr.n == 0 and csr.m == 0 and len(csr.indptr) == 1
 
     def test_edgeless_graph(self):
-        csr = csr_graph(SimpleGraph(4))
+        csr = _view(SimpleGraph(4))
         assert csr.n == 4 and csr.m == 0
         assert list(csr.degrees) == [0, 0, 0, 0]
 
     def test_cached_on_instance(self, mixed_graph):
-        assert csr_graph(mixed_graph) is csr_graph(mixed_graph)
+        assert _view(mixed_graph) is _view(mixed_graph)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -67,25 +70,25 @@ class TestCSRGraph:
         ],
     )
     def test_mutation_invalidates_cache(self, mixed_graph, mutate):
-        first = csr_graph(mixed_graph)
+        first = _view(mixed_graph)
         mutate(mixed_graph)
-        second = csr_graph(mixed_graph)
+        second = _view(mixed_graph)
         assert second is not first
         assert list(second.degrees) == mixed_graph.degrees()
 
     def test_copy_does_not_share_cache(self, mixed_graph):
-        csr_graph(mixed_graph)
+        _view(mixed_graph)
         clone = mixed_graph.copy()
         assert clone._csr_cache is None
         clone.add_edge(3, 4)
-        assert csr_graph(mixed_graph) is not csr_graph(clone)
+        assert _view(mixed_graph) is not _view(clone)
 
     def test_pickle_drops_cache(self, mixed_graph):
-        csr_graph(mixed_graph)
+        _view(mixed_graph)
         restored = pickle.loads(pickle.dumps(mixed_graph))
         assert restored == mixed_graph
         assert restored._csr_cache is None
-        assert list(csr_graph(restored).degrees) == mixed_graph.degrees()
+        assert list(_view(restored).degrees) == mixed_graph.degrees()
 
 
 class TestBackendRegistry:

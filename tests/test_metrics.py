@@ -1,7 +1,5 @@
 """Tests for the topology-metric suite, cross-checked against networkx."""
 
-import math
-
 import networkx as nx
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from repro.metrics.assortativity import (
     assortativity,
     likelihood,
     second_order_likelihood,
-    second_order_likelihood_open,
 )
 from repro.metrics.betweenness import (
     betweenness_by_degree,
@@ -29,11 +26,7 @@ from repro.metrics.clustering import (
     mean_clustering,
     transitivity,
 )
-from repro.metrics.degree import (
-    average_degree,
-    max_degree,
-    power_law_exponent_mle,
-)
+from repro.metrics.degree import average_degree, max_degree
 from repro.metrics.distances import (
     diameter,
     distance_distribution,
@@ -50,13 +43,6 @@ class TestDegreeMetrics:
     def test_moments(self, star_graph):
         assert average_degree(star_graph) == pytest.approx(10 / 6)
         assert max_degree(star_graph) == 5
-
-    def test_power_law_exponent(self, as_small):
-        gamma = power_law_exponent_mle(as_small, k_min=2)
-        assert 1.5 < gamma < 4.0
-
-    def test_power_law_exponent_degenerate(self):
-        assert math.isnan(power_law_exponent_mle(SimpleGraph(2, edges=[(0, 1)]), k_min=5))
 
 
 class TestAssortativityMetrics:
@@ -77,13 +63,11 @@ class TestAssortativityMetrics:
         assert assortativity(star_graph) <= -0.999  # perfectly disassortative
         assert assortativity(triangle_graph) == 0.0  # degenerate (all equal degrees)
 
-    def test_second_order_likelihood_path(self, path_graph):
+    def test_second_order_likelihood_path(self, path_graph, triangle_graph):
         # wedges: (0,1,2): 1*2, (1,2,3): 2*2, (2,3,4): 2*1 -> 2 + 4 + 2
         assert second_order_likelihood(path_graph) == 8.0
-
-    def test_second_order_likelihood_open_excludes_triangles(self, triangle_graph):
-        assert second_order_likelihood(triangle_graph) == 12.0  # 3 closed wedges of 2*2
-        assert second_order_likelihood_open(triangle_graph) == 0.0
+        # closed wedges count too: a triangle has 3 of 2*2
+        assert second_order_likelihood(triangle_graph) == 12.0
 
 
 class TestClusteringMetrics:

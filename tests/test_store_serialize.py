@@ -99,6 +99,16 @@ def test_hash_distinguishes_different_graphs(triangle_graph, path_graph):
     assert graph_content_hash(bigger) != graph_content_hash(triangle_graph)
 
 
+def test_hash_follows_mutation_of_a_hashed_graph(triangle_graph):
+    graph = triangle_graph.copy()
+    graph.add_node()
+    before = graph_content_hash(graph)
+    graph.add_edge(2, 3)
+    after = graph_content_hash(graph)
+    assert after != before
+    assert after == graph_content_hash(SimpleGraph(4, edges=[(0, 1), (1, 2), (0, 2), (2, 3)]))
+
+
 @pytest.mark.parametrize(
     "build",
     [
