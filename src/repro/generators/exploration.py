@@ -11,17 +11,20 @@ by ``P_{d+1}`` and not by ``P_d``.  The paper uses:
 
 Each exploration is a targeting rewiring that accepts a dK-preserving move
 only when it pushes the chosen metric strictly in the requested direction.
-All three metrics are linear in the counts the engine's targeting chains
-already track, so each is a weight vector over their keys
-(:class:`~repro.kernels.rewiring.LinearObjective`):
+Every change is an exact integer:
 
-* ``S``: ``k1 k2`` on each JDD key of a 1K proposal;
-* ``S2``: ``ka kb`` on each wedge key ``(ka, kc, kb)`` and
-  ``ka kb + ka kc + kb kc`` on each triangle key of a 2K proposal;
-* ``C̄``: ``(1/n) Σ_{k in key} 1/C(k, 2)`` on each triangle key.  The
-  ``1/C(k, 2)`` terms are rounded to a fixed-point integer grid whose
-  resolution follows the maximum degree (2^-44 at 100), so every accept
-  decision is exact integer arithmetic.
+* ``S`` runs on 1K proposals under a weight vector over the JDD keys,
+  ``k1 k2`` per edge (:class:`~repro.kernels.rewiring.LinearObjective`);
+* ``S2`` and ``C̄`` run on the engine's plain 2K-proposal loop, each with a
+  per-move scorer over live chain state.  A swap ``(a,b),(c,d) ->
+  (a,d),(c,b)`` changes ``S2`` by ``δ(s_b - s_d + δ)``, with
+  ``δ = k_c - k_a`` and ``s_u`` the sum of u's neighbor degrees (only
+  ``s_b`` and ``s_d`` move, by ``±δ``).  It changes ``C̄`` only through the
+  triangles it destroys (over ``N(a)∩N(b)`` and ``N(c)∩N(d)``) and creates
+  (over ``N(a)∩N(d) - {b,c}`` and ``N(c)∩N(b) - {d,a}``), each worth
+  ``(1/n) Σ_{k in corners} 1/C(k, 2)``.  The ``1/C(k, 2)`` terms are
+  rounded to a fixed-point integer grid whose resolution follows the
+  maximum degree (2^-44 at 100).
 """
 
 from __future__ import annotations
@@ -29,21 +32,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Literal
 
-import numpy as np
-
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.rewiring import (
-    ENGINE_NAME,
-    THREEK_EVAL_CHUNK,
-    LinearObjective,
-    run_chain,
-)
+from repro.kernels.rewiring import ENGINE_NAME, LinearObjective, run_chain
 from repro.metrics.assortativity import likelihood, second_order_likelihood
 from repro.metrics.clustering import mean_clustering
 from repro.telemetry import span
 from repro.utils.rng import RngLike
 
 Mode = Literal["max", "min"]
+
+#: Swap count the ``C̄`` grid is sized for: that many swaps' changes stay
+#: below 2^62 grid units.  Frozen, so the grid, and with it every ``C̄``
+#: decision of a seed, depends on the graph's maximum degree alone.
+_CLUSTERING_GRID_SWAPS = 160
 
 
 @dataclass
@@ -65,7 +66,7 @@ def _check_mode(mode: Mode) -> None:
 
 def _explore(
     graph: SimpleGraph,
-    objective: LinearObjective,
+    objective,
     metric,
     scale: int,
     rng: RngLike,
@@ -118,25 +119,85 @@ def explore_1k_likelihood(
     return _explore(graph, objective, likelihood, 1, rng, max_attempts)
 
 
-def _clustering_objective(graph: SimpleGraph, mode: Mode) -> tuple[LinearObjective, int]:
-    """The ``C̄`` weight vector on a fixed-point grid, and its scale.
+class _SwapExploration:
+    """An S2 or C̄ exploration on the plain 2K-proposal loop: ``make(state,
+    sign)`` gives its per-move scorer ``(change, commit)`` over a swap's
+    ``(a, b, c, d)``, and only a strict improvement is accepted."""
 
-    A 2K swap changes at most ``4 k_max`` triangles, each worth at most 3
-    grid units per unit scale; the scale keeps a whole evaluation chunk of
-    such changes below 2^62, so the engine's int64 sums never overflow.
-    """
-    top = max(graph.degrees(), default=0)
-    bits = 62 - (12 * max(top, 1) * THREEK_EVAL_CHUNK).bit_length()
-    scale = 1 << bits
-    inverse_pairs = np.zeros(top + 1, dtype=np.int64)
-    k = np.arange(2, top + 1, dtype=np.float64)
-    inverse_pairs[2:] = np.rint(scale * 2.0 / (k * (k - 1.0))).astype(np.int64)
-    objective = LinearObjective(
-        f"C {mode} exploration",
-        triangle=lambda k1, k2, k3: inverse_pairs[k1] + inverse_pairs[k2] + inverse_pairs[k3],
-        maximize=mode == "max",
-    )
-    return objective, scale * max(graph.number_of_nodes, 1)
+    proposal = 2
+    scored = False  # priced by the scorer, not by the wedge/triangle kernel
+    limit = -1
+    stops = False
+
+    def __init__(self, label: str, mode: Mode, make):
+        self.label = label
+        self.sign = -1 if mode == "max" else 1
+        self.make = make
+
+    def start(self, graph: SimpleGraph) -> int:
+        return 0
+
+    def scorer(self, state):
+        return self.make(state, self.sign)
+
+
+def _s2_scorer(state, sign: int):
+    """``sign * ΔS2`` from the live neighbor-degree sums ``s``."""
+    degrees = state.degrees
+    sums = [0] * state.n
+    for u, v in zip(state.edge_u, state.edge_v):
+        sums[u] += degrees[v]
+        sums[v] += degrees[u]
+
+    def change(a, b, c, d):
+        delta = degrees[c] - degrees[a]
+        return sign * delta * (sums[b] - sums[d] + delta)
+
+    def commit(a, b, c, d):
+        delta = degrees[c] - degrees[a]
+        sums[b] += delta
+        sums[d] -= delta
+
+    return change, commit
+
+
+def _clustering_scale(degrees) -> int:
+    """Grid units per unit of ``1 / C(k, 2)``: a 2K swap changes at most
+    ``4 k_max`` triangles, each worth at most 3 units, and
+    :data:`_CLUSTERING_GRID_SWAPS` such changes stay below 2^62."""
+    top = max(max(degrees, default=0), 1)
+    return 1 << (62 - (12 * top * _CLUSTERING_GRID_SWAPS).bit_length())
+
+
+def _clustering_scorer(state, sign: int):
+    """``sign * Δ(n C̄)`` in grid units, from live adjacency sets."""
+    scale = _clustering_scale(state.degrees)
+    weight = [round(scale * 2.0 / (k * (k - 1.0))) if k > 1 else 0 for k in state.degrees]
+    adj = [set() for _ in range(state.n)]
+    for u, v in zip(state.edge_u, state.edge_v):
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def change(a, b, c, d):
+        row_a, row_b, row_c, row_d = adj[a], adj[b], adj[c], adj[d]
+        gain = 0
+        for common, u, v, side in (
+            ((row_a & row_d) - {b, c}, a, d, 1),
+            ((row_c & row_b) - {d, a}, c, b, 1),
+            (row_a & row_b, a, b, -1),
+            (row_c & row_d, c, d, -1),
+        ):
+            if common:
+                corners = sum([weight[x] for x in common])
+                gain += side * (len(common) * (weight[u] + weight[v]) + corners)
+        return sign * gain
+
+    def commit(a, b, c, d):
+        for node, old, new in ((a, b, d), (b, a, c), (c, d, b), (d, c, a)):
+            adj[node].remove(old)
+            adj[node].add(new)
+
+    return change, commit
 
 
 def explore_2k(
@@ -153,14 +214,10 @@ def explore_2k(
         raise ValueError(f"metric must be 'clustering' or 's2', got {metric!r}")
     _check_mode(mode)
     if metric == "s2":
-        objective = LinearObjective(
-            f"S2 {mode} exploration",
-            wedge=lambda end1, centre, end2: end1 * end2,
-            triangle=lambda k1, k2, k3: k1 * k2 + k1 * k3 + k2 * k3,
-            maximize=mode == "max",
-        )
+        objective = _SwapExploration(f"S2 {mode} exploration", mode, _s2_scorer)
         return _explore(graph, objective, second_order_likelihood, 1, rng, max_attempts)
-    objective, scale = _clustering_objective(graph, mode)
+    objective = _SwapExploration(f"C {mode} exploration", mode, _clustering_scorer)
+    scale = _clustering_scale(graph.degrees()) * max(graph.number_of_nodes, 1)
     return _explore(graph, objective, mean_clustering, scale, rng, max_attempts)
 
 

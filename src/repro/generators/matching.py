@@ -11,6 +11,8 @@ mentions).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.core.distributions import DegreeDistribution, JointDegreeDistribution
@@ -133,10 +135,11 @@ def matching_2k(
         class_nodes[degree] = list(range(next_id, next_id + count))
         next_id += count
     graph = SimpleGraph(next_id + jdd.zero_degree_nodes)
-    capacity = {}
-    for degree, nodes in class_nodes.items():
-        for node_id in nodes:
-            capacity[node_id] = degree
+    degrees_of = {node: degree for degree, nodes in class_nodes.items() for node in nodes}
+    capacity = dict(degrees_of)
+    # the nodes of each class with free capacity, ascending; a node leaves
+    # its list when its capacity reaches 0
+    free = {degree: list(nodes) for degree, nodes in class_nodes.items()}
 
     labelled_edges: list[tuple[int, int]] = []
     for (k1, k2), count in jdd.counts.items():
@@ -144,10 +147,21 @@ def matching_2k(
     rng.shuffle(labelled_edges)
 
     def pick_with_capacity(degree: int, exclude: int | None = None) -> int | None:
-        nodes = [x for x in class_nodes.get(degree, []) if capacity[x] > 0 and x != exclude]
-        if not nodes:
+        """A uniform free-capacity node of the class other than ``exclude``:
+        one draw over the list with ``exclude`` cut out, mapped past it."""
+        nodes = free.get(degree, [])
+        cut = bisect_left(nodes, exclude) if exclude is not None else len(nodes)
+        cut_out = cut < len(nodes) and nodes[cut] == exclude
+        if len(nodes) == cut_out:
             return None
-        return nodes[int(rng.integers(len(nodes)))]
+        index = int(rng.integers(len(nodes) - cut_out))
+        return nodes[index + (cut_out and index >= cut)]
+
+    def use(node: int) -> None:
+        capacity[node] -= 1
+        if not capacity[node]:
+            nodes = free[degrees_of[node]]
+            del nodes[bisect_left(nodes, node)]
 
     deferred: list[tuple[int, int]] = []
     for k1, k2 in labelled_edges:
@@ -162,8 +176,8 @@ def matching_2k(
             if graph.has_edge(u, v):
                 continue
             graph.add_edge(u, v)
-            capacity[u] -= 1
-            capacity[v] -= 1
+            use(u)
+            use(v)
             placed = True
             break
         if not placed:
@@ -173,20 +187,10 @@ def matching_2k(
     # (k1, k2) edge (x, y): remove it and connect the free-capacity nodes u, v
     # as (u, y) and (x, v), which adds exactly one (k1, k2) edge overall.
     edge_pool: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    degrees_of = {}
-    for degree, nodes in class_nodes.items():
-        for node_id in nodes:
-            degrees_of[node_id] = degree
-
-    def rebuild_pool() -> None:
-        edge_pool.clear()
-        for x, y in graph.edges():
-            key = tuple(sorted((degrees_of.get(x, 0), degrees_of.get(y, 0))))
-            edge_pool.setdefault(key, []).append((x, y))
-
+    for x, y in graph.edges() if deferred else ():
+        key = tuple(sorted((degrees_of.get(x, 0), degrees_of.get(y, 0))))
+        edge_pool.setdefault(key, []).append((x, y))
     unplaced = 0
-    if deferred:
-        rebuild_pool()
     for k1, k2 in deferred:
         key = tuple(sorted((k1, k2)))
         candidates = edge_pool.get(key, [])
@@ -214,8 +218,8 @@ def matching_2k(
                 graph.remove_edge(x, y)
                 graph.add_edge(u, y)
                 graph.add_edge(x, v)
-                capacity[u] -= 1
-                capacity[v] -= 1
+                use(u)
+                use(v)
                 candidates.append((u, y))
                 candidates.append((x, v))
                 success = True

@@ -16,21 +16,22 @@ built once per chain:
   it.  Because 2K moves exchange heads of equal degree in place, the bucket
   contents are invariant for the whole chain — the index is built once and
   never updated;
-* for 3K acceptance tests and 2K-proposal objectives, a batched
-  wedge/triangle delta kernel (:class:`_ThreeKState`): fixed-capacity
-  adjacency rows plus an adjacency membership table, both updated per
-  accepted move, with the exact per-proposal deltas of a whole batch
-  evaluated at once through NumPy gather / membership / sort-and-segment
-  reductions.  The 3K-*preserving* chain only needs a zero/nonzero verdict
-  per proposal; the objective chains get full per-proposal delta lists over
-  rank-packed wedge/triangle keys.
+* for 3K randomizing and 3K targeting, a batched wedge/triangle delta
+  kernel (:class:`_ThreeKState`): fixed-capacity adjacency rows plus an
+  adjacency membership table, both updated per accepted move, with the
+  exact per-proposal deltas of a whole batch evaluated at once through NumPy
+  gather / membership / sort-and-segment reductions.  The 3K-*preserving*
+  chain only needs a zero/nonzero verdict per proposal; the targeting chain
+  gets full per-proposal delta lists over rank-packed wedge/triangle keys.
 
 Every chain runs through one entry point, :func:`run_chain`, with an objective
 and an attempt budget: dK-preserving randomizing (:class:`DkPreserving`),
 the squared distance to a target distribution (:class:`JddDistance`,
-:class:`ThreeKDistance`) or a weight vector over the delta keys
-(:class:`LinearObjective`).  Energies are exact integers, so every accept
-decision is exact.  The callers live in :mod:`repro.generators`;
+:class:`ThreeKDistance`), a weight vector over JDD keys
+(:class:`LinearObjective`) or, on the plain 2K-proposal loop, a per-move
+scorer over the objective's own live state (the S2 and C̄ explorations of
+:mod:`repro.generators.exploration`).  Energies are exact integers, so
+every accept decision is exact.  The callers live in :mod:`repro.generators`;
 :func:`~repro.generators.rewiring.preserving.dk_randomize` sizes a
 randomizing chain's attempt budget with a pilot chain before it starts, so
 the chain stops on attempts, never on its accepted-move count, and samples
@@ -48,7 +49,7 @@ touched by an *earlier accepted move of the same batch* is detected through
 per-node move stamps and re-evaluated against the live state — which is
 what keeps the 2K-proposal chains batch-size invariant too.
 
-The scored 2K-proposal chains and the Table-5 rewiring counter
+The 3K-delta chains and the Table-5 rewiring counter
 (:mod:`repro.generators.rewiring.counting`) run this one kernel at every
 input size.  Only its two memory-bound tables pick a representation by
 size, each behind one access point: adjacency membership is a packed
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -88,11 +90,11 @@ BITSET_MAX_NODES = 32768
 DEFAULT_BATCH_SIZE = 4096
 
 #: Batch width of the chains scored on wedge/triangle deltas (3K
-#: randomizing, 3K targeting, S2 and C̄ exploration).  Their deltas are
-#: precomputed for the whole batch against a state snapshot, and every
-#: accepted move invalidates the precomputation for later proposals touching
-#: the same nodes (those fall back to an exact per-move recompute) — so the
-#: sweet spot is much smaller than for the other chains.  Still a pure
+#: randomizing and 3K targeting).  Their deltas are precomputed for the
+#: whole batch against a state snapshot, and every accepted move invalidates
+#: the precomputation for later proposals touching the same nodes (those
+#: fall back to an exact per-move recompute) — so the sweet spot is much
+#: smaller than for the other chains.  Still a pure
 #: performance constant: the output is identical for every batch size.
 THREEK_BATCH_SIZE = 768
 
@@ -103,7 +105,7 @@ THREEK_BATCH_SIZE = 768
 #: and need a per-move re-evaluation.
 THREEK_EVAL_CHUNK = 160
 
-#: Slot cap for the scored 2K-proposal chains' dense rank-packed gradient
+#: Slot cap for the 3K-targeting chain's dense rank-packed gradient
 #: (``2 * n_ranks**3`` int64 slots, i.e. 128 MiB at the cap).  Graphs whose
 #: degree diversity exceeds it keep the gradient as a sorted sparse array.
 THREEK_RANK_SLOTS_MAX = 16_777_216
@@ -405,7 +407,7 @@ class _ThreeKState:
 
         Keys are unified (wedges below ``n_ranks**3``, triangles above), so
         they are dense indices below ``2 * n_ranks**3``.  Seeded from the
-        node degrees; the scored chains re-rank when their objective carries
+        node degrees; the targeting chain re-ranks when its target carries
         degrees the graph lacks.
         """
         self.n_ranks = int(kd.size)
@@ -433,14 +435,6 @@ class _ThreeKState:
         hit = np.zeros(needles.size, dtype=bool)
         hit[order[inside]] = self.arcs[pos[inside]] == needles[inside]
         return hit
-
-    def row_set(self, u: int):
-        """The current neighbor set of ``u`` (scalar staleness path).
-
-        A dict keys view: set operations work on it directly and it stays
-        live-updated, with no per-call copy.
-        """
-        return self.offset_of[u].keys()
 
     def apply_swap(self, a, b, c, d, i, j, side_i, side_j) -> None:
         """Commit ``(a,b),(c,d) -> (a,d),(c,b)``: update the live python-side
@@ -905,10 +899,12 @@ def _scalar_full_eval(tk: _ThreeKState, a, b, c, d):
     rank = tk.rank_list
     base = tk.n_ranks
     tri_off = base * base * base
-    row_a = tk.row_set(a)
-    row_b = tk.row_set(b)
-    row_c = tk.row_set(c)
-    row_d = tk.row_set(d)
+    # live neighbor sets: dict keys views, so no per-call copy
+    offset_of = tk.offset_of
+    row_a = offset_of[a].keys()
+    row_b = offset_of[b].keys()
+    row_c = offset_of[c].keys()
+    row_d = offset_of[d].keys()
     ka = degrees[a]
     kb = degrees[b]
     kc = degrees[c]
@@ -973,11 +969,11 @@ def _scalar_full_eval(tk: _ThreeKState, a, b, c, d):
 # extreme)
 # --------------------------------------------------------------------------- #
 #
-# Every chain runs one of three loops: 0K proposals (an edge re-attached to a
+# Every chain runs one of four loops: 0K proposals (an edge re-attached to a
 # random node pair), 1K proposals (degree-preserving double swaps) scored on
-# their JDD delta, or 2K proposals (degree-matched head exchanges) scored on
-# their wedge/triangle delta.  The objective turns a delta into an exact
-# integer energy change:
+# their JDD delta, 2K proposals (degree-matched head exchanges) with an
+# optional per-move scorer, or 2K proposals scored on their wedge/triangle
+# delta.  The objective turns a proposal into an exact integer energy change:
 #
 # * randomizing: no change at all.  The d <= 2 chains accept every valid
 #   proposal without computing a delta; the 3K chain accepts a 2K proposal
@@ -985,8 +981,9 @@ def _scalar_full_eval(tk: _ThreeKState, a, b, c, d):
 # * targeting: the squared distance to the target counts, a Metropolis chain
 #   that takes zero-change moves as free randomization steps and stops when
 #   the distance reaches 0;
-# * exploration: a dot product of the delta with an integer weight vector,
-#   accepting only strict improvements, for the whole attempt budget.
+# * exploration: the change of a scalar metric (a weight vector over the JDD
+#   delta, or a 2K loop scorer), accepting only strict improvements, for the
+#   whole attempt budget.
 #
 # Integer energies keep every decision exact, so the batched and per-move
 # evaluators, both membership tables, both gradient layouts and every batch
@@ -1069,7 +1066,6 @@ class ThreeKDistance:
     limit = 0
     stops = True
     scored = True
-    quadratic = True
 
     def __init__(self, target):
         self.target = target
@@ -1078,63 +1074,25 @@ class ThreeKDistance:
         keys = (*self.target.wedges, *self.target.triangles)
         return np.fromiter((k for key in keys for k in key), np.int64)
 
-    def gradient_entries(self, tk: _ThreeKState, graph: SimpleGraph):
-        """``(keys, values, energy)``: the gradient where it differs from
-        :meth:`gradient_fill`, and the start distance."""
-        keys, vals, distance = _initial_threek_diff(tk, graph, self.target)
-        return keys, 2 * vals, distance
-
-    def gradient_fill(self, keys: np.ndarray, kd: np.ndarray) -> np.ndarray:
-        return np.zeros(keys.size, dtype=np.int64)
-
 
 class LinearObjective:
-    """Energy ``sign * Σ w(key) count(key)``: a weight vector over delta keys.
+    """Energy ``sign * Σ edge(k1, k2) count(k1, k2)``: a weight vector over
+    JDD keys, on 1K proposals.
 
-    ``edge(k1, k2)`` weighs JDD keys (1K proposals); ``wedge(end, centre,
-    end)`` and ``triangle(k1, k2, k3)`` weigh 3K keys (2K proposals; a
-    missing family weighs 0).  The weight functions take degree values as
-    ints (``edge``) or NumPy arrays (``wedge``, ``triangle``) and must return
-    integers.  ``maximize`` flips the sign, so the chain always lowers the
-    energy, and only a strict improvement is accepted.  On 2K proposals the
-    gradient is the weight vector itself.
+    ``edge`` takes degree values as ints and must return integers.
+    ``maximize`` flips the sign, so the chain always lowers the energy, and
+    only a strict improvement is accepted.
     """
 
+    proposal = 1
     limit = -1
     stops = False
     scored = True
-    quadratic = False
 
-    def __init__(self, label, *, edge=None, wedge=None, triangle=None, maximize=False):
+    def __init__(self, label, *, edge, maximize=False):
         self.label = label
-        self.proposal = 1 if edge is not None else 2
         self.edge = edge
-        self.wedge = wedge
-        self.triangle = triangle
         self.sign = -1 if maximize else 1
-
-    def target_degrees(self) -> np.ndarray:
-        return np.empty(0, dtype=np.int64)
-
-    def gradient_entries(self, tk: _ThreeKState, graph: SimpleGraph):
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, 0
-
-    def gradient_fill(self, keys: np.ndarray, kd: np.ndarray) -> np.ndarray:
-        """The signed weights of rank-packed unified ``keys`` over the
-        sorted distinct degrees ``kd``."""
-        base = kd.size
-        cube = base**3
-        triangle = keys >= cube
-        out = np.zeros(keys.size, dtype=np.int64)
-        # wedge keys pack (min end, centre, max end), triangle keys sort
-        for family, weight, offset in ((~triangle, self.wedge, 0), (triangle, self.triangle, cube)):
-            if weight is not None:
-                rest = keys[family] - offset
-                out[family] = weight(
-                    kd[rest // (base * base)], kd[(rest // base) % base], kd[rest % base]
-                )
-        return self.sign * out
 
     def start(self, graph: SimpleGraph) -> int:
         return 0
@@ -1160,7 +1118,7 @@ class DkPreserving:
 
     limit = 0
     stops = False
-    quadratic = False
+    scorer = None  # d = 2 runs the plain 2K loop and scores nothing
 
     def __init__(self, d: int):
         self.proposal = min(d, 2)
@@ -1174,19 +1132,18 @@ class DkPreserving:
 class _SparseGradient:
     """Sorted key/value twin of the dense gradient array.
 
-    Serves the two operations the scored chain performs on its gradient: a
-    gather ``grad[keys]`` and a scatter ``grad[keys] = values`` of distinct
-    keys (so ``grad[keys] += values`` works as on an array).  A key absent
-    from the stored arrays reads ``fill(keys)``, what the dense array holds
-    there; a scatter to an absent key inserts it.
+    Serves the two operations the 3K-targeting chain performs on its
+    gradient: a gather ``grad[keys]`` and a scatter ``grad[keys] = values``
+    of distinct keys (so ``grad[keys] += values`` works as on an array).  A
+    key absent from the stored arrays reads 0, as on the dense array; a
+    scatter to an absent key inserts it.
     """
 
-    __slots__ = ("keys", "vals", "fill")
+    __slots__ = ("keys", "vals")
 
-    def __init__(self, keys: np.ndarray, vals: np.ndarray, fill):
+    def __init__(self, keys: np.ndarray, vals: np.ndarray):
         self.keys = keys
         self.vals = vals
-        self.fill = fill
 
     def _find(self, keys):
         pos = np.searchsorted(self.keys, keys)
@@ -1196,7 +1153,7 @@ class _SparseGradient:
 
     def __getitem__(self, keys):
         pos, hit = self._find(keys)
-        out = self.fill(keys)
+        out = np.zeros(keys.size, dtype=np.int64)
         out[hit] = self.vals[pos[hit]]
         return out
 
@@ -1211,33 +1168,41 @@ class _SparseGradient:
             self.vals = np.insert(self.vals, at, values[~hit][order])
 
 
-def _gradient(objective, tk: _ThreeKState, graph: SimpleGraph, kd: np.ndarray):
-    """``(grad, energy)``: a scored 2K chain's energy gradient over the
+def _gradient(objective, tk: _ThreeKState, graph: SimpleGraph):
+    """``(grad, energy)``: the 3K-targeting chain's energy gradient over the
     rank-packed unified keys, and its start energy on ``graph``.
 
     The gradient is a dense int64 array with one slot per key up to
     :data:`THREEK_RANK_SLOTS_MAX` slots and a :class:`_SparseGradient`
     beyond it; both read and update identically.
     """
-    keys, vals, energy = objective.gradient_entries(tk, graph)
+    keys, diff, energy = _initial_threek_diff(tk, graph, objective.target)
     slots = 2 * tk.n_ranks**3
     if slots <= THREEK_RANK_SLOTS_MAX:
-        grad = objective.gradient_fill(np.arange(slots, dtype=np.int64), kd)
-        grad[keys] = vals
+        grad = np.zeros(slots, dtype=np.int64)
+        grad[keys] = 2 * diff
     else:
-        grad = _SparseGradient(keys, vals, lambda k: objective.gradient_fill(k, kd))
+        grad = _SparseGradient(keys, 2 * diff)
     return grad, energy
 
 
 @dataclass
 class ChainRun:
-    """Outcome of an objective chain: the graph and its energy trajectory."""
+    """Outcome of an objective chain: its final state and energy trajectory.
 
-    graph: SimpleGraph
+    ``graph`` materializes the final edge arrays on first read, so a caller
+    that reads only the move counts (a randomizing pilot) never builds it.
+    """
+
+    state: RewiringState
     energy: int
     accepted: int
     attempted: int
     trace: list[int]
+
+    @cached_property
+    def graph(self) -> SimpleGraph:
+        return self.state.to_graph()
 
 
 def run_chain(
@@ -1254,29 +1219,33 @@ def run_chain(
     0K-proposal objectives preserve the edge count, 1K-proposal ones the
     degree sequence, 2K-proposal ones the JDD.  A temperature ``schedule``
     (``step -> T``) enables Metropolis uphill moves; without one a move is
-    accepted iff its change is at most ``objective.limit``.  A scored 2K
-    chain runs the batched delta kernel at every input size; only its
-    membership table (bitset or sorted arc keys, by :data:`BITSET_MAX_NODES`)
-    and gradient layout (dense or sparse, by :data:`THREEK_RANK_SLOTS_MAX`)
-    depend on the input, and neither changes a move.  Proposals are drawn
-    :data:`THREEK_BATCH_SIZE` at a time by a scored 2K chain and
-    :data:`DEFAULT_BATCH_SIZE` at a time by every other chain; no batch
-    width changes a move either.  The trace records the energy every
-    ``trace_every`` attempts, plus the start and end.
+    accepted iff its change is at most ``objective.limit``.  A 2K-proposal
+    objective is either ``scored`` on its wedge/triangle delta (3K
+    randomizing and targeting), which runs the batched delta kernel at every
+    input size, or runs the plain 2K loop with its optional per-move
+    ``scorer``.  Only the kernel's membership table (bitset or sorted arc
+    keys, by :data:`BITSET_MAX_NODES`) and gradient layout (dense or sparse,
+    by :data:`THREEK_RANK_SLOTS_MAX`) depend on the input, and neither
+    changes a move.  Proposals are drawn :data:`THREEK_BATCH_SIZE` at a time
+    by a 3K-delta chain and :data:`DEFAULT_BATCH_SIZE` at a time by every
+    other chain; no batch width changes a move either.  The trace records
+    the energy every ``trace_every`` attempts, plus the start and end.
     """
     rng = ensure_rng(rng)
     state = RewiringState(graph)
+    batch_size = DEFAULT_BATCH_SIZE
     if objective.proposal == 2:
         state.build_buckets()
         chain = _objective_chain_2k
+        if objective.scored:
+            chain = _objective_chain_3k
+            batch_size = THREEK_BATCH_SIZE
     else:
         chain = _objective_chain_0k if objective.proposal == 0 else _objective_chain_1k
-    scored_2k = objective.proposal == 2 and objective.scored
-    batch_size = THREEK_BATCH_SIZE if scored_2k else DEFAULT_BATCH_SIZE
     energy, accepted, attempted, trace = chain(
         state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
     )
-    return ChainRun(state.to_graph(), energy, accepted, attempted, trace)
+    return ChainRun(state, energy, accepted, attempted, trace)
 
 
 def _close_trace(trace: list, energy: int, attempts: int, next_trace: int) -> list:
@@ -1429,14 +1398,12 @@ def _objective_chain_1k(
     return energy, accepted, attempts, _close_trace(trace, energy, attempts, next_trace)
 
 
-def _objective_chain_2k(
+def _objective_chain_3k(
     state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
 ):
-    if not objective.scored:
-        # 2K-preserving randomizing needs none of the 3K structures
-        return _objective_chain_2k_unscored(
-            state, objective, rng, max_attempts, trace_every, batch_size
-        )
+    """2K proposals scored on their wedge/triangle delta: 3K-preserving
+    randomizing (a zero-delta verdict) and 3K targeting
+    (:class:`ThreeKDistance`)."""
     tk = _ThreeKState(state)
     # 3K-preserving randomizing needs only a zero/nonzero verdict per
     # proposal: no rank-packed statistic, no gradient, and one snapshot per
@@ -1463,16 +1430,14 @@ def _objective_chain_2k(
         # batched/scalar item-order identity is untouched.
         kd = np.unique(np.concatenate((tk.deg, objective.target_degrees())))
         tk.rank_by(kd)
-        # the chain's whole objective: ``grad[key]`` is the energy gradient
-        # over rank-packed unified keys.  A delta's change is ``Σ net * grad``
-        # for a linear objective and ``Σ net * (grad + net)`` for the squared
-        # distance, whose gradient ``2 (current - target)`` then moves by
-        # ``2 * net`` per accepted move.  Everything stays int64-exact, so
-        # the energy trace is identical for every batch size, evaluation
-        # path and gradient layout.
-        grad, energy = _gradient(objective, tk, graph, kd)
+        # the chain's whole objective: ``grad[key]`` is the squared
+        # distance's gradient ``2 (current - target)`` over rank-packed
+        # unified keys.  A delta's change is ``Σ net * (grad + net)``, and the
+        # gradient moves by ``2 * net`` per accepted move.  Everything stays
+        # int64-exact, so the energy trace is identical for every batch
+        # size, evaluation path and gradient layout.
+        grad, energy = _gradient(objective, tk, graph)
         chunk = THREEK_EVAL_CHUNK
-    quadratic = objective.quadratic
     limit = objective.limit
     stops = objective.stops
     n = state.n
@@ -1517,22 +1482,19 @@ def _objective_chain_2k(
             base = tk.clock
             # the change of every snapshot-valid proposal against the
             # chunk-start gradient, in one vectorized pass summed per
-            # proposal by segmented cumsum.  Accepted moves of a squared
-            # distance shift the gradient for later proposals of the same
-            # chunk; once any accept dirties the chunk, the per-proposal
-            # correction is the exact integer sum(net * grad_now) -
-            # sum(net * grad_start) — one gather + dot, no rounding.
+            # proposal by segmented cumsum.  Accepted moves shift the
+            # gradient for later proposals of the same chunk; once any
+            # accept dirties the chunk, the per-proposal correction is the
+            # exact integer sum(net * grad_now) - sum(net * grad_start) —
+            # one gather + dot, no rounding.
             if keys.size:
                 g0 = grad[keys]
-                contrib = nets * (g0 + nets) if quadratic else nets * g0
                 csum = np.zeros(keys.size + 1, dtype=np.int64)
-                np.cumsum(contrib, out=csum[1:])
+                np.cumsum(nets * (g0 + nets), out=csum[1:])
                 sarr = np.asarray(starts, dtype=np.int64)
                 change0 = (csum[sarr[1:]] - csum[sarr[:-1]]).tolist()
-                base_dot = change0
-                if quadratic:
-                    np.cumsum(nets * g0, out=csum[1:])
-                    base_dot = (csum[sarr[1:]] - csum[sarr[:-1]]).tolist()
+                np.cumsum(nets * g0, out=csum[1:])
+                base_dot = (csum[sarr[1:]] - csum[sarr[:-1]]).tolist()
             else:
                 change0 = [0] * (len(starts) - 1)
                 base_dot = change0
@@ -1606,10 +1568,7 @@ def _objective_chain_2k(
                         # the staleness path reads the live gradient
                         # directly, so it needs no chunk-start correction
                         karr, narr = np.array(items, dtype=np.int64).T
-                        if quadratic:
-                            change = int(np.dot(narr, grad[karr] + narr))
-                        else:
-                            change = int(np.dot(narr, grad[karr]))
+                        change = int(np.dot(narr, grad[karr] + narr))
                     else:
                         change = 0
                     if change <= limit or (
@@ -1631,14 +1590,13 @@ def _objective_chain_2k(
                         else:
                             edge_v[j] = b
                         tk.apply_swap(a, b, c, d, i, j, si, ei)
-                        if quadratic:
-                            if items is None:
-                                if s1 > s0:
-                                    grad[keys[s0:s1]] += 2 * nets[s0:s1]
-                                    dirty = True
-                            elif items:
-                                grad[karr] += 2 * narr
+                        if items is None:
+                            if s1 > s0:
+                                grad[keys[s0:s1]] += 2 * nets[s0:s1]
                                 dirty = True
+                        elif items:
+                            grad[karr] += 2 * narr
+                            dirty = True
                         energy += change
                         accepted += 1
                 if attempts == next_trace:
@@ -1655,9 +1613,13 @@ def _objective_chain_2k(
     return energy, accepted, attempts, trace
 
 
-def _objective_chain_2k_unscored(state, objective, rng, max_attempts, trace_every, batch_size):
-    """2K proposals with no score: 2K-preserving randomizing, which accepts
-    every valid degree-matched head exchange."""
+def _objective_chain_2k(
+    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+):
+    """2K proposals on the flat edge arrays.  With no ``scorer`` (2K-preserving
+    randomizing) every valid degree-matched head exchange is accepted with no
+    score computed; a scorer's ``(change, commit)`` pair prices each valid
+    one, which is accepted iff its change is at most ``objective.limit``."""
     buckets = state.bucket_table
     n = state.n
     m = state.m
@@ -1666,6 +1628,11 @@ def _objective_chain_2k_unscored(state, objective, rng, max_attempts, trace_ever
     edge_v = state.edge_v
     edge_key = state.edge_key
     edge_set = state.edge_set
+    scored = objective.scorer is not None
+    if scored:
+        change_of, commit = objective.scorer(state)
+    limit = objective.limit
+    energy = objective.start(graph)
 
     # the third (Metropolis) stream is never read here; spawning it anyway
     # leaves the caller's generator as every 2K-proposal chain leaves it
@@ -1673,7 +1640,7 @@ def _objective_chain_2k_unscored(state, objective, rng, max_attempts, trace_ever
     accepted = 0
     attempts = 0
     next_trace = trace_every
-    trace = [0]
+    trace = [energy]
     while attempts < max_attempts and m >= 2:
         size = min(batch_size, max_attempts - attempts)
         ends = stream_end.integers(0, 2 * m, size=size).tolist()
@@ -1682,7 +1649,7 @@ def _objective_chain_2k_unscored(state, objective, rng, max_attempts, trace_ever
         batch_start_att = attempts
         for end, r in zip(ends, positions):
             if attempts == next_trace:
-                trace.append(0)
+                trace.append(energy)
                 next_trace += trace_every
             attempts += 1
             i = end >> 1
@@ -1709,6 +1676,12 @@ def _objective_chain_2k_unscored(state, objective, rng, max_attempts, trace_ever
             key_cb = c * n + b if c < b else b * n + c
             if key_ad in edge_set or key_cb in edge_set:
                 continue
+            if scored:
+                change = change_of(a, b, c, d)
+                if change > limit:
+                    continue
+                commit(a, b, c, d)
+                energy += change
             edge_set.remove(edge_key[i])
             edge_set.remove(edge_key[j])
             edge_set.add(key_ad)
@@ -1727,7 +1700,7 @@ def _objective_chain_2k_unscored(state, objective, rng, max_attempts, trace_ever
         record_batch_efficiency(
             objective.label, accepted - batch_start_acc, attempts - batch_start_att
         )
-    return 0, accepted, attempts, _close_trace(trace, 0, attempts, next_trace)
+    return energy, accepted, attempts, _close_trace(trace, energy, attempts, next_trace)
 
 
 __all__ = [

@@ -376,7 +376,7 @@ def test_converged_chain_does_not_warn(as_small):
 
 
 # --------------------------------------------------------------------------- #
-# exploration objectives: linear weight vectors on the targeting chains
+# exploration objectives: S on the 1K chain, S2 and C̄ scorers on the 2K loop
 # --------------------------------------------------------------------------- #
 OBJECTIVES = [(metric, mode) for metric in ("s", "s2", "clustering") for mode in ("max", "min")]
 MEASURED = {"s": "likelihood", "s2": "second_order_likelihood", "clustering": "mean_clustering"}
@@ -435,13 +435,30 @@ def test_exploration_is_batch_size_invariant(explored_graph, metric, mode, monke
 @pytest.mark.parametrize("gate", ("BITSET_MAX_NODES", "THREEK_RANK_SLOTS_MAX"))
 @pytest.mark.parametrize("metric,mode", [o for o in OBJECTIVES if o[0] != "s"])
 def test_exploration_scalar_path_matches_batched(explored_graph, metric, mode, gate, monkeypatch):
-    """Past either ceiling (sorted arc keys for the bitset, a sparse
-    gradient for the dense one) a 2K exploration takes the same moves."""
-    batched = _explore(explored_graph, metric, mode)
-    monkeypatch.setattr(vec, gate, 0)
-    twin = _explore(explored_graph, metric, mode)
-    assert _edge_sets(twin.graph) == _edge_sets(batched.graph)
-    assert twin.metric_trace == batched.metric_trace
+    """A 2K exploration reads neither ceiling of the 3K kernel; 3K targeting
+    from its output back to the original's P_3 reads both, and past either
+    one (sorted arc keys for the bitset, a sparse gradient for the dense
+    one) ``target_3k_from_2k`` takes the same moves."""
+    target = three_k_distribution(explored_graph)
+    runs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RewiringConvergenceWarning)
+        for ceiling in (None, 0):
+            if ceiling is not None:
+                monkeypatch.setattr(vec, gate, ceiling)
+            explored = _explore(explored_graph, metric, mode)
+            targeted = target_3k_from_2k(explored.graph, target, rng=5, max_attempts=3000)
+            runs.append((explored, targeted))
+    (explored, targeted), (twin, past) = runs
+    assert targeted.accepted_moves > 0
+    assert _edge_sets(twin.graph) == _edge_sets(explored.graph)
+    assert twin.metric_trace == explored.metric_trace
+    assert _edge_sets(past.graph) == _edge_sets(targeted.graph)
+    assert past.distance_trace == targeted.distance_trace
+    assert (past.accepted_moves, past.attempted_moves) == (
+        targeted.accepted_moves,
+        targeted.attempted_moves,
+    )
 
 
 def _complete_graph(n):

@@ -283,33 +283,26 @@ def test_neighbor_degree_sums_follow_flush(as_small):
 def test_sparse_gradient_reads_and_updates_like_dense(hot_small, monkeypatch):
     """Beyond ``THREEK_RANK_SLOTS_MAX`` the gradient is a sorted sparse
     array: it reads the dense array's value at every key (0 off the stored
-    keys for the squared distance, the weight for a linear objective) and
-    stays equal to it under scattered updates, inserts included."""
+    keys) and stays equal to it under scattered updates, inserts included."""
     target = three_k_distribution(hot_small)
     graph = _random_simple_graph(5, n=60, m=150)
-    objectives = (
-        vec.ThreeKDistance(target),
-        vec.LinearObjective(
-            "S2", wedge=lambda e1, c, e2: e1 * e2, triangle=lambda k1, k2, k3: k1 * k2 * k3
-        ),
-    )
+    objective = vec.ThreeKDistance(target)
     rng = np.random.default_rng(2)
-    for objective in objectives:
-        tk = vec._ThreeKState(vec.RewiringState(graph))
-        kd = np.unique(np.concatenate((tk.deg, objective.target_degrees())))
-        tk.rank_by(kd)
-        dense, energy = vec._gradient(objective, tk, graph, kd)
-        monkeypatch.setattr(vec, "THREEK_RANK_SLOTS_MAX", 0)
-        sparse, sparse_energy = vec._gradient(objective, tk, graph, kd)
-        monkeypatch.undo()
-        assert isinstance(sparse, vec._SparseGradient)
-        assert sparse_energy == energy
-        every = np.arange(dense.size, dtype=np.int64)
-        assert np.array_equal(sparse[every], dense)
-        for _ in range(30):
-            keys = np.unique(rng.integers(0, dense.size, size=5))
-            step = rng.integers(-3, 4, size=keys.size)
-            dense[keys] += step
-            sparse[keys] += step
-        assert np.array_equal(sparse[every], dense)
+    tk = vec._ThreeKState(vec.RewiringState(graph))
+    kd = np.unique(np.concatenate((tk.deg, objective.target_degrees())))
+    tk.rank_by(kd)
+    dense, energy = vec._gradient(objective, tk, graph)
+    monkeypatch.setattr(vec, "THREEK_RANK_SLOTS_MAX", 0)
+    sparse, sparse_energy = vec._gradient(objective, tk, graph)
+    monkeypatch.undo()
+    assert isinstance(sparse, vec._SparseGradient)
+    assert sparse_energy == energy
+    every = np.arange(dense.size, dtype=np.int64)
+    assert np.array_equal(sparse[every], dense)
+    for _ in range(30):
+        keys = np.unique(rng.integers(0, dense.size, size=5))
+        step = rng.integers(-3, 4, size=keys.size)
+        dense[keys] += step
+        sparse[keys] += step
+    assert np.array_equal(sparse[every], dense)
 
