@@ -343,13 +343,6 @@ class ThreeKDistribution:
             total += count * (ka * kb + ka * kc + kb * kc)
         return total
 
-    def mean_clustering_numerator(self) -> float:
-        """``Σ k1 P△(k1,k2,k3)`` -- the triangle-concentration statistic."""
-        total = 0.0
-        for key, count in self.triangles.items():
-            total += count * sum(key)
-        return total
-
     # -- projections ------------------------------------------------------ #
     def to_lower(self) -> JointDegreeDistribution:
         """Project to the 2K-distribution (inclusion property)."""

@@ -9,22 +9,30 @@ by ``P_{d+1}`` and not by ``P_d``.  The paper uses:
   distance two, defined by the wedge component of 3K) and the mean
   clustering ``C̄`` (defined by the triangle component of 3K).
 
-Each exploration is a targeting rewiring that accepts a dK-preserving move
-only when it pushes the chosen metric strictly in the requested direction.
-Every change is an exact integer:
+Each exploration is a rewiring chain that accepts a dK-preserving move only
+when it pushes the chosen metric strictly in the requested direction.  It
+runs on the engine's plain proposal loop of its level (1K swaps for ``S``,
+2K swaps for ``S2`` and ``C̄``) and prices each swap ``(a,b),(c,d) ->
+(a,d),(c,b)`` with a per-move scorer over live chain state, the one pricing
+protocol of :class:`~repro.kernels.rewiring.Objective`.  Every change is an
+exact integer:
 
-* ``S`` runs on 1K proposals under a weight vector over the JDD keys,
-  ``k1 k2`` per edge (:class:`~repro.kernels.rewiring.LinearObjective`);
-* ``S2`` and ``C̄`` run on the engine's plain 2K-proposal loop, each with a
-  per-move scorer over live chain state.  A swap ``(a,b),(c,d) ->
-  (a,d),(c,b)`` changes ``S2`` by ``δ(s_b - s_d + δ)``, with
-  ``δ = k_c - k_a`` and ``s_u`` the sum of u's neighbor degrees (only
-  ``s_b`` and ``s_d`` move, by ``±δ``).  It changes ``C̄`` only through the
-  triangles it destroys (over ``N(a)∩N(b)`` and ``N(c)∩N(d)``) and creates
-  (over ``N(a)∩N(d) - {b,c}`` and ``N(c)∩N(b) - {d,a}``), each worth
-  ``(1/n) Σ_{k in corners} 1/C(k, 2)``.  The ``1/C(k, 2)`` terms are
-  rounded to a fixed-point integer grid whose resolution follows the
-  maximum degree (2^-44 at 100).
+* ``S`` changes by ``(k_a - k_c)(k_d - k_b)``;
+* ``S2`` changes by ``δ(s_b - s_d + δ)``, with ``δ = k_c - k_a`` and
+  ``s_u`` the sum of u's neighbor degrees (only ``s_b`` and ``s_d`` move, by
+  ``±δ``);
+* ``C̄`` changes only through the triangles a swap destroys (over
+  ``N(a)∩N(b)`` and ``N(c)∩N(d)``) and creates (over ``N(a)∩N(d) - {b,c}``
+  and ``N(c)∩N(b) - {d,a}``), each worth ``(1/n) Σ_{k in corners}
+  1/C(k, 2)``.  The ``1/C(k, 2)`` terms are rounded to a fixed-point
+  integer grid whose resolution follows the maximum degree (2^-44 at 100).
+
+The metric trace is read off the same integers: ``(S0 + ΣΔ) / scale``, where
+``S0`` is the start graph's value in the scorer's units (for ``C̄``,
+``Σ_v t_v w_v`` over the per-node triangle counts ``t_v`` and the grid
+weights ``w_v``).  So a trace never leaves the metric's range, and a
+``C̄`` trace reads 0.0 exactly once no triangle is left.  The entries before
+the first accepted move are the measured start value itself.
 """
 
 from __future__ import annotations
@@ -33,7 +41,12 @@ from dataclasses import dataclass, field
 from typing import Any, Literal
 
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.rewiring import ENGINE_NAME, LinearObjective, run_chain
+from repro.kernels.rewiring import ENGINE_NAME, Objective, run_chain
+from repro.measure.intermediates import (
+    shared_edge_moments,
+    shared_second_order,
+    shared_triangles,
+)
 from repro.metrics.assortativity import likelihood, second_order_likelihood
 from repro.metrics.clustering import mean_clustering
 from repro.telemetry import span
@@ -59,26 +72,32 @@ class ExplorationResult:
     stats: dict[str, Any] = field(default_factory=dict)
 
 
-def _check_mode(mode: Mode) -> None:
+def _explore(
+    graph: SimpleGraph, metric: str, mode: Mode, rng: RngLike, max_attempts: int | None
+) -> ExplorationResult:
+    """Run ``metric``'s exploration chain (its :data:`_EXPLORATIONS` row) and
+    map its energy trace to values of the metric.
+
+    The row's scorer prices a swap in ``sign``-signed grid units, and its
+    start function gives the start graph's value in grid units and the grid
+    units per unit of the metric.  An entry before the first accepted move
+    is the measured start; every later one is ``(units + sign * energy) /
+    scale``.
+    """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-
-
-def _explore(
-    graph: SimpleGraph,
-    objective,
-    metric,
-    scale: int,
-    rng: RngLike,
-    max_attempts: int | None,
-) -> ExplorationResult:
-    """Run ``objective``'s chain and map its energy trace to values of
-    ``metric``: ``start + sign * energy / scale``."""
+    label, loop, scorer, measure, start_units = _EXPLORATIONS[metric]
+    sign = -1 if mode == "max" else 1
     # measured on a private copy, so the caller's graph keeps its own
     # measurement cache untouched
-    start = metric(graph.copy())
+    probe = graph.copy()
+    start = measure(probe)
+    units, scale = start_units(probe)
     if max_attempts is None:
         max_attempts = 100 * max(graph.number_of_edges, 1)
+    objective = Objective(
+        f"{label} {mode} exploration", loop, limit=-1, scorer=lambda state: scorer(state, sign)
+    )
     with span(
         "kernel.rewire_explore",
         engine=ENGINE_NAME,
@@ -88,57 +107,32 @@ def _explore(
     ) as sp:
         run = run_chain(graph, objective, rng=rng, max_attempts=max_attempts)
         sp.set(accepted=run.accepted, attempted=run.attempted)
-    trace = [start + objective.sign * energy / scale for energy in run.trace]
+    # only strict improvements are accepted, so the energy is 0 exactly
+    # until the first accepted move
+    trace = [(units + sign * energy) / scale if energy else start for energy in run.trace]
     return ExplorationResult(
         graph=run.graph,
         metric_value=trace[-1],
         accepted_moves=run.accepted,
         attempted_moves=run.attempted,
         metric_trace=trace,
-        stats={"engine": ENGINE_NAME},
+        stats={
+            "engine": ENGINE_NAME,
+            "accepted_moves": run.accepted,
+            "attempted_moves": run.attempted,
+            "accept_rate": run.accepted / run.attempted if run.attempted else 0.0,
+        },
     )
 
 
-def explore_1k_likelihood(
-    graph: SimpleGraph,
-    mode: Mode = "max",
-    *,
-    rng: RngLike = None,
-    max_attempts: int | None = None,
-) -> ExplorationResult:
-    """1K-space exploration: drive ``S`` to its extreme with 1K-preserving swaps.
+def _likelihood_scorer(state, sign: int):
+    """``sign * ΔS`` of a 1K swap, ``(k_a - k_c)(k_d - k_b)``."""
+    degrees = state.degrees
 
-    This is the experiment that led Li et al. to conclude that the degree
-    distribution alone (d = 1) is not constraining enough for router-level
-    topologies.
-    """
-    _check_mode(mode)
-    objective = LinearObjective(
-        f"S {mode} exploration", edge=lambda k1, k2: k1 * k2, maximize=mode == "max"
-    )
-    return _explore(graph, objective, likelihood, 1, rng, max_attempts)
+    def change(a, b, c, d):
+        return sign * (degrees[a] - degrees[c]) * (degrees[d] - degrees[b])
 
-
-class _SwapExploration:
-    """An S2 or C̄ exploration on the plain 2K-proposal loop: ``make(state,
-    sign)`` gives its per-move scorer ``(change, commit)`` over a swap's
-    ``(a, b, c, d)``, and only a strict improvement is accepted."""
-
-    proposal = 2
-    scored = False  # priced by the scorer, not by the wedge/triangle kernel
-    limit = -1
-    stops = False
-
-    def __init__(self, label: str, mode: Mode, make):
-        self.label = label
-        self.sign = -1 if mode == "max" else 1
-        self.make = make
-
-    def start(self, graph: SimpleGraph) -> int:
-        return 0
-
-    def scorer(self, state):
-        return self.make(state, self.sign)
+    return 0, change, lambda *swap: None  # no live state to update
 
 
 def _s2_scorer(state, sign: int):
@@ -158,7 +152,7 @@ def _s2_scorer(state, sign: int):
         sums[b] += delta
         sums[d] -= delta
 
-    return change, commit
+    return 0, change, commit
 
 
 def _clustering_scale(degrees) -> int:
@@ -169,10 +163,15 @@ def _clustering_scale(degrees) -> int:
     return 1 << (62 - (12 * top * _CLUSTERING_GRID_SWAPS).bit_length())
 
 
+def _clustering_weights(degrees) -> list[int]:
+    """Each node's ``1 / C(k, 2)`` on the grid of :func:`_clustering_scale`."""
+    scale = _clustering_scale(degrees)
+    return [round(scale * 2.0 / (k * (k - 1.0))) if k > 1 else 0 for k in degrees]
+
+
 def _clustering_scorer(state, sign: int):
     """``sign * Δ(n C̄)`` in grid units, from live adjacency sets."""
-    scale = _clustering_scale(state.degrees)
-    weight = [round(scale * 2.0 / (k * (k - 1.0))) if k > 1 else 0 for k in state.degrees]
+    weight = _clustering_weights(state.degrees)
     adj = [set() for _ in range(state.n)]
     for u, v in zip(state.edge_u, state.edge_v):
         adj[u].add(v)
@@ -197,7 +196,42 @@ def _clustering_scorer(state, sign: int):
             adj[node].remove(old)
             adj[node].add(new)
 
-    return change, commit
+    return 0, change, commit
+
+
+def _clustering_start(graph: SimpleGraph) -> tuple[int, int]:
+    """``n C̄`` in grid units, ``Σ_v t_v w_v``, and the units per unit of ``C̄``."""
+    degrees = graph.degrees()
+    weights = _clustering_weights(degrees)
+    units = sum(t * w for t, w in zip(shared_triangles(graph), weights))
+    return units, _clustering_scale(degrees) * max(graph.number_of_nodes, 1)
+
+
+#: metric -> (chain label, proposal loop, scorer, measured value, start in
+#: the scorer's units with the units per unit of the metric)
+_EXPLORATIONS = {
+    "s": ("S", 1, _likelihood_scorer, likelihood, lambda g: (shared_edge_moments(g)[0], 1)),
+    "s2": (
+        "S2", 2, _s2_scorer, second_order_likelihood, lambda g: (shared_second_order(g) // 2, 1)
+    ),
+    "clustering": ("C", 2, _clustering_scorer, mean_clustering, _clustering_start),
+}
+
+
+def explore_1k_likelihood(
+    graph: SimpleGraph,
+    mode: Mode = "max",
+    *,
+    rng: RngLike = None,
+    max_attempts: int | None = None,
+) -> ExplorationResult:
+    """1K-space exploration: drive ``S`` to its extreme with 1K-preserving swaps.
+
+    This is the experiment that led Li et al. to conclude that the degree
+    distribution alone (d = 1) is not constraining enough for router-level
+    topologies.
+    """
+    return _explore(graph, "s", mode, rng, max_attempts)
 
 
 def explore_2k(
@@ -212,13 +246,7 @@ def explore_2k(
     2K-preserving (JDD-preserving) swaps."""
     if metric not in ("clustering", "s2"):
         raise ValueError(f"metric must be 'clustering' or 's2', got {metric!r}")
-    _check_mode(mode)
-    if metric == "s2":
-        objective = _SwapExploration(f"S2 {mode} exploration", mode, _s2_scorer)
-        return _explore(graph, objective, second_order_likelihood, 1, rng, max_attempts)
-    objective = _SwapExploration(f"C {mode} exploration", mode, _clustering_scorer)
-    scale = _clustering_scale(graph.degrees()) * max(graph.number_of_nodes, 1)
-    return _explore(graph, objective, mean_clustering, scale, rng, max_attempts)
+    return _explore(graph, metric, mode, rng, max_attempts)
 
 
 __all__ = [

@@ -25,16 +25,9 @@ emits a :class:`~repro.exceptions.RewiringConvergenceWarning`.  The stats
 record both acceptance rates (``pilot_accept_rate``, ``accept_rate``).
 
 The chains run on the rewiring engine's :func:`~repro.kernels.rewiring.run_chain`,
-which is deterministic per seed and preserves the dK-invariants exactly.
-For d = 3 it evaluates the wedge/triangle acceptance test batched across
-each proposal block (CSR rows, an adjacency membership table and
-packed-key reductions) at every graph size; the membership table is a
-bitset up to ``BITSET_MAX_NODES`` nodes and sorted packed arc keys beyond
-it, with the same moves either way.  Accepted moves update the
-neighborhood structures incrementally, and proposals invalidated by an
-earlier accepted move in the same batch get an exact per-move
-re-evaluation, keeping the chain's output independent of the batch width
-(a kernel constant, not a parameter).
+which is deterministic per seed, preserves the dK-invariants exactly and
+takes the same moves for every batch width (a kernel constant, not a
+parameter) and membership table; d = 3 runs its wedge/triangle kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ import numpy as np
 from repro.generators.rewiring.chain import record_chain_stats
 from repro.generators.rewiring.counting import count_dk_rewirings
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.rewiring import ENGINE_NAME, DkPreserving, run_chain
+from repro.kernels.rewiring import ENGINE_NAME, dk_preserving, run_chain
 from repro.telemetry import span
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -68,7 +61,7 @@ def dk_randomize(
     """dK-preserving randomization of a copy of ``graph``, ``d`` in ``{0, 1, 2, 3}``.
 
     Runs :func:`~repro.kernels.rewiring.run_chain` on the
-    :class:`~repro.kernels.rewiring.DkPreserving` objective for ``T``
+    :func:`~repro.kernels.rewiring.dk_preserving` objective for ``T``
     attempts, with ``T`` fixed before the chain starts.  A pilot chain on its
     own stream estimates the acceptance rate ``a0`` from
     ``min(PILOT_ATTEMPTS, target)`` attempts, and ``T = ceil(target / a0)``
@@ -93,7 +86,7 @@ def dk_randomize(
     m = graph.number_of_edges
     target = max(1, int(multiplier * m))
     budget = max_attempt_factor * (max(m, 1) if d == 3 else target)
-    objective = DkPreserving(d)
+    objective = dk_preserving(d)
     stats = {} if stats is None else stats
     with span(
         "kernel.rewire_randomize",

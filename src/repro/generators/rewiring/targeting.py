@@ -17,15 +17,13 @@ pipeline for dK-random graphs when no original graph is available:
 * 2K-targeting 1K-preserving rewiring (target: a joint degree distribution),
 * 3K-targeting 2K-preserving rewiring (target: wedge + triangle counts).
 
-Both run on the rewiring engine's objective chains
-(:func:`repro.kernels.rewiring.run_chain`).  The 3K-targeting chain keeps
-its objective as an incremental sufficient statistic — a ``current -
-target`` diff over packed wedge and triangle keys, started from the counts
-of the csr 3K counter that also extracts P_3
-(:func:`repro.kernels.biggraph.threek_counts`) and updated per accepted
-move in O(deg) — so the Metropolis distance change is an exact integer and the
-distance trace is identical for every batch size.  A chain that stops short
-of its target emits a :class:`~repro.exceptions.RewiringConvergenceWarning`.
+Both run on :func:`repro.kernels.rewiring.run_chain`: 2K targeting prices
+each 1K swap with the scorer of :func:`~repro.kernels.rewiring.jdd_distance`
+over a live ``current - target`` dict, and 3K targeting
+(:func:`~repro.kernels.rewiring.three_k_distance`) on the wedge/triangle
+kernel.  Every distance change is an exact integer, so the distance trace is
+identical for every batch size.  A chain that stops short of its target
+emits a :class:`~repro.exceptions.RewiringConvergenceWarning`.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from repro.core.distributions import JointDegreeDistribution, ThreeKDistribution
 from repro.generators.matching import matching_1k, matching_2k
 from repro.generators.rewiring.chain import warn_not_converged
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels.rewiring import ENGINE_NAME, JddDistance, ThreeKDistance, run_chain
+from repro.kernels.rewiring import ENGINE_NAME, jdd_distance, run_chain, three_k_distance
 from repro.telemetry import span
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -131,7 +129,7 @@ def target_2k_from_1k(
     return _run_targeting(
         "rewire_target_2k",
         graph,
-        JddDistance(target),
+        jdd_distance(target),
         rng=rng,
         max_attempts=max_attempts,
         temperature=temperature,
@@ -158,7 +156,7 @@ def target_3k_from_2k(
     return _run_targeting(
         "rewire_target_3k",
         graph,
-        ThreeKDistance(target),
+        three_k_distance(target),
         rng=rng,
         max_attempts=max_attempts,
         temperature=temperature,

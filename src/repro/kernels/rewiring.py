@@ -24,14 +24,24 @@ built once per chain:
   chain only needs a zero/nonzero verdict per proposal; the targeting chain
   gets full per-proposal delta lists over rank-packed wedge/triangle keys.
 
-Every chain runs through one entry point, :func:`run_chain`, with an objective
-and an attempt budget: dK-preserving randomizing (:class:`DkPreserving`),
-the squared distance to a target distribution (:class:`JddDistance`,
-:class:`ThreeKDistance`), a weight vector over JDD keys
-(:class:`LinearObjective`) or, on the plain 2K-proposal loop, a per-move
-scorer over the objective's own live state (the S2 and C̄ explorations of
-:mod:`repro.generators.exploration`).  Energies are exact integers, so
-every accept decision is exact.  The callers live in :mod:`repro.generators`;
+Every chain runs through one entry point, :func:`run_chain`, with an
+attempt budget and an :class:`Objective`: one record that names the chain's
+proposal loop and how that loop prices a move.
+
+* Loops 0, 1 and 2 propose 0K, 1K and 2K moves on the flat edge arrays.
+  Loops 1 and 2 price a swap ``(a,b),(c,d) -> (a,d),(c,b)`` through one
+  protocol, the objective's ``scorer``: ``state -> (start energy,
+  change(a, b, c, d), commit(a, b, c, d))`` over the scorer's own live
+  state.  An objective without a scorer prices nothing, so every valid
+  proposal is a move (randomizing, d = 0..2).  2K targeting
+  (:func:`jdd_distance`) and the S, S2 and C̄ explorations of
+  :mod:`repro.generators.exploration` are scorers.
+* Loop 3 proposes 2K moves priced on the wedge/triangle kernel: a
+  zero-delta verdict for 3K randomizing, or the squared distance to the
+  objective's ``target`` P_3 (:func:`three_k_distance`).
+
+Energies are exact integers, so every accept decision is exact.  The
+callers live in :mod:`repro.generators`;
 :func:`~repro.generators.rewiring.preserving.dk_randomize` sizes a
 randomizing chain's attempt budget with a pilot chain before it starts, so
 the chain stops on attempts, never on its accepted-move count, and samples
@@ -66,10 +76,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
-from repro.core.extraction import joint_degree_distribution
+from repro.core.distributions import ThreeKDistribution
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import _sum_by_key, threek_counts
 from repro.telemetry.metrics import gauge_set
@@ -190,16 +201,13 @@ class RewiringState:
         whose head carries degree ``k``): the proposal loops hit it once per
         proposal, and list indexing beats dict hashing there.
         """
-        buckets: dict[int, list[int]] = {}
         degrees = self.degrees
         edge_u = self.edge_u
         edge_v = self.edge_v
+        table: list[list[int]] = [[] for _ in range(max(degrees, default=0) + 1)]
         for slot in range(self.m):
-            buckets.setdefault(degrees[edge_v[slot]], []).append(2 * slot)
-            buckets.setdefault(degrees[edge_u[slot]], []).append(2 * slot + 1)
-        table: list[list[int]] = [[] for _ in range(max(buckets, default=0) + 1)]
-        for degree, entries in buckets.items():
-            table[degree] = entries
+            table[degrees[edge_v[slot]]].append(2 * slot)
+            table[degrees[edge_u[slot]]].append(2 * slot + 1)
         self.bucket_table = table
         return table
 
@@ -969,59 +977,13 @@ def _scalar_full_eval(tk: _ThreeKState, a, b, c, d):
 # extreme)
 # --------------------------------------------------------------------------- #
 #
-# Every chain runs one of four loops: 0K proposals (an edge re-attached to a
-# random node pair), 1K proposals (degree-preserving double swaps) scored on
-# their JDD delta, 2K proposals (degree-matched head exchanges) with an
-# optional per-move scorer, or 2K proposals scored on their wedge/triangle
-# delta.  The objective turns a proposal into an exact integer energy change:
-#
-# * randomizing: no change at all.  The d <= 2 chains accept every valid
-#   proposal without computing a delta; the 3K chain accepts a 2K proposal
-#   iff its wedge/triangle delta is empty;
-# * targeting: the squared distance to the target counts, a Metropolis chain
-#   that takes zero-change moves as free randomization steps and stops when
-#   the distance reaches 0;
-# * exploration: the change of a scalar metric (a weight vector over the JDD
-#   delta, or a 2K loop scorer), accepting only strict improvements, for the
-#   whole attempt budget.
-#
-# Integer energies keep every decision exact, so the batched and per-move
-# evaluators, both membership tables, both gradient layouts and every batch
-# size take the same moves.
-
-
-def _squared_distance(current: dict, target: dict) -> int:
-    keys = set(current) | set(target)
-    return sum((current.get(k, 0) - target.get(k, 0)) ** 2 for k in keys)
-
-
-def _distance_change(current: dict, target: dict, delta: dict) -> int:
-    change = 0
-    for key, d in delta.items():
-        if d == 0:
-            continue
-        c = current.get(key, 0)
-        t = target.get(key, 0)
-        change += (c + d - t) ** 2 - (c - t) ** 2
-    return change
-
-
-def _jdd_bump(delta: dict, k1: int, k2: int, amount: int) -> None:
-    key = (k1, k2) if k1 <= k2 else (k2, k1)
-    value = delta.get(key, 0) + amount
-    if value:
-        delta[key] = value
-    else:
-        delta.pop(key, None)
-
-
-def _commit_counts(current: dict, delta: dict) -> None:
-    for key, amount in delta.items():
-        value = current.get(key, 0) + amount
-        if value:
-            current[key] = value
-        else:
-            current.pop(key, None)
+# An energy is an exact integer: 0 throughout for randomizing; the squared
+# distance to the target counts for targeting, a Metropolis chain that takes
+# zero-change moves as free randomization steps and stops at 0; a scalar
+# metric's signed change for exploration, which accepts only strict
+# improvements for its whole attempt budget.  Integer energies keep every
+# decision exact, so the batched and per-move evaluators, both membership
+# tables, both gradient layouts and every batch size take the same moves.
 
 
 def _metropolis(change: int, temperature: float, uniform: float) -> bool:
@@ -1029,104 +991,98 @@ def _metropolis(change: int, temperature: float, uniform: float) -> bool:
     return temperature > 0 and uniform < math.exp(-change / temperature)
 
 
-class JddDistance:
-    """Squared distance ``D_2`` to a target JDD: 2K-targeting on 1K proposals."""
+@dataclass(frozen=True)
+class Objective:
+    """One chain's objective: the loop it runs and how that loop prices a move.
 
-    proposal = 1
-    label = "2K-targeting"
-    limit = 0  # a zero-change move is a free randomization step
-    stops = True  # the chain ends once the target is reached
-    scored = True  # every valid proposal's delta is computed
+    * ``loop`` — 0, 1 and 2 are the 0K, 1K and 2K proposal loops on the flat
+      edge arrays; 3 is 2K proposals priced on the wedge/triangle kernel;
+    * ``scorer`` — loops 1 and 2: ``state -> (start energy, change,
+      commit)`` built on the chain's :class:`RewiringState`.
+      ``change(a, b, c, d)`` is the exact integer energy change of the swap
+      ``(a,b),(c,d) -> (a,d),(c,b)``, and ``commit(a, b, c, d)`` applies an
+      accepted one to the scorer's live state.  ``None`` prices nothing:
+      every valid proposal is a move;
+    * ``target`` — loop 3: ``None`` accepts a swap iff its wedge/triangle
+      delta is empty (3K randomizing); a P_3 prices it by the squared
+      distance to that distribution's wedge and triangle counts;
+    * ``limit`` — a priced move is accepted iff its change is at most this
+      (or, under a temperature schedule, it passes the Metropolis test);
+    * ``stops`` — the chain ends once its energy reaches 0.
+    """
 
-    def __init__(self, target):
-        self.target = dict(target.counts)
-        self.current: dict = {}
-
-    def start(self, graph: SimpleGraph) -> int:
-        self.current = dict(joint_degree_distribution(graph).counts)
-        return _squared_distance(self.current, self.target)
-
-    def change(self, delta: dict) -> int:
-        return _distance_change(self.current, self.target, delta)
-
-    def commit(self, delta: dict) -> None:
-        _commit_counts(self.current, delta)
+    label: str
+    loop: int
+    limit: int = 0
+    stops: bool = False
+    scorer: Callable | None = None
+    target: ThreeKDistribution | None = None
 
 
-class ThreeKDistance:
+def dk_preserving(d: int) -> Objective:
+    """dK-preserving randomizing: every valid dK-preserving proposal is a move.
+
+    d = 0, 1 and 2 run their own proposal loops with no scorer; the energy is
+    0 throughout and never stops the chain, so it runs its whole attempt
+    budget.  d = 3 runs loop 3 with no target: a 2K proposal is accepted iff
+    it leaves the wedge and triangle distributions unchanged.  At every n
+    that verdict comes from :func:`_batch_zero_delta` on each draw batch,
+    and from :func:`_scalar_zero_eval` for a proposal behind an accepted
+    move of its batch.
+    """
+    return Objective(f"{d}K-preserving randomizing", d)
+
+
+def _count_edges(counts: dict, degrees, edges) -> dict:
+    """Add each ``(u, v, amount)`` of ``edges`` to the count of its JDD key;
+    returns ``counts``."""
+    for u, v, amount in edges:
+        ku = degrees[u]
+        kv = degrees[v]
+        key = (ku, kv) if ku <= kv else (kv, ku)
+        counts[key] = counts.get(key, 0) + amount
+    return counts
+
+
+def jdd_distance(target) -> Objective:
+    """Squared distance ``D_2`` to a target JDD: 2K-targeting on 1K proposals.
+
+    The scorer keeps ``current - target`` per JDD key live; a key's count
+    moving by ``n`` changes the distance by ``n (2 diff + n)``.  A
+    zero-change move is a free randomization step, and the chain ends once
+    the target is reached.
+    """
+
+    def scorer(state):
+        degrees = state.degrees
+        diff = {key: -count for key, count in target.counts.items()}
+        _count_edges(diff, degrees, zip(state.edge_u, state.edge_v, repeat(1)))
+
+        def change(a, b, c, d):
+            if degrees[a] == degrees[c] or degrees[b] == degrees[d]:
+                return 0  # each edge it removes comes back under the same key
+            delta = _count_edges({}, degrees, ((a, b, -1), (c, d, -1), (a, d, 1), (c, b, 1)))
+            total = 0
+            for key, n in delta.items():
+                total += n * (2 * diff.get(key, 0) + n)
+            return total
+
+        def commit(a, b, c, d):
+            _count_edges(diff, degrees, ((a, b, -1), (c, d, -1), (a, d, 1), (c, b, 1)))
+
+        return sum(value * value for value in diff.values()), change, commit
+
+    return Objective("2K-targeting", 1, stops=True, scorer=scorer)
+
+
+def three_k_distance(target: ThreeKDistribution) -> Objective:
     """Squared distance ``D_3`` to target wedge and triangle counts:
     3K-targeting on 2K proposals.
 
     Its gradient over the rank-packed keys is ``2 (current - target)``, so a
     delta's change is ``Σ net (grad + net)``; a key in neither count holds 0.
     """
-
-    proposal = 2
-    label = "3K-targeting"
-    limit = 0
-    stops = True
-    scored = True
-
-    def __init__(self, target):
-        self.target = target
-
-    def target_degrees(self) -> np.ndarray:
-        keys = (*self.target.wedges, *self.target.triangles)
-        return np.fromiter((k for key in keys for k in key), np.int64)
-
-
-class LinearObjective:
-    """Energy ``sign * Σ edge(k1, k2) count(k1, k2)``: a weight vector over
-    JDD keys, on 1K proposals.
-
-    ``edge`` takes degree values as ints and must return integers.
-    ``maximize`` flips the sign, so the chain always lowers the energy, and
-    only a strict improvement is accepted.
-    """
-
-    proposal = 1
-    limit = -1
-    stops = False
-    scored = True
-
-    def __init__(self, label, *, edge, maximize=False):
-        self.label = label
-        self.edge = edge
-        self.sign = -1 if maximize else 1
-
-    def start(self, graph: SimpleGraph) -> int:
-        return 0
-
-    def change(self, delta: dict) -> int:
-        return self.sign * int(sum(count * self.edge(*key) for key, count in delta.items()))
-
-    def commit(self, delta: dict) -> None:
-        pass
-
-
-class DkPreserving:
-    """dK-preserving randomizing: every valid dK-preserving proposal is a move.
-
-    d = 0 runs on 0K proposals, d = 1 on 1K proposals, d = 2 and 3 on 2K
-    proposals.  The energy is 0 throughout and never stops the chain, so it
-    runs its whole attempt budget.  Only d = 3 is scored: a proposal is
-    accepted iff it leaves the wedge and triangle distributions unchanged.
-    At every n that verdict comes from :func:`_batch_zero_delta` on each
-    draw batch, and from :func:`_scalar_zero_eval` for a proposal behind an
-    accepted move of its batch.
-    """
-
-    limit = 0
-    stops = False
-    scorer = None  # d = 2 runs the plain 2K loop and scores nothing
-
-    def __init__(self, d: int):
-        self.proposal = min(d, 2)
-        self.label = f"{d}K-preserving randomizing"
-        self.scored = d == 3
-
-    def start(self, graph: SimpleGraph) -> int:
-        return 0
+    return Objective("3K-targeting", 3, stops=True, target=target)
 
 
 class _SparseGradient:
@@ -1168,7 +1124,7 @@ class _SparseGradient:
             self.vals = np.insert(self.vals, at, values[~hit][order])
 
 
-def _gradient(objective, tk: _ThreeKState, graph: SimpleGraph):
+def _gradient(target: ThreeKDistribution, tk: _ThreeKState, graph: SimpleGraph):
     """``(grad, energy)``: the 3K-targeting chain's energy gradient over the
     rank-packed unified keys, and its start energy on ``graph``.
 
@@ -1176,7 +1132,7 @@ def _gradient(objective, tk: _ThreeKState, graph: SimpleGraph):
     :data:`THREEK_RANK_SLOTS_MAX` slots and a :class:`_SparseGradient`
     beyond it; both read and update identically.
     """
-    keys, diff, energy = _initial_threek_diff(tk, graph, objective.target)
+    keys, diff, energy = _initial_threek_diff(tk, graph, target)
     slots = 2 * tk.n_ranks**3
     if slots <= THREEK_RANK_SLOTS_MAX:
         grad = np.zeros(slots, dtype=np.int64)
@@ -1207,7 +1163,7 @@ class ChainRun:
 
 def run_chain(
     graph: SimpleGraph,
-    objective,
+    objective: Objective,
     *,
     rng: RngLike = None,
     max_attempts: int,
@@ -1216,34 +1172,28 @@ def run_chain(
 ) -> ChainRun:
     """Run ``objective``'s chain on a copy of ``graph``.
 
-    0K-proposal objectives preserve the edge count, 1K-proposal ones the
-    degree sequence, 2K-proposal ones the JDD.  A temperature ``schedule``
-    (``step -> T``) enables Metropolis uphill moves; without one a move is
-    accepted iff its change is at most ``objective.limit``.  A 2K-proposal
-    objective is either ``scored`` on its wedge/triangle delta (3K
-    randomizing and targeting), which runs the batched delta kernel at every
-    input size, or runs the plain 2K loop with its optional per-move
-    ``scorer``.  Only the kernel's membership table (bitset or sorted arc
-    keys, by :data:`BITSET_MAX_NODES`) and gradient layout (dense or sparse,
-    by :data:`THREEK_RANK_SLOTS_MAX`) depend on the input, and neither
-    changes a move.  Proposals are drawn :data:`THREEK_BATCH_SIZE` at a time
-    by a 3K-delta chain and :data:`DEFAULT_BATCH_SIZE` at a time by every
-    other chain; no batch width changes a move either.  The trace records
-    the energy every ``trace_every`` attempts, plus the start and end.
+    ``objective.loop`` picks the loop: 0K proposals preserve the edge count,
+    1K ones the degree sequence, 2K ones (loops 2 and 3) the JDD.  Loops 1
+    and 2 price a valid proposal with ``objective.scorer`` when it has one;
+    loop 3 prices it on the batched wedge/triangle kernel at every input
+    size.  A temperature ``schedule`` (``step -> T``) enables Metropolis
+    uphill moves on loops 1 and 3; without one a priced move is accepted iff
+    its change is at most ``objective.limit``.  Only the kernel's membership
+    table (bitset or sorted arc keys, by :data:`BITSET_MAX_NODES`) and
+    gradient layout (dense or sparse, by :data:`THREEK_RANK_SLOTS_MAX`)
+    depend on the input, and neither changes a move.  Proposals are drawn
+    :data:`THREEK_BATCH_SIZE` at a time by loop 3 and
+    :data:`DEFAULT_BATCH_SIZE` at a time by the others; no batch width
+    changes a move either.  The trace records the energy every
+    ``trace_every`` attempts, plus the start and end.
     """
     rng = ensure_rng(rng)
     state = RewiringState(graph)
-    batch_size = DEFAULT_BATCH_SIZE
-    if objective.proposal == 2:
+    if objective.loop >= 2:
         state.build_buckets()
-        chain = _objective_chain_2k
-        if objective.scored:
-            chain = _objective_chain_3k
-            batch_size = THREEK_BATCH_SIZE
-    else:
-        chain = _objective_chain_0k if objective.proposal == 0 else _objective_chain_1k
-    energy, accepted, attempted, trace = chain(
-        state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+    chain = (_objective_chain_0k, _objective_chain_1k, _objective_chain_2k, _objective_chain_3k)
+    energy, accepted, attempted, trace = chain[objective.loop](
+        state, graph, objective, rng, max_attempts, schedule, trace_every
     )
     return ChainRun(state, energy, accepted, attempted, trace)
 
@@ -1259,7 +1209,7 @@ def _close_trace(trace: list, energy: int, attempts: int, next_trace: int) -> li
 
 
 def _objective_chain_0k(
-    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+    state, graph, objective, rng, max_attempts, schedule, trace_every
 ):
     """0K proposals: re-attach a random edge to a random node pair.  Their
     only objective is 0K-preserving randomizing, so every valid proposal
@@ -1270,7 +1220,7 @@ def _objective_chain_0k(
     edge_v = state.edge_v
     edge_key = state.edge_key
     edge_set = state.edge_set
-    energy = objective.start(graph)
+    energy = 0
 
     stream_edge, stream_x, stream_y = _spawn_streams(rng, 3)
     accepted = 0
@@ -1278,7 +1228,7 @@ def _objective_chain_0k(
     next_trace = trace_every
     trace = [energy]
     while attempts < max_attempts and m >= 1 and n >= 2:
-        size = min(batch_size, max_attempts - attempts)
+        size = min(DEFAULT_BATCH_SIZE, max_attempts - attempts)
         slots = stream_edge.integers(0, m, size=size).tolist()
         xs = stream_x.integers(0, n, size=size).tolist()
         ys = stream_y.integers(0, n, size=size).tolist()
@@ -1311,22 +1261,24 @@ def _objective_chain_0k(
 
 
 def _objective_chain_1k(
-    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+    state, graph, objective, rng, max_attempts, schedule, trace_every
 ):
+    """1K proposals: degree-preserving double swaps.  Without a ``scorer``
+    (1K-preserving randomizing) every valid swap is accepted; a scorer's
+    ``change`` prices each valid one, accepted iff it is at most
+    ``objective.limit`` or passes the Metropolis test."""
     n = state.n
     m = state.m
-    degrees = state.degrees
     edge_u = state.edge_u
     edge_v = state.edge_v
     edge_key = state.edge_key
     edge_set = state.edge_set
     limit = objective.limit
     stops = objective.stops
-    scored = objective.scored
+    scored = objective.scorer is not None
+    energy = 0
     if scored:
-        change_of = objective.change
-        commit = objective.commit
-    energy = objective.start(graph)
+        energy, change_of, commit = objective.scorer(state)
 
     stream_first, stream_second, stream_flip, stream_accept = _spawn_streams(rng, 4)
     no_uniforms = repeat(0.0)
@@ -1335,7 +1287,7 @@ def _objective_chain_1k(
     next_trace = trace_every
     trace = [energy]
     while (energy > 0 or not stops) and attempts < max_attempts and m >= 2:
-        size = min(batch_size, max_attempts - attempts)
+        size = min(DEFAULT_BATCH_SIZE, max_attempts - attempts)
         firsts = stream_first.integers(0, m, size=size).tolist()
         seconds = stream_second.integers(0, m, size=size).tolist()
         flips = stream_flip.integers(0, 2, size=size).tolist()
@@ -1368,17 +1320,12 @@ def _objective_chain_1k(
             if key_ad in edge_set or key_cb in edge_set:
                 continue
             if scored:
-                delta: dict = {}
-                _jdd_bump(delta, degrees[a], degrees[b], -1)
-                _jdd_bump(delta, degrees[c], degrees[d], -1)
-                _jdd_bump(delta, degrees[a], degrees[d], +1)
-                _jdd_bump(delta, degrees[c], degrees[b], +1)
-                change = change_of(delta)
+                change = change_of(a, b, c, d)
                 if change > limit and not (
                     schedule is not None and _metropolis(change, schedule(attempts), uniform)
                 ):
                     continue
-                commit(delta)
+                commit(a, b, c, d)
                 energy += change
             edge_set.remove(edge_key[i])
             edge_set.remove(edge_key[j])
@@ -1399,11 +1346,11 @@ def _objective_chain_1k(
 
 
 def _objective_chain_3k(
-    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+    state, graph, objective, rng, max_attempts, schedule, trace_every
 ):
     """2K proposals scored on their wedge/triangle delta: 3K-preserving
     randomizing (a zero-delta verdict) and 3K targeting
-    (:class:`ThreeKDistance`)."""
+    (:func:`three_k_distance`)."""
     tk = _ThreeKState(state)
     # 3K-preserving randomizing needs only a zero/nonzero verdict per
     # proposal: no rank-packed statistic, no gradient, and one snapshot per
@@ -1413,9 +1360,11 @@ def _objective_chain_3k(
     # interleaved runs at snapshot widths 160 / 384 / 768: AS-2600 0.58
     # (0.52-0.77) / 0.55 (0.50-0.69) / 0.51 (0.30-0.58) s; skitter-like
     # n = 9,204 2.51 (2.05-2.84) / 2.31 (1.43-2.58) / 2.04 (1.91-2.33) s
-    zero = isinstance(objective, DkPreserving)
+    target = objective.target
+    zero = target is None
+    batch_size = THREEK_BATCH_SIZE
     if zero:
-        grad, energy = None, objective.start(graph)
+        grad, energy = None, 0
         chunk = batch_size
         no_keys = np.empty(0, dtype=np.int64)
     else:
@@ -1428,15 +1377,15 @@ def _objective_chain_3k(
         # discovery anywhere.  The value->rank map is monotone, so
         # rank-packed keys sort exactly like degree-packed ones and the
         # batched/scalar item-order identity is untouched.
-        kd = np.unique(np.concatenate((tk.deg, objective.target_degrees())))
-        tk.rank_by(kd)
+        kd = np.fromiter((k for key in (*target.wedges, *target.triangles) for k in key), np.int64)
+        tk.rank_by(np.unique(np.concatenate((tk.deg, kd))))
         # the chain's whole objective: ``grad[key]`` is the squared
         # distance's gradient ``2 (current - target)`` over rank-packed
         # unified keys.  A delta's change is ``Σ net * (grad + net)``, and the
         # gradient moves by ``2 * net`` per accepted move.  Everything stays
         # int64-exact, so the energy trace is identical for every batch
         # size, evaluation path and gradient layout.
-        grad, energy = _gradient(objective, tk, graph)
+        grad, energy = _gradient(target, tk, graph)
         chunk = THREEK_EVAL_CHUNK
     limit = objective.limit
     stops = objective.stops
@@ -1614,12 +1563,12 @@ def _objective_chain_3k(
 
 
 def _objective_chain_2k(
-    state, graph, objective, rng, max_attempts, schedule, trace_every, batch_size
+    state, graph, objective, rng, max_attempts, schedule, trace_every
 ):
     """2K proposals on the flat edge arrays.  With no ``scorer`` (2K-preserving
     randomizing) every valid degree-matched head exchange is accepted with no
-    score computed; a scorer's ``(change, commit)`` pair prices each valid
-    one, which is accepted iff its change is at most ``objective.limit``."""
+    score computed; a scorer's ``change`` prices each valid one, accepted iff
+    it is at most ``objective.limit``."""
     buckets = state.bucket_table
     n = state.n
     m = state.m
@@ -1628,11 +1577,11 @@ def _objective_chain_2k(
     edge_v = state.edge_v
     edge_key = state.edge_key
     edge_set = state.edge_set
-    scored = objective.scorer is not None
-    if scored:
-        change_of, commit = objective.scorer(state)
     limit = objective.limit
-    energy = objective.start(graph)
+    scored = objective.scorer is not None
+    energy = 0
+    if scored:
+        energy, change_of, commit = objective.scorer(state)
 
     # the third (Metropolis) stream is never read here; spawning it anyway
     # leaves the caller's generator as every 2K-proposal chain leaves it
@@ -1642,7 +1591,7 @@ def _objective_chain_2k(
     next_trace = trace_every
     trace = [energy]
     while attempts < max_attempts and m >= 2:
-        size = min(batch_size, max_attempts - attempts)
+        size = min(DEFAULT_BATCH_SIZE, max_attempts - attempts)
         ends = stream_end.integers(0, 2 * m, size=size).tolist()
         positions = stream_pos.random(size=size).tolist()
         batch_start_acc = accepted
@@ -1706,10 +1655,10 @@ def _objective_chain_2k(
 __all__ = [
     "ENGINE_NAME",
     "ChainRun",
-    "DkPreserving",
-    "JddDistance",
-    "LinearObjective",
+    "Objective",
     "RewiringState",
-    "ThreeKDistance",
+    "dk_preserving",
+    "jdd_distance",
     "run_chain",
+    "three_k_distance",
 ]

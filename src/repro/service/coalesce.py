@@ -35,10 +35,6 @@ class SingleFlight:
         """Number of keys currently being computed."""
         return len(self._inflight)
 
-    def is_inflight(self, key: str) -> bool:
-        """Whether ``key`` is currently being computed."""
-        return key in self._inflight
-
     async def run(
         self, key: str, start: Callable[[], Awaitable[Any]]
     ) -> tuple[Any, bool]:

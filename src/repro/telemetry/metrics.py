@@ -164,16 +164,6 @@ class MetricsRegistry:
         with self._lock:
             return self._gauges.get((name, _label_key(labels)), default)
 
-    def counter_series(self, name: str) -> dict[str, float]:
-        """All labelled series of counter ``name`` as ``{label-repr: value}``."""
-        with self._lock:
-            out = {}
-            for (n, labels), value in sorted(self._counters.items()):
-                if n != name:
-                    continue
-                out[",".join(f"{k}={v}" for k, v in labels) or ""] = value
-            return out
-
     def snapshot(self, *, reset: bool = False) -> dict[str, Any]:
         """JSON-able dump of every series (pickled across process boundaries)."""
         with self._lock:

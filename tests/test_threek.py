@@ -286,14 +286,14 @@ def test_sparse_gradient_reads_and_updates_like_dense(hot_small, monkeypatch):
     keys) and stays equal to it under scattered updates, inserts included."""
     target = three_k_distribution(hot_small)
     graph = _random_simple_graph(5, n=60, m=150)
-    objective = vec.ThreeKDistance(target)
     rng = np.random.default_rng(2)
     tk = vec._ThreeKState(vec.RewiringState(graph))
-    kd = np.unique(np.concatenate((tk.deg, objective.target_degrees())))
+    target_degrees = [k for key in (*target.wedges, *target.triangles) for k in key]
+    kd = np.unique(np.concatenate((tk.deg, np.array(target_degrees, dtype=np.int64))))
     tk.rank_by(kd)
-    dense, energy = vec._gradient(objective, tk, graph)
+    dense, energy = vec._gradient(target, tk, graph)
     monkeypatch.setattr(vec, "THREEK_RANK_SLOTS_MAX", 0)
-    sparse, sparse_energy = vec._gradient(objective, tk, graph)
+    sparse, sparse_energy = vec._gradient(target, tk, graph)
     monkeypatch.undo()
     assert isinstance(sparse, vec._SparseGradient)
     assert sparse_energy == energy
