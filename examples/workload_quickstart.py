@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis.tables import workload_table
+from repro.analysis.tables import experiment_table
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.topologies import synthetic_hot_topology
 from repro.workloads import WORKLOAD_METRICS
@@ -39,8 +39,9 @@ def main(nodes: int = 300) -> None:
     )
     result = run_experiment(spec)
     print(
-        workload_table(
+        experiment_table(
             result,
+            columns=[(name, name) for name in WORKLOAD_METRICS],
             title="Bottleneck load and throughput: dK-reproductions vs the "
             "original,\nintact and under a top-2% hub attack",
         )

@@ -29,7 +29,6 @@ from repro.analysis.tables import (
     render_table,
     scalar_metrics_table,
     series_table,
-    workload_table,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "render_table",
     "scalar_metrics_table",
     "series_table",
-    "workload_table",
 ]

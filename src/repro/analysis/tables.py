@@ -104,24 +104,46 @@ def series_table(
     return render_table(headers, rows, title=title)
 
 
+#: The metric columns of :func:`experiment_table` by default: (metric, header).
+EXPERIMENT_COLUMNS: tuple[tuple[str, str], ...] = (
+    ("average_degree", "kbar"),
+    ("assortativity", "r"),
+    ("mean_distance", "dbar"),
+)
+
+
 def experiment_table(
     result: "ExperimentResult",
     *,
+    columns: Sequence[tuple[str, str]] | None = EXPERIMENT_COLUMNS,
     title: str | None = None,
 ) -> str:
     """Render an Experiment pipeline result: one row per grid cell group.
 
-    Replicates of each (topology, method, d) cell are averaged; a scalar
-    column is blank when the experiment's metric set (``metrics=``) did not
-    include it.
+    Replicates of each (topology, method, d, scenario) group are averaged;
+    the ``scenario`` column appears only when some record has a scenario.
+    ``columns`` lists the scalar metric columns as ``(metric, header)``
+    pairs; ``None`` renders every scalar metric the grid measured (except
+    ``nodes`` and ``edges``, which always have their own columns), headed by
+    its name.  A metric column is ``-`` when a record did not measure it;
+    ``time_s`` is the mean wall time.
     """
+    if columns is None:
+        from repro.measure.registry import get_metric_def
+
+        columns = [
+            (name, name)
+            for name in result.spec.metrics
+            if get_metric_def(name).kind == "scalar" and name not in ("nodes", "edges")
+        ]
     grouped: dict[tuple[str, str, object, object], list] = {}
     for record in result.records:
         key = (record.topology, record.method, record.d, record.scenario)
         grouped.setdefault(key, []).append(record)
     with_scenarios = any(key[3] is not None for key in grouped)
 
-    headers = ["topology", "method", "d", "runs", "nodes", "edges", "kbar", "r", "dbar", "time_s"]
+    headers = ["topology", "method", "d", "runs", "nodes", "edges"]
+    headers += [header for _, header in columns] + ["time_s"]
     if with_scenarios:
         headers.insert(3, "scenario")
     rows = []
@@ -129,15 +151,12 @@ def experiment_table(
         count = len(records)
         mean = lambda values: sum(values) / count  # noqa: E731
 
-        def scalar_column(name):
+        def metric_column(name):
             values = [record.metric_value(name) for record in records]
             if any(value is None for value in values):
                 return "-"
             return format_value(mean(values))
 
-        kbar = scalar_column("average_degree")
-        r = scalar_column("assortativity")
-        dbar = scalar_column("mean_distance")
         row = [
             topology,
             method,
@@ -145,68 +164,12 @@ def experiment_table(
             count,
             round(mean([record.nodes for record in records])),
             round(mean([record.edges for record in records])),
-            kbar,
-            r,
-            dbar,
+            *(metric_column(name) for name, _ in columns),
             format_value(mean([record.wall_time for record in records])),
         ]
         if with_scenarios:
             row.insert(3, scenario or "none")
         rows.append(row)
-    return render_table(headers, rows, title=title)
-
-
-def workload_table(
-    result: "ExperimentResult",
-    *,
-    metrics: Sequence[str] | None = None,
-    title: str | None = None,
-) -> str:
-    """Render a traffic-workload experiment: load/congestion per grid group.
-
-    One row per (topology, method, d, scenario) group, replicates averaged —
-    the "bottleneck load of d=0..3 reproductions vs the original topology,
-    intact and under attack" comparison of the workload subsystem.  Columns
-    are the scalar metrics of ``metrics`` (default: every scalar metric the
-    experiment measured).
-    """
-    from repro.measure.registry import get_metric_def
-
-    if metrics is None:
-        metrics = [
-            name
-            for name in result.spec.metrics
-            if get_metric_def(name).kind == "scalar"
-            and name not in ("nodes", "edges")
-        ]
-    grouped: dict[tuple[str, str, object, object], list] = {}
-    for record in result.records:
-        key = (record.topology, record.method, record.d, record.scenario)
-        grouped.setdefault(key, []).append(record)
-
-    headers = ["topology", "method", "d", "scenario", "runs", "nodes", "edges", *metrics]
-    rows = []
-    for (topology, method, d, scenario), records in grouped.items():
-        count = len(records)
-
-        def metric_column(name):
-            values = [record.metric_value(name) for record in records]
-            if any(value is None for value in values):
-                return "-"
-            return format_value(sum(values) / count)
-
-        rows.append(
-            [
-                topology,
-                method,
-                "-" if d is None else d,
-                scenario or "none",
-                count,
-                round(sum(record.nodes for record in records) / count),
-                round(sum(record.edges for record in records) / count),
-                *(metric_column(name) for name in metrics),
-            ]
-        )
     return render_table(headers, rows, title=title)
 
 
@@ -216,6 +179,6 @@ __all__ = [
     "render_table",
     "scalar_metrics_table",
     "series_table",
+    "EXPERIMENT_COLUMNS",
     "experiment_table",
-    "workload_table",
 ]

@@ -9,26 +9,28 @@ Experiment pipeline:
   ``--metrics`` selects an à-la-carte subset (including distribution
   metrics like ``distance_distribution`` / ``betweenness_by_degree``)
   evaluated by one measurement-planner run — the same knob exists on
-  ``compare`` and ``run-experiment``.
+  ``compare``, ``run-experiment`` and ``workload``.
 * ``gen``     -- generate a dK-random graph, either from an input graph or
   from a JDD file, with any registered construction algorithm, optionally
-  rescaled to a different size; a chain that stops before convergence is
-  reported on stderr instead of silently returning.
+  rescaled to a different size; a chain that stops before convergence, and
+  a matching construction that leaves edges out, are reported on stderr
+  instead of silently returning.
 * ``compare`` -- compare two graphs: dK distances and scalar metrics side by
   side.
 * ``methods`` -- list the construction algorithms in the generator registry.
 * ``run-experiment`` -- execute a topologies × methods × d-levels ×
-  replicates grid, optionally across parallel worker processes, and render /
-  export the results.  ``--store DIR`` persists graphs, metrics and per-cell
-  manifests into a content-addressed artifact store; ``--resume`` skips
-  cells already completed there (so an interrupted grid picks up where it
-  left off, and a repeated grid costs nothing).
-* ``workload`` -- the traffic-workload engine: route uniform shortest-path
-  demand over d=0..3 reproductions of a topology, intact and under failure
-  or attack scenarios (``--scenario hub_degree:0.05`` etc.), and compare
-  bottleneck load, congestion percentiles and effective throughput.  Shares
-  the experiment grid machinery, so ``--store``/``--resume`` give warm
-  restarts for free.
+  scenarios × replicates grid, optionally across parallel worker processes,
+  and render / export the results.  ``--scenario hub_degree:0.05`` (etc.)
+  degrades every graph of the grid by a failure or attack scenario.
+  ``--store DIR`` persists graphs, metrics and per-cell manifests into a
+  content-addressed artifact store; ``--resume`` skips cells already
+  completed there (so an interrupted grid picks up where it left off, and a
+  repeated grid costs nothing).
+* ``workload`` -- the same grid command with traffic-workload defaults:
+  route uniform shortest-path demand over d=0..3 rewiring reproductions of
+  a topology and compare bottleneck load, congestion percentiles and
+  effective throughput (the ``WORKLOAD_METRICS`` set), one table column per
+  measured scalar.  The two names differ only in their defaults record.
 * ``rescale-gen`` -- the million-node pipeline: rescale a measured topology's
   dK-1/dK-2 distribution to a target size (the paper's §6 rescaling
   extension), streaming-generate the rescaled graph into a memory-mapped CSR
@@ -58,15 +60,18 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro.analysis.comparison import comparison_from_experiment
 from repro.analysis.tables import (
+    EXPERIMENT_COLUMNS,
+    SCALAR_ROWS,
     experiment_table,
     render_table,
     scalar_metrics_table,
     series_table,
-    workload_table,
 )
 from repro.core.distance import graph_dk_distance
 from repro.core.distributions import JointDegreeDistribution
@@ -92,6 +97,8 @@ from repro.telemetry import (
     write_chrome_trace,
 )
 from repro.topologies.registry import available_topologies, build_topology
+from repro.workloads import WORKLOAD_METRICS
+from repro.workloads.scenarios import SCENARIO_KINDS
 
 
 def _load_graph(source: str):
@@ -112,13 +119,17 @@ def _method_choices() -> tuple[str, ...]:
     return tuple(available_generators())
 
 
-def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--metrics`` knob: an à-la-carte metric subset."""
+def _add_metrics_argument(
+    parser: argparse.ArgumentParser, default: tuple[str, ...] | None = None
+) -> None:
+    """The shared ``--metrics`` knob: an à-la-carte metric subset instead of
+    ``default`` (the Table-2 battery when None)."""
+    instead_of = ",".join(default) if default else "the full Table-2 battery"
     parser.add_argument(
         "--metrics",
         default=None,
-        help="comma-separated metric subset to compute instead of the full "
-        "Table-2 battery (e.g. 'mean_distance,distance_std,"
+        help=f"comma-separated metric subset to compute instead of {instead_of} "
+        "(e.g. 'mean_distance,distance_std,"
         "betweenness_by_degree'); all selected metrics share one planner "
         "run, so e.g. distances and betweenness cost a single BFS sweep; "
         f"available: {', '.join(available_metrics())}",
@@ -179,7 +190,16 @@ def _measurement_report(columns: dict, names: tuple[str, ...], *, title: str) ->
 
 
 def _warn_unconverged_chain(stats: dict, *, prefix: str = "") -> None:
-    """Print the visible non-convergence note for one chain's stats."""
+    """Print the visible notes for one construction's stats: edges a matching
+    construction (or a targeting chain's matching seed) could not place, and
+    a chain that stopped before convergence."""
+    for key, what in (("missing_edges", "construction"), ("seed_missing_edges", "matching seed")):
+        if stats.get(key, 0) > 0:
+            print(
+                f"WARNING: {prefix}{what} placed {stats[key]} edge(s) fewer than "
+                "its distribution asks for",
+                file=sys.stderr,
+            )
     if stats.get("converged") is not False:
         return
     if "distance" in stats:
@@ -379,14 +399,53 @@ def methods_main(argv: list[str] | None = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# run-experiment
+# run-experiment and workload: one grid command, two sets of defaults
 # --------------------------------------------------------------------------- #
-def run_experiment_main(argv: list[str] | None = None) -> int:
-    """Entry point of ``repro run-experiment``: execute an experiment grid."""
-    parser = argparse.ArgumentParser(
-        prog="repro run-experiment",
-        description="Run a topologies x methods x d-levels x replicates experiment grid.",
-    )
+@dataclass(frozen=True)
+class _GridDefaults:
+    """What tells ``run-experiment`` and ``workload`` apart: default values.
+
+    ``methods=None`` makes ``--method`` required; ``metrics=None`` measures
+    the Table-2 battery; ``columns`` are the ``experiment_table`` columns
+    (``None``: every scalar metric measured).
+    """
+
+    prog: str
+    description: str
+    title: str
+    methods: tuple[str, ...] | None
+    d_levels: tuple[int, ...]
+    metrics: tuple[str, ...] | None
+    columns: tuple[tuple[str, str], ...] | None
+
+
+_EXPERIMENT = _GridDefaults(
+    prog="repro run-experiment",
+    description="Run a topologies x methods x d-levels x scenarios x "
+    "replicates experiment grid.",
+    title="Experiment",
+    methods=None,
+    d_levels=(2,),
+    metrics=None,
+    columns=EXPERIMENT_COLUMNS,
+)
+
+_WORKLOAD = _GridDefaults(
+    prog="repro workload",
+    description="Route uniform traffic over d=0..3 rewiring reproductions of "
+    "a topology — intact and under failure/attack scenarios — and compare "
+    "bottleneck load, congestion percentiles and effective throughput.",
+    title="Workload",
+    methods=("rewiring",),
+    d_levels=(0, 1, 2, 3),
+    metrics=WORKLOAD_METRICS,
+    columns=None,
+)
+
+
+def _grid_main(defaults: _GridDefaults, argv: list[str] | None = None) -> int:
+    """Execute an experiment grid and render it (``run-experiment``, ``workload``)."""
+    parser = argparse.ArgumentParser(prog=defaults.prog, description=defaults.description)
     parser.add_argument(
         "--topology",
         action="append",
@@ -396,7 +455,7 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--method",
         action="append",
-        required=True,
+        required=defaults.methods is None,
         choices=_method_choices(),
         help="construction algorithm (repeatable)",
     )
@@ -406,7 +465,14 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
         type=int,
         choices=(0, 1, 2, 3),
         dest="d_levels",
-        help="dK level (repeatable; default: 2)",
+        help=f"dK level (repeatable; default: {' '.join(map(str, defaults.d_levels))})",
+    )
+    parser.add_argument(
+        "--scenario",
+        action="append",
+        help="failure/attack scenario as 'kind:fraction' with kind in "
+        f"{{{', '.join(SCENARIO_KINDS)}}} (e.g. 'hub_degree:0.05'), or 'none' "
+        "for the intact graph (repeatable; default: no scenario dimension)",
     )
     parser.add_argument("--replicates", type=int, default=1, help="runs per grid cell")
     parser.add_argument("--seed", type=int, default=0, help="base experiment seed")
@@ -415,7 +481,7 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
         "--spectrum", action="store_true", help="include the Laplacian eigenvalues (slow)"
     )
     parser.add_argument(
-        "--distance-sources", type=int, default=None, help="sampled BFS sources for distances"
+        "--distance-sources", type=int, default=None, help="sampled BFS sources for distances and routing"
     )
     parser.add_argument(
         "--dk-distances", action="store_true", help="record D_d(original, generated) per run"
@@ -423,7 +489,7 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-original", action="store_true", help="skip measuring the original topologies"
     )
-    _add_metrics_argument(parser)
+    _add_metrics_argument(parser, defaults.metrics)
     parser.add_argument("--json", help="write the full results document to this file")
     parser.add_argument(
         "--store",
@@ -438,21 +504,21 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
         "and the store refreshed)",
     )
     args = parser.parse_args(argv)
-    metric_names = _parse_metric_names(args.metrics, parser)
+    metric_names = _parse_metric_names(args.metrics, parser) or defaults.metrics
 
     if args.resume and not args.store:
         parser.error("--resume requires --store DIR")
     if metric_names is not None and args.spectrum:
         parser.error(
-            "--spectrum only affects the default metric set; add lambda_1 and "
+            "--spectrum only affects the Table-2 metric set; add lambda_1 and "
             "lambda_n_1 to --metrics instead"
         )
 
     try:
         spec = ExperimentSpec(
             topologies=tuple(args.topology),
-            methods=tuple(args.method),
-            d_levels=tuple(args.d_levels or (2,)),
+            methods=tuple(args.method or defaults.methods),
+            d_levels=tuple(args.d_levels or defaults.d_levels),
             replicates=args.replicates,
             seed=args.seed,
             include_original=not args.no_original,
@@ -460,6 +526,7 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
             compute_spectrum=args.spectrum,
             distance_sources=args.distance_sources,
             dk_distances=args.dk_distances,
+            scenarios=tuple(args.scenario) if args.scenario else None,
         )
         result = run_experiment(
             spec, workers=args.workers, store=args.store, resume=args.resume
@@ -469,7 +536,8 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
         print(
             experiment_table(
                 result,
-                title=f"Experiment: {len(result.records)} runs, "
+                columns=defaults.columns,
+                title=f"{defaults.title}: {len(result.records)} runs, "
                 f"{result.workers} worker(s), {result.wall_time:.2f}s{cached}",
             )
         )
@@ -479,7 +547,12 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
                 prefix=f"{record.topology} / {record.method} "
                 f"d={record.d} replicate={record.replicate}: the ",
             )
-        if spec.include_original:
+        # a comparison puts one column per method beside the original: it
+        # needs a grid of at most one scenario that measured a paper scalar
+        comparable = (spec.scenarios is None or len(spec.scenarios) <= 1) and any(
+            name in spec.metrics for name, _ in SCALAR_ROWS
+        )
+        if spec.include_original and comparable:
             for topology in result.topology_labels():
                 generated = [
                     record
@@ -505,121 +578,9 @@ def run_experiment_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------- #
-# workload
-# --------------------------------------------------------------------------- #
-def workload_main(argv: list[str] | None = None) -> int:
-    """Entry point of ``repro workload``: routing load under failure scenarios."""
-    from repro.workloads import WORKLOAD_METRICS
-    from repro.workloads.scenarios import SCENARIO_KINDS
-
-    parser = argparse.ArgumentParser(
-        prog="repro workload",
-        description="Route uniform traffic over d=0..3 reproductions of a "
-        "topology — intact and under failure/attack scenarios — and compare "
-        "bottleneck load, congestion percentiles and effective throughput.",
-    )
-    parser.add_argument(
-        "--topology",
-        action="append",
-        required=True,
-        help="edge-list file or registered topology name (repeatable)",
-    )
-    parser.add_argument(
-        "--method",
-        action="append",
-        choices=_method_choices(),
-        help="construction algorithm (repeatable; default: rewiring)",
-    )
-    parser.add_argument(
-        "-d",
-        action="append",
-        type=int,
-        choices=(0, 1, 2, 3),
-        dest="d_levels",
-        help="dK level (repeatable; default: 0 1 2 3)",
-    )
-    parser.add_argument(
-        "--scenario",
-        action="append",
-        help="failure/attack scenario as 'kind:fraction' with kind in "
-        f"{{{', '.join(SCENARIO_KINDS)}}} (e.g. 'hub_degree:0.05'), or 'none' "
-        "for the intact graph (repeatable; default: none)",
-    )
-    parser.add_argument("--replicates", type=int, default=1, help="runs per grid cell")
-    parser.add_argument("--seed", type=int, default=0, help="base experiment seed")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    parser.add_argument(
-        "--distance-sources", type=int, default=None, help="sampled BFS sources for routing"
-    )
-    parser.add_argument(
-        "--no-original", action="store_true", help="skip measuring the original topologies"
-    )
-    parser.add_argument(
-        "--metrics",
-        default=None,
-        help="comma-separated workload metric subset (default: "
-        f"{','.join(WORKLOAD_METRICS)}); all selected metrics share one "
-        f"planner run; available: {', '.join(available_metrics())}",
-    )
-    parser.add_argument("--json", help="write the full results document to this file")
-    parser.add_argument(
-        "--store",
-        help="artifact-store directory: persist generated graphs, metrics and "
-        "per-cell manifests (content-addressed, safe across parallel workers)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="with --store: skip cells already completed in the store and "
-        "reuse memoized graphs/metrics (without it, everything is recomputed "
-        "and the store refreshed)",
-    )
-    args = parser.parse_args(argv)
-    metric_names = _parse_metric_names(args.metrics, parser)
-    if metric_names is None:
-        metric_names = WORKLOAD_METRICS
-
-    if args.resume and not args.store:
-        parser.error("--resume requires --store DIR")
-
-    try:
-        spec = ExperimentSpec(
-            topologies=tuple(args.topology),
-            methods=tuple(args.method or ("rewiring",)),
-            d_levels=tuple(args.d_levels or (0, 1, 2, 3)),
-            replicates=args.replicates,
-            seed=args.seed,
-            include_original=not args.no_original,
-            metrics=metric_names,
-            compute_spectrum=False,
-            distance_sources=args.distance_sources,
-            scenarios=tuple(args.scenario) if args.scenario else None,
-        )
-        result = run_experiment(
-            spec, workers=args.workers, store=args.store, resume=args.resume
-        )
-
-        cached = f", {result.cached_cells} cell(s) from store" if args.store else ""
-        print(
-            workload_table(
-                result,
-                title=f"Workload: {len(result.records)} runs, "
-                f"{result.workers} worker(s), {result.wall_time:.2f}s{cached}",
-            )
-        )
-        for record in result.records:
-            _warn_unconverged_chain(
-                record.stats,
-                prefix=f"{record.topology} / {record.method} "
-                f"d={record.d} replicate={record.replicate}: the ",
-            )
-        if args.json:
-            Path(args.json).write_text(result.to_json())
-            print(f"\nresults written to {args.json}")
-    except (ExperimentError, StoreError) as error:
-        raise SystemExit(str(error)) from None
-    return 0
+def run_experiment_main(argv: list[str] | None = None) -> int:
+    """Entry point of ``repro run-experiment``: execute an experiment grid."""
+    return _grid_main(_EXPERIMENT, argv)
 
 
 # --------------------------------------------------------------------------- #
@@ -923,7 +884,7 @@ _COMMANDS = {
     "dkcompare": dkcompare_main,
     "methods": methods_main,
     "run-experiment": run_experiment_main,
-    "workload": workload_main,
+    "workload": partial(_grid_main, _WORKLOAD),
     "rescale-gen": rescale_gen_main,
     "cache": cache_main,
     "serve": serve_main,
@@ -965,7 +926,6 @@ __all__ = [
     "dkcompare_main",
     "methods_main",
     "run_experiment_main",
-    "workload_main",
     "rescale_gen_main",
     "cache_main",
     "trace_main",

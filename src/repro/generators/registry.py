@@ -345,7 +345,9 @@ def _build_pseudograph(distribution, d, rng):
 
 def _build_matching(distribution, d, rng):
     builders = {1: matching_1k, 2: matching_2k}
-    return builders[d](distribution, rng=rng)
+    graph = builders[d](distribution, rng=rng)
+    # the repair step can fail to place an edge: report the shortfall
+    return graph, {"missing_edges": distribution.edges - graph.number_of_edges}
 
 
 def _build_targeting(distribution, d, rng, *, max_attempts: int | None = None):

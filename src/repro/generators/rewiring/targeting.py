@@ -185,7 +185,9 @@ def dk_targeting_result(
     The ``stats`` dict records the Metropolis chain's outcome: the final
     distance to the target distribution, accepted/attempted move counts and
     their ratio (``accept_rate``, as the randomize chains report it), whether
-    the target was reached exactly (``converged``) and the engine.
+    the target was reached exactly (``converged``) and the engine;
+    ``seed_missing_edges`` counts the edges the matching seed could not
+    place (the target's edge total minus the seed's edges).
     """
     rng = ensure_rng(rng)
     if isinstance(target, JointDegreeDistribution):
@@ -208,6 +210,7 @@ def dk_targeting_result(
         ),
         "converged": run.converged,
         "engine": ENGINE_NAME,
+        "seed_missing_edges": target.edges - seed_graph.number_of_edges,
     }
     return run.graph, stats
 

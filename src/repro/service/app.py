@@ -11,13 +11,12 @@ Endpoints (all JSON):
 
 * ``POST /v1/graphs`` — generate a dK-graph via the generator registry.
 * ``POST /v1/measure`` — measure a metric subset via the measurement
-  planner.
-* ``POST /v1/workload`` — the traffic-workload engine: optionally degrade
-  the graph with a failure/attack scenario (``"scenario":
-  "hub_degree:0.05"``), then measure routing-load/congestion metrics.
-  Coalesced and store-cached like ``/v1/measure``; degraded graphs are kept
-  in a small in-process cache so repeated scenario requests skip the
+  planner, optionally after degrading the graph with a failure/attack
+  scenario (``"scenario": "hub_degree:0.05"``); degraded graphs are kept in
+  a small in-process cache so repeated scenario requests skip the
   transform.
+* ``POST /v1/workload`` — the same handler, whose metric set defaults to
+  the routing-load/congestion battery (``WORKLOAD_METRICS``).
 * ``POST /v1/experiments`` / ``GET /v1/experiments[/{id}]`` /
   ``POST /v1/experiments/{id}/cancel`` — background experiment-grid jobs
   with progress and cooperative cancellation (see
@@ -49,6 +48,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -71,6 +71,8 @@ from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.store.keys import generation_key, stable_hash
 from repro.store.memo import measure_entry_keys, memoized_build, memoized_measure
 from repro.telemetry import counter_value, render_prometheus, span
+from repro.workloads import WORKLOAD_METRICS
+from repro.workloads.scenarios import Scenario, apply_scenario, scenario_label
 
 log = logging.getLogger("repro.service")
 
@@ -120,7 +122,7 @@ class TopologyService:
         self._active = 0  # computations admitted and not yet finished
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
-        # degraded-graph cache of /v1/workload: (source, scenario, seed) ->
+        # degraded-graph cache of scenario measurements: (source, scenario, seed) ->
         # (graph, stats, content_hash); bounded FIFO
         self._degraded: dict[tuple, tuple[SimpleGraph, dict, str]] = {}
         self._routes = self._build_routes()
@@ -405,71 +407,21 @@ class TopologyService:
             payload["edges"] = sorted(result.graph.edges())
         return 200, payload
 
-    async def _handle_measure(self, request: Request) -> tuple[int, Any]:
+    async def _handle_measure(
+        self, request: Request, default_metrics: tuple[str, ...] = ()
+    ) -> tuple[int, Any]:
+        """``POST /v1/measure`` and ``POST /v1/workload``: degrade the graph
+        by an optional scenario, then measure a metric subset of it.
+
+        The two routes differ only in ``default_metrics``, the metric set of
+        a body without ``metrics``.
+        """
         body = request.json()
-        metrics = body.get("metrics")
-        if not isinstance(metrics, list) or not metrics:
-            raise HTTPError(400, "'metrics' is required (a non-empty list of names)")
-        try:
-            metrics = MeasurementPlan(tuple(metrics)).metrics
-        except ValueError as error:
-            raise HTTPError(400, str(error)) from None
-        use_giant_component = bool(body.get("use_giant_component", True))
-        distance_sources = self._body_int(body, "distance_sources", minimum=1)
-        seed = self._body_int(body, "seed", default=0)
-
-        graph = self._resolve_source(body)
-        graph_hash = graph_content_hash(graph)
-        warm = self._metrics_warm(
-            graph_hash, metrics, use_giant_component, distance_sources
-        )
-        key = stable_hash(
-            {
-                "kind": "service-measure",
-                "graph": graph_hash,
-                "metrics": sorted(metrics),
-                "use_giant_component": use_giant_component,
-                "distance_sources": distance_sources,
-                "seed": seed,
-            }
-        )
-
-        def compute():
-            start = time.perf_counter()
-            measurement = memoized_measure(
-                graph,
-                self.store,
-                metrics=metrics,
-                graph_hash=graph_hash,
-                use_giant_component=use_giant_component,
-                distance_sources=distance_sources,
-                rng=seed,
-            )
-            return measurement, time.perf_counter() - start
-
-        (measurement, wall), cache = await self._keyed_compute(
-            key, warm, compute, self._timeout(body)
-        )
-        return 200, {
-            "key": key,
-            "cache": cache,
-            "nodes": graph.number_of_nodes,
-            "edges_count": graph.number_of_edges,
-            "metrics": json_safe(measurement.to_jsonable()),
-            "wall_time": float(wall),
-        }
-
-    async def _handle_workload(self, request: Request) -> tuple[int, Any]:
-        """``POST /v1/workload``: scenario transform + workload measurement."""
-        body = request.json()
-        from repro.workloads import WORKLOAD_METRICS
-        from repro.workloads.scenarios import Scenario, apply_scenario, scenario_label
-
         metrics = body.get("metrics")
         if metrics is None:
-            metrics = list(WORKLOAD_METRICS)
+            metrics = list(default_metrics)
         if not isinstance(metrics, list) or not metrics:
-            raise HTTPError(400, "'metrics' must be a non-empty list of names")
+            raise HTTPError(400, "'metrics' is required (a non-empty list of names)")
         try:
             metrics = MeasurementPlan(tuple(metrics)).metrics
         except ValueError as error:
@@ -528,7 +480,7 @@ class TopologyService:
 
         key = stable_hash(
             {
-                "kind": "service-workload",
+                "kind": "service-measure",
                 "source": source_id,
                 "scenario": scenario_label(scenario),
                 "scenario_seed": scenario_seed,
@@ -681,7 +633,12 @@ class TopologyService:
             ),
             ("POST", re.compile(r"^/v1/graphs$"), self._handle_generate, "POST /v1/graphs"),
             ("POST", re.compile(r"^/v1/measure$"), self._handle_measure, "POST /v1/measure"),
-            ("POST", re.compile(r"^/v1/workload$"), self._handle_workload, "POST /v1/workload"),
+            (
+                "POST",
+                re.compile(r"^/v1/workload$"),
+                partial(self._handle_measure, default_metrics=WORKLOAD_METRICS),
+                "POST /v1/workload",
+            ),
             (
                 "POST",
                 re.compile(r"^/v1/experiments$"),

@@ -157,32 +157,10 @@ class ServiceClient:
             body["timeout"] = timeout
         return await self._call("POST", "/v1/graphs", body)
 
-    async def measure(
+    def _measure_body(
         self,
         *,
-        metrics: Any,
-        topology: str | None = None,
-        edges: Any | None = None,
-        use_giant_component: bool = True,
-        distance_sources: int | None = None,
-        seed: int = 0,
-        timeout: float | None = None,
-    ) -> dict[str, Any]:
-        """``POST /v1/measure``: measure a metric subset through the store."""
-        body: dict[str, Any] = {"metrics": list(metrics), "seed": seed}
-        self._source(body, topology, edges)
-        if not use_giant_component:
-            body["use_giant_component"] = False
-        if distance_sources is not None:
-            body["distance_sources"] = distance_sources
-        if timeout is not None:
-            body["timeout"] = timeout
-        return await self._call("POST", "/v1/measure", body)
-
-    async def workload(
-        self,
-        *,
-        metrics: Any | None = None,
+        metrics: Any | None,
         topology: str | None = None,
         edges: Any | None = None,
         scenario: Any | None = None,
@@ -192,12 +170,8 @@ class ServiceClient:
         seed: int = 0,
         timeout: float | None = None,
     ) -> dict[str, Any]:
-        """``POST /v1/workload``: routing load under an optional scenario.
-
-        ``scenario`` is a ``"kind:fraction"`` label (e.g. ``"hub_degree:0.05"``),
-        a ``{"kind": ..., "fraction": ...}`` dict, or ``None`` for the intact
-        graph; ``metrics`` defaults to the server's workload battery.
-        """
+        """The body of a measure request (``metrics=None`` leaves the route's
+        default metric set)."""
         body: dict[str, Any] = {"seed": seed}
         self._source(body, topology, edges)
         if metrics is not None:
@@ -214,7 +188,29 @@ class ServiceClient:
             body["distance_sources"] = distance_sources
         if timeout is not None:
             body["timeout"] = timeout
-        return await self._call("POST", "/v1/workload", body)
+        return body
+
+    async def measure(self, *, metrics: Any, **request: Any) -> dict[str, Any]:
+        """``POST /v1/measure``: measure a metric subset through the store.
+
+        Keywords: ``topology`` or ``edges`` (the source), ``scenario`` (a
+        ``"kind:fraction"`` label such as ``"hub_degree:0.05"``, a
+        ``{"kind": ..., "fraction": ...}`` dict, or ``None`` for the intact
+        graph), ``scenario_seed``, ``use_giant_component``,
+        ``distance_sources``, ``seed`` and ``timeout``.
+        """
+        return await self._call(
+            "POST", "/v1/measure", self._measure_body(metrics=metrics, **request)
+        )
+
+    async def workload(
+        self, *, metrics: Any | None = None, **request: Any
+    ) -> dict[str, Any]:
+        """``POST /v1/workload``: :meth:`measure` whose ``metrics`` default to
+        the server's workload battery."""
+        return await self._call(
+            "POST", "/v1/workload", self._measure_body(metrics=metrics, **request)
+        )
 
     async def submit_experiment(
         self, spec: Any, *, workers: int = 1, resume: bool = True

@@ -176,3 +176,75 @@ def test_main_dispatch(capsys):
     # the short command names work too
     assert main(["dist", "hot_small", "--no-spectrum"]) == 0
     assert main(["methods"]) == 0
+
+
+def _records_without_timing(path):
+    records = json.loads(path.read_text())["records"]
+    for record in records:
+        record.pop("wall_time")
+    return records
+
+
+def test_workload_is_run_experiment_with_workload_defaults(tmp_path, capsys):
+    """One grid sits behind both names: ``workload`` is ``run-experiment``
+    with rewiring, the workload metric set and a metric-named table."""
+    from repro.workloads import WORKLOAD_METRICS
+
+    scenarios = ["--scenario", "none", "--scenario", "hub_degree:0.1"]
+    workload_json = tmp_path / "workload.json"
+    grid_json = tmp_path / "grid.json"
+    common = ["--topology", "hot_small", "-d", "1", *scenarios]
+    assert main(["workload", *common, "--json", str(workload_json)]) == 0
+    workload_out = capsys.readouterr().out
+    assert (
+        main(
+            [
+                "run-experiment",
+                *common,
+                "--method", "rewiring",
+                "--metrics", ",".join(WORKLOAD_METRICS),
+                "--json", str(grid_json),
+            ]
+        )
+        == 0
+    )
+    grid_out = capsys.readouterr().out
+    assert _records_without_timing(workload_json) == _records_without_timing(grid_json)
+    assert workload_out.startswith("Workload: 4 runs")
+    assert grid_out.startswith("Experiment: 4 runs")
+    header = workload_out.splitlines()[1]
+    assert "scenario" in header and "max_edge_load" in header and "time_s" in header
+    # the workload metrics hold no paper scalar: no per-method comparison
+    assert "Scalar metrics on" not in workload_out + grid_out
+
+
+def test_scenario_grid_prints_no_comparison_table(capsys):
+    """A comparison of one column per method against the intact original
+    needs a grid of at most one scenario; a larger grid prints its grid
+    table only, instead of failing on the comparison."""
+    argv = ["run-experiment", "--topology", "hot_small", "--method", "rewiring", "-d", "1"]
+    assert main([*argv, "--scenario", "none", "--scenario", "hub_degree:0.1"]) == 0
+    output = capsys.readouterr().out
+    assert "hub_degree:0.1" in output and "kbar" in output
+    assert "Scalar metrics on" not in output
+    assert main([*argv, "--scenario", "hub_degree:0.1"]) == 0
+    assert "Scalar metrics on hot_small" in capsys.readouterr().out
+
+
+def test_matching_shortfall_is_reported_on_stderr(tmp_path, capsys):
+    from repro.core.extraction import dk_distribution
+    from repro.topologies.hot import synthetic_hot_topology
+
+    jdd_path = tmp_path / "hot939.jdd"
+    write_jdd(dk_distribution(synthetic_hot_topology(939, rng=20060911), 2).counts, jdd_path)
+    out = tmp_path / "out.edges"
+    argv = ["--jdd", str(jdd_path), "--method", "matching", "-o", str(out)]
+    # the JDD file lists its degree pairs sorted, so the seeded placements
+    # differ from the in-memory JDD's: seed 3 leaves 1 of 1,026 edges out
+    assert dkgen_main([*argv, "--seed", "3"]) == 0
+    assert read_edge_list(out).number_of_edges == 1025
+    err = capsys.readouterr().err
+    assert "WARNING: the matching construction placed 1 edge(s) fewer" in err
+    assert dkgen_main([*argv, "--seed", "0"]) == 0
+    assert read_edge_list(out).number_of_edges == 1026
+    assert "WARNING" not in capsys.readouterr().err

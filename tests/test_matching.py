@@ -92,3 +92,32 @@ def test_matching_preserves_node_count(as_small):
     target = joint_degree_distribution(as_small)
     graph = matching_2k(target, rng=9)
     assert graph.number_of_nodes == target.nodes
+
+
+def test_matching_builder_reports_missing_edges():
+    """The registry's matching construction records the edges its repair
+    step could not place (the JDD's edge total minus the edges placed)."""
+    from repro.core.extraction import dk_distribution
+    from repro.generators.registry import get_generator
+    from repro.topologies.hot import synthetic_hot_topology
+
+    jdd = dk_distribution(synthetic_hot_topology(939, rng=20060911), 2)
+    short = get_generator("matching").build(jdd, 2, rng=3)
+    assert jdd.edges == 1026
+    assert short.graph.number_of_edges == 1023
+    assert short.stats["missing_edges"] == 3
+    assert get_generator("matching").build(jdd, 2, rng=0).stats["missing_edges"] == 0
+
+
+def test_targeting_reports_its_matching_seed_shortfall():
+    from repro.core.extraction import dk_distribution
+    from repro.exceptions import RewiringConvergenceWarning
+    from repro.generators.rewiring.targeting import dk_targeting_result
+    from repro.topologies.hot import synthetic_hot_topology
+
+    target = dk_distribution(synthetic_hot_topology(939, rng=20060911), 3)
+    with pytest.warns(RewiringConvergenceWarning):
+        _, short = dk_targeting_result(target, rng=3, max_attempts=10)
+        _, full = dk_targeting_result(target, rng=0, max_attempts=10)
+    assert short["seed_missing_edges"] == 3
+    assert full["seed_missing_edges"] == 0

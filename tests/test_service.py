@@ -467,6 +467,27 @@ def test_workload_endpoint_rejects_bad_input(service):
     assert statuses["unknown_metric"][0] == 400
 
 
+def test_measure_and_workload_routes_share_one_handler(service):
+    """``/v1/workload`` is ``/v1/measure`` with the workload metric set as
+    its default: the same body gives the same answer and the same key."""
+    from repro.workloads import WORKLOAD_METRICS
+
+    body = {"edges": EDGES, "metrics": list(WORKLOAD_METRICS), "scenario": "hub_degree:0.1"}
+
+    async def scenario(client):
+        measured = await client.request("POST", "/v1/measure", body)
+        routed = await client.request("POST", "/v1/workload", body)
+        return measured, routed
+
+    (status_a, measured), (status_b, routed) = drive(service, scenario)
+    assert status_a == status_b == 200
+    assert measured["scenario"] == routed["scenario"] == "hub_degree:0.1"
+    assert measured["scenario_stats"]["removed_nodes"] >= 1
+    for field in ("metrics", "scenario_stats", "key"):
+        assert measured[field] == routed[field], field
+    assert routed["cache"] in ("coalesced", "hit")
+
+
 def test_unknown_generator_options_answer_400(service):
     async def scenario(client):
         statuses = {}
