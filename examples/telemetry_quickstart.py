@@ -77,7 +77,7 @@ def main() -> None:
     cells = [e for e in telemetry.take_events() if e["name"] == "experiment.cell"]
     print(f"cache attributes: {[e['args'].get('cache') for e in cells]}")
 
-    # the exact text GET /v1/metrics serves (first lines)
+    # the process part of the text GET /v1/metrics serves (first lines)
     exposition = telemetry.render_prometheus()
     print("\nPrometheus exposition (excerpt):")
     for line in exposition.splitlines()[:12]:

@@ -85,11 +85,7 @@ from repro.measure.plan import MeasurementPlan
 from repro.measure.registry import available_metrics, get_metric_def
 from repro.metrics.summary import summarize
 from repro.rescaling.rescale import rescale_jdd
-from repro.store.artifact_store import (
-    ArtifactStore,
-    store_process_counters,
-    temporary_store,
-)
+from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.telemetry import (
     enable_tracing,
     event_count,
@@ -797,14 +793,9 @@ def cache_main(argv: list[str] | None = None) -> int:
         store = ArtifactStore(args.store)
         if args.action == "info":
             info = store.info_dict()
-            # store traffic of THIS process (hits/misses/writes since import) —
-            # layered on top here so info_dict() stays byte-identical with the
-            # /v1/store/info endpoint
-            info["process_counters"] = store_process_counters()
             if args.json:
                 print(json.dumps(info, indent=2, sort_keys=True))
                 return 0
-            info.pop("process_counters")
             # flatten the per-category byte totals into their own rows
             category_bytes = info.pop("category_bytes", {})
             rows = [[key, value] for key, value in info.items()]

@@ -17,7 +17,6 @@ from repro.service.client import RemoteServiceError, ServiceClient
 from repro.service.coalesce import SingleFlight
 from repro.service.httputil import HTTPError
 from repro.service.jobs import Job, JobManager
-from repro.service.stats import LatencyHistogram, ServiceStats
 
 __all__ = [
     "ServiceConfig",
@@ -30,6 +29,4 @@ __all__ = [
     "HTTPError",
     "Job",
     "JobManager",
-    "LatencyHistogram",
-    "ServiceStats",
 ]

@@ -24,6 +24,21 @@ Endpoints (all JSON):
 * ``GET /v1/store/info`` — :meth:`ArtifactStore.info_dict` passthrough.
 * ``GET /v1/healthz`` / ``GET /v1/stats`` — liveness and in-process
   telemetry (request counts, cache hit ratio, latency percentiles).
+* ``GET /v1/metrics`` — the Prometheus text exposition: the process-global
+  families (store, memo, experiment cells, peak RSS) followed by this
+  service's own.
+
+Each :class:`TopologyService` counts its requests, cache outcomes,
+admission rejections, deadline expiries and coalescer leaders/joiners
+once, in its own :class:`~repro.telemetry.metrics.MetricsRegistry`
+(``repro_requests_total{route,status}``,
+``repro_request_latency_seconds{route}``,
+``repro_service_cache_total{outcome}``, ``repro_service_rejected_total``,
+``repro_service_timeouts_total``, ``repro_coalescer_started_total`` and
+``repro_coalescer_joined_total``); ``GET /v1/stats`` and ``GET /v1/metrics``
+both render from it, so two services in one process never read each
+other's counts.  An unmatched request is labelled ``"<METHOD> <unmatched>"``
+rather than with its path, so clients cannot grow the label set.
 
 Resource discipline (the paper-adjacent server-side management): compute
 requests funnel through a **single-flight coalescing layer**
@@ -66,15 +81,20 @@ from repro.service.httputil import (
     read_request,
 )
 from repro.service.jobs import JobManager
-from repro.service.stats import ServiceStats
 from repro.store.artifact_store import ArtifactStore, temporary_store
 from repro.store.keys import generation_key, stable_hash
 from repro.store.memo import measure_entry_keys, memoized_build, memoized_measure
 from repro.telemetry import counter_value, render_prometheus, span
+from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.workloads import WORKLOAD_METRICS
 from repro.workloads.scenarios import Scenario, apply_scenario, scenario_label
 
 log = logging.getLogger("repro.service")
+
+#: seconds a 503 asks the client to wait (the ``Retry-After`` header)
+RETRY_AFTER_S = 1.0
+#: upper bound on an experiment job's per-grid worker processes
+JOB_GRID_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -96,9 +116,7 @@ class ServiceConfig:
     workers: int = 4
     queue_depth: int = 32
     request_timeout: float = 300.0
-    retry_after: float = 1.0
     max_jobs: int = 4
-    job_grid_workers: int = 4  # upper bound on a job's per-grid worker processes
 
 
 class TopologyService:
@@ -106,8 +124,10 @@ class TopologyService:
 
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self.stats = ServiceStats()
-        self.flights = SingleFlight()
+        self.started = time.time()
+        # this service's counts: every reader (/v1/stats, /v1/metrics) renders them
+        self.metrics = MetricsRegistry()
+        self.flights = SingleFlight(self.metrics)
         # owns the temporary store of a daemon started without one
         self._resources = ExitStack()
         self.store = (
@@ -163,12 +183,12 @@ class TopologyService:
     def _launch(self, fn: Callable[[], Any]) -> asyncio.Future:
         """Admit one computation into the worker pool (or 503)."""
         if self._active >= self._admission_limit():
-            self.stats.record_rejected()
+            self.metrics.counter_inc("repro_service_rejected_total")
             raise HTTPError(
                 503,
                 f"worker pool saturated ({self._active} computations in flight, "
                 f"limit {self._admission_limit()}); retry later",
-                headers={"Retry-After": str(self.config.retry_after)},
+                headers={"Retry-After": str(RETRY_AFTER_S)},
             )
         loop = asyncio.get_running_loop()
         self._active += 1
@@ -193,7 +213,7 @@ class TopologyService:
                 self.flights.run(key, lambda: self._launch(fn)), timeout
             )
         except (asyncio.TimeoutError, TimeoutError):
-            self.stats.record_timeout()
+            self.metrics.counter_inc("repro_service_timeouts_total")
             raise HTTPError(
                 504,
                 f"computation for key {key[:16]}… exceeded the "
@@ -201,7 +221,7 @@ class TopologyService:
                 "and will warm the store)",
             ) from None
         outcome = "coalesced" if coalesced else ("hit" if warm else "miss")
-        self.stats.record_cache(outcome)
+        self.metrics.counter_inc("repro_service_cache_total", outcome=outcome)
         return value, outcome
 
     def _timeout(self, body: dict[str, Any]) -> float:
@@ -276,71 +296,26 @@ class TopologyService:
             "status": "ok",
             "version": repro.__version__,
             "store": str(self.store.root),
-            "uptime_s": round(time.time() - self.stats.started, 3),
+            "uptime_s": round(time.time() - self.started, 3),
         }
 
     async def _handle_stats(self, request: Request) -> tuple[int, Any]:
-        return 200, self.stats.to_dict(
+        return 200, stats_document(
+            self.metrics,
+            uptime_s=round(time.time() - self.started, 3),
             inflight_keys=self.flights.inflight,
             active_computations=self._active,
-            coalescing={"started": self.flights.started, "joined": self.flights.joined},
             admission={
                 "workers": self.config.workers,
                 "queue_depth": self.config.queue_depth,
                 "limit": self._admission_limit(),
             },
             jobs=self.jobs.counts(),
-            telemetry=self._telemetry_overview(),
         )
 
-    @staticmethod
-    def _telemetry_overview() -> dict[str, Any]:
-        """Process-global counter families summarized for ``/v1/stats``.
-
-        Counts the whole process — the service's own store traffic plus any
-        in-process experiment jobs — unlike ``ServiceStats``, which counts
-        only what passed through the request path.
-        """
-        store = {
-            category: {
-                "hit": int(
-                    counter_value(
-                        "repro_store_reads_total", category=category, outcome="hit"
-                    )
-                ),
-                "miss": int(
-                    counter_value(
-                        "repro_store_reads_total", category=category, outcome="miss"
-                    )
-                ),
-                "writes": int(
-                    counter_value("repro_store_writes_total", category=category)
-                ),
-                "write_bytes": int(
-                    counter_value("repro_store_write_bytes_total", category=category)
-                ),
-            }
-            for category in ("biggraphs", "metrics", "cells")
-        }
-        return {
-            "store": store,
-            "memo_metric_hits": int(counter_value("repro_memo_metric_hits_total")),
-            "memo_metric_misses": int(counter_value("repro_memo_metric_misses_total")),
-            "coalescer_started": int(counter_value("repro_coalescer_started_total")),
-            "coalescer_joined": int(counter_value("repro_coalescer_joined_total")),
-            "experiment_cells": {
-                "computed": int(
-                    counter_value("repro_experiment_cells_total", outcome="computed")
-                ),
-                "cached": int(
-                    counter_value("repro_experiment_cells_total", outcome="cached")
-                ),
-            },
-        }
-
     async def _handle_metrics(self, request: Request) -> tuple[int, Any]:
-        """``GET /v1/metrics``: the Prometheus text exposition."""
-        return 200, TextResponse(render_prometheus())
+        """``GET /v1/metrics``: the process exposition, then this service's."""
+        return 200, TextResponse(render_prometheus() + self.metrics.render_prometheus())
 
     async def _handle_store_info(self, request: Request) -> tuple[int, Any]:
         loop = asyncio.get_running_loop()
@@ -553,13 +528,13 @@ class TopologyService:
             raise HTTPError(400, f"invalid experiment spec: {error}") from None
 
         workers = self._body_int(body, "workers", default=1, minimum=1)
-        workers = min(workers, self.config.job_grid_workers)
+        workers = min(workers, JOB_GRID_WORKERS)
         resume = bool(body.get("resume", True))
         try:
             job = self.jobs.submit(spec, workers=workers, resume=resume)
         except ServiceError as error:
             raise HTTPError(
-                503, str(error), headers={"Retry-After": str(self.config.retry_after)}
+                503, str(error), headers={"Retry-After": str(RETRY_AFTER_S)}
             ) from None
         return 202, job.summary()
 
@@ -671,7 +646,7 @@ class TopologyService:
             ),
         ]
 
-    def _match(self, request: Request):
+    def _match(self, request: Request) -> tuple[Callable, str]:
         allowed: list[str] = []
         for method, pattern, handler, template in self._routes:
             match = pattern.match(request.path)
@@ -720,7 +695,9 @@ class TopologyService:
 
     async def _dispatch(self, request: Request, writer: asyncio.StreamWriter) -> bool:
         start = time.perf_counter()
-        template = f"{request.method} {request.path}"
+        # one label per known method for every request no route matches
+        known = request.method in {method for method, *_ in self._routes}
+        template = f"{request.method if known else 'OTHER'} <unmatched>"
         headers: dict[str, str] = {}
         with span("service.request", method=request.method, path=request.path) as sp:
             try:
@@ -739,7 +716,8 @@ class TopologyService:
             sp.set(route=template, status=status)
         elapsed = time.perf_counter() - start
 
-        self.stats.observe_request(template, status, elapsed)
+        self.metrics.counter_inc("repro_requests_total", route=template, status=str(status))
+        self.metrics.observe("repro_request_latency_seconds", elapsed, route=template)
         log.info(
             "%s",
             json.dumps(
@@ -761,6 +739,106 @@ class TopologyService:
         )
         await writer.drain()
         return request.keep_alive
+
+
+def _store_overview() -> dict[str, Any]:
+    """Process-global store, memo and experiment-cell counters for ``/v1/stats``.
+
+    These count the whole process — the service's own store traffic plus
+    any in-process experiment jobs — because the store and the experiment
+    runner write to the process-global registry.
+    """
+    store = {
+        category: {
+            "hit": int(
+                counter_value("repro_store_reads_total", category=category, outcome="hit")
+            ),
+            "miss": int(
+                counter_value("repro_store_reads_total", category=category, outcome="miss")
+            ),
+            "writes": int(counter_value("repro_store_writes_total", category=category)),
+            "write_bytes": int(
+                counter_value("repro_store_write_bytes_total", category=category)
+            ),
+        }
+        for category in ("biggraphs", "metrics", "cells")
+    }
+    return {
+        "store": store,
+        "memo_metric_hits": int(counter_value("repro_memo_metric_hits_total")),
+        "memo_metric_misses": int(counter_value("repro_memo_metric_misses_total")),
+        "experiment_cells": {
+            "computed": int(counter_value("repro_experiment_cells_total", outcome="computed")),
+            "cached": int(counter_value("repro_experiment_cells_total", outcome="cached")),
+        },
+    }
+
+
+def stats_document(metrics: MetricsRegistry, **extra: Any) -> dict[str, Any]:
+    """The ``GET /v1/stats`` document of a service registry ``metrics``.
+
+    Per-route request/error counts with mean and p50/p95/p99 latencies (in
+    milliseconds, over each route's recent window), the single-flight cache
+    outcomes (``hit``: served warm from the store, ``coalesced``: joined an
+    in-flight computation, ``miss``: computed fresh) and their warm share,
+    admission 503s, deadline 504s and the coalescer's leaders/joiners — all
+    read from ``metrics`` — plus, under ``telemetry``, the process-global
+    store/memo/experiment-cell counters.  ``extra`` is merged in (uptime,
+    admission, jobs...).
+    """
+    snapshot = metrics.snapshot()
+    counters = [(name, dict(labels), int(value)) for name, labels, value in snapshot["counters"]]
+
+    def count(family: str, **labels: str) -> int:
+        return sum(
+            value for name, have, value in counters
+            if name == family and labels.items() <= have.items()
+        )
+
+    requests: dict[str, dict[str, Any]] = {}
+    for name, labels, window in snapshot["histograms"]:
+        if name != "repro_request_latency_seconds":
+            continue
+        route = dict(labels)["route"]
+        latency = Histogram()
+        latency.merge(window)
+        requests[route] = {
+            "count": count("repro_requests_total", route=route),
+            "errors": sum(
+                value for name, have, value in counters
+                if name == "repro_requests_total"
+                and have["route"] == route
+                and int(have["status"]) >= 400
+            ),
+            "mean_ms": round(latency.mean * 1000.0, 3),
+            **{
+                f"p{q}_ms": round(latency.percentile(q) * 1000.0, 3)
+                for q in (50, 95, 99)
+            },
+        }
+    cache = {
+        outcome: count("repro_service_cache_total", outcome=outcome)
+        for outcome in ("hit", "miss", "coalesced")
+    }
+    keyed = sum(cache.values())
+    warm = (cache["hit"] + cache["coalesced"]) / keyed if keyed else 0.0
+    coalescing = {
+        "started": count("repro_coalescer_started_total"),
+        "joined": count("repro_coalescer_joined_total"),
+    }
+    return {
+        "requests": dict(sorted(requests.items())),
+        "cache": {**cache, "hit_ratio": round(warm, 4)},
+        "rejected": count("repro_service_rejected_total"),
+        "timeouts": count("repro_service_timeouts_total"),
+        "coalescing": coalescing,
+        "telemetry": {
+            **_store_overview(),
+            "coalescer_started": coalescing["started"],
+            "coalescer_joined": coalescing["joined"],
+        },
+        **extra,
+    }
 
 
 class ServiceThread:

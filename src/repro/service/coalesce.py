@@ -12,6 +12,10 @@ The joined future is wrapped in :func:`asyncio.shield`, so one waiter
 timing out (or disconnecting) never cancels the shared computation for the
 others — and a computation that outlives every waiter still completes and
 warms the store.
+
+Leaders and joiners are counted once, in the registry the table is built
+with (the service's own): ``repro_coalescer_started_total`` and
+``repro_coalescer_joined_total``.
 """
 
 from __future__ import annotations
@@ -19,16 +23,15 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable
 
-from repro.telemetry.metrics import counter_inc
+from repro.telemetry.metrics import MetricsRegistry
 
 
 class SingleFlight:
     """Keyed coalescing table: one in-flight computation per key."""
 
-    def __init__(self):
+    def __init__(self, metrics: MetricsRegistry):
         self._inflight: dict[str, asyncio.Future] = {}
-        self.started = 0  # computations actually launched (leaders)
-        self.joined = 0  # requests that coalesced onto an in-flight leader
+        self._metrics = metrics
 
     @property
     def inflight(self) -> int:
@@ -49,12 +52,10 @@ class SingleFlight:
         """
         existing = self._inflight.get(key)
         if existing is not None:
-            self.joined += 1
-            counter_inc("repro_coalescer_joined_total")
+            self._metrics.counter_inc("repro_coalescer_joined_total")
             return await asyncio.shield(existing), True
         task = asyncio.ensure_future(start())
-        self.started += 1
-        counter_inc("repro_coalescer_started_total")
+        self._metrics.counter_inc("repro_coalescer_started_total")
         self._inflight[key] = task
         task.add_done_callback(lambda _task: self._inflight.pop(key, None))
         return await asyncio.shield(task), False

@@ -43,7 +43,7 @@ from repro.graph.mmap_io import biggraph_content_hash, load_biggraph, write_bigg
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.biggraph import BigGraph
 from repro.store.keys import STORE_SCHEMA_VERSION, code_version
-from repro.telemetry.metrics import counter_inc, counter_value
+from repro.telemetry.metrics import counter_inc
 
 PathLike = Union[str, Path]
 
@@ -302,10 +302,6 @@ class ArtifactStore:
         counts["total_bytes"] = sum(category_bytes.values())
         return counts
 
-    def info(self) -> dict[str, Any]:
-        """Alias of :meth:`info_dict` (the historical name)."""
-        return self.info_dict()
-
     #: Temporaries younger than this are presumed to belong to a live writer.
     GC_TMP_AGE_SECONDS = 3600.0
 
@@ -397,32 +393,4 @@ def temporary_store() -> Iterator[ArtifactStore]:
         yield ArtifactStore(root)
 
 
-def store_process_counters() -> dict[str, Any]:
-    """Store hit/miss/write counters accumulated *by this process*.
-
-    Telemetry counters are process-global (not per-store-instance, and not
-    persisted on disk), so this reports the activity of the current process
-    against whichever stores it touched.  Shape::
-
-        {"reads": {"biggraphs": {"hit": 3, "miss": 1}, ...},
-         "writes": {"biggraphs": 1, ...},
-         "write_bytes": {"biggraphs": 15234, ...}}
-    """
-    reads: dict[str, dict[str, int]] = {}
-    writes: dict[str, int] = {}
-    write_bytes: dict[str, int] = {}
-    for category in _CATEGORIES:
-        reads[category] = {
-            outcome: int(
-                counter_value("repro_store_reads_total", category=category, outcome=outcome)
-            )
-            for outcome in ("hit", "miss")
-        }
-        writes[category] = int(counter_value("repro_store_writes_total", category=category))
-        write_bytes[category] = int(
-            counter_value("repro_store_write_bytes_total", category=category)
-        )
-    return {"reads": reads, "writes": writes, "write_bytes": write_bytes}
-
-
-__all__ = ["ArtifactStore", "store_process_counters", "temporary_store"]
+__all__ = ["ArtifactStore", "temporary_store"]

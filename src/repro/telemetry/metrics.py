@@ -2,17 +2,18 @@
 
 A tiny, dependency-free metrics registry in the spirit of the Prometheus
 client library, shared by every layer of the stack (store, memo, planner,
-rewiring chains, service).  Unlike tracing spans (:mod:`repro.telemetry.core`),
+rewiring chains).  Unlike tracing spans (:mod:`repro.telemetry.core`),
 metrics are *always on*: a counter bump is a dict lookup plus an integer add
 under a lock, cheap enough to leave enabled in production paths, and the
-service's ``GET /v1/metrics`` endpoint and ``repro cache info`` both read
-them without any opt-in.
+service's ``GET /v1/metrics`` endpoint reads them without any opt-in.  Each
+topology service keeps its own request families in a
+:class:`MetricsRegistry` of its own, rendered after this one.
 
 Metrics are keyed by ``(name, labels)`` where ``labels`` is a sorted tuple of
 ``(key, value)`` string pairs, e.g.::
 
     counter_inc("repro_store_reads_total", category="biggraphs", outcome="hit")
-    observe("repro_request_latency_seconds", 0.0123, route="/v1/graphs")
+    registry.observe("repro_request_latency_seconds", 0.0123, route="POST /v1/graphs")
 
 Snapshots (:func:`metrics_snapshot`) are plain JSON-able dicts so worker
 processes can ship their deltas back to the parent over pickle, where

@@ -43,7 +43,11 @@ def hold_sweep(monkeypatch):
     def hold(handle, joiners: int) -> None:
         def held_sweep(*args, **kwargs):
             deadline = time.monotonic() + 30.0
-            while handle.service.flights.joined < joiners and time.monotonic() < deadline:
+            while (
+                handle.service.metrics.counter_value("repro_coalescer_joined_total")
+                < joiners
+                and time.monotonic() < deadline
+            ):
                 time.sleep(0.002)
             return real_sweep(*args, **kwargs)
 

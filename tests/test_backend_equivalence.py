@@ -183,14 +183,14 @@ class TestBackendNeverChangesCacheKeys:
         graph = star(30)
         store = ArtifactStore(tmp_path / "store")
         first = memoized_measure(graph, store, metrics=TABLE2_CORE_METRICS)
-        written = store.info()["metrics"]
+        written = store.info_dict()["metrics"]
         assert written == 9  # one metric-granular entry per Table-2 scalar
         # keys never name a kernel set: an oracle run is served the
         # csr-computed entries (same keys, no write) and agrees with them
         with oracle_kernels():
             second = memoized_measure(graph.copy(), store, metrics=TABLE2_CORE_METRICS)
             recomputed = summarize(graph.copy(), compute_spectrum=False)
-        assert store.info()["metrics"] == written
+        assert store.info_dict()["metrics"] == written
         assert first == second == recomputed
 
     def test_experiment_cell_key_ignores_backend(self, tmp_path):

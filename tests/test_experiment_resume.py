@@ -360,7 +360,7 @@ def test_cli_cache_clear_works_on_schema_mismatch(tmp_path, capsys):
         cache_main(["info", "--store", str(store_dir)])
     # ... but clear (the recommended remediation) still works
     assert cache_main(["clear", "--store", str(store_dir)]) == 0
-    assert ArtifactStore(store_dir).info()["cells"] == 0
+    assert ArtifactStore(store_dir).info_dict()["cells"] == 0
 
 
 def test_cli_run_experiment_reports_store_error(tmp_path):
@@ -397,4 +397,4 @@ def test_cli_cache_info_gc_clear(tmp_path, capsys):
     capsys.readouterr()
     assert cache_main(["clear", "--store", str(store_dir)]) == 0
     assert "cleared" in capsys.readouterr().out
-    assert ArtifactStore(store_dir).info()["cells"] == 0
+    assert ArtifactStore(store_dir).info_dict()["cells"] == 0

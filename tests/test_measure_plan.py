@@ -293,7 +293,7 @@ def test_widening_metric_set_computes_only_new_metrics(tmp_path, counting_sweep)
     graph = random_dk_graph(41)
     store = ArtifactStore(tmp_path / "store")
     first = memoized_measure(graph, store, metrics=("mean_distance", "mean_clustering"))
-    assert store.info()["metrics"] == 2
+    assert store.info_dict()["metrics"] == 2
     assert len(counting_sweep) == 1
 
     # widen on a fresh graph object (cold in-process caches): the cached
@@ -315,7 +315,7 @@ def test_widening_metric_set_computes_only_new_metrics(tmp_path, counting_sweep)
         )
     finally:
         intermediates.triangles_per_node = real_triangles
-    assert store.info()["metrics"] == 4
+    assert store.info_dict()["metrics"] == 4
     # distance_std needed a sweep (mean_distance's cached value has no
     # histogram), transitivity a triangle pass; mean_clustering did NOT
     # recount triangles — it was a store read
@@ -339,7 +339,7 @@ def test_distance_sources_only_invalidates_traversal_metrics(tmp_path):
     graph = random_dk_graph(43)
     store = ArtifactStore(tmp_path / "store")
     memoized_measure(graph, store, metrics=("mean_distance", "mean_clustering"))
-    assert store.info()["metrics"] == 2
+    assert store.info_dict()["metrics"] == 2
     memoized_measure(
         graph,
         store,
@@ -348,7 +348,7 @@ def test_distance_sources_only_invalidates_traversal_metrics(tmp_path):
         rng=np.random.default_rng(1),
     )
     # mean_distance got a new (sampled) entry; mean_clustering was reused
-    assert store.info()["metrics"] == 3
+    assert store.info_dict()["metrics"] == 3
 
 
 # --------------------------------------------------------------------------- #
@@ -542,7 +542,7 @@ def test_clamped_distance_sources_cache_like_exact(tmp_path, counting_sweep):
     # one sweep per planner run; the widened run's sweep served distance_std
     # while mean_distance stayed a store read (no group recompute)
     assert len(counting_sweep) == 2
-    assert store.info()["metrics"] == 2
+    assert store.info_dict()["metrics"] == 2
     assert widened["mean_distance"] == mean_distance(giant_component(graph))
 
 

@@ -664,6 +664,81 @@ def test_metrics_endpoint_serves_prometheus_exposition(service, counting_generat
     assert telemetry["store"]["biggraphs"]["writes"] >= 1
 
 
+async def scrape(client):
+    """``{series: value}`` of the raw ``GET /v1/metrics`` text exposition."""
+    from repro.service.httputil import encode_request, read_response
+
+    reader, writer = await asyncio.open_connection("127.0.0.1", client.port)
+    writer.write(encode_request("GET", "/v1/metrics", keep_alive=False))
+    await writer.drain()
+    _, _, body = await read_response(reader)
+    writer.close()
+    return {
+        series: float(value)
+        for series, value in (
+            line.rsplit(" ", 1)
+            for line in body.decode("utf-8").splitlines()
+            if line and not line.startswith("#")
+        )
+    }
+
+
+def test_services_in_one_process_count_only_their_own_requests(temp_root):
+    with ServiceThread(ServiceConfig(port=0)) as a, ServiceThread(ServiceConfig(port=0)) as b:
+
+        async def measure_twice(client):
+            for _ in range(2):
+                await client.measure(metrics=["average_degree"], edges=EDGES)
+            return await scrape(client), await client.stats()
+
+        async def read_only(client):
+            return await scrape(client), await client.stats()
+
+        a_metrics, a_stats = drive(a, measure_twice)
+        b_metrics, b_stats = drive(b, read_only)
+
+    assert b_stats["cache"] == {"hit": 0, "miss": 0, "coalesced": 0, "hit_ratio": 0.0}
+    assert b_stats["coalescing"]["started"] == b_stats["telemetry"]["coalescer_started"] == 0
+    assert not [series for series in b_metrics if "POST /v1/measure" in series]
+
+    route = a_stats["requests"]["POST /v1/measure"]
+    assert route["count"] == 2
+    assert a_metrics['repro_requests_total{route="POST /v1/measure",status="200"}'] == 2
+    assert a_metrics['repro_request_latency_seconds_count{route="POST /v1/measure"}'] == 2
+    assert a_stats["cache"]["miss"] == 1 and a_stats["cache"]["hit"] == 1
+    for outcome in ("hit", "miss"):
+        assert (
+            a_metrics[f'repro_service_cache_total{{outcome="{outcome}"}}']
+            == a_stats["cache"][outcome]
+        )
+    assert a_metrics["repro_coalescer_started_total"] == a_stats["coalescing"]["started"]
+    assert a_stats["coalescing"]["started"] == a_stats["telemetry"]["coalescer_started"] == 2
+
+
+def test_unmatched_paths_share_one_route_label(service):
+    async def scenario(client):
+        for index in range(3):
+            with pytest.raises(RemoteServiceError):
+                await client._call("GET", f"/v1/nope{index}")
+        for method in ("BREW", "PURGE"):  # methods no route takes share one label
+            with pytest.raises(RemoteServiceError):
+                await client._call(method, "/v1/stats")
+        return await scrape(client), await client.stats()
+
+    metrics, stats = drive(service, scenario)
+    # the scrape ran before its own request was counted
+    assert set(stats["requests"]) == {"GET <unmatched>", "OTHER <unmatched>", "GET /v1/metrics"}
+    assert stats["requests"]["GET <unmatched>"]["count"] == 3
+    assert stats["requests"]["GET <unmatched>"]["errors"] == 3
+    assert stats["requests"]["OTHER <unmatched>"]["count"] == 2
+    assert {
+        series for series in metrics if series.startswith("repro_request_latency_seconds_count")
+    } == {
+        'repro_request_latency_seconds_count{route="GET <unmatched>"}',
+        'repro_request_latency_seconds_count{route="OTHER <unmatched>"}',
+    }
+
+
 def test_http_error_statuses(service):
     async def scenario(client):
         results = {}

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.service import ServiceConfig, ServiceThread
+from repro.service.app import stats_document
 from repro.service.client import ServiceClient
 from repro.service.coalesce import SingleFlight
 from repro.service.httputil import (
@@ -22,7 +23,7 @@ from repro.service.httputil import (
     read_request,
     read_response,
 )
-from repro.service.stats import LatencyHistogram, ServiceStats
+from repro.telemetry.metrics import MetricsRegistry
 
 EDGES = [[i, (i + 1) % 12] for i in range(12)] + [[i, (i + 3) % 12] for i in range(12)]
 
@@ -30,8 +31,17 @@ EDGES = [[i, (i + 1) % 12] for i in range(12)] + [[i, (i + 3) % 12] for i in ran
 # --------------------------------------------------------------------------- #
 # single-flight coalescing (pure asyncio, no HTTP)
 # --------------------------------------------------------------------------- #
+def started(metrics):
+    return metrics.counter_value("repro_coalescer_started_total")
+
+
+def joined(metrics):
+    return metrics.counter_value("repro_coalescer_joined_total")
+
+
 def test_single_flight_coalesces_concurrent_waiters():
-    flights = SingleFlight()
+    metrics = MetricsRegistry()
+    flights = SingleFlight(metrics)
     calls = {"count": 0}
 
     async def main():
@@ -54,13 +64,14 @@ def test_single_flight_coalesces_concurrent_waiters():
     assert calls["count"] == 1
     assert [value for value, _ in results] == ["value"] * 16
     assert sum(1 for _, coalesced in results if coalesced) == 15
-    assert flights.started == 1
-    assert flights.joined == 15
+    assert started(metrics) == 1
+    assert joined(metrics) == 15
     assert flights.inflight == 0  # the key left the table on completion
 
 
 def test_single_flight_distinct_keys_run_independently():
-    flights = SingleFlight()
+    metrics = MetricsRegistry()
+    flights = SingleFlight(metrics)
 
     async def main():
         async def compute(value):
@@ -73,12 +84,12 @@ def test_single_flight_distinct_keys_run_independently():
 
     results = asyncio.run(main())
     assert results == [(1, False), (2, False)]
-    assert flights.started == 2
-    assert flights.joined == 0
+    assert started(metrics) == 2
+    assert joined(metrics) == 0
 
 
 def test_single_flight_synchronous_start_error_hits_caller_alone():
-    flights = SingleFlight()
+    flights = SingleFlight(MetricsRegistry())
 
     def rejected():
         raise HTTPError(503, "saturated")
@@ -98,7 +109,8 @@ def test_single_flight_synchronous_start_error_hits_caller_alone():
 
 
 def test_single_flight_waiter_timeout_does_not_cancel_leader():
-    flights = SingleFlight()
+    metrics = MetricsRegistry()
+    flights = SingleFlight(metrics)
     finished = {"value": None}
 
     async def main():
@@ -117,17 +129,23 @@ def test_single_flight_waiter_timeout_does_not_cancel_leader():
     assert value == "done"
     assert coalesced is True  # the second request joined the surviving leader
     assert finished["value"] == "done"
-    assert flights.started == 1
+    assert started(metrics) == 1
 
 
 # --------------------------------------------------------------------------- #
-# latency histograms and service stats
+# the /v1/stats document rendered from a service registry
 # --------------------------------------------------------------------------- #
+def record_request(metrics, route, status, seconds):
+    """The two writes the daemon makes for one finished request."""
+    metrics.counter_inc("repro_requests_total", route=route, status=str(status))
+    metrics.observe("repro_request_latency_seconds", seconds, route=route)
+
+
 def test_latency_histogram_percentiles():
-    hist = LatencyHistogram()
+    metrics = MetricsRegistry()
     for ms in range(1, 101):  # 1..100 ms
-        hist.observe(ms / 1000.0)
-    summary = hist.summary_ms()
+        record_request(metrics, "GET /v1/healthz", 200, ms / 1000.0)
+    summary = stats_document(metrics)["requests"]["GET /v1/healthz"]
     assert summary["count"] == 100
     assert summary["p50_ms"] == pytest.approx(50.0, abs=1.0)
     assert summary["p95_ms"] == pytest.approx(95.0, abs=1.0)
@@ -135,26 +153,14 @@ def test_latency_histogram_percentiles():
     assert summary["mean_ms"] == pytest.approx(50.5, abs=0.1)
 
 
-def test_latency_histogram_window_is_bounded():
-    hist = LatencyHistogram(maxlen=8)
-    for _ in range(100):
-        hist.observe(1.0)
-    for _ in range(8):
-        hist.observe(0.001)  # the window now only holds recent traffic
-    assert hist.count == 108
-    assert hist.percentile(99) == pytest.approx(0.001)
-
-
 def test_service_stats_cache_accounting():
-    stats = ServiceStats()
-    stats.record_cache("miss")
-    stats.record_cache("hit")
-    stats.record_cache("coalesced")
-    stats.record_cache("coalesced")
-    assert stats.hit_ratio() == pytest.approx(0.75)
-    stats.observe_request("POST /v1/measure", 200, 0.01)
-    stats.observe_request("POST /v1/measure", 503, 0.001)
-    snapshot = stats.to_dict(extra_field=7)
+    metrics = MetricsRegistry()
+    for outcome in ("miss", "hit", "coalesced", "coalesced"):
+        metrics.counter_inc("repro_service_cache_total", outcome=outcome)
+    assert stats_document(metrics)["cache"]["hit_ratio"] == pytest.approx(0.75)
+    record_request(metrics, "POST /v1/measure", 200, 0.01)
+    record_request(metrics, "POST /v1/measure", 503, 0.001)
+    snapshot = stats_document(metrics, extra_field=7)
     assert snapshot["requests"]["POST /v1/measure"]["count"] == 2
     assert snapshot["requests"]["POST /v1/measure"]["errors"] == 1
     assert snapshot["cache"]["hit_ratio"] == 0.75

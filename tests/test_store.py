@@ -88,12 +88,12 @@ def test_metric_and_cell_roundtrip(store):
 
 
 def test_info_counts_entries(store, triangle_graph):
-    info = store.info()
+    info = store.info_dict()
     assert (info["biggraphs"], info["metrics"], info["cells"]) == (0, 0, 0)
     store.put_graph("cc" + "0" * 62, triangle_graph)
     store.put_metric("dd33", {"value": 1})
     store.put_cell("ee44", {"row": {}})
-    info = store.info()
+    info = store.info_dict()
     assert (info["biggraphs"], info["metrics"], info["cells"]) == (1, 1, 1)
     assert info["total_bytes"] > 0
 
@@ -102,7 +102,7 @@ def test_clear_removes_everything(store, triangle_graph):
     store.put_graph("cc" + "0" * 62, triangle_graph)
     store.put_metric("dd33", {"value": 1})
     store.clear()
-    info = store.info()
+    info = store.info_dict()
     assert (info["biggraphs"], info["metrics"], info["cells"]) == (0, 0, 0)
     # the store stays usable after a clear
     store.put_metric("dd33", {"value": 1})
@@ -154,7 +154,7 @@ def test_wipe_resets_a_schema_mismatched_store(tmp_path, triangle_graph):
         ArtifactStore(root)
     ArtifactStore.wipe(root)
     reopened = ArtifactStore(root)  # fresh marker, empty store
-    assert reopened.info()["biggraphs"] == 0
+    assert reopened.info_dict()["biggraphs"] == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -251,7 +251,7 @@ def test_memoized_table2_hits_cache(store, hot_small, monkeypatch):
 
 def test_memoized_table2_widening_computes_only_new_metrics(store, hot_small, monkeypatch):
     memoized_measure(hot_small, store, metrics=TABLE2)
-    written = store.info()["metrics"]
+    written = store.info_dict()["metrics"]
     assert written == 9
 
     import repro.store.memo as memo
@@ -267,7 +267,7 @@ def test_memoized_table2_widening_computes_only_new_metrics(store, hot_small, mo
     widened = memoized_measure(hot_small, store, metrics=TABLE2_SPECTRUM)
     # only the two Laplacian extremes were computed; the other nine reused
     assert residual_runs == [("lambda_1", "lambda_n_1")]
-    assert store.info()["metrics"] == written + 2
+    assert store.info_dict()["metrics"] == written + 2
     assert widened.lambda_n_1 > 0.0
 
 
