@@ -9,8 +9,9 @@ named after the chain's span, ``rewire_target_3k``.  Chain *inputs* — the
 seed graphs and the target dK-distributions — are prepared once per size
 outside the timed region, so the rows measure the chains themselves.  The
 3K chains also run at n = 20k, where their cost grows fastest, and 3K
-randomizing at n = 10^5, above the 3K kernel's bitset ceiling
-(``BITSET_MAX_NODES``), where it tests membership on sorted arc keys.
+randomizing at n = 10^5, where building the per-node neighbor sets and
+neighbor-degree histograms the 3K evaluators read is a visible share of
+the chain.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from repro.topologies.as_level import synthetic_as_topology
 
 SIZES = (1000, 5000)
 
-#: (chain, n) cells; the 3K chains get an extra n=20k row — the cliff the
-#: batched delta kernel closes grows with n — and 3K randomizing an n=10^5
-#: row on the arc-key membership table.
+#: (chain, n) cells; the 3K chains get an extra n=20k row — a 3K-targeting
+#: move's full delta grows with the exchanged heads' distinct neighbor
+#: degrees — and 3K randomizing an n=10^5 row.
 CASES = [
     (chain, n)
     for chain in ("d0", "d1", "d2", "d3", "target2k", "target3k")

@@ -43,7 +43,7 @@ Batch pipeline::
 
 from repro._lazy import lazy_exports
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 # Lazy re-exports (PEP 562): nothing heavy is imported until first attribute
 # access, so `import repro` stays cheap.

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -884,7 +885,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Dispatch ``python -m repro.cli <command> ...``."""
+    """Dispatch ``python -m repro.cli <command> ...``.
+
+    A reader that closes standard output early (``| head``, ``| grep -q``)
+    ends the command's output, not the command with a traceback: the
+    ``BrokenPipeError`` is caught, standard output is pointed at
+    ``os.devnull`` so the interpreter's shutdown flush cannot raise again,
+    and the status is 0, as for a command whose whole output was read.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     usage = (
         "usage: python -m repro.cli "
@@ -900,7 +908,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown command {command!r}\n{usage}", file=sys.stderr)
         return 2
     trace_path = maybe_enable_from_env()
-    status = handler(rest)
+    try:
+        status = handler(rest)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = 0
     if trace_path and command != "trace" and event_count():
         count = write_chrome_trace(trace_path)
         print(f"trace: {count} span(s) written to {trace_path}", file=sys.stderr)

@@ -32,11 +32,13 @@ reversed ``(b→a, d→c)``:
 
 Counting in half-units (weight 1 per visit of a doubly visited pairing,
 2 otherwise) and halving at the end gives each pairing once.  The end pairs
-of each group are resolved, validity-tested and (for ``d = 3``) given the
-engine's zero-3K-delta verdict (:func:`~repro.kernels.rewiring._batch_zero_delta`,
-the 3K-randomizing chain's own kernel, at every graph size) in fixed-size
-vectorized chunks, so working memory is O(chunk + m) whatever the bucket
-sizes, plus the kernel's membership table for ``d = 3``.
+of each group are resolved and validity-tested in fixed-size vectorized
+chunks, so working memory is O(chunk + m) whatever the bucket sizes.  For
+``d = 3`` a leaf exchange (the paper's obvious isomorphism) only relabels
+the graph, so it keeps the wedge and triangle distributions outright; every
+other valid pairing that passes the vectorized neighbor-degree-sum test gets
+the 3K-randomizing chain's own zero-delta verdict
+(:func:`~repro.kernels.rewiring._scalar_zero_eval`), one pairing at a time.
 """
 
 from __future__ import annotations
@@ -108,9 +110,11 @@ def count_dk_rewirings(graph: SimpleGraph, d: int) -> RewiringCounts:
             groups = [np.arange(2 * state.m, dtype=np.int64)]
         else:
             groups = [np.asarray(b, dtype=np.int64) for b in state.build_buckets() if b]
-        # the d = 3 verdict is the randomizing chain's batched kernel, on
-        # whichever membership table the graph's size selects
-        tk = engine._ThreeKState(state) if d == 3 else None
+        # the d = 3 verdict is the randomizing chain's own evaluator
+        if d == 3:
+            tk = engine._ThreeKState(state)
+            sums = np.asarray(tk.nbrdeg_sum, dtype=np.int64)
+            zero_eval = engine._scalar_zero_eval
         edge_u = np.asarray(state.edge_u, dtype=np.int64)
         edge_v = np.asarray(state.edge_v, dtype=np.int64)
         edge_keys = np.sort(np.asarray(state.edge_key, dtype=np.int64))
@@ -131,16 +135,27 @@ def count_dk_rewirings(graph: SimpleGraph, d: int) -> RewiringCounts:
                 j, _, c, dd = engine._resolve_ends(edge_u, edge_v, second)
                 valid = (i != j) & (a != dd) & (c != b)
                 valid &= ~(is_edge(a, dd) | is_edge(c, b))
-                if d == 3:
-                    valid &= engine._batch_zero_delta(tk, a, b, c, dd, valid)
-                if d == 1:
-                    weight = valid.astype(np.int64)
-                else:
-                    weight = np.where(deg[a] == deg[c], 1, 2) * valid
                 # the paper's obvious isomorphism: exchanging two leaves
                 isomorphic = ((deg[b] == 1) & (deg[dd] == 1)) | (
                     (deg[a] == 1) & (deg[c] == 1)
                 )
+                if d == 3:
+                    ka, kc = deg[a], deg[c]
+                    ask = valid & ~isomorphic
+                    ask &= (ka == kc) | (sums[b] - ka == sums[dd] - kc)
+                    idx = np.flatnonzero(ask)
+                    zero = isomorphic.copy()
+                    zero[idx] = [
+                        zero_eval(tk, *swap)
+                        for swap in zip(
+                            a[idx].tolist(), b[idx].tolist(), c[idx].tolist(), dd[idx].tolist()
+                        )
+                    ]
+                    valid &= zero
+                if d == 1:
+                    weight = valid.astype(np.int64)
+                else:
+                    weight = np.where(deg[a] == deg[c], 1, 2) * valid
                 total_half_units += int(weight.sum())
                 non_isomorphic_half_units += int(weight[~isomorphic].sum())
         counts = RewiringCounts(

@@ -27,7 +27,8 @@ record both acceptance rates (``pilot_accept_rate``, ``accept_rate``).
 The chains run on the rewiring engine's :func:`~repro.kernels.rewiring.run_chain`,
 which is deterministic per seed, preserves the dK-invariants exactly and
 takes the same moves for every batch width (a kernel constant, not a
-parameter) and membership table; d = 3 runs its wedge/triangle kernel.
+parameter); d = 3 runs loop 3, which accepts a 2K proposal iff its
+wedge/triangle delta on the live neighbor sets is zero.
 """
 
 from __future__ import annotations

@@ -20,10 +20,11 @@ pipeline for dK-random graphs when no original graph is available:
 Both run on :func:`repro.kernels.rewiring.run_chain`: 2K targeting prices
 each 1K swap with the scorer of :func:`~repro.kernels.rewiring.jdd_distance`
 over a live ``current - target`` dict, and 3K targeting
-(:func:`~repro.kernels.rewiring.three_k_distance`) on the wedge/triangle
-kernel.  Every distance change is an exact integer, so the distance trace is
-identical for every batch size.  A chain that stops short of its target
-emits a :class:`~repro.exceptions.RewiringConvergenceWarning`.
+(:func:`~repro.kernels.rewiring.three_k_distance`) prices each 2K swap by
+its wedge/triangle delta on live neighbor sets.  Every distance change is
+an exact integer, so the distance trace is identical for every batch size.
+A chain that stops short of its target emits a
+:class:`~repro.exceptions.RewiringConvergenceWarning`.
 """
 
 from __future__ import annotations

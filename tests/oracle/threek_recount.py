@@ -37,19 +37,18 @@ def three_k_delta_by_recount(graph: SimpleGraph, a: int, b: int, c: int, d: int)
     )
 
 
-def pack_three_k_delta(wedges: dict, triangles: dict, rank, base: int) -> list:
-    """Degree-keyed deltas as the engine's sorted ``(key, net)`` items.
+def pack_three_k_delta(wedges: dict, triangles: dict, base: int) -> dict:
+    """Degree-keyed deltas as the engine's ``{packed key: net}`` dict.
 
-    Keys are packed over degree ranks ``rank[k]`` in base ``base``: wedges
-    ``(end, centre, end)`` below ``base**3`` and sorted triangles above it.
-    The rank map is monotone, so tuple component order is preserved.
+    Keys pack degree values in base ``base``: wedges ``(end, centre, end)``
+    below ``base**3`` and sorted triangles above it.  Zero nets are dropped.
     """
     packed: dict[int, int] = {}
     for offset, counts in ((0, wedges), (base**3, triangles)):
         for (k1, k2, k3), value in counts.items():
-            key = (rank[k1] * base + rank[k2]) * base + rank[k3] + offset
+            key = (k1 * base + k2) * base + k3 + offset
             packed[key] = packed.get(key, 0) + value
-    return sorted(item for item in packed.items() if item[1])
+    return {key: value for key, value in packed.items() if value}
 
 
 __all__ = ["pack_three_k_delta", "three_k_delta_by_recount"]

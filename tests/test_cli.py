@@ -1,9 +1,14 @@
 """Tests for the ``repro`` command-line front-end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import dkcompare_main, dkdist_main, dkgen_main, main, methods_main
 from repro.generators.registry import available_generators
 from repro.graph.io import read_edge_list, write_edge_list, write_jdd
@@ -248,3 +253,30 @@ def test_matching_shortfall_is_reported_on_stderr(tmp_path, capsys):
     assert dkgen_main([*argv, "--seed", "0"]) == 0
     assert read_edge_list(out).number_of_edges == 1026
     assert "WARNING" not in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_the_output_quietly(tmp_path):
+    """With unbuffered output, a reader that has already closed the pipe
+    (``repro cache info --json | grep -q ...`` once grep has matched) makes
+    the CLI's ``print`` raise ``BrokenPipeError``; the command must still
+    exit 0 without a traceback."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")))
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cache", "info"]
+            + ["--store", str(tmp_path), "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 0, stderr
+    assert "Traceback" not in stderr

@@ -11,7 +11,6 @@ from repro.generators.rewiring.counting import (
     rewiring_count_table,
 )
 from repro.graph.simple_graph import SimpleGraph
-from repro.kernels import rewiring as engine
 from repro.topologies.as_level import synthetic_as_topology
 from repro.topologies.hot import synthetic_hot_topology
 
@@ -137,14 +136,6 @@ def test_counts_match_brute_force_oracle(oracle_cases):
     """The engine-based counter equals the apply-and-re-extract oracle."""
     for graph, expected in oracle_cases:
         assert rewiring_count_table(graph, ds=(1, 2, 3)) == expected, graph
-
-
-def test_scalar_three_k_verdict_matches_oracle(oracle_cases, monkeypatch):
-    """Beyond BITSET_MAX_NODES the d = 3 verdict runs on sorted arc keys
-    instead of the bitset; it must count exactly what the oracle counts."""
-    monkeypatch.setattr(engine, "BITSET_MAX_NODES", 0)
-    for graph, expected in oracle_cases:
-        assert count_dk_rewirings(graph, 3) == expected[3], graph
 
 
 def test_counts_in_chunks_match_one_pass(hot_small, monkeypatch):

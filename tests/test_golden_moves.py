@@ -11,19 +11,26 @@ priced its moves through one per-move scorer.  So each record pins that a
 change took exactly the moves it replaced.  The ``metric_trace`` lists of
 the four C̄ records were re-recorded, with their edge hashes and move counts
 kept, when the trace moved onto the scorer's exact integer grid units.
+The 3K randomizing, 3K targeting (T = 0, T > 0 and a converging run) and
+Table-5 count records were taken from the batched snapshot kernel before
+loop 3 priced each proposal alone on live neighbor sets; that kernel gave
+the same records with its arc-key membership and sparse gradient forced
+on, so they pin those deleted twins' moves too.
 """
 
 import hashlib
 
 import pytest
 
-from repro.core.extraction import joint_degree_distribution
+from repro.core.extraction import joint_degree_distribution, three_k_distribution
 from repro.exceptions import RewiringConvergenceWarning
 from repro.generators.exploration import _clustering_scale, explore_1k_likelihood, explore_2k
 from repro.generators.matching import matching_1k, matching_2k
+from repro.generators.rewiring.counting import count_dk_rewirings
 from repro.generators.rewiring.preserving import dk_randomize
-from repro.generators.rewiring.targeting import target_2k_from_1k
+from repro.generators.rewiring.targeting import target_2k_from_1k, target_3k_from_2k
 from repro.metrics.clustering import mean_clustering
+from repro.topologies.as_level import synthetic_as_topology
 
 #: ``explore_1k_likelihood``, seed 4, 3,000 attempts
 LIKELIHOOD_RECORDS = {
@@ -79,6 +86,143 @@ RANDOMIZE_RECORDS = {
     1: ("e4de386967c001c9207d069bb36388df213519b72cf61df33b5706b5aa9b61de", 734, 924),
     2: ("05627a6096c74a38fb1a232836c9b1f0a3753ccc839913803e3287acbacafad4", 680, 1145),
     3: ("a81219b72f04b967102b4b84e0944dead00bf9d253477fb28cee79462db849bb", 681, 14489),
+}
+
+#: ``dk_randomize(graph, 3, rng=seed, multiplier=1)``: ``(name, seed) ->
+#: (edges, accepted, attempted)``
+RANDOMIZE_3K_RECORDS = {
+    ("hot_small", 0): (
+        "9f504e0c9d928c40b9d968659073fe32377ae3b85c77a0b5db31ce2643d6b34c",
+        195,
+        520,
+    ),
+    ("hot_small", 1): (
+        "33d7a1e58b0dfd95ee77a2aa500bd2aa3c213218917310fdd0422d89425259f3",
+        147,
+        409,
+    ),
+    ("hot_small", 2): (
+        "727df53380c7e4a62b1b9b3bca3cda34b9764df163d8887d21026d3c99aacf97",
+        244,
+        572,
+    ),
+    ("as_small", 0): (
+        "040785d84343cb4d03c7d87e21b47f8d1074c60f4faf2a94dd37a3f249fee016",
+        633,
+        14118,
+    ),
+    ("as_small", 1): (
+        "be394abf3e66fd5b929b413c363f672cab656e95ff0046ac0312a796f4c073fe",
+        599,
+        14489,
+    ),
+    ("as_small", 2): (
+        "a92226666f72dbda7caa27980d65cd564ee09dfb6ad5015f19236498c0e593cd",
+        928,
+        21176,
+    ),
+}
+
+#: ``target_3k_from_2k`` from ``matching_2k(jdd, rng=seed)`` toward the
+#: graph's own P_3 with ``rng=seed``, T = 0, 8,000 attempts, trace every 2,000
+#: (the chain ``dk_targeting_result(P_3, rng=seed)`` runs): ``(name, seed) ->
+#: (edges, distance_trace, accepted, attempted)``
+TARGET_3K_RECORDS = {
+    ("hot_small", 0): (
+        "5a86d5eef3b858a31bf6a8dfeeae6ce6e0a8fad29305159e616fb90a254cd1d0",
+        [15207.0, 14757.0, 14739.0, 14689.0, 14683.0, 14683.0],
+        3130,
+        8000,
+    ),
+    ("hot_small", 1): (
+        "53d010ccea802c55d4d378679aa779321ddd6ccdd8a65a275bf90a84fda7133b",
+        [669.0, 183.0, 165.0, 111.0, 107.0, 107.0],
+        3192,
+        8000,
+    ),
+    ("hot_small", 2): (
+        "6c7048c12f9bc8ed438891802b78df8986a23c0eab3a880d2b1a521f7feb0760",
+        [620.0, 148.0, 114.0, 110.0, 44.0, 44.0],
+        3182,
+        8000,
+    ),
+    ("as_small", 0): (
+        "fa1c7443cd993288e0c398fde4da305f49585f62899f87a97f3df54d2933767c",
+        [5673.0, 3141.0, 2561.0, 2385.0, 2239.0, 2239.0],
+        1038,
+        8000,
+    ),
+    ("as_small", 1): (
+        "7cf637dd984ff7ef6f6ad382c26a505c367ac6ad8a19de68fa29ce82515f04da",
+        [98974.0, 95748.0, 95024.0, 94678.0, 94412.0, 94412.0],
+        1104,
+        8000,
+    ),
+    ("as_small", 2): (
+        "4bbbc3972782a007c3b94a4b17f1dac554e5683338702630834e2756a96ecb41",
+        [4190.0, 1992.0, 1632.0, 1444.0, 1266.0, 1266.0],
+        1068,
+        8000,
+    ),
+}
+
+#: The same chains on the Metropolis path: T = 50, 4,000 attempts, trace
+#: every 1,000.
+METROPOLIS_3K_RECORDS = {
+    ("hot_small", 0): (
+        "873c66d7db6e915e70e75bfa0d7439c6afb783e0133e2c63d5be1d7529d7a2f9",
+        [15207.0, 15121.0, 15207.0, 15153.0, 15121.0, 15121.0],
+        2253,
+        4000,
+    ),
+    ("hot_small", 1): (
+        "a9df478b3e5e6342d245b8fd9c961a46b416cc192e0e7eea2b6ae77cfda044c7",
+        [669.0, 563.0, 429.0, 473.0, 597.0, 597.0],
+        2293,
+        4000,
+    ),
+    ("hot_small", 2): (
+        "ef65388db339cc8072a45afec44cd2ce2ee7fb7a4cf5ef2fb7bfe1840a4cb8dc",
+        [620.0, 478.0, 516.0, 510.0, 440.0, 440.0],
+        2310,
+        4000,
+    ),
+    ("as_small", 0): (
+        "981ee7a58edc653da316184ca82be3f091dca3cca149580aee0343226a3df600",
+        [5673.0, 4487.0, 4707.0, 4767.0, 4675.0, 4675.0],
+        2223,
+        4000,
+    ),
+    ("as_small", 1): (
+        "becef794af4aa5725ab26297a842a1cac3ee6be362d048f2dc291b5cc385f164",
+        [98974.0, 97582.0, 97560.0, 96696.0, 97246.0, 97246.0],
+        2003,
+        4000,
+    ),
+    ("as_small", 2): (
+        "82579a7adb24fed068f1ebd385beb11f3efe9205f21dd618b0653d53f9551a66",
+        [4190.0, 3486.0, 3404.0, 3548.0, 3754.0, 3754.0],
+        2155,
+        4000,
+    ),
+}
+
+#: The ``hot_small`` seed-2 chain run to convergence (20,000-attempt budget,
+#: trace every 6,628 attempts, so the last entry falls on the stopping
+#: attempt): ``(edges, distance_trace, accepted, attempted)``
+CONVERGED_3K_RECORD = (
+    "f88f99281d9c3e199f0d80bec5d0f72012f6d4c415e857d43699c5b73cb9c730",
+    [620.0, 108.0, 0.0, 0.0],
+    5213,
+    13256,
+)
+
+#: ``count_dk_rewirings(synthetic_as_topology(800, rng=3), d)``: ``d ->
+#: (total, non_isomorphic)`` (Table 5)
+COUNT_RECORDS = {
+    1: (3390454, 3376246),
+    2: (446562, 432354),
+    3: (16430, 2222),
 }
 
 EXPLORE_RECORDS = {
@@ -223,6 +367,59 @@ def test_randomize_reproduces_its_record(as_small, d):
     assert (_edge_hash(graph), stats["accepted_moves"], stats["attempted_moves"]) == (
         RANDOMIZE_RECORDS[d]
     )
+
+
+@pytest.mark.parametrize("name,seed", sorted(RANDOMIZE_3K_RECORDS))
+def test_3k_randomize_reproduces_its_record(request, name, seed):
+    stats = {}
+    graph = dk_randomize(
+        request.getfixturevalue(name), 3, rng=seed, multiplier=1, stats=stats
+    )
+    assert (_edge_hash(graph), stats["accepted_moves"], stats["attempted_moves"]) == (
+        RANDOMIZE_3K_RECORDS[name, seed]
+    )
+
+
+@pytest.mark.parametrize("temperature", (0.0, 50.0))
+@pytest.mark.parametrize("name,seed", sorted(TARGET_3K_RECORDS))
+def test_3k_targeting_reproduces_its_record(request, name, seed, temperature):
+    original = request.getfixturevalue(name)
+    seed_graph = matching_2k(joint_degree_distribution(original), rng=seed)
+    if temperature:
+        records, attempts, every = METROPOLIS_3K_RECORDS, 4000, 1000
+    else:
+        records, attempts, every = TARGET_3K_RECORDS, 8000, 2000
+    with pytest.warns(RewiringConvergenceWarning):
+        run = target_3k_from_2k(
+            seed_graph,
+            three_k_distribution(original),
+            rng=seed,
+            max_attempts=attempts,
+            temperature=temperature,
+            trace_every=every,
+        )
+    edges, trace, accepted, attempted = records[name, seed]
+    assert _edge_hash(run.graph) == edges
+    assert run.distance_trace == trace
+    assert (run.accepted_moves, run.attempted_moves) == (accepted, attempted)
+
+
+def test_converging_3k_targeting_reproduces_its_record(hot_small):
+    seed_graph = matching_2k(joint_degree_distribution(hot_small), rng=2)
+    run = target_3k_from_2k(
+        seed_graph, three_k_distribution(hot_small), rng=2, max_attempts=20000, trace_every=6628
+    )
+    edges, trace, accepted, attempted = CONVERGED_3K_RECORD
+    assert run.converged
+    assert _edge_hash(run.graph) == edges
+    assert run.distance_trace == trace
+    assert (run.accepted_moves, run.attempted_moves) == (accepted, attempted)
+
+def test_table5_counts_reproduce_their_record():
+    graph = synthetic_as_topology(800, rng=3)
+    for d, (total, non_isomorphic) in COUNT_RECORDS.items():
+        counts = count_dk_rewirings(graph, d)
+        assert (counts.total, counts.non_isomorphic) == (total, non_isomorphic), d
 
 
 def test_clustering_trace_stays_in_range_and_reaches_zero(hot_small):

@@ -21,8 +21,6 @@ from repro.generators.rewiring.preserving import dk_randomize
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.rewiring import (
     RewiringState,
-    _batch_full_delta,
-    _batch_zero_delta,
     _scalar_full_eval,
     _scalar_zero_eval,
     _ThreeKState,
@@ -86,18 +84,13 @@ def test_dk_randomize_preserves_the_distribution(graph, d, seed):
 @settings(max_examples=30, deadline=None)
 def test_three_k_tracker_matches_recount_after_random_swaps(graph, seed):
     """The engine's incremental 3K bookkeeping (a ``_ThreeKState`` updated
-    per accepted move, flushed at every step) gives each 2K swap the delta
-    of the recount oracle in all four evaluators, and the deltas add up to a
+    per accepted move through ``apply_swap``) gives each 2K swap the delta
+    of the recount oracle in both evaluators, and the deltas add up to a
     from-scratch recount after any sequence of such swaps."""
     rng = np.random.default_rng(seed)
-    state = RewiringState(graph)
-    tk = _ThreeKState(state)
+    tk = _ThreeKState(RewiringState(graph))
     degrees = graph.degrees()
-    # oriented edge (tail, head) -> (slot, side) of its packed end
-    ends = {}
-    for slot, (u, v) in enumerate(zip(state.edge_u, state.edge_v)):
-        ends[(u, v)] = (slot, 0)
-        ends[(v, u)] = (slot, 1)
+    base = max(degrees) + 1
     wedges = wedge_degree_counts(graph)
     triangles = triangle_degree_counts(graph)
     for _ in range(20):
@@ -113,23 +106,13 @@ def test_three_k_tracker_matches_recount_after_random_swaps(graph, seed):
         if degrees[b] != degrees[d]:
             continue
         wedge_delta, triangle_delta = three_k_delta_by_recount(graph, a, b, c, d)
-        want = pack_three_k_delta(wedge_delta, triangle_delta, tk.rank_list, tk.n_ranks)
-        assert _scalar_full_eval(tk, a, b, c, d) == want
+        want = pack_three_k_delta(wedge_delta, triangle_delta, base)
+        delta = _scalar_full_eval(tk, a, b, c, d, base)
+        assert {key: net for key, net in delta.items() if net} == want
         assert _scalar_zero_eval(tk, a, b, c, d) == (not want)
-        arrays = [np.array([x], dtype=np.int64) for x in (a, b, c, d)]
-        one = np.ones(1, dtype=bool)
-        starts, keys, nets, _ = _batch_full_delta(tk, *arrays, one)
-        assert list(zip(keys.tolist(), nets.tolist())) == want
-        assert bool(_batch_zero_delta(tk, *arrays, one)[0]) == (not want)
         wedges.update(wedge_delta)
         triangles.update(triangle_delta)
-        i, si = ends.pop((a, b))
-        j, sj = ends.pop((c, d))
-        del ends[(b, a)], ends[(d, c)]
-        tk.apply_swap(a, b, c, d, i, j, si, sj)
-        tk.flush()
-        ends[(a, d)], ends[(d, a)] = (i, si), (i, 1 - si)
-        ends[(c, b)], ends[(b, c)] = (j, sj), (j, 1 - sj)
+        tk.apply_swap(a, b, c, d)
         for u, v in ((a, b), (c, d)):
             graph.remove_edge(u, v)
         for u, v in ((a, d), (c, b)):

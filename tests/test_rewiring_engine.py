@@ -4,10 +4,7 @@ Every Markov chain — randomizing, targeting and dK-space exploration — runs
 on :mod:`repro.kernels.rewiring`.  Its contract: deterministic per seed,
 the chain's dK-invariants preserved *exactly* (degree sequence for d >= 1,
 joint degree distribution for d >= 2, wedge/triangle distributions for
-d = 3), and the same output for every batch size and on both twins of
-each size-picked table of the 2K-proposal chains' batched kernel: the
-membership bitset and the sorted arc keys beyond ``BITSET_MAX_NODES``, the
-dense gradient and the sparse one beyond ``THREEK_RANK_SLOTS_MAX``.
+d = 3), and the same output for every batch size.
 """
 
 import warnings
@@ -112,7 +109,6 @@ def test_each_engine_is_seed_deterministic(as_small, engine, d):
 
 def _patch_batch_size(monkeypatch, batch_size):
     monkeypatch.setattr(vec, "DEFAULT_BATCH_SIZE", batch_size)
-    monkeypatch.setattr(vec, "THREEK_BATCH_SIZE", batch_size)
 
 
 def test_vectorized_output_is_batch_size_invariant(as_small, monkeypatch):
@@ -126,11 +122,10 @@ def test_vectorized_output_is_batch_size_invariant(as_small, monkeypatch):
 
 
 def test_threek_batched_matches_batch_size_one(as_small, monkeypatch):
-    """Regression for within-batch duplicate proposals: an accepted 3K move
-    invalidates the precomputed deltas of later proposals in the same batch
-    touching the same nodes; the staleness path must re-evaluate those
-    exactly, so the batched chain agrees with a batch width of 1
-    move-for-move."""
+    """Within-batch duplicate proposals: an accepted 3K move changes the
+    neighborhoods later proposals of the same draw batch read, and each is
+    priced on the live state, so the batched chain agrees with a batch
+    width of 1 move-for-move."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
         _patch_batch_size(monkeypatch, 1)
@@ -141,35 +136,8 @@ def test_threek_batched_matches_batch_size_one(as_small, monkeypatch):
             assert _edge_sets(batched) == _edge_sets(reference)
 
 
-def test_threek_scalar_fallback_matches_batched(as_small, monkeypatch):
-    """Beyond BITSET_MAX_NODES the batched 3K kernel tests membership on
-    sorted arc keys instead of the bitset; it must sample the same chain
-    move for move."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        reference = dk_randomize(as_small, 3, rng=21, multiplier=1)
-        monkeypatch.setattr(vec, "BITSET_MAX_NODES", 0)
-        fallback = dk_randomize(as_small, 3, rng=21, multiplier=1)
-    assert _edge_sets(fallback) == _edge_sets(reference)
-
-
-def test_threek_targeting_rank_gate_falls_back_to_scalar(hot_small, monkeypatch):
-    """Degree diversity beyond the dense rank-packed gradient's slot cap
-    makes the 3K-targeting chain keep a sorted sparse gradient; both
-    layouts sample the same chain move-for-move on one seed."""
-    seed_graph = dk_randomize(hot_small, 2, rng=3, multiplier=2)
-    target = three_k_distribution(hot_small)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        batched = target_3k_from_2k(seed_graph, target, rng=5, max_attempts=6000)
-        monkeypatch.setattr(vec, "THREEK_RANK_SLOTS_MAX", 0)
-        sparse = target_3k_from_2k(seed_graph, target, rng=5, max_attempts=6000)
-    assert _edge_sets(batched.graph) == _edge_sets(sparse.graph)
-    assert batched.distance_trace == sparse.distance_trace
-
-
 def test_threek_batch_efficiency_gauge_is_observable(as_small):
-    """The vectorized 3K chain publishes its per-batch acceptance ratio."""
+    """The 3K chain publishes its per-batch acceptance ratio."""
     from repro.telemetry.metrics import gauge_value, render_prometheus
 
     with warnings.catch_warnings():
@@ -432,30 +400,27 @@ def test_exploration_is_batch_size_invariant(explored_graph, metric, mode, monke
         assert run.accepted_moves == reference.accepted_moves
 
 
-@pytest.mark.parametrize("gate", ("BITSET_MAX_NODES", "THREEK_RANK_SLOTS_MAX"))
 @pytest.mark.parametrize("metric,mode", [o for o in OBJECTIVES if o[0] != "s"])
-def test_exploration_scalar_path_matches_batched(explored_graph, metric, mode, gate, monkeypatch):
-    """A 2K exploration reads neither ceiling of the 3K kernel; 3K targeting
-    from its output back to the original's P_3 reads both, and past either
-    one (sorted arc keys for the bitset, a sparse gradient for the dense
-    one) ``target_3k_from_2k`` takes the same moves."""
+def test_explore_then_target_3k_batch_invariant(explored_graph, metric, mode, monkeypatch):
+    """3K targeting from a 2K exploration's output back to the original's
+    P_3 takes the same moves whether proposals are drawn one at a time or
+    :data:`DEFAULT_BATCH_SIZE` at a time, and so does the exploration."""
     target = three_k_distribution(explored_graph)
     runs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RewiringConvergenceWarning)
-        for ceiling in (None, 0):
-            if ceiling is not None:
-                monkeypatch.setattr(vec, gate, ceiling)
+        for batch_size in (vec.DEFAULT_BATCH_SIZE, 1):
+            _patch_batch_size(monkeypatch, batch_size)
             explored = _explore(explored_graph, metric, mode)
             targeted = target_3k_from_2k(explored.graph, target, rng=5, max_attempts=3000)
             runs.append((explored, targeted))
-    (explored, targeted), (twin, past) = runs
+    (explored, targeted), (twin, single) = runs
     assert targeted.accepted_moves > 0
     assert _edge_sets(twin.graph) == _edge_sets(explored.graph)
     assert twin.metric_trace == explored.metric_trace
-    assert _edge_sets(past.graph) == _edge_sets(targeted.graph)
-    assert past.distance_trace == targeted.distance_trace
-    assert (past.accepted_moves, past.attempted_moves) == (
+    assert _edge_sets(single.graph) == _edge_sets(targeted.graph)
+    assert single.distance_trace == targeted.distance_trace
+    assert (single.accepted_moves, single.attempted_moves) == (
         targeted.accepted_moves,
         targeted.attempted_moves,
     )
